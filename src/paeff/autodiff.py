@@ -7,7 +7,10 @@ reverse topological order and accumulates gradients into ``.grad``.
 
 Design constraints kept deliberately tight so every gradient is auditable:
 
-* float64 only; no broadcasting except scalar-by-tensor;
+* float64 only; binary ops broadcast a size-1 operand of no higher rank,
+  or size-1 axes at equal rank (``[N x D] * [N x 1]``, ``[N x 1] + [1 x M]``);
+  any other rank mismatch, such as ``[N]`` with ``[N x 1]``, is a
+  ``DimensionError``;
 * static graphs (one graph per training step, rebuilt every step);
 * single-threaded per graph.
 """
@@ -32,9 +35,6 @@ __all__ = [
     "clamp_min",
     "clamp_max",
     "concat_cols",
-    "repeat_rows",
-    "tile_rows",
-    "tile_cols",
     "log_softmax_nll",
 ]
 
@@ -255,14 +255,19 @@ def _check_axis(axis: int | None, ndim: int) -> int | None:
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Collapse a full-shape gradient onto a size-1 operand."""
-    return np.sum(g).reshape(shape) if g.shape != shape else g
+    """Sum a broadcast gradient back over the axes its operand was broadcast along."""
+    if g.shape == shape:
+        return g
+    if g.ndim != len(shape):
+        return np.sum(g).reshape(shape)
+    return np.sum(g, axis=tuple(i for i, n in enumerate(shape) if n == 1), keepdims=True)
 
 
 def _binary_shapes(a: Tensor, b: Tensor, opname: str) -> None:
-    if a.shape == b.shape or a.size == 1 or b.size == 1:
-        return
-    raise DimensionError(f"{opname}: operand shapes {a.shape} and {b.shape} differ")
+    same_rank = a.ndim == b.ndim and all(m == n or 1 in (m, n) for m, n in zip(a.shape, b.shape))
+    scalar = (a.size == 1 and a.ndim <= b.ndim) or (b.size == 1 and b.ndim <= a.ndim)
+    if not (same_rank or scalar):
+        raise DimensionError(f"{opname}: operand shapes {a.shape} and {b.shape} do not broadcast")
 
 
 def _coerce(x) -> Tensor:
@@ -367,8 +372,8 @@ def sqrt(x: Tensor) -> Tensor:
     return Tensor._from_op(r, (x,), (lambda g: g * mask / safe,))
 
 
-def clamp_min(x: Tensor, low: float) -> Tensor:
-    """max(x, low); gradient passes where x >= low (ties take the identity side)."""
+def clamp_min(x: Tensor, low: float | np.ndarray) -> Tensor:
+    """max(x, low), ``low`` a float or a per-element array; gradient passes where x >= low."""
     mask = x.data >= low
     return Tensor._from_op(np.maximum(x.data, low), (x,), (lambda g: g * mask,))
 
@@ -408,41 +413,6 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
         np.concatenate([a.data, b.data], axis=1),
         (a, b),
         (lambda g: g[:, :k], lambda g: g[:, k:]),
-    )
-
-
-def repeat_rows(x: Tensor, k: int) -> Tensor:
-    """Repeat each row k times consecutively: rows (a,b) -> (a,a,b,b) for k=2."""
-    if x.ndim != 2:
-        raise DimensionError(f"repeat_rows needs a matrix, got shape {x.shape}")
-    n, d = x.shape
-    return Tensor._from_op(
-        np.repeat(x.data, k, axis=0),
-        (x,),
-        (lambda g: g.reshape(n, k, d).sum(axis=1),),
-    )
-
-
-def tile_rows(x: Tensor, k: int) -> Tensor:
-    """Tile the whole row block k times: rows (a,b) -> (a,b,a,b) for k=2."""
-    if x.ndim != 2:
-        raise DimensionError(f"tile_rows needs a matrix, got shape {x.shape}")
-    n, d = x.shape
-    return Tensor._from_op(
-        np.tile(x.data, (k, 1)),
-        (x,),
-        (lambda g: g.reshape(k, n, d).sum(axis=0),),
-    )
-
-
-def tile_cols(x: Tensor, width: int) -> Tensor:
-    """Broadcast a column vector [N x 1] across ``width`` columns."""
-    if x.ndim != 2 or x.shape[1] != 1:
-        raise DimensionError(f"tile_cols needs an [N x 1] column, got shape {x.shape}")
-    return Tensor._from_op(
-        np.tile(x.data, (1, width)),
-        (x,),
-        (lambda g: g.sum(axis=1, keepdims=True),),
     )
 
 

@@ -324,6 +324,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     dataset = data.load_dataset(data_path)
     arrays = model.load_checkpoint_arrays(checkpoint_path)
+    for name in ("face_weight", "voice_weight", "cls_weight"):
+        if name not in arrays or arrays[name].ndim != 2:
+            raise DataError(f"{checkpoint_path}: checkpoint has no {name} matrix")
     face_dim, proj_dim = arrays["face_weight"].shape
     voice_dim = arrays["voice_weight"].shape[0]
     num_identities = arrays["cls_weight"].shape[1]

@@ -19,7 +19,7 @@ import numpy as np
 from . import hyperbolic as hyp
 from .autodiff import Tensor
 from .data import Dataset, EmbeddingRecord, SplitSpec
-from .errors import ContractError, DataError, DimensionError, ParseError
+from .errors import ContractError, DataError, DimensionError, NumericError, ParseError
 from .model import ModelConfig, ModelParams, encode_modality
 
 STRATA = ("random", "G", "N", "A", "GNA")
@@ -87,12 +87,6 @@ def score_pairs(
     return np.sum(na * nb, axis=1)
 
 
-def score_pair(
-    face_emb: np.ndarray, voice_emb: np.ndarray, params: ModelParams, cfg: ModelConfig
-) -> float:
-    return float(score_pairs(face_emb[None, :], voice_emb[None, :], params, cfg)[0])
-
-
 def score_trials(
     trials: list[VerificationTrial], params: ModelParams, cfg: ModelConfig
 ) -> list[VerificationTrial]:
@@ -114,6 +108,8 @@ def _scores_labels(trials: list[VerificationTrial]) -> tuple[np.ndarray, np.ndar
     if any(t.score is None for t in trials):
         raise ContractError("trials must be scored before computing metrics")
     scores = np.array([t.score for t in trials], dtype=np.float64)
+    if not np.all(np.isfinite(scores)):
+        raise NumericError(f"{np.count_nonzero(~np.isfinite(scores))} trial scores are not finite")
     labels = np.array([t.is_match for t in trials], dtype=bool)
     if labels.all() or not labels.any():
         raise ContractError("need at least one match and one non-match trial")

@@ -101,7 +101,7 @@ def clip_norm(v: Tensor, max_norm: float) -> Tensor:
     rows, was_vector = _as_rows(v)
     n = _row_norms(rows)
     factor = ad.clamp_max(max_norm / ad.clamp_min(n, _TINY), 1.0)
-    out = rows * ad.tile_cols(factor, rows.shape[1])
+    out = rows * factor
     return _restore(out, was_vector)
 
 
@@ -116,7 +116,7 @@ def project_to_ball(v: Tensor, cfg: BallConfig) -> PoincarePoint:
     n = _row_norms(rows)
     # factor = min(max_norm / ||v||, 1); the clamp keeps the inside branch exact.
     factor = ad.clamp_max(cfg.max_norm / ad.clamp_min(n, _TINY), 1.0)
-    out = rows * ad.tile_cols(factor, rows.shape[1])
+    out = rows * factor
     return PoincarePoint(_restore(out, was_vector), cfg)
 
 
@@ -131,7 +131,7 @@ def exp_map_origin(v: Tensor, cfg: BallConfig) -> PoincarePoint:
     rows, was_vector = _as_rows(v)
     sn = ad.clamp_min(_row_norms(rows) * cfg.sqrt_c, _TINY)
     factor = ad.tanh(sn) / sn
-    out = rows * ad.tile_cols(factor, rows.shape[1])
+    out = rows * factor
     return project_to_ball(_restore(out, was_vector), cfg)
 
 
@@ -144,7 +144,7 @@ def log_map_origin(p: PoincarePoint) -> Tensor:
         raise NumericError("log_map_origin: point on or outside the unit ball")
     safe = ad.clamp_min(sn, _TINY)
     factor = ad.artanh(ad.clamp_max(safe, 1.0 - cfg.boundary_eps)) / safe
-    out = rows * ad.tile_cols(factor, rows.shape[1])
+    out = rows * factor
     return _restore(out, was_vector)
 
 
@@ -156,7 +156,6 @@ def mobius_add(x: PoincarePoint, y: PoincarePoint) -> PoincarePoint:
     if xr.shape != yr.shape:
         raise ContractError(f"mobius_add: point shapes differ: {x.vector.shape} vs {y.vector.shape}")
     c = cfg.curvature
-    d = xr.shape[1]
 
     xy = (xr * yr).sum(axis=1, keepdims=True)
     x2 = (xr * xr).sum(axis=1, keepdims=True)
@@ -166,7 +165,7 @@ def mobius_add(x: PoincarePoint, y: PoincarePoint) -> PoincarePoint:
     coef_y = 1.0 - x2 * c
     denom = ad.clamp_min(xy * (2.0 * c) + x2 * y2 * (c * c) + 1.0, _TINY)
 
-    out = (xr * ad.tile_cols(coef_x, d) + yr * ad.tile_cols(coef_y, d)) / ad.tile_cols(denom, d)
+    out = (xr * coef_x + yr * coef_y) / denom
     return project_to_ball(_restore(out, x_was_vec and y_was_vec), cfg)
 
 
@@ -200,15 +199,28 @@ def poincare_distance(x: PoincarePoint, y: PoincarePoint) -> Tensor:
 
 
 def pairwise_distances(x: PoincarePoint, y: PoincarePoint) -> Tensor:
-    """All-pairs distance matrix D[i, j] = d(x_i, y_j) for two [B x D] batches."""
+    """All-pairs distance matrix D[i, j] = d(x_i, y_j) for two [B x D] batches.
+
+    Gram form of :func:`poincare_distance`, building nothing larger than
+    [B x B] or [B x D]: ||x_i - y_j||^2 = ||x_i||^2 + ||y_j||^2 - 2 <x_i, y_j>.
+    That expansion cancels for near-equal points; its rounding error is at
+    most (D + 1) * eps * (||x_i||^2 + ||y_j||^2). The squared distance is
+    floored at delta_ij = 16 * (D + 1) * eps * (||x_i||^2 + ||y_j||^2), a
+    constant: inside the floor the gradient is zero, and above it the error
+    is under delta / 16, so the gradient norm stays within sqrt(17 / 16) of
+    the exact 2 / (1 - c ||x_i||^2).
+    """
     cfg = _same_config(x, y)
     xr, _ = _as_rows(x.vector)
     yr, _ = _as_rows(y.vector)
     if xr.shape[1] != yr.shape[1]:
         raise ContractError(f"pairwise_distances: dims differ: {xr.shape} vs {yr.shape}")
-    nx, ny = xr.shape[0], yr.shape[0]
-    flat = poincare_distance(
-        PoincarePoint(ad.repeat_rows(xr, ny), cfg),
-        PoincarePoint(ad.tile_rows(yr, nx), cfg),
-    )
-    return flat.reshape(nx, ny)
+    c = cfg.curvature
+    gram = ad.matmul(xr, yr.transpose())
+    x2 = (xr * xr).sum(axis=1, keepdims=True)
+    y2t = (yr * yr).sum(axis=1, keepdims=True).transpose()
+    delta = (16.0 * (xr.shape[1] + 1) * np.finfo(np.float64).eps) * (x2.data + y2t.data)
+    d2 = ad.clamp_min(x2 + y2t - gram * 2.0, delta)
+    denom = ad.clamp_min(1.0 - gram * (2.0 * c) + x2 * y2t * (c * c), _TINY)
+    sn = ad.clamp_max(ad.sqrt(d2 / denom) * cfg.sqrt_c, 1.0 - cfg.boundary_eps)
+    return ad.artanh(sn) * (2.0 / cfg.sqrt_c)

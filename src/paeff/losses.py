@@ -56,7 +56,7 @@ class LossBreakdown:
 
 def _normalize_rows(x: Tensor) -> Tensor:
     norms = ad.clamp_min(x.norm2(axis=1, keepdims=True), _NORM_FLOOR)
-    return x / ad.tile_cols(norms, x.shape[1])
+    return x / norms
 
 
 def pairwise_cosine(a: Tensor, b: Tensor) -> Tensor:

@@ -163,7 +163,7 @@ def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
 
 def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = ad.matmul(x, w)
-    return out + ad.tile_rows(b.reshape(1, b.shape[0]), out.shape[0])
+    return out + b.reshape(1, b.shape[0])
 
 
 def project_modality(x: Tensor, which: str, params: ModelParams, cfg: ModelConfig) -> Tensor:
@@ -205,7 +205,7 @@ def egff_fuse(xf: Tensor, xv: Tensor, params: ModelParams, cfg: ModelConfig) -> 
     """
     if xf.shape != xv.shape:
         raise DimensionError(f"egff_fuse: shapes differ: {xf.shape} vs {xv.shape}")
-    b, d = xf.shape
+    d = xf.shape[1]
     f_hat = _activate(xf, cfg.gate_activation)
     v_hat = _activate(xv, cfg.gate_activation)
 
@@ -218,9 +218,7 @@ def egff_fuse(xf: Tensor, xv: Tensor, params: ModelParams, cfg: ModelConfig) -> 
             raise ContractError("concatenation combine requires combine_weight/combine_bias")
         combined = _affine(ad.concat_cols(f_hat, v_hat), params.combine_weight, params.combine_bias)
 
-    pre_gate = combined * ad.tile_rows(params.gate_weight.reshape(1, d), b) + ad.tile_rows(
-        params.gate_bias.reshape(1, d), b
-    )
+    pre_gate = combined * params.gate_weight.reshape(1, d) + params.gate_bias.reshape(1, d)
     gate = ad.sigmoid(pre_gate)
     return gate * f_hat + (1.0 - gate) * v_hat
 
@@ -304,25 +302,30 @@ def save_checkpoint(path, params: ModelParams) -> None:
 def load_checkpoint_arrays(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
+    offset = 0
+
+    def take(size: int, field: str) -> bytes:
+        nonlocal offset
+        if offset + size > len(blob):
+            raise DataError(f"{path}: checkpoint truncated inside {field} at byte {offset}")
+        offset += size
+        return blob[offset - size : offset]
+
+    if take(4, "magic") != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a parameter checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    (version,) = struct.unpack("<I", take(4, "header"))
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    offset = 8
     out: dict[str, np.ndarray] = {}
     while offset < len(blob):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        dims = struct.unpack_from(f"<{rank}I", blob, offset) if rank else ()
-        offset += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        offset += 8 * count
+        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: a parameter name is not UTF-8") from e
+        (rank,) = struct.unpack("<I", take(4, f"{name} rank"))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"{name} dims"))
+        values = np.frombuffer(take(8 * math.prod(dims), f"{name} values"), dtype="<f8")
         out[name] = values.reshape(dims).astype(np.float64)
     return out
 

@@ -1,6 +1,7 @@
 """Tensor engine: op examples, gradient oracles, graph contracts."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -127,20 +128,36 @@ class TestReductions:
 class TestStructuralOps:
     def test_structural_gradients(self):
         check_gradients(lambda a, b: ad.concat_cols(a, b).norm2(), [rand((2, 3), 13), rand((2, 2), 14)])
-        check_gradients(lambda a: ad.repeat_rows(a, 3).norm2(), [rand((2, 4), 15)])
-        check_gradients(lambda a: ad.tile_rows(a, 3).norm2(), [rand((2, 4), 16)])
-        check_gradients(lambda a: ad.tile_cols(a, 5).norm2(), [rand((3, 1), 17)])
         check_gradients(lambda a: a.reshape(6).norm2(), [rand((2, 3), 18)])
         check_gradients(lambda a: a.transpose().norm2(), [rand((2, 3), 19)])
 
-    def test_repeat_and_tile_layout(self):
-        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+
+class TestBroadcasting:
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    @pytest.mark.parametrize("shape", [(1, 4), (3, 1)], ids=["row", "column"])
+    def test_gradients(self, op, shape):
+        # magnitudes kept >= 0.5 so either side can be a divisor
+        a = np.abs(rand((3, 4), 15)) + 0.5
+        b = np.abs(rand(shape, 16)) + 0.5
+        check_gradients(lambda x, y: op(x, y).norm2(), [a, b])
+        check_gradients(lambda x, y: op(y, x).norm2(), [a, b])
+
+    def test_both_sides_broadcast_gradient(self):
+        check_gradients(lambda a, b: (a + b).norm2(), [rand((3, 1), 17), rand((1, 3), 18)])
+
+    def test_layout(self):
+        col = Tensor([[1.0], [2.0]])
+        row = Tensor([[10.0, 20.0, 30.0]])
+        np.testing.assert_array_equal((col * row).numpy(), [[10, 20, 30], [20, 40, 60]])
         np.testing.assert_array_equal(
-            ad.repeat_rows(x, 2).numpy(), [[1, 2], [1, 2], [3, 4], [3, 4]]
+            (Tensor(np.zeros((2, 3))) + row - col).numpy(), [[9, 19, 29], [8, 18, 28]]
         )
-        np.testing.assert_array_equal(
-            ad.tile_rows(x, 2).numpy(), [[1, 2], [3, 4], [1, 2], [3, 4]]
-        )
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (3, 2)), ((3,), (3, 1)), ((1, 1), (3,))])
+    def test_incompatible_shapes_rejected(self, shapes):
+        a, b = (Tensor(np.ones(s)) for s in shapes)
+        with pytest.raises(DimensionError):
+            a + b
 
 
 class TestLogSoftmaxNll:

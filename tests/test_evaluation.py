@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from paeff import data, evaluation, hyperbolic as hyp, model
 from paeff.autodiff import Tensor
 from paeff.data import SplitSpec
-from paeff.errors import ContractError, DataError, ParseError
+from paeff.errors import ContractError, DataError, NumericError, ParseError
 from paeff.evaluation import VerificationTrial
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -82,6 +82,12 @@ class TestEer:
         with pytest.raises(ContractError):
             evaluation.compute_eer([VerificationTrial(score=None, is_match=True),
                                     VerificationTrial(score=0.1, is_match=False)])
+
+    @pytest.mark.parametrize("metric", [evaluation.compute_eer, evaluation.compute_auc])
+    def test_nan_score_rejected(self, metric):
+        t = trials_from([0.9, np.nan, 0.1, 0.3, np.nan, 0.2], [True] * 3 + [False] * 3)
+        with pytest.raises(NumericError):
+            metric(t)
 
 
 class TestAuc:
@@ -160,11 +166,11 @@ class TestScoring:
         self_score = -hyp.poincare_distance(f_pt, f_pt).item()
         assert self_score == 0.0
 
-    def test_score_pair_matches_independent_distance(self):
+    def test_one_row_score_matches_independent_distance(self):
         ds, split, cfg, params = small_setup()
         face = ds.records[0].vector
         voice = ds.records[1].vector
-        got = evaluation.score_pair(face, voice, params, cfg)
+        (got,) = evaluation.score_pairs(face[None, :], voice[None, :], params, cfg)
         f = model.encode_modality(Tensor(face[None, :]), "face", params, cfg)
         v = model.encode_modality(Tensor(voice[None, :]), "voice", params, cfg)
         expected = -hyp.poincare_distance(

@@ -210,14 +210,115 @@ class TestClipNorm:
         )
 
 
+EPS = np.finfo(np.float64).eps
+
+
+def rowwise_table(x, y):
+    """Oracle: row-wise poincare_distance over every (i, j) pair, as a [B x N] table."""
+    b, n = x.shape[0], y.shape[0]
+    flat = hyp.poincare_distance(
+        hyp.PoincarePoint(Tensor(np.repeat(x, n, axis=0)), CFG),
+        hyp.PoincarePoint(Tensor(np.tile(y, (b, 1))), CFG),
+    )
+    return flat.numpy().reshape(b, n)
+
+
+def gram_error_bound(x, y, d_row):
+    """Largest |pairwise - rowwise| that float64 rounding allows (c = 1).
+
+    The floor delta and float64 eps move the artanh argument by at most
+    sqrt(delta / den) + 4 eps, and artanh' is largest at the upper end s_hi
+    of that interval. Pairs whose value the floor decides come within 1e-4
+    of that 1x bound, so the leading factor 2 is the margin.
+    """
+    d = x.shape[1]
+    x2 = np.sum(x * x, axis=1)[:, None]
+    y2 = np.sum(y * y, axis=1)[None, :]
+    delta = 16.0 * (d + 1) * EPS * (x2 + y2)
+    den = 1.0 - 2.0 * (x @ y.T) + x2 * y2
+    shift = np.sqrt(delta / den)
+    s_hi = np.minimum(np.tanh(d_row / 2.0) + shift, 1.0 - CFG.boundary_eps)
+    return 2.0 * 2.0 * (shift + 4.0 * EPS) / (1.0 - s_hi**2)
+
+
+def sample_pairs(seed, dim, radius, sep, b=6):
+    """Rows at mid-radius or at the rim; ``sep`` > 0 makes y_i a near-duplicate of x_i."""
+    rng = np.random.default_rng(seed)
+
+    def on_sphere(n):
+        u = rng.normal(size=(n, dim))
+        return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+    def radii(n):
+        if radius == "mid":
+            return rng.uniform(0.3, 0.7, size=(n, 1))
+        return CFG.max_norm * (1.0 - rng.uniform(0.0, 1e-6, size=(n, 1)))
+
+    x = on_sphere(b) * radii(b)
+    y = x + sep * on_sphere(b) if sep > 0.0 else on_sphere(b) * radii(b)
+    norms = np.linalg.norm(y, axis=1, keepdims=True)
+    return x, y * np.minimum(1.0, CFG.max_norm / norms)
+
+
+pair_cases = dict(
+    seed=st.integers(0, 2**31 - 1),
+    dim=st.integers(2, 128),
+    radius=st.sampled_from(["mid", "rim"]),
+    sep=st.one_of(st.just(0.0), st.floats(-12.0, -1.0).map(lambda e: 10.0**e)),
+)
+
+
+class TestPairwiseGramForm:
+    @settings(max_examples=150, deadline=None)
+    @given(**pair_cases)
+    def test_value_within_rounding_bound(self, seed, dim, radius, sep):
+        x, y = sample_pairs(seed, dim, radius, sep)
+        got = hyp.pairwise_distances(hyp.PoincarePoint(Tensor(x), CFG), hyp.PoincarePoint(Tensor(y), CFG))
+        d_row = rowwise_table(x, y)
+        assert np.all(np.abs(got.numpy() - d_row) <= gram_error_bound(x, y, d_row))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        dim=st.integers(2, 128),
+        radius=st.sampled_from(["mid", "rim"]),
+        sep=st.floats(-12.0, -6.0).map(lambda e: 10.0**e),
+    )
+    def test_gradient_near_diagonal_within_lipschitz_bound(self, seed, dim, radius, sep):
+        x, y = sample_pairs(seed, dim, radius, sep)
+        xt = Tensor(x, requires_grad=True)
+        table = hyp.pairwise_distances(hyp.PoincarePoint(xt, CFG), hyp.PoincarePoint(Tensor(y), CFG))
+        # row i of the gradient is the gradient of d(x_i, y_i) alone
+        (table * Tensor(np.eye(x.shape[0]))).sum().backward()
+        lam = 2.0 / (1.0 - np.sum(x * x, axis=1))
+        assert np.all(np.linalg.norm(xt.grad, axis=1) <= 1.05 * lam)
+
+    def test_tape_holds_no_b_squared_d_node(self):
+        b, d = 64, 128
+        x, y = sample_pairs(15, d, "mid", 0.0, b=b)
+        root = hyp.pairwise_distances(
+            hyp.PoincarePoint(Tensor(x, requires_grad=True), CFG),
+            hyp.PoincarePoint(Tensor(y, requires_grad=True), CFG),
+        )
+        seen, stack = set(), [root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                assert node.size <= max(b * b, b * d)
+                stack.extend(node._parents)
+        assert len(seen) > 2
+
+
 def test_pairwise_matches_rowwise():
     a = ball_points(13, n=5, d=3)
     b = ball_points(14, n=4, d=3)
     table = hyp.pairwise_distances(a, b).numpy()
+    bound = gram_error_bound(a.numpy(), b.numpy(), rowwise_table(a.numpy(), b.numpy()))
     for i in range(5):
         for j in range(4):
             single = hyp.poincare_distance(
                 hyp.PoincarePoint(Tensor(a.numpy()[i]), CFG),
                 hyp.PoincarePoint(Tensor(b.numpy()[j]), CFG),
             ).item()
-            assert table[i, j] == pytest.approx(single, abs=1e-12)
+            assert abs(table[i, j] - single) <= bound[i, j]

@@ -270,6 +270,24 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             model.load_checkpoint_arrays(path)
 
+    def test_every_truncation_rejected(self, tmp_path):
+        path = tmp_path / "t.paef"
+        model.save_checkpoint(path, model.init_params(CFG, seed=0))
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(DataError):
+                model.load_checkpoint(path, CFG)
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        path = tmp_path / "u.paef"
+        model.save_checkpoint(path, model.init_params(CFG, seed=0))
+        blob = bytearray(path.read_bytes())
+        blob[12] = 0xFF  # first byte of the first parameter name
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="UTF-8"):
+            model.load_checkpoint_arrays(path)
+
     def test_shape_mismatch_rejected(self, tmp_path):
         params = model.init_params(CFG, seed=0)
         path = tmp_path / "d.paef"

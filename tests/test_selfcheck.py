@@ -1,0 +1,9 @@
+"""The built-in selfcheck: every invariant it lists holds."""
+
+from paeff import selfcheck
+
+
+def test_all_checks_pass():
+    results = selfcheck.run_all()
+    assert len(results) == 18
+    assert [r.name for r in results if not r.passed] == []
