@@ -5,6 +5,13 @@ a ``PAEFF_`` environment variable (``PAEFF_TRAIN_LR0``); precedence is
 flags > environment > config file > defaults. Each run writes a manifest
 sufficient to reproduce it byte-for-byte.
 
+The model.*, train.* and eval.* options are the defaulted fields of
+``ModelConfig``, ``TrainConfig`` (its ``LossWeights`` flattened to
+``alpha1..3``) and ``EvalConfig``, with the dataclass defaults. ``--ablation``
+is a preset over them: once options are resolved it overwrites
+``use_hyperbolic``, ``similarity``, ``fusion`` and ``alpha1``, so the
+manifest's config describes the model that was trained.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric/invariant
 failure.
 """
@@ -14,8 +21,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -30,7 +38,6 @@ from .errors import (
     PaeffError,
     ParseError,
 )
-from .losses import LossWeights
 
 
 class UsageError(Exception):
@@ -42,47 +49,90 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-MODEL_OPTIONS = [
-    Option("model.proj_dim", "int", 128, "projection width D"),
-    Option("model.gate_activation", "str", "tanh", "gate activation: tanh|relu"),
-    Option("model.attention_combine", "str", "multiplication",
-           "attention-weight combination: multiplication|addition|concatenation"),
-    Option("model.use_hyperbolic", "bool", True, "lift projections onto the Poincare ball"),
-    Option("model.similarity", "str", "neg_hyperbolic_distance",
-           "alignment similarity: neg_hyperbolic_distance|cosine"),
-    Option("model.fusion", "str", "egff", "fusion arm: egff|linear"),
-    Option("model.curvature", "float", 1.0, "ball curvature c"),
-    Option("model.boundary_eps", "float", 1e-5, "ball boundary epsilon"),
-    Option("model.tangent_clip", "float", 0.5, "tangent-norm clip radius before the exp map"),
-]
+# Help text of the model/train/eval options, which come from the config dataclasses.
+HELP = {
+    "model.proj_dim": "projection width D",
+    "model.gate_activation": "gate activation: tanh|relu",
+    "model.attention_combine": "attention-weight combination: multiplication|addition|concatenation",
+    "model.use_hyperbolic": "lift projections onto the Poincare ball",
+    "model.similarity": "alignment similarity: neg_hyperbolic_distance|cosine",
+    "model.fusion": "fusion arm: egff|linear",
+    "model.curvature": "ball curvature c",
+    "model.boundary_eps": "ball boundary epsilon",
+    "model.tangent_clip": "tangent-norm clip radius before the exp map",
+    "train.batch_size": "batch size; 'auto' picks 1024 or 64 at desk scale",
+    "train.lr0": "initial learning rate",
+    "train.alpha1": "alignment loss weight",
+    "train.alpha2": "orthogonal projection loss weight",
+    "train.alpha3": "cross entropy loss weight",
+    "train.op_inter_weight": "weight of the inter-class |cos| term",
+    "train.val_trials": "validation verification trials per epoch",
+    "eval.nc_list": "matching gallery sizes",
+    "eval.strata": "demographic strata: random,G,N,A,GNA",
+    "eval.max_trials": "verification trials",
+    "eval.matching_trials": "matching trials per gallery size",
+    "eval.probe_modality": "matching probe modality: voice|face",
+}
 
-TRAIN_OPTIONS = [
-    Option("train.epochs", "int", 50),
-    Option("train.batch_size", "int_or_auto", None, "batch size; 'auto' picks 1024 or 64 at desk scale"),
-    Option("train.lr0", "float", 2e-5, "initial learning rate"),
-    Option("train.lr_min", "float", 0.0),
-    Option("train.weight_decay", "float", 1e-2),
-    Option("train.adam_beta1", "float", 0.9),
-    Option("train.adam_beta2", "float", 0.999),
-    Option("train.adam_eps", "float", 1e-8),
-    Option("train.seed", "int", 0),
-    Option("train.alpha1", "float", 0.3, "alignment loss weight"),
-    Option("train.alpha2", "float", 0.35, "orthogonal projection loss weight"),
-    Option("train.alpha3", "float", 0.35, "cross entropy loss weight"),
+
+def _defaults(cls) -> Iterator[tuple[str, Any]]:
+    """(name, default) of each field of a config dataclass that has a default."""
+    for f in fields(cls):
+        if f.default is not MISSING:
+            yield f.name, f.default
+        elif f.default_factory is not MISSING:
+            yield f.name, f.default_factory()
+
+
+def _kind(default: Any) -> str:
+    if default is None:
+        return "int_or_auto"
+    if isinstance(default, tuple):
+        return type(default[0]).__name__ + "s"  # ints | strs
+    return type(default).__name__  # bool | int | float | str
+
+
+def _config_options(section: str, cls) -> list[Option]:
+    """One option per defaulted field; a nested config's fields join the section flat."""
+    options = []
+    for name, default in _defaults(cls):
+        if is_dataclass(default):
+            options += _config_options(section, type(default))
+        else:
+            key = f"{section}.{name}"
+            options.append(Option(key, _kind(default), default, HELP.get(key, "")))
+    return options
+
+
+def _build(cls, section: str, resolved: dict, **given):
+    """``cls`` from the resolved ``section.*`` keys; ``given`` holds the fields without a default."""
+    for name, default in _defaults(cls):
+        given[name] = (
+            _build(type(default), section, resolved) if is_dataclass(default) else resolved[f"{section}.{name}"]
+        )
+    return cls(**given)
+
+
+MODEL_OPTIONS = _config_options("model", model.ModelConfig)
+TRAIN_OPTIONS = _config_options("train", trainer.TrainConfig) + [
     Option("train.ablation", "str", "full",
            "full|baseline|egff|egff_fa or '+'-joined flags (no_fa, no_hyperbolic, linear_fusion)"),
-    Option("train.op_inter_weight", "float", 1.0, "weight of the inter-class |cos| term"),
-    Option("train.val_trials", "int", 200, "validation verification trials per epoch"),
 ]
+EVAL_OPTIONS = _config_options("eval", evaluation.EvalConfig)
 
-EVAL_OPTIONS = [
-    Option("eval.nc_list", "ints", (2, 4, 6, 8, 10), "matching gallery sizes"),
-    Option("eval.strata", "strs", ("random",), "demographic strata: random,G,N,A,GNA"),
-    Option("eval.max_trials", "int", 1000, "verification trials"),
-    Option("eval.matching_trials", "int", 500, "matching trials per gallery size"),
-    Option("eval.probe_modality", "str", "voice", "matching probe modality: voice|face"),
-    Option("eval.seed", "int", 0),
-]
+# What each --ablation flag overwrites once options are resolved, so an
+# ablation wins over an explicit flag.
+ABLATION_FLAGS = {
+    "no_fa": {"train.alpha1": 0.0},
+    "no_hyperbolic": {"model.use_hyperbolic": False, "model.similarity": "cosine"},
+    "linear_fusion": {"model.fusion": "linear"},
+}
+ABLATION_ALIASES = {
+    "full": (),
+    "baseline": tuple(ABLATION_FLAGS),
+    "egff": ("no_fa", "no_hyperbolic"),
+    "egff_fa": ("no_hyperbolic",),
+}
 
 SPLIT_OPTIONS = [
     Option("io.split_mode", "str", "unseen_unheard", "unseen_unheard|seen_heard"),
@@ -181,54 +231,17 @@ def _load_split(resolved: dict, require_train: bool = True) -> data.SplitSpec:
     )
 
 
-def _model_config(resolved: dict, face_dim: int, voice_dim: int, num_identities: int) -> model.ModelConfig:
-    return model.ModelConfig(
-        face_dim=face_dim,
-        voice_dim=voice_dim,
-        num_identities=num_identities,
-        proj_dim=resolved["model.proj_dim"],
-        gate_activation=resolved["model.gate_activation"],
-        attention_combine=resolved["model.attention_combine"],
-        use_hyperbolic=resolved["model.use_hyperbolic"],
-        similarity=resolved["model.similarity"],
-        fusion=resolved["model.fusion"],
-        curvature=resolved["model.curvature"],
-        boundary_eps=resolved["model.boundary_eps"],
-        tangent_clip=resolved["model.tangent_clip"],
-    )
-
-
-def _train_config(resolved: dict) -> trainer.TrainConfig:
-    return trainer.TrainConfig(
-        epochs=resolved["train.epochs"],
-        batch_size=resolved["train.batch_size"],
-        lr0=resolved["train.lr0"],
-        lr_min=resolved["train.lr_min"],
-        weight_decay=resolved["train.weight_decay"],
-        adam_beta1=resolved["train.adam_beta1"],
-        adam_beta2=resolved["train.adam_beta2"],
-        adam_eps=resolved["train.adam_eps"],
-        seed=resolved["train.seed"],
-        loss_weights=LossWeights(
-            alpha1=resolved["train.alpha1"],
-            alpha2=resolved["train.alpha2"],
-            alpha3=resolved["train.alpha3"],
-        ),
-        ablation=resolved["train.ablation"],
-        op_inter_weight=resolved["train.op_inter_weight"],
-        val_trials=resolved["train.val_trials"],
-    )
-
-
-def _eval_config(resolved: dict) -> evaluation.EvalConfig:
-    return evaluation.EvalConfig(
-        nc_list=tuple(resolved["eval.nc_list"]),
-        strata=tuple(resolved["eval.strata"]),
-        max_trials=resolved["eval.max_trials"],
-        matching_trials=resolved["eval.matching_trials"],
-        probe_modality=resolved["eval.probe_modality"],
-        seed=resolved["eval.seed"],
-    )
+def _apply_ablation(resolved: dict) -> None:
+    """Overwrite the options an ablation spec ('baseline', 'no_fa+linear_fusion', ...) stands for."""
+    spec = resolved["train.ablation"].strip()
+    tokens = ABLATION_ALIASES[spec] if spec in ABLATION_ALIASES else [t.strip() for t in spec.split("+")]
+    for token in tokens:
+        if token not in ABLATION_FLAGS:
+            raise ContractError(
+                f"unknown ablation {token!r}; use {sorted(ABLATION_ALIASES)} or "
+                f"'+'-joined flags from {tuple(ABLATION_FLAGS)}"
+            )
+        resolved.update(ABLATION_FLAGS[token])
 
 
 def _digest_inputs(paths: dict[str, str | None]) -> dict[str, dict[str, str]]:
@@ -239,10 +252,11 @@ def _digest_inputs(paths: dict[str, str | None]) -> dict[str, dict[str, str]]:
     }
 
 
-def _train_section(tc: trainer.TrainConfig, batch_size: int) -> dict:
+def _train_section(tc: trainer.TrainConfig, batch_size: int, ablation: str) -> dict:
     section = asdict(tc)
     weights = section.pop("loss_weights")
     section.update(weights)
+    section["ablation"] = ablation
     section["batch_size"] = tc.batch_size if tc.batch_size is not None else "auto"
     section["batch_size_resolved"] = batch_size
     section["optimizer"] = "adamw"
@@ -255,6 +269,7 @@ def _train_section(tc: trainer.TrainConfig, batch_size: int) -> dict:
 
 def cmd_train(args: argparse.Namespace) -> int:
     resolved = _resolve(args, COMMAND_OPTIONS["train"])
+    _apply_ablation(resolved)
     data_path = _require(resolved, "io.data")
     out_dir = Path(_require(resolved, "io.out"))
 
@@ -262,8 +277,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     split = _load_split(resolved)
     split.validate(dataset)
     num_identities = len(split.part_identities(dataset, "train"))
-    model_cfg = _model_config(resolved, dataset.face_dim, dataset.voice_dim, num_identities)
-    train_cfg = _train_config(resolved)
+    model_cfg = _build(model.ModelConfig, "model", resolved, face_dim=dataset.face_dim,
+                       voice_dim=dataset.voice_dim, num_identities=num_identities)
+    train_cfg = _build(trainer.TrainConfig, "train", resolved)
 
     result = trainer.train(dataset, split, model_cfg, train_cfg)
 
@@ -280,8 +296,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "seed": train_cfg.seed,
         "config": {
             "model": asdict(model_cfg),
-            "model_effective": asdict(result.model_cfg),
-            "train": _train_section(train_cfg, result.batch_size),
+            "train": _train_section(train_cfg, result.batch_size, resolved["train.ablation"]),
         },
         "inputs": _digest_inputs(
             {
@@ -320,9 +335,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     checkpoint_path = _require(resolved, "io.checkpoint")
     data_path = _require(resolved, "io.data")
     out_dir = Path(_require(resolved, "io.out"))
-    eval_cfg = _eval_config(resolved)
+    eval_cfg = _build(evaluation.EvalConfig, "eval", resolved)
 
-    dataset = data.load_dataset(data_path)
     arrays = model.load_checkpoint_arrays(checkpoint_path)
     for name in ("face_weight", "voice_weight", "cls_weight"):
         if name not in arrays or arrays[name].ndim != 2:
@@ -333,9 +347,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     resolved["model.proj_dim"] = proj_dim
     if "combine_weight" in arrays:
         resolved["model.attention_combine"] = "concatenation"
-    model_cfg = _model_config(resolved, face_dim, voice_dim, num_identities)
+    model_cfg = _build(model.ModelConfig, "model", resolved, face_dim=face_dim, voice_dim=voice_dim,
+                       num_identities=num_identities)
     params = model.load_checkpoint(checkpoint_path, model_cfg)
 
+    dataset = data.load_dataset(data_path)
     split = None
     if resolved["io.split_test"] is not None:
         split = _load_split(resolved, require_train=False)

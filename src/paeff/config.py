@@ -21,7 +21,7 @@ from .errors import ParseError
 @dataclass(frozen=True)
 class Option:
     key: str  # dotted config key, e.g. "train.lr0"
-    kind: str  # int | float | str | bool | ints | strs
+    kind: str  # int | int_or_auto | float | str | bool | ints | strs
     default: Any
     help: str = ""
 

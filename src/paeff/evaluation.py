@@ -20,6 +20,7 @@ from . import hyperbolic as hyp
 from .autodiff import Tensor
 from .data import Dataset, EmbeddingRecord, SplitSpec
 from .errors import ContractError, DataError, DimensionError, NumericError, ParseError
+from .losses import normalize_rows
 from .model import ModelConfig, ModelParams, encode_modality
 
 STRATA = ("random", "G", "N", "A", "GNA")
@@ -82,9 +83,7 @@ def score_pairs(
         return -hyp.poincare_distance(f, v).numpy()
     fv = f.vector if isinstance(f, hyp.PoincarePoint) else f
     vv = v.vector if isinstance(v, hyp.PoincarePoint) else v
-    na = fv.numpy() / np.maximum(np.linalg.norm(fv.numpy(), axis=1, keepdims=True), 1e-12)
-    nb = vv.numpy() / np.maximum(np.linalg.norm(vv.numpy(), axis=1, keepdims=True), 1e-12)
-    return np.sum(na * nb, axis=1)
+    return (normalize_rows(fv) * normalize_rows(vv)).sum(axis=1).numpy()
 
 
 def score_trials(

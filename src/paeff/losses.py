@@ -54,14 +54,15 @@ class LossBreakdown:
         }
 
 
-def _normalize_rows(x: Tensor) -> Tensor:
+def normalize_rows(x: Tensor) -> Tensor:
+    """Each row scaled to unit L2 norm (norms floored at 1e-12)."""
     norms = ad.clamp_min(x.norm2(axis=1, keepdims=True), _NORM_FLOOR)
     return x / norms
 
 
 def pairwise_cosine(a: Tensor, b: Tensor) -> Tensor:
     """Cosine similarity matrix between the rows of two [N x D] batches."""
-    return ad.matmul(_normalize_rows(a), _normalize_rows(b).transpose())
+    return ad.matmul(normalize_rows(a), normalize_rows(b).transpose())
 
 
 def similarity_matrix(
@@ -84,13 +85,16 @@ def alignment_loss(
     voice: PoincarePoint | Tensor,
     logit_scale: Tensor,
     mode: str = "neg_hyperbolic_distance",
+    labels=None,
 ) -> Tensor:
     """Symmetric cross-entropy over in-batch pairs.
 
     Row i of both inputs must be the same identity's matched pair; every
-    other row serves as a negative. Temperatured logits are
-    exp(logit_scale) * similarity, and the loss averages the face->voice
-    and voice->face directions.
+    other row serves as a negative, except rows whose ``labels`` entry
+    equals row i's: those logits are masked to -inf, so a batch that holds
+    an identity twice does not push it away from itself. Temperatured
+    logits are exp(logit_scale) * similarity, and the loss averages the
+    face->voice and voice->face directions.
     """
     sims = similarity_matrix(face, voice, mode)
     b = sims.shape[0]
@@ -99,6 +103,13 @@ def alignment_loss(
     if sims.shape[0] != sims.shape[1]:
         raise ContractError(f"alignment_loss needs matched batches, got {sims.shape}")
     logits = sims * ad.exp(logit_scale)
+    if labels is not None:
+        y = np.asarray(labels)
+        if y.shape != (b,):
+            raise ContractError(f"labels shape {y.shape} does not match batch {b}")
+        same = (y[:, None] == y[None, :]) & ~np.eye(b, dtype=bool)
+        if same.any():
+            logits = logits + Tensor(np.where(same, -np.inf, 0.0))
     targets = np.arange(b)
     return (ad.log_softmax_nll(logits, targets) + ad.log_softmax_nll(logits.transpose(), targets)) * 0.5
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -114,6 +114,9 @@ class ModelParams:
             t = getattr(self, name)
             if t is not None:
                 yield name, t
+
+    def __iter__(self) -> Iterator[tuple[str, Tensor]]:
+        return self.named()
 
     def zero_grads(self) -> None:
         for _, t in self.named():
@@ -345,13 +348,3 @@ def load_checkpoint(path, cfg: ModelConfig) -> ModelParams:
     kwargs = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
     return ModelParams(**kwargs)
 
-
-def with_ablation(cfg: ModelConfig, flags: frozenset[str]) -> ModelConfig:
-    """Apply trainer ablation flags to the model configuration."""
-    changes = {}
-    if "no_hyperbolic" in flags:
-        changes["use_hyperbolic"] = False
-        changes["similarity"] = "cosine"
-    if "linear_fusion" in flags:
-        changes["fusion"] = "linear"
-    return replace(cfg, **changes) if changes else cfg

@@ -218,9 +218,7 @@ def check_adamw_single_step() -> None:
     cfg = trainer.TrainConfig(lr0=0.1, weight_decay=0.01)
     p = Tensor(np.array([1.0]), requires_grad=True)
     p.grad = np.array([2.0])  # f(x) = x^2 at x = 1
-    params = _single_param(p)
-    state = trainer.AdamState()
-    trainer.adamw_step(params, state, lr=0.1, cfg=cfg)
+    trainer.adamw_step([("p", p)], trainer.AdamState(), lr=0.1, cfg=cfg)
     m_hat = 2.0  # (0.1 * 2.0) / (1 - 0.9)
     v_hat = 4.0  # (0.001 * 4.0) / (1 - 0.999)
     expected = 1.0 - 0.1 * m_hat / (math.sqrt(v_hat) + cfg.adam_eps) - 0.1 * 0.01 * 1.0
@@ -231,16 +229,6 @@ def check_cosine_schedule() -> None:
     _expect(trainer.cosine_lr(0, 100, 2e-5) == 2e-5, "cosine_lr(0) != lr0")
     _expect(abs(trainer.cosine_lr(100, 100, 2e-5)) < 1e-20, "cosine_lr(T) != lr_min")
     _expect(abs(trainer.cosine_lr(50, 100, 2e-5) - 1e-5) < 1e-18, "cosine_lr(T/2) != midpoint")
-
-
-def _single_param(p: Tensor) -> model.ModelParams:
-    """Wrap one tensor so optimizer checks can drive adamw_step directly."""
-
-    class _One:
-        def named(self):
-            return [("p", p)]
-
-    return _One()  # type: ignore[return-value]
 
 
 def _brute_force_eer(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -9,26 +9,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from . import evaluation, losses, model
+from .autodiff import Tensor
 from .data import Dataset, SplitSpec, make_batches
 from .errors import ContractError, DimensionError, NumericError
 from .losses import LossWeights
 from .model import ModelConfig, ModelParams
 
 LOGIT_SCALE_MAX = math.log(100.0)
-
-ABLATION_FLAGS = ("no_fa", "no_hyperbolic", "linear_fusion")
-ABLATION_ALIASES = {
-    "full": frozenset(),
-    "baseline": frozenset(ABLATION_FLAGS),
-    "egff": frozenset({"no_fa", "no_hyperbolic"}),
-    "egff_fa": frozenset({"no_hyperbolic"}),
-}
 
 # Below this many formable train pairs the paper-scale batch default is
 # replaced by a desk-scale one.
@@ -49,7 +43,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     seed: int = 0
     loss_weights: LossWeights = field(default_factory=LossWeights)
-    ablation: str = "full"
     op_inter_weight: float = 1.0
     val_trials: int = 200
 
@@ -60,28 +53,6 @@ class TrainConfig:
             raise ContractError("lr0 must be positive")
         if self.batch_size is not None and self.batch_size < 2:
             raise ContractError("batch_size must be at least 2")
-        parse_ablation(self.ablation)
-
-
-def parse_ablation(spec: str) -> frozenset[str]:
-    """Resolve an ablation string ('full', 'baseline', 'no_fa+linear_fusion', ...)."""
-    name = spec.strip()
-    if name in ABLATION_ALIASES:
-        return ABLATION_ALIASES[name]
-    flags = set()
-    for token in name.split("+"):
-        token = token.strip()
-        if token not in ABLATION_FLAGS:
-            raise ContractError(
-                f"unknown ablation {token!r}; use {sorted(ABLATION_ALIASES)} or "
-                f"'+'-joined flags from {ABLATION_FLAGS}"
-            )
-        flags.add(token)
-    return frozenset(flags)
-
-
-def effective_weights(weights: LossWeights, flags: frozenset[str]) -> LossWeights:
-    return replace(weights, alpha1=0.0) if "no_fa" in flags else weights
 
 
 def resolve_batch_size(cfg: TrainConfig, dataset: Dataset, split: SplitSpec) -> int:
@@ -109,15 +80,15 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adamw_step(params: ModelParams, state: AdamState, lr: float, cfg: TrainConfig) -> None:
-    """One decoupled-weight-decay Adam update on every named parameter.
+def adamw_step(params: Iterable[tuple[str, Tensor]], state: AdamState, lr: float, cfg: TrainConfig) -> None:
+    """One decoupled-weight-decay Adam update on every ``(name, tensor)`` parameter.
 
     p <- p - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * p
     """
     state.step += 1
     t = state.step
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    for name, tensor in params.named():
+    for name, tensor in params:
         grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
         if grad.shape != tensor.data.shape:
             raise DimensionError(f"{name}: grad shape {grad.shape} != param shape {tensor.data.shape}")
@@ -162,7 +133,7 @@ class EpochLog:
 @dataclass
 class TrainResult:
     params: ModelParams  # best-by-validation-EER weights
-    model_cfg: ModelConfig  # ablation-resolved configuration the params belong to
+    model_cfg: ModelConfig  # the configuration the params belong to
     history: list[EpochLog]
     best_epoch: int
     best_val_eer: float
@@ -176,7 +147,7 @@ def step_losses(
     """Forward pass plus the three-component objective for one batch."""
     result = model.forward(batch_faces, batch_voices, params, cfg)
     l_align = losses.alignment_loss(
-        result.face_aligned, result.voice_aligned, params.logit_scale, cfg.effective_similarity()
+        result.face_aligned, result.voice_aligned, params.logit_scale, cfg.effective_similarity(), batch_labels
     )
     l_op = losses.orthogonal_projection_loss(result.embedding, batch_labels, op_inter_weight)
     l_ce = losses.cross_entropy_loss(result.logits, batch_labels)
@@ -191,12 +162,9 @@ def train(
 ) -> TrainResult:
     """Run the full optimization; deterministic given the config seed."""
     split.validate(dataset)
-    flags = parse_ablation(train_cfg.ablation)
-    cfg = model.with_ablation(model_cfg, flags)
-    weights = effective_weights(train_cfg.loss_weights, flags)
     batch_size = resolve_batch_size(train_cfg, dataset, split)
 
-    params = model.init_params(cfg, train_cfg.seed)
+    params = model.init_params(model_cfg, train_cfg.seed)
     state = AdamState()
     val_trials = evaluation.build_verification_trials(
         dataset, split, max_trials=train_cfg.val_trials, seed=train_cfg.seed, part="val"
@@ -218,7 +186,7 @@ def train(
         for batch in batches:
             try:
                 breakdown = step_losses(
-                    batch.faces, batch.voices, batch.labels, params, cfg, weights,
+                    batch.faces, batch.voices, batch.labels, params, model_cfg, train_cfg.loss_weights,
                     train_cfg.op_inter_weight,
                 )
             except NumericError as e:
@@ -240,7 +208,7 @@ def train(
             step += 1
 
         try:
-            evaluation.score_trials(val_trials, params, cfg)
+            evaluation.score_trials(val_trials, params, model_cfg)
         except NumericError as e:
             raise NumericError(f"training diverged at step {step}: {e}") from None
         val_eer, _ = evaluation.compute_eer(val_trials)
@@ -265,7 +233,7 @@ def train(
     params.load_values(best_values)
     return TrainResult(
         params=params,
-        model_cfg=cfg,
+        model_cfg=model_cfg,
         history=history,
         best_epoch=best_epoch,
         best_val_eer=best_eer,

@@ -1,5 +1,7 @@
 """Verification and matching metrics against brute-force oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,17 @@ class TestScoring:
             hyp.PoincarePoint(Tensor(v.numpy()[0]), cfg.ball),
         ).item()
         assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_cosine_arm_matches_independent_cosine(self):
+        ds, split, cfg, params = small_setup()
+        cfg = dataclasses.replace(cfg, use_hyperbolic=False, similarity="cosine")
+        faces = np.stack([r.vector for r in ds.records if r.modality == "face"][:6])
+        voices = np.stack([r.vector for r in ds.records if r.modality == "voice"][:6])
+        got = evaluation.score_pairs(faces, voices, params, cfg)
+        pf = faces @ params.face_weight.data + params.face_bias.data
+        pv = voices @ params.voice_weight.data + params.voice_bias.data
+        expected = np.sum(pf * pv, axis=1) / (np.linalg.norm(pf, axis=1) * np.linalg.norm(pv, axis=1))
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
     def test_trial_scoring_order_invariant(self):
         ds, split, cfg, params = small_setup()

@@ -22,17 +22,21 @@ def lifted(data):
     return hyp.exp_map_origin(Tensor(np.asarray(data, dtype=np.float64)), CFG)
 
 
-def brute_force_symmetric_ce(sims, scale):
-    """Naive-summation oracle for the symmetric alignment loss."""
+def brute_force_symmetric_ce(sims, scale, labels=None):
+    """Naive-summation oracle for the symmetric alignment loss.
+
+    With ``labels``, the other columns of a row's own label are left out of
+    its softmax.
+    """
     logits = np.exp(scale) * sims
     b = logits.shape[0]
 
     def ce(mat):
         total = 0.0
         for i in range(b):
-            row = mat[i]
+            row = [mat[i][j] for j in range(b) if j == i or labels is None or labels[j] != labels[i]]
             m = max(row)
-            total += -(row[i] - m - math.log(sum(math.exp(v - m) for v in row)))
+            total += -(mat[i][i] - m - math.log(sum(math.exp(v - m) for v in row)))
         return total / b
 
     return 0.5 * (ce(logits) + ce(logits.T))
@@ -96,6 +100,32 @@ class TestAlignmentLoss:
         got = losses.alignment_loss(f, v, Tensor(0.5), "neg_hyperbolic_distance").item()
         assert got == pytest.approx(expected, abs=1e-12)
 
+    def test_duplicate_labels_match_masked_oracle(self):
+        rng = np.random.default_rng(5)
+        f, v = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        labels = [0, 0, 1, 2, 1]
+        fu = f / np.linalg.norm(f, axis=1, keepdims=True)
+        vu = v / np.linalg.norm(v, axis=1, keepdims=True)
+        expected = brute_force_symmetric_ce(fu @ vu.T, 0.8, labels)
+        got = losses.alignment_loss(Tensor(f), Tensor(v), Tensor(0.8), "cosine", labels).item()
+        assert got == pytest.approx(expected, abs=1e-12)
+        assert abs(got - brute_force_symmetric_ce(fu @ vu.T, 0.8)) > 1e-3
+
+    @pytest.mark.parametrize("mode", ["cosine", "neg_hyperbolic_distance"])
+    def test_unique_labels_change_nothing(self, mode):
+        rng = np.random.default_rng(6)
+        f, v = rng.normal(size=(5, 4)) * 0.5, rng.normal(size=(5, 4)) * 0.5
+
+        def run(labels):
+            a, b, s = Tensor(f, requires_grad=True), Tensor(v, requires_grad=True), Tensor(0.9, requires_grad=True)
+            aligned = (a, b) if mode == "cosine" else (hyp.exp_map_origin(a, CFG), hyp.exp_map_origin(b, CFG))
+            loss = losses.alignment_loss(*aligned, s, mode, labels)
+            loss.backward()
+            return [loss.data, a.grad, b.grad, s.grad]
+
+        for labelled, plain in zip(run([3, 1, 4, 0, 2]), run(None)):
+            np.testing.assert_array_equal(labelled, plain)
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
     def test_invariant_under_joint_permutation(self, seed):
@@ -147,6 +177,23 @@ class TestAlignmentLoss:
             return losses.alignment_loss(a, b, s, "cosine")
 
         check_gradients(g, [rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), np.array(0.9)])
+
+    def test_gradients_with_duplicate_labels(self):
+        rng = np.random.default_rng(7)
+        labels = [0, 0, 1, 2, 1]
+
+        def f(a, b, s):
+            return losses.alignment_loss(
+                hyp.exp_map_origin(a, CFG), hyp.exp_map_origin(b, CFG), s,
+                "neg_hyperbolic_distance", labels,
+            )
+
+        check_gradients(f, [rng.normal(size=(5, 4)) * 0.5, rng.normal(size=(5, 4)) * 0.5, np.array(0.9)])
+
+        def g(a, b, s):
+            return losses.alignment_loss(a, b, s, "cosine", labels)
+
+        check_gradients(g, [rng.normal(size=(5, 4)), rng.normal(size=(5, 4)), np.array(0.9)])
 
 
 class TestOrthogonalProjectionLoss:

@@ -296,16 +296,3 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             model.load_checkpoint(path, other)
 
-
-class TestAblationMapping:
-    def test_no_hyperbolic_forces_cosine(self):
-        out = model.with_ablation(CFG, frozenset({"no_hyperbolic"}))
-        assert not out.use_hyperbolic
-        assert out.similarity == "cosine"
-
-    def test_linear_fusion(self):
-        out = model.with_ablation(CFG, frozenset({"linear_fusion"}))
-        assert out.fusion == "linear"
-
-    def test_full_is_identity(self):
-        assert model.with_ablation(CFG, frozenset()) == CFG
