@@ -28,7 +28,6 @@ __all__ = [
     "relu",
     "sigmoid",
     "exp",
-    "log",
     "artanh",
     "absolute",
     "sqrt",
@@ -171,9 +170,6 @@ class Tensor:
     def __neg__(self):
         return Tensor._from_op(-self.data, (self,), (lambda g: -g,))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     # -- shape ops ---------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
@@ -191,10 +187,6 @@ class Tensor:
             raise DimensionError(f"transpose needs a matrix, got shape {self.shape}")
         return Tensor._from_op(np.ascontiguousarray(self.data.T), (self,), (lambda g: g.T,))
 
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
@@ -208,19 +200,6 @@ class Tensor:
             return np.broadcast_to(gg, shape).copy()
 
         return Tensor._from_op(np.sum(self.data, axis=axis, keepdims=keepdims), (self,), (vjp,))
-
-    def mean(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        axis = _check_axis(axis, self.ndim)
-        shape = self.data.shape
-        count = self.data.size if axis is None else shape[axis]
-
-        def vjp(g):
-            if axis is None:
-                return np.broadcast_to(g, shape) / count
-            gg = g if keepdims else np.expand_dims(g, axis)
-            return np.broadcast_to(gg, shape) / count
-
-        return Tensor._from_op(np.mean(self.data, axis=axis, keepdims=keepdims), (self,), (vjp,))
 
     def norm2(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         """Euclidean norm; gradient is x/||x||, defined as 0 at the zero vector."""
@@ -339,13 +318,6 @@ def sigmoid(x: Tensor) -> Tensor:
 def exp(x: Tensor) -> Tensor:
     e = np.exp(x.data)
     return Tensor._from_op(e, (x,), (lambda g: g * e,))
-
-
-def log(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0.0):
-        raise NumericError("log: argument must be strictly positive")
-    xd = x.data
-    return Tensor._from_op(np.log(xd), (x,), (lambda g: g / xd,))
 
 
 def artanh(x: Tensor) -> Tensor:

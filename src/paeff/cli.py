@@ -12,6 +12,11 @@ is a preset over them: once options are resolved it overwrites
 ``use_hyperbolic``, ``similarity``, ``fusion`` and ``alpha1``, so the
 manifest's config describes the model that was trained.
 
+For eval, a ``--manifest``'s model values and then the checkpoint's own
+shapes (``proj_dim``, and ``concatenation`` when it holds ``combine_weight``)
+stand between the config file and the defaults; an option that disagrees
+with the checkpoint exits 2.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric/invariant
 failure.
 """
@@ -323,20 +328,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    # The manifest sits below flags/env/config in precedence but above defaults.
-    fallback = {}
     pre = _resolve(args, COMMAND_OPTIONS["eval"])
-    if pre["io.manifest"]:
-        train_manifest = cfgmod.read_manifest(pre["io.manifest"])
-        model_section = train_manifest.get("config", {}).get("model", {})
-        fallback = {f"model.{k}": v for k, v in model_section.items()}
-    resolved = _resolve(args, COMMAND_OPTIONS["eval"], fallback)
-
-    checkpoint_path = _require(resolved, "io.checkpoint")
-    data_path = _require(resolved, "io.data")
-    out_dir = Path(_require(resolved, "io.out"))
-    eval_cfg = _build(evaluation.EvalConfig, "eval", resolved)
-
+    checkpoint_path = _require(pre, "io.checkpoint")
     arrays = model.load_checkpoint_arrays(checkpoint_path)
     for name in ("face_weight", "voice_weight", "cls_weight"):
         if name not in arrays or arrays[name].ndim != 2:
@@ -344,9 +337,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
     face_dim, proj_dim = arrays["face_weight"].shape
     voice_dim = arrays["voice_weight"].shape[0]
     num_identities = arrays["cls_weight"].shape[1]
-    resolved["model.proj_dim"] = proj_dim
+
+    # Below flags/env/config in precedence: the manifest, then what the
+    # checkpoint's shapes tell, then defaults. A higher layer that disagrees
+    # with the checkpoint fails load_checkpoint's name or shape check.
+    fallback = {"model.proj_dim": proj_dim}
     if "combine_weight" in arrays:
-        resolved["model.attention_combine"] = "concatenation"
+        fallback["model.attention_combine"] = "concatenation"
+    if pre["io.manifest"]:
+        known = {opt.key: opt for opt in MODEL_OPTIONS}
+        fallback.update(cfgmod.read_manifest_section(pre["io.manifest"], "model", known))
+    resolved = _resolve(args, COMMAND_OPTIONS["eval"], fallback)
+
+    data_path = _require(resolved, "io.data")
+    out_dir = Path(_require(resolved, "io.out"))
+    eval_cfg = _build(evaluation.EvalConfig, "eval", resolved)
     model_cfg = _build(model.ModelConfig, "model", resolved, face_dim=face_dim, voice_dim=voice_dim,
                        num_identities=num_identities)
     params = model.load_checkpoint(checkpoint_path, model_cfg)

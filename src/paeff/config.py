@@ -1,10 +1,11 @@
 """Layered run configuration and the run manifest.
 
 Every CLI flag has a dotted config-file key and a PAEFF_ environment
-variable; precedence is flags > environment > config file > (manifest,
-for eval) > built-in defaults. The config file is a flat key = value
-format: comments start with '#', lists are comma-separated, strings may
-be double-quoted.
+variable; precedence is flags > environment > config file > (for eval,
+the training manifest, then the checkpoint's shapes) > built-in defaults.
+The config file is a flat key = value format: comments start with '#',
+lists are comma-separated, strings may be double-quoted. Text that is not
+UTF-8, and a manifest value of the wrong kind, are a ParseError.
 """
 
 from __future__ import annotations
@@ -60,9 +61,28 @@ def parse_value(option: Option, raw: str) -> Any:
         raise ParseError(f"bad value for {option.key}: {e}") from None
 
 
+def parse_json_value(option: Option, value: Any) -> Any:
+    """A value read from a JSON manifest, checked against ``option.kind``.
+
+    Only a "str" option takes a JSON string; the other kinds take the JSON
+    scalar that spells them (``4``, ``0.5``, ``true``).
+    """
+    if isinstance(value, (list, dict)) or value is None or isinstance(value, str) != (option.kind == "str"):
+        raise ParseError(f"bad value for {option.key}: {value!r} is not a {option.kind}")
+    return parse_value(option, value if isinstance(value, str) else json.dumps(value))
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``; bytes that are not UTF-8 are a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e}") from None
+
+
 def read_config_file(path, known: dict[str, Option]) -> dict[str, Any]:
     values: dict[str, Any] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -84,8 +104,8 @@ def resolve(
     fallback_values: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Layered lookup per option; flag (if explicitly set) wins, then env,
-    then config file, then an optional fallback layer (eval manifests),
-    then the built-in default."""
+    then config file, then an optional fallback layer (for eval, the
+    manifest over the checkpoint's shapes), then the built-in default."""
     resolved: dict[str, Any] = {}
     fallback_values = fallback_values or {}
     for opt in options:
@@ -114,8 +134,25 @@ def write_manifest(path, manifest: dict) -> None:
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def read_manifest(path) -> dict:
+def read_manifest_section(path, section: str, known: dict[str, Option]) -> dict[str, Any]:
+    """The manifest's ``config.<section>`` values that name a known option, keyed ``section.name``.
+
+    Other keys (``model.face_dim``, say) are skipped; each kept value is
+    checked against its option's kind.
+    """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+        manifest = json.loads(read_text(path))
+    except ValueError as e:
         raise ParseError(f"{path}: not a valid manifest: {e}") from None
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{path}: a manifest must be a JSON object")
+    config = manifest.get("config", {})
+    values = config.get(section, {}) if isinstance(config, dict) else None
+    if not isinstance(values, dict):
+        raise ParseError(f"{path}: config.{section} must be a JSON object")
+    out = {}
+    for name, value in values.items():
+        key = f"{section}.{name}"
+        if key in known:
+            out[key] = parse_json_value(known[key], value)
+    return out

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
+from .config import read_text
 from .errors import ContractError, DataError, NumericError, ParseError
 
 MODALITIES = ("face", "voice")
@@ -108,8 +109,7 @@ def write_dataset(path, dataset: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError(f"{path}:1: empty file, expected '#fve v1' header")
     header = lines[0]
@@ -118,7 +118,7 @@ def load_dataset(path) -> Dataset:
     dims: dict[str, int] = {}
     for part in header[len(_HEADER_PREFIX) :].split():
         key, _, value = part.partition("=")
-        if key not in MODALITIES or not value.isdigit():
+        if key not in MODALITIES or not (value.isascii() and value.isdigit()):
             raise ParseError(f"{path}:1: bad header field {part!r}")
         dims[key] = int(value)
     if set(dims) != set(MODALITIES):
@@ -226,7 +226,7 @@ def write_split_file(path, ids) -> None:
 
 
 def read_split_file(path) -> frozenset[str]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     ids = frozenset(line.strip() for line in lines if line.strip())
     if not ids:
         raise ParseError(f"{path}: split file lists no ids")

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import hyperbolic as hyp
 from .autodiff import Tensor
+from .config import read_text
 from .data import Dataset, EmbeddingRecord, SplitSpec
 from .errors import ContractError, DataError, DimensionError, NumericError, ParseError
 from .losses import normalize_rows
@@ -330,7 +331,7 @@ def build_matching_trials(
 def load_trial_list(path, dataset: Dataset) -> list[VerificationTrial]:
     """Read an external trial list: clip_id_face \\t clip_id_voice \\t {0,1}."""
     trials: list[VerificationTrial] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

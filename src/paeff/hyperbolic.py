@@ -4,6 +4,10 @@ All maps run through the autodiff engine, so distances taken on lifted
 points are differentiable back to the Euclidean projections. Points live
 strictly inside the ball: sqrt(c) * ||x|| <= 1 - boundary_eps.
 
+Every function takes and returns batches of rows: a point or tangent
+vector is a [B x D] tensor (B >= 1), and a distance is a [B] tensor. A
+single [D] vector is rejected; pass it as one row, ``v.reshape(1, D)``.
+
 Conventions (curvature -c, c > 0):
 
     exp_0(v)  = tanh(sqrt(c) ||v||) * v / (sqrt(c) ||v||)
@@ -53,14 +57,14 @@ class BallConfig:
 
 @dataclass
 class PoincarePoint:
-    """One point (vector of shape [D]) or a batch of points ([B x D]) on the ball."""
+    """A batch of points ([B x D]) on the ball."""
 
     vector: Tensor
     config: BallConfig
 
     def __post_init__(self):
-        if self.vector.ndim not in (1, 2):
-            raise ContractError(f"PoincarePoint needs [D] or [B x D], got shape {self.vector.shape}")
+        if self.vector.ndim != 2:
+            raise ContractError(f"PoincarePoint needs [B x D] rows, got shape {self.vector.shape}")
 
     def numpy(self) -> np.ndarray:
         return self.vector.numpy()
@@ -72,20 +76,9 @@ def _same_config(x: PoincarePoint, y: PoincarePoint) -> BallConfig:
     return x.config
 
 
-def _as_rows(v: Tensor) -> tuple[Tensor, bool]:
-    """Promote [D] to [1 x D]; report whether promotion happened."""
-    if v.ndim == 1:
-        return v.reshape(1, v.shape[0]), True
-    if v.ndim == 2:
-        return v, False
-    raise ContractError(f"expected [D] or [B x D], got shape {v.shape}")
-
-
-def _restore(rows: Tensor, was_vector: bool) -> Tensor:
-    return rows.reshape(rows.shape[1]) if was_vector else rows
-
-
 def _row_norms(rows: Tensor) -> Tensor:
+    if rows.ndim != 2:
+        raise ContractError(f"expected [B x D] rows, got shape {rows.shape}")
     return rows.norm2(axis=1, keepdims=True)
 
 
@@ -98,11 +91,9 @@ def clip_norm(v: Tensor, max_norm: float) -> Tensor:
     """
     if not max_norm > 0.0:
         raise ContractError(f"max_norm must be positive, got {max_norm}")
-    rows, was_vector = _as_rows(v)
-    n = _row_norms(rows)
+    n = _row_norms(v)
     factor = ad.clamp_max(max_norm / ad.clamp_min(n, _TINY), 1.0)
-    out = rows * factor
-    return _restore(out, was_vector)
+    return v * factor
 
 
 def project_to_ball(v: Tensor, cfg: BallConfig) -> PoincarePoint:
@@ -112,49 +103,39 @@ def project_to_ball(v: Tensor, cfg: BallConfig) -> PoincarePoint:
     """
     if not np.all(np.isfinite(v.data)):
         raise NumericError("project_to_ball: input contains non-finite values")
-    rows, was_vector = _as_rows(v)
-    n = _row_norms(rows)
-    # factor = min(max_norm / ||v||, 1); the clamp keeps the inside branch exact.
-    factor = ad.clamp_max(cfg.max_norm / ad.clamp_min(n, _TINY), 1.0)
-    out = rows * factor
-    return PoincarePoint(_restore(out, was_vector), cfg)
+    return PoincarePoint(clip_norm(v, cfg.max_norm), cfg)
 
 
 def exp_map_origin(v: Tensor, cfg: BallConfig) -> PoincarePoint:
-    """Lift a tangent vector at the origin onto the ball.
+    """Lift tangent vectors at the origin onto the ball.
 
     The ratio tanh(sqrt(c)||v||) / (sqrt(c)||v||) tends to 1 as v -> 0; the
     clamp below realises that limit without a branch.
     """
     if not np.all(np.isfinite(v.data)):
         raise NumericError("exp_map_origin: input contains non-finite values")
-    rows, was_vector = _as_rows(v)
-    sn = ad.clamp_min(_row_norms(rows) * cfg.sqrt_c, _TINY)
+    sn = ad.clamp_min(_row_norms(v) * cfg.sqrt_c, _TINY)
     factor = ad.tanh(sn) / sn
-    out = rows * factor
-    return project_to_ball(_restore(out, was_vector), cfg)
+    return project_to_ball(v * factor, cfg)
 
 
 def log_map_origin(p: PoincarePoint) -> Tensor:
     """Inverse of :func:`exp_map_origin`; maps ball points back to the tangent space."""
     cfg = p.config
-    rows, was_vector = _as_rows(p.vector)
-    sn = _row_norms(rows) * cfg.sqrt_c
+    sn = _row_norms(p.vector) * cfg.sqrt_c
     if np.any(sn.data >= 1.0):
         raise NumericError("log_map_origin: point on or outside the unit ball")
     safe = ad.clamp_min(sn, _TINY)
     factor = ad.artanh(ad.clamp_max(safe, 1.0 - cfg.boundary_eps)) / safe
-    out = rows * factor
-    return _restore(out, was_vector)
+    return p.vector * factor
 
 
 def mobius_add(x: PoincarePoint, y: PoincarePoint) -> PoincarePoint:
     """Mobius addition x (+) y, re-projected onto the admissible ball."""
     cfg = _same_config(x, y)
-    xr, x_was_vec = _as_rows(x.vector)
-    yr, y_was_vec = _as_rows(y.vector)
+    xr, yr = x.vector, y.vector
     if xr.shape != yr.shape:
-        raise ContractError(f"mobius_add: point shapes differ: {x.vector.shape} vs {y.vector.shape}")
+        raise ContractError(f"mobius_add: point shapes differ: {xr.shape} vs {yr.shape}")
     c = cfg.curvature
 
     xy = (xr * yr).sum(axis=1, keepdims=True)
@@ -165,8 +146,7 @@ def mobius_add(x: PoincarePoint, y: PoincarePoint) -> PoincarePoint:
     coef_y = 1.0 - x2 * c
     denom = ad.clamp_min(xy * (2.0 * c) + x2 * y2 * (c * c) + 1.0, _TINY)
 
-    out = (xr * coef_x + yr * coef_y) / denom
-    return project_to_ball(_restore(out, x_was_vec and y_was_vec), cfg)
+    return project_to_ball((xr * coef_x + yr * coef_y) / denom, cfg)
 
 
 def poincare_distance(x: PoincarePoint, y: PoincarePoint) -> Tensor:
@@ -178,15 +158,12 @@ def poincare_distance(x: PoincarePoint, y: PoincarePoint) -> Tensor:
 
     whose floating-point expression is exactly symmetric under swapping
     x and y; materialising (-x) (+) y would let artanh amplify rounding
-    asymmetry near the boundary. Scalar for single points, [B] for rows.
+    asymmetry near the boundary. Returns [B], one distance per row pair.
     """
     cfg = _same_config(x, y)
-    xr, x_was_vec = _as_rows(x.vector)
-    yr, y_was_vec = _as_rows(y.vector)
+    xr, yr = x.vector, y.vector
     if xr.shape != yr.shape:
-        raise ContractError(
-            f"poincare_distance: point shapes differ: {x.vector.shape} vs {y.vector.shape}"
-        )
+        raise ContractError(f"poincare_distance: point shapes differ: {xr.shape} vs {yr.shape}")
     c = cfg.curvature
     xy = (xr * yr).sum(axis=1, keepdims=True)
     x2 = (xr * xr).sum(axis=1, keepdims=True)
@@ -195,7 +172,7 @@ def poincare_distance(x: PoincarePoint, y: PoincarePoint) -> Tensor:
     denom = ad.clamp_min(1.0 - xy * (2.0 * c) + x2 * y2 * (c * c), _TINY)
     sn = ad.clamp_max(ad.sqrt(d2 / denom) * cfg.sqrt_c, 1.0 - cfg.boundary_eps)
     d = ad.artanh(sn) * (2.0 / cfg.sqrt_c)
-    return d.reshape(()) if (x_was_vec and y_was_vec) else d.reshape(xr.shape[0])
+    return d.reshape(xr.shape[0])
 
 
 def pairwise_distances(x: PoincarePoint, y: PoincarePoint) -> Tensor:
@@ -211,8 +188,7 @@ def pairwise_distances(x: PoincarePoint, y: PoincarePoint) -> Tensor:
     the exact 2 / (1 - c ||x_i||^2).
     """
     cfg = _same_config(x, y)
-    xr, _ = _as_rows(x.vector)
-    yr, _ = _as_rows(y.vector)
+    xr, yr = x.vector, y.vector
     if xr.shape[1] != yr.shape[1]:
         raise ContractError(f"pairwise_distances: dims differ: {xr.shape} vs {yr.shape}")
     c = cfg.curvature

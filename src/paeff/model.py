@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -96,24 +96,11 @@ class ModelParams:
     combine_bias: Tensor | None = None
 
     def named(self) -> Iterator[tuple[str, Tensor]]:
-        for name in (
-            "face_weight",
-            "face_bias",
-            "voice_weight",
-            "voice_bias",
-            "gate_weight",
-            "gate_bias",
-            "fuse_weight",
-            "fuse_bias",
-            "cls_weight",
-            "cls_bias",
-            "logit_scale",
-            "combine_weight",
-            "combine_bias",
-        ):
-            t = getattr(self, name)
+        """(name, tensor) of each parameter present, in field order (the checkpoint order)."""
+        for f in fields(self):
+            t = getattr(self, f.name)
             if t is not None:
-                yield name, t
+                yield f.name, t
 
     def __iter__(self) -> Iterator[tuple[str, Tensor]]:
         return self.named()

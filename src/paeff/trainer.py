@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -118,16 +118,7 @@ class EpochLog:
     lr: float
 
     def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "l_align": self.l_align,
-            "l_op": self.l_op,
-            "l_ce": self.l_ce,
-            "total": self.total,
-            "val_eer": self.val_eer,
-            "val_auc": self.val_auc,
-            "lr": self.lr,
-        }
+        return asdict(self)
 
 
 @dataclass

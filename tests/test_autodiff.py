@@ -84,13 +84,10 @@ class TestElementwise:
         check_gradients(fn, [rand((3, 4), 6, 0.8)])
 
     def test_log_and_sqrt_gradients(self):
-        check_gradients(lambda x: ad.log(x).sum(), [np.abs(rand((3, 3), 7)) + 0.5])
         check_gradients(lambda x: ad.sqrt(x).sum(), [np.abs(rand((3, 3), 8)) + 0.5])
         check_gradients(lambda x: ad.artanh(x).sum(), [rand((3, 3), 9, 0.4)])
 
     def test_domain_errors(self):
-        with pytest.raises(NumericError):
-            ad.log(Tensor([-1.0]))
         with pytest.raises(NumericError):
             ad.sqrt(Tensor([-1.0]))
         with pytest.raises(NumericError):
@@ -104,9 +101,6 @@ class TestReductions:
     def test_norm2_pythagorean(self):
         assert Tensor([3.0, 4.0]).norm2().item() == 5.0
 
-    def test_mean_of_equal(self):
-        assert Tensor([2.5, 2.5, 2.5]).mean().item() == 2.5
-
     def test_axis_out_of_range(self):
         with pytest.raises(DimensionError):
             Tensor(np.ones((2, 2))).sum(axis=2)
@@ -119,7 +113,6 @@ class TestReductions:
     @pytest.mark.parametrize("axis,keepdims", [(None, False), (0, False), (1, True)])
     def test_reduction_gradients(self, axis, keepdims):
         check_gradients(lambda x: x.sum(axis=axis, keepdims=keepdims).norm2(), [rand((3, 4), 10)])
-        check_gradients(lambda x: x.mean(axis=axis, keepdims=keepdims).norm2(), [rand((3, 4), 11)])
         check_gradients(
             lambda x: x.norm2(axis=axis, keepdims=keepdims).sum(), [rand((3, 4), 12) + 0.3]
         )
@@ -225,8 +218,8 @@ class TestBackward:
             f(t).backward()
             return t.grad
 
-        combined = grad_of(lambda t: ad.sigmoid(t).sum() + (t * t).mean())
-        separate = grad_of(lambda t: ad.sigmoid(t).sum()) + grad_of(lambda t: (t * t).mean())
+        combined = grad_of(lambda t: ad.sigmoid(t).sum() + (t * t).sum())
+        separate = grad_of(lambda t: ad.sigmoid(t).sum()) + grad_of(lambda t: (t * t).sum())
         np.testing.assert_allclose(combined, separate, atol=1e-12)
 
     def test_shared_subexpression(self):
@@ -265,7 +258,7 @@ def test_composite_graph_matches_finite_differences(rows, cols, seed):
 
     def f(a, b):
         h = ad.tanh(ad.matmul(a, b))
-        return (ad.sigmoid(h) * h).mean() + h.norm2() * 0.1
+        return (ad.sigmoid(h) * h).sum() + h.norm2() * 0.1
 
     worst = check_gradients(f, [x, w], step=1e-6, tol=1e-4)
     assert worst <= 1e-4

@@ -263,3 +263,66 @@ def test_checkpoint_checked_before_dataset(world, run, tmp_path, capsys):
             *splits(world)]
     assert cli.main(argv) == 2
     assert str(bad_checkpoint) in capsys.readouterr().err
+
+
+# -- the checkpoint's shape against the options -----------------------------------------
+
+
+def test_eval_takes_width_and_combine_from_checkpoint(world, tmp_path):
+    trained = train(world, tmp_path / "run", "--attention-combine", "concatenation")
+    assert cli.main(eval_argv(world, trained / "checkpoint.paef", tmp_path / "eval")) == 0
+    model = recorded(tmp_path / "eval")["model"]
+    assert (model["proj_dim"], model["attention_combine"]) == (4, "concatenation")
+
+
+@pytest.mark.parametrize("layer", ["flag", "env", "file", "manifest"])
+def test_eval_width_disagreeing_with_checkpoint_exits_2(world, run, tmp_path, monkeypatch, capsys, layer):
+    argv = eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval")
+    if layer == "flag":
+        argv += ["--proj-dim", "99"]
+    elif layer == "env":
+        monkeypatch.setenv("PAEFF_MODEL_PROJ_DIM", "99")
+    elif layer == "file":
+        (tmp_path / "eval.cfg").write_text("model.proj_dim = 99\n")
+        argv += ["--config", str(tmp_path / "eval.cfg")]
+    else:
+        manifest = json.loads((world / "run" / "manifest.json").read_text())
+        manifest["config"]["model"]["proj_dim"] = 99
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        argv += ["--manifest", str(tmp_path / "manifest.json")]
+    assert cli.main(argv) == 2
+    assert "face_weight has shape (6, 4), expected (6, 99)" in capsys.readouterr().err
+
+
+def test_eval_combine_disagreeing_with_checkpoint_exits_2(world, run, tmp_path, capsys):
+    argv = eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval", "--attention-combine", "concatenation")
+    assert cli.main(argv) == 2
+    assert "do not match config" in capsys.readouterr().err
+
+
+# -- malformed text inputs --------------------------------------------------------------
+
+# The eval option a malformed file is passed to, and the file's bytes.
+MALFORMED = {
+    "fve-not-utf8": ("--data", b"#fve v1 face=6 voice=5\np0\tface\tc\xff\t\t\t\t0.5\n"),
+    "fve-superscript-dim": ("--data", "#fve v1 face=² voice=80\n".encode()),
+    "split-not-utf8": ("--split-test", b"p0\np\xff1\n"),
+    "trials-not-utf8": ("--trials", b"c\xff\tc1\t1\n"),
+    "config-not-utf8": ("--config", b"# \xff\neval.max_trials = 20\n"),
+    "manifest-not-utf8": ("--manifest", b'{"config": {"model": {"fusion": "\xff"}}}'),
+    "manifest-list": ("--manifest", b"[]"),
+    "manifest-config-list": ("--manifest", b'{"config": []}'),
+    "manifest-model-number": ("--manifest", b'{"config": {"model": 3}}'),
+    "manifest-curvature-string": ("--manifest", b'{"config": {"model": {"curvature": "x"}}}'),
+    "manifest-width-float": ("--manifest", b'{"config": {"model": {"proj_dim": 4.0}}}'),
+    "manifest-fusion-number": ("--manifest", b'{"config": {"model": {"fusion": 1}}}'),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_text_input_exits_2(world, run, tmp_path, capsys, case):
+    flag, blob = MALFORMED[case]
+    (tmp_path / "input").write_bytes(blob)
+    argv = eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval", flag, str(tmp_path / "input"))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("data error:")

@@ -176,8 +176,8 @@ class TestScoring:
         f = model.encode_modality(Tensor(face[None, :]), "face", params, cfg)
         v = model.encode_modality(Tensor(voice[None, :]), "voice", params, cfg)
         expected = -hyp.poincare_distance(
-            hyp.PoincarePoint(Tensor(f.numpy()[0]), cfg.ball),
-            hyp.PoincarePoint(Tensor(v.numpy()[0]), cfg.ball),
+            hyp.PoincarePoint(Tensor(f.numpy()[0:1]), cfg.ball),
+            hyp.PoincarePoint(Tensor(v.numpy()[0:1]), cfg.ball),
         ).item()
         assert got == pytest.approx(expected, abs=1e-12)
 

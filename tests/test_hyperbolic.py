@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from paeff import autodiff as ad
 from paeff import hyperbolic as hyp
 from paeff.autodiff import Tensor
-from paeff.errors import ContractError, NumericError
+from paeff.errors import ContractError, DimensionError, NumericError
 from paeff.gradcheck import check_gradients
 
 CFG = hyp.BallConfig()
@@ -31,24 +31,24 @@ class TestBallConfig:
 
 class TestProjectToBall:
     def test_zero_fixed(self):
-        out = hyp.project_to_ball(Tensor(np.zeros(3)), CFG)
-        np.testing.assert_array_equal(out.numpy(), np.zeros(3))
+        out = hyp.project_to_ball(Tensor(np.zeros((1, 3))), CFG)
+        np.testing.assert_array_equal(out.numpy(), np.zeros((1, 3)))
 
     def test_inside_unchanged(self):
-        v = np.array([0.3, 0.4])  # norm 0.5
+        v = np.array([[0.3, 0.4]])  # norm 0.5
         out = hyp.project_to_ball(Tensor(v), CFG)
         np.testing.assert_array_equal(out.numpy(), v)
 
     def test_outside_rescaled(self):
-        v = np.array([2.0, 0.0])
+        v = np.array([[2.0, 0.0]])
         out = hyp.project_to_ball(Tensor(v), CFG)
         # rescale oracle: norm becomes (1 - eps) / sqrt(c)
         assert np.linalg.norm(out.numpy()) == pytest.approx(1.0 - 1e-5, abs=1e-15)
-        np.testing.assert_allclose(out.numpy(), [1.0 - 1e-5, 0.0], atol=1e-15)
+        np.testing.assert_allclose(out.numpy(), [[1.0 - 1e-5, 0.0]], atol=1e-15)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericError):
-            hyp.project_to_ball(Tensor([np.inf, 0.0]), CFG)
+            hyp.project_to_ball(Tensor([[np.inf, 0.0]]), CFG)
 
     def test_identity_region_gradient(self):
         check_gradients(
@@ -59,28 +59,28 @@ class TestProjectToBall:
 
 class TestExpLogMaps:
     def test_exp_at_zero(self):
-        out = hyp.exp_map_origin(Tensor(np.zeros(4)), CFG)
-        np.testing.assert_array_equal(out.numpy(), np.zeros(4))
+        out = hyp.exp_map_origin(Tensor(np.zeros((1, 4))), CFG)
+        np.testing.assert_array_equal(out.numpy(), np.zeros((1, 4)))
 
     def test_exp_closed_form(self):
-        out = hyp.exp_map_origin(Tensor([0.5, 0.0]), CFG)
-        np.testing.assert_allclose(out.numpy(), [np.tanh(0.5), 0.0], atol=1e-15)
+        out = hyp.exp_map_origin(Tensor([[0.5, 0.0]]), CFG)
+        np.testing.assert_allclose(out.numpy(), [[np.tanh(0.5), 0.0]], atol=1e-15)
 
     def test_log_at_origin(self):
-        p = hyp.PoincarePoint(Tensor(np.zeros(4)), CFG)
-        np.testing.assert_array_equal(hyp.log_map_origin(p).numpy(), np.zeros(4))
+        p = hyp.PoincarePoint(Tensor(np.zeros((1, 4))), CFG)
+        np.testing.assert_array_equal(hyp.log_map_origin(p).numpy(), np.zeros((1, 4)))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), norm=st.floats(1e-6, 3.0))
     def test_inverse_pair(self, seed, norm):
         rng = np.random.default_rng(seed)
-        v = rng.normal(size=5)
+        v = rng.normal(size=(1, 5))
         v = v / np.linalg.norm(v) * norm
         back = hyp.log_map_origin(hyp.exp_map_origin(Tensor(v), CFG)).numpy()
         assert np.max(np.abs(back - v)) <= 1e-9
 
     def test_log_rejects_boundary(self):
-        p = hyp.PoincarePoint(Tensor([1.0, 0.0]), CFG)
+        p = hyp.PoincarePoint(Tensor([[1.0, 0.0]]), CFG)
         with pytest.raises(NumericError):
             hyp.log_map_origin(p)
 
@@ -112,8 +112,8 @@ class TestMobiusAdd:
         assert np.all(np.linalg.norm(out.numpy(), axis=1) < 1.0)
 
     def test_config_mismatch(self):
-        x = hyp.PoincarePoint(Tensor([0.1, 0.0]), CFG)
-        y = hyp.PoincarePoint(Tensor([0.1, 0.0]), hyp.BallConfig(curvature=2.0))
+        x = hyp.PoincarePoint(Tensor([[0.1, 0.0]]), CFG)
+        y = hyp.PoincarePoint(Tensor([[0.1, 0.0]]), hyp.BallConfig(curvature=2.0))
         with pytest.raises(ContractError):
             hyp.mobius_add(x, y)
 
@@ -124,16 +124,17 @@ class TestDistance:
         np.testing.assert_array_equal(hyp.poincare_distance(x, x).numpy(), np.zeros(8))
 
     def test_closed_form_from_origin(self):
-        x = hyp.PoincarePoint(Tensor([0.0, 0.0]), CFG)
-        y = hyp.PoincarePoint(Tensor([0.5, 0.0]), CFG)
+        x = hyp.PoincarePoint(Tensor([[0.0, 0.0]]), CFG)
+        y = hyp.PoincarePoint(Tensor([[0.5, 0.0]]), CFG)
         d = hyp.poincare_distance(x, y)
+        assert d.shape == (1,)
         assert d.item() == pytest.approx(2.0 * np.arctanh(0.5), abs=1e-15)
         assert d.item() == pytest.approx(1.0986122886681098, abs=1e-12)
 
     def test_small_distance_euclidean_limit(self):
         rng = np.random.default_rng(4)
-        a = rng.normal(size=3) * 1e-3 / 2
-        b = rng.normal(size=3) * 1e-3 / 2
+        a = rng.normal(size=(1, 3)) * 1e-3 / 2
+        b = rng.normal(size=(1, 3)) * 1e-3 / 2
         d = hyp.poincare_distance(
             hyp.PoincarePoint(Tensor(a), CFG), hyp.PoincarePoint(Tensor(b), CFG)
         ).item()
@@ -193,6 +194,28 @@ class TestBallInvariant:
         ):
             norms = np.linalg.norm(point.numpy(), axis=1)
             assert np.all(CFG.sqrt_c * norms <= 1.0 - CFG.boundary_eps + 1e-15)
+
+
+def as_point(v):
+    return hyp.PoincarePoint(v, CFG)
+
+
+ROWS_ONLY = {
+    "PoincarePoint": as_point,
+    "clip_norm": lambda v: hyp.clip_norm(v, 1.0),
+    "project_to_ball": lambda v: hyp.project_to_ball(v, CFG),
+    "exp_map_origin": lambda v: hyp.exp_map_origin(v, CFG),
+    "log_map_origin": lambda v: hyp.log_map_origin(as_point(v)),
+    "mobius_add": lambda v: hyp.mobius_add(as_point(v), as_point(v)),
+    "poincare_distance": lambda v: hyp.poincare_distance(as_point(v), as_point(v)),
+    "pairwise_distances": lambda v: hyp.pairwise_distances(as_point(v), as_point(v)),
+}
+
+
+@pytest.mark.parametrize("name", list(ROWS_ONLY))
+def test_single_vector_rejected_naming_its_shape(name):
+    with pytest.raises((ContractError, DimensionError), match=r"\(3,\)"):
+        ROWS_ONLY[name](Tensor([0.1, 0.2, 0.3]))
 
 
 class TestClipNorm:
@@ -318,7 +341,7 @@ def test_pairwise_matches_rowwise():
     for i in range(5):
         for j in range(4):
             single = hyp.poincare_distance(
-                hyp.PoincarePoint(Tensor(a.numpy()[i]), CFG),
-                hyp.PoincarePoint(Tensor(b.numpy()[j]), CFG),
+                hyp.PoincarePoint(Tensor(a.numpy()[i : i + 1]), CFG),
+                hyp.PoincarePoint(Tensor(b.numpy()[j : j + 1]), CFG),
             ).item()
             assert abs(table[i, j] - single) <= bound[i, j]

@@ -93,8 +93,8 @@ class TestAlignmentLoss:
         for i in range(4):
             for j in range(4):
                 sims[i, j] = -hyp.poincare_distance(
-                    PoincarePoint(Tensor(f.numpy()[i]), CFG),
-                    PoincarePoint(Tensor(v.numpy()[j]), CFG),
+                    PoincarePoint(Tensor(f.numpy()[i : i + 1]), CFG),
+                    PoincarePoint(Tensor(v.numpy()[j : j + 1]), CFG),
                 ).item()
         expected = brute_force_symmetric_ce(sims, 0.5)
         got = losses.alignment_loss(f, v, Tensor(0.5), "neg_hyperbolic_distance").item()
