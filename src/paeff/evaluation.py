@@ -5,6 +5,9 @@ concordant pairs for AUC. Matching: pick the one gallery item of the
 other modality that shares the probe's identity. Both metrics also run
 per demographic stratum, where non-match trials are restricted to pairs
 sharing the stratum attributes.
+
+Many trials share one record, so scoring encodes each distinct record
+object once and compares encoded rows gathered by trial index.
 """
 
 from __future__ import annotations
@@ -79,23 +82,47 @@ def score_pairs(
         raise DimensionError(f"score_pairs: incompatible shapes {faces.shape} / {voices.shape}")
     f = encode_modality(Tensor(faces), "face", params, cfg)
     v = encode_modality(Tensor(voices), "voice", params, cfg)
-    mode = cfg.effective_similarity()
-    if mode == "neg_hyperbolic_distance":
+    return _similarity(f, v, cfg)
+
+
+def _similarity(f, v, cfg: ModelConfig) -> np.ndarray:
+    """Similarity of row-matched encoded faces and voices."""
+    if cfg.effective_similarity() == "neg_hyperbolic_distance":
         return -hyp.poincare_distance(f, v).numpy()
     fv = f.vector if isinstance(f, hyp.PoincarePoint) else f
     vv = v.vector if isinstance(v, hyp.PoincarePoint) else v
     return (normalize_rows(fv) * normalize_rows(vv)).sum(axis=1).numpy()
 
 
+def _encode_records(records: list[EmbeddingRecord], which: str, params: ModelParams, cfg: ModelConfig):
+    """Encoded rows in ``records`` order; each distinct record object is encoded once."""
+    distinct = {id(r): r for r in records}
+    row = {key: i for i, key in enumerate(distinct)}
+    index = [row[id(r)] for r in records]
+    enc = encode_modality(Tensor(np.stack([r.vector for r in distinct.values()])), which, params, cfg)
+    if isinstance(enc, hyp.PoincarePoint):
+        return hyp.PoincarePoint(Tensor(enc.numpy()[index]), enc.config)
+    return Tensor(enc.data[index])
+
+
+def _score_records(faces: list, voices: list, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
+    """:func:`score_pairs` of row-matched record lists, gathering encoded rows by index."""
+    f = _encode_records(faces, "face", params, cfg)
+    v = _encode_records(voices, "voice", params, cfg)
+    return _similarity(f, v, cfg)
+
+
 def score_trials(
     trials: list[VerificationTrial], params: ModelParams, cfg: ModelConfig
 ) -> list[VerificationTrial]:
-    """Fill in trial scores (in place); returns the list for chaining."""
+    """Fill in trial scores (in place); returns the list for chaining.
+
+    Each distinct face and voice record is encoded once, however many
+    trials share it.
+    """
     if not trials:
         return trials
-    faces = np.stack([t.face.vector for t in trials])
-    voices = np.stack([t.voice.vector for t in trials])
-    scores = score_pairs(faces, voices, params, cfg)
+    scores = _score_records([t.face for t in trials], [t.voice for t in trials], params, cfg)
     for trial, s in zip(trials, scores):
         trial.score = float(s)
     return trials
@@ -104,12 +131,17 @@ def score_trials(
 # -- verification metrics -------------------------------------------------------
 
 
-def _scores_labels(trials: list[VerificationTrial]) -> tuple[np.ndarray, np.ndarray]:
+def _trial_scores(trials: list[VerificationTrial]) -> np.ndarray:
     if any(t.score is None for t in trials):
         raise ContractError("trials must be scored before computing metrics")
     scores = np.array([t.score for t in trials], dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise NumericError(f"{np.count_nonzero(~np.isfinite(scores))} trial scores are not finite")
+    return scores
+
+
+def _scores_labels(trials: list[VerificationTrial]) -> tuple[np.ndarray, np.ndarray]:
+    scores = _trial_scores(trials)
     labels = np.array([t.is_match for t in trials], dtype=bool)
     if labels.all() or not labels.any():
         raise ContractError("need at least one match and one non-match trial")
@@ -195,6 +227,8 @@ def matching_accuracy(
     """Fraction of trials whose best-scoring gallery item is the true match.
 
     Ties resolve to the lowest gallery index and are counted separately.
+    Each distinct probe and gallery record is encoded once, however many
+    trials share it. A non-finite score raises ``NumericError``.
     """
     if not trials:
         raise ContractError("matching_accuracy needs at least one trial")
@@ -202,15 +236,12 @@ def matching_accuracy(
     if any(len(t.gallery) != n_c for t in trials):
         raise ContractError("all matching trials must share the same gallery size")
 
-    probes = np.stack([np.repeat(t.probe.vector[None, :], n_c, axis=0) for t in trials]).reshape(
-        len(trials) * n_c, -1
-    )
-    gallery = np.stack([g.vector for t in trials for g in t.gallery])
-    if trials[0].probe_modality == "voice":
-        scores = score_pairs(gallery, probes, params, cfg)
-    else:
-        scores = score_pairs(probes, gallery, params, cfg)
-    scores = scores.reshape(len(trials), n_c)
+    probes = [t.probe for t in trials for _ in range(n_c)]
+    gallery = [g for t in trials for g in t.gallery]
+    faces, voices = (gallery, probes) if trials[0].probe_modality == "voice" else (probes, gallery)
+    scores = _score_records(faces, voices, params, cfg).reshape(len(trials), n_c)
+    if not np.all(np.isfinite(scores)):
+        raise NumericError(f"{np.count_nonzero(~np.isfinite(scores))} matching scores are not finite")
 
     best = np.argmax(scores, axis=1)  # argmax takes the lowest index on ties
     hits = sum(int(b == t.correct_index) for b, t in zip(best, trials))
@@ -276,8 +307,9 @@ def build_matching_trials(
 ) -> list[MatchingTrial]:
     """Forced-choice trials: one true match among n_c gallery candidates.
 
-    Distractors are drawn from other identities' records; identities may
-    repeat among distractors when the pool is smaller than the gallery.
+    The n_c - 1 distractors are distinct records drawn without replacement
+    from the other identities' gallery-modality records, so two distractors
+    can share an identity.
     """
     if probe_modality not in ("face", "voice"):
         raise ContractError(f"probe_modality must be face or voice, got {probe_modality!r}")
@@ -291,6 +323,12 @@ def build_matching_trials(
     )
     if len(by_id) < 2 or not eligible:
         raise ContractError("matching trials need at least 2 identities with both modalities")
+    # Every identity's gallery-modality records, and where each identity's slice of them sits.
+    pool: list[EmbeddingRecord] = []
+    slices: dict[str, tuple[int, int]] = {}
+    for i, recs in by_id.items():
+        slices[i] = (len(pool), len(recs[gallery_modality]))
+        pool.extend(recs[gallery_modality])
 
     rng = np.random.default_rng(seed)
     trials: list[MatchingTrial] = []
@@ -300,18 +338,16 @@ def build_matching_trials(
         probe = probe_pool[rng.integers(len(probe_pool))]
         match_pool = by_id[identity][gallery_modality]
         match = match_pool[rng.integers(len(match_pool))]
-        distractor_pool = [
-            r
-            for i in by_id
-            if i != identity
-            for r in by_id[i][gallery_modality]
-        ]
-        if len(distractor_pool) < n_c - 1:
+        start, own = slices[identity]
+        n_distractors = len(pool) - own
+        if n_distractors < n_c - 1:
             raise ContractError(
-                f"not enough distractor records ({len(distractor_pool)}) for gallery size {n_c}"
+                f"not enough distractor records ({n_distractors}) for gallery size {n_c}"
             )
-        picks = rng.choice(len(distractor_pool), size=n_c - 1, replace=False)
-        gallery = [distractor_pool[int(i)] for i in picks]
+        # Draw from the pool without the probe identity's slice, then step past that slice.
+        picks = rng.choice(n_distractors, size=n_c - 1, replace=False)
+        picks[picks >= start] += own
+        gallery = [pool[i] for i in picks]
         correct = int(rng.integers(n_c))
         gallery.insert(correct, match)
         trials.append(
@@ -388,22 +424,21 @@ def stratified_report(
     match trials always qualify. Strata left with no usable non-match
     trials are omitted from the report, never reported as zero.
     """
+    scores = _trial_scores(trials)
+    labels = np.array([t.is_match for t in trials], dtype=bool)
     out: list[StratumMetrics] = []
     for stratum in strata:
         if stratum not in STRATA:
             raise ContractError(f"unknown stratum {stratum!r}")
         attributes = _STRATUM_ATTRIBUTES[stratum]
-        kept = [
-            t
-            for t in trials
-            if t.is_match or _shares_attributes(t, attributes, stratum)
-        ]
-        if not any(t.is_match for t in kept) or not any(not t.is_match for t in kept):
-            continue
-        eer, _ = compute_eer(kept)
-        out.append(
-            StratumMetrics(stratum=stratum, n_trials=len(kept), eer=eer, auc=compute_auc(kept))
+        keep = np.array(
+            [t.is_match or _shares_attributes(t, attributes, stratum) for t in trials], dtype=bool
         )
+        s, lab = scores[keep], labels[keep]
+        if lab.all() or not lab.any():
+            continue
+        eer, _ = eer_from_scores(s, lab)
+        out.append(StratumMetrics(stratum=stratum, n_trials=len(s), eer=eer, auc=auc_from_scores(s, lab)))
     return out
 
 

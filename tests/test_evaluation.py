@@ -287,6 +287,157 @@ class TestMatching:
         assert result.accuracy == 1.0  # lowest index wins the tie
 
 
+def cosine_arm(cfg):
+    return dataclasses.replace(cfg, use_hyperbolic=False, similarity="cosine")
+
+
+ARMS = {"hyperbolic": lambda cfg: cfg, "cosine": cosine_arm}
+
+
+def captured_similarity(monkeypatch):
+    """Record every score vector evaluation computes from encoded rows."""
+    seen = []
+    original = evaluation._similarity
+
+    def spy(f, v, cfg):
+        out = original(f, v, cfg)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(evaluation, "_similarity", spy)
+    return seen
+
+
+class TestScoringByIndex:
+    """Trial scoring encodes distinct records once and must equal scoring each trial alone."""
+
+    @pytest.mark.parametrize("arm", sorted(ARMS))
+    def test_score_trials_equals_per_trial_score_pairs(self, arm):
+        ds, split, cfg, params = small_setup()
+        cfg = ARMS[arm](cfg)
+        trials = evaluation.build_verification_trials(ds, split, 60, seed=17)
+        assert len({id(t.face) for t in trials}) < len(trials)  # records are reused
+        evaluation.score_trials(trials, params, cfg)
+        expected = [
+            evaluation.score_pairs(t.face.vector[None, :], t.voice.vector[None, :], params, cfg)[0]
+            for t in trials
+        ]
+        np.testing.assert_allclose([t.score for t in trials], expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("arm", sorted(ARMS))
+    @pytest.mark.parametrize("probe_modality", ["voice", "face"])
+    def test_matching_equals_per_trial_score_pairs(self, arm, probe_modality, monkeypatch):
+        ds, split, cfg, params = small_setup()
+        cfg = ARMS[arm](cfg)
+        trials = evaluation.build_matching_trials(
+            ds, split, n_c=3, n_trials=40, seed=18, probe_modality=probe_modality
+        )
+        assert len({id(t.probe) for t in trials}) < len(trials)
+        seen = captured_similarity(monkeypatch)
+        result = evaluation.matching_accuracy(trials, params, cfg)
+        (got,) = seen
+        expected = []
+        for t in trials:
+            probe = t.probe.vector[None, :]
+            for g in t.gallery:
+                pair = (g.vector[None, :], probe) if probe_modality == "voice" else (probe, g.vector[None, :])
+                expected.append(evaluation.score_pairs(*pair, params, cfg)[0])
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+        expected = np.reshape(expected, (len(trials), 3))
+        hits = np.argmax(expected, axis=1) == [t.correct_index for t in trials]
+        assert result.accuracy == hits.mean()
+
+    @pytest.mark.parametrize("arm", sorted(ARMS))
+    def test_encoder_sees_each_distinct_record_once(self, arm, monkeypatch):
+        ds, split, cfg, params = small_setup()
+        cfg = ARMS[arm](cfg)
+        rows = []
+        original = evaluation.encode_modality
+
+        def counting(x, which, p, c):
+            rows.append(x.shape[0])
+            return original(x, which, p, c)
+
+        monkeypatch.setattr(evaluation, "encode_modality", counting)
+        trials = evaluation.build_verification_trials(ds, split, 60, seed=19)
+        evaluation.score_trials(trials, params, cfg)
+        assert sum(rows) == len({id(t.face) for t in trials}) + len({id(t.voice) for t in trials})
+        rows.clear()
+        m_trials = evaluation.build_matching_trials(ds, split, n_c=4, n_trials=40, seed=20)
+        evaluation.matching_accuracy(m_trials, params, cfg)
+        assert sum(rows) == len({id(t.probe) for t in m_trials}) + len(
+            {id(g) for t in m_trials for g in t.gallery}
+        )
+
+    def test_non_finite_matching_score_raises_in_cosine_arm(self):
+        ds, split, cfg, params = small_setup()
+        params.voice_weight.data[0, 0] = np.nan
+        trials = evaluation.build_matching_trials(ds, split, n_c=2, n_trials=20, seed=21)
+        with pytest.raises(NumericError):
+            evaluation.matching_accuracy(trials, params, cosine_arm(cfg))
+
+
+def oracle_matching_trials(dataset, split, n_c, n_trials, seed, probe_modality):
+    """Matching trials built with a fresh distractor pool per trial, as summarised tuples."""
+    gallery_modality = "face" if probe_modality == "voice" else "voice"
+    by_id = {}
+    for r in split.part_records(dataset, "test"):
+        by_id.setdefault(r.identity_id, {"face": [], "voice": []})[r.modality].append(r)
+    eligible = sorted(i for i, pool in by_id.items() if pool[probe_modality] and pool[gallery_modality])
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_trials):
+        identity = eligible[rng.integers(len(eligible))]
+        probe_pool = by_id[identity][probe_modality]
+        probe = probe_pool[rng.integers(len(probe_pool))]
+        match_pool = by_id[identity][gallery_modality]
+        match = match_pool[rng.integers(len(match_pool))]
+        distractor_pool = [r for i in by_id if i != identity for r in by_id[i][gallery_modality]]
+        if len(distractor_pool) < n_c - 1:
+            raise ContractError(
+                f"not enough distractor records ({len(distractor_pool)}) for gallery size {n_c}"
+            )
+        picks = rng.choice(len(distractor_pool), size=n_c - 1, replace=False)
+        gallery = [distractor_pool[int(i)] for i in picks]
+        correct = int(rng.integers(n_c))
+        gallery.insert(correct, match)
+        out.append((probe.clip_id, [g.clip_id for g in gallery], correct))
+    return out
+
+
+def uneven_setup():
+    """Test identities with unequal record counts, one of them without any face."""
+    ds = data.synth_generate(10, 5, 6, 5, 1.0, 0.1, seed=22, latent_dim=3)
+    ids = ds.identities()
+    split = SplitSpec("unseen_unheard", frozenset(ids[:4]), frozenset(ids[4:5]), frozenset(ids[5:]))
+    kept = [
+        r
+        for k, r in enumerate(ds.records)
+        if k % 7 != 3 and not (r.identity_id == ids[6] and r.modality == "face")
+    ]
+    return data.Dataset(kept, ds.face_dim, ds.voice_dim), split
+
+
+class TestMatchingTrialOracle:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n_c", [2, 5])
+    @pytest.mark.parametrize("probe_modality", ["voice", "face"])
+    def test_same_trials_as_per_trial_pool(self, seed, n_c, probe_modality):
+        ds, split = uneven_setup()
+        trials = evaluation.build_matching_trials(ds, split, n_c, 30, seed, probe_modality)
+        got = [(t.probe.clip_id, [g.clip_id for g in t.gallery], t.correct_index) for t in trials]
+        assert got == oracle_matching_trials(ds, split, n_c, 30, seed, probe_modality)
+
+    @pytest.mark.parametrize("probe_modality", ["voice", "face"])
+    def test_same_shortfall_reported(self, probe_modality):
+        ds, split = uneven_setup()
+        with pytest.raises(ContractError, match="not enough distractor records") as expected:
+            oracle_matching_trials(ds, split, 30, 5, 0, probe_modality)
+        with pytest.raises(ContractError) as got:
+            evaluation.build_matching_trials(ds, split, 30, 5, 0, probe_modality)
+        assert str(got.value) == str(expected.value)
+
+
 class TestTrialConstruction:
     def test_balance_and_determinism(self):
         ds, split, cfg, params = small_setup()
@@ -395,6 +546,30 @@ class TestStrata:
         ]
         rows = evaluation.stratified_report(scored_trials_with_tags(pairs), ("GNA",))
         assert rows[0].n_trials == 2  # the age-mismatched non-match drops
+
+    def test_untagged_match_trial_still_reports(self):
+        # match trials always qualify, so their missing tags are never read
+        pairs = [
+            (0.9, True, (None, None, None), (None, None, None)),
+            (0.2, False, ("f", "UK", "adult"), ("f", "UK", "adult")),
+            (0.1, False, ("f", "UK", "adult"), ("m", "UK", "adult")),
+        ]
+        rows = evaluation.stratified_report(scored_trials_with_tags(pairs), ("random", "G", "GNA"))
+        assert [(r.stratum, r.n_trials) for r in rows] == [("random", 3), ("G", 2), ("GNA", 2)]
+
+    def test_masked_metrics_equal_metrics_of_kept_trials(self):
+        rng = np.random.default_rng(23)
+        tags = [("f", "UK", "adult"), ("m", "IT", "young")]
+        pairs = [
+            (float(rng.normal()), bool(i % 3 == 0), tags[rng.integers(2)], tags[rng.integers(2)])
+            for i in range(50)
+        ]
+        trials = scored_trials_with_tags(pairs)
+        for row in evaluation.stratified_report(trials, ("G", "GNA")):
+            kept = [t for t in trials if t.is_match or t.face.gender == t.voice.gender]
+            assert row.n_trials == len(kept)
+            assert row.eer == evaluation.compute_eer(kept)[0]
+            assert row.auc == evaluation.compute_auc(kept)
 
     def test_missing_tags_named(self):
         pairs = [
