@@ -12,7 +12,9 @@ exactly, so write -> load -> write is byte-identical.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -49,16 +51,12 @@ class Dataset:
         self.face_dim = face_dim
         self.voice_dim = voice_dim
         self._by_clip: dict[tuple[str, str], EmbeddingRecord] = {}
-        self._by_identity: dict[str, dict[str, list[EmbeddingRecord]]] = {}
         for rec in self.records:
             self._validate(rec)
             key = (rec.modality, rec.clip_id)
             if key in self._by_clip:
                 raise DataError(f"duplicate clip id {rec.clip_id!r} for modality {rec.modality}")
             self._by_clip[key] = rec
-            self._by_identity.setdefault(rec.identity_id, {"face": [], "voice": []})[
-                rec.modality
-            ].append(rec)
 
     def _validate(self, rec: EmbeddingRecord) -> None:
         if rec.modality not in MODALITIES:
@@ -73,10 +71,7 @@ class Dataset:
             raise NumericError(f"clip {rec.clip_id!r}: vector contains non-finite values")
 
     def identities(self) -> list[str]:
-        return sorted(self._by_identity)
-
-    def records_of(self, identity_id: str, modality: str) -> list[EmbeddingRecord]:
-        return self._by_identity.get(identity_id, {"face": [], "voice": []})[modality]
+        return sorted({rec.identity_id for rec in self.records})
 
     def by_clip(self, modality: str, clip_id: str) -> EmbeddingRecord:
         try:
@@ -86,6 +81,19 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+def group_by_identity(records) -> dict[str, dict[str, list[EmbeddingRecord]]]:
+    """Records grouped as ``{identity: {"face": [...], "voice": [...]}}``.
+
+    Identities keep the order of their first record, and each list keeps
+    the input order of its records. Trial construction draws by position in
+    these lists, so the same records in the same order give the same trials.
+    """
+    groups: dict[str, dict[str, list[EmbeddingRecord]]] = {}
+    for rec in records:
+        groups.setdefault(rec.identity_id, {"face": [], "voice": []})[rec.modality].append(rec)
+    return groups
 
 
 def _format_float(x: float) -> str:
@@ -171,54 +179,42 @@ class SplitSpec:
         if self.mode not in SPLIT_MODES:
             raise ContractError(f"split mode must be one of {SPLIT_MODES}")
 
+    def _parts(self) -> dict[str, frozenset[str]]:
+        return {"train": self.train_ids, "val": self.val_ids, "test": self.test_ids}
+
+    @property
+    def _key(self):
+        """The record field a part's ids name: the identity, or the clip."""
+        return attrgetter("identity_id" if self.mode == "unseen_unheard" else "clip_id")
+
     def validate(self, dataset: Dataset) -> None:
-        parts = {"train": self.train_ids, "val": self.val_ids, "test": self.test_ids}
-        if self.mode == "unseen_unheard":
-            for a in parts:
-                for b in parts:
-                    if a < b and parts[a] & parts[b]:
-                        raise DataError(
-                            f"unseen_unheard split: {a} and {b} identities overlap: "
-                            f"{sorted(parts[a] & parts[b])[:5]}"
-                        )
-            known = set(dataset.identities())
-            for name, ids in parts.items():
-                missing = ids - known
-                if missing:
-                    raise DataError(f"{name} split references unknown identities {sorted(missing)[:5]}")
-        else:
-            clip_ids = {rec.clip_id for rec in dataset.records}
-            for name, ids in parts.items():
-                missing = ids - clip_ids
-                if missing:
-                    raise DataError(f"{name} split references unknown clips {sorted(missing)[:5]}")
-            for a in parts:
-                for b in parts:
-                    if a < b and parts[a] & parts[b]:
-                        raise DataError(f"seen_heard split: {a} and {b} clip sets overlap")
-            idents = {
-                name: {self._clip_identity(dataset, c) for c in ids} for name, ids in parts.items()
-            }
-            if not (idents["train"] >= idents["val"] and idents["train"] >= idents["test"]):
+        """Raise ``DataError`` unless the split fits ``dataset``.
+
+        The three parts must be pairwise disjoint, and every id must name an
+        identity (unseen_unheard) or a clip (seen_heard) of ``dataset``. In
+        seen_heard, every identity of a record that val or test selects must
+        also own a record that train selects.
+        """
+        parts = self._parts()
+        kind = "identities" if self.mode == "unseen_unheard" else "clips"
+        for a, b in itertools.combinations(sorted(parts), 2):
+            if parts[a] & parts[b]:
+                raise DataError(
+                    f"{self.mode} split: {a} and {b} {kind} overlap: {sorted(parts[a] & parts[b])[:5]}"
+                )
+        known = set(map(self._key, dataset.records))
+        for name, ids in parts.items():
+            missing = ids - known
+            if missing:
+                raise DataError(f"{name} split references unknown {kind} {sorted(missing)[:5]}")
+        if self.mode == "seen_heard":
+            idents = {name: {r.identity_id for r in self.part_records(dataset, name)} for name in parts}
+            if not idents["train"] >= idents["val"] | idents["test"]:
                 raise DataError("seen_heard split: val/test identities must all appear in train")
 
-    @staticmethod
-    def _clip_identity(dataset: Dataset, clip_id: str) -> str:
-        for modality in MODALITIES:
-            try:
-                return dataset.by_clip(modality, clip_id).identity_id
-            except DataError:
-                continue
-        raise DataError(f"clip id {clip_id!r} not present in dataset")
-
     def part_records(self, dataset: Dataset, part: str) -> list[EmbeddingRecord]:
-        ids = {"train": self.train_ids, "val": self.val_ids, "test": self.test_ids}[part]
-        if self.mode == "unseen_unheard":
-            return [rec for rec in dataset.records if rec.identity_id in ids]
-        return [rec for rec in dataset.records if rec.clip_id in ids]
-
-    def part_identities(self, dataset: Dataset, part: str) -> list[str]:
-        return sorted({rec.identity_id for rec in self.part_records(dataset, part)})
+        ids, key = self._parts()[part], self._key
+        return [rec for rec in dataset.records if key(rec) in ids]
 
 
 def write_split_file(path, ids) -> None:
@@ -258,9 +254,9 @@ def make_seen_split(dataset: Dataset, val_frac: float, test_frac: float, seed: i
     train: set[str] = set()
     val: set[str] = set()
     test: set[str] = set()
-    for identity in dataset.identities():
+    for _, pools in sorted(group_by_identity(dataset.records).items()):
         for modality in MODALITIES:
-            clips = sorted(r.clip_id for r in dataset.records_of(identity, modality))
+            clips = sorted(r.clip_id for r in pools[modality])
             order = list(rng.permutation(clips))
             n = len(order)
             n_test = max(1, int(round(n * test_frac))) if n >= 3 else 0
@@ -294,11 +290,6 @@ class PairBatch:
             raise ContractError("a pair batch needs at least 2 rows")
 
 
-def class_labels(dataset: Dataset, split: SplitSpec) -> dict[str, int]:
-    """Stable identity -> class index over the training identities."""
-    return {identity: i for i, identity in enumerate(split.part_identities(dataset, "train"))}
-
-
 def make_batches(
     dataset: Dataset, split: SplitSpec, batch_size: int, seed: int
 ) -> list[PairBatch]:
@@ -310,49 +301,33 @@ def make_batches(
     """
     if batch_size < 2:
         raise ContractError("batch_size must be at least 2")
-    labels = class_labels(dataset, split)
-    train_records = split.part_records(dataset, "train")
-    pools: dict[str, dict[str, list[EmbeddingRecord]]] = {}
-    for rec in train_records:
-        pools.setdefault(rec.identity_id, {"face": [], "voice": []})[rec.modality].append(rec)
-    missing = sorted(
-        identity
-        for identity, pool in pools.items()
-        if not pool["face"] or not pool["voice"]
-    )
+    pools = group_by_identity(split.part_records(dataset, "train"))
+    missing = sorted(i for i, pool in pools.items() if not pool["face"] or not pool["voice"])
     if missing:
         raise DataError(f"train identities missing a modality: {missing[:10]}")
     identities = sorted(pools)
     if not identities:
         raise DataError("train split selects no identities")
+    labels = {identity: i for i, identity in enumerate(identities)}
 
     rng = np.random.default_rng(seed)
-    n_batches = -(-len(identities) // batch_size)  # ceil
-    stream: list[str] = []
-
-    def refill() -> None:
-        stream.extend(rng.permutation(identities))
-
+    # Successive permutations, each drawn only when the previous one is used up.
+    stream = (identity for _ in itertools.count() for identity in rng.permutation(identities))
     batches: list[PairBatch] = []
-    for _ in range(n_batches):
+    for _ in range(-(-len(identities) // batch_size)):  # ceil
         chosen: list[str] = []
         in_batch: set[str] = set()
         while len(chosen) < batch_size:
-            if not stream:
-                refill()
-            identity = stream.pop(0)
-            if identity in in_batch:
-                # Duplicate from a refill; retry unless the pool is smaller
-                # than the batch, in which case repeats are unavoidable.
-                if len(identities) >= batch_size:
-                    continue
+            identity = next(stream)
+            # A repeat across a permutation boundary is skipped unless the pool
+            # is smaller than the batch, where repeats are unavoidable.
+            if identity in in_batch and len(identities) >= batch_size:
+                continue
             chosen.append(identity)
             in_batch.add(identity)
-        faces = np.stack(
-            [pools[i]["face"][rng.integers(len(pools[i]["face"]))].vector for i in chosen]
-        )
-        voices = np.stack(
-            [pools[i]["voice"][rng.integers(len(pools[i]["voice"]))].vector for i in chosen]
+        faces, voices = (
+            np.stack([pools[i][m][rng.integers(len(pools[i][m]))].vector for i in chosen])
+            for m in MODALITIES
         )
         batches.append(
             PairBatch(

@@ -22,7 +22,7 @@ import numpy as np
 from . import hyperbolic as hyp
 from .autodiff import Tensor
 from .config import read_text
-from .data import Dataset, EmbeddingRecord, SplitSpec
+from .data import Dataset, EmbeddingRecord, SplitSpec, group_by_identity
 from .errors import ContractError, DataError, DimensionError, NumericError, ParseError
 from .losses import normalize_rows
 from .model import ModelConfig, ModelParams, encode_modality
@@ -235,6 +235,9 @@ def matching_accuracy(
     n_c = len(trials[0].gallery)
     if any(len(t.gallery) != n_c for t in trials):
         raise ContractError("all matching trials must share the same gallery size")
+    probe_modalities = sorted({t.probe_modality for t in trials})
+    if len(probe_modalities) > 1:
+        raise ContractError(f"all matching trials must share one probe modality, got {probe_modalities}")
 
     probes = [t.probe for t in trials for _ in range(n_c)]
     gallery = [g for t in trials for g in t.gallery]
@@ -265,9 +268,7 @@ def build_verification_trials(
     records = split.part_records(dataset, part)
     faces = [r for r in records if r.modality == "face"]
     voices = [r for r in records if r.modality == "voice"]
-    by_id: dict[str, dict[str, list[EmbeddingRecord]]] = {}
-    for r in records:
-        by_id.setdefault(r.identity_id, {"face": [], "voice": []})[r.modality].append(r)
+    by_id = group_by_identity(records)
     paired_ids = sorted(i for i, pool in by_id.items() if pool["face"] and pool["voice"])
     identities = sorted(by_id)
     if not paired_ids or len(identities) < 2:
@@ -314,10 +315,7 @@ def build_matching_trials(
     if probe_modality not in ("face", "voice"):
         raise ContractError(f"probe_modality must be face or voice, got {probe_modality!r}")
     gallery_modality = "face" if probe_modality == "voice" else "voice"
-    records = split.part_records(dataset, part)
-    by_id: dict[str, dict[str, list[EmbeddingRecord]]] = {}
-    for r in records:
-        by_id.setdefault(r.identity_id, {"face": [], "voice": []})[r.modality].append(r)
+    by_id = group_by_identity(split.part_records(dataset, part))
     eligible = sorted(
         i for i, pool in by_id.items() if pool[probe_modality] and pool[gallery_modality]
     )
@@ -445,35 +443,23 @@ def stratified_report(
 # -- report files -----------------------------------------------------------------
 
 
+def _write_table(csv_path, json_path, header: tuple[str, ...], rows: list[tuple]) -> None:
+    """``rows`` as a CSV table under ``header``, and as a JSON list of objects keyed by it."""
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    payload = [dict(zip(header, row)) for row in rows]
+    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def write_verification_report(
     csv_path, json_path, split_name: str, rows: list[StratumMetrics]
 ) -> None:
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["split", "stratum", "n_trials", "eer", "auc"])
-        for r in rows:
-            writer.writerow([split_name, r.stratum, r.n_trials, repr(r.eer), repr(r.auc)])
-    payload = [
-        {"split": split_name, "stratum": r.stratum, "n_trials": r.n_trials, "eer": r.eer, "auc": r.auc}
-        for r in rows
-    ]
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_table(csv_path, json_path, ("split", "stratum", "n_trials", "eer", "auc"),
+                 [(split_name, r.stratum, r.n_trials, r.eer, r.auc) for r in rows])
 
 
 def write_matching_report(csv_path, json_path, split_name: str, rows: list[MatchingResult]) -> None:
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["split", "n_c", "n_trials", "accuracy", "ties"])
-        for r in rows:
-            writer.writerow([split_name, r.n_c, r.n_trials, repr(r.accuracy), r.tie_count])
-    payload = [
-        {
-            "split": split_name,
-            "n_c": r.n_c,
-            "n_trials": r.n_trials,
-            "accuracy": r.accuracy,
-            "ties": r.tie_count,
-        }
-        for r in rows
-    ]
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_table(csv_path, json_path, ("split", "n_c", "n_trials", "accuracy", "ties"),
+                 [(split_name, r.n_c, r.n_trials, r.accuracy, r.tie_count) for r in rows])

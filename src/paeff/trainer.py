@@ -17,7 +17,7 @@ import numpy as np
 
 from . import evaluation, losses, model
 from .autodiff import Tensor
-from .data import Dataset, SplitSpec, make_batches
+from .data import Dataset, SplitSpec, group_by_identity, make_batches
 from .errors import ContractError, DimensionError, NumericError
 from .losses import LossWeights
 from .model import ModelConfig, ModelParams
@@ -58,11 +58,8 @@ class TrainConfig:
 def resolve_batch_size(cfg: TrainConfig, dataset: Dataset, split: SplitSpec) -> int:
     if cfg.batch_size is not None:
         return cfg.batch_size
-    counts: dict[str, dict[str, int]] = {}
-    for rec in split.part_records(dataset, "train"):
-        c = counts.setdefault(rec.identity_id, {"face": 0, "voice": 0})
-        c[rec.modality] += 1
-    pairs = sum(min(c["face"], c["voice"]) for c in counts.values())
+    groups = group_by_identity(split.part_records(dataset, "train")).values()
+    pairs = sum(min(len(g["face"]), len(g["voice"])) for g in groups)
     return BATCH_DEFAULT if pairs >= DESK_SCALE_PAIRS else BATCH_DESK
 
 
@@ -161,7 +158,7 @@ def train(
         dataset, split, max_trials=train_cfg.val_trials, seed=train_cfg.seed, part="val"
     )
 
-    n_train_ids = len(split.part_identities(dataset, "train"))
+    n_train_ids = len(group_by_identity(split.part_records(dataset, "train")))
     steps_per_epoch = -(-n_train_ids // batch_size)
     total_steps = train_cfg.epochs * steps_per_epoch
 

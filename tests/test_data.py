@@ -117,6 +117,11 @@ class TestSplits:
         with pytest.raises(DataError, match="zed"):
             split.validate(ds)
 
+    def test_unknown_clip_rejected(self):
+        split = SplitSpec("seen_heard", frozenset({"alice_f0", "bob_f0"}), frozenset(), frozenset({"zed"}))
+        with pytest.raises(DataError, match="unknown clips.*zed"):
+            split.validate(tiny_dataset())
+
     def test_seen_heard_clip_disjointness(self):
         ds = tiny_dataset()
         split = SplitSpec(
@@ -146,8 +151,46 @@ class TestSplits:
         ds = data.synth_generate(4, 6, 4, 4, 1.0, 0.0, seed=2, latent_dim=2)
         split = data.make_seen_split(ds, val_frac=0.2, test_frac=0.2, seed=3)
         split.validate(ds)
-        assert set(split.part_identities(ds, "train")) == set(ds.identities())
-        assert set(split.part_identities(ds, "test")) == set(ds.identities())
+        for part in ("train", "test"):
+            assert set(data.group_by_identity(split.part_records(ds, part))) == set(ds.identities())
+
+    def test_seen_heard_identities_come_from_selected_records(self):
+        # Clip id c1 names a face of A and a voice of B; val selects both
+        # records, and B owns no train clip.
+        recs = [
+            EmbeddingRecord("A", "face", "c1", np.array([1.0])),
+            EmbeddingRecord("B", "voice", "c1", np.array([2.0])),
+            EmbeddingRecord("A", "face", "a_f", np.array([3.0])),
+            EmbeddingRecord("A", "voice", "a_v", np.array([4.0])),
+            EmbeddingRecord("B", "face", "b_f", np.array([5.0])),
+        ]
+        ds = Dataset(recs, face_dim=1, voice_dim=1)
+        split = SplitSpec("seen_heard", frozenset({"a_f", "a_v"}), frozenset({"c1"}), frozenset())
+        assert {r.identity_id for r in split.part_records(ds, "val")} == {"A", "B"}
+        with pytest.raises(DataError, match="must all appear in train"):
+            split.validate(ds)
+
+
+class TestGroupByIdentity:
+    def test_keeps_identity_and_record_order(self):
+        recs = [
+            EmbeddingRecord("b", "voice", "b_v0", np.array([1.0])),
+            EmbeddingRecord("a", "face", "a_f0", np.array([2.0])),
+            EmbeddingRecord("b", "face", "b_f0", np.array([3.0])),
+            EmbeddingRecord("c", "voice", "c_v0", np.array([4.0])),
+            EmbeddingRecord("a", "face", "a_f1", np.array([5.0])),
+            EmbeddingRecord("b", "voice", "b_v1", np.array([6.0])),
+        ]
+        groups = data.group_by_identity(recs)
+        assert list(groups) == ["b", "a", "c"]
+        clips = {i: {m: [r.clip_id for r in g[m]] for m in g} for i, g in groups.items()}
+        assert clips == {
+            "b": {"face": ["b_f0"], "voice": ["b_v0", "b_v1"]},
+            "a": {"face": ["a_f0", "a_f1"], "voice": []},
+            "c": {"face": [], "voice": ["c_v0"]},
+        }
+        assert groups["b"]["voice"][0] is recs[0]
+        assert data.group_by_identity([]) == {}
 
 
 class TestMakeBatches:
@@ -170,23 +213,43 @@ class TestMakeBatches:
             np.testing.assert_array_equal(ba.voices.numpy(), bb.voices.numpy())
             np.testing.assert_array_equal(ba.labels, bb.labels)
 
+    def test_label_is_index_in_sorted_train_identities(self):
+        # Identities are stored out of order, so first-appearance order
+        # would number them differently.
+        recs = [
+            EmbeddingRecord(i, m, f"{i}_{m}", np.array([float(k)]))
+            for k, i in enumerate(["c", "a", "d", "b"])
+            for m in ("face", "voice")
+        ]
+        ds = Dataset(recs, face_dim=1, voice_dim=1)
+        split = SplitSpec("unseen_unheard", frozenset({"c", "a", "b"}), frozenset(), frozenset({"d"}))
+        value = {"c": 0.0, "a": 1.0, "b": 3.0}
+        for batch in data.make_batches(ds, split, batch_size=2, seed=1):
+            for row, label in enumerate(batch.labels.tolist()):
+                assert batch.faces.numpy()[row, 0] == value[["a", "b", "c"][label]]
+
     def test_rows_are_matched_pairs(self):
-        labels = data.class_labels(self.ds, self.split)
-        inverse = {v: k for k, v in labels.items()}
+        groups = data.group_by_identity(self.ds.records)
+        identities = sorted(groups)
         for batch in data.make_batches(self.ds, self.split, batch_size=2, seed=1):
             for row in range(batch.faces.shape[0]):
-                ident = inverse[int(batch.labels[row])]
-                face_vectors = [r.vector for r in self.ds.records_of(ident, "face")]
-                assert any(np.array_equal(batch.faces.numpy()[row], v) for v in face_vectors)
+                pool = groups[identities[int(batch.labels[row])]]
+                assert any(np.array_equal(batch.faces.numpy()[row], r.vector) for r in pool["face"])
+                assert any(np.array_equal(batch.voices.numpy()[row], r.vector) for r in pool["voice"])
 
     def test_no_test_identity_in_train_batches(self):
         ds = data.synth_generate(8, 2, 4, 4, 1.0, 0.0, seed=5, latent_dim=2)
         split = data.make_unseen_split(ds, n_val=2, n_test=2, seed=6)
-        train_ids = set(split.part_identities(ds, "train"))
-        labels = data.class_labels(ds, split)
-        assert set(labels) == train_ids
+        train = sorted(data.group_by_identity(split.part_records(ds, "train")))
+        assert not set(train) & (split.val_ids | split.test_ids)
+        held_out = [r.vector for r in ds.records if r.identity_id not in split.train_ids]
+        seen = set()
         for batch in data.make_batches(ds, split, batch_size=2, seed=2):
-            assert set(batch.labels.tolist()) <= set(labels.values())
+            assert set(batch.labels.tolist()) <= set(range(len(train)))
+            seen.update(batch.labels.tolist())
+            for row in batch.faces.numpy():
+                assert not any(np.array_equal(row, v) for v in held_out)
+        assert seen == set(range(len(train)))
 
     def test_batch_larger_than_pool_repeats(self):
         batches = data.make_batches(self.ds, self.split, batch_size=6, seed=3)
@@ -213,10 +276,12 @@ class TestMakeBatches:
 class TestSynthGenerate:
     def test_noiseless_coupled_samples_identical(self):
         ds = data.synth_generate(3, 4, 6, 5, cross_modal_coupling=1.0, noise=0.0, seed=7, latent_dim=3)
-        for ident in ds.identities():
-            faces = [r.vector for r in ds.records_of(ident, "face")]
-            for v in faces[1:]:
-                np.testing.assert_array_equal(faces[0], v)
+        groups = data.group_by_identity(ds.records)
+        assert sorted(groups) == ds.identities()
+        for pool in groups.values():
+            assert len(pool["face"]) == 4
+            for r in pool["face"][1:]:
+                np.testing.assert_array_equal(pool["face"][0].vector, r.vector)
 
     def test_same_seed_identical(self, tmp_path):
         a = data.synth_generate(4, 2, 5, 6, 0.5, 0.2, seed=8, latent_dim=3)

@@ -148,10 +148,10 @@ def test_metrics_match_oracles_exactly(seed, n, rounded):
 # -- model-backed scoring ---------------------------------------------------------
 
 
-def small_setup(rho=1.0, seed=3):
-    ds = data.synth_generate(8, 4, 10, 9, rho, 0.1, seed=seed, latent_dim=4)
+def small_setup(rho=1.0, seed=3, face_dim=10, voice_dim=9):
+    ds = data.synth_generate(8, 4, face_dim, voice_dim, rho, 0.1, seed=seed, latent_dim=4)
     split = data.make_unseen_split(ds, n_val=2, n_test=3, seed=seed)
-    cfg = model.ModelConfig(face_dim=10, voice_dim=9, num_identities=3, proj_dim=6)
+    cfg = model.ModelConfig(face_dim=face_dim, voice_dim=voice_dim, num_identities=3, proj_dim=6)
     params = model.init_params(cfg, seed=seed)
     return ds, split, cfg, params
 
@@ -275,6 +275,14 @@ class TestMatching:
         ds, split, cfg, params = small_setup()
         with pytest.raises(ContractError):
             evaluation.matching_accuracy([], params, cfg)
+
+    @pytest.mark.parametrize("face_dim", [9, 10])  # equal dims would swap the encoders silently
+    def test_mixed_probe_modalities_rejected(self, face_dim):
+        ds, split, cfg, params = small_setup(face_dim=face_dim, voice_dim=9)
+        voice = evaluation.build_matching_trials(ds, split, 4, 20, seed=22, probe_modality="voice")
+        face = evaluation.build_matching_trials(ds, split, 4, 20, seed=22, probe_modality="face")
+        with pytest.raises(ContractError, match=r"probe modality, got \['face', 'voice'\]"):
+            evaluation.matching_accuracy(voice + face, params, cfg)
 
     def test_tie_counting(self):
         ds, split, cfg, params = small_setup()
@@ -595,3 +603,32 @@ class TestReports:
         assert (tmp_path / "v1.json").read_bytes() == (tmp_path / "v2.json").read_bytes()
         assert (tmp_path / "m1.csv").read_bytes() == (tmp_path / "m2.csv").read_bytes()
         assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
+
+    def test_verification_report_bytes(self, tmp_path):
+        rows = [evaluation.StratumMetrics("random", 40, 0.25, 0.8125), evaluation.StratumMetrics("G", 12, 0.1, 1.0)]
+        evaluation.write_verification_report(tmp_path / "v.csv", tmp_path / "v.json", "seen_heard", rows)
+        assert (tmp_path / "v.csv").read_bytes() == (
+            b"split,stratum,n_trials,eer,auc\r\n"
+            b"seen_heard,random,40,0.25,0.8125\r\nseen_heard,G,12,0.1,1.0\r\n"
+        )
+        assert (tmp_path / "v.json").read_text() == (
+            '[\n  {\n    "auc": 0.8125,\n    "eer": 0.25,\n    "n_trials": 40,\n    "split": "seen_heard",\n'
+            '    "stratum": "random"\n  },\n  {\n    "auc": 1.0,\n    "eer": 0.1,\n    "n_trials": 12,\n'
+            '    "split": "seen_heard",\n    "stratum": "G"\n  }\n]\n'
+        )
+
+    def test_matching_report_bytes(self, tmp_path):
+        rows = [evaluation.MatchingResult(n_c=2, n_trials=30, accuracy=0.6, tie_count=1)]
+        evaluation.write_matching_report(tmp_path / "m.csv", tmp_path / "m.json", "unseen_unheard", rows)
+        assert (tmp_path / "m.csv").read_bytes() == (
+            b"split,n_c,n_trials,accuracy,ties\r\nunseen_unheard,2,30,0.6,1\r\n"
+        )
+        assert (tmp_path / "m.json").read_text() == (
+            '[\n  {\n    "accuracy": 0.6,\n    "n_c": 2,\n    "n_trials": 30,\n    "split": "unseen_unheard",\n'
+            '    "ties": 1\n  }\n]\n'
+        )
+
+    def test_empty_reports(self, tmp_path):
+        evaluation.write_matching_report(tmp_path / "m.csv", tmp_path / "m.json", "unseen_unheard", [])
+        assert (tmp_path / "m.csv").read_bytes() == b"split,n_c,n_trials,accuracy,ties\r\n"
+        assert (tmp_path / "m.json").read_text() == "[]\n"
