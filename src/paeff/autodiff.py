@@ -34,6 +34,7 @@ __all__ = [
     "clamp_min",
     "clamp_max",
     "concat_cols",
+    "take_rows",
     "log_softmax_nll",
 ]
 
@@ -386,6 +387,28 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
         (a, b),
         (lambda g: g[:, :k], lambda g: g[:, k:]),
     )
+
+
+def take_rows(x: Tensor, rows) -> Tensor:
+    """Rows ``x[rows]`` of a matrix, in ``rows`` order and with repeats allowed.
+
+    The gradient of a row that is taken more than once sums over its copies.
+    """
+    r = np.asarray(rows)
+    if x.ndim != 2 or r.ndim != 1 or not np.issubdtype(r.dtype, np.integer):
+        raise DimensionError(
+            f"take_rows needs a matrix and 1-d integer rows, got shapes {x.shape} and {r.shape} ({r.dtype})"
+        )
+    n = x.shape[0]
+    if r.size and (r.min() < 0 or r.max() >= n):
+        raise IndexOutOfRangeError(f"take_rows: row index out of range for {n} rows")
+
+    def vjp(g):
+        grad = np.zeros((n, g.shape[1]))
+        np.add.at(grad, r, g)
+        return grad
+
+    return Tensor._from_op(x.data[r], (x,), (vjp,))
 
 
 # -- fused classification loss ------------------------------------------------

@@ -291,17 +291,19 @@ class PairBatch:
 
 
 def make_batches(
-    dataset: Dataset, split: SplitSpec, batch_size: int, seed: int
+    dataset: Dataset, split: SplitSpec, batch_size: int, seed: int, *, train_groups: dict | None = None
 ) -> list[PairBatch]:
     """One epoch of matched-pair batches covering every train identity.
 
     Identities stream without replacement, reshuffling when the pool is
     exhausted, so every batch holds exactly ``batch_size`` rows. For each
     selected identity one face and one voice record are drawn uniformly.
+    A caller that already holds ``group_by_identity`` of the train part
+    passes it as ``train_groups``, and the part is not selected again.
     """
     if batch_size < 2:
         raise ContractError("batch_size must be at least 2")
-    pools = group_by_identity(split.part_records(dataset, "train"))
+    pools = group_by_identity(split.part_records(dataset, "train")) if train_groups is None else train_groups
     missing = sorted(i for i, pool in pools.items() if not pool["face"] or not pool["voice"])
     if missing:
         raise DataError(f"train identities missing a modality: {missing[:10]}")

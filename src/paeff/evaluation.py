@@ -6,8 +6,14 @@ other modality that shares the probe's identity. Both metrics also run
 per demographic stratum, where non-match trials are restricted to pairs
 sharing the stratum attributes.
 
-Many trials share one record, so scoring encodes each distinct record
-object once and compares encoded rows gathered by trial index.
+Many trials share one record, so scoring collects the distinct record
+objects of each trial slot, encodes each once, and scores every trial as
+one index pair into those encodings through ``losses.pair_similarity``:
+for the hyperbolic arm, the Gram closed form of ``pairwise_distances``
+taken at the trial pairs (``hyperbolic.pair_distances``). A record whose
+modality does not fit its slot is a ``ContractError``. Stratified reports
+read the non-match trials' demographic tags once into arrays and mask
+them per stratum.
 """
 
 from __future__ import annotations
@@ -19,12 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import hyperbolic as hyp
 from .autodiff import Tensor
 from .config import read_text
 from .data import Dataset, EmbeddingRecord, SplitSpec, group_by_identity
 from .errors import ContractError, DataError, DimensionError, NumericError, ParseError
-from .losses import normalize_rows
+from .losses import pair_similarity
 from .model import ModelConfig, ModelParams, encode_modality
 
 STRATA = ("random", "G", "N", "A", "GNA")
@@ -82,34 +87,34 @@ def score_pairs(
         raise DimensionError(f"score_pairs: incompatible shapes {faces.shape} / {voices.shape}")
     f = encode_modality(Tensor(faces), "face", params, cfg)
     v = encode_modality(Tensor(voices), "voice", params, cfg)
-    return _similarity(f, v, cfg)
+    rows = np.arange(faces.shape[0])
+    return pair_similarity(f, v, rows, rows, cfg.effective_similarity()).numpy()
 
 
-def _similarity(f, v, cfg: ModelConfig) -> np.ndarray:
-    """Similarity of row-matched encoded faces and voices."""
-    if cfg.effective_similarity() == "neg_hyperbolic_distance":
-        return -hyp.poincare_distance(f, v).numpy()
-    fv = f.vector if isinstance(f, hyp.PoincarePoint) else f
-    vv = v.vector if isinstance(v, hyp.PoincarePoint) else v
-    return (normalize_rows(fv) * normalize_rows(vv)).sum(axis=1).numpy()
+def _distinct(records: list) -> tuple[list, np.ndarray]:
+    """The distinct objects of ``records`` in first-appearance order, and each record's row among them."""
+    keys = list(map(id, records))
+    distinct = dict(zip(keys, records))
+    row = dict(zip(distinct, range(len(distinct))))
+    return list(distinct.values()), np.fromiter(map(row.__getitem__, keys), np.intp, len(keys))
 
 
-def _encode_records(records: list[EmbeddingRecord], which: str, params: ModelParams, cfg: ModelConfig):
-    """Encoded rows in ``records`` order; each distinct record object is encoded once."""
-    distinct = {id(r): r for r in records}
-    row = {key: i for i, key in enumerate(distinct)}
-    index = [row[id(r)] for r in records]
-    enc = encode_modality(Tensor(np.stack([r.vector for r in distinct.values()])), which, params, cfg)
-    if isinstance(enc, hyp.PoincarePoint):
-        return hyp.PoincarePoint(Tensor(enc.numpy()[index]), enc.config)
-    return Tensor(enc.data[index])
+def _encode_records(
+    records: list[EmbeddingRecord], which: str, slot: str, params: ModelParams, cfg: ModelConfig
+):
+    """Encodings of the distinct records, each encoded once, and each record's row among them.
 
-
-def _score_records(faces: list, voices: list, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
-    """:func:`score_pairs` of row-matched record lists, gathering encoded rows by index."""
-    f = _encode_records(faces, "face", params, cfg)
-    v = _encode_records(voices, "voice", params, cfg)
-    return _similarity(f, v, cfg)
+    A record that is not a ``which`` record is a ``ContractError`` naming
+    the trial ``slot`` it sits in.
+    """
+    distinct, index = _distinct(records)
+    for r in distinct:
+        if r.modality != which:
+            raise ContractError(
+                f"trial {slot} slot holds {r.modality} clip {r.clip_id!r}; it takes {which} records"
+            )
+    enc = encode_modality(Tensor(np.stack([r.vector for r in distinct])), which, params, cfg)
+    return enc, index
 
 
 def score_trials(
@@ -118,13 +123,15 @@ def score_trials(
     """Fill in trial scores (in place); returns the list for chaining.
 
     Each distinct face and voice record is encoded once, however many
-    trials share it.
+    trials share it, and each trial is scored as one index pair.
     """
     if not trials:
         return trials
-    scores = _score_records([t.face for t in trials], [t.voice for t in trials], params, cfg)
-    for trial, s in zip(trials, scores):
-        trial.score = float(s)
+    f, f_rows = _encode_records([t.face for t in trials], "face", "face", params, cfg)
+    v, v_rows = _encode_records([t.voice for t in trials], "voice", "voice", params, cfg)
+    scores = pair_similarity(f, v, f_rows, v_rows, cfg.effective_similarity()).numpy()
+    for trial, s in zip(trials, scores.tolist()):
+        trial.score = s
     return trials
 
 
@@ -239,15 +246,23 @@ def matching_accuracy(
     if len(probe_modalities) > 1:
         raise ContractError(f"all matching trials must share one probe modality, got {probe_modalities}")
 
-    probes = [t.probe for t in trials for _ in range(n_c)]
-    gallery = [g for t in trials for g in t.gallery]
-    faces, voices = (gallery, probes) if trials[0].probe_modality == "voice" else (probes, gallery)
-    scores = _score_records(faces, voices, params, cfg).reshape(len(trials), n_c)
+    probe_modality = trials[0].probe_modality
+    gallery_modality = "face" if probe_modality == "voice" else "voice"
+    probe, probe_rows = _encode_records([t.probe for t in trials], probe_modality, "probe", params, cfg)
+    gallery, gallery_rows = _encode_records(
+        [g for t in trials for g in t.gallery], gallery_modality, "gallery", params, cfg
+    )
+    probe_rows = np.repeat(probe_rows, n_c)
+    if probe_modality == "voice":
+        pairs = (gallery, probe, gallery_rows, probe_rows)
+    else:
+        pairs = (probe, gallery, probe_rows, gallery_rows)
+    scores = pair_similarity(*pairs, cfg.effective_similarity()).numpy().reshape(len(trials), n_c)
     if not np.all(np.isfinite(scores)):
         raise NumericError(f"{np.count_nonzero(~np.isfinite(scores))} matching scores are not finite")
 
     best = np.argmax(scores, axis=1)  # argmax takes the lowest index on ties
-    hits = sum(int(b == t.correct_index) for b, t in zip(best, trials))
+    hits = int(np.count_nonzero(best == np.array([t.correct_index for t in trials])))
     ties = int(np.sum(np.sum(scores == scores.max(axis=1, keepdims=True), axis=1) > 1))
     return MatchingResult(
         n_c=n_c, n_trials=len(trials), accuracy=hits / len(trials), tie_count=ties
@@ -280,12 +295,13 @@ def build_verification_trials(
     if n_each < 1:
         raise ContractError("max_trials must be at least 2")
 
+    paired = [(by_id[i]["face"], by_id[i]["voice"]) for i in paired_ids]
     rng = np.random.default_rng(seed)
     trials: list[VerificationTrial] = []
     for _ in range(n_each):
-        identity = paired_ids[rng.integers(len(paired_ids))]
-        f = by_id[identity]["face"][rng.integers(len(by_id[identity]["face"]))]
-        v = by_id[identity]["voice"][rng.integers(len(by_id[identity]["voice"]))]
+        face_pool, voice_pool = paired[rng.integers(len(paired))]
+        f = face_pool[rng.integers(len(face_pool))]
+        v = voice_pool[rng.integers(len(voice_pool))]
         trials.append(VerificationTrial(score=None, is_match=True, face=f, voice=v))
     for _ in range(n_each):
         while True:
@@ -327,25 +343,22 @@ def build_matching_trials(
     for i, recs in by_id.items():
         slices[i] = (len(pool), len(recs[gallery_modality]))
         pool.extend(recs[gallery_modality])
+    draws = [(by_id[i][probe_modality], by_id[i][gallery_modality], *slices[i]) for i in eligible]
 
     rng = np.random.default_rng(seed)
     trials: list[MatchingTrial] = []
     for _ in range(n_trials):
-        identity = eligible[rng.integers(len(eligible))]
-        probe_pool = by_id[identity][probe_modality]
+        probe_pool, match_pool, start, own = draws[rng.integers(len(draws))]
         probe = probe_pool[rng.integers(len(probe_pool))]
-        match_pool = by_id[identity][gallery_modality]
         match = match_pool[rng.integers(len(match_pool))]
-        start, own = slices[identity]
         n_distractors = len(pool) - own
         if n_distractors < n_c - 1:
             raise ContractError(
                 f"not enough distractor records ({n_distractors}) for gallery size {n_c}"
             )
         # Draw from the pool without the probe identity's slice, then step past that slice.
-        picks = rng.choice(n_distractors, size=n_c - 1, replace=False)
-        picks[picks >= start] += own
-        gallery = [pool[i] for i in picks]
+        picks = rng.choice(n_distractors, size=n_c - 1, replace=False).tolist()
+        gallery = [pool[p + own if p >= start else p] for p in picks]
         correct = int(rng.integers(n_c))
         gallery.insert(correct, match)
         trials.append(
@@ -399,18 +412,14 @@ class StratumMetrics:
     auc: float
 
 
-def _shares_attributes(trial: VerificationTrial, attributes: str, stratum: str) -> bool:
-    for attr in attributes:
-        a = trial.face.demographic(attr)
-        b = trial.voice.demographic(attr)
-        if a is None or b is None:
-            raise DataError(
-                f"stratum {stratum}: trial lacks demographic tag {attr!r} "
-                f"({trial.face.clip_id} / {trial.voice.clip_id})"
-            )
-        if a != b:
-            return False
-    return True
+def _nonmatch_tags(trials: list[VerificationTrial], nonmatch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[N x 3] object arrays of the G, N, A tags of the non-match trials' faces and of their voices."""
+    sides = []
+    for side in ("face", "voice"):
+        distinct, index = _distinct([getattr(trials[k], side) for k in nonmatch])
+        tags = np.array([[r.demographic(a) for a in "GNA"] for r in distinct], dtype=object).reshape(-1, 3)
+        sides.append(tags[index])
+    return sides[0], sides[1]
 
 
 def stratified_report(
@@ -421,17 +430,38 @@ def stratified_report(
     Non-match trials must share the stratum's demographic attributes;
     match trials always qualify. Strata left with no usable non-match
     trials are omitted from the report, never reported as zero.
+
+    A non-match trial's attributes are compared in the stratum's order and
+    the first that differs drops it; an untagged one before that is a
+    ``DataError`` naming the first such trial in list order.
     """
     scores = _trial_scores(trials)
     labels = np.array([t.is_match for t in trials], dtype=bool)
+    nonmatch = np.flatnonzero(~labels)
+    tags = None
     out: list[StratumMetrics] = []
     for stratum in strata:
         if stratum not in STRATA:
             raise ContractError(f"unknown stratum {stratum!r}")
         attributes = _STRATUM_ATTRIBUTES[stratum]
-        keep = np.array(
-            [t.is_match or _shares_attributes(t, attributes, stratum) for t in trials], dtype=bool
-        )
+        if attributes and tags is None:
+            tags = _nonmatch_tags(trials, nonmatch)
+        shares = np.ones(nonmatch.size, dtype=bool)  # shares every attribute compared so far
+        untagged_at = np.full(nonmatch.size, -1)  # the attribute a trial lacks, if it counts
+        for a, attr in enumerate(attributes):
+            face, voice = (side[:, "GNA".index(attr)] for side in tags)
+            untagged = shares & (np.equal(face, None) | np.equal(voice, None))
+            untagged_at[untagged] = a
+            shares &= ~untagged & (face == voice)
+        bad = np.flatnonzero(untagged_at >= 0)
+        if bad.size:
+            trial = trials[nonmatch[bad[0]]]
+            raise DataError(
+                f"stratum {stratum}: trial lacks demographic tag {attributes[untagged_at[bad[0]]]!r} "
+                f"({trial.face.clip_id} / {trial.voice.clip_id})"
+            )
+        keep = labels.copy()
+        keep[nonmatch] = shares
         s, lab = scores[keep], labels[keep]
         if lab.all() or not lab.any():
             continue

@@ -15,6 +15,19 @@ Conventions (curvature -c, c > 0):
     x (+) y   = ((1 + 2c<x,y> + c||y||^2) x + (1 - c||x||^2) y)
                 / (1 + 2c<x,y> + c^2 ||x||^2 ||y||^2)
     d(x, y)   = (2 / sqrt(c)) * artanh(sqrt(c) ||(-x) (+) y||)
+
+Three functions take distances:
+
+* ``poincare_distance(x, y)``: row i with row i, from the difference
+  x - y; the reference the other two are tested against;
+* ``pairwise_distances(x, y)``: every row of x with every row of y, as a
+  [B x N] table; the alignment loss uses it;
+* ``pair_distances(x, y, x_rows, y_rows)``: the pairs
+  (x[x_rows[k]], y[y_rows[k]]); evaluation scores trials with it.
+
+The last two share one closed form in the Gram entries <x, y> and the
+squared norms, so an all-pairs and an index-pair distance of the same two
+points differ only by the rounding of their dot product.
 """
 
 from __future__ import annotations
@@ -191,12 +204,39 @@ def pairwise_distances(x: PoincarePoint, y: PoincarePoint) -> Tensor:
     xr, yr = x.vector, y.vector
     if xr.shape[1] != yr.shape[1]:
         raise ContractError(f"pairwise_distances: dims differ: {xr.shape} vs {yr.shape}")
-    c = cfg.curvature
     gram = ad.matmul(xr, yr.transpose())
     x2 = (xr * xr).sum(axis=1, keepdims=True)
     y2t = (yr * yr).sum(axis=1, keepdims=True).transpose()
-    delta = (16.0 * (xr.shape[1] + 1) * np.finfo(np.float64).eps) * (x2.data + y2t.data)
-    d2 = ad.clamp_min(x2 + y2t - gram * 2.0, delta)
-    denom = ad.clamp_min(1.0 - gram * (2.0 * c) + x2 * y2t * (c * c), _TINY)
+    return _gram_distance(gram, x2, y2t, xr.shape[1], cfg)
+
+
+def pair_distances(x: PoincarePoint, y: PoincarePoint, x_rows, y_rows) -> Tensor:
+    """Distances d(x[x_rows[k]], y[y_rows[k]]) for two equal-length row-index arrays: [N].
+
+    The closed form of :func:`pairwise_distances`, taken only at the given
+    pairs: one dot product per pair, and each row's squared norm once.
+    """
+    cfg = _same_config(x, y)
+    xr, yr = x.vector, y.vector
+    if xr.shape[1] != yr.shape[1]:
+        raise ContractError(f"pair_distances: dims differ: {xr.shape} vs {yr.shape}")
+    if len(x_rows) != len(y_rows):
+        raise ContractError(f"pair_distances: {len(x_rows)} x rows vs {len(y_rows)} y rows")
+    gram = (ad.take_rows(xr, x_rows) * ad.take_rows(yr, y_rows)).sum(axis=1, keepdims=True)
+    x2 = ad.take_rows((xr * xr).sum(axis=1, keepdims=True), x_rows)
+    y2 = ad.take_rows((yr * yr).sum(axis=1, keepdims=True), y_rows)
+    return _gram_distance(gram, x2, y2, xr.shape[1], cfg).reshape(len(x_rows))
+
+
+def _gram_distance(gram: Tensor, x2: Tensor, y2: Tensor, dim: int, cfg: BallConfig) -> Tensor:
+    """d from the Gram entries <x, y> and squared norms broadcast against them.
+
+    The delta floor, the denominator clamp and the boundary clamp are
+    explained at :func:`pairwise_distances`.
+    """
+    c = cfg.curvature
+    delta = (16.0 * (dim + 1) * np.finfo(np.float64).eps) * (x2.data + y2.data)
+    d2 = ad.clamp_min(x2 + y2 - gram * 2.0, delta)
+    denom = ad.clamp_min(1.0 - gram * (2.0 * c) + x2 * y2 * (c * c), _TINY)
     sn = ad.clamp_max(ad.sqrt(d2 / denom) * cfg.sqrt_c, 1.0 - cfg.boundary_eps)
     return ad.artanh(sn) * (2.0 / cfg.sqrt_c)

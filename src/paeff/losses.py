@@ -69,14 +69,41 @@ def similarity_matrix(
     face: PoincarePoint | Tensor, voice: PoincarePoint | Tensor, mode: str
 ) -> Tensor:
     """S[i, j] = similarity of face i with voice j under the configured mode."""
+    return _similarity(face, voice, mode, None)
+
+
+def pair_similarity(
+    face: PoincarePoint | Tensor, voice: PoincarePoint | Tensor, face_rows, voice_rows, mode: str
+) -> Tensor:
+    """s[k] = similarity of face ``face_rows[k]`` with voice ``voice_rows[k]``: [N].
+
+    The index-pair counterpart of :func:`similarity_matrix`: entry k equals
+    S[face_rows[k], voice_rows[k]] up to the rounding of one dot product.
+    """
+    return _similarity(face, voice, mode, (face_rows, voice_rows))
+
+
+def _similarity(face, voice, mode: str, rows) -> Tensor:
+    """All pairs when ``rows`` is None, else the (face_rows, voice_rows) pairs."""
     if mode == "neg_hyperbolic_distance":
         if not isinstance(face, PoincarePoint) or not isinstance(voice, PoincarePoint):
             raise ContractError("neg_hyperbolic_distance needs lifted (ball) embeddings")
-        return -hyp.pairwise_distances(face, voice)
+        if rows is None:
+            return -hyp.pairwise_distances(face, voice)
+        return -hyp.pair_distances(face, voice, *rows)
     if mode == "cosine":
         fv = face.vector if isinstance(face, PoincarePoint) else face
         vv = voice.vector if isinstance(voice, PoincarePoint) else voice
-        return pairwise_cosine(fv, vv)
+        if rows is None:
+            return pairwise_cosine(fv, vv)
+        face_rows, voice_rows = rows
+        if len(face_rows) != len(voice_rows):
+            raise ContractError(
+                f"pair_similarity: {len(face_rows)} face rows vs {len(voice_rows)} voice rows"
+            )
+        fn = ad.take_rows(normalize_rows(fv), face_rows)
+        vn = ad.take_rows(normalize_rows(vv), voice_rows)
+        return (fn * vn).sum(axis=1)
     raise ContractError(f"unknown similarity mode {mode!r}")
 
 

@@ -139,6 +139,33 @@ def check_hyperbolic_distance_gradients() -> None:
     check_gradients(f, [rng.normal(size=(2, 4)) * 0.7 + 0.05, rng.normal(size=(2, 4)) * 0.7 + 0.05])
 
 
+def check_hyperbolic_pair_distances() -> None:
+    """The index-pair Gram form stays within its rounding bound of the row-wise distance.
+
+    The bound is the one the Gram form's delta floor allows (c = 1): the
+    artanh argument moves by at most sqrt(delta / denominator) + 4 eps, and
+    artanh' is taken at the top of that interval, with a factor 2 margin.
+    """
+    cfg = BallConfig()
+    rng = np.random.default_rng(26)
+    n, d = 16, 32
+    x = hyp.exp_map_origin(Tensor(rng.normal(size=(n, d)) * 0.1), cfg).numpy()  # mid-radius
+    # y holds near-duplicates of x, from 1e-2 down to 1e-12 apart, then independent points.
+    near = x + 10.0 ** rng.uniform(-12.0, -2.0, size=(n, 1)) * rng.normal(size=(n, d)) / math.sqrt(d)
+    y = hyp.project_to_ball(Tensor(np.concatenate([near, rng.normal(size=(n, d)) * 0.1])), cfg).numpy()
+    i = rng.integers(n, size=200)
+    j = np.where(np.arange(200) % 2 == 0, i, rng.integers(2 * n, size=200))
+    got = hyp.pair_distances(PoincarePoint(Tensor(x), cfg), PoincarePoint(Tensor(y), cfg), i, j).numpy()
+    xi, yj = x[i], y[j]
+    want = hyp.poincare_distance(PoincarePoint(Tensor(xi), cfg), PoincarePoint(Tensor(yj), cfg)).numpy()
+    eps = np.finfo(np.float64).eps
+    x2, y2 = np.sum(xi * xi, axis=1), np.sum(yj * yj, axis=1)
+    shift = np.sqrt(16.0 * (d + 1) * eps * (x2 + y2) / (1.0 - 2.0 * np.sum(xi * yj, axis=1) + x2 * y2))
+    s_hi = np.minimum(np.tanh(want / 2.0) + shift, 1.0 - cfg.boundary_eps)
+    bound = 4.0 * (shift + 4.0 * eps) / (1.0 - s_hi**2)
+    _expect(np.all(np.abs(got - want) <= bound), "index-pair distance outside the rounding bound of row-wise")
+
+
 def check_model_forward_gradients() -> None:
     cfg = model.ModelConfig(face_dim=5, voice_dim=6, num_identities=3, proj_dim=4)
     params = model.init_params(cfg, seed=21)
@@ -271,6 +298,7 @@ ALL_CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("hyperbolic.triangle_inequality", check_hyperbolic_triangle_inequality),
     ("hyperbolic.ball_invariant", check_hyperbolic_ball_invariant),
     ("hyperbolic.distance_gradients", check_hyperbolic_distance_gradients),
+    ("hyperbolic.pair_distances", check_hyperbolic_pair_distances),
     ("model.forward_gradients", check_model_forward_gradients),
     ("model.egff_convexity", check_egff_convexity),
     ("losses.alignment_uniform_point", check_alignment_loss_uniform_point),

@@ -58,8 +58,12 @@ class TrainConfig:
 def resolve_batch_size(cfg: TrainConfig, dataset: Dataset, split: SplitSpec) -> int:
     if cfg.batch_size is not None:
         return cfg.batch_size
-    groups = group_by_identity(split.part_records(dataset, "train")).values()
-    pairs = sum(min(len(g["face"]), len(g["voice"])) for g in groups)
+    return _default_batch_size(group_by_identity(split.part_records(dataset, "train")))
+
+
+def _default_batch_size(train_groups: dict) -> int:
+    """The paper's batch, or the desk one below DESK_SCALE_PAIRS formable train pairs."""
+    pairs = sum(min(len(g["face"]), len(g["voice"])) for g in train_groups.values())
     return BATCH_DEFAULT if pairs >= DESK_SCALE_PAIRS else BATCH_DESK
 
 
@@ -150,7 +154,11 @@ def train(
 ) -> TrainResult:
     """Run the full optimization; deterministic given the config seed."""
     split.validate(dataset)
-    batch_size = resolve_batch_size(train_cfg, dataset, split)
+    # The train part is selected and grouped once; every epoch batches from it.
+    train_groups = group_by_identity(split.part_records(dataset, "train"))
+    batch_size = train_cfg.batch_size
+    if batch_size is None:
+        batch_size = _default_batch_size(train_groups)
 
     params = model.init_params(model_cfg, train_cfg.seed)
     state = AdamState()
@@ -158,8 +166,7 @@ def train(
         dataset, split, max_trials=train_cfg.val_trials, seed=train_cfg.seed, part="val"
     )
 
-    n_train_ids = len(group_by_identity(split.part_records(dataset, "train")))
-    steps_per_epoch = -(-n_train_ids // batch_size)
+    steps_per_epoch = -(-len(train_groups) // batch_size)
     total_steps = train_cfg.epochs * steps_per_epoch
 
     history: list[EpochLog] = []
@@ -168,7 +175,9 @@ def train(
     best_values = params.copy_values()
     step = 0
     for epoch in range(1, train_cfg.epochs + 1):
-        batches = make_batches(dataset, split, batch_size, seed=train_cfg.seed + epoch)
+        batches = make_batches(
+            dataset, split, batch_size, seed=train_cfg.seed + epoch, train_groups=train_groups
+        )
         sums = {"l_align": 0.0, "l_op": 0.0, "l_ce": 0.0, "total": 0.0}
         lr = train_cfg.lr0
         for batch in batches:

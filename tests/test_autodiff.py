@@ -124,6 +124,19 @@ class TestStructuralOps:
         check_gradients(lambda a: a.reshape(6).norm2(), [rand((2, 3), 18)])
         check_gradients(lambda a: a.transpose().norm2(), [rand((2, 3), 19)])
 
+    def test_take_rows_repeats_and_orders(self):
+        x = rand((3, 2), 20)
+        np.testing.assert_array_equal(ad.take_rows(Tensor(x), [2, 0, 2]).numpy(), x[[2, 0, 2]])
+
+    def test_take_rows_gradient_sums_repeated_rows(self):
+        rows = np.array([1, 1, 3, 0, 1])
+        check_gradients(lambda a: ad.take_rows(a, rows).norm2(), [rand((4, 3), 21)])
+
+    @pytest.mark.parametrize("rows", [[0, 3], [-1], [[0, 1]], [0.0, 1.0]])
+    def test_take_rows_rejects_bad_rows(self, rows):
+        with pytest.raises((IndexOutOfRangeError, DimensionError)):
+            ad.take_rows(Tensor(rand((3, 2), 22)), np.asarray(rows))
+
 
 class TestBroadcasting:
     @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])

@@ -305,14 +305,14 @@ ARMS = {"hyperbolic": lambda cfg: cfg, "cosine": cosine_arm}
 def captured_similarity(monkeypatch):
     """Record every score vector evaluation computes from encoded rows."""
     seen = []
-    original = evaluation._similarity
+    original = evaluation.pair_similarity
 
-    def spy(f, v, cfg):
-        out = original(f, v, cfg)
-        seen.append(out)
+    def spy(f, v, f_rows, v_rows, mode):
+        out = original(f, v, f_rows, v_rows, mode)
+        seen.append(out.numpy())
         return out
 
-    monkeypatch.setattr(evaluation, "_similarity", spy)
+    monkeypatch.setattr(evaluation, "pair_similarity", spy)
     return seen
 
 
@@ -383,6 +383,35 @@ class TestScoringByIndex:
         trials = evaluation.build_matching_trials(ds, split, n_c=2, n_trials=20, seed=21)
         with pytest.raises(NumericError):
             evaluation.matching_accuracy(trials, params, cosine_arm(cfg))
+
+
+class TestTrialSlots:
+    """A record in the wrong modality slot is refused, whether or not the dims let it through."""
+
+    @pytest.mark.parametrize("face_dim", [9, 10])
+    def test_voice_record_in_face_slot(self, face_dim):
+        ds, split, cfg, params = small_setup(face_dim=face_dim, voice_dim=9)
+        trials = evaluation.build_verification_trials(ds, split, 20, seed=25)
+        trials[3] = VerificationTrial(None, False, face=trials[5].voice, voice=trials[3].voice)
+        clip = trials[5].voice.clip_id
+        with pytest.raises(ContractError, match=f"trial face slot holds voice clip '{clip}'"):
+            evaluation.score_trials(trials, params, cfg)
+
+    @pytest.mark.parametrize("face_dim", [9, 10])
+    def test_voice_gallery_for_voice_probe(self, face_dim):
+        ds, split, cfg, params = small_setup(face_dim=face_dim, voice_dim=9)
+        voices = [r for r in split.part_records(ds, "test") if r.modality == "voice"]
+        trial = evaluation.MatchingTrial("voice", voices[0], voices[1:4], 0)
+        with pytest.raises(ContractError, match=f"trial gallery slot holds voice clip '{voices[1].clip_id}'"):
+            evaluation.matching_accuracy([trial], params, cfg)
+
+    def test_face_in_probe_slot_of_voice_probe(self):
+        ds, split, cfg, params = small_setup(face_dim=9, voice_dim=9)
+        trials = evaluation.build_matching_trials(ds, split, 3, 10, seed=26)
+        bad = trials[4].gallery[0]
+        trials[4] = evaluation.MatchingTrial("voice", bad, trials[4].gallery, trials[4].correct_index)
+        with pytest.raises(ContractError, match=f"trial probe slot holds face clip '{bad.clip_id}'"):
+            evaluation.matching_accuracy(trials, params, cfg)
 
 
 def oracle_matching_trials(dataset, split, n_c, n_trials, seed, probe_modality):
@@ -586,6 +615,69 @@ class TestStrata:
         ]
         with pytest.raises(DataError, match="stratum G"):
             evaluation.stratified_report(scored_trials_with_tags(pairs), ("G",))
+
+
+def oracle_stratified_report(trials, strata):
+    """Per-trial walk: a non-match trial's attributes in stratum order; untagged raises, unequal drops."""
+    rows = []
+    for stratum in strata:
+        kept = []
+        for t in trials:
+            shares = True
+            for attr in "" if stratum == "random" else stratum:
+                a, b = t.face.demographic(attr), t.voice.demographic(attr)
+                if not t.is_match and (a is None or b is None):
+                    raise DataError(
+                        f"stratum {stratum}: trial lacks demographic tag {attr!r} "
+                        f"({t.face.clip_id} / {t.voice.clip_id})"
+                    )
+                if a != b:
+                    shares = False
+                    break
+            if t.is_match or shares:
+                kept.append(t)
+        scores = np.array([t.score for t in kept])
+        labels = np.array([t.is_match for t in kept])
+        if labels.all() or not labels.any():
+            continue
+        rows.append((stratum, len(kept), oracle_eer(scores, labels), oracle_auc(scores, labels)))
+    return rows
+
+
+class TestStrataOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 120),
+        p_none=st.sampled_from([0.0, 0.01, 0.1, 0.5]),
+        strata=st.lists(st.sampled_from(evaluation.STRATA), min_size=1, max_size=5),
+    )
+    def test_same_rows_or_error_as_per_trial_walk(self, seed, n, p_none, strata):
+        rng = np.random.default_rng(seed)
+
+        def records(modality):
+            out = []
+            for k in range(6):
+                tags = [None if rng.random() < p_none else str(rng.integers(2)) for _ in range(3)]
+                out.append(data.EmbeddingRecord(f"id{k}", modality, f"{modality}{k}", np.ones(1), *tags))
+            return out
+
+        faces, voices = records("face"), records("voice")  # each record sits in many trials
+        trials = [
+            VerificationTrial(round(float(rng.normal()), 1), bool(rng.random() < 0.4),
+                              faces[rng.integers(6)], voices[rng.integers(6)])
+            for _ in range(n)
+        ]
+        try:
+            expected = oracle_stratified_report(trials, strata)
+        except DataError as e:
+            with pytest.raises(DataError) as got:
+                evaluation.stratified_report(trials, strata)
+            assert str(got.value) == str(e)
+            return
+        got = [(r.stratum, r.n_trials, r.eer, r.auc) for r in evaluation.stratified_report(trials, strata)]
+        assert [g[:2] for g in got] == [e[:2] for e in expected]
+        np.testing.assert_allclose([g[2:] for g in got], [e[2:] for e in expected], rtol=0.0, atol=1e-12)
 
 
 class TestReports:

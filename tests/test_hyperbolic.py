@@ -209,6 +209,7 @@ ROWS_ONLY = {
     "mobius_add": lambda v: hyp.mobius_add(as_point(v), as_point(v)),
     "poincare_distance": lambda v: hyp.poincare_distance(as_point(v), as_point(v)),
     "pairwise_distances": lambda v: hyp.pairwise_distances(as_point(v), as_point(v)),
+    "pair_distances": lambda v: hyp.pair_distances(as_point(v), as_point(v), [0], [0]),
 }
 
 
@@ -331,6 +332,39 @@ class TestPairwiseGramForm:
                 assert node.size <= max(b * b, b * d)
                 stack.extend(node._parents)
         assert len(seen) > 2
+
+
+class TestPairDistances:
+    """The index-pair distance shares the Gram closed form of pairwise_distances."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(**pair_cases, n=st.integers(1, 40))
+    def test_within_rounding_bound_of_rowwise_and_pairwise(self, seed, dim, radius, sep, n):
+        x, y = sample_pairs(seed, dim, radius, sep)
+        rng = np.random.default_rng(seed)
+        i, j = rng.integers(x.shape[0], size=n), rng.integers(y.shape[0], size=n)
+        i[: n // 2] = j[: n // 2]  # near-duplicate pairs when sep > 0
+        xp, yp = hyp.PoincarePoint(Tensor(x), CFG), hyp.PoincarePoint(Tensor(y), CFG)
+        got = hyp.pair_distances(xp, yp, i, j).numpy()
+        d_row = rowwise_table(x, y)
+        bound = gram_error_bound(x, y, d_row)[i, j]
+        assert got.shape == (n,)
+        assert np.all(np.abs(got - d_row[i, j]) <= bound)
+        assert np.all(np.abs(got - hyp.pairwise_distances(xp, yp).numpy()[i, j]) <= bound)
+
+    def test_gradients(self):
+        rng = np.random.default_rng(23)
+        rows = (np.array([0, 2, 2, 1]), np.array([1, 1, 0, 2]))
+
+        def f(u, w):
+            return hyp.pair_distances(hyp.exp_map_origin(u, CFG), hyp.exp_map_origin(w, CFG), *rows).sum()
+
+        check_gradients(f, [rng.normal(size=(3, 4)) * 0.7, rng.normal(size=(3, 4)) * 0.7])
+
+    def test_mismatched_rows_rejected(self):
+        x = ball_points(24, n=3, d=2)
+        with pytest.raises(ContractError, match="2 x rows vs 1 y rows"):
+            hyp.pair_distances(x, x, [0, 1], [0])
 
 
 def test_pairwise_matches_rowwise():

@@ -196,6 +196,36 @@ class TestAlignmentLoss:
         check_gradients(g, [rng.normal(size=(5, 4)), rng.normal(size=(5, 4)), np.array(0.9)])
 
 
+class TestPairSimilarity:
+    """The index-pair counterpart of similarity_matrix, for both modes."""
+
+    @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])
+    def test_entries_of_similarity_matrix(self, mode):
+        rng = np.random.default_rng(7)
+        f, v = lifted(rng.normal(size=(5, 4)) * 0.5), lifted(rng.normal(size=(6, 4)) * 0.5)
+        i, j = rng.integers(5, size=30), rng.integers(6, size=30)
+        got = losses.pair_similarity(f, v, i, j, mode).numpy()
+        table = losses.similarity_matrix(f, v, mode).numpy()
+        np.testing.assert_allclose(got, table[i, j], rtol=0.0, atol=1e-12)
+
+    def test_cosine_gradients(self):
+        rows = (np.array([0, 1, 1, 2]), np.array([2, 2, 0, 1]))
+        check_gradients(
+            lambda a, b: losses.pair_similarity(a, b, *rows, "cosine").sum(),
+            [np.random.default_rng(8).normal(size=(3, 4)), np.random.default_rng(9).normal(size=(3, 4))],
+        )
+
+    def test_hyperbolic_mode_requires_ball_points(self):
+        with pytest.raises(ContractError, match="lifted"):
+            losses.pair_similarity(
+                Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), [0], [1], "neg_hyperbolic_distance"
+            )
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ContractError, match="unknown similarity mode"):
+            losses.pair_similarity(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), [0], [1], "dot")
+
+
 class TestOrthogonalProjectionLoss:
     def test_identical_same_label_is_zero(self):
         v = np.array([[0.6, 0.8], [0.6, 0.8]])

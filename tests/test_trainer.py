@@ -124,6 +124,23 @@ class TestTrainLoop:
         for (name, ta), (_, tb) in zip(a.params.named(), b.params.named()):
             np.testing.assert_array_equal(ta.data, tb.data, err_msg=name)
 
+    @pytest.mark.parametrize("batch_size", [None, 4])
+    def test_train_part_grouped_once_per_run(self, batch_size, monkeypatch):
+        ds, split, cfg = desk_setup()
+        grouped = []
+        original = data.group_by_identity
+
+        def counting(records):
+            groups = original(records)
+            grouped.append(frozenset(groups))
+            return groups
+
+        for module in (data, trainer, evaluation):
+            monkeypatch.setattr(module, "group_by_identity", counting)
+        tc = trainer.TrainConfig(epochs=3, batch_size=batch_size, lr0=1e-3, seed=0, val_trials=20)
+        trainer.train(ds, split, cfg, tc)
+        assert sorted(grouped, key=sorted) == sorted([split.train_ids, split.val_ids], key=sorted)
+
     def test_first_batch_total_matches_weighted_components(self):
         ds, split, cfg = desk_setup()
         batch = data.make_batches(ds, split, 4, seed=3)[0]
