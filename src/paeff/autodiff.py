@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 A ``Tensor`` wraps a numpy array and records, at construction time, the
-parents it was computed from together with one vector-Jacobian product
-per parent. ``Tensor.backward()`` on a scalar output replays that tape in
-reverse topological order and accumulates gradients into ``.grad``.
+parents it was computed from together with the vector-Jacobian products
+that carry a gradient back to them. ``Tensor.backward()`` on a scalar
+output replays that tape in reverse topological order and accumulates
+gradients into ``.grad``.
 
 Design constraints kept deliberately tight so every gradient is auditable:
 
@@ -13,6 +14,31 @@ Design constraints kept deliberately tight so every gradient is auditable:
   ``DimensionError``;
 * static graphs (one graph per training step, rebuilt every step);
 * single-threaded per graph.
+
+A node holds one VJP per parent, or, for a fused node with several
+parents, one joint VJP that returns a gradient per parent in order.
+``Tensor.from_op`` records a node and ``reduce_to`` sums a broadcast
+gradient back to its operand's shape; other modules define their fused
+nodes with these two (``hyperbolic``'s Gram distance, ``losses``'
+orthogonal projection loss). A VJP closure captures the arrays it saves
+directly, so the arrays a tape holds can be counted from its closures.
+
+Fused primitives, each one node with a hand-written VJP, and the
+subgradient rules they keep from the generic ops they replace:
+
+* ``radial(x, radius, *more)``: rows rescaled by functions of their norms,
+  y = x * F(||x||); the gradient's radial term is 0 at a zero row, as for
+  ``norm2``. Each radius function carries its own clamp rules;
+* ``affine(x, w, b)``: x @ w + b;
+* ``gated_mix(f, v, combined, w, b)``: s * f + (1 - s) * v with
+  s = sigmoid(combined * w + b);
+* ``symmetric_log_softmax_nll(logits, mask)``: the mean of the row-wise
+  and column-wise softmax cross-entropy of the diagonal, with masked
+  entries at -inf (zero probability, zero gradient);
+* ``log_softmax_nll(logits, targets)``: one direction of the above.
+
+Generic ops: ``clamp_min``/``clamp_max`` pass the gradient at ties,
+``sqrt``, ``norm2`` and ``absolute`` have zero (sub)gradient at 0.
 """
 
 from __future__ import annotations
@@ -35,7 +61,12 @@ __all__ = [
     "clamp_max",
     "concat_cols",
     "take_rows",
+    "radial",
+    "affine",
+    "gated_mix",
     "log_softmax_nll",
+    "symmetric_log_softmax_nll",
+    "reduce_to",
 ]
 
 
@@ -89,9 +120,19 @@ class Tensor:
     # -- graph plumbing -------------------------------------------------
 
     @staticmethod
-    def _from_op(data: np.ndarray, parents: tuple["Tensor", ...], vjps: tuple) -> "Tensor":
+    def from_op(data: np.ndarray, parents: tuple["Tensor", ...], vjps: tuple) -> "Tensor":
+        """A node computed from ``parents``: ``vjps`` holds one VJP per parent, or one joint VJP.
+
+        The joint form, one callable for several parents, returns a tuple
+        with a gradient for every parent. With one VJP per parent, the node
+        keeps only the parents a gradient flows to: constants and inputs
+        that require none are not part of the tape.
+        """
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
+            if len(vjps) == len(parents):
+                vjps = tuple(f for p, f in zip(parents, vjps) if p.requires_grad)
+                parents = tuple(p for p in parents if p.requires_grad)
             out.requires_grad = True
             out._parents = parents
             out._vjps = vjps
@@ -137,10 +178,11 @@ class Tensor:
             if g is None:
                 continue
             node.grad = g if node.grad is None else node.grad + g
-            for parent, vjp in zip(node._parents, node._vjps):
+            parents, vjps = node._parents, node._vjps
+            grads = [vjp(g) for vjp in vjps] if len(vjps) == len(parents) else vjps[0](g)
+            for parent, pg in zip(parents, grads):
                 if not parent.requires_grad:
                     continue
-                pg = vjp(g)
                 acc = flowing.get(id(parent))
                 flowing[id(parent)] = pg if acc is None else acc + pg
 
@@ -169,7 +211,7 @@ class Tensor:
         return _div(other, self)
 
     def __neg__(self):
-        return Tensor._from_op(-self.data, (self,), (lambda g: -g,))
+        return Tensor.from_op(-self.data, (self,), (lambda g: -g,))
 
     # -- shape ops ---------------------------------------------------------
 
@@ -181,12 +223,12 @@ class Tensor:
             data = self.data.reshape(shape)
         except ValueError as e:
             raise DimensionError(f"cannot reshape {old} to {shape}") from e
-        return Tensor._from_op(np.ascontiguousarray(data), (self,), (lambda g: g.reshape(old),))
+        return Tensor.from_op(np.ascontiguousarray(data), (self,), (lambda g: g.reshape(old),))
 
     def transpose(self) -> "Tensor":
         if self.data.ndim != 2:
             raise DimensionError(f"transpose needs a matrix, got shape {self.shape}")
-        return Tensor._from_op(np.ascontiguousarray(self.data.T), (self,), (lambda g: g.T,))
+        return Tensor.from_op(np.ascontiguousarray(self.data.T), (self,), (lambda g: g.T,))
 
     # -- reductions ---------------------------------------------------------
 
@@ -200,7 +242,7 @@ class Tensor:
             gg = g if keepdims else np.expand_dims(g, axis)
             return np.broadcast_to(gg, shape).copy()
 
-        return Tensor._from_op(np.sum(self.data, axis=axis, keepdims=keepdims), (self,), (vjp,))
+        return Tensor.from_op(np.sum(self.data, axis=axis, keepdims=keepdims), (self,), (vjp,))
 
     def norm2(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         """Euclidean norm; gradient is x/||x||, defined as 0 at the zero vector."""
@@ -220,7 +262,7 @@ class Tensor:
             direction = np.where(n == 0.0, 0.0, x / safe)
             return gg * direction
 
-        return Tensor._from_op(np.ascontiguousarray(out), (self,), (vjp,))
+        return Tensor.from_op(np.ascontiguousarray(out), (self,), (vjp,))
 
 
 # -- helpers ------------------------------------------------------------------
@@ -234,7 +276,7 @@ def _check_axis(axis: int | None, ndim: int) -> int | None:
     return axis % ndim
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back over the axes its operand was broadcast along."""
     if g.shape == shape:
         return g
@@ -257,20 +299,20 @@ def _coerce(x) -> Tensor:
 def _add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _binary_shapes(a, b, "add")
-    return Tensor._from_op(
+    return Tensor.from_op(
         a.data + b.data,
         (a, b),
-        (lambda g: _reduce_to(g, a.shape), lambda g: _reduce_to(g, b.shape)),
+        (lambda g: reduce_to(g, a.shape), lambda g: reduce_to(g, b.shape)),
     )
 
 
 def _sub(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _binary_shapes(a, b, "sub")
-    return Tensor._from_op(
+    return Tensor.from_op(
         a.data - b.data,
         (a, b),
-        (lambda g: _reduce_to(g, a.shape), lambda g: _reduce_to(-g, b.shape)),
+        (lambda g: reduce_to(g, a.shape), lambda g: reduce_to(-g, b.shape)),
     )
 
 
@@ -278,10 +320,10 @@ def _mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _binary_shapes(a, b, "mul")
     ad, bd = a.data, b.data
-    return Tensor._from_op(
+    return Tensor.from_op(
         ad * bd,
         (a, b),
-        (lambda g: _reduce_to(g * bd, a.shape), lambda g: _reduce_to(g * ad, b.shape)),
+        (lambda g: reduce_to(g * bd, a.shape), lambda g: reduce_to(g * ad, b.shape)),
     )
 
 
@@ -289,10 +331,10 @@ def _div(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _binary_shapes(a, b, "div")
     ad, bd = a.data, b.data
-    return Tensor._from_op(
+    return Tensor.from_op(
         ad / bd,
         (a, b),
-        (lambda g: _reduce_to(g / bd, a.shape), lambda g: _reduce_to(-g * ad / (bd * bd), b.shape)),
+        (lambda g: reduce_to(g / bd, a.shape), lambda g: reduce_to(-g * ad / (bd * bd), b.shape)),
     )
 
 
@@ -301,24 +343,28 @@ def _div(a, b) -> Tensor:
 
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
-    return Tensor._from_op(t, (x,), (lambda g: g * (1.0 - t * t),))
+    return Tensor.from_op(t, (x,), (lambda g: g * (1.0 - t * t),))
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0
-    return Tensor._from_op(np.where(mask, x.data, 0.0), (x,), (lambda g: g * mask,))
+    return Tensor.from_op(np.where(mask, x.data, 0.0), (x,), (lambda g: g * mask,))
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # Stable in both tails: factor through exp of the negative magnitude.
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # Stable in both tails: factor through exp of the negative magnitude.
-    z = np.exp(-np.abs(x.data))
-    s = np.where(x.data >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-    return Tensor._from_op(s, (x,), (lambda g: g * s * (1.0 - s),))
+    s = _sigmoid(x.data)
+    return Tensor.from_op(s, (x,), (lambda g: g * s * (1.0 - s),))
 
 
 def exp(x: Tensor) -> Tensor:
     e = np.exp(x.data)
-    return Tensor._from_op(e, (x,), (lambda g: g * e,))
+    return Tensor.from_op(e, (x,), (lambda g: g * e,))
 
 
 def artanh(x: Tensor) -> Tensor:
@@ -326,13 +372,13 @@ def artanh(x: Tensor) -> Tensor:
     if np.any(np.abs(x.data) >= 1.0):
         raise NumericError("artanh: argument must lie strictly inside (-1, 1)")
     xd = x.data
-    return Tensor._from_op(np.arctanh(xd), (x,), (lambda g: g / (1.0 - xd * xd),))
+    return Tensor.from_op(np.arctanh(xd), (x,), (lambda g: g / (1.0 - xd * xd),))
 
 
 def absolute(x: Tensor) -> Tensor:
     """|x|; subgradient at 0 is 0."""
     s = np.sign(x.data)
-    return Tensor._from_op(np.abs(x.data), (x,), (lambda g: g * s,))
+    return Tensor.from_op(np.abs(x.data), (x,), (lambda g: g * s,))
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -342,19 +388,19 @@ def sqrt(x: Tensor) -> Tensor:
     r = np.sqrt(x.data)
     safe = np.where(r == 0.0, 1.0, 2.0 * r)
     mask = r != 0.0
-    return Tensor._from_op(r, (x,), (lambda g: g * mask / safe,))
+    return Tensor.from_op(r, (x,), (lambda g: g * mask / safe,))
 
 
 def clamp_min(x: Tensor, low: float | np.ndarray) -> Tensor:
     """max(x, low), ``low`` a float or a per-element array; gradient passes where x >= low."""
     mask = x.data >= low
-    return Tensor._from_op(np.maximum(x.data, low), (x,), (lambda g: g * mask,))
+    return Tensor.from_op(np.maximum(x.data, low), (x,), (lambda g: g * mask,))
 
 
 def clamp_max(x: Tensor, high: float) -> Tensor:
     """min(x, high); gradient passes where x <= high (ties take the identity side)."""
     mask = x.data <= high
-    return Tensor._from_op(np.minimum(x.data, high), (x,), (lambda g: g * mask,))
+    return Tensor.from_op(np.minimum(x.data, high), (x,), (lambda g: g * mask,))
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -367,11 +413,77 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    return Tensor._from_op(
+    return Tensor.from_op(
         ad @ bd,
         (a, b),
         (lambda g: g @ bd.T, lambda g: ad.T @ g),
     )
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for [N x K] rows, a [K x M] weight and an [M] bias."""
+    if x.ndim != 2 or w.ndim != 2 or b.shape != (w.shape[1],) or x.shape[1] != w.shape[0]:
+        raise DimensionError(f"affine: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
+    xd, wd = x.data, w.data
+    out = xd @ wd
+    out += b.data
+    return Tensor.from_op(
+        out,
+        (x, w, b),
+        (lambda g: g @ wd.T, lambda g: xd.T @ g, lambda g: np.sum(g, axis=0)),
+    )
+
+
+# -- fused row maps -------------------------------------------------------------
+
+
+def radial(x: Tensor, radius, *more) -> Tensor:
+    """Each row rescaled by functions of its norm, applied in turn, as one node.
+
+    A ``radius`` maps the [B x 1] norms n of the rows it receives to
+    (phi(n), phi'(n)) and rescales those rows by phi(n). A chain of such
+    maps is itself radial, y = x * F(||x||), with F and F' built by the
+    chain rule from the norms each map sees, n_k = ||x|| * F_k. The VJP is
+
+        g * F + x * (F'(n) / n) * <g, x>,
+
+    whose second term is 0 at a zero row, as for ``norm2``.
+    """
+    if x.ndim != 2:
+        raise DimensionError(f"radial needs [B x D] rows, got shape {x.shape}")
+    xd = x.data
+    n = np.sqrt(np.sum(xd * xd, axis=1, keepdims=True))
+    factor, slope = radius(n)
+    for radius in more:
+        phi, dphi = radius(n * factor)
+        slope = slope * phi + factor * dphi * (factor + n * slope)
+        factor = factor * phi
+    coef = np.divide(slope, n, out=np.zeros_like(n), where=n != 0.0)
+
+    def vjp(g):
+        return g * factor + xd * (coef * np.sum(g * xd, axis=1, keepdims=True))
+
+    return Tensor.from_op(xd * factor, (x,), (vjp,))
+
+
+def gated_mix(f: Tensor, v: Tensor, combined: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """s * f + (1 - s) * v with the gate s = sigmoid(combined * w + b), as one node.
+
+    ``f``, ``v`` and ``combined`` are [B x D]; ``w`` and ``b`` are [D].
+    """
+    d = f.shape[-1]
+    if f.ndim != 2 or v.shape != f.shape or combined.shape != f.shape or w.shape != (d,) or b.shape != (d,):
+        raise DimensionError(
+            f"gated_mix: incompatible shapes {f.shape}, {v.shape}, {combined.shape}, {w.shape}, {b.shape}"
+        )
+    fd, vd, cd, wd = f.data, v.data, combined.data, w.data
+    s = _sigmoid(cd * wd + b.data)
+
+    def vjp(g):
+        gate = (g * fd - g * vd) * (s * (1.0 - s))
+        return g * s, g * (1.0 - s), gate * wd, np.sum(gate * cd, axis=0), np.sum(gate, axis=0)
+
+    return Tensor.from_op(s * fd + (1.0 - s) * vd, (f, v, combined, w, b), (vjp,))
 
 
 # -- structural ops -----------------------------------------------------------
@@ -382,7 +494,7 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise DimensionError(f"concat_cols: incompatible shapes {a.shape} and {b.shape}")
     k = a.shape[1]
-    return Tensor._from_op(
+    return Tensor.from_op(
         np.concatenate([a.data, b.data], axis=1),
         (a, b),
         (lambda g: g[:, :k], lambda g: g[:, k:]),
@@ -408,7 +520,7 @@ def take_rows(x: Tensor, rows) -> Tensor:
         np.add.at(grad, r, g)
         return grad
 
-    return Tensor._from_op(x.data[r], (x,), (vjp,))
+    return Tensor.from_op(x.data[r], (x,), (vjp,))
 
 
 # -- fused classification loss ------------------------------------------------
@@ -433,15 +545,51 @@ def log_softmax_nll(logits: Tensor, targets) -> Tensor:
         raise IndexOutOfRangeError(f"target index out of range for {c} classes")
 
     z = logits.data - np.max(logits.data, axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(z), axis=1, keepdims=True))
-    logp = z - lse
-    loss = -np.mean(logp[np.arange(b), t])
-
-    softmax = np.exp(logp)
+    e = np.exp(z)
+    total = np.sum(e, axis=1, keepdims=True)
+    loss = -np.mean(z[np.arange(b), t] - np.log(total).reshape(b))
+    softmax = e / total
 
     def vjp(g):
-        grad = softmax.copy()
-        grad[np.arange(b), t] -= 1.0
-        return (float(np.asarray(g).reshape(())) * grad) / b
+        scale = float(np.asarray(g).reshape(())) / b
+        grad = softmax * scale
+        grad[np.arange(b), t] -= scale
+        return grad
 
-    return Tensor._from_op(np.asarray(loss), (logits,), (vjp,))
+    return Tensor.from_op(np.asarray(loss), (logits,), (vjp,))
+
+
+def symmetric_log_softmax_nll(logits: Tensor, mask=None) -> Tensor:
+    """Mean of the row-wise and the column-wise ``log_softmax_nll`` of the diagonal.
+
+    Row i's target is column i and column j's target is row j, as in a
+    symmetric contrastive loss over [B x B] matched-pair logits. Entries
+    where the boolean ``mask`` is set count as -inf: they get zero softmax
+    probability and zero gradient. The diagonal must stay unmasked.
+    Gradient: g * ((softmax_rows + softmax_cols) / 2 - I) / B.
+    """
+    if logits.ndim != 2 or logits.shape[0] != logits.shape[1]:
+        raise DimensionError(f"symmetric_log_softmax_nll expects [B x B] logits, got shape {logits.shape}")
+    b = logits.shape[0]
+    z = logits.data
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != z.shape or mask.diagonal().any():
+            raise ContractError(f"mask of shape {mask.shape} must be [B x B] with a clear diagonal")
+        z = np.where(mask, -np.inf, z)
+
+    probs = np.zeros_like(z)
+    nll = 0.0
+    for axis in (1, 0):
+        top = np.max(z, axis=axis, keepdims=True)
+        e = np.exp(z - top)
+        total = np.sum(e, axis=axis, keepdims=True)
+        probs += e / total
+        nll += np.mean(np.log(total).reshape(b) + top.reshape(b) - z.diagonal())
+    probs *= 0.5
+    probs[np.diag_indices(b)] -= 1.0
+
+    def vjp(g):
+        return (float(np.asarray(g).reshape(())) / b) * probs
+
+    return Tensor.from_op(np.asarray(0.5 * nll), (logits,), (vjp,))

@@ -281,7 +281,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = data.load_dataset(data_path)
     split = _load_split(resolved)
     split.validate(dataset)
-    num_identities = len(data.group_by_identity(split.part_records(dataset, "train")))
+    num_identities = len({r.identity_id for r in split.part_records(dataset, "train")})
     model_cfg = _build(model.ModelConfig, "model", resolved, face_dim=dataset.face_dim,
                        voice_dim=dataset.voice_dim, num_identities=num_identities)
     train_cfg = _build(trainer.TrainConfig, "train", resolved)

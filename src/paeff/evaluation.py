@@ -10,10 +10,11 @@ Many trials share one record, so scoring collects the distinct record
 objects of each trial slot, encodes each once, and scores every trial as
 one index pair into those encodings through ``losses.pair_similarity``:
 for the hyperbolic arm, the Gram closed form of ``pairwise_distances``
-taken at the trial pairs (``hyperbolic.pair_distances``). A record whose
-modality does not fit its slot is a ``ContractError``. Stratified reports
-read the non-match trials' demographic tags once into arrays and mask
-them per stratum.
+taken at the trial pairs (``hyperbolic.pair_distances``). Scoring reads
+the parameters through ``ModelParams.detached``, so it records no tape. A
+record whose modality does not fit its slot is a ``ContractError``.
+Stratified reports read the non-match trials' demographic tags once into
+arrays and mask them per stratum.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ def score_pairs(
     """Similarity of row-matched face/voice embeddings (higher = same identity)."""
     if faces.ndim != 2 or voices.ndim != 2 or faces.shape[0] != voices.shape[0]:
         raise DimensionError(f"score_pairs: incompatible shapes {faces.shape} / {voices.shape}")
+    params = params.detached()
     f = encode_modality(Tensor(faces), "face", params, cfg)
     v = encode_modality(Tensor(voices), "voice", params, cfg)
     rows = np.arange(faces.shape[0])
@@ -127,6 +129,7 @@ def score_trials(
     """
     if not trials:
         return trials
+    params = params.detached()
     f, f_rows = _encode_records([t.face for t in trials], "face", "face", params, cfg)
     v, v_rows = _encode_records([t.voice for t in trials], "voice", "voice", params, cfg)
     scores = pair_similarity(f, v, f_rows, v_rows, cfg.effective_similarity()).numpy()
@@ -246,6 +249,7 @@ def matching_accuracy(
     if len(probe_modalities) > 1:
         raise ContractError(f"all matching trials must share one probe modality, got {probe_modalities}")
 
+    params = params.detached()
     probe_modality = trials[0].probe_modality
     gallery_modality = "face" if probe_modality == "voice" else "voice"
     probe, probe_rows = _encode_records([t.probe for t in trials], probe_modality, "probe", params, cfg)

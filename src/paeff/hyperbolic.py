@@ -16,6 +16,22 @@ Conventions (curvature -c, c > 0):
                 / (1 + 2c<x,y> + c^2 ||x||^2 ||y||^2)
     d(x, y)   = (2 / sqrt(c)) * artanh(sqrt(c) ||(-x) (+) y||)
 
+The ball maps are radial: each rescales a row v by a function of its
+norm, v * phi(||v||). Each is written as a radius function,
+n -> (phi(n), phi'(n)), and ``ad.radial`` applies one of them, or a chain,
+as one tape node:
+
+* ``clip_radius(r)``: phi = min(r / max(n, 1e-12), 1), the tangent clip
+  and, at r = max_norm, the ball clamp;
+* ``exp_radius(cfg)``: phi = tanh(s) / s with s = max(sqrt(c) n, 1e-12);
+* ``log_radius(cfg)``: phi = artanh(min(s, 1 - eps)) / s, same s.
+
+phi' keeps the subgradients of the clamps in these formulas: a clamp
+passes the gradient at a tie, and below the 1e-12 floor phi' is 0.
+``ball_map`` chains radius functions and ends with the ball clamp;
+``project_to_ball`` and ``exp_map_origin`` are two such chains, and
+``model.lift`` puts the tangent clip in front of the exp map.
+
 Three functions take distances:
 
 * ``poincare_distance(x, y)``: row i with row i, from the difference
@@ -26,8 +42,11 @@ Three functions take distances:
   (x[x_rows[k]], y[y_rows[k]]); evaluation scores trials with it.
 
 The last two share one closed form in the Gram entries <x, y> and the
-squared norms, so an all-pairs and an index-pair distance of the same two
-points differ only by the rounding of their dot product.
+squared norms, recorded as one tape node over (<x, y>, ||x||^2, ||y||^2),
+so an all-pairs and an index-pair distance of the same two points differ
+only by the rounding of their dot product. The backward of
+``pairwise_distances`` is then the two [B x N] x [N x D] products of the
+Gram matmul.
 """
 
 from __future__ import annotations
@@ -89,10 +108,63 @@ def _same_config(x: PoincarePoint, y: PoincarePoint) -> BallConfig:
     return x.config
 
 
-def _row_norms(rows: Tensor) -> Tensor:
-    if rows.ndim != 2:
-        raise ContractError(f"expected [B x D] rows, got shape {rows.shape}")
-    return rows.norm2(axis=1, keepdims=True)
+def clip_radius(max_norm: float):
+    """Radius function phi(n) = min(max_norm / max(n, 1e-12), 1): rows above ``max_norm`` go onto it."""
+    if not max_norm > 0.0:
+        raise ContractError(f"max_norm must be positive, got {max_norm}")
+
+    def radius(n):
+        safe = np.maximum(n, _TINY)
+        ratio = max_norm / safe
+        return np.minimum(ratio, 1.0), -ratio / safe * ((ratio <= 1.0) & (n >= _TINY))
+
+    return radius
+
+
+def exp_radius(cfg: BallConfig):
+    """Radius function of the exp map: phi(n) = tanh(s) / s with s = max(sqrt(c) n, 1e-12).
+
+    The floor realises the limit phi -> 1 as n -> 0 without a branch.
+    """
+    sqrt_c = cfg.sqrt_c
+
+    def radius(n):
+        raw = n * sqrt_c
+        s = np.maximum(raw, _TINY)
+        t = np.tanh(s)
+        return t / s, sqrt_c * ((1.0 - t * t) / s - t / (s * s)) * (raw >= _TINY)
+
+    return radius
+
+
+def log_radius(cfg: BallConfig):
+    """Radius function of the log map: phi(n) = artanh(min(s, 1 - eps)) / s, s = max(sqrt(c) n, 1e-12).
+
+    A row with sqrt(c) n >= 1 is off the ball: ``NumericError``.
+    """
+    sqrt_c, top = cfg.sqrt_c, 1.0 - cfg.boundary_eps
+
+    def radius(n):
+        raw = n * sqrt_c
+        if (raw >= 1.0).any():
+            raise NumericError("log_map_origin: point on or outside the unit ball")
+        s = np.maximum(raw, _TINY)
+        t = np.minimum(s, top)
+        a = np.arctanh(t)
+        return a / s, sqrt_c * ((s <= top) / (1.0 - t * t) / s - a / (s * s)) * (raw >= _TINY)
+
+    return radius
+
+
+def ball_map(v: Tensor, cfg: BallConfig, *radii) -> PoincarePoint:
+    """Rows of ``v`` through the radius functions in turn, then the ball clamp, as one tape node.
+
+    The clamp rescales any row with sqrt(c)||v|| > 1 - eps back onto the
+    admissible ball; rows already inside pass it unchanged.
+    """
+    if not np.all(np.isfinite(v.data)):
+        raise NumericError("ball map: input contains non-finite values")
+    return PoincarePoint(ad.radial(v, *radii, clip_radius(cfg.max_norm)), cfg)
 
 
 def clip_norm(v: Tensor, max_norm: float) -> Tensor:
@@ -102,11 +174,7 @@ def clip_norm(v: Tensor, max_norm: float) -> Tensor:
     radius at tanh(sqrt(c) * max_norm) and keeps the contrastive geometry
     away from the rim, where distances degenerate and gradients explode.
     """
-    if not max_norm > 0.0:
-        raise ContractError(f"max_norm must be positive, got {max_norm}")
-    n = _row_norms(v)
-    factor = ad.clamp_max(max_norm / ad.clamp_min(n, _TINY), 1.0)
-    return v * factor
+    return ad.radial(v, clip_radius(max_norm))
 
 
 def project_to_ball(v: Tensor, cfg: BallConfig) -> PoincarePoint:
@@ -114,33 +182,17 @@ def project_to_ball(v: Tensor, cfg: BallConfig) -> PoincarePoint:
 
     Rows already inside pass through unchanged (identity gradient).
     """
-    if not np.all(np.isfinite(v.data)):
-        raise NumericError("project_to_ball: input contains non-finite values")
-    return PoincarePoint(clip_norm(v, cfg.max_norm), cfg)
+    return ball_map(v, cfg)
 
 
 def exp_map_origin(v: Tensor, cfg: BallConfig) -> PoincarePoint:
-    """Lift tangent vectors at the origin onto the ball.
-
-    The ratio tanh(sqrt(c)||v||) / (sqrt(c)||v||) tends to 1 as v -> 0; the
-    clamp below realises that limit without a branch.
-    """
-    if not np.all(np.isfinite(v.data)):
-        raise NumericError("exp_map_origin: input contains non-finite values")
-    sn = ad.clamp_min(_row_norms(v) * cfg.sqrt_c, _TINY)
-    factor = ad.tanh(sn) / sn
-    return project_to_ball(v * factor, cfg)
+    """Lift tangent vectors at the origin onto the ball."""
+    return ball_map(v, cfg, exp_radius(cfg))
 
 
 def log_map_origin(p: PoincarePoint) -> Tensor:
     """Inverse of :func:`exp_map_origin`; maps ball points back to the tangent space."""
-    cfg = p.config
-    sn = _row_norms(p.vector) * cfg.sqrt_c
-    if np.any(sn.data >= 1.0):
-        raise NumericError("log_map_origin: point on or outside the unit ball")
-    safe = ad.clamp_min(sn, _TINY)
-    factor = ad.artanh(ad.clamp_max(safe, 1.0 - cfg.boundary_eps)) / safe
-    return p.vector * factor
+    return ad.radial(p.vector, log_radius(p.config))
 
 
 def mobius_add(x: PoincarePoint, y: PoincarePoint) -> PoincarePoint:
@@ -229,14 +281,37 @@ def pair_distances(x: PoincarePoint, y: PoincarePoint, x_rows, y_rows) -> Tensor
 
 
 def _gram_distance(gram: Tensor, x2: Tensor, y2: Tensor, dim: int, cfg: BallConfig) -> Tensor:
-    """d from the Gram entries <x, y> and squared norms broadcast against them.
+    """d from the Gram entries <x, y> and squared norms broadcast against them, as one tape node.
 
     The delta floor, the denominator clamp and the boundary clamp are
-    explained at :func:`pairwise_distances`.
+    explained at :func:`pairwise_distances`. The VJP keeps the subgradients
+    of the generic chain: each clamp passes the gradient at a tie, and the
+    square root has zero gradient at 0.
     """
-    c = cfg.curvature
-    delta = (16.0 * (dim + 1) * np.finfo(np.float64).eps) * (x2.data + y2.data)
-    d2 = ad.clamp_min(x2 + y2 - gram * 2.0, delta)
-    denom = ad.clamp_min(1.0 - gram * (2.0 * c) + x2 * y2 * (c * c), _TINY)
-    sn = ad.clamp_max(ad.sqrt(d2 / denom) * cfg.sqrt_c, 1.0 - cfg.boundary_eps)
-    return ad.artanh(sn) * (2.0 / cfg.sqrt_c)
+    c, sqrt_c, top = cfg.curvature, cfg.sqrt_c, 1.0 - cfg.boundary_eps
+    g_xy, a, b = gram.data, x2.data, y2.data
+    norms = a + b
+    delta = (16.0 * (dim + 1) * np.finfo(np.float64).eps) * norms
+    d2_raw = norms - g_xy * 2.0
+    d2 = np.maximum(d2_raw, delta)
+    d2_passes = d2_raw >= delta
+    den_raw = 1.0 - g_xy * (2.0 * c) + a * b * (c * c)
+    den = np.maximum(den_raw, _TINY)
+    den_passes = den_raw >= _TINY
+    r = np.sqrt(d2 / den)
+
+    def vjp(g):
+        sn_raw = r * sqrt_c
+        sn = np.minimum(sn_raw, top)
+        g_r = (g * (2.0 / sqrt_c)) / (1.0 - sn * sn) * (sn_raw <= top) * sqrt_c
+        g_q = g_r * (r != 0.0) / np.where(r == 0.0, 1.0, 2.0 * r)
+        g_d2 = g_q / den * d2_passes
+        g_den = -g_q * d2 / (den * den) * den_passes
+        return (
+            g_d2 * -2.0 + g_den * (-2.0 * c),
+            ad.reduce_to(g_d2 + g_den * (b * (c * c)), a.shape),
+            ad.reduce_to(g_d2 + g_den * (a * (c * c)), b.shape),
+        )
+
+    d = np.arctanh(np.minimum(r * sqrt_c, top)) * (2.0 / sqrt_c)
+    return Tensor.from_op(d, (gram, x2, y2), (vjp,))

@@ -130,15 +130,13 @@ def alignment_loss(
     if sims.shape[0] != sims.shape[1]:
         raise ContractError(f"alignment_loss needs matched batches, got {sims.shape}")
     logits = sims * ad.exp(logit_scale)
+    same = None
     if labels is not None:
         y = np.asarray(labels)
         if y.shape != (b,):
             raise ContractError(f"labels shape {y.shape} does not match batch {b}")
         same = (y[:, None] == y[None, :]) & ~np.eye(b, dtype=bool)
-        if same.any():
-            logits = logits + Tensor(np.where(same, -np.inf, 0.0))
-    targets = np.arange(b)
-    return (ad.log_softmax_nll(logits, targets) + ad.log_softmax_nll(logits.transpose(), targets)) * 0.5
+    return ad.symmetric_log_softmax_nll(logits, same)
 
 
 def orthogonal_projection_loss(
@@ -151,7 +149,14 @@ def orthogonal_projection_loss(
 
         loss = (1 - s) + inter_weight * d
 
-    Whichever term has no qualifying pairs in the batch is dropped.
+    Whichever term has no qualifying pairs in the batch is dropped. One
+    tape node: rows are normalised with norms floored at 1e-12, the cosine
+    Gram G = U U^T is taken, and the VJP is
+
+        dU = (dG + dG^T) U,   dX = dU / n' - X * [n >= 1e-12] <dU, X> / (n'^2 n)
+
+    with n' = max(n, 1e-12), |.| having subgradient 0 at 0, and the radial
+    term 0 at a zero row.
     """
     y = np.asarray(labels)
     b = fused.shape[0]
@@ -160,22 +165,32 @@ def orthogonal_projection_loss(
     if y.shape != (b,):
         raise ContractError(f"labels shape {y.shape} does not match batch {b}")
 
-    gram = pairwise_cosine(fused, fused)
+    x = fused.data
+    n = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    floored = np.maximum(n, _NORM_FLOOR)
+    unit = x / floored
+    gram = unit @ unit.T
     same = (y[:, None] == y[None, :]) & ~np.eye(b, dtype=bool)
     diff = y[:, None] != y[None, :]
 
-    terms: list[Tensor] = []
+    terms: list[float] = []
+    d_gram = np.zeros((b, b))
     if same.any():
-        s_mean = (gram * Tensor(same.astype(np.float64))).sum() / float(same.sum())
-        terms.append(1.0 - s_mean)
+        count = float(same.sum())
+        terms.append(1.0 - np.sum(gram * same) / count)
+        d_gram -= same / count
     if diff.any():
-        d_mean = (ad.absolute(gram) * Tensor(diff.astype(np.float64))).sum() / float(diff.sum())
-        terms.append(d_mean * inter_weight)
+        count = float(diff.sum())
+        terms.append(np.sum(np.abs(gram) * diff) / count * inter_weight)
+        d_gram += np.sign(gram) * diff * (inter_weight / count)
+    d_gram += d_gram.T
+    radial = np.divide(1.0, floored * floored * n, out=np.zeros_like(n), where=n >= _NORM_FLOOR)
 
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total
+    def vjp(g):
+        d_unit = float(np.asarray(g).reshape(())) * (d_gram @ unit)
+        return d_unit / floored - x * (radial * np.sum(d_unit * x, axis=1, keepdims=True))
+
+    return Tensor.from_op(np.asarray(sum(terms)), (fused,), (vjp,))
 
 
 def cross_entropy_loss(logits: Tensor, labels) -> Tensor:

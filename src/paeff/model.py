@@ -116,6 +116,10 @@ class ModelParams:
         for name, t in self.named():
             t.data[...] = values[name]
 
+    def detached(self) -> "ModelParams":
+        """The same arrays, without copies, as tensors that record no tape: for scoring."""
+        return ModelParams(**{name: Tensor(t.data) for name, t in self.named()})
+
 
 def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
     """Deterministic init: weights uniform(+-1/sqrt(fan_in)), biases zero.
@@ -151,11 +155,6 @@ def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
     return params
 
 
-def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    out = ad.matmul(x, w)
-    return out + b.reshape(1, b.shape[0])
-
-
 def project_modality(x: Tensor, which: str, params: ModelParams, cfg: ModelConfig) -> Tensor:
     if which == "face":
         expected, w, b = cfg.face_dim, params.face_weight, params.face_bias
@@ -165,11 +164,11 @@ def project_modality(x: Tensor, which: str, params: ModelParams, cfg: ModelConfi
         raise ContractError(f"unknown modality {which!r}")
     if x.ndim != 2 or x.shape[1] != expected:
         raise DimensionError(f"{which} input shape {x.shape} does not match dim {expected}")
-    return _affine(x, w, b)
+    return ad.affine(x, w, b)
 
 
 def lift(x: Tensor, cfg: ModelConfig) -> PoincarePoint:
-    """Clip tangent norms, then exp-map rows onto the ball.
+    """Clip tangent norms, then exp-map rows onto the ball: one radial tape node.
 
     Without the clip, unnormalized projections saturate near the rim and
     the alignment loss separates identities by radial blow-up instead of
@@ -177,7 +176,8 @@ def lift(x: Tensor, cfg: ModelConfig) -> PoincarePoint:
     """
     if not cfg.use_hyperbolic:
         raise ContractError("lift called with use_hyperbolic disabled")
-    return hyp.exp_map_origin(hyp.clip_norm(x, cfg.tangent_clip), cfg.ball)
+    ball = cfg.ball
+    return hyp.ball_map(x, ball, hyp.clip_radius(cfg.tangent_clip), hyp.exp_radius(ball))
 
 
 def _activate(x: Tensor, kind: str) -> Tensor:
@@ -192,10 +192,11 @@ def egff_fuse(xf: Tensor, xv: Tensor, params: ModelParams, cfg: ModelConfig) -> 
         combined = f * v          (or f + v, or concat -> affine back to D)
         gate     = sigmoid(gate_weight * combined + gate_bias)
         fused    = gate * f + (1 - gate) * v
+
+    The gate and the mix are one tape node (``ad.gated_mix``) on every arm.
     """
     if xf.shape != xv.shape:
         raise DimensionError(f"egff_fuse: shapes differ: {xf.shape} vs {xv.shape}")
-    d = xf.shape[1]
     f_hat = _activate(xf, cfg.gate_activation)
     v_hat = _activate(xv, cfg.gate_activation)
 
@@ -206,11 +207,9 @@ def egff_fuse(xf: Tensor, xv: Tensor, params: ModelParams, cfg: ModelConfig) -> 
     else:
         if params.combine_weight is None or params.combine_bias is None:
             raise ContractError("concatenation combine requires combine_weight/combine_bias")
-        combined = _affine(ad.concat_cols(f_hat, v_hat), params.combine_weight, params.combine_bias)
+        combined = ad.affine(ad.concat_cols(f_hat, v_hat), params.combine_weight, params.combine_bias)
 
-    pre_gate = combined * params.gate_weight.reshape(1, d) + params.gate_bias.reshape(1, d)
-    gate = ad.sigmoid(pre_gate)
-    return gate * f_hat + (1.0 - gate) * v_hat
+    return ad.gated_mix(f_hat, v_hat, combined, params.gate_weight, params.gate_bias)
 
 
 def linear_fuse(xf: Tensor, xv: Tensor) -> Tensor:
@@ -221,11 +220,11 @@ def linear_fuse(xf: Tensor, xv: Tensor) -> Tensor:
 
 
 def fuse_project(xm: Tensor, params: ModelParams) -> Tensor:
-    return _affine(xm, params.fuse_weight, params.fuse_bias)
+    return ad.affine(xm, params.fuse_weight, params.fuse_bias)
 
 
 def classify(fused: Tensor, params: ModelParams) -> Tensor:
-    return _affine(fused, params.cls_weight, params.cls_bias)
+    return ad.affine(fused, params.cls_weight, params.cls_bias)
 
 
 @dataclass

@@ -62,6 +62,17 @@ def check_autodiff_log_softmax_nll() -> None:
     check_gradients(lambda a: ad.log_softmax_nll(a, np.array([0, 2, 1])), [rng.normal(size=(3, 4))])
 
 
+def check_autodiff_symmetric_log_softmax_nll() -> None:
+    _expect(
+        abs(ad.symmetric_log_softmax_nll(Tensor(np.zeros((3, 3)))).item() - math.log(3.0)) < 1e-12,
+        "uniform logits must give ln(B)",
+    )
+    rng = np.random.default_rng(27)
+    labels = np.array([0, 1, 0, 2])
+    mask = (labels[:, None] == labels[None, :]) & ~np.eye(4, dtype=bool)
+    check_gradients(lambda a: ad.symmetric_log_softmax_nll(a, mask), [rng.normal(size=(4, 4))])
+
+
 def check_autodiff_backward_linearity() -> None:
     rng = np.random.default_rng(14)
     xdata = rng.normal(size=(3, 3))
@@ -137,6 +148,33 @@ def check_hyperbolic_distance_gradients() -> None:
         return hyp.poincare_distance(hyp.exp_map_origin(u, cfg), hyp.exp_map_origin(w, cfg)).sum()
 
     check_gradients(f, [rng.normal(size=(2, 4)) * 0.7 + 0.05, rng.normal(size=(2, 4)) * 0.7 + 0.05])
+
+
+def check_hyperbolic_radial_maps() -> None:
+    """Tangent clip, exp map and ball clamp as one radial node, and the log map, against central differences."""
+    cfg = BallConfig()
+    rng = np.random.default_rng(28)
+    v = rng.normal(size=(4, 5)) * np.array([[0.1], [1.0], [8.0], [15.0]])  # clip off, on, and the clamp firing
+    for clip in (0.5, 20.0):
+        check_gradients(
+            lambda t, clip=clip: hyp.ball_map(t, cfg, hyp.clip_radius(clip), hyp.exp_radius(cfg)).vector.norm2(), [v]
+        )
+    p = v / np.linalg.norm(v, axis=1, keepdims=True) * np.array([[0.3], [0.9], [1.0 - 5e-6], [1.0 - 3e-6]])
+    check_gradients(lambda t: hyp.log_map_origin(PoincarePoint(t, cfg)).norm2(), [p])
+
+
+def check_hyperbolic_gram_distance_gradients() -> None:
+    """The all-pairs Gram-distance node against central differences, near-duplicates included."""
+    cfg = BallConfig()
+    rng = np.random.default_rng(29)
+    x = hyp.exp_map_origin(Tensor(rng.normal(size=(3, 4)) * 0.5), cfg).numpy()
+    y = x + 1e-12 * rng.normal(size=(3, 4))  # inside the delta floor: zero gradient for d(x_i, y_i)
+    y[1] = hyp.exp_map_origin(Tensor(rng.normal(size=(1, 4)) * 0.5), cfg).numpy()
+
+    def f(a, b):
+        return hyp.pairwise_distances(PoincarePoint(a, cfg), PoincarePoint(b, cfg)).sum()
+
+    check_gradients(f, [x, y])
 
 
 def check_hyperbolic_pair_distances() -> None:
@@ -291,6 +329,7 @@ ALL_CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("autodiff.matmul_gradients", check_autodiff_matmul_gradients),
     ("autodiff.reduction_gradients", check_autodiff_reduction_gradients),
     ("autodiff.log_softmax_nll", check_autodiff_log_softmax_nll),
+    ("autodiff.symmetric_log_softmax_nll", check_autodiff_symmetric_log_softmax_nll),
     ("autodiff.backward_linearity", check_autodiff_backward_linearity),
     ("hyperbolic.exp_log_inverse", check_hyperbolic_exp_log_inverse),
     ("hyperbolic.mobius_laws", check_hyperbolic_mobius_laws),
@@ -298,6 +337,8 @@ ALL_CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("hyperbolic.triangle_inequality", check_hyperbolic_triangle_inequality),
     ("hyperbolic.ball_invariant", check_hyperbolic_ball_invariant),
     ("hyperbolic.distance_gradients", check_hyperbolic_distance_gradients),
+    ("hyperbolic.radial_maps", check_hyperbolic_radial_maps),
+    ("hyperbolic.gram_distance_gradients", check_hyperbolic_gram_distance_gradients),
     ("hyperbolic.pair_distances", check_hyperbolic_pair_distances),
     ("model.forward_gradients", check_model_forward_gradients),
     ("model.egff_convexity", check_egff_convexity),

@@ -85,10 +85,17 @@ def adamw_step(params: Iterable[tuple[str, Tensor]], state: AdamState, lr: float
     """One decoupled-weight-decay Adam update on every ``(name, tensor)`` parameter.
 
     p <- p - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * p
+
+    The moments and the parameter are updated in place, through one
+    temporary array per parameter; the step is taken in the equal form
+    (lr * sqrt(1 - b2^t) / (1 - b1^t)) * m / (sqrt(v) + eps * sqrt(1 - b2^t)).
     """
     state.step += 1
     t = state.step
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    root_bias2 = math.sqrt(1.0 - b2**t)
+    step_size = lr * root_bias2 / (1.0 - b1**t)
+    decay = 1.0 - lr * cfg.weight_decay
     for name, tensor in params:
         grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
         if grad.shape != tensor.data.shape:
@@ -96,15 +103,20 @@ def adamw_step(params: Iterable[tuple[str, Tensor]], state: AdamState, lr: float
         if name not in state.m:
             state.m[name] = np.zeros_like(tensor.data)
             state.v[name] = np.zeros_like(tensor.data)
-        m = state.m[name]
-        v = state.v[name]
+        m, v, p = state.m[name], state.v[name], tensor.data
+        tmp = np.multiply(grad, 1.0 - b1, out=np.empty_like(p))
         m *= b1
-        m += (1.0 - b1) * grad
+        m += tmp
+        np.multiply(grad, grad, out=tmp)
+        tmp *= 1.0 - b2
         v *= b2
-        v += (1.0 - b2) * grad * grad
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        tensor.data -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps) + lr * cfg.weight_decay * tensor.data
+        v += tmp
+        np.sqrt(v, out=tmp)
+        tmp += cfg.adam_eps * root_bias2
+        np.divide(m, tmp, out=tmp)
+        tmp *= step_size
+        p *= decay
+        p -= tmp
 
 
 @dataclass

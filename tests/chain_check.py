@@ -1,0 +1,20 @@
+"""Compare a fused tape node with the chain of generic ops it replaces."""
+
+import numpy as np
+
+from paeff.autodiff import Tensor
+
+
+def value_and_grads(f, arrays, seed=0):
+    """f's value at ``arrays`` and the gradient of <w, f> for a fixed random cotangent w."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    out = f(*tensors)
+    w = np.random.default_rng(seed).normal(size=out.shape)
+    (out * Tensor(w)).sum().backward()
+    return [out.numpy()] + [t.grad for t in tensors]
+
+
+def assert_matches_chain(fused, chain, arrays):
+    """A fused node agrees with its chain of generic ops in value and gradient, within 1e-12."""
+    for got, want in zip(value_and_grads(fused, arrays), value_and_grads(chain, arrays)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -13,6 +13,8 @@ from paeff.autodiff import Tensor
 from paeff.errors import ContractError, DimensionError, IndexOutOfRangeError, NumericError
 from paeff.gradcheck import check_gradients
 
+from chain_check import assert_matches_chain
+
 
 def rand(shape, seed=0, scale=1.0):
     return np.random.default_rng(seed).normal(size=shape) * scale
@@ -189,6 +191,124 @@ class TestLogSoftmaxNll:
 
     def test_gradient(self):
         check_gradients(lambda x: ad.log_softmax_nll(x, np.array([1, 0, 2])), [rand((3, 4), 21)])
+
+
+def shrink(n):
+    """Radius function phi(n) = 1 / (1 + n)."""
+    return 1.0 / (1.0 + n), -1.0 / (1.0 + n) ** 2
+
+
+def grow(n):
+    """Radius function phi(n) = 1 + n^2, whose phi' / n stays finite at 0."""
+    return 1.0 + n * n, 2.0 * n
+
+
+class TestRadial:
+    ROWS = np.vstack([rand((3, 4), 31), np.zeros((1, 4))])
+
+    def test_one_map_matches_chain(self):
+        assert_matches_chain(
+            lambda x: ad.radial(x, shrink), lambda x: x / (x.norm2(axis=1, keepdims=True) + 1.0), [self.ROWS]
+        )
+
+    def test_maps_compose_in_order(self):
+        def chain(x):
+            y = x / (x.norm2(axis=1, keepdims=True) + 1.0)
+            n = y.norm2(axis=1, keepdims=True)
+            return y * (n * n + 1.0)
+
+        assert_matches_chain(lambda x: ad.radial(x, shrink, grow), chain, [self.ROWS])
+
+    def test_gradients(self):
+        check_gradients(lambda x: ad.radial(x, shrink, grow).norm2(), [self.ROWS])
+
+    def test_zero_row_passes_gradient_times_phi0(self):
+        x = Tensor(np.zeros((1, 3)), requires_grad=True)
+        (ad.radial(x, grow) * Tensor([[1.0, -2.0, 0.5]])).sum().backward()
+        np.testing.assert_array_equal(x.grad, [[1.0, -2.0, 0.5]])
+
+    def test_rows_only(self):
+        with pytest.raises(DimensionError, match=r"\(3,\)"):
+            ad.radial(Tensor([0.1, 0.2, 0.3]), shrink)
+
+
+class TestAffine:
+    def test_matches_chain(self):
+        arrays = [rand((3, 2), 32), rand((2, 4), 33), rand((4,), 34)]
+        assert_matches_chain(ad.affine, lambda x, w, b: ad.matmul(x, w) + b.reshape(1, 4), arrays)
+
+    def test_gradients(self):
+        arrays = [rand((3, 2), 35), rand((2, 4), 36), rand((4,), 37)]
+        check_gradients(lambda x, w, b: ad.affine(x, w, b).norm2(), arrays)
+
+    @pytest.mark.parametrize("shapes", [((3, 2), (3, 4), (4,)), ((3, 2), (2, 4), (3,)), ((2,), (2, 4), (4,))])
+    def test_shape_mismatch(self, shapes):
+        x, w, b = (Tensor(np.ones(s)) for s in shapes)
+        with pytest.raises(DimensionError):
+            ad.affine(x, w, b)
+
+    def test_input_without_grad_is_no_parent(self):
+        w, b = Tensor(rand((2, 4), 38), requires_grad=True), Tensor(np.zeros(4), requires_grad=True)
+        out = ad.affine(Tensor(rand((3, 2), 39)), w, b)
+        assert out._parents == (w, b)
+
+
+class TestGatedMix:
+    ARRAYS = [rand((3, 4), 40), rand((3, 4), 41), rand((3, 4), 42), rand((4,), 43), rand((4,), 44)]
+
+    def test_matches_chain(self):
+        def chain(f, v, c, w, b):
+            gate = ad.sigmoid(c * w.reshape(1, 4) + b.reshape(1, 4))
+            return gate * f + (1.0 - gate) * v
+
+        assert_matches_chain(ad.gated_mix, chain, self.ARRAYS)
+
+    def test_gradients(self):
+        check_gradients(lambda *t: ad.gated_mix(*t).norm2(), self.ARRAYS)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            ad.gated_mix(*(Tensor(a) for a in self.ARRAYS[:3]), Tensor(np.ones(3)), Tensor(np.ones(4)))
+
+
+def same_label_mask(labels):
+    y = np.asarray(labels)
+    return (y[:, None] == y[None, :]) & ~np.eye(len(y), dtype=bool)
+
+
+class TestSymmetricLogSoftmaxNll:
+    @pytest.mark.parametrize("labels", [None, [0, 1, 0, 2, 1]], ids=["unique", "repeated"])
+    def test_matches_chain(self, labels):
+        mask = None if labels is None else same_label_mask(labels)
+        targets = np.arange(5)
+
+        def chain(logits):
+            if mask is not None:
+                logits = logits + Tensor(np.where(mask, -np.inf, 0.0))
+            return (ad.log_softmax_nll(logits, targets) + ad.log_softmax_nll(logits.transpose(), targets)) * 0.5
+
+        assert_matches_chain(lambda z: ad.symmetric_log_softmax_nll(z, mask), chain, [rand((5, 5), 45, 3.0)])
+
+    @pytest.mark.parametrize("labels", [None, [0, 1, 0, 2, 1]], ids=["unique", "repeated"])
+    def test_gradients(self, labels):
+        mask = None if labels is None else same_label_mask(labels)
+        check_gradients(lambda z: ad.symmetric_log_softmax_nll(z, mask), [rand((5, 5), 46)])
+
+    def test_uniform_logits_give_log_b(self):
+        loss = ad.symmetric_log_softmax_nll(Tensor(np.zeros((4, 4))))
+        assert loss.item() == pytest.approx(math.log(4.0), abs=1e-15)
+
+    def test_masked_entries_get_no_gradient(self):
+        mask = same_label_mask([0, 0, 1])
+        z = Tensor(rand((3, 3), 47), requires_grad=True)
+        ad.symmetric_log_softmax_nll(z, mask).backward()
+        np.testing.assert_array_equal(z.grad[mask], 0.0)
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(DimensionError):
+            ad.symmetric_log_softmax_nll(Tensor(np.zeros((2, 3))))
+        with pytest.raises(ContractError):
+            ad.symmetric_log_softmax_nll(Tensor(np.zeros((2, 2))), np.eye(2, dtype=bool))
 
 
 class TestBackward:

@@ -3,10 +3,11 @@
 import json
 import math
 import struct
+from operator import attrgetter
 
 import pytest
 
-from paeff import cli
+from paeff import cli, data, evaluation, trainer
 
 SYNTH = ["--identities", "10", "--samples-per-id", "3", "--face-dim", "6", "--voice-dim", "5",
          "--latent-dim", "4", "--val-identities", "2", "--test-identities", "3"]
@@ -226,6 +227,30 @@ def test_rerun_is_byte_identical(tmp_path):
         assert cli.main(eval_argv(root, root / "run" / "checkpoint.paef", root / "eval")) == 0
         outputs.append({f: (root / f).read_bytes() for f in files})
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("mode", ["unseen_unheard", "seen_heard"])
+def test_train_groups_the_train_part_once(tmp_path, monkeypatch, mode):
+    """One grouping of the train part (in the trainer) and one of val; the model still counts train identities."""
+    root = tmp_path / mode
+    assert cli.main(["synth", "--out", str(root), *SYNTH, "--split-mode", mode]) == 0
+    dataset = data.load_dataset(root / "data.fve")
+    split = data.SplitSpec(mode, *(data.read_split_file(root / f"{part}.ids") for part in ("train", "val", "test")))
+    key = attrgetter("identity_id" if mode == "unseen_unheard" else "clip_id")  # what the split ids name
+    grouped = []
+    original = data.group_by_identity
+
+    def counting(records):
+        records = list(records)
+        grouped.append(frozenset(map(key, records)))
+        return original(records)
+
+    for module in (data, trainer, evaluation, cli):
+        monkeypatch.setattr(module, "group_by_identity", counting, raising=False)
+    train(root, root / "run", "--split-mode", mode)
+    assert sorted(grouped, key=sorted) == sorted([split.train_ids, split.val_ids], key=sorted)
+    identities = {r.identity_id for r in split.part_records(dataset, "train")}
+    assert recorded(root / "run")["model"]["num_identities"] == len(identities)
 
 
 # -- exit codes -----------------------------------------------------------------------

@@ -385,6 +385,30 @@ class TestScoringByIndex:
             evaluation.matching_accuracy(trials, params, cosine_arm(cfg))
 
 
+@pytest.mark.parametrize("arm", sorted(ARMS))
+def test_scoring_records_no_tape(arm, monkeypatch):
+    """Scores come from parameter tensors that require no gradient, so nothing is recorded."""
+    ds, split, cfg, params = small_setup()
+    cfg = ARMS[arm](cfg)
+    outputs = []
+    for name in ("encode_modality", "pair_similarity"):
+        original = getattr(evaluation, name)
+
+        def spy(*args, original=original):
+            out = original(*args)
+            outputs.append(out.vector if isinstance(out, hyp.PoincarePoint) else out)
+            return out
+
+        monkeypatch.setattr(evaluation, name, spy)
+    trials = evaluation.build_verification_trials(ds, split, 20, seed=26)
+    evaluation.score_trials(trials, params, cfg)
+    evaluation.matching_accuracy(evaluation.build_matching_trials(ds, split, 3, 10, seed=27), params, cfg)
+    evaluation.score_pairs(np.ones((2, 10)), np.ones((2, 9)), params, cfg)
+    assert len(outputs) == 9
+    assert all(not t.requires_grad and t._parents == () for t in outputs)
+    assert all(t.requires_grad for _, t in params.named())
+
+
 class TestTrialSlots:
     """A record in the wrong modality slot is refused, whether or not the dims let it through."""
 

@@ -11,6 +11,8 @@ from paeff.autodiff import Tensor
 from paeff.errors import ContractError, DimensionError, NumericError
 from paeff.gradcheck import check_gradients
 
+from chain_check import assert_matches_chain
+
 CFG = hyp.BallConfig()
 
 
@@ -379,3 +381,104 @@ def test_pairwise_matches_rowwise():
                 hyp.PoincarePoint(Tensor(b.numpy()[j : j + 1]), CFG),
             ).item()
             assert abs(table[i, j] - single) <= bound[i, j]
+
+
+# The generic-op chains that the radial maps and the Gram-distance node replace.
+
+
+def chain_clip(v, max_norm):
+    return v * ad.clamp_max(max_norm / ad.clamp_min(v.norm2(axis=1, keepdims=True), 1e-12), 1.0)
+
+
+def chain_exp(v):
+    sn = ad.clamp_min(v.norm2(axis=1, keepdims=True) * CFG.sqrt_c, 1e-12)
+    return chain_clip(v * (ad.tanh(sn) / sn), CFG.max_norm)
+
+
+def chain_log(p):
+    safe = ad.clamp_min(p.norm2(axis=1, keepdims=True) * CFG.sqrt_c, 1e-12)
+    return p * (ad.artanh(ad.clamp_max(safe, 1.0 - CFG.boundary_eps)) / safe)
+
+
+def chain_pairwise(x, y):
+    gram = ad.matmul(x, y.transpose())
+    x2 = (x * x).sum(axis=1, keepdims=True)
+    y2 = (y * y).sum(axis=1, keepdims=True).transpose()
+    delta = (16.0 * (x.shape[1] + 1) * EPS) * (x2.data + y2.data)
+    d2 = ad.clamp_min(x2 + y2 - gram * 2.0, delta)
+    denom = ad.clamp_min(1.0 - gram * 2.0 + x2 * y2, 1e-12)
+    sn = ad.clamp_max(ad.sqrt(d2 / denom), 1.0 - CFG.boundary_eps)
+    return ad.artanh(sn) * 2.0
+
+
+def rows_with_norms(seed, norms, d=4):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(len(norms), d))
+    return u / np.linalg.norm(u, axis=1, keepdims=True) * np.asarray(norms)[:, None]
+
+
+LIFT_CASES = {
+    # name: (tangent clip radius, row norms); a zero row rides along in each
+    "clip_on": (0.5, [0.0, 0.2, 1.5, 3.0]),
+    "clip_off": (10.0, [0.0, 0.1, 0.4, 0.9]),
+    "ball_clamp": (20.0, [0.0, 0.3, 8.0, 15.0]),
+}
+
+
+class TestRadialBallMaps:
+    @pytest.mark.parametrize("case", list(LIFT_CASES))
+    def test_clip_exp_clamp_matches_chain(self, case):
+        radius, norms = LIFT_CASES[case]
+        fused = lambda v: hyp.ball_map(v, CFG, hyp.clip_radius(radius), hyp.exp_radius(CFG)).vector  # noqa: E731
+        assert_matches_chain(fused, lambda v: chain_exp(chain_clip(v, radius)), [rows_with_norms(30, norms)])
+
+    @pytest.mark.parametrize("case", list(LIFT_CASES))
+    def test_clip_exp_clamp_gradients(self, case):
+        radius, norms = LIFT_CASES[case]
+        lift = lambda t: hyp.ball_map(t, CFG, hyp.clip_radius(radius), hyp.exp_radius(CFG)).vector  # noqa: E731
+        check_gradients(lambda t: lift(t).norm2(), [rows_with_norms(31, norms)])
+
+    def test_ball_clamp_fires(self):
+        out = hyp.exp_map_origin(Tensor(rows_with_norms(32, [8.0, 15.0])), CFG).numpy()
+        np.testing.assert_allclose(np.linalg.norm(out, axis=1), CFG.max_norm, rtol=1e-15)
+
+    # mid-radius, a zero row, and two rows past the boundary clamp at sqrt(c)||p|| = 1 - eps
+    LOG_NORMS = [0.0, 0.5, 1.0 - 5e-6, 1.0 - 3e-6]
+
+    def test_log_map_matches_chain_at_the_boundary_clamp(self):
+        assert_matches_chain(
+            lambda p: hyp.log_map_origin(as_point(p)), chain_log, [rows_with_norms(33, self.LOG_NORMS)]
+        )
+
+    def test_log_map_gradients_at_the_boundary_clamp(self):
+        check_gradients(lambda p: hyp.log_map_origin(as_point(p)).norm2(), [rows_with_norms(34, self.LOG_NORMS)])
+
+    def test_log_map_clamps_to_artanh_of_the_bound(self):
+        p = rows_with_norms(35, [1.0 - 3e-6])
+        out = hyp.log_map_origin(as_point(Tensor(p))).numpy()
+        np.testing.assert_allclose(out, p / np.linalg.norm(p) * np.arctanh(1.0 - CFG.boundary_eps), rtol=1e-14)
+
+
+class TestGramDistanceNode:
+    # Between the delta floor and about 1e-4, the gradient of d(x_i, y_i) is a
+    # difference of terms of size 1 / sep, so any change in rounding order moves
+    # it by about eps / sep; TestPairwiseGramForm bounds it there instead.
+    @pytest.mark.parametrize("radius", ["mid", "rim"])
+    @pytest.mark.parametrize("sep", [0.0, 1e-2, 1e-12])
+    def test_pairwise_matches_chain(self, radius, sep):
+        x, y = sample_pairs(40, 8, radius, sep)
+        assert_matches_chain(lambda a, b: hyp.pairwise_distances(as_point(a), as_point(b)), chain_pairwise, [x, y])
+
+    def test_pair_distances_match_chain_entries(self):
+        x, y = sample_pairs(41, 8, "mid", 1e-9)
+        i, j = np.array([0, 1, 1, 5, 2]), np.array([0, 1, 3, 5, 2])
+        got = hyp.pair_distances(as_point(Tensor(x)), as_point(Tensor(y)), i, j).numpy()
+        want = chain_pairwise(Tensor(x), Tensor(y)).numpy()[i, j]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("sep", [1e-11, 1e-12])
+    def test_gradients_with_near_duplicates_inside_the_floor(self, sep):
+        # y_i sits sep from x_i, so the delta floor decides d(x_i, y_i) and its gradient is 0; the
+        # central difference agrees up to sep / step.
+        x, y = sample_pairs(42, 4, "mid", sep, b=3)
+        check_gradients(lambda a, b: hyp.pairwise_distances(as_point(a), as_point(b)).sum(), [x, y])

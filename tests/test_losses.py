@@ -15,6 +15,8 @@ from paeff.errors import ContractError, NumericError
 from paeff.gradcheck import check_gradients
 from paeff.hyperbolic import BallConfig, PoincarePoint
 
+from chain_check import assert_matches_chain
+
 CFG = BallConfig()
 
 
@@ -295,6 +297,62 @@ class TestOrthogonalProjectionLoss:
         check_gradients(
             lambda f: losses.orthogonal_projection_loss(f, labels), [rng.normal(size=(3, 4))]
         )
+
+
+def chain_op_loss(fused, labels, inter_weight=1.0):
+    """The orthogonal projection loss as a chain of generic ops: the graph the fused node replaces."""
+    y = np.asarray(labels)
+    gram = losses.pairwise_cosine(fused, fused)
+    same = (y[:, None] == y[None, :]) & ~np.eye(len(y), dtype=bool)
+    diff = y[:, None] != y[None, :]
+    terms = []
+    if same.any():
+        terms.append(1.0 - (gram * Tensor(same.astype(np.float64))).sum() / float(same.sum()))
+    if diff.any():
+        terms.append((ad.absolute(gram) * Tensor(diff.astype(np.float64))).sum() / float(diff.sum()) * inter_weight)
+    return terms[0] if len(terms) == 1 else terms[0] + terms[1]
+
+
+def with_zero_row(x):
+    x = x.copy()
+    x[1] = 0.0
+    return x
+
+
+OP_CASES = {
+    # name: (labels, rows)
+    "mixed": ([0, 1, 0, 2], np.random.default_rng(11).normal(size=(4, 5))),
+    "no_same_label_pairs": ([0, 1, 2, 3], np.random.default_rng(12).normal(size=(4, 5))),
+    "no_different_label_pairs": ([1, 1, 1, 1], np.random.default_rng(13).normal(size=(4, 5))),
+    "zero_row": ([0, 1, 0, 1], with_zero_row(np.random.default_rng(14).normal(size=(4, 5)))),
+}
+
+
+class TestOrthogonalProjectionNode:
+    @pytest.mark.parametrize("case", list(OP_CASES))
+    def test_matches_chain(self, case):
+        labels, x = OP_CASES[case]
+        for w in (1.0, 0.5):
+            assert_matches_chain(
+                lambda f: losses.orthogonal_projection_loss(f, labels, w), lambda f: chain_op_loss(f, labels, w), [x]
+            )
+
+    @pytest.mark.parametrize("case", ["mixed", "no_same_label_pairs", "no_different_label_pairs"])
+    def test_gradients(self, case):
+        labels, x = OP_CASES[case]
+        check_gradients(lambda f: losses.orthogonal_projection_loss(f, labels, 0.7), [x])
+
+    def test_zero_row_gradient_goes_through_the_norm_floor(self):
+        # Below the 1e-12 floor a row is scaled by 1e12, linearly. A step of 1e-6 leaves that
+        # regime (the row becomes a unit vector); a step of 1e-15 stays in it.
+        labels, x = OP_CASES["zero_row"]
+        rest = Tensor(np.delete(x, 1, axis=0))
+
+        def f(row):
+            rows = ad.concat_cols(rest.transpose(), row.reshape(5, 1)).transpose()
+            return losses.orthogonal_projection_loss(rows, np.array(labels)[[0, 2, 3, 1]])
+
+        check_gradients(f, [np.zeros(5)], step=1e-15)
 
 
 class TestTotalLoss:

@@ -1,5 +1,6 @@
 """Association head: projection oracles, gate limits, init, checkpoint format."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paeff import autodiff as ad
+from paeff import hyperbolic as hyp
 from paeff import model
 from paeff.autodiff import Tensor
 from paeff.errors import ContractError, DataError, DimensionError
@@ -147,6 +149,83 @@ class TestEgff:
         params = params_for(CFG)
         with pytest.raises(DimensionError):
             model.egff_fuse(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))), params, CFG)
+
+
+def chain_egff(xf, xv, params, cfg):
+    """EGFF as a chain of generic ops: the graph the gated-mix node replaces."""
+    d = xf.shape[1]
+    act = ad.tanh if cfg.gate_activation == "tanh" else ad.relu
+    f, v = act(xf), act(xv)
+    if cfg.attention_combine == "multiplication":
+        combined = f * v
+    elif cfg.attention_combine == "addition":
+        combined = f + v
+    else:
+        combined = ad.matmul(ad.concat_cols(f, v), params.combine_weight) + params.combine_bias.reshape(1, d)
+    gate = ad.sigmoid(combined * params.gate_weight.reshape(1, d) + params.gate_bias.reshape(1, d))
+    return gate * f + (1.0 - gate) * v
+
+
+EGFF_ARMS = [(act, combine) for act in ("tanh", "relu") for combine in ("multiplication", "addition", "concatenation")]
+EGFF_PARAMS = ("gate_weight", "gate_bias", "combine_weight", "combine_bias")
+
+
+def egff_arm(act, combine):
+    cfg = model.ModelConfig(
+        face_dim=5, voice_dim=6, num_identities=3, proj_dim=4, gate_activation=act, attention_combine=combine
+    )
+    params = params_for(cfg, seed=15)
+    params.gate_bias.data[...] = np.random.default_rng(16).normal(size=4)  # a gate away from 1/2
+    rng = np.random.default_rng(17)
+    return cfg, params, rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+
+
+class TestEgffArms:
+    @pytest.mark.parametrize("act,combine", EGFF_ARMS)
+    def test_matches_chain(self, act, combine):
+        cfg, params, xf, xv = egff_arm(act, combine)
+        w = np.random.default_rng(18).normal(size=(3, 4))
+
+        def value_and_grads(fuse):
+            params.zero_grads()
+            f, v = Tensor(xf, requires_grad=True), Tensor(xv, requires_grad=True)
+            out = fuse(f, v, params, cfg)
+            (out * Tensor(w)).sum().backward()
+            named = dict(params.named())
+            return [out.numpy(), f.grad, v.grad] + [named[n].grad for n in EGFF_PARAMS if n in named]
+
+        for got, want in zip(value_and_grads(model.egff_fuse), value_and_grads(chain_egff)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("act,combine", EGFF_ARMS)
+    def test_gradients(self, act, combine):
+        cfg, params, xf, xv = egff_arm(act, combine)
+        names = [n for n in EGFF_PARAMS if getattr(params, n) is not None]
+
+        def f(a, b, *tensors):
+            trial = dataclasses.replace(params, **dict(zip(names, tensors)))
+            return model.egff_fuse(a, b, trial, cfg).norm2()
+
+        check_gradients(f, [xf, xv] + [getattr(params, n).data for n in names])
+
+
+class TestLift:
+    @pytest.mark.parametrize("tangent_clip", [0.5, 20.0], ids=["clip", "ball_clamp"])
+    def test_matches_clip_then_exp_map(self, tangent_clip):
+        cfg = dataclasses.replace(CFG, tangent_clip=tangent_clip)
+        x = np.random.default_rng(19).normal(size=(4, 4)) * np.array([[0.1], [1.0], [8.0], [15.0]])
+        w = np.random.default_rng(20).normal(size=(4, 4))
+
+        def value_and_grad(lift):
+            t = Tensor(x, requires_grad=True)
+            out = lift(t).vector
+            (out * Tensor(w)).sum().backward()
+            return out.numpy(), t.grad
+
+        got = value_and_grad(lambda t: model.lift(t, cfg))
+        want = value_and_grad(lambda t: hyp.exp_map_origin(hyp.clip_norm(t, tangent_clip), cfg.ball))
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 class TestInitParams:

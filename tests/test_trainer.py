@@ -216,3 +216,23 @@ class TestTrainLoop:
         record = json.loads(lines[0])
         assert set(record) == {"epoch", "l_align", "l_op", "l_ce", "total", "val_eer", "val_auc", "lr"}
 
+
+
+def test_training_step_tape_size():
+    """One default-config step at B = 64 records at most 45 tape nodes, at most 6 of them [B x B]."""
+    b = 64
+    cfg = model.ModelConfig(face_dim=32, voice_dim=24, num_identities=100)
+    rng = np.random.default_rng(0)
+    labels = rng.integers(0, 40, size=b)  # repeated labels: the alignment mask is in play
+    step = trainer.step_losses(
+        Tensor(rng.normal(size=(b, 32))), Tensor(rng.normal(size=(b, 24))), labels,
+        model.init_params(cfg, seed=0), cfg, LossWeights(),
+    )
+    nodes, stack = {}, [step.total]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    assert len(nodes) <= 45
+    assert sum(node.shape == (b, b) for node in nodes.values()) <= 6
