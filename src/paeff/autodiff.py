@@ -3,8 +3,8 @@
 A ``Tensor`` wraps a numpy array and records, at construction time, the
 parents it was computed from together with the vector-Jacobian products
 that carry a gradient back to them. ``Tensor.backward()`` on a scalar
-output replays that tape in reverse topological order and accumulates
-gradients into ``.grad``.
+output replays that tape in reverse topological order, accumulates
+gradients into the ``.grad`` of the leaves, and frees the tape as it goes.
 
 Design constraints kept deliberately tight so every gradient is auditable:
 
@@ -12,7 +12,8 @@ Design constraints kept deliberately tight so every gradient is auditable:
   or size-1 axes at equal rank (``[N x D] * [N x 1]``, ``[N x 1] + [1 x M]``);
   any other rank mismatch, such as ``[N]`` with ``[N x 1]``, is a
   ``DimensionError``;
-* static graphs (one graph per training step, rebuilt every step);
+* static graphs (one graph per training step, rebuilt every step); a
+  graph is consumed by its backward pass;
 * single-threaded per graph.
 
 A node holds one VJP per parent, or, for a fused node with several
@@ -35,7 +36,10 @@ subgradient rules they keep from the generic ops they replace:
 * ``symmetric_log_softmax_nll(logits, mask)``: the mean of the row-wise
   and column-wise softmax cross-entropy of the diagonal, with masked
   entries at -inf (zero probability, zero gradient);
-* ``log_softmax_nll(logits, targets)``: one direction of the above.
+* ``log_softmax_nll(logits, targets)``: one direction of the above;
+* ``pair_dots(x, y, x_rows, y_rows)``: <x[x_rows[k]], y[y_rows[k]]> per
+  index pair, in blocks of rows; a row taken more than once sums its
+  gradients.
 
 Generic ops: ``clamp_min``/``clamp_max`` pass the gradient at ties,
 ``sqrt``, ``norm2`` and ``absolute`` have zero (sub)gradient at 0.
@@ -61,6 +65,7 @@ __all__ = [
     "clamp_max",
     "concat_cols",
     "take_rows",
+    "pair_dots",
     "radial",
     "affine",
     "gated_mix",
@@ -74,12 +79,15 @@ class Tensor:
     """Dense float64 tensor with optional gradient tracking.
 
     ``data`` is always a C-contiguous (row-major) float64 array. ``grad``
-    is populated by :meth:`backward` for every tensor in the graph that
-    has ``requires_grad`` set; repeated backward calls on the same root
-    are rejected.
+    is populated by :meth:`backward` for every leaf of the graph, a tensor
+    with ``requires_grad`` set that was not computed from other tensors.
+    An interior node gets no ``grad``: once its VJP has run, backward
+    drops its parents and VJPs, so the graph's saved arrays are freed as
+    the pass goes and the node is consumed. A second backward through a
+    consumed node, from the same root or another, is rejected.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps", "_backward_done")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps", "_backward_done", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
@@ -142,11 +150,13 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Populate ``.grad`` for every requires_grad ancestor of this scalar.
+        """Populate ``.grad`` for every requires_grad leaf this scalar depends on.
 
-        Gradients accumulate into existing ``.grad`` buffers, so separate
-        backward passes from two loss roots sum, matching the linearity of
-        differentiation. Running backward twice on the same root is an error.
+        Gradients accumulate into existing ``.grad`` buffers, so backward
+        passes from two loss roots that share only leaves sum, matching the
+        linearity of differentiation. The pass consumes the graph: each
+        interior node drops its parents and VJPs once its VJP has run, and
+        reaching a consumed node again is an error.
         """
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar root, got shape {self.shape}")
@@ -154,7 +164,6 @@ class Tensor:
             raise ContractError("backward() already ran on this root; rebuild the graph first")
         if not self.requires_grad:
             raise ContractError("backward() on a tensor that does not require gradients")
-        self._backward_done = True
 
         order: list[Tensor] = []
         seen: set[int] = set()
@@ -166,6 +175,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward_done:
+                raise ContractError("backward() reached a node an earlier backward consumed; rebuild the graph first")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -173,13 +184,17 @@ class Tensor:
                     stack.append((p, False))
 
         flowing: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(order):
+        while order:  # reverse topological order; each node is released once handled
+            node = order.pop()
             g = flowing.pop(id(node), None)
             if g is None:
                 continue
-            node.grad = g if node.grad is None else node.grad + g
             parents, vjps = node._parents, node._vjps
+            if not parents:
+                node.grad = g if node.grad is None else node.grad + g
+                continue
             grads = [vjp(g) for vjp in vjps] if len(vjps) == len(parents) else vjps[0](g)
+            node._parents, node._vjps, node._backward_done = (), (), True
             for parent, pg in zip(parents, grads):
                 if not parent.requires_grad:
                     continue
@@ -501,19 +516,25 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
+def _row_index(rows, n: int, opname: str) -> np.ndarray:
+    """``rows`` as a 1-d integer array of indices into ``n`` rows."""
+    r = np.asarray(rows)
+    if r.ndim != 1 or not np.issubdtype(r.dtype, np.integer):
+        raise DimensionError(f"{opname} needs 1-d integer rows, got shape {r.shape} ({r.dtype})")
+    if r.size and (r.min() < 0 or r.max() >= n):
+        raise IndexOutOfRangeError(f"{opname}: row index out of range for {n} rows")
+    return r
+
+
 def take_rows(x: Tensor, rows) -> Tensor:
     """Rows ``x[rows]`` of a matrix, in ``rows`` order and with repeats allowed.
 
     The gradient of a row that is taken more than once sums over its copies.
     """
-    r = np.asarray(rows)
-    if x.ndim != 2 or r.ndim != 1 or not np.issubdtype(r.dtype, np.integer):
-        raise DimensionError(
-            f"take_rows needs a matrix and 1-d integer rows, got shapes {x.shape} and {r.shape} ({r.dtype})"
-        )
+    if x.ndim != 2:
+        raise DimensionError(f"take_rows needs a matrix, got shape {x.shape}")
     n = x.shape[0]
-    if r.size and (r.min() < 0 or r.max() >= n):
-        raise IndexOutOfRangeError(f"take_rows: row index out of range for {n} rows")
+    r = _row_index(rows, n, "take_rows")
 
     def vjp(g):
         grad = np.zeros((n, g.shape[1]))
@@ -521,6 +542,47 @@ def take_rows(x: Tensor, rows) -> Tensor:
         return grad
 
     return Tensor.from_op(x.data[r], (x,), (vjp,))
+
+
+# Index pairs per block in pair_dots. Each pass holds a few [block x D]
+# arrays, never the [N x D] rows of all N pairs. At D = 128, 1024-row blocks
+# (1 MB each) were mapped and page-faulted afresh on every call in a new
+# process: 8.8 ms for 10 000 pairs, against 2.7 ms with 256-row blocks.
+_PAIR_BLOCK = 256
+
+
+def pair_dots(x: Tensor, y: Tensor, x_rows, y_rows) -> Tensor:
+    """<x[x_rows[k]], y[y_rows[k]]> for two equal-length row-index arrays: [N], as one node.
+
+    Each dot is the row sum of the two gathered rows' product, rounded as
+    ``(take_rows(x, x_rows) * take_rows(y, y_rows)).sum(axis=1)`` rounds
+    it, but taken over blocks of pairs. The VJP scatters g[k] * y[y_rows[k]]
+    into row x_rows[k] of the x gradient with ``np.add.at``, and likewise
+    for y, so a row taken more than once sums its gradients.
+    """
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise DimensionError(f"pair_dots needs two matrices of equal width, got shapes {x.shape} and {y.shape}")
+    i = _row_index(x_rows, x.shape[0], "pair_dots")
+    j = _row_index(y_rows, y.shape[0], "pair_dots")
+    if i.size != j.size:
+        raise ContractError(f"pair_dots: {i.size} x rows vs {j.size} y rows")
+    xd, yd = x.data, y.data
+    blocks = [slice(s, s + _PAIR_BLOCK) for s in range(0, i.size, _PAIR_BLOCK)]
+    out = np.empty(i.size)
+    for b in blocks:
+        out[b] = np.sum(xd[i[b]] * yd[j[b]], axis=1)
+
+    def scatter(g, rows, shape, other, other_rows):
+        grad = np.zeros(shape)
+        for b in blocks:
+            np.add.at(grad, rows[b], g[b, None] * other[other_rows[b]])
+        return grad
+
+    return Tensor.from_op(
+        out,
+        (x, y),
+        (lambda g: scatter(g, i, xd.shape, yd, j), lambda g: scatter(g, j, yd.shape, xd, i)),
+    )
 
 
 # -- fused classification loss ------------------------------------------------
@@ -545,10 +607,11 @@ def log_softmax_nll(logits: Tensor, targets) -> Tensor:
         raise IndexOutOfRangeError(f"target index out of range for {c} classes")
 
     z = logits.data - np.max(logits.data, axis=1, keepdims=True)
-    e = np.exp(z)
-    total = np.sum(e, axis=1, keepdims=True)
-    loss = -np.mean(z[np.arange(b), t] - np.log(total).reshape(b))
-    softmax = e / total
+    target_z = z[np.arange(b), t]
+    softmax = np.exp(z, out=z)  # one [B x C] buffer: z, then exp(z), then the softmax
+    total = np.sum(softmax, axis=1, keepdims=True)
+    loss = -np.mean(target_z - np.log(total).reshape(b))
+    softmax /= total
 
     def vjp(g):
         scale = float(np.asarray(g).reshape(())) / b

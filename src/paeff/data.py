@@ -327,14 +327,15 @@ def make_batches(
                 continue
             chosen.append(identity)
             in_batch.add(identity)
-        faces, voices = (
-            np.stack([pools[i][m][rng.integers(len(pools[i][m]))].vector for i in chosen])
-            for m in MODALITIES
-        )
+        rows = {}
+        for m in MODALITIES:
+            # One call per modality: an array of bounds returns the per-row scalar draws, in order.
+            picks = rng.integers([len(pools[i][m]) for i in chosen]).tolist()
+            rows[m] = np.stack([pools[i][m][k].vector for i, k in zip(chosen, picks)])
         batches.append(
             PairBatch(
-                faces=Tensor(faces),
-                voices=Tensor(voices),
+                faces=Tensor(rows["face"]),
+                voices=Tensor(rows["voice"]),
                 labels=np.array([labels[i] for i in chosen], dtype=np.int64),
             )
         )

@@ -6,15 +6,23 @@ other modality that shares the probe's identity. Both metrics also run
 per demographic stratum, where non-match trials are restricted to pairs
 sharing the stratum attributes.
 
+Each trial builder draws from its own ``default_rng(seed)`` stream, in
+the order its docstring gives. Verification trials, and with them the
+validation trials that pick the best epoch, are the ones the earlier
+per-trial loop drew for the same seed. Matching trials are drawn as
+arrays over all trials, the distractors by Floyd's sampling without
+replacement, and differ from the earlier per-trial draw.
+
 Many trials share one record, so scoring collects the distinct record
 objects of each trial slot, encodes each once, and scores every trial as
 one index pair into those encodings through ``losses.pair_similarity``:
 for the hyperbolic arm, the Gram closed form of ``pairwise_distances``
-taken at the trial pairs (``hyperbolic.pair_distances``). Scoring reads
-the parameters through ``ModelParams.detached``, so it records no tape. A
-record whose modality does not fit its slot is a ``ContractError``.
-Stratified reports read the non-match trials' demographic tags once into
-arrays and mask them per stratum.
+taken at the trial pairs (``hyperbolic.pair_distances``). Both arms take
+the pairs' dot products with ``autodiff.pair_dots``, a block of pairs at
+a time. Scoring reads the parameters through ``ModelParams.detached``,
+so it records no tape. A record whose modality does not fit its slot is
+a ``ContractError``. Stratified reports read the non-match trials'
+demographic tags once into arrays and mask them per stratum.
 """
 
 from __future__ import annotations
@@ -283,7 +291,22 @@ def build_verification_trials(
     seed: int,
     part: str = "test",
 ) -> list[VerificationTrial]:
-    """Balanced 50/50 match/non-match verification trials from one split part."""
+    """Balanced 50/50 match/non-match verification trials from one split part.
+
+    Draw order, all on one ``default_rng(seed)`` stream: first the
+    n = max_trials // 2 match trials, one at a time, each an identity
+    uniform over those with both modalities (sorted), then a face and a
+    voice uniform over that identity's records; then the non-match
+    trials, each a face uniform over the part's faces and a voice uniform
+    over its voices, kept when their identities differ and drawn again
+    when they do not. The non-match pairs are drawn in chunks, one
+    ``integers`` call per chunk with the bounds (faces, voices) repeated,
+    which returns the values of the per-pair scalar calls in the same
+    order (selfcheck ``rng.array_bounds`` checks this on the running
+    numpy); the first n kept pairs are the trials. So the trials, and the
+    validation trials that pick the best epoch (``part="val"``), are the
+    ones the per-pair loop drew.
+    """
     records = split.part_records(dataset, part)
     faces = [r for r in records if r.modality == "face"]
     voices = [r for r in records if r.modality == "voice"]
@@ -307,13 +330,19 @@ def build_verification_trials(
         f = face_pool[rng.integers(len(face_pool))]
         v = voice_pool[rng.integers(len(voice_pool))]
         trials.append(VerificationTrial(score=None, is_match=True, face=f, voice=v))
-    for _ in range(n_each):
-        while True:
-            f = faces[rng.integers(len(faces))]
-            v = voices[rng.integers(len(voices))]
-            if f.identity_id != v.identity_id:
-                break
-        trials.append(VerificationTrial(score=None, is_match=False, face=f, voice=v))
+
+    code = {identity: k for k, identity in enumerate(identities)}
+    face_code = np.array([code[r.identity_id] for r in faces])
+    voice_code = np.array([code[r.identity_id] for r in voices])
+    bounds = np.array([len(faces), len(voices)])
+    kept = []
+    needed = n_each
+    while needed:
+        pairs = rng.integers(np.tile(bounds, needed)).reshape(needed, 2)
+        kept.append(pairs[face_code[pairs[:, 0]] != voice_code[pairs[:, 1]]][:needed])
+        needed -= len(kept[-1])
+    for f, v in np.concatenate(kept).tolist():
+        trials.append(VerificationTrial(score=None, is_match=False, face=faces[f], voice=voices[v]))
     return trials
 
 
@@ -331,9 +360,24 @@ def build_matching_trials(
     The n_c - 1 distractors are distinct records drawn without replacement
     from the other identities' gallery-modality records, so two distractors
     can share an identity.
+
+    Draw order, all on one ``default_rng(seed)`` stream, each step one
+    array over all trials: the identity, uniform over those with both
+    modalities (sorted); the probe, uniform over that identity's
+    probe-modality records; the match, uniform over its gallery-modality
+    records; the correct index, uniform over n_c; then the k = n_c - 1
+    distractors by Floyd's sampling without replacement (Bentley & Floyd,
+    CACM 1987), one column at a time. Column m draws t uniform over
+    [0, N - k + m], N being the trial's distractor count, and takes t, or
+    N - k + m when an earlier column took t. Distractor values index the
+    gallery-modality records without the identity's own. The trials of a
+    seed differ from those of the per-trial ``rng.choice`` loop this
+    replaced; the verification trials do not.
     """
     if probe_modality not in ("face", "voice"):
         raise ContractError(f"probe_modality must be face or voice, got {probe_modality!r}")
+    if n_c < 2:
+        raise ContractError(f"gallery size must be at least 2, got {n_c}")
     gallery_modality = "face" if probe_modality == "voice" else "voice"
     by_id = group_by_identity(split.part_records(dataset, part))
     eligible = sorted(
@@ -347,33 +391,41 @@ def build_matching_trials(
     for i, recs in by_id.items():
         slices[i] = (len(pool), len(recs[gallery_modality]))
         pool.extend(recs[gallery_modality])
-    draws = [(by_id[i][probe_modality], by_id[i][gallery_modality], *slices[i]) for i in eligible]
+    slice_start, slice_len = np.array([slices[i] for i in eligible]).T
+    probes = [r for i in eligible for r in by_id[i][probe_modality]]
+    probe_count = np.array([len(by_id[i][probe_modality]) for i in eligible])
+    probe_start = np.cumsum(probe_count) - probe_count
 
+    k = n_c - 1
     rng = np.random.default_rng(seed)
-    trials: list[MatchingTrial] = []
-    for _ in range(n_trials):
-        probe_pool, match_pool, start, own = draws[rng.integers(len(draws))]
-        probe = probe_pool[rng.integers(len(probe_pool))]
-        match = match_pool[rng.integers(len(match_pool))]
-        n_distractors = len(pool) - own
-        if n_distractors < n_c - 1:
-            raise ContractError(
-                f"not enough distractor records ({n_distractors}) for gallery size {n_c}"
-            )
-        # Draw from the pool without the probe identity's slice, then step past that slice.
-        picks = rng.choice(n_distractors, size=n_c - 1, replace=False).tolist()
-        gallery = [pool[p + own if p >= start else p] for p in picks]
-        correct = int(rng.integers(n_c))
-        gallery.insert(correct, match)
-        trials.append(
-            MatchingTrial(
-                probe_modality=probe_modality,
-                probe=probe,
-                gallery=gallery,
-                correct_index=correct,
-            )
+    who = rng.integers(len(eligible), size=n_trials)
+    start, own = slice_start[who], slice_len[who]
+    n_distractors = len(pool) - own
+    short = np.flatnonzero(n_distractors < k)
+    if short.size:
+        raise ContractError(
+            f"not enough distractor records ({n_distractors[short[0]]}) for gallery size {n_c}"
         )
-    return trials
+    probe = probe_start[who] + rng.integers(probe_count[who])
+    match = start + rng.integers(own)
+    correct = rng.integers(n_c, size=n_trials)
+    picks = np.empty((n_trials, k), dtype=np.int64)
+    for m in range(k):
+        top = n_distractors - k + m
+        t = rng.integers(top + 1)
+        picks[:, m] = np.where((picks[:, :m] == t[:, None]).any(axis=1), top, t)
+    # Step the picks past the identity's own slice of the pool.
+    picks += np.where(picks >= start[:, None], own[:, None], 0)
+
+    # Gallery slot j holds the match at j == correct, else pick j or j - 1.
+    slot = np.arange(n_c)
+    source = np.where(slot == correct[:, None], k, slot - (slot > correct[:, None]))
+    gallery = np.take_along_axis(np.column_stack([picks, match]), source, axis=1)
+    records = np.fromiter(pool, dtype=object, count=len(pool))
+    return [
+        MatchingTrial(probe_modality=probe_modality, probe=probes[p], gallery=g, correct_index=c)
+        for p, g, c in zip(probe.tolist(), records[gallery].tolist(), correct.tolist())
+    ]
 
 
 # -- trial list files --------------------------------------------------------------

@@ -266,18 +266,18 @@ def pair_distances(x: PoincarePoint, y: PoincarePoint, x_rows, y_rows) -> Tensor
     """Distances d(x[x_rows[k]], y[y_rows[k]]) for two equal-length row-index arrays: [N].
 
     The closed form of :func:`pairwise_distances`, taken only at the given
-    pairs: one dot product per pair, and each row's squared norm once.
+    pairs: one dot product per pair (``autodiff.pair_dots``), and each
+    row's squared norm once.
     """
     cfg = _same_config(x, y)
     xr, yr = x.vector, y.vector
     if xr.shape[1] != yr.shape[1]:
         raise ContractError(f"pair_distances: dims differ: {xr.shape} vs {yr.shape}")
-    if len(x_rows) != len(y_rows):
-        raise ContractError(f"pair_distances: {len(x_rows)} x rows vs {len(y_rows)} y rows")
-    gram = (ad.take_rows(xr, x_rows) * ad.take_rows(yr, y_rows)).sum(axis=1, keepdims=True)
+    gram = ad.pair_dots(xr, yr, x_rows, y_rows)
+    n = gram.shape[0]
     x2 = ad.take_rows((xr * xr).sum(axis=1, keepdims=True), x_rows)
     y2 = ad.take_rows((yr * yr).sum(axis=1, keepdims=True), y_rows)
-    return _gram_distance(gram, x2, y2, xr.shape[1], cfg).reshape(len(x_rows))
+    return _gram_distance(gram.reshape(n, 1), x2, y2, xr.shape[1], cfg).reshape(n)
 
 
 def _gram_distance(gram: Tensor, x2: Tensor, y2: Tensor, dim: int, cfg: BallConfig) -> Tensor:

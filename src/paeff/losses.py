@@ -96,14 +96,7 @@ def _similarity(face, voice, mode: str, rows) -> Tensor:
         vv = voice.vector if isinstance(voice, PoincarePoint) else voice
         if rows is None:
             return pairwise_cosine(fv, vv)
-        face_rows, voice_rows = rows
-        if len(face_rows) != len(voice_rows):
-            raise ContractError(
-                f"pair_similarity: {len(face_rows)} face rows vs {len(voice_rows)} voice rows"
-            )
-        fn = ad.take_rows(normalize_rows(fv), face_rows)
-        vn = ad.take_rows(normalize_rows(vv), voice_rows)
-        return (fn * vn).sum(axis=1)
+        return ad.pair_dots(normalize_rows(fv), normalize_rows(vv), *rows)
     raise ContractError(f"unknown similarity mode {mode!r}")
 
 

@@ -296,6 +296,23 @@ def check_cosine_schedule() -> None:
     _expect(abs(trainer.cosine_lr(50, 100, 2e-5) - 1e-5) < 1e-18, "cosine_lr(T/2) != midpoint")
 
 
+def check_rng_array_bounds() -> None:
+    """``Generator.integers`` over an array of bounds equals one scalar call per bound, in order.
+
+    Training batches and the non-match verification trials draw this way
+    and equal the per-row scalar draws only while the values and the state
+    left behind agree, for bound 1 (which draws nothing), small bounds and
+    bounds past 2**31.
+    """
+    for seed in range(20):
+        small = np.random.default_rng(1000 + seed).integers(1, 9, size=24).tolist()
+        bounds = small + [1, 2**31 + 11, 1, 2**33 + 3, 2**62, 3]
+        scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [int(scalar.integers(b)) for b in bounds]
+        _expect(batched.integers(np.array(bounds)).tolist() == want, f"seed {seed}: array-bound draws differ")
+        _expect(scalar.bit_generator.state == batched.bit_generator.state, f"seed {seed}: generator states differ")
+
+
 def _brute_force_eer(scores: np.ndarray, labels: np.ndarray) -> float:
     thresholds = sorted(set(scores)) + [max(scores) + 1.0]
     points = []
@@ -347,6 +364,7 @@ ALL_CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("metrics.oracle_agreement", check_metric_oracles),
     ("optimizer.adamw_single_step", check_adamw_single_step),
     ("optimizer.cosine_schedule", check_cosine_schedule),
+    ("rng.array_bounds", check_rng_array_bounds),
 ]
 
 

@@ -192,7 +192,8 @@ def train(
         )
         sums = {"l_align": 0.0, "l_op": 0.0, "l_ce": 0.0, "total": 0.0}
         lr = train_cfg.lr0
-        for batch in batches:
+        for k, batch in enumerate(batches):
+            batches[k] = None  # a batch is freed once its step is done
             try:
                 breakdown = step_losses(
                     batch.faces, batch.voices, batch.labels, params, model_cfg, train_cfg.loss_weights,
@@ -208,10 +209,11 @@ def train(
                 )
             for key in sums:
                 sums[key] += values[key]
-            params.zero_grads()
             breakdown.total.backward()
+            del breakdown  # the next step builds its graph with none of this one alive
             lr = cosine_lr(step, total_steps, train_cfg.lr0, train_cfg.lr_min)
             adamw_step(params, state, lr, train_cfg)
+            params.zero_grads()  # nor with this step's gradients
             # Contrastive temperature guard.
             params.logit_scale.data = np.minimum(params.logit_scale.data, LOGIT_SCALE_MAX)
             step += 1

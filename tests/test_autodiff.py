@@ -2,6 +2,7 @@
 
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,56 @@ class TestStructuralOps:
     def test_take_rows_rejects_bad_rows(self, rows):
         with pytest.raises((IndexOutOfRangeError, DimensionError)):
             ad.take_rows(Tensor(rand((3, 2), 22)), np.asarray(rows))
+
+
+class TestPairDots:
+    def test_equals_gathered_product_sum(self):
+        # More pairs than two blocks and not a multiple of one, with rows taken many times.
+        rng = np.random.default_rng(31)
+        x, y = rand((7, 5), 32), rand((9, 5), 33)
+        n = 2 * ad._PAIR_BLOCK + 37
+        i, j = rng.integers(7, size=n), rng.integers(9, size=n)
+        got = ad.pair_dots(Tensor(x), Tensor(y), i, j).numpy()
+        np.testing.assert_array_equal(got, np.sum(x[i] * y[j], axis=1))
+
+    def test_gradients(self):
+        rows = np.array([1, 1, 3, 0, 1]), np.array([2, 0, 2, 2, 1])
+        check_gradients(lambda a, b: ad.pair_dots(a, b, *rows).norm2(), [rand((4, 3), 34), rand((3, 3), 35)])
+
+    def test_gradient_sums_repeated_rows_across_blocks(self):
+        rng = np.random.default_rng(36)
+        x, y = Tensor(rand((3, 4), 37), requires_grad=True), Tensor(rand((5, 4), 38), requires_grad=True)
+        n = ad._PAIR_BLOCK + 11
+        i, j, w = rng.integers(3, size=n), rng.integers(5, size=n), rng.normal(size=n)
+        (ad.pair_dots(x, y, i, j) * Tensor(w)).sum().backward()
+        onehot_i, onehot_j = np.eye(3)[i], np.eye(5)[j]  # [N x rows]: the gather as a matrix
+        np.testing.assert_allclose(x.grad, onehot_i.T @ (w[:, None] * y.data[j]), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y.grad, onehot_j.T @ (w[:, None] * x.data[i]), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("x_rows,y_rows,error", [
+        ([0, 3], [0, 1], IndexOutOfRangeError),
+        ([0, 1], [-1, 0], IndexOutOfRangeError),
+        ([[0, 1]], [0], DimensionError),
+        ([0.0], [0], DimensionError),
+        ([0, 1], [0], ContractError),
+    ])
+    def test_bad_rows_rejected(self, x_rows, y_rows, error):
+        with pytest.raises(error):
+            ad.pair_dots(Tensor(rand((3, 2), 39)), Tensor(rand((2, 2), 40)), np.asarray(x_rows), np.asarray(y_rows))
+
+    def test_transient_memory_below_one_row_block_of_all_pairs(self):
+        # N = 20 000 pairs of D = 128 rows: gathering them whole would take one [N x D] array per side.
+        n, d = 20_000, 128
+        rng = np.random.default_rng(41)
+        x, y = Tensor(rand((300, d), 42), requires_grad=True), Tensor(rand((400, d), 43), requires_grad=True)
+        i, j = rng.integers(300, size=n), rng.integers(400, size=n)
+        tracemalloc.start()
+        try:
+            ad.pair_dots(x, y, i, j).sum().backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8
 
 
 class TestBroadcasting:
@@ -334,6 +385,21 @@ class TestBackward:
         loss.backward()
         with pytest.raises(ContractError):
             loss.backward()
+
+    def test_interior_nodes_are_consumed(self):
+        data = rand((3,), 44)
+        x = Tensor(data, requires_grad=True)
+        y = ad.tanh(x)
+        (y * y).sum().backward()
+        assert y.grad is None and y._parents == () and y._vjps == ()
+        np.testing.assert_allclose(x.grad, 2 * np.tanh(data) * (1 - np.tanh(data) ** 2), atol=1e-14)
+
+    def test_backward_through_consumed_node_rejected(self):
+        x = Tensor(rand((3,), 45), requires_grad=True)
+        y = ad.tanh(x)
+        y.sum().backward()
+        with pytest.raises(ContractError, match="consumed"):
+            (y * 2.0).sum().backward()
 
     def test_separate_roots_accumulate(self):
         data = rand((3,), 26)

@@ -1,5 +1,7 @@
 """Dataset format, splits, pair batching, synthetic generation."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,6 +273,48 @@ class TestMakeBatches:
     def test_batch_size_validation(self):
         with pytest.raises(ContractError):
             data.make_batches(self.ds, self.split, batch_size=1, seed=0)
+
+    @staticmethod
+    def scalar_loop(dataset, split, batch_size, seed):
+        """The per-row builder the array draw replaced: one scalar draw per row and modality."""
+        pools = data.group_by_identity(split.part_records(dataset, "train"))
+        identities = sorted(pools)
+        rng = np.random.default_rng(seed)
+        stream = (identity for _ in itertools.count() for identity in rng.permutation(identities))
+        out = []
+        for _ in range(-(-len(identities) // batch_size)):
+            chosen, in_batch = [], set()
+            while len(chosen) < batch_size:
+                identity = next(stream)
+                if identity in in_batch and len(identities) >= batch_size:
+                    continue
+                chosen.append(identity)
+                in_batch.add(identity)
+            faces, voices = (
+                np.stack([pools[i][m][rng.integers(len(pools[i][m]))].vector for i in chosen])
+                for m in ("face", "voice")
+            )
+            out.append((faces, voices, [identities.index(i) for i in chosen]))
+        return out
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("batch_size", [2, 3, 7, 16])
+    def test_same_batches_as_scalar_loop(self, seed, batch_size):
+        # Uneven pools (1 to 5 records, singletons among them) and, at 16 rows, fewer identities than the batch.
+        ds = data.synth_generate(9, 5, 4, 3, 1.0, 0.1, seed=25, latent_dim=2)
+        ids = ds.identities()
+        kept = [r for k, r in enumerate(ds.records) if (k // 2) % 5 < 1 + ids.index(r.identity_id) % 5]
+        ds = Dataset(kept, face_dim=4, voice_dim=3)
+        split = SplitSpec("unseen_unheard", frozenset(ids), frozenset(), frozenset())
+        sizes = {len(p[m]) for p in data.group_by_identity(ds.records).values() for m in ("face", "voice")}
+        assert sizes == {1, 2, 3, 4, 5}
+        got = data.make_batches(ds, split, batch_size, seed)
+        want = self.scalar_loop(ds, split, batch_size, seed)
+        assert len(got) == len(want)
+        for batch, (faces, voices, labels) in zip(got, want):
+            np.testing.assert_array_equal(batch.faces.numpy(), faces)
+            np.testing.assert_array_equal(batch.voices.numpy(), voices)
+            assert batch.labels.tolist() == labels
 
 
 class TestSynthGenerate:

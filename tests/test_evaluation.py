@@ -1,6 +1,7 @@
 """Verification and matching metrics against brute-force oracles."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -439,31 +440,49 @@ class TestTrialSlots:
 
 
 def oracle_matching_trials(dataset, split, n_c, n_trials, seed, probe_modality):
-    """Matching trials built with a fresh distractor pool per trial, as summarised tuples."""
+    """Matching trials built one at a time from a fresh distractor pool per trial, as summarised tuples.
+
+    The random values are the builder's documented arrays, drawn in its
+    order; each trial then picks its k = n_c - 1 distractors by Floyd's
+    algorithm with a set: for j from N - k to N - 1, take the drawn t in
+    [0, j], or j if t is already taken.
+    """
     gallery_modality = "face" if probe_modality == "voice" else "voice"
     by_id = {}
     for r in split.part_records(dataset, "test"):
         by_id.setdefault(r.identity_id, {"face": [], "voice": []})[r.modality].append(r)
     eligible = sorted(i for i, pool in by_id.items() if pool[probe_modality] and pool[gallery_modality])
+    k = n_c - 1
     rng = np.random.default_rng(seed)
+    identities = [eligible[w] for w in rng.integers(len(eligible), size=n_trials)]
+    pools = [[r for i in by_id if i != identity for r in by_id[i][gallery_modality]] for identity in identities]
+    for pool in pools:
+        if len(pool) < k:
+            raise ContractError(f"not enough distractor records ({len(pool)}) for gallery size {n_c}")
+    probe_draws = rng.integers([len(by_id[i][probe_modality]) for i in identities])
+    match_draws = rng.integers([len(by_id[i][gallery_modality]) for i in identities])
+    correct_draws = rng.integers(n_c, size=n_trials)
+    columns = [rng.integers([len(pool) - k + m + 1 for pool in pools]) for m in range(k)]
     out = []
-    for _ in range(n_trials):
-        identity = eligible[rng.integers(len(eligible))]
-        probe_pool = by_id[identity][probe_modality]
-        probe = probe_pool[rng.integers(len(probe_pool))]
-        match_pool = by_id[identity][gallery_modality]
-        match = match_pool[rng.integers(len(match_pool))]
-        distractor_pool = [r for i in by_id if i != identity for r in by_id[i][gallery_modality]]
-        if len(distractor_pool) < n_c - 1:
-            raise ContractError(
-                f"not enough distractor records ({len(distractor_pool)}) for gallery size {n_c}"
-            )
-        picks = rng.choice(len(distractor_pool), size=n_c - 1, replace=False)
-        gallery = [distractor_pool[int(i)] for i in picks]
-        correct = int(rng.integers(n_c))
+    for t, identity in enumerate(identities):
+        probe = by_id[identity][probe_modality][probe_draws[t]]
+        match = by_id[identity][gallery_modality][match_draws[t]]
+        taken, picks = set(), []
+        for m in range(k):
+            j = len(pools[t]) - k + m
+            pick = j if columns[m][t] in taken else int(columns[m][t])
+            taken.add(pick)
+            picks.append(pick)
+        gallery = [pools[t][p] for p in picks]
+        correct = int(correct_draws[t])
         gallery.insert(correct, match)
         out.append((probe.clip_id, [g.clip_id for g in gallery], correct))
     return out
+
+
+def chi_square_critical(df, z=3.09):
+    """The chi-square quantile at upper tail 1e-3 (z = 3.09), by the Wilson-Hilferty approximation."""
+    return df * (1.0 - 2.0 / (9.0 * df) + z * math.sqrt(2.0 / (9.0 * df))) ** 3
 
 
 def uneven_setup():
@@ -497,6 +516,109 @@ class TestMatchingTrialOracle:
         with pytest.raises(ContractError) as got:
             evaluation.build_matching_trials(ds, split, 30, 5, 0, probe_modality)
         assert str(got.value) == str(expected.value)
+
+
+class TestMatchingTrialContract:
+    """Fixed seeds: the array draw keeps the contract of uniform, distinct, other-identity distractors."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n_c", [2, 6, 10])
+    @pytest.mark.parametrize("probe_modality", ["voice", "face"])
+    def test_distractors_distinct_and_of_other_identities(self, seed, n_c, probe_modality):
+        ds, split = uneven_setup()
+        gallery_modality = "face" if probe_modality == "voice" else "voice"
+        for t in evaluation.build_matching_trials(ds, split, n_c, 200, seed, probe_modality):
+            assert len(t.gallery) == n_c and len({g.clip_id for g in t.gallery}) == n_c
+            assert all(g.modality == gallery_modality for g in t.gallery)
+            same = [j for j, g in enumerate(t.gallery) if g.identity_id == t.probe.identity_id]
+            assert same == [t.correct_index]
+
+    def test_correct_index_uniform(self):
+        ds, split = uneven_setup()
+        n_c, n = 6, 3000
+        trials = evaluation.build_matching_trials(ds, split, n_c, n, seed=5)
+        counts = np.bincount([t.correct_index for t in trials], minlength=n_c)
+        expected = n / n_c
+        assert np.sum((counts - expected) ** 2 / expected) < chi_square_critical(n_c - 1)
+
+    @pytest.mark.parametrize("n_c", [3, 8])
+    def test_distractor_records_uniform_given_the_identity(self, n_c):
+        # Given its identity, a trial takes each other identity's record with chance k / N.
+        ds, split = uneven_setup()
+        trials = evaluation.build_matching_trials(ds, split, n_c, 3000, seed=6)
+        pool = [r for r in split.part_records(ds, "test") if r.modality == "face"]
+        observed = dict.fromkeys((r.clip_id for r in pool), 0)
+        expected = dict.fromkeys(observed, 0.0)
+        for t in trials:
+            others = [r.clip_id for r in pool if r.identity_id != t.probe.identity_id]
+            for clip in others:
+                expected[clip] += (n_c - 1) / len(others)
+            for j, g in enumerate(t.gallery):
+                if j != t.correct_index:
+                    observed[g.clip_id] += 1
+        o, e = np.array(list(observed.values())), np.array(list(expected.values()))
+        assert o.sum() == pytest.approx(e.sum())
+        assert np.sum((o - e) ** 2 / e) < chi_square_critical(len(o) - 1)
+
+
+class TestVerificationTrialOracle:
+    """The chunked non-match draw gives the per-pair scalar loop's trials."""
+
+    @staticmethod
+    def scalar_loop(dataset, split, max_trials, seed, part):
+        """The per-trial builder the chunked one replaced, one scalar draw at a time."""
+        records = split.part_records(dataset, part)
+        faces = [r for r in records if r.modality == "face"]
+        voices = [r for r in records if r.modality == "voice"]
+        by_id = data.group_by_identity(records)
+        paired = [(by_id[i]["face"], by_id[i]["voice"]) for i in sorted(by_id) if by_id[i]["face"] and by_id[i]["voice"]]
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(max_trials // 2):
+            face_pool, voice_pool = paired[rng.integers(len(paired))]
+            f = face_pool[rng.integers(len(face_pool))]
+            v = voice_pool[rng.integers(len(voice_pool))]
+            out.append((f.clip_id, v.clip_id, True))
+        for _ in range(max_trials // 2):
+            while True:
+                f = faces[rng.integers(len(faces))]
+                v = voices[rng.integers(len(voices))]
+                if f.identity_id != v.identity_id:
+                    break
+            out.append((f.clip_id, v.clip_id, False))
+        return out
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("max_trials", [2, 57, 400])
+    def test_uneven_pools(self, seed, max_trials):
+        ds, split = uneven_setup()
+        got = evaluation.build_verification_trials(ds, split, max_trials, seed)
+        assert [(t.face.clip_id, t.voice.clip_id, t.is_match) for t in got] == self.scalar_loop(
+            ds, split, max_trials, seed, "test"
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_identities_most_draws_rejected(self, seed):
+        # b keeps one face and one voice against a's 12 each: 86 % of non-match draws pair a with a.
+        ds = data.synth_generate(2, 12, 4, 4, 1.0, 0.1, seed=23, latent_dim=2)
+        a, b = ds.identities()
+        b_pools = data.group_by_identity(ds.records)[b]
+        kept = [r for r in ds.records if r.identity_id == a or r in (b_pools["face"][0], b_pools["voice"][0])]
+        ds = data.Dataset(kept, ds.face_dim, ds.voice_dim)
+        split = SplitSpec("unseen_unheard", frozenset(), frozenset(), frozenset([a, b]))
+        got = evaluation.build_verification_trials(ds, split, 301, seed)
+        assert [(t.face.clip_id, t.voice.clip_id, t.is_match) for t in got] == self.scalar_loop(
+            ds, split, 301, seed, "test"
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_val_part(self, seed):
+        ds = data.synth_generate(30, 3, 6, 5, 1.0, 0.1, seed=24, latent_dim=3)
+        split = data.make_unseen_split(ds, n_val=5, n_test=5, seed=seed)
+        got = evaluation.build_verification_trials(ds, split, 99, seed, part="val")
+        assert [(t.face.clip_id, t.voice.clip_id, t.is_match) for t in got] == self.scalar_loop(
+            ds, split, 99, seed, "val"
+        )
 
 
 class TestTrialConstruction:

@@ -6,6 +6,7 @@ The ``--ablation`` presets are options of the command line, tested in
 
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -215,6 +216,23 @@ class TestTrainLoop:
         assert len(lines) == 2
         record = json.loads(lines[0])
         assert set(record) == {"epoch", "l_align", "l_op", "l_ce", "total", "val_eer", "val_auc", "lr"}
+
+    def test_previous_step_graph_freed_before_next_forward(self, monkeypatch):
+        ds, split, cfg = desk_setup()
+        original = trainer.step_losses
+        roots = []
+
+        def watching(*args, **kwargs):
+            breakdown = original(*args, **kwargs)
+            # The previous step's loss root must be gone before this step's graph is handed back.
+            assert all(root() is None for root in roots)
+            roots.append(weakref.ref(breakdown.total))
+            return breakdown
+
+        monkeypatch.setattr(trainer, "step_losses", watching)
+        tc = trainer.TrainConfig(epochs=2, batch_size=4, lr0=1e-3, seed=0, val_trials=20)
+        trainer.train(ds, split, cfg, tc)
+        assert len(roots) == 4  # 2 epochs x 2 batches over 6 train identities
 
 
 
