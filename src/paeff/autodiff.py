@@ -20,9 +20,12 @@ A node holds one VJP per parent, or, for a fused node with several
 parents, one joint VJP that returns a gradient per parent in order.
 ``Tensor.from_op`` records a node and ``reduce_to`` sums a broadcast
 gradient back to its operand's shape; other modules define their fused
-nodes with these two (``hyperbolic``'s Gram distance, ``losses``'
-orthogonal projection loss). A VJP closure captures the arrays it saves
-directly, so the arrays a tape holds can be counted from its closures.
+nodes with these two: ``hyperbolic``'s arccosh distance (all pairs and
+index pairs) and its contrastive NLL, the hyperbolic arm of the alignment
+loss, which also takes its softmax part from ``symmetric_nll_grad``, and
+``losses``' orthogonal projection loss. A VJP closure captures the arrays
+it saves directly, so the arrays a tape holds can be counted from its
+closures.
 
 Fused primitives, each one node with a hand-written VJP, and the
 subgradient rules they keep from the generic ops they replace:
@@ -35,7 +38,9 @@ subgradient rules they keep from the generic ops they replace:
   s = sigmoid(combined * w + b);
 * ``symmetric_log_softmax_nll(logits, mask)``: the mean of the row-wise
   and column-wise softmax cross-entropy of the diagonal, with masked
-  entries at -inf (zero probability, zero gradient);
+  entries at -inf (zero probability, zero gradient); its loss and logit
+  gradient come from ``symmetric_nll_grad``, a numpy function that fused
+  nodes built on such logits share;
 * ``log_softmax_nll(logits, targets)``: one direction of the above;
 * ``pair_dots(x, y, x_rows, y_rows)``: <x[x_rows[k]], y[y_rows[k]]> per
   index pair, in blocks of rows; a row taken more than once sums its
@@ -71,6 +76,7 @@ __all__ = [
     "gated_mix",
     "log_softmax_nll",
     "symmetric_log_softmax_nll",
+    "symmetric_nll_grad",
     "reduce_to",
 ]
 
@@ -633,26 +639,40 @@ def symmetric_log_softmax_nll(logits: Tensor, mask=None) -> Tensor:
     """
     if logits.ndim != 2 or logits.shape[0] != logits.shape[1]:
         raise DimensionError(f"symmetric_log_softmax_nll expects [B x B] logits, got shape {logits.shape}")
-    b = logits.shape[0]
-    z = logits.data
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != z.shape or mask.diagonal().any():
+        if mask.shape != logits.shape or mask.diagonal().any():
             raise ContractError(f"mask of shape {mask.shape} must be [B x B] with a clear diagonal")
-        z = np.where(mask, -np.inf, z)
+    loss, grad = symmetric_nll_grad(logits.data.copy(), mask)
+    return Tensor.from_op(np.asarray(loss), (logits,), (lambda g: float(np.asarray(g).reshape(())) * grad,))
 
-    probs = np.zeros_like(z)
-    nll = 0.0
-    for axis in (1, 0):
-        top = np.max(z, axis=axis, keepdims=True)
-        e = np.exp(z - top)
-        total = np.sum(e, axis=axis, keepdims=True)
-        probs += e / total
-        nll += np.mean(np.log(total).reshape(b) + top.reshape(b) - z.diagonal())
-    probs *= 0.5
-    probs[np.diag_indices(b)] -= 1.0
 
-    def vjp(g):
-        return (float(np.asarray(g).reshape(())) / b) * probs
+def symmetric_nll_grad(z: np.ndarray, mask=None) -> tuple[float, np.ndarray]:
+    """The loss of :func:`symmetric_log_softmax_nll` and its gradient, for [B x B] logits ``z``.
 
-    return Tensor.from_op(np.asarray(0.5 * nll), (logits,), (vjp,))
+    The numpy core that fused contrastive nodes share. ``z`` is overwritten
+    and returned as the gradient ((softmax_rows + softmax_cols) / 2 - I) / B,
+    so the pass holds one more [B x B] array, for the row softmax, only
+    while it runs. ``mask`` is trusted: [B x B] boolean with a clear diagonal.
+    """
+    b = z.shape[0]
+    if mask is not None:
+        np.copyto(z, -np.inf, where=mask)
+    diag = z.diagonal().copy()
+    top_r = np.max(z, axis=1, keepdims=True)
+    rows = np.subtract(z, top_r)
+    np.exp(rows, out=rows)
+    sum_r = np.sum(rows, axis=1, keepdims=True)
+    rows /= sum_r
+    top_c = np.max(z, axis=0, keepdims=True)
+    z -= top_c
+    np.exp(z, out=z)
+    sum_c = np.sum(z, axis=0, keepdims=True)
+    z /= sum_c
+    z += rows
+    del rows
+    z *= 0.5 / b
+    z[np.diag_indices(b)] -= 1.0 / b
+    nll = np.mean(np.log(sum_r).reshape(b) + top_r.reshape(b) - diag)
+    nll += np.mean(np.log(sum_c).reshape(b) + top_c.reshape(b) - diag)
+    return 0.5 * float(nll), z

@@ -32,20 +32,37 @@ passes the gradient at a tie, and below the 1e-12 floor phi' is 0.
 ``project_to_ball`` and ``exp_map_origin`` are two such chains, and
 ``model.lift`` puts the tangent clip in front of the exp map.
 
-Three functions take distances:
+Distances take two forms. ``poincare_distance(x, y)`` pairs row i with
+row i through the Mobius form above; it is the reference the others are
+tested against. The others take the equal arccosh form (Nickel & Kiela,
+NeurIPS 2017)
 
-* ``poincare_distance(x, y)``: row i with row i, from the difference
-  x - y; the reference the other two are tested against;
+    d(x, y)   = arccosh(1 + z) / sqrt(c),
+    z         = 2c ||x - y||^2 / ((1 - c||x||^2)(1 - c||y||^2)),
+
+with arccosh(1 + z) taken as log1p(z + sqrt(z (z + 2))), accurate at small
+z. Over a table of pairs the denominator is the outer product of two
+per-row vectors, so it needs no [B x N] array, no clamp and no mask, and
+its gradient into the squared norms is a row or column sum. A row with
+1 - c||x||^2 <= 0 is off the ball: ``NumericError``. ||x - y||^2 is
+expanded through the dot product <x, y> and floored at a delta that
+bounds the expansion's rounding (see ``pairwise_distances``); the
+boundary clamp sqrt(c)||(-x) (+) y|| <= 1 - eps becomes the cap
+z <= 2 (1 - eps)^2 / (1 - (1 - eps)^2). One private helper holds that
+form and its VJP, and three functions share it:
+
 * ``pairwise_distances(x, y)``: every row of x with every row of y, as a
-  [B x N] table; the alignment loss uses it;
+  [B x N] table, one node over (<x, y>, ||x||^2, ||y||^2);
 * ``pair_distances(x, y, x_rows, y_rows)``: the pairs
-  (x[x_rows[k]], y[y_rows[k]]); evaluation scores trials with it.
+  (x[x_rows[k]], y[y_rows[k]]), the same node over index pairs;
+  evaluation scores trials with it;
+* ``contrastive_nll(x, y, logit_scale, mask)``: the alignment loss's
+  symmetric softmax NLL over the logits -exp(logit_scale) d(x_i, y_j), one
+  node over the rows themselves.
 
-The last two share one closed form in the Gram entries <x, y> and the
-squared norms, recorded as one tape node over (<x, y>, ||x||^2, ||y||^2),
-so an all-pairs and an index-pair distance of the same two points differ
-only by the rounding of their dot product. The backward of
-``pairwise_distances`` is then the two [B x N] x [N x D] products of the
+So an all-pairs and an index-pair distance of the same two points differ
+only by the rounding of their dot product, and the backward of the first
+and the third to the rows is the two [B x N] x [N x D] products of the
 Gram matmul.
 """
 
@@ -62,6 +79,7 @@ from .errors import ContractError, NumericError
 
 # Below this norm the exp/log maps switch to their linear limit.
 _TINY = 1e-12
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -243,14 +261,15 @@ def poincare_distance(x: PoincarePoint, y: PoincarePoint) -> Tensor:
 def pairwise_distances(x: PoincarePoint, y: PoincarePoint) -> Tensor:
     """All-pairs distance matrix D[i, j] = d(x_i, y_j) for two [B x D] batches.
 
-    Gram form of :func:`poincare_distance`, building nothing larger than
-    [B x B] or [B x D]: ||x_i - y_j||^2 = ||x_i||^2 + ||y_j||^2 - 2 <x_i, y_j>.
-    That expansion cancels for near-equal points; its rounding error is at
-    most (D + 1) * eps * (||x_i||^2 + ||y_j||^2). The squared distance is
-    floored at delta_ij = 16 * (D + 1) * eps * (||x_i||^2 + ||y_j||^2), a
-    constant: inside the floor the gradient is zero, and above it the error
-    is under delta / 16, so the gradient norm stays within sqrt(17 / 16) of
-    the exact 2 / (1 - c ||x_i||^2).
+    The arccosh form of the module docstring in the Gram entries, building
+    nothing larger than [B x B] or [B x D]:
+    ||x_i - y_j||^2 = ||x_i||^2 + ||y_j||^2 - 2 <x_i, y_j>. That expansion
+    cancels for near-equal points; its rounding error is at most
+    (D + 1) * eps * (||x_i||^2 + ||y_j||^2). The squared distance is floored at
+    delta_ij = 16 * (D + 1) * eps * (||x_i||^2 + ||y_j||^2), a constant: inside
+    the floor its gradient is zero, and above it the error is under delta / 16,
+    so the gradient norm stays within sqrt(17 / 16) of the exact
+    2 / (1 - c ||x_i||^2).
     """
     cfg = _same_config(x, y)
     xr, yr = x.vector, y.vector
@@ -280,38 +299,111 @@ def pair_distances(x: PoincarePoint, y: PoincarePoint, x_rows, y_rows) -> Tensor
     return _gram_distance(gram.reshape(n, 1), x2, y2, xr.shape[1], cfg).reshape(n)
 
 
-def _gram_distance(gram: Tensor, x2: Tensor, y2: Tensor, dim: int, cfg: BallConfig) -> Tensor:
-    """d from the Gram entries <x, y> and squared norms broadcast against them, as one tape node.
+def contrastive_nll(x: PoincarePoint, y: PoincarePoint, logit_scale: Tensor, mask=None) -> Tensor:
+    """Symmetric softmax NLL of the diagonal over the logits -exp(logit_scale) * d(x_i, y_j), as one node.
 
-    The delta floor, the denominator clamp and the boundary clamp are
-    explained at :func:`pairwise_distances`. The VJP keeps the subgradients
-    of the generic chain: each clamp passes the gradient at a tie, and the
-    square root has zero gradient at 0.
+    ``x`` and ``y`` are matched [B x D] batches; where the boolean [B x B]
+    ``mask`` is set, a logit counts as -inf (``autodiff.symmetric_nll_grad``).
+    The node's parents are the rows of x and y and ``logit_scale``; its VJP
+    keeps z, sqrt(z (z + 2)) and the logit gradient P. With the inverse
+    temperature t = exp(s), the distance gradient is -t P; the rank-one
+    denominator turns it into row and column sums for the squared norms,
+    two [B x B] x [B x D] products carry the Gram part to the rows, and
+    d/ds = sum(P * logits) is one sum, taken in the forward pass.
     """
-    c, sqrt_c, top = cfg.curvature, cfg.sqrt_c, 1.0 - cfg.boundary_eps
-    g_xy, a, b = gram.data, x2.data, y2.data
-    norms = a + b
-    delta = (16.0 * (dim + 1) * np.finfo(np.float64).eps) * norms
-    d2_raw = norms - g_xy * 2.0
-    d2 = np.maximum(d2_raw, delta)
-    d2_passes = d2_raw >= delta
-    den_raw = 1.0 - g_xy * (2.0 * c) + a * b * (c * c)
-    den = np.maximum(den_raw, _TINY)
-    den_passes = den_raw >= _TINY
-    r = np.sqrt(d2 / den)
+    cfg = _same_config(x, y)
+    xr, yr = x.vector, y.vector
+    xd, yd = xr.data, yr.data
+    if xd.shape != yd.shape:
+        raise ContractError(f"contrastive_nll: batches differ: {xd.shape} vs {yd.shape}")
+    a = np.sum(xd * xd, axis=1, keepdims=True)
+    b = np.sum(yd * yd, axis=1, keepdims=True).T
+    dist, back = _arccosh_distance(xd @ yd.T, a, b, xd.shape[1], cfg)
+    inv_temp = math.exp(logit_scale.item())
+    loss, grad = ad.symmetric_nll_grad(dist * -inv_temp, mask)
+    d_scale = -inv_temp * float(np.vdot(grad, dist))
+    del dist
 
     def vjp(g):
-        sn_raw = r * sqrt_c
-        sn = np.minimum(sn_raw, top)
-        g_r = (g * (2.0 / sqrt_c)) / (1.0 - sn * sn) * (sn_raw <= top) * sqrt_c
-        g_q = g_r * (r != 0.0) / np.where(r == 0.0, 1.0, 2.0 * r)
-        g_d2 = g_q / den * d2_passes
-        g_den = -g_q * d2 / (den * den) * den_passes
+        g = float(np.asarray(g).reshape(()))
+        g_gram, g_a, g_b = back(grad, -inv_temp * g)
         return (
-            g_d2 * -2.0 + g_den * (-2.0 * c),
-            ad.reduce_to(g_d2 + g_den * (b * (c * c)), a.shape),
-            ad.reduce_to(g_d2 + g_den * (a * (c * c)), b.shape),
+            g_gram @ yd + (2.0 * g_a) * xd,
+            g_gram.T @ xd + (2.0 * g_b.T) * yd,
+            np.full(logit_scale.shape, d_scale * g),
         )
 
-    d = np.arctanh(np.minimum(r * sqrt_c, top)) * (2.0 / sqrt_c)
-    return Tensor.from_op(d, (gram, x2, y2), (vjp,))
+    return Tensor.from_op(np.asarray(loss), (xr, yr, logit_scale), (vjp,))
+
+
+def _gram_distance(gram: Tensor, x2: Tensor, y2: Tensor, dim: int, cfg: BallConfig) -> Tensor:
+    """d from the Gram entries <x, y> and squared norms broadcast against them, as one tape node."""
+    d, back = _arccosh_distance(gram.data.copy(), x2.data, y2.data, dim, cfg)
+    return Tensor.from_op(d, (gram, x2, y2), (back,))
+
+
+def _arccosh_distance(dots: np.ndarray, a: np.ndarray, b: np.ndarray, dim: int, cfg: BallConfig):
+    """The closed form d = arccosh(1 + z) / sqrt(c) from <x, y>, ||x||^2 and ||y||^2, and its VJP.
+
+    ``dots`` is overwritten. ``a`` and ``b`` broadcast against it: [B x 1] and
+    [1 x N] for all pairs, the shape of ``dots`` for index pairs. The delta
+    floor and the z cap are those of the module docstring; a row with
+    1 - c ||x||^2 <= 0 is off the ball: ``NumericError``.
+
+    Returns d and ``back(g, scale=1.0)``, which takes scale * g, a gradient
+    of d, to the gradients of (dots, a, b), each in its operand's shape.
+    ``back`` keeps z and sqrt(z (z + 2)), the latter set to inf where the
+    gradient is zero: at the cap (which passes a tie) and at z = 0, where
+    the square root has zero gradient. Inside the floor only the path
+    through ||x - y||^2 is cut.
+    """
+    c, sqrt_c, top = cfg.curvature, cfg.sqrt_c, 1.0 - cfg.boundary_eps
+    u, v = 1.0 - c * a, 1.0 - c * b
+    if (u <= 0.0).any() or (v <= 0.0).any():
+        raise NumericError("hyperbolic distance: point on or outside the unit ball")
+    floor = a + b
+    z = dots
+    z *= -2.0
+    z += floor  # ||x - y||^2
+    floor *= 16.0 * (dim + 1) * _EPS
+    low = z < floor
+    if low.any():
+        np.maximum(z, floor, out=z)
+    else:
+        low = None
+    del floor
+    k = (2.0 * c) / u
+    z *= k
+    z /= v
+    z_max = 2.0 * top * top / ((1.0 - top) * (1.0 + top))  # arccosh(1 + z_max) = 2 artanh(top)
+    flat = (z > z_max) | (z == 0.0)
+    np.minimum(z, z_max, out=z)
+    root = z + 2.0
+    root *= z
+    np.sqrt(root, out=root)
+    d = z + root
+    np.log1p(d, out=d)
+    d /= sqrt_c
+    if flat.any():
+        np.copyto(root, np.inf, where=flat)
+    del flat
+
+    def back(g, scale=1.0):
+        g_z = g / root
+        g_z *= scale / sqrt_c
+        # z = 2c ||x - y||^2 / (u v) with u = 1 - c a: dz/da = c z / u through u, summed per row (and per column for b)
+        t = g_z * z
+        g_a = ad.reduce_to(t, a.shape) * (c / u)
+        g_b = ad.reduce_to(t, b.shape) * (c / v)
+        del t
+        g_z *= k  # now the gradient of ||x - y||^2 = a + b - 2 <x, y>
+        g_z /= v
+        if low is not None:
+            np.copyto(g_z, 0.0, where=low)
+        g_a += ad.reduce_to(g_z, a.shape)
+        g_b += ad.reduce_to(g_z, b.shape)
+        g_z *= -2.0
+        return g_z, g_a, g_b
+
+    return d, back
+

@@ -115,21 +115,42 @@ def alignment_loss(
     an identity twice does not push it away from itself. Temperatured
     logits are exp(logit_scale) * similarity, and the loss averages the
     face->voice and voice->face directions.
+
+    The hyperbolic arm is one tape node, ``hyperbolic.contrastive_nll``,
+    over the face rows, the voice rows and ``logit_scale``; the cosine arm
+    scales its cosine table and takes ``autodiff.symmetric_log_softmax_nll``.
+    The mask is built only when a label repeats.
     """
-    sims = similarity_matrix(face, voice, mode)
-    b = sims.shape[0]
+    if mode == "neg_hyperbolic_distance":
+        if not isinstance(face, PoincarePoint) or not isinstance(voice, PoincarePoint):
+            raise ContractError("neg_hyperbolic_distance needs lifted (ball) embeddings")
+        shape = (face.vector.shape[0], voice.vector.shape[0])
+    else:
+        sims = similarity_matrix(face, voice, mode)
+        shape = sims.shape
+    b = shape[0]
     if b < 2:
         raise ContractError("alignment_loss needs a batch of at least 2 pairs")
-    if sims.shape[0] != sims.shape[1]:
-        raise ContractError(f"alignment_loss needs matched batches, got {sims.shape}")
-    logits = sims * ad.exp(logit_scale)
-    same = None
-    if labels is not None:
-        y = np.asarray(labels)
-        if y.shape != (b,):
-            raise ContractError(f"labels shape {y.shape} does not match batch {b}")
-        same = (y[:, None] == y[None, :]) & ~np.eye(b, dtype=bool)
-    return ad.symmetric_log_softmax_nll(logits, same)
+    if shape[0] != shape[1]:
+        raise ContractError(f"alignment_loss needs matched batches, got {shape}")
+    same = _repeated_label_mask(labels, b)
+    if mode == "neg_hyperbolic_distance":
+        return hyp.contrastive_nll(face, voice, logit_scale, same)
+    return ad.symmetric_log_softmax_nll(sims * ad.exp(logit_scale), same)
+
+
+def _repeated_label_mask(labels, b: int):
+    """[B x B], set where two different rows share a label; None when no label repeats (or no labels)."""
+    if labels is None:
+        return None
+    y = np.asarray(labels)
+    if y.shape != (b,):
+        raise ContractError(f"labels shape {y.shape} does not match batch {b}")
+    if np.unique(y).size == b:
+        return None
+    same = y[:, None] == y[None, :]
+    np.fill_diagonal(same, False)
+    return same
 
 
 def orthogonal_projection_loss(
@@ -149,41 +170,42 @@ def orthogonal_projection_loss(
         dU = (dG + dG^T) U,   dX = dU / n' - X * [n >= 1e-12] <dU, X> / (n'^2 n)
 
     with n' = max(n, 1e-12), |.| having subgradient 0 at 0, and the radial
-    term 0 at a zero row.
+    term 0 at a zero row. G is symmetric, so dG + dG^T = 2 dG, and G becomes
+    that in its own buffer, the one [B x B] array the node keeps. The
+    same-label mask is built only when a label repeats; otherwise every
+    off-diagonal pair is a different-label pair.
     """
-    y = np.asarray(labels)
     b = fused.shape[0]
     if b < 2:
         raise ContractError("orthogonal_projection_loss needs a batch of at least 2")
-    if y.shape != (b,):
-        raise ContractError(f"labels shape {y.shape} does not match batch {b}")
+    same = _repeated_label_mask(np.asarray(labels), b)  # None labels fail its shape check
 
     x = fused.data
     n = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
     floored = np.maximum(n, _NORM_FLOOR)
     unit = x / floored
     gram = unit @ unit.T
-    same = (y[:, None] == y[None, :]) & ~np.eye(b, dtype=bool)
-    diff = y[:, None] != y[None, :]
+    np.fill_diagonal(gram, 0.0)
+    n_same = 0 if same is None else int(np.count_nonzero(same))
+    n_diff = b * b - b - n_same
 
-    terms: list[float] = []
-    d_gram = np.zeros((b, b))
-    if same.any():
-        count = float(same.sum())
-        terms.append(1.0 - np.sum(gram * same) / count)
-        d_gram -= same / count
-    if diff.any():
-        count = float(diff.sum())
-        terms.append(np.sum(np.abs(gram) * diff) / count * inter_weight)
-        d_gram += np.sign(gram) * diff * (inter_weight / count)
-    d_gram += d_gram.T
+    loss = 0.0
+    if n_same:
+        loss += 1.0 - float(np.sum(gram, where=same)) / n_same
+        np.copyto(gram, 0.0, where=same)
+    if n_diff:
+        loss += float(np.sum(np.abs(gram))) / n_diff * inter_weight
+    np.sign(gram, out=gram)
+    gram *= 2.0 * inter_weight / n_diff if n_diff else 0.0
+    if n_same:
+        np.copyto(gram, -2.0 / n_same, where=same)
     radial = np.divide(1.0, floored * floored * n, out=np.zeros_like(n), where=n >= _NORM_FLOOR)
 
     def vjp(g):
-        d_unit = float(np.asarray(g).reshape(())) * (d_gram @ unit)
+        d_unit = float(np.asarray(g).reshape(())) * (gram @ unit)
         return d_unit / floored - x * (radial * np.sum(d_unit * x, axis=1, keepdims=True))
 
-    return Tensor.from_op(np.asarray(sum(terms)), (fused,), (vjp,))
+    return Tensor.from_op(np.asarray(loss), (fused,), (vjp,))
 
 
 def cross_entropy_loss(logits: Tensor, labels) -> Tensor:

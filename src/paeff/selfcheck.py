@@ -263,6 +263,20 @@ def check_losses_gradients() -> None:
     check_gradients(align, [rng.normal(size=(3, 4)) * 0.5, rng.normal(size=(3, 4)) * 0.5, np.array(1.0)])
 
 
+def check_alignment_node_gradients() -> None:
+    """The fused hyperbolic alignment node against central differences, with and without a repeated label."""
+    cfg = BallConfig()
+    rng = np.random.default_rng(28)
+    x = hyp.exp_map_origin(Tensor(rng.normal(size=(4, 3)) * 0.5), cfg).numpy()
+    y = hyp.exp_map_origin(Tensor(rng.normal(size=(4, 3)) * 0.5), cfg).numpy()
+    for labels in (None, np.array([0, 1, 0, 2])):
+
+        def f(a, b, s, labels=labels):
+            return losses.alignment_loss(PoincarePoint(a, cfg), PoincarePoint(b, cfg), s, labels=labels)
+
+        check_gradients(f, [x, y, np.array(0.8)])
+
+
 def check_metric_oracles() -> None:
     rng = np.random.default_rng(26)
     for _ in range(50):
@@ -361,6 +375,7 @@ ALL_CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("model.egff_convexity", check_egff_convexity),
     ("losses.alignment_uniform_point", check_alignment_loss_uniform_point),
     ("losses.gradients", check_losses_gradients),
+    ("losses.alignment_node_gradients", check_alignment_node_gradients),
     ("metrics.oracle_agreement", check_metric_oracles),
     ("optimizer.adamw_single_step", check_adamw_single_step),
     ("optimizer.cosine_schedule", check_cosine_schedule),

@@ -129,6 +129,8 @@ class EpochLog:
     val_eer: float
     val_auc: float
     lr: float
+    logit_scale: float  # at the end of the epoch
+    logit_scale_clamped: bool  # whether the LOGIT_SCALE_MAX guard fired during the epoch
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -192,6 +194,7 @@ def train(
         )
         sums = {"l_align": 0.0, "l_op": 0.0, "l_ce": 0.0, "total": 0.0}
         lr = train_cfg.lr0
+        clamped = False
         for k, batch in enumerate(batches):
             batches[k] = None  # a batch is freed once its step is done
             try:
@@ -215,7 +218,9 @@ def train(
             adamw_step(params, state, lr, train_cfg)
             params.zero_grads()  # nor with this step's gradients
             # Contrastive temperature guard.
-            params.logit_scale.data = np.minimum(params.logit_scale.data, LOGIT_SCALE_MAX)
+            if np.any(params.logit_scale.data > LOGIT_SCALE_MAX):
+                params.logit_scale.data = np.minimum(params.logit_scale.data, LOGIT_SCALE_MAX)
+                clamped = True
             step += 1
 
         try:
@@ -234,6 +239,8 @@ def train(
                 val_eer=val_eer,
                 val_auc=val_auc,
                 lr=lr,
+                logit_scale=params.logit_scale.item(),
+                logit_scale_clamped=clamped,
             )
         )
         if val_eer < best_eer:

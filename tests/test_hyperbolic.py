@@ -11,7 +11,7 @@ from paeff.autodiff import Tensor
 from paeff.errors import ContractError, DimensionError, NumericError
 from paeff.gradcheck import check_gradients
 
-from chain_check import assert_matches_chain
+from chain_check import assert_matches_chain, log1p
 
 CFG = hyp.BallConfig()
 
@@ -401,14 +401,15 @@ def chain_log(p):
 
 
 def chain_pairwise(x, y):
+    """The arccosh form (c = 1): arccosh(1 + z), z = 2 ||x - y||^2 / ((1 - ||x||^2)(1 - ||y||^2))."""
     gram = ad.matmul(x, y.transpose())
     x2 = (x * x).sum(axis=1, keepdims=True)
     y2 = (y * y).sum(axis=1, keepdims=True).transpose()
     delta = (16.0 * (x.shape[1] + 1) * EPS) * (x2.data + y2.data)
     d2 = ad.clamp_min(x2 + y2 - gram * 2.0, delta)
-    denom = ad.clamp_min(1.0 - gram * 2.0 + x2 * y2, 1e-12)
-    sn = ad.clamp_max(ad.sqrt(d2 / denom), 1.0 - CFG.boundary_eps)
-    return ad.artanh(sn) * 2.0
+    top = 1.0 - CFG.boundary_eps
+    z = ad.clamp_max(d2 * 2.0 / ((1.0 - x2) * (1.0 - y2)), 2.0 * top * top / ((1.0 - top) * (1.0 + top)))
+    return log1p(z + ad.sqrt(z * (z + 2.0)))
 
 
 def rows_with_norms(seed, norms, d=4):
@@ -475,6 +476,15 @@ class TestGramDistanceNode:
         got = hyp.pair_distances(as_point(Tensor(x)), as_point(Tensor(y)), i, j).numpy()
         want = chain_pairwise(Tensor(x), Tensor(y)).numpy()[i, j]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_off_ball_row_rejected(self):
+        inside = as_point(Tensor([[0.1, 0.2], [0.3, 0.0]]))
+        outside = as_point(Tensor([[0.1, 0.2], [0.8, 0.8]]))  # sqrt(c) ||x|| > 1
+        for x, y in ((outside, inside), (inside, outside)):
+            with pytest.raises(NumericError, match="outside the unit ball"):
+                hyp.pairwise_distances(x, y)
+            with pytest.raises(NumericError, match="outside the unit ball"):
+                hyp.pair_distances(x, y, [1], [1])
 
     @pytest.mark.parametrize("sep", [1e-11, 1e-12])
     def test_gradients_with_near_duplicates_inside_the_floor(self, sep):

@@ -198,6 +198,75 @@ class TestAlignmentLoss:
         check_gradients(g, [rng.normal(size=(5, 4)), rng.normal(size=(5, 4)), np.array(0.9)])
 
 
+def ball_rows(seed, b, d, radius):
+    """[B x D] rows at mid-radius, or within 1e-6 of the admissible rim."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(b, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    if radius == "mid":
+        return u * rng.uniform(0.3, 0.7, size=(b, 1))
+    return u * CFG.max_norm * (1.0 - rng.uniform(0.0, 1e-6, size=(b, 1)))
+
+
+def chain_alignment(face, voice, s, labels):
+    """The hyperbolic arm as the chain the fused node replaces: -d * exp(s), then the symmetric NLL."""
+    y = None if labels is None else np.asarray(labels)
+    mask = None if y is None else (y[:, None] == y[None, :]) & ~np.eye(len(y), dtype=bool)
+    logits = -hyp.pairwise_distances(PoincarePoint(face, CFG), PoincarePoint(voice, CFG)) * ad.exp(s)
+    return ad.symmetric_log_softmax_nll(logits, mask)
+
+
+class TestHyperbolicAlignmentNode:
+    LABELS = {"unique": None, "repeated": [0, 1, 0, 2, 1, 3]}
+
+    @pytest.mark.parametrize("radius", ["mid", "rim"])
+    @pytest.mark.parametrize("labels", list(LABELS))
+    def test_matches_chain(self, radius, labels):
+        labels = self.LABELS[labels]
+
+        def fused(a, b, s):
+            return losses.alignment_loss(PoincarePoint(a, CFG), PoincarePoint(b, CFG), s, labels=labels)
+
+        x, y = ball_rows(60, 6, 5, radius), ball_rows(61, 6, 5, radius)
+        y[2] = x[2] + 1e-3 * (ball_rows(62, 1, 5, "mid")[0])  # one close pair
+        assert_matches_chain(fused, lambda a, b, s: chain_alignment(a, b, s, labels), [x, y, np.array(0.7)])
+
+    def test_is_one_tape_node(self):
+        x, y = Tensor(ball_rows(63, 4, 3, "mid"), requires_grad=True), Tensor(ball_rows(64, 4, 3, "mid"))
+        s = Tensor(0.4, requires_grad=True)
+        loss = losses.alignment_loss(PoincarePoint(x, CFG), PoincarePoint(y, CFG), s, labels=[0, 1, 0, 2])
+        assert loss._parents[0] is x and loss._parents[2] is s and len(loss._parents) == 3
+
+    @pytest.mark.parametrize("labels", list(LABELS))
+    def test_gradients(self, labels):
+        labels = self.LABELS[labels]
+
+        def f(a, b, s):
+            return hyp.contrastive_nll(
+                PoincarePoint(a, CFG), PoincarePoint(b, CFG), s,
+                None if labels is None else losses._repeated_label_mask(labels, 6),
+            )
+
+        check_gradients(f, [ball_rows(65, 6, 4, "mid"), ball_rows(66, 6, 4, "mid"), np.array(1.1)])
+
+    def test_off_ball_row_rejected(self):
+        inside = PoincarePoint(Tensor(ball_rows(67, 3, 2, "mid")), CFG)
+        outside = PoincarePoint(Tensor([[0.1, 0.0], [1.0, 0.0], [0.0, 0.2]]), CFG)
+        for face, voice in ((outside, inside), (inside, outside)):
+            with pytest.raises(NumericError, match="outside the unit ball"):
+                losses.alignment_loss(face, voice, Tensor(0.0))
+
+    def test_contract_errors(self):
+        three, four = (PoincarePoint(Tensor(ball_rows(68, n, 2, "mid")), CFG) for n in (3, 4))
+        one = PoincarePoint(Tensor(ball_rows(69, 1, 2, "mid")), CFG)
+        with pytest.raises(ContractError, match="at least 2 pairs"):
+            losses.alignment_loss(one, one, Tensor(0.0))
+        with pytest.raises(ContractError, match=r"matched batches, got \(3, 4\)"):
+            losses.alignment_loss(three, four, Tensor(0.0))
+        with pytest.raises(ContractError, match="labels shape"):
+            losses.alignment_loss(three, three, Tensor(0.0), labels=[0, 1])
+
+
 class TestPairSimilarity:
     """The index-pair counterpart of similarity_matrix, for both modes."""
 
@@ -291,6 +360,11 @@ class TestOrthogonalProjectionLoss:
         with pytest.raises(ContractError):
             losses.orthogonal_projection_loss(Tensor(np.ones((1, 3))), np.array([0]))
 
+    @pytest.mark.parametrize("labels", [None, [0, 1]])
+    def test_labels_must_match_the_batch(self, labels):
+        with pytest.raises(ContractError, match="labels shape"):
+            losses.orthogonal_projection_loss(Tensor(np.ones((3, 2))), labels)
+
     def test_gradients(self):
         rng = np.random.default_rng(10)
         labels = np.array([0, 1, 0])
@@ -353,6 +427,41 @@ class TestOrthogonalProjectionNode:
             return losses.orthogonal_projection_loss(rows, np.array(labels)[[0, 2, 3, 1]])
 
         check_gradients(f, [np.zeros(5)], step=1e-15)
+
+
+def former_op_loss(x, labels, inter_weight):
+    """The OP loss value and gradient as the fused node computed them before it kept one buffer."""
+    y = np.asarray(labels)
+    b = x.shape[0]
+    n = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    floored = np.maximum(n, 1e-12)
+    unit = x / floored
+    gram = unit @ unit.T
+    same = (y[:, None] == y[None, :]) & ~np.eye(b, dtype=bool)
+    diff = y[:, None] != y[None, :]
+    terms, d_gram = [], np.zeros((b, b))
+    if same.any():
+        terms.append(1.0 - np.sum(gram * same) / float(same.sum()))
+        d_gram -= same / float(same.sum())
+    if diff.any():
+        terms.append(np.sum(np.abs(gram) * diff) / float(diff.sum()) * inter_weight)
+        d_gram += np.sign(gram) * diff * (inter_weight / float(diff.sum()))
+    d_gram += d_gram.T
+    radial = np.divide(1.0, floored * floored * n, out=np.zeros_like(n), where=n >= 1e-12)
+    d_unit = d_gram @ unit
+    return sum(terms), d_unit / floored - x * (radial * np.sum(d_unit * x, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 0, 2, 1], [0, 1, 2, 3, 4], [2, 2, 2, 2, 2]], ids=["repeated", "unique", "one"])
+def test_one_buffer_op_loss_matches_former_formula(labels):
+    x = with_zero_row(np.random.default_rng(15).normal(size=(5, 6)))
+    for w in (1.0, 0.3):
+        t = Tensor(x, requires_grad=True)
+        loss = losses.orthogonal_projection_loss(t, labels, w)
+        loss.backward()
+        want, want_grad = former_op_loss(x, labels, w)
+        assert loss.item() == pytest.approx(want, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(t.grad, want_grad, rtol=1e-12, atol=1e-12)
 
 
 class TestTotalLoss:
