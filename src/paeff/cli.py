@@ -12,10 +12,11 @@ is a preset over them: once options are resolved it overwrites
 ``use_hyperbolic``, ``similarity``, ``fusion`` and ``alpha1``, so the
 manifest's config describes the model that was trained.
 
-For eval, a ``--manifest``'s model values and then the checkpoint's own
-shapes (``proj_dim``, and ``concatenation`` when it holds ``combine_weight``)
-stand between the config file and the defaults; an option that disagrees
-with the checkpoint exits 2.
+eval has no model option: it builds its ``ModelConfig`` from the training
+manifest's ``config.model`` (``--manifest``, by default the
+``manifest.json`` that train writes next to the checkpoint), so each
+checkpoint is scored with the model that trained it. Its config file takes
+``eval.*`` and ``io.*`` keys only.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric/invariant
 failure.
@@ -119,6 +120,9 @@ def _build(cls, section: str, resolved: dict, **given):
 
 
 MODEL_OPTIONS = _config_options("model", model.ModelConfig)
+# Every ModelConfig field, as train's manifest records it under config.model.
+MODEL_FIELDS = [Option(f"model.{name}", "int", None) for name in ("face_dim", "voice_dim", "num_identities")]
+MODEL_FIELDS += MODEL_OPTIONS
 TRAIN_OPTIONS = _config_options("train", trainer.TrainConfig) + [
     Option("train.ablation", "str", "full",
            "full|baseline|egff|egff_fa or '+'-joined flags (no_fa, no_hyperbolic, linear_fusion)"),
@@ -168,9 +172,10 @@ COMMAND_OPTIONS = {
         Option("io.data", "str", None, "fve dataset path"),
         Option("io.out", "str", None, "output directory"),
     ],
-    "eval": MODEL_OPTIONS + EVAL_OPTIONS + SPLIT_OPTIONS + [
+    "eval": EVAL_OPTIONS + SPLIT_OPTIONS + [
         Option("io.checkpoint", "str", None, "parameter checkpoint"),
-        Option("io.manifest", "str", None, "training manifest supplying model config"),
+        Option("io.manifest", "str", None,
+               "training manifest supplying the model config (default: manifest.json next to --checkpoint)"),
         Option("io.data", "str", None, "fve dataset path"),
         Option("io.trials", "str", None, "external verification trial list (TSV)"),
         Option("io.out", "str", None, "output directory"),
@@ -197,7 +202,7 @@ def _add_options(parser: argparse.ArgumentParser, options: list[Option]) -> None
         parser.add_argument(opt.flag, **kwargs)
 
 
-def _resolve(args: argparse.Namespace, options: list[Option], fallback: dict | None = None) -> dict:
+def _resolve(args: argparse.Namespace, options: list[Option]) -> dict:
     known = {opt.key: opt for opt in options}
     file_values = cfgmod.read_config_file(args.config, known) if args.config else {}
     flag_values = {}
@@ -208,7 +213,7 @@ def _resolve(args: argparse.Namespace, options: list[Option], fallback: dict | N
         flag_values[opt.key] = (
             cfgmod.parse_value(opt, raw) if opt.kind in ("ints", "strs", "int_or_auto") and isinstance(raw, str) else raw
         )
-    return cfgmod.resolve(options, flag_values, dict(os.environ), file_values, fallback)
+    return cfgmod.resolve(options, flag_values, dict(os.environ), file_values)
 
 
 def _require(resolved: dict, key: str) -> str:
@@ -247,6 +252,17 @@ def _apply_ablation(resolved: dict) -> None:
                 f"'+'-joined flags from {tuple(ABLATION_FLAGS)}"
             )
         resolved.update(ABLATION_FLAGS[token])
+
+
+def _trained_model(manifest_path: str) -> model.ModelConfig:
+    """The ``ModelConfig`` a training manifest records under ``config.model``."""
+    if not Path(manifest_path).is_file():
+        raise DataError(f"{manifest_path}: no training manifest there; pass --manifest")
+    values = cfgmod.read_manifest_section(manifest_path, "model", MODEL_FIELDS)
+    try:
+        return model.ModelConfig(**values)
+    except ContractError as e:
+        raise ParseError(f"{manifest_path}: {e}") from None
 
 
 def _digest_inputs(paths: dict[str, str | None]) -> dict[str, dict[str, str]]:
@@ -328,32 +344,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    pre = _resolve(args, COMMAND_OPTIONS["eval"])
-    checkpoint_path = _require(pre, "io.checkpoint")
-    arrays = model.load_checkpoint_arrays(checkpoint_path)
-    for name in ("face_weight", "voice_weight", "cls_weight"):
-        if name not in arrays or arrays[name].ndim != 2:
-            raise DataError(f"{checkpoint_path}: checkpoint has no {name} matrix")
-    face_dim, proj_dim = arrays["face_weight"].shape
-    voice_dim = arrays["voice_weight"].shape[0]
-    num_identities = arrays["cls_weight"].shape[1]
-
-    # Below flags/env/config in precedence: the manifest, then what the
-    # checkpoint's shapes tell, then defaults. A higher layer that disagrees
-    # with the checkpoint fails load_checkpoint's name or shape check.
-    fallback = {"model.proj_dim": proj_dim}
-    if "combine_weight" in arrays:
-        fallback["model.attention_combine"] = "concatenation"
-    if pre["io.manifest"]:
-        known = {opt.key: opt for opt in MODEL_OPTIONS}
-        fallback.update(cfgmod.read_manifest_section(pre["io.manifest"], "model", known))
-    resolved = _resolve(args, COMMAND_OPTIONS["eval"], fallback)
-
+    resolved = _resolve(args, COMMAND_OPTIONS["eval"])
+    checkpoint_path = _require(resolved, "io.checkpoint")
+    manifest_path = resolved["io.manifest"] or str(Path(checkpoint_path).parent / "manifest.json")
     data_path = _require(resolved, "io.data")
     out_dir = Path(_require(resolved, "io.out"))
     eval_cfg = _build(evaluation.EvalConfig, "eval", resolved)
-    model_cfg = _build(model.ModelConfig, "model", resolved, face_dim=face_dim, voice_dim=voice_dim,
-                       num_identities=num_identities)
+    model_cfg = _trained_model(manifest_path)
     params = model.load_checkpoint(checkpoint_path, model_cfg)
 
     dataset = data.load_dataset(data_path)
@@ -409,7 +406,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 "split_train": resolved["io.split_train"],
                 "split_val": resolved["io.split_val"],
                 "split_test": resolved["io.split_test"],
-                "train_manifest": resolved["io.manifest"],
+                "train_manifest": manifest_path,
             }
         ),
         "outputs": {

@@ -1,8 +1,10 @@
 """Layered run configuration and the run manifest.
 
 Every CLI flag has a dotted config-file key and a PAEFF_ environment
-variable; precedence is flags > environment > config file > (for eval,
-the training manifest, then the checkpoint's shapes) > built-in defaults.
+variable; precedence is flags > environment > config file > built-in
+defaults. ``read_manifest_section`` reads a section of a manifest's
+``config`` back, each value checked against its option's kind.
+
 The config file is a flat key = value format: comments start with '#',
 lists are comma-separated, strings may be double-quoted. Text that is not
 UTF-8, and a manifest value of the wrong kind, are a ParseError.
@@ -101,13 +103,10 @@ def resolve(
     flag_values: dict[str, Any],
     environ: dict[str, str],
     file_values: dict[str, Any],
-    fallback_values: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Layered lookup per option; flag (if explicitly set) wins, then env,
-    then config file, then an optional fallback layer (for eval, the
-    manifest over the checkpoint's shapes), then the built-in default."""
+    then config file, then the built-in default."""
     resolved: dict[str, Any] = {}
-    fallback_values = fallback_values or {}
     for opt in options:
         if opt.key in flag_values and flag_values[opt.key] is not None:
             resolved[opt.key] = flag_values[opt.key]
@@ -115,8 +114,6 @@ def resolve(
             resolved[opt.key] = parse_value(opt, environ[opt.env_name])
         elif opt.key in file_values:
             resolved[opt.key] = file_values[opt.key]
-        elif opt.key in fallback_values:
-            resolved[opt.key] = fallback_values[opt.key]
         else:
             resolved[opt.key] = opt.default
     return resolved
@@ -134,11 +131,11 @@ def write_manifest(path, manifest: dict) -> None:
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def read_manifest_section(path, section: str, known: dict[str, Option]) -> dict[str, Any]:
-    """The manifest's ``config.<section>`` values that name a known option, keyed ``section.name``.
+def read_manifest_section(path, section: str, options: list[Option]) -> dict[str, Any]:
+    """The manifest's ``config.<section>`` value of each option, keyed by field name.
 
-    Other keys (``model.face_dim``, say) are skipped; each kept value is
-    checked against its option's kind.
+    Each option must be present and of its kind; other keys are skipped.
+    Every fault is a ParseError that names ``path``.
     """
     try:
         manifest = json.loads(read_text(path))
@@ -151,8 +148,12 @@ def read_manifest_section(path, section: str, known: dict[str, Option]) -> dict[
     if not isinstance(values, dict):
         raise ParseError(f"{path}: config.{section} must be a JSON object")
     out = {}
-    for name, value in values.items():
-        key = f"{section}.{name}"
-        if key in known:
-            out[key] = parse_json_value(known[key], value)
+    for opt in options:
+        name = opt.key.split(".", 1)[1]
+        if name not in values:
+            raise ParseError(f"{path}: config.{section} has no {name}")
+        try:
+            out[name] = parse_json_value(opt, values[name])
+        except ParseError as e:
+            raise ParseError(f"{path}: {e}") from None
     return out

@@ -29,8 +29,8 @@ as one tape node:
 phi' keeps the subgradients of the clamps in these formulas: a clamp
 passes the gradient at a tie, and below the 1e-12 floor phi' is 0.
 ``ball_map`` chains radius functions and ends with the ball clamp;
-``project_to_ball`` and ``exp_map_origin`` are two such chains, and
-``model.lift`` puts the tangent clip in front of the exp map.
+``ball_map(v, cfg)`` is the clamp alone, ``exp_map_origin`` is the exp map
+then the clamp, and ``model.lift`` puts the tangent clip in front.
 
 Distances take two forms. ``poincare_distance(x, y)`` pairs row i with
 row i through the Mobius form above; it is the reference the others are
@@ -195,14 +195,6 @@ def clip_norm(v: Tensor, max_norm: float) -> Tensor:
     return ad.radial(v, clip_radius(max_norm))
 
 
-def project_to_ball(v: Tensor, cfg: BallConfig) -> PoincarePoint:
-    """Rescale any row with sqrt(c)||v|| > 1 - eps back onto the admissible ball.
-
-    Rows already inside pass through unchanged (identity gradient).
-    """
-    return ball_map(v, cfg)
-
-
 def exp_map_origin(v: Tensor, cfg: BallConfig) -> PoincarePoint:
     """Lift tangent vectors at the origin onto the ball."""
     return ball_map(v, cfg, exp_radius(cfg))
@@ -211,25 +203,6 @@ def exp_map_origin(v: Tensor, cfg: BallConfig) -> PoincarePoint:
 def log_map_origin(p: PoincarePoint) -> Tensor:
     """Inverse of :func:`exp_map_origin`; maps ball points back to the tangent space."""
     return ad.radial(p.vector, log_radius(p.config))
-
-
-def mobius_add(x: PoincarePoint, y: PoincarePoint) -> PoincarePoint:
-    """Mobius addition x (+) y, re-projected onto the admissible ball."""
-    cfg = _same_config(x, y)
-    xr, yr = x.vector, y.vector
-    if xr.shape != yr.shape:
-        raise ContractError(f"mobius_add: point shapes differ: {xr.shape} vs {yr.shape}")
-    c = cfg.curvature
-
-    xy = (xr * yr).sum(axis=1, keepdims=True)
-    x2 = (xr * xr).sum(axis=1, keepdims=True)
-    y2 = (yr * yr).sum(axis=1, keepdims=True)
-
-    coef_x = xy * (2.0 * c) + y2 * c + 1.0
-    coef_y = 1.0 - x2 * c
-    denom = ad.clamp_min(xy * (2.0 * c) + x2 * y2 * (c * c) + 1.0, _TINY)
-
-    return project_to_ball((xr * coef_x + yr * coef_y) / denom, cfg)
 
 
 def poincare_distance(x: PoincarePoint, y: PoincarePoint) -> Tensor:

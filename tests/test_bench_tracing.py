@@ -1,0 +1,61 @@
+"""What the benchmark's tracer pins of the program still resolves.
+
+``bench/tracing.py`` wraps ``paeff`` functions by name and sweeps the
+layers by calling them; a rename or a deletion under ``src/`` that breaks
+``bench/run.py --trace 1`` fails here. The module is loaded from its file
+and not changed.
+"""
+
+import importlib.util
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import paeff.cli  # noqa: F401 - the tracer looks up every paeff module it wraps in sys.modules
+from paeff import losses, model
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = load_tracing()
+
+
+def traced(qualname):
+    """The object a TRACED name stands for, looked up in its home module."""
+    module, _, rest = qualname.partition(".")
+    owner = sys.modules["paeff." + module]
+    for attr in rest.split("."):
+        owner = getattr(owner, attr)
+    return owner
+
+
+def test_every_traced_name_resolves_and_is_restored():
+    originals = {name: traced(name) for name in tracing.TRACED}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert [name for name in tracing.TRACED if traced(name).__wrapped__ is not originals[name]] == []
+    finally:
+        tracer.uninstall()
+    assert {name: traced(name) for name in tracing.TRACED} == originals
+
+
+def test_layer_sweep_at_a_tiny_batch():
+    cfg = model.ModelConfig(face_dim=6, voice_dim=5, num_identities=3, proj_dim=4)
+    rng = np.random.default_rng(0)
+    params = model.init_params(cfg, seed=0)
+    out = tracing.layer_sweep(rng.normal(size=(4, 6)), rng.normal(size=(4, 5)), np.array([0, 1, 2, 0]), params,
+                              cfg, losses.LossWeights(), reps=1)
+    per_layer = {m["name"] for m in json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]}
+    assert out and set(out) <= per_layer
+    assert all(math.isfinite(v) and v >= 0.0 for v in out.values())

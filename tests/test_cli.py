@@ -3,11 +3,12 @@
 import json
 import math
 import struct
+from dataclasses import asdict
 from operator import attrgetter
 
 import pytest
 
-from paeff import cli, data, evaluation, trainer
+from paeff import cli, data, evaluation, model, trainer
 
 SYNTH = ["--identities", "10", "--samples-per-id", "3", "--face-dim", "6", "--voice-dim", "5",
          "--latent-dim", "4", "--val-identities", "2", "--test-identities", "3"]
@@ -104,7 +105,7 @@ def run(world):
     def evaluate(checkpoint_bytes: bytes) -> int:
         path = world / "candidate.paef"
         path.write_bytes(checkpoint_bytes)
-        return cli.main(eval_argv(world, path, world / "eval"))
+        return cli.main(eval_argv(world, path, world / "eval", "--manifest", str(trained / "manifest.json")))
 
     return evaluate, checkpoint(trained)
 
@@ -136,7 +137,7 @@ def without(blob: bytes, name: str) -> bytes:
 # -- options and precedence ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("command, sections", [("train", ("model", "train")), ("eval", ("model", "eval"))])
+@pytest.mark.parametrize("command, sections", [("train", ("model", "train")), ("eval", ("eval",))])
 def test_option_table(command, sections):
     options = {opt.key: (opt.kind, opt.default) for opt in cli.COMMAND_OPTIONS[command]
                if opt.key.split(".")[0] in ("model", "train", "eval")}
@@ -157,26 +158,33 @@ def test_train_precedence(world, tmp_path, monkeypatch):
     assert recorded(train(world, tmp_path / "flag", *argv))["train"]["alpha2"] == 0.1
 
 
-def test_eval_precedence(world, tmp_path, monkeypatch):
-    """flag > PAEFF_* environment > config file > --manifest > default, read back from the eval manifest."""
-    trained = train(world, tmp_path / "run", "--tangent-clip", "0.25")
+def test_eval_precedence(world, run, tmp_path, monkeypatch):
+    """flag > PAEFF_* environment > config file > default, read back from the eval manifest."""
     config = tmp_path / "eval.cfg"
-    config.write_text("model.tangent_clip = 0.3\n")
+    config.write_text("eval.seed = 3\n")
 
-    def tangent_clip(name, *argv):
-        assert cli.main(eval_argv(world, trained / "checkpoint.paef", tmp_path / name, *argv)) == 0
-        return recorded(tmp_path / name)["model"]["tangent_clip"]
+    def seed(name, *argv):
+        assert cli.main(eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / name, *argv)) == 0
+        return recorded(tmp_path / name)["eval"]["seed"]
 
     argv = []
-    assert tangent_clip("default", *argv) == 0.5
-    argv += ["--manifest", str(trained / "manifest.json")]
-    assert tangent_clip("manifest", *argv) == 0.25
+    assert seed("default", *argv) == 0
     argv += ["--config", str(config)]
-    assert tangent_clip("file", *argv) == 0.3
-    monkeypatch.setenv("PAEFF_MODEL_TANGENT_CLIP", "0.35")
-    assert tangent_clip("env", *argv) == 0.35
-    argv += ["--tangent-clip", "0.4"]
-    assert tangent_clip("flag", *argv) == 0.4
+    assert seed("file", *argv) == 3
+    monkeypatch.setenv("PAEFF_EVAL_SEED", "4")
+    assert seed("env", *argv) == 4
+    argv += ["--seed", "5"]
+    assert seed("flag", *argv) == 5
+
+
+def test_eval_has_no_model_option(world, run, tmp_path, capsys):
+    assert len(cli.COMMAND_OPTIONS["eval"]) == 15
+    argv = eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval")
+    assert cli.main([*argv, "--proj-dim", "4"]) == 1
+    assert "--proj-dim" in capsys.readouterr().err
+    (tmp_path / "eval.cfg").write_text("model.proj_dim = 4\n")
+    assert cli.main([*argv, "--config", str(tmp_path / "eval.cfg")]) == 2
+    assert "unknown config key 'model.proj_dim'" in capsys.readouterr().err
 
 
 # -- ablation presets ---------------------------------------------------------------
@@ -284,48 +292,67 @@ def test_checkpoint_checked_before_dataset(world, run, tmp_path, capsys):
     bad_checkpoint.write_bytes(checkpoint[:200])
     bad_data = tmp_path / "data.fve"
     bad_data.write_text("not an fve file\n")
-    argv = ["eval", "--checkpoint", str(bad_checkpoint), "--data", str(bad_data), "--out", str(tmp_path / "eval"),
-            *splits(world)]
+    argv = ["eval", "--checkpoint", str(bad_checkpoint), "--manifest", str(world / "run" / "manifest.json"),
+            "--data", str(bad_data), "--out", str(tmp_path / "eval"), *splits(world)]
     assert cli.main(argv) == 2
     assert str(bad_checkpoint) in capsys.readouterr().err
 
 
-# -- the checkpoint's shape against the options -----------------------------------------
+# -- the model eval scores with: the training manifest ----------------------------------
 
 
-def test_eval_takes_width_and_combine_from_checkpoint(world, tmp_path):
-    trained = train(world, tmp_path / "run", "--attention-combine", "concatenation")
+@pytest.mark.parametrize("flags", [("--ablation", "baseline"), ("--tangent-clip", "0.25"),
+                                   ("--attention-combine", "concatenation")],
+                         ids=["baseline", "tangent_clip", "concatenation"])
+def test_eval_scores_with_the_trained_model(world, tmp_path, flags):
+    """Without --manifest, eval reads the manifest train wrote next to the checkpoint."""
+    trained = train(world, tmp_path / "run", *flags)
     assert cli.main(eval_argv(world, trained / "checkpoint.paef", tmp_path / "eval")) == 0
-    model = recorded(tmp_path / "eval")["model"]
-    assert (model["proj_dim"], model["attention_combine"]) == (4, "concatenation")
+    assert recorded(tmp_path / "eval")["model"] == recorded(trained)["model"]
+    inputs = json.loads((tmp_path / "eval" / "manifest.json").read_text())["inputs"]
+    assert inputs["train_manifest"]["path"] == str(trained / "manifest.json")
 
 
-@pytest.mark.parametrize("layer", ["flag", "env", "file", "manifest"])
-def test_eval_width_disagreeing_with_checkpoint_exits_2(world, run, tmp_path, monkeypatch, capsys, layer):
-    argv = eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval")
-    if layer == "flag":
-        argv += ["--proj-dim", "99"]
-    elif layer == "env":
-        monkeypatch.setenv("PAEFF_MODEL_PROJ_DIM", "99")
-    elif layer == "file":
-        (tmp_path / "eval.cfg").write_text("model.proj_dim = 99\n")
-        argv += ["--config", str(tmp_path / "eval.cfg")]
-    else:
-        manifest = json.loads((world / "run" / "manifest.json").read_text())
-        manifest["config"]["model"]["proj_dim"] = 99
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        argv += ["--manifest", str(tmp_path / "manifest.json")]
+def test_eval_parses_the_checkpoint_once(world, run, tmp_path, monkeypatch):
+    calls = []
+    original = model.load_checkpoint_arrays
+
+    def counting(path):
+        calls.append(path)
+        return original(path)
+
+    monkeypatch.setattr(model, "load_checkpoint_arrays", counting)
+    assert cli.main(eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval")) == 0
+    assert calls == [str(world / "run" / "checkpoint.paef")]
+
+
+def test_eval_without_a_manifest_exits_2(world, run, tmp_path, capsys):
+    (tmp_path / "checkpoint.paef").write_bytes(run[1])
+    assert cli.main(eval_argv(world, tmp_path / "checkpoint.paef", tmp_path / "eval")) == 2
+    assert str(tmp_path / "manifest.json") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("proj_dim", 99, "face_weight has shape (6, 4), expected (6, 99)"),
+    ("attention_combine", "concatenation", "do not match config"),
+])
+def test_eval_manifest_disagreeing_with_checkpoint_exits_2(world, run, tmp_path, capsys, field, value, message):
+    manifest = json.loads((world / "run" / "manifest.json").read_text())
+    manifest["config"]["model"][field] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    argv = eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval",
+                     "--manifest", str(tmp_path / "manifest.json"))
     assert cli.main(argv) == 2
-    assert "face_weight has shape (6, 4), expected (6, 99)" in capsys.readouterr().err
-
-
-def test_eval_combine_disagreeing_with_checkpoint_exits_2(world, run, tmp_path, capsys):
-    argv = eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval", "--attention-combine", "concatenation")
-    assert cli.main(argv) == 2
-    assert "do not match config" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 # -- malformed text inputs --------------------------------------------------------------
+
+def trained_manifest(**model_values) -> bytes:
+    """A training manifest of the run in ``world``, with some config.model values replaced."""
+    values = {**asdict(model.ModelConfig(6, 5, 5, proj_dim=4)), **model_values}
+    return json.dumps({"command": "train", "config": {"model": values}}).encode()
+
 
 # The eval option a malformed file is passed to, and the file's bytes.
 MALFORMED = {
@@ -334,13 +361,17 @@ MALFORMED = {
     "split-not-utf8": ("--split-test", b"p0\np\xff1\n"),
     "trials-not-utf8": ("--trials", b"c\xff\tc1\t1\n"),
     "config-not-utf8": ("--config", b"# \xff\neval.max_trials = 20\n"),
-    "manifest-not-utf8": ("--manifest", b'{"config": {"model": {"fusion": "\xff"}}}'),
+    "manifest-not-utf8": ("--manifest", trained_manifest(fusion="?").replace(b'"?"', b'"\xff"')),
+    "manifest-not-json": ("--manifest", b"{"),
     "manifest-list": ("--manifest", b"[]"),
     "manifest-config-list": ("--manifest", b'{"config": []}'),
     "manifest-model-number": ("--manifest", b'{"config": {"model": 3}}'),
-    "manifest-curvature-string": ("--manifest", b'{"config": {"model": {"curvature": "x"}}}'),
-    "manifest-width-float": ("--manifest", b'{"config": {"model": {"proj_dim": 4.0}}}'),
-    "manifest-fusion-number": ("--manifest", b'{"config": {"model": {"fusion": 1}}}'),
+    "manifest-no-face-dim": ("--manifest", trained_manifest().replace(b'"face_dim": 6, ', b"")),
+    "manifest-curvature-string": ("--manifest", trained_manifest(curvature="x")),
+    "manifest-width-float": ("--manifest", trained_manifest(proj_dim=4.0)),
+    "manifest-fusion-number": ("--manifest", trained_manifest(fusion=1)),
+    "manifest-identities-bool": ("--manifest", trained_manifest(num_identities=True)),
+    "manifest-unknown-fusion": ("--manifest", trained_manifest(fusion="sum")),
 }
 
 
@@ -350,4 +381,6 @@ def test_malformed_text_input_exits_2(world, run, tmp_path, capsys, case):
     (tmp_path / "input").write_bytes(blob)
     argv = eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval", flag, str(tmp_path / "input"))
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("data error:")
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert str(tmp_path / "input") in err

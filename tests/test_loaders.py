@@ -18,15 +18,12 @@ DATASET = data.synth_generate(num_identities=5, samples_per_id=2, face_dim=3, vo
                               cross_modal_coupling=1.0, noise=0.1, seed=0, latent_dim=2)
 SPLIT = data.make_unseen_split(DATASET, n_val=1, n_test=2, seed=0)
 EVAL_OPTIONS = {opt.key: opt for opt in cli.COMMAND_OPTIONS["eval"]}
-MODEL_OPTIONS = {opt.key: opt for opt in cli.MODEL_OPTIONS}
 CONFIG_TEXT = """# eval settings
 eval.max_trials = 20
 eval.nc_list = 2,4
 eval.strata = random,G
-model.proj_dim = 4
-model.use_hyperbolic = true
-model.curvature = 1.0
-model.similarity = "cosine"
+eval.probe_modality = "face"
+io.split_mode = seen_heard
 """
 MANIFEST = {
     "command": "train",
@@ -38,7 +35,7 @@ READERS = {
     "split": data.read_split_file,
     "trials": lambda path: evaluation.load_trial_list(path, DATASET),
     "config": lambda path: config.read_config_file(path, EVAL_OPTIONS),
-    "manifest": lambda path: config.read_manifest_section(path, "model", MODEL_OPTIONS),
+    "manifest": lambda path: config.read_manifest_section(path, "model", cli.MODEL_FIELDS),
 }
 
 

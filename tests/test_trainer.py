@@ -180,12 +180,6 @@ class TestTrainLoop:
         first, last = result.history[0].l_ce, result.history[-1].l_ce
         assert last < first
 
-    def test_logit_scale_clamped(self):
-        ds, split, cfg = desk_setup()
-        tc = trainer.TrainConfig(epochs=4, batch_size=4, lr0=0.5, seed=2, val_trials=20)
-        result = trainer.train(ds, split, cfg, tc)
-        assert result.params.logit_scale.item() <= math.log(100.0) + 1e-12
-
     def test_logit_scale_and_its_clamp_logged_per_epoch(self, monkeypatch):
         ds, split, cfg = desk_setup()
         tc = trainer.TrainConfig(epochs=2, batch_size=4, lr0=1e-3, seed=2, val_trials=20)
@@ -195,9 +189,11 @@ class TestTrainLoop:
         # A cap below the initial ln(1 / 0.07) fires on the first step; on this data the scale then
         # falls, so the flag is set for the first epoch only.
         monkeypatch.setattr(trainer, "LOGIT_SCALE_MAX", 1.0)
-        capped = trainer.train(ds, split, cfg, tc).history
+        result = trainer.train(ds, split, cfg, tc)
+        capped = result.history
         assert [log.logit_scale_clamped for log in capped] == [True, False]
         assert all(log.logit_scale <= 1.0 for log in capped)
+        assert result.params.logit_scale.item() <= 1.0
 
     def test_divergence_aborts_with_step(self):
         ds, split, cfg = desk_setup()
