@@ -20,8 +20,8 @@ A node holds one VJP per parent, or, for a fused node with several
 parents, one joint VJP that returns a gradient per parent in order.
 ``Tensor.from_op`` records a node and ``reduce_to`` sums a broadcast
 gradient back to its operand's shape; other modules define their fused
-nodes with these two: ``hyperbolic``'s arccosh distance (all pairs and
-index pairs) and its contrastive NLL, the hyperbolic arm of the alignment
+nodes with these two: ``hyperbolic``'s all-pairs arccosh distance
+and its contrastive NLL, the hyperbolic arm of the alignment
 loss, which also takes its softmax part from ``symmetric_nll_grad``, and
 ``losses``' orthogonal projection loss. A VJP closure captures the arrays
 it saves directly, so the arrays a tape holds can be counted from its
@@ -41,35 +41,32 @@ subgradient rules they keep from the generic ops they replace:
   entries at -inf (zero probability, zero gradient); its loss and logit
   gradient come from ``symmetric_nll_grad``, a numpy function that fused
   nodes built on such logits share;
-* ``log_softmax_nll(logits, targets)``: one direction of the above;
-* ``pair_dots(x, y, x_rows, y_rows)``: <x[x_rows[k]], y[y_rows[k]]> per
-  index pair, in blocks of rows; a row taken more than once sums its
-  gradients.
+* ``log_softmax_nll(logits, targets)``: one direction of the above.
 
-Generic ops: ``clamp_min``/``clamp_max`` pass the gradient at ties,
-``sqrt``, ``norm2`` and ``absolute`` have zero (sub)gradient at 0.
+Generic ops: the arithmetic operators, ``matmul``, ``tanh``, ``relu``,
+``exp``, ``clamp_min``, ``concat_cols`` and the ``sum``, ``norm2``,
+``reshape`` and ``transpose`` methods. ``clamp_min`` passes the gradient
+at ties and ``norm2`` has zero subgradient at 0.
+
+``pair_dots(x, y, x_rows, y_rows)`` is plain numpy, not a node: the dot
+products <x[x_rows[k]], y[y_rows[k]]> of index pairs, in blocks of rows,
+for scoring, which needs no gradient.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, IndexOutOfRangeError, NumericError
+from .errors import ContractError, DimensionError, IndexOutOfRangeError
 
 __all__ = [
     "Tensor",
     "matmul",
     "tanh",
     "relu",
-    "sigmoid",
     "exp",
-    "artanh",
-    "absolute",
-    "sqrt",
     "clamp_min",
-    "clamp_max",
     "concat_cols",
-    "take_rows",
     "pair_dots",
     "radial",
     "affine",
@@ -378,50 +375,15 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid(x.data)
-    return Tensor.from_op(s, (x,), (lambda g: g * s * (1.0 - s),))
-
-
 def exp(x: Tensor) -> Tensor:
     e = np.exp(x.data)
     return Tensor.from_op(e, (x,), (lambda g: g * e,))
-
-
-def artanh(x: Tensor) -> Tensor:
-    """Inverse hyperbolic tangent; domain |x| < 1, derivative 1/(1-x^2)."""
-    if np.any(np.abs(x.data) >= 1.0):
-        raise NumericError("artanh: argument must lie strictly inside (-1, 1)")
-    xd = x.data
-    return Tensor.from_op(np.arctanh(xd), (x,), (lambda g: g / (1.0 - xd * xd),))
-
-
-def absolute(x: Tensor) -> Tensor:
-    """|x|; subgradient at 0 is 0."""
-    s = np.sign(x.data)
-    return Tensor.from_op(np.abs(x.data), (x,), (lambda g: g * s,))
-
-
-def sqrt(x: Tensor) -> Tensor:
-    """Elementwise square root; subgradient at 0 is 0 (same policy as norm2)."""
-    if np.any(x.data < 0.0):
-        raise NumericError("sqrt: argument must be nonnegative")
-    r = np.sqrt(x.data)
-    safe = np.where(r == 0.0, 1.0, 2.0 * r)
-    mask = r != 0.0
-    return Tensor.from_op(r, (x,), (lambda g: g * mask / safe,))
 
 
 def clamp_min(x: Tensor, low: float | np.ndarray) -> Tensor:
     """max(x, low), ``low`` a float or a per-element array; gradient passes where x >= low."""
     mask = x.data >= low
     return Tensor.from_op(np.maximum(x.data, low), (x,), (lambda g: g * mask,))
-
-
-def clamp_max(x: Tensor, high: float) -> Tensor:
-    """min(x, high); gradient passes where x <= high (ties take the identity side)."""
-    mask = x.data <= high
-    return Tensor.from_op(np.minimum(x.data, high), (x,), (lambda g: g * mask,))
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -532,24 +494,6 @@ def _row_index(rows, n: int, opname: str) -> np.ndarray:
     return r
 
 
-def take_rows(x: Tensor, rows) -> Tensor:
-    """Rows ``x[rows]`` of a matrix, in ``rows`` order and with repeats allowed.
-
-    The gradient of a row that is taken more than once sums over its copies.
-    """
-    if x.ndim != 2:
-        raise DimensionError(f"take_rows needs a matrix, got shape {x.shape}")
-    n = x.shape[0]
-    r = _row_index(rows, n, "take_rows")
-
-    def vjp(g):
-        grad = np.zeros((n, g.shape[1]))
-        np.add.at(grad, r, g)
-        return grad
-
-    return Tensor.from_op(x.data[r], (x,), (vjp,))
-
-
 # Index pairs per block in pair_dots. Each pass holds a few [block x D]
 # arrays, never the [N x D] rows of all N pairs. At D = 128, 1024-row blocks
 # (1 MB each) were mapped and page-faulted afresh on every call in a new
@@ -557,14 +501,12 @@ def take_rows(x: Tensor, rows) -> Tensor:
 _PAIR_BLOCK = 256
 
 
-def pair_dots(x: Tensor, y: Tensor, x_rows, y_rows) -> Tensor:
-    """<x[x_rows[k]], y[y_rows[k]]> for two equal-length row-index arrays: [N], as one node.
+def pair_dots(x: np.ndarray, y: np.ndarray, x_rows, y_rows) -> np.ndarray:
+    """<x[x_rows[k]], y[y_rows[k]]> for two equal-length row-index arrays: [N], in numpy.
 
-    Each dot is the row sum of the two gathered rows' product, rounded as
-    ``(take_rows(x, x_rows) * take_rows(y, y_rows)).sum(axis=1)`` rounds
-    it, but taken over blocks of pairs. The VJP scatters g[k] * y[y_rows[k]]
-    into row x_rows[k] of the x gradient with ``np.add.at``, and likewise
-    for y, so a row taken more than once sums its gradients.
+    Each dot is the row sum of the two gathered rows' product,
+    ``np.sum(x[x_rows] * y[y_rows], axis=1)``, taken over blocks of pairs.
+    Scoring needs no gradient, so this records no node.
     """
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise DimensionError(f"pair_dots needs two matrices of equal width, got shapes {x.shape} and {y.shape}")
@@ -572,23 +514,11 @@ def pair_dots(x: Tensor, y: Tensor, x_rows, y_rows) -> Tensor:
     j = _row_index(y_rows, y.shape[0], "pair_dots")
     if i.size != j.size:
         raise ContractError(f"pair_dots: {i.size} x rows vs {j.size} y rows")
-    xd, yd = x.data, y.data
-    blocks = [slice(s, s + _PAIR_BLOCK) for s in range(0, i.size, _PAIR_BLOCK)]
     out = np.empty(i.size)
-    for b in blocks:
-        out[b] = np.sum(xd[i[b]] * yd[j[b]], axis=1)
-
-    def scatter(g, rows, shape, other, other_rows):
-        grad = np.zeros(shape)
-        for b in blocks:
-            np.add.at(grad, rows[b], g[b, None] * other[other_rows[b]])
-        return grad
-
-    return Tensor.from_op(
-        out,
-        (x, y),
-        (lambda g: scatter(g, i, xd.shape, yd, j), lambda g: scatter(g, j, yd.shape, xd, i)),
-    )
+    for s in range(0, i.size, _PAIR_BLOCK):
+        b = slice(s, s + _PAIR_BLOCK)
+        out[b] = np.sum(x[i[b]] * y[j[b]], axis=1)
+    return out
 
 
 # -- fused classification loss ------------------------------------------------

@@ -20,7 +20,8 @@ for the hyperbolic arm, the Gram closed form of ``pairwise_distances``
 taken at the trial pairs (``hyperbolic.pair_distances``). Both arms take
 the pairs' dot products with ``autodiff.pair_dots``, a block of pairs at
 a time. Scoring reads the parameters through ``ModelParams.detached``,
-so it records no tape. A record whose modality does not fit its slot is
+so encoding records no tape, and the scores themselves are computed in
+plain numpy. A record whose modality does not fit its slot is
 a ``ContractError``. Stratified reports read the non-match trials'
 demographic tags once into arrays and mask them per stratum.
 """
@@ -98,7 +99,7 @@ def score_pairs(
     f = encode_modality(Tensor(faces), "face", params, cfg)
     v = encode_modality(Tensor(voices), "voice", params, cfg)
     rows = np.arange(faces.shape[0])
-    return pair_similarity(f, v, rows, rows, cfg.effective_similarity()).numpy()
+    return pair_similarity(f, v, rows, rows, cfg.effective_similarity())
 
 
 def _distinct(records: list) -> tuple[list, np.ndarray]:
@@ -140,7 +141,7 @@ def score_trials(
     params = params.detached()
     f, f_rows = _encode_records([t.face for t in trials], "face", "face", params, cfg)
     v, v_rows = _encode_records([t.voice for t in trials], "voice", "voice", params, cfg)
-    scores = pair_similarity(f, v, f_rows, v_rows, cfg.effective_similarity()).numpy()
+    scores = pair_similarity(f, v, f_rows, v_rows, cfg.effective_similarity())
     for trial, s in zip(trials, scores.tolist()):
         trial.score = s
     return trials
@@ -269,7 +270,7 @@ def matching_accuracy(
         pairs = (gallery, probe, gallery_rows, probe_rows)
     else:
         pairs = (probe, gallery, probe_rows, gallery_rows)
-    scores = pair_similarity(*pairs, cfg.effective_similarity()).numpy().reshape(len(trials), n_c)
+    scores = pair_similarity(*pairs, cfg.effective_similarity()).reshape(len(trials), n_c)
     if not np.all(np.isfinite(scores)):
         raise NumericError(f"{np.count_nonzero(~np.isfinite(scores))} matching scores are not finite")
 
@@ -432,7 +433,11 @@ def build_matching_trials(
 
 
 def load_trial_list(path, dataset: Dataset) -> list[VerificationTrial]:
-    """Read an external trial list: clip_id_face \\t clip_id_voice \\t {0,1}."""
+    """Read an external trial list: clip_id_face \\t clip_id_voice \\t {0,1}.
+
+    EER and ROC need both classes, so a list without a match line or
+    without a non-match line is a ``ParseError``, as an empty one is.
+    """
     trials: list[VerificationTrial] = []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
@@ -447,14 +452,9 @@ def load_trial_list(path, dataset: Dataset) -> list[VerificationTrial]:
         )
     if not trials:
         raise ParseError(f"{path}: trial list is empty")
+    if len({t.is_match for t in trials}) < 2:
+        raise ParseError(f"{path}: trial list needs at least one match (1) and one non-match (0) line")
     return trials
-
-
-def write_trial_list(path, trials: list[VerificationTrial]) -> None:
-    lines = [
-        f"{t.face.clip_id}\t{t.voice.clip_id}\t{1 if t.is_match else 0}" for t in trials
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # -- demographic strata --------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Poincare-ball geometry for aligning face and voice embeddings.
 
-All maps run through the autodiff engine, so distances taken on lifted
-points are differentiable back to the Euclidean projections. Points live
-strictly inside the ball: sqrt(c) * ||x|| <= 1 - boundary_eps.
+The ball maps, the all-pairs distance and the contrastive NLL run
+through the autodiff engine, so the training loss is differentiable back
+to the Euclidean projections. The index-pair distance that scores trials
+and the row-wise reference distance are plain numpy: they need no
+gradient. Points live strictly inside the ball:
+sqrt(c) * ||x|| <= 1 - boundary_eps.
 
 Every function takes and returns batches of rows: a point or tangent
-vector is a [B x D] tensor (B >= 1), and a distance is a [B] tensor. A
-single [D] vector is rejected; pass it as one row, ``v.reshape(1, D)``.
+vector is a [B x D] tensor (B >= 1), and a distance is a [B] tensor or,
+from the numpy distances, a [B] array. A single [D] vector is rejected;
+pass it as one row, ``v.reshape(1, D)``.
 
 Conventions (curvature -c, c > 0):
 
@@ -33,9 +37,9 @@ passes the gradient at a tie, and below the 1e-12 floor phi' is 0.
 then the clamp, and ``model.lift`` puts the tangent clip in front.
 
 Distances take two forms. ``poincare_distance(x, y)`` pairs row i with
-row i through the Mobius form above; it is the reference the others are
-tested against. The others take the equal arccosh form (Nickel & Kiela,
-NeurIPS 2017)
+row i through the Mobius form above, in numpy; it is the reference the
+others are tested against. The others take the equal arccosh form
+(Nickel & Kiela, NeurIPS 2017)
 
     d(x, y)   = arccosh(1 + z) / sqrt(c),
     z         = 2c ||x - y||^2 / ((1 - c||x||^2)(1 - c||y||^2)),
@@ -54,8 +58,8 @@ form and its VJP, and three functions share it:
 * ``pairwise_distances(x, y)``: every row of x with every row of y, as a
   [B x N] table, one node over (<x, y>, ||x||^2, ||y||^2);
 * ``pair_distances(x, y, x_rows, y_rows)``: the pairs
-  (x[x_rows[k]], y[y_rows[k]]), the same node over index pairs;
-  evaluation scores trials with it;
+  (x[x_rows[k]], y[y_rows[k]]) as a numpy array, the same form without
+  its VJP; evaluation scores trials with it;
 * ``contrastive_nll(x, y, logit_scale, mask)``: the alignment loss's
   symmetric softmax NLL over the logits -exp(logit_scale) d(x_i, y_j), one
   node over the rows themselves.
@@ -185,16 +189,6 @@ def ball_map(v: Tensor, cfg: BallConfig, *radii) -> PoincarePoint:
     return PoincarePoint(ad.radial(v, *radii, clip_radius(cfg.max_norm)), cfg)
 
 
-def clip_norm(v: Tensor, max_norm: float) -> Tensor:
-    """Rescale rows with Euclidean norm above ``max_norm`` back onto that radius.
-
-    Applied to tangent vectors before the exp map, this bounds the lifted
-    radius at tanh(sqrt(c) * max_norm) and keeps the contrastive geometry
-    away from the rim, where distances degenerate and gradients explode.
-    """
-    return ad.radial(v, clip_radius(max_norm))
-
-
 def exp_map_origin(v: Tensor, cfg: BallConfig) -> PoincarePoint:
     """Lift tangent vectors at the origin onto the ball."""
     return ball_map(v, cfg, exp_radius(cfg))
@@ -205,8 +199,8 @@ def log_map_origin(p: PoincarePoint) -> Tensor:
     return ad.radial(p.vector, log_radius(p.config))
 
 
-def poincare_distance(x: PoincarePoint, y: PoincarePoint) -> Tensor:
-    """Geodesic distance d(x, y) = (2/sqrt(c)) artanh(sqrt(c) ||(-x) (+) y||).
+def poincare_distance(x: PoincarePoint, y: PoincarePoint) -> np.ndarray:
+    """Geodesic distance d(x, y) = (2/sqrt(c)) artanh(sqrt(c) ||(-x) (+) y||), in numpy.
 
     The Mobius norm is evaluated through the equivalent closed form
 
@@ -217,18 +211,17 @@ def poincare_distance(x: PoincarePoint, y: PoincarePoint) -> Tensor:
     asymmetry near the boundary. Returns [B], one distance per row pair.
     """
     cfg = _same_config(x, y)
-    xr, yr = x.vector, y.vector
-    if xr.shape != yr.shape:
-        raise ContractError(f"poincare_distance: point shapes differ: {xr.shape} vs {yr.shape}")
+    xd, yd = x.numpy(), y.numpy()
+    if xd.shape != yd.shape:
+        raise ContractError(f"poincare_distance: point shapes differ: {xd.shape} vs {yd.shape}")
     c = cfg.curvature
-    xy = (xr * yr).sum(axis=1, keepdims=True)
-    x2 = (xr * xr).sum(axis=1, keepdims=True)
-    y2 = (yr * yr).sum(axis=1, keepdims=True)
-    d2 = ((xr - yr) * (xr - yr)).sum(axis=1, keepdims=True)
-    denom = ad.clamp_min(1.0 - xy * (2.0 * c) + x2 * y2 * (c * c), _TINY)
-    sn = ad.clamp_max(ad.sqrt(d2 / denom) * cfg.sqrt_c, 1.0 - cfg.boundary_eps)
-    d = ad.artanh(sn) * (2.0 / cfg.sqrt_c)
-    return d.reshape(xr.shape[0])
+    xy = np.sum(xd * yd, axis=1, keepdims=True)
+    x2 = np.sum(xd * xd, axis=1, keepdims=True)
+    y2 = np.sum(yd * yd, axis=1, keepdims=True)
+    d2 = np.sum((xd - yd) * (xd - yd), axis=1, keepdims=True)
+    denom = np.maximum(1.0 - xy * (2.0 * c) + x2 * y2 * (c * c), _TINY)
+    sn = np.minimum(np.sqrt(d2 / denom) * cfg.sqrt_c, 1.0 - cfg.boundary_eps)
+    return (np.arctanh(sn) * (2.0 / cfg.sqrt_c)).reshape(xd.shape[0])
 
 
 def pairwise_distances(x: PoincarePoint, y: PoincarePoint) -> Tensor:
@@ -251,25 +244,26 @@ def pairwise_distances(x: PoincarePoint, y: PoincarePoint) -> Tensor:
     gram = ad.matmul(xr, yr.transpose())
     x2 = (xr * xr).sum(axis=1, keepdims=True)
     y2t = (yr * yr).sum(axis=1, keepdims=True).transpose()
-    return _gram_distance(gram, x2, y2t, xr.shape[1], cfg)
+    d, back = _arccosh_distance(gram.data.copy(), x2.data, y2t.data, xr.shape[1], cfg)
+    return Tensor.from_op(d, (gram, x2, y2t), (back,))
 
 
-def pair_distances(x: PoincarePoint, y: PoincarePoint, x_rows, y_rows) -> Tensor:
-    """Distances d(x[x_rows[k]], y[y_rows[k]]) for two equal-length row-index arrays: [N].
+def pair_distances(x: PoincarePoint, y: PoincarePoint, x_rows, y_rows) -> np.ndarray:
+    """Distances d(x[x_rows[k]], y[y_rows[k]]) for two equal-length row-index arrays: [N], in numpy.
 
     The closed form of :func:`pairwise_distances`, taken only at the given
     pairs: one dot product per pair (``autodiff.pair_dots``), and each
-    row's squared norm once.
+    row's squared norm once. Scoring needs no gradient, so this records no
+    node.
     """
     cfg = _same_config(x, y)
-    xr, yr = x.vector, y.vector
-    if xr.shape[1] != yr.shape[1]:
-        raise ContractError(f"pair_distances: dims differ: {xr.shape} vs {yr.shape}")
-    gram = ad.pair_dots(xr, yr, x_rows, y_rows)
-    n = gram.shape[0]
-    x2 = ad.take_rows((xr * xr).sum(axis=1, keepdims=True), x_rows)
-    y2 = ad.take_rows((yr * yr).sum(axis=1, keepdims=True), y_rows)
-    return _gram_distance(gram.reshape(n, 1), x2, y2, xr.shape[1], cfg).reshape(n)
+    xd, yd = x.numpy(), y.numpy()
+    if xd.shape[1] != yd.shape[1]:
+        raise ContractError(f"pair_distances: dims differ: {xd.shape} vs {yd.shape}")
+    dots = ad.pair_dots(xd, yd, x_rows, y_rows)
+    a = np.sum(xd * xd, axis=1)[x_rows]
+    b = np.sum(yd * yd, axis=1)[y_rows]
+    return _arccosh_distance(dots, a, b, xd.shape[1], cfg)[0]
 
 
 def contrastive_nll(x: PoincarePoint, y: PoincarePoint, logit_scale: Tensor, mask=None) -> Tensor:
@@ -307,12 +301,6 @@ def contrastive_nll(x: PoincarePoint, y: PoincarePoint, logit_scale: Tensor, mas
         )
 
     return Tensor.from_op(np.asarray(loss), (xr, yr, logit_scale), (vjp,))
-
-
-def _gram_distance(gram: Tensor, x2: Tensor, y2: Tensor, dim: int, cfg: BallConfig) -> Tensor:
-    """d from the Gram entries <x, y> and squared norms broadcast against them, as one tape node."""
-    d, back = _arccosh_distance(gram.data.copy(), x2.data, y2.data, dim, cfg)
-    return Tensor.from_op(d, (gram, x2, y2), (back,))
 
 
 def _arccosh_distance(dots: np.ndarray, a: np.ndarray, b: np.ndarray, dim: int, cfg: BallConfig):

@@ -4,7 +4,9 @@ The total objective is the weighted sum
 
     L = alpha1 * L_align + alpha2 * L_op + alpha3 * L_ce
 
-with the weights defaulting to (0.3, 0.35, 0.35).
+with the weights defaulting to (0.3, 0.35, 0.35). Each loss is a tape
+node or a short chain of them. ``pair_similarity``, which evaluation
+scores trials with, is plain numpy: a score needs no gradient.
 """
 
 from __future__ import annotations
@@ -65,39 +67,36 @@ def pairwise_cosine(a: Tensor, b: Tensor) -> Tensor:
     return ad.matmul(normalize_rows(a), normalize_rows(b).transpose())
 
 
-def similarity_matrix(
-    face: PoincarePoint | Tensor, voice: PoincarePoint | Tensor, mode: str
-) -> Tensor:
-    """S[i, j] = similarity of face i with voice j under the configured mode."""
-    return _similarity(face, voice, mode, None)
-
-
 def pair_similarity(
     face: PoincarePoint | Tensor, voice: PoincarePoint | Tensor, face_rows, voice_rows, mode: str
-) -> Tensor:
-    """s[k] = similarity of face ``face_rows[k]`` with voice ``voice_rows[k]``: [N].
+) -> np.ndarray:
+    """s[k] = similarity of face ``face_rows[k]`` with voice ``voice_rows[k]``: [N], in numpy.
 
-    The index-pair counterpart of :func:`similarity_matrix`: entry k equals
-    S[face_rows[k], voice_rows[k]] up to the rounding of one dot product.
+    The index-pair counterpart of the all-pairs similarity the alignment
+    loss takes (``-hyperbolic.pairwise_distances`` or
+    :func:`pairwise_cosine`): entry k equals its [face_rows[k],
+    voice_rows[k]] entry up to the rounding of one dot product. Scoring
+    needs no gradient, so nothing here records a node.
     """
-    return _similarity(face, voice, mode, (face_rows, voice_rows))
+    _check_mode(face, voice, mode)
+    if mode == "cosine":
+        f, v = normalize_rows(_rows(face)), normalize_rows(_rows(voice))
+        return ad.pair_dots(f.data, v.data, face_rows, voice_rows)
+    return -hyp.pair_distances(face, voice, face_rows, voice_rows)
 
 
-def _similarity(face, voice, mode: str, rows) -> Tensor:
-    """All pairs when ``rows`` is None, else the (face_rows, voice_rows) pairs."""
+def _check_mode(face, voice, mode: str) -> None:
+    """A known similarity mode, and lifted embeddings for the hyperbolic one."""
     if mode == "neg_hyperbolic_distance":
         if not isinstance(face, PoincarePoint) or not isinstance(voice, PoincarePoint):
             raise ContractError("neg_hyperbolic_distance needs lifted (ball) embeddings")
-        if rows is None:
-            return -hyp.pairwise_distances(face, voice)
-        return -hyp.pair_distances(face, voice, *rows)
-    if mode == "cosine":
-        fv = face.vector if isinstance(face, PoincarePoint) else face
-        vv = voice.vector if isinstance(voice, PoincarePoint) else voice
-        if rows is None:
-            return pairwise_cosine(fv, vv)
-        return ad.pair_dots(normalize_rows(fv), normalize_rows(vv), *rows)
-    raise ContractError(f"unknown similarity mode {mode!r}")
+    elif mode != "cosine":
+        raise ContractError(f"unknown similarity mode {mode!r}")
+
+
+def _rows(x: PoincarePoint | Tensor) -> Tensor:
+    """The [N x D] rows of an embedding batch, lifted or not."""
+    return x.vector if isinstance(x, PoincarePoint) else x
 
 
 def alignment_loss(
@@ -121,22 +120,17 @@ def alignment_loss(
     scales its cosine table and takes ``autodiff.symmetric_log_softmax_nll``.
     The mask is built only when a label repeats.
     """
-    if mode == "neg_hyperbolic_distance":
-        if not isinstance(face, PoincarePoint) or not isinstance(voice, PoincarePoint):
-            raise ContractError("neg_hyperbolic_distance needs lifted (ball) embeddings")
-        shape = (face.vector.shape[0], voice.vector.shape[0])
-    else:
-        sims = similarity_matrix(face, voice, mode)
-        shape = sims.shape
-    b = shape[0]
+    _check_mode(face, voice, mode)
+    f, v = _rows(face), _rows(voice)
+    b = f.shape[0]
     if b < 2:
         raise ContractError("alignment_loss needs a batch of at least 2 pairs")
-    if shape[0] != shape[1]:
-        raise ContractError(f"alignment_loss needs matched batches, got {shape}")
+    if v.shape[0] != b:
+        raise ContractError(f"alignment_loss needs matched batches, got {(b, v.shape[0])}")
     same = _repeated_label_mask(labels, b)
-    if mode == "neg_hyperbolic_distance":
-        return hyp.contrastive_nll(face, voice, logit_scale, same)
-    return ad.symmetric_log_softmax_nll(sims * ad.exp(logit_scale), same)
+    if mode == "cosine":
+        return ad.symmetric_log_softmax_nll(pairwise_cosine(f, v) * ad.exp(logit_scale), same)
+    return hyp.contrastive_nll(face, voice, logit_scale, same)
 
 
 def _repeated_label_mask(labels, b: int):

@@ -36,8 +36,7 @@ def check_autodiff_elementwise_gradients() -> None:
     rng = np.random.default_rng(10)
     x = rng.normal(size=(3, 4))
     y = rng.normal(size=(3, 4))
-    check_gradients(lambda a, b: (ad.tanh(a) * ad.sigmoid(b) + ad.relu(a) - b * 0.5).sum(), [x, y])
-    check_gradients(lambda a: ad.absolute(a).sum(), [x + 0.3])
+    check_gradients(lambda a, b: (ad.tanh(a) * b + ad.relu(a) - b * 0.5).sum(), [x, y])
 
 
 def check_autodiff_matmul_gradients() -> None:
@@ -101,8 +100,8 @@ def check_hyperbolic_distance_symmetry() -> None:
     rng = np.random.default_rng(17)
     x = hyp.exp_map_origin(Tensor(rng.normal(size=(64, 5))), cfg)
     y = hyp.exp_map_origin(Tensor(rng.normal(size=(64, 5))), cfg)
-    dxy = hyp.poincare_distance(x, y).numpy()
-    dyx = hyp.poincare_distance(y, x).numpy()
+    dxy = hyp.poincare_distance(x, y)
+    dyx = hyp.poincare_distance(y, x)
     _expect(np.max(np.abs(dxy - dyx)) <= 1e-12, "distance not symmetric")
 
 
@@ -113,9 +112,9 @@ def check_hyperbolic_triangle_inequality() -> None:
     x = hyp.exp_map_origin(Tensor(rng.normal(size=(n, 4))), cfg)
     y = hyp.exp_map_origin(Tensor(rng.normal(size=(n, 4))), cfg)
     z = hyp.exp_map_origin(Tensor(rng.normal(size=(n, 4))), cfg)
-    dxz = hyp.poincare_distance(x, z).numpy()
-    dxy = hyp.poincare_distance(x, y).numpy()
-    dyz = hyp.poincare_distance(y, z).numpy()
+    dxz = hyp.poincare_distance(x, z)
+    dxy = hyp.poincare_distance(x, y)
+    dyz = hyp.poincare_distance(y, z)
     _expect(np.all(dxz <= dxy + dyz + 1e-9), "triangle inequality violated")
 
 
@@ -125,16 +124,6 @@ def check_hyperbolic_ball_invariant() -> None:
     pts = hyp.exp_map_origin(Tensor(rng.normal(size=(256, 7)) * 5.0), cfg)
     norms = np.linalg.norm(pts.numpy(), axis=1)
     _expect(np.all(cfg.sqrt_c * norms <= 1.0 - cfg.boundary_eps + 1e-15), "point escaped the ball")
-
-
-def check_hyperbolic_distance_gradients() -> None:
-    cfg = BallConfig()
-    rng = np.random.default_rng(20)
-
-    def f(u, w):
-        return hyp.poincare_distance(hyp.exp_map_origin(u, cfg), hyp.exp_map_origin(w, cfg)).sum()
-
-    check_gradients(f, [rng.normal(size=(2, 4)) * 0.7 + 0.05, rng.normal(size=(2, 4)) * 0.7 + 0.05])
 
 
 def check_hyperbolic_radial_maps() -> None:
@@ -180,9 +169,9 @@ def check_hyperbolic_pair_distances() -> None:
     y = hyp.ball_map(Tensor(np.concatenate([near, rng.normal(size=(n, d)) * 0.1])), cfg).numpy()
     i = rng.integers(n, size=200)
     j = np.where(np.arange(200) % 2 == 0, i, rng.integers(2 * n, size=200))
-    got = hyp.pair_distances(PoincarePoint(Tensor(x), cfg), PoincarePoint(Tensor(y), cfg), i, j).numpy()
+    got = hyp.pair_distances(PoincarePoint(Tensor(x), cfg), PoincarePoint(Tensor(y), cfg), i, j)
     xi, yj = x[i], y[j]
-    want = hyp.poincare_distance(PoincarePoint(Tensor(xi), cfg), PoincarePoint(Tensor(yj), cfg)).numpy()
+    want = hyp.poincare_distance(PoincarePoint(Tensor(xi), cfg), PoincarePoint(Tensor(yj), cfg))
     eps = np.finfo(np.float64).eps
     x2, y2 = np.sum(xi * xi, axis=1), np.sum(yj * yj, axis=1)
     shift = np.sqrt(16.0 * (d + 1) * eps * (x2 + y2) / (1.0 - 2.0 * np.sum(xi * yj, axis=1) + x2 * y2))
@@ -353,7 +342,6 @@ ALL_CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("hyperbolic.distance_symmetry", check_hyperbolic_distance_symmetry),
     ("hyperbolic.triangle_inequality", check_hyperbolic_triangle_inequality),
     ("hyperbolic.ball_invariant", check_hyperbolic_ball_invariant),
-    ("hyperbolic.distance_gradients", check_hyperbolic_distance_gradients),
     ("hyperbolic.radial_maps", check_hyperbolic_radial_maps),
     ("hyperbolic.gram_distance_gradients", check_hyperbolic_gram_distance_gradients),
     ("hyperbolic.pair_distances", check_hyperbolic_pair_distances),

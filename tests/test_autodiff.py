@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from paeff import autodiff as ad
 from paeff.autodiff import Tensor
-from paeff.errors import ContractError, DimensionError, IndexOutOfRangeError, NumericError
+from paeff.errors import ContractError, DimensionError, IndexOutOfRangeError
 from paeff.gradcheck import check_gradients
 
-from chain_check import assert_matches_chain
+from chain_check import absolute, artanh, assert_matches_chain, clamp_max, sigmoid, sqrt
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -46,7 +46,7 @@ class TestMatmul:
 
 class TestElementwise:
     def test_sigmoid_zero(self):
-        assert ad.sigmoid(Tensor(0.0)).item() == 0.5
+        assert ad._sigmoid(np.array(0.0)) == 0.5
 
     def test_relu(self):
         out = ad.relu(Tensor([-3.0, 2.0]))
@@ -71,30 +71,24 @@ class TestElementwise:
         "fn",
         [
             lambda x: ad.tanh(x).sum(),
-            lambda x: ad.sigmoid(x).sum(),
+            lambda x: sigmoid(x).sum(),
             lambda x: ad.relu(x + 0.05).sum(),
             lambda x: ad.exp(x).sum(),
             lambda x: (-x).sum(),
             lambda x: (x * 2.5).sum(),
             lambda x: (x * x).sum(),
             lambda x: (x / 3.0).sum(),
-            lambda x: ad.absolute(x + 0.1).sum(),
+            lambda x: absolute(x + 0.1).sum(),
             lambda x: ad.clamp_min(x, -0.2).sum(),
-            lambda x: ad.clamp_max(x, 0.2).sum(),
+            lambda x: clamp_max(x, 0.2).sum(),
         ],
     )
     def test_unary_gradients(self, fn):
         check_gradients(fn, [rand((3, 4), 6, 0.8)])
 
     def test_log_and_sqrt_gradients(self):
-        check_gradients(lambda x: ad.sqrt(x).sum(), [np.abs(rand((3, 3), 8)) + 0.5])
-        check_gradients(lambda x: ad.artanh(x).sum(), [rand((3, 3), 9, 0.4)])
-
-    def test_domain_errors(self):
-        with pytest.raises(NumericError):
-            ad.sqrt(Tensor([-1.0]))
-        with pytest.raises(NumericError):
-            ad.artanh(Tensor([1.0]))
+        check_gradients(lambda x: sqrt(x).sum(), [np.abs(rand((3, 3), 8)) + 0.5])
+        check_gradients(lambda x: artanh(x).sum(), [rand((3, 3), 9, 0.4)])
 
 
 class TestReductions:
@@ -127,19 +121,6 @@ class TestStructuralOps:
         check_gradients(lambda a: a.reshape(6).norm2(), [rand((2, 3), 18)])
         check_gradients(lambda a: a.transpose().norm2(), [rand((2, 3), 19)])
 
-    def test_take_rows_repeats_and_orders(self):
-        x = rand((3, 2), 20)
-        np.testing.assert_array_equal(ad.take_rows(Tensor(x), [2, 0, 2]).numpy(), x[[2, 0, 2]])
-
-    def test_take_rows_gradient_sums_repeated_rows(self):
-        rows = np.array([1, 1, 3, 0, 1])
-        check_gradients(lambda a: ad.take_rows(a, rows).norm2(), [rand((4, 3), 21)])
-
-    @pytest.mark.parametrize("rows", [[0, 3], [-1], [[0, 1]], [0.0, 1.0]])
-    def test_take_rows_rejects_bad_rows(self, rows):
-        with pytest.raises((IndexOutOfRangeError, DimensionError)):
-            ad.take_rows(Tensor(rand((3, 2), 22)), np.asarray(rows))
-
 
 class TestPairDots:
     def test_equals_gathered_product_sum(self):
@@ -148,22 +129,9 @@ class TestPairDots:
         x, y = rand((7, 5), 32), rand((9, 5), 33)
         n = 2 * ad._PAIR_BLOCK + 37
         i, j = rng.integers(7, size=n), rng.integers(9, size=n)
-        got = ad.pair_dots(Tensor(x), Tensor(y), i, j).numpy()
+        got = ad.pair_dots(x, y, i, j)
+        assert isinstance(got, np.ndarray)
         np.testing.assert_array_equal(got, np.sum(x[i] * y[j], axis=1))
-
-    def test_gradients(self):
-        rows = np.array([1, 1, 3, 0, 1]), np.array([2, 0, 2, 2, 1])
-        check_gradients(lambda a, b: ad.pair_dots(a, b, *rows).norm2(), [rand((4, 3), 34), rand((3, 3), 35)])
-
-    def test_gradient_sums_repeated_rows_across_blocks(self):
-        rng = np.random.default_rng(36)
-        x, y = Tensor(rand((3, 4), 37), requires_grad=True), Tensor(rand((5, 4), 38), requires_grad=True)
-        n = ad._PAIR_BLOCK + 11
-        i, j, w = rng.integers(3, size=n), rng.integers(5, size=n), rng.normal(size=n)
-        (ad.pair_dots(x, y, i, j) * Tensor(w)).sum().backward()
-        onehot_i, onehot_j = np.eye(3)[i], np.eye(5)[j]  # [N x rows]: the gather as a matrix
-        np.testing.assert_allclose(x.grad, onehot_i.T @ (w[:, None] * y.data[j]), rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(y.grad, onehot_j.T @ (w[:, None] * x.data[i]), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("x_rows,y_rows,error", [
         ([0, 3], [0, 1], IndexOutOfRangeError),
@@ -174,17 +142,17 @@ class TestPairDots:
     ])
     def test_bad_rows_rejected(self, x_rows, y_rows, error):
         with pytest.raises(error):
-            ad.pair_dots(Tensor(rand((3, 2), 39)), Tensor(rand((2, 2), 40)), np.asarray(x_rows), np.asarray(y_rows))
+            ad.pair_dots(rand((3, 2), 39), rand((2, 2), 40), np.asarray(x_rows), np.asarray(y_rows))
 
     def test_transient_memory_below_one_row_block_of_all_pairs(self):
         # N = 20 000 pairs of D = 128 rows: gathering them whole would take one [N x D] array per side.
         n, d = 20_000, 128
         rng = np.random.default_rng(41)
-        x, y = Tensor(rand((300, d), 42), requires_grad=True), Tensor(rand((400, d), 43), requires_grad=True)
+        x, y = rand((300, d), 42), rand((400, d), 43)
         i, j = rng.integers(300, size=n), rng.integers(400, size=n)
         tracemalloc.start()
         try:
-            ad.pair_dots(x, y, i, j).sum().backward()
+            ad.pair_dots(x, y, i, j)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -309,7 +277,7 @@ class TestGatedMix:
 
     def test_matches_chain(self):
         def chain(f, v, c, w, b):
-            gate = ad.sigmoid(c * w.reshape(1, 4) + b.reshape(1, 4))
+            gate = sigmoid(c * w.reshape(1, 4) + b.reshape(1, 4))
             return gate * f + (1.0 - gate) * v
 
         assert_matches_chain(ad.gated_mix, chain, self.ARRAYS)
@@ -417,8 +385,8 @@ class TestBackward:
             f(t).backward()
             return t.grad
 
-        combined = grad_of(lambda t: ad.sigmoid(t).sum() + (t * t).sum())
-        separate = grad_of(lambda t: ad.sigmoid(t).sum()) + grad_of(lambda t: (t * t).sum())
+        combined = grad_of(lambda t: sigmoid(t).sum() + (t * t).sum())
+        separate = grad_of(lambda t: sigmoid(t).sum()) + grad_of(lambda t: (t * t).sum())
         np.testing.assert_allclose(combined, separate, atol=1e-12)
 
     def test_shared_subexpression(self):
@@ -457,7 +425,7 @@ def test_composite_graph_matches_finite_differences(rows, cols, seed):
 
     def f(a, b):
         h = ad.tanh(ad.matmul(a, b))
-        return (ad.sigmoid(h) * h).sum() + h.norm2() * 0.1
+        return (sigmoid(h) * h).sum() + h.norm2() * 0.1
 
     worst = check_gradients(f, [x, w], step=1e-6, tol=1e-4)
     assert worst <= 1e-4

@@ -360,6 +360,8 @@ MALFORMED = {
     "fve-superscript-dim": ("--data", "#fve v1 face=² voice=80\n".encode()),
     "split-not-utf8": ("--split-test", b"p0\np\xff1\n"),
     "trials-not-utf8": ("--trials", b"c\xff\tc1\t1\n"),
+    "trials-only-match": ("--trials", b"id0000_face_000\tid0000_voice_000\t1\nid0001_face_001\tid0001_voice_002\t1\n"),
+    "trials-only-non-match": ("--trials", b"id0000_face_000\tid0001_voice_000\t0\nid0002_face_001\tid0003_voice_002\t0\n"),
     "config-not-utf8": ("--config", b"# \xff\neval.max_trials = 20\n"),
     "manifest-not-utf8": ("--manifest", trained_manifest(fusion="?").replace(b'"?"', b'"\xff"')),
     "manifest-not-json": ("--manifest", b"{"),

@@ -11,7 +11,7 @@ from paeff.autodiff import Tensor
 from paeff.errors import ContractError, DimensionError, NumericError
 from paeff.gradcheck import check_gradients
 
-from chain_check import assert_matches_chain, log1p
+from chain_check import artanh, assert_matches_chain, clamp_max, log1p, sqrt
 
 CFG = hyp.BallConfig()
 
@@ -96,13 +96,13 @@ class TestExpLogMaps:
 class TestDistance:
     def test_self_distance_zero(self):
         x = ball_points(3)
-        np.testing.assert_array_equal(hyp.poincare_distance(x, x).numpy(), np.zeros(8))
+        np.testing.assert_array_equal(hyp.poincare_distance(x, x), np.zeros(8))
 
     def test_closed_form_from_origin(self):
         x = hyp.PoincarePoint(Tensor([[0.0, 0.0]]), CFG)
         y = hyp.PoincarePoint(Tensor([[0.5, 0.0]]), CFG)
         d = hyp.poincare_distance(x, y)
-        assert d.shape == (1,)
+        assert isinstance(d, np.ndarray) and d.shape == (1,)
         assert d.item() == pytest.approx(2.0 * np.arctanh(0.5), abs=1e-15)
         assert d.item() == pytest.approx(1.0986122886681098, abs=1e-12)
 
@@ -118,8 +118,8 @@ class TestDistance:
     def test_symmetry_as_computed(self):
         x = ball_points(5, n=64, scale=0.9)
         y = ball_points(6, n=64, scale=0.9)
-        dxy = hyp.poincare_distance(x, y).numpy()
-        dyx = hyp.poincare_distance(y, x).numpy()
+        dxy = hyp.poincare_distance(x, y)
+        dyx = hyp.poincare_distance(y, x)
         assert np.max(np.abs(dxy - dyx)) <= 1e-12
 
     def test_agrees_with_mobius_route(self):
@@ -132,7 +132,7 @@ class TestDistance:
         mobius = ((1.0 + 2.0 * ab + b2) * a + (1.0 - a2) * b) / (1.0 + 2.0 * ab + a2 * b2)
         norms = np.linalg.norm(mobius, axis=1)
         via_mobius = 2.0 * np.arctanh(np.minimum(norms, 1.0 - CFG.boundary_eps))
-        np.testing.assert_allclose(hyp.poincare_distance(x, y).numpy(), via_mobius, atol=1e-9)
+        np.testing.assert_allclose(hyp.poincare_distance(x, y), via_mobius, atol=1e-9)
 
     def test_config_mismatch(self):
         x = hyp.PoincarePoint(Tensor([[0.1, 0.0]]), CFG)
@@ -149,23 +149,10 @@ class TestDistance:
             hyp.exp_map_origin(Tensor(rng.normal(size=(16, 4))), CFG) for _ in range(3)
         ]
         x, y, z = pts
-        dxz = hyp.poincare_distance(x, z).numpy()
-        dxy = hyp.poincare_distance(x, y).numpy()
-        dyz = hyp.poincare_distance(y, z).numpy()
+        dxz = hyp.poincare_distance(x, z)
+        dxy = hyp.poincare_distance(x, y)
+        dyz = hyp.poincare_distance(y, z)
         assert np.all(dxz <= dxy + dyz + 1e-9)
-
-    def test_distance_gradient_away_from_origin(self):
-        rng = np.random.default_rng(9)
-
-        def f(u, w):
-            return hyp.poincare_distance(
-                hyp.exp_map_origin(u, CFG), hyp.exp_map_origin(w, CFG)
-            ).sum()
-
-        u = rng.normal(size=(3, 4)) * 0.6
-        w = rng.normal(size=(3, 4)) * 0.6
-        u[np.linalg.norm(u, axis=1) < 1e-3] += 0.1  # keep away from the origin
-        check_gradients(f, [u, w])
 
 
 class TestBallInvariant:
@@ -186,7 +173,6 @@ def as_point(v):
 
 ROWS_ONLY = {
     "PoincarePoint": as_point,
-    "clip_norm": lambda v: hyp.clip_norm(v, 1.0),
     "ball_map": lambda v: hyp.ball_map(v, CFG),
     "exp_map_origin": lambda v: hyp.exp_map_origin(v, CFG),
     "log_map_origin": lambda v: hyp.log_map_origin(as_point(v)),
@@ -205,15 +191,15 @@ def test_single_vector_rejected_naming_its_shape(name):
 class TestClipNorm:
     def test_inside_untouched(self):
         v = np.array([[0.2, 0.1]])
-        np.testing.assert_array_equal(hyp.clip_norm(Tensor(v), 1.0).numpy(), v)
+        np.testing.assert_array_equal(ad.radial(Tensor(v), hyp.clip_radius(1.0)).numpy(), v)
 
     def test_outside_rescaled_to_radius(self):
-        out = hyp.clip_norm(Tensor([[3.0, 4.0]]), 2.0).numpy()
+        out = ad.radial(Tensor([[3.0, 4.0]]), hyp.clip_radius(2.0)).numpy()
         assert np.linalg.norm(out) == pytest.approx(2.0, abs=1e-12)
 
     def test_gradient_through_clip(self):
         check_gradients(
-            lambda v: hyp.clip_norm(v, 0.5).norm2(), [np.array([[0.9, 1.2], [0.1, 0.05]])]
+            lambda v: ad.radial(v, hyp.clip_radius(0.5)).norm2(), [np.array([[0.9, 1.2], [0.1, 0.05]])]
         )
 
 
@@ -227,7 +213,7 @@ def rowwise_table(x, y):
         hyp.PoincarePoint(Tensor(np.repeat(x, n, axis=0)), CFG),
         hyp.PoincarePoint(Tensor(np.tile(y, (b, 1))), CFG),
     )
-    return flat.numpy().reshape(b, n)
+    return flat.reshape(b, n)
 
 
 def gram_error_bound(x, y, d_row):
@@ -328,21 +314,12 @@ class TestPairDistances:
         i, j = rng.integers(x.shape[0], size=n), rng.integers(y.shape[0], size=n)
         i[: n // 2] = j[: n // 2]  # near-duplicate pairs when sep > 0
         xp, yp = hyp.PoincarePoint(Tensor(x), CFG), hyp.PoincarePoint(Tensor(y), CFG)
-        got = hyp.pair_distances(xp, yp, i, j).numpy()
+        got = hyp.pair_distances(xp, yp, i, j)
         d_row = rowwise_table(x, y)
         bound = gram_error_bound(x, y, d_row)[i, j]
-        assert got.shape == (n,)
+        assert isinstance(got, np.ndarray) and got.shape == (n,)
         assert np.all(np.abs(got - d_row[i, j]) <= bound)
         assert np.all(np.abs(got - hyp.pairwise_distances(xp, yp).numpy()[i, j]) <= bound)
-
-    def test_gradients(self):
-        rng = np.random.default_rng(23)
-        rows = (np.array([0, 2, 2, 1]), np.array([1, 1, 0, 2]))
-
-        def f(u, w):
-            return hyp.pair_distances(hyp.exp_map_origin(u, CFG), hyp.exp_map_origin(w, CFG), *rows).sum()
-
-        check_gradients(f, [rng.normal(size=(3, 4)) * 0.7, rng.normal(size=(3, 4)) * 0.7])
 
     def test_mismatched_rows_rejected(self):
         x = ball_points(24, n=3, d=2)
@@ -368,7 +345,7 @@ def test_pairwise_matches_rowwise():
 
 
 def chain_clip(v, max_norm):
-    return v * ad.clamp_max(max_norm / ad.clamp_min(v.norm2(axis=1, keepdims=True), 1e-12), 1.0)
+    return v * clamp_max(max_norm / ad.clamp_min(v.norm2(axis=1, keepdims=True), 1e-12), 1.0)
 
 
 def chain_exp(v):
@@ -378,7 +355,7 @@ def chain_exp(v):
 
 def chain_log(p):
     safe = ad.clamp_min(p.norm2(axis=1, keepdims=True) * CFG.sqrt_c, 1e-12)
-    return p * (ad.artanh(ad.clamp_max(safe, 1.0 - CFG.boundary_eps)) / safe)
+    return p * (artanh(clamp_max(safe, 1.0 - CFG.boundary_eps)) / safe)
 
 
 def chain_pairwise(x, y):
@@ -389,8 +366,8 @@ def chain_pairwise(x, y):
     delta = (16.0 * (x.shape[1] + 1) * EPS) * (x2.data + y2.data)
     d2 = ad.clamp_min(x2 + y2 - gram * 2.0, delta)
     top = 1.0 - CFG.boundary_eps
-    z = ad.clamp_max(d2 * 2.0 / ((1.0 - x2) * (1.0 - y2)), 2.0 * top * top / ((1.0 - top) * (1.0 + top)))
-    return log1p(z + ad.sqrt(z * (z + 2.0)))
+    z = clamp_max(d2 * 2.0 / ((1.0 - x2) * (1.0 - y2)), 2.0 * top * top / ((1.0 - top) * (1.0 + top)))
+    return log1p(z + sqrt(z * (z + 2.0)))
 
 
 def rows_with_norms(seed, norms, d=4):
@@ -454,7 +431,7 @@ class TestGramDistanceNode:
     def test_pair_distances_match_chain_entries(self):
         x, y = sample_pairs(41, 8, "mid", 1e-9)
         i, j = np.array([0, 1, 1, 5, 2]), np.array([0, 1, 3, 5, 2])
-        got = hyp.pair_distances(as_point(Tensor(x)), as_point(Tensor(y)), i, j).numpy()
+        got = hyp.pair_distances(as_point(Tensor(x)), as_point(Tensor(y)), i, j)
         want = chain_pairwise(Tensor(x), Tensor(y)).numpy()[i, j]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 

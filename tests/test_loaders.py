@@ -46,7 +46,9 @@ def files(tmp_path_factory):
     data.write_dataset(root / "fve", DATASET)
     data.write_split_file(root / "split", SPLIT.test_ids)
     trials = evaluation.build_verification_trials(DATASET, SPLIT, max_trials=6, seed=0)
-    evaluation.write_trial_list(root / "trials", trials)
+    (root / "trials").write_text(
+        "".join(f"{t.face.clip_id}\t{t.voice.clip_id}\t{int(t.is_match)}\n" for t in trials), encoding="utf-8"
+    )
     (root / "config").write_text(CONFIG_TEXT, encoding="utf-8")
     config.write_manifest(root / "manifest", MANIFEST)
     return {name: (root / f"{name}.corrupt", (root / name).read_bytes()) for name in READERS}

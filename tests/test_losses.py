@@ -11,11 +11,11 @@ from paeff import autodiff as ad
 from paeff import hyperbolic as hyp
 from paeff import losses
 from paeff.autodiff import Tensor
-from paeff.errors import ContractError, NumericError
+from paeff.errors import ContractError, DimensionError, IndexOutOfRangeError, NumericError
 from paeff.gradcheck import check_gradients
 from paeff.hyperbolic import BallConfig, PoincarePoint
 
-from chain_check import assert_matches_chain
+from chain_check import absolute, assert_matches_chain
 
 CFG = BallConfig()
 
@@ -265,26 +265,59 @@ class TestHyperbolicAlignmentNode:
             losses.alignment_loss(three, four, Tensor(0.0))
         with pytest.raises(ContractError, match="labels shape"):
             losses.alignment_loss(three, three, Tensor(0.0), labels=[0, 1])
+        with pytest.raises(ContractError, match=r"matched batches, got \(3, 4\)"):
+            losses.alignment_loss(three, four, Tensor(0.0), "cosine")
+        with pytest.raises(ContractError, match="lifted"):
+            losses.alignment_loss(three.vector, three.vector, Tensor(0.0))
+        with pytest.raises(ContractError, match="unknown similarity mode"):
+            losses.alignment_loss(three, three, Tensor(0.0), "dot")
 
 
 class TestPairSimilarity:
-    """The index-pair counterpart of similarity_matrix, for both modes."""
+    """The index-pair counterpart of the all-pairs similarity tables, for both modes."""
 
     @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])
     def test_entries_of_similarity_matrix(self, mode):
         rng = np.random.default_rng(7)
         f, v = lifted(rng.normal(size=(5, 4)) * 0.5), lifted(rng.normal(size=(6, 4)) * 0.5)
         i, j = rng.integers(5, size=30), rng.integers(6, size=30)
-        got = losses.pair_similarity(f, v, i, j, mode).numpy()
-        table = losses.similarity_matrix(f, v, mode).numpy()
+        got = losses.pair_similarity(f, v, i, j, mode)
+        if mode == "cosine":
+            table = losses.pairwise_cosine(f.vector, v.vector).numpy()
+        else:
+            table = -hyp.pairwise_distances(f, v).numpy()
+        assert isinstance(got, np.ndarray)
         np.testing.assert_allclose(got, table[i, j], rtol=0.0, atol=1e-12)
 
-    def test_cosine_gradients(self):
-        rows = (np.array([0, 1, 1, 2]), np.array([2, 2, 0, 1]))
-        check_gradients(
-            lambda a, b: losses.pair_similarity(a, b, *rows, "cosine").sum(),
-            [np.random.default_rng(8).normal(size=(3, 4)), np.random.default_rng(9).normal(size=(3, 4))],
-        )
+    @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])
+    def test_score_independent_of_pair_position(self, mode):
+        # Repeated pairs, in any order, across block boundaries of pair_dots score bit-identically.
+        rng = np.random.default_rng(10)
+        f, v = lifted(rng.normal(size=(4, 6)) * 0.5), lifted(rng.normal(size=(5, 6)) * 0.5)
+        n = 2 * ad._PAIR_BLOCK + 37
+        i, j = rng.integers(4, size=n), rng.integers(5, size=n)
+        got = losses.pair_similarity(f, v, i, j, mode)
+        perm = rng.permutation(n)
+        np.testing.assert_array_equal(losses.pair_similarity(f, v, i[perm], j[perm], mode), got[perm])
+        first = {}
+        for k, pair in enumerate(zip(i.tolist(), j.tolist())):
+            assert got[k] == got[first.setdefault(pair, k)]
+
+    @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])
+    @pytest.mark.parametrize("rows,error", [
+        ([0, 4], IndexOutOfRangeError),
+        ([-1], IndexOutOfRangeError),
+        ([[0, 1]], DimensionError),
+        ([0.0, 1.0], DimensionError),
+    ])
+    def test_bad_rows_rejected(self, mode, rows, error):
+        f, v = lifted(np.full((4, 3), 0.1)), lifted(np.full((3, 3), 0.2))
+        rows = np.asarray(rows)
+        valid = np.zeros(rows.size, dtype=np.int64)
+        with pytest.raises(error):
+            losses.pair_similarity(f, v, rows, valid, mode)
+        with pytest.raises(error):
+            losses.pair_similarity(v, f, valid, rows, mode)
 
     def test_hyperbolic_mode_requires_ball_points(self):
         with pytest.raises(ContractError, match="lifted"):
@@ -383,7 +416,7 @@ def chain_op_loss(fused, labels, inter_weight=1.0):
     if same.any():
         terms.append(1.0 - (gram * Tensor(same.astype(np.float64))).sum() / float(same.sum()))
     if diff.any():
-        terms.append((ad.absolute(gram) * Tensor(diff.astype(np.float64))).sum() / float(diff.sum()) * inter_weight)
+        terms.append((absolute(gram) * Tensor(diff.astype(np.float64))).sum() / float(diff.sum()) * inter_weight)
     return terms[0] if len(terms) == 1 else terms[0] + terms[1]
 
 

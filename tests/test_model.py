@@ -15,6 +15,8 @@ from paeff.autodiff import Tensor
 from paeff.errors import ContractError, DataError, DimensionError
 from paeff.gradcheck import check_gradients
 
+from chain_check import sigmoid
+
 CFG = model.ModelConfig(face_dim=5, voice_dim=6, num_identities=3, proj_dim=4)
 
 
@@ -162,7 +164,7 @@ def chain_egff(xf, xv, params, cfg):
         combined = f + v
     else:
         combined = ad.matmul(ad.concat_cols(f, v), params.combine_weight) + params.combine_bias.reshape(1, d)
-    gate = ad.sigmoid(combined * params.gate_weight.reshape(1, d) + params.gate_bias.reshape(1, d))
+    gate = sigmoid(combined * params.gate_weight.reshape(1, d) + params.gate_bias.reshape(1, d))
     return gate * f + (1.0 - gate) * v
 
 
@@ -223,7 +225,7 @@ class TestLift:
             return out.numpy(), t.grad
 
         got = value_and_grad(lambda t: model.lift(t, cfg))
-        want = value_and_grad(lambda t: hyp.exp_map_origin(hyp.clip_norm(t, tangent_clip), cfg.ball))
+        want = value_and_grad(lambda t: hyp.exp_map_origin(ad.radial(t, hyp.clip_radius(tangent_clip)), cfg.ball))
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
