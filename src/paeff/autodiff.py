@@ -8,9 +8,8 @@ gradients into the ``.grad`` of the leaves, and frees the tape as it goes.
 
 Design constraints kept deliberately tight so every gradient is auditable:
 
-* float64 only; binary ops broadcast a size-1 operand of no higher rank,
-  or size-1 axes at equal rank (``[N x D] * [N x 1]``, ``[N x 1] + [1 x M]``);
-  any other rank mismatch, such as ``[N]`` with ``[N x 1]``, is a
+* float64 only; a binary op takes two operands of equal shape, or one
+  operand and a size-1 scalar of no higher rank; any other pair is a
   ``DimensionError``;
 * static graphs (one graph per training step, rebuilt every step); a
   graph is consumed by its backward pass;
@@ -18,39 +17,34 @@ Design constraints kept deliberately tight so every gradient is auditable:
 
 A node holds one VJP per parent, or, for a fused node with several
 parents, one joint VJP that returns a gradient per parent in order.
-``Tensor.from_op`` records a node and ``reduce_to`` sums a broadcast
-gradient back to its operand's shape; other modules define their fused
-nodes with these two: ``hyperbolic``'s all-pairs arccosh distance
-and its contrastive NLL, the hyperbolic arm of the alignment
-loss, which also takes its softmax part from ``symmetric_nll_grad``, and
-``losses``' orthogonal projection loss. A VJP closure captures the arrays
-it saves directly, so the arrays a tape holds can be counted from its
-closures.
+``Tensor.from_op`` records a node; other modules define their fused
+nodes with it: ``hyperbolic``'s all-pairs arccosh distance and its
+contrastive NLL, and ``losses``' cosine alignment and orthogonal
+projection losses. The two contrastive nodes take their softmax part
+from ``symmetric_nll_grad``. A VJP closure holds the arrays its node
+saves, directly or through a helper's VJP it closes over.
 
-Fused primitives, each one node with a hand-written VJP, and the
-subgradient rules they keep from the generic ops they replace:
+The engine's ops, each one node with a hand-written VJP:
 
+* ``t + u`` and ``t * u`` for a tensor t and a tensor or number u, and
+  ``t.sum()``, the sum of all entries;
+* ``tanh`` and ``relu`` (subgradient 0 at 0);
+* ``concat_cols(a, b)``: two matrices side by side;
 * ``radial(x, radius, *more)``: rows rescaled by functions of their norms,
-  y = x * F(||x||); the gradient's radial term is 0 at a zero row, as for
-  ``norm2``. Each radius function carries its own clamp rules;
+  y = x * F(||x||); the gradient's radial term is 0 at a zero row. Each
+  radius function carries its own clamp rules;
 * ``affine(x, w, b)``: x @ w + b;
 * ``gated_mix(f, v, combined, w, b)``: s * f + (1 - s) * v with
   s = sigmoid(combined * w + b);
-* ``symmetric_log_softmax_nll(logits, mask)``: the mean of the row-wise
-  and column-wise softmax cross-entropy of the diagonal, with masked
-  entries at -inf (zero probability, zero gradient); its loss and logit
-  gradient come from ``symmetric_nll_grad``, a numpy function that fused
-  nodes built on such logits share;
-* ``log_softmax_nll(logits, targets)``: one direction of the above.
+* ``log_softmax_nll(logits, targets)``: the mean softmax cross-entropy
+  of the target classes.
 
-Generic ops: the arithmetic operators, ``matmul``, ``tanh``, ``relu``,
-``exp``, ``clamp_min``, ``concat_cols`` and the ``sum``, ``norm2``,
-``reshape`` and ``transpose`` methods. ``clamp_min`` passes the gradient
-at ties and ``norm2`` has zero subgradient at 0.
-
-``pair_dots(x, y, x_rows, y_rows)`` is plain numpy, not a node: the dot
-products <x[x_rows[k]], y[y_rows[k]]> of index pairs, in blocks of rows,
-for scoring, which needs no gradient.
+Two numpy functions record no node. ``symmetric_nll_grad(z, mask)`` is
+the mean of the row-wise and column-wise softmax cross-entropy of the
+diagonal of [B x B] logits, masked entries at -inf, with its logit
+gradient. ``pair_dots(x, y, x_rows, y_rows)`` takes the dot products
+<x[x_rows[k]], y[y_rows[k]]> of index pairs, in blocks of rows, for
+scoring, which needs no gradient.
 """
 
 from __future__ import annotations
@@ -61,20 +55,15 @@ from .errors import ContractError, DimensionError, IndexOutOfRangeError
 
 __all__ = [
     "Tensor",
-    "matmul",
     "tanh",
     "relu",
-    "exp",
-    "clamp_min",
     "concat_cols",
     "pair_dots",
     "radial",
     "affine",
     "gated_mix",
     "log_softmax_nll",
-    "symmetric_log_softmax_nll",
     "symmetric_nll_grad",
-    "reduce_to",
 ]
 
 
@@ -207,153 +196,38 @@ class Tensor:
     # -- operators -------------------------------------------------------
 
     def __add__(self, other):
-        return _add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _sub(self, other)
-
-    def __rsub__(self, other):
-        return _sub(other, self)
+        a, b = _binary(self, other, "add")
+        return Tensor.from_op(
+            a.data + b.data, (a, b), (lambda g: _to_shape(g, a.shape), lambda g: _to_shape(g, b.shape))
+        )
 
     def __mul__(self, other):
-        return _mul(self, other)
+        a, b = _binary(self, other, "mul")
+        ad, bd = a.data, b.data
+        return Tensor.from_op(
+            ad * bd, (a, b), (lambda g: _to_shape(g * bd, a.shape), lambda g: _to_shape(g * ad, b.shape))
+        )
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return _div(self, other)
-
-    def __rtruediv__(self, other):
-        return _div(other, self)
-
-    def __neg__(self):
-        return Tensor.from_op(-self.data, (self,), (lambda g: -g,))
-
-    # -- shape ops ---------------------------------------------------------
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        old = self.data.shape
-        try:
-            data = self.data.reshape(shape)
-        except ValueError as e:
-            raise DimensionError(f"cannot reshape {old} to {shape}") from e
-        return Tensor.from_op(np.ascontiguousarray(data), (self,), (lambda g: g.reshape(old),))
-
-    def transpose(self) -> "Tensor":
-        if self.data.ndim != 2:
-            raise DimensionError(f"transpose needs a matrix, got shape {self.shape}")
-        return Tensor.from_op(np.ascontiguousarray(self.data.T), (self,), (lambda g: g.T,))
-
-    # -- reductions ---------------------------------------------------------
-
-    def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        axis = _check_axis(axis, self.ndim)
+    def sum(self) -> "Tensor":
+        """The sum of all entries."""
         shape = self.data.shape
-
-        def vjp(g):
-            if axis is None:
-                return np.broadcast_to(g, shape).copy()
-            gg = g if keepdims else np.expand_dims(g, axis)
-            return np.broadcast_to(gg, shape).copy()
-
-        return Tensor.from_op(np.sum(self.data, axis=axis, keepdims=keepdims), (self,), (vjp,))
-
-    def norm2(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        """Euclidean norm; gradient is x/||x||, defined as 0 at the zero vector."""
-        axis = _check_axis(axis, self.ndim)
-        x = self.data
-        n = np.sqrt(np.sum(x * x, axis=axis, keepdims=True))
-        if keepdims:
-            out = n
-        elif axis is None:
-            out = n.reshape(())
-        else:
-            out = np.squeeze(n, axis=axis)
-
-        def vjp(g):
-            gg = np.asarray(g).reshape(n.shape)
-            safe = np.where(n == 0.0, 1.0, n)
-            direction = np.where(n == 0.0, 0.0, x / safe)
-            return gg * direction
-
-        return Tensor.from_op(np.ascontiguousarray(out), (self,), (vjp,))
+        return Tensor.from_op(np.sum(self.data), (self,), (lambda g: np.broadcast_to(g, shape).copy(),))
 
 
 # -- helpers ------------------------------------------------------------------
 
 
-def _check_axis(axis: int | None, ndim: int) -> int | None:
-    if axis is None:
-        return None
-    if not -ndim <= axis < ndim:
-        raise DimensionError(f"axis {axis} out of range for {ndim}-d tensor")
-    return axis % ndim
+def _binary(a: Tensor, b, opname: str) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors: of equal shape, or one a size-1 scalar of no higher rank."""
+    b = b if isinstance(b, Tensor) else Tensor(b)
+    if not (a.shape == b.shape or (a.size == 1 and a.ndim <= b.ndim) or (b.size == 1 and b.ndim <= a.ndim)):
+        raise DimensionError(f"{opname}: operand shapes {a.shape} and {b.shape} differ")
+    return a, b
 
 
-def reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back over the axes its operand was broadcast along."""
-    if g.shape == shape:
-        return g
-    if g.ndim != len(shape):
-        return np.sum(g).reshape(shape)
-    return np.sum(g, axis=tuple(i for i, n in enumerate(shape) if n == 1), keepdims=True)
-
-
-def _binary_shapes(a: Tensor, b: Tensor, opname: str) -> None:
-    same_rank = a.ndim == b.ndim and all(m == n or 1 in (m, n) for m, n in zip(a.shape, b.shape))
-    scalar = (a.size == 1 and a.ndim <= b.ndim) or (b.size == 1 and b.ndim <= a.ndim)
-    if not (same_rank or scalar):
-        raise DimensionError(f"{opname}: operand shapes {a.shape} and {b.shape} do not broadcast")
-
-
-def _coerce(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
-def _add(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _binary_shapes(a, b, "add")
-    return Tensor.from_op(
-        a.data + b.data,
-        (a, b),
-        (lambda g: reduce_to(g, a.shape), lambda g: reduce_to(g, b.shape)),
-    )
-
-
-def _sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _binary_shapes(a, b, "sub")
-    return Tensor.from_op(
-        a.data - b.data,
-        (a, b),
-        (lambda g: reduce_to(g, a.shape), lambda g: reduce_to(-g, b.shape)),
-    )
-
-
-def _mul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _binary_shapes(a, b, "mul")
-    ad, bd = a.data, b.data
-    return Tensor.from_op(
-        ad * bd,
-        (a, b),
-        (lambda g: reduce_to(g * bd, a.shape), lambda g: reduce_to(g * ad, b.shape)),
-    )
-
-
-def _div(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _binary_shapes(a, b, "div")
-    ad, bd = a.data, b.data
-    return Tensor.from_op(
-        ad / bd,
-        (a, b),
-        (lambda g: reduce_to(g / bd, a.shape), lambda g: reduce_to(-g * ad / (bd * bd), b.shape)),
-    )
+def _to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The gradient of an operand of ``shape``: ``g`` itself, or its total for a broadcast scalar."""
+    return g if g.shape == shape else np.sum(g).reshape(shape)
 
 
 # -- pointwise nonlinearities -------------------------------------------------
@@ -375,32 +249,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def exp(x: Tensor) -> Tensor:
-    e = np.exp(x.data)
-    return Tensor.from_op(e, (x,), (lambda g: g * e,))
-
-
-def clamp_min(x: Tensor, low: float | np.ndarray) -> Tensor:
-    """max(x, low), ``low`` a float or a per-element array; gradient passes where x >= low."""
-    mask = x.data >= low
-    return Tensor.from_op(np.maximum(x.data, low), (x,), (lambda g: g * mask,))
-
-
 # -- linear algebra -----------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects matrices, got shapes {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-    return Tensor.from_op(
-        ad @ bd,
-        (a, b),
-        (lambda g: g @ bd.T, lambda g: ad.T @ g),
-    )
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -430,7 +279,7 @@ def radial(x: Tensor, radius, *more) -> Tensor:
 
         g * F + x * (F'(n) / n) * <g, x>,
 
-    whose second term is 0 at a zero row, as for ``norm2``.
+    whose second term is 0 at a zero row.
     """
     if x.ndim != 2:
         raise DimensionError(f"radial needs [B x D] rows, got shape {x.shape}")
@@ -558,29 +407,14 @@ def log_softmax_nll(logits: Tensor, targets) -> Tensor:
     return Tensor.from_op(np.asarray(loss), (logits,), (vjp,))
 
 
-def symmetric_log_softmax_nll(logits: Tensor, mask=None) -> Tensor:
-    """Mean of the row-wise and the column-wise ``log_softmax_nll`` of the diagonal.
-
-    Row i's target is column i and column j's target is row j, as in a
-    symmetric contrastive loss over [B x B] matched-pair logits. Entries
-    where the boolean ``mask`` is set count as -inf: they get zero softmax
-    probability and zero gradient. The diagonal must stay unmasked.
-    Gradient: g * ((softmax_rows + softmax_cols) / 2 - I) / B.
-    """
-    if logits.ndim != 2 or logits.shape[0] != logits.shape[1]:
-        raise DimensionError(f"symmetric_log_softmax_nll expects [B x B] logits, got shape {logits.shape}")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != logits.shape or mask.diagonal().any():
-            raise ContractError(f"mask of shape {mask.shape} must be [B x B] with a clear diagonal")
-    loss, grad = symmetric_nll_grad(logits.data.copy(), mask)
-    return Tensor.from_op(np.asarray(loss), (logits,), (lambda g: float(np.asarray(g).reshape(())) * grad,))
-
-
 def symmetric_nll_grad(z: np.ndarray, mask=None) -> tuple[float, np.ndarray]:
-    """The loss of :func:`symmetric_log_softmax_nll` and its gradient, for [B x B] logits ``z``.
+    """The symmetric contrastive loss of [B x B] logits ``z`` and its gradient.
 
-    The numpy core that fused contrastive nodes share. ``z`` is overwritten
+    The loss is the mean of the row-wise and the column-wise
+    :func:`log_softmax_nll` of the diagonal: row i's target is column i and
+    column j's target is row j. Entries where the boolean ``mask`` is set
+    count as -inf: zero softmax probability and zero gradient. This is the
+    numpy core that fused contrastive nodes share. ``z`` is overwritten
     and returned as the gradient ((softmax_rows + softmax_cols) / 2 - I) / B,
     so the pass holds one more [B x B] array, for the row softmax, only
     while it runs. ``mask`` is trusted: [B x B] boolean with a clear diagonal.

@@ -38,7 +38,7 @@ import numpy as np
 from .autodiff import Tensor
 from .config import read_text
 from .data import Dataset, EmbeddingRecord, SplitSpec, group_by_identity
-from .errors import ContractError, DataError, DimensionError, NumericError, ParseError
+from .errors import ContractError, DataError, NumericError, ParseError
 from .losses import pair_similarity
 from .model import ModelConfig, ModelParams, encode_modality
 
@@ -83,23 +83,16 @@ class EvalConfig:
             if s not in STRATA:
                 raise ContractError(f"unknown stratum {s!r}; expected one of {STRATA}")
         if any(nc < 2 for nc in self.nc_list):
-            raise ContractError("gallery sizes must be at least 2")
+            raise ContractError(f"nc_list gallery sizes must be at least 2, got {self.nc_list}")
+        if self.max_trials < 2:
+            raise ContractError(f"max_trials must be at least 2, got {self.max_trials}")
+        if self.matching_trials < 1:
+            raise ContractError(f"matching_trials must be at least 1, got {self.matching_trials}")
+        if self.probe_modality not in ("face", "voice"):
+            raise ContractError(f"probe_modality must be face or voice, got {self.probe_modality!r}")
 
 
 # -- scoring -------------------------------------------------------------------
-
-
-def score_pairs(
-    faces: np.ndarray, voices: np.ndarray, params: ModelParams, cfg: ModelConfig
-) -> np.ndarray:
-    """Similarity of row-matched face/voice embeddings (higher = same identity)."""
-    if faces.ndim != 2 or voices.ndim != 2 or faces.shape[0] != voices.shape[0]:
-        raise DimensionError(f"score_pairs: incompatible shapes {faces.shape} / {voices.shape}")
-    params = params.detached()
-    f = encode_modality(Tensor(faces), "face", params, cfg)
-    v = encode_modality(Tensor(voices), "voice", params, cfg)
-    rows = np.arange(faces.shape[0])
-    return pair_similarity(f, v, rows, rows, cfg.effective_similarity())
 
 
 def _distinct(records: list) -> tuple[list, np.ndarray]:

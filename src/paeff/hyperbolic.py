@@ -56,7 +56,7 @@ z <= 2 (1 - eps)^2 / (1 - (1 - eps)^2). One private helper holds that
 form and its VJP, and three functions share it:
 
 * ``pairwise_distances(x, y)``: every row of x with every row of y, as a
-  [B x N] table, one node over (<x, y>, ||x||^2, ||y||^2);
+  [B x N] table, one node over the rows of x and y;
 * ``pair_distances(x, y, x_rows, y_rows)``: the pairs
   (x[x_rows[k]], y[y_rows[k]]) as a numpy array, the same form without
   its VJP; evaluation scores trials with it;
@@ -65,8 +65,8 @@ form and its VJP, and three functions share it:
   node over the rows themselves.
 
 So an all-pairs and an index-pair distance of the same two points differ
-only by the rounding of their dot product, and the backward of the first
-and the third to the rows is the two [B x N] x [N x D] products of the
+only by the rounding of their dot product, and the first and the third
+share one VJP to the rows: the two [B x N] x [N x D] products of the
 Gram matmul.
 """
 
@@ -94,8 +94,8 @@ class BallConfig:
     boundary_eps: float = 1e-5
 
     def __post_init__(self):
-        if not self.curvature > 0.0:
-            raise ContractError(f"curvature must be positive, got {self.curvature}")
+        if not (math.isfinite(self.curvature) and self.curvature > 0.0):
+            raise ContractError(f"curvature must be finite and positive, got {self.curvature}")
         if not 0.0 < self.boundary_eps < 1.0:
             raise ContractError(f"boundary_eps must lie in (0, 1), got {self.boundary_eps}")
 
@@ -241,11 +241,8 @@ def pairwise_distances(x: PoincarePoint, y: PoincarePoint) -> Tensor:
     xr, yr = x.vector, y.vector
     if xr.shape[1] != yr.shape[1]:
         raise ContractError(f"pairwise_distances: dims differ: {xr.shape} vs {yr.shape}")
-    gram = ad.matmul(xr, yr.transpose())
-    x2 = (xr * xr).sum(axis=1, keepdims=True)
-    y2t = (yr * yr).sum(axis=1, keepdims=True).transpose()
-    d, back = _arccosh_distance(gram.data.copy(), x2.data, y2t.data, xr.shape[1], cfg)
-    return Tensor.from_op(d, (gram, x2, y2t), (back,))
+    d, back = _all_pairs(xr.data, yr.data, cfg)
+    return Tensor.from_op(d, (xr, yr), (back,))
 
 
 def pair_distances(x: PoincarePoint, y: PoincarePoint, x_rows, y_rows) -> np.ndarray:
@@ -283,9 +280,7 @@ def contrastive_nll(x: PoincarePoint, y: PoincarePoint, logit_scale: Tensor, mas
     xd, yd = xr.data, yr.data
     if xd.shape != yd.shape:
         raise ContractError(f"contrastive_nll: batches differ: {xd.shape} vs {yd.shape}")
-    a = np.sum(xd * xd, axis=1, keepdims=True)
-    b = np.sum(yd * yd, axis=1, keepdims=True).T
-    dist, back = _arccosh_distance(xd @ yd.T, a, b, xd.shape[1], cfg)
+    dist, back = _all_pairs(xd, yd, cfg)
     inv_temp = math.exp(logit_scale.item())
     loss, grad = ad.symmetric_nll_grad(dist * -inv_temp, mask)
     d_scale = -inv_temp * float(np.vdot(grad, dist))
@@ -293,14 +288,28 @@ def contrastive_nll(x: PoincarePoint, y: PoincarePoint, logit_scale: Tensor, mas
 
     def vjp(g):
         g = float(np.asarray(g).reshape(()))
-        g_gram, g_a, g_b = back(grad, -inv_temp * g)
-        return (
-            g_gram @ yd + (2.0 * g_a) * xd,
-            g_gram.T @ xd + (2.0 * g_b.T) * yd,
-            np.full(logit_scale.shape, d_scale * g),
-        )
+        return (*back(grad, -inv_temp * g), np.full(logit_scale.shape, d_scale * g))
 
     return Tensor.from_op(np.asarray(loss), (xr, yr, logit_scale), (vjp,))
+
+
+def _all_pairs(xd: np.ndarray, yd: np.ndarray, cfg: BallConfig):
+    """d(x_i, y_j) for every row of x and of y, [B x N], and its VJP to the rows.
+
+    Returns d and ``back(g, scale=1.0)``, which takes scale * g, a gradient
+    of d, to the gradients of x and y through the Gram entries:
+    dx = G y + 2 g_a x and dy = G^T x + 2 g_b^T y, with G, g_a and g_b the
+    gradients of <x_i, y_j>, ||x_i||^2 and ||y_j||^2.
+    """
+    a = np.sum(xd * xd, axis=1, keepdims=True)
+    b = np.sum(yd * yd, axis=1, keepdims=True).T
+    d, back = _arccosh_distance(xd @ yd.T, a, b, xd.shape[1], cfg)
+
+    def rows_back(g, scale=1.0):
+        g_gram, g_a, g_b = back(g, scale)
+        return g_gram @ yd + (2.0 * g_a) * xd, g_gram.T @ xd + (2.0 * g_b.T) * yd
+
+    return d, rows_back
 
 
 def _arccosh_distance(dots: np.ndarray, a: np.ndarray, b: np.ndarray, dim: int, cfg: BallConfig):
@@ -312,7 +321,8 @@ def _arccosh_distance(dots: np.ndarray, a: np.ndarray, b: np.ndarray, dim: int, 
     1 - c ||x||^2 <= 0 is off the ball: ``NumericError``.
 
     Returns d and ``back(g, scale=1.0)``, which takes scale * g, a gradient
-    of d, to the gradients of (dots, a, b), each in its operand's shape.
+    of an all-pairs d, to the gradients of (dots, a, b): [B x N], [B x 1]
+    and [1 x N]. Index pairs need no gradient.
     ``back`` keeps z and sqrt(z (z + 2)), the latter set to inf where the
     gradient is zero: at the cap (which passes a tie) and at z = 0, where
     the square root has zero gradient. Inside the floor only the path
@@ -354,15 +364,15 @@ def _arccosh_distance(dots: np.ndarray, a: np.ndarray, b: np.ndarray, dim: int, 
         g_z *= scale / sqrt_c
         # z = 2c ||x - y||^2 / (u v) with u = 1 - c a: dz/da = c z / u through u, summed per row (and per column for b)
         t = g_z * z
-        g_a = ad.reduce_to(t, a.shape) * (c / u)
-        g_b = ad.reduce_to(t, b.shape) * (c / v)
+        g_a = np.sum(t, axis=1, keepdims=True) * (c / u)
+        g_b = np.sum(t, axis=0, keepdims=True) * (c / v)
         del t
         g_z *= k  # now the gradient of ||x - y||^2 = a + b - 2 <x, y>
         g_z /= v
         if low is not None:
             np.copyto(g_z, 0.0, where=low)
-        g_a += ad.reduce_to(g_z, a.shape)
-        g_b += ad.reduce_to(g_z, b.shape)
+        g_a += np.sum(g_z, axis=1, keepdims=True)
+        g_b += np.sum(g_z, axis=0, keepdims=True)
         g_z *= -2.0
         return g_z, g_a, g_b
 

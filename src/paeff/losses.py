@@ -4,13 +4,16 @@ The total objective is the weighted sum
 
     L = alpha1 * L_align + alpha2 * L_op + alpha3 * L_ce
 
-with the weights defaulting to (0.3, 0.35, 0.35). Each loss is a tape
-node or a short chain of them. ``pair_similarity``, which evaluation
-scores trials with, is plain numpy: a score needs no gradient.
+with the weights defaulting to (0.3, 0.35, 0.35). Each loss is one tape
+node with a hand-written VJP: every alignment arm (hyperbolic or cosine),
+the orthogonal projection loss and the cross-entropy; ``total_loss`` adds
+them up. ``pair_similarity``, which evaluation scores trials with, is
+plain numpy: a score needs no gradient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +35,9 @@ class LossWeights:
 
     def __post_init__(self):
         values = (self.alpha1, self.alpha2, self.alpha3)
-        if any(a < 0.0 for a in values):
-            raise ContractError(f"loss weights must be nonnegative, got {values}")
+        for name, a in zip(("alpha1", "alpha2", "alpha3"), values):
+            if not (math.isfinite(a) and a >= 0.0):
+                raise ContractError(f"loss weight {name} must be finite and nonnegative, got {a!r}")
         if not any(a > 0.0 for a in values):
             raise ContractError("at least one loss weight must be positive")
 
@@ -56,15 +60,23 @@ class LossBreakdown:
         }
 
 
-def normalize_rows(x: Tensor) -> Tensor:
-    """Each row scaled to unit L2 norm (norms floored at 1e-12)."""
-    norms = ad.clamp_min(x.norm2(axis=1, keepdims=True), _NORM_FLOOR)
-    return x / norms
+def _unit_rows(x: np.ndarray):
+    """Rows divided by their norms floored at 1e-12, and the VJP of that map.
 
+    With n the row norms and n' = max(n, 1e-12), the VJP takes dU to
 
-def pairwise_cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity matrix between the rows of two [N x D] batches."""
-    return ad.matmul(normalize_rows(a), normalize_rows(b).transpose())
+        dX = dU / n' - X * [n >= 1e-12] <dU, X> / (n'^2 n),
+
+    whose radial term is 0 at a zero row.
+    """
+    n = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    floored = np.maximum(n, _NORM_FLOOR)
+
+    def back(d_unit):
+        radial = np.divide(1.0, floored * floored * n, out=np.zeros_like(n), where=n >= _NORM_FLOOR)
+        return d_unit / floored - x * (radial * np.sum(d_unit * x, axis=1, keepdims=True))
+
+    return x / floored, back
 
 
 def pair_similarity(
@@ -73,15 +85,14 @@ def pair_similarity(
     """s[k] = similarity of face ``face_rows[k]`` with voice ``voice_rows[k]``: [N], in numpy.
 
     The index-pair counterpart of the all-pairs similarity the alignment
-    loss takes (``-hyperbolic.pairwise_distances`` or
-    :func:`pairwise_cosine`): entry k equals its [face_rows[k],
-    voice_rows[k]] entry up to the rounding of one dot product. Scoring
-    needs no gradient, so nothing here records a node.
+    loss takes (-d(x_i, y_j) or the cosine of the rows): entry k equals its
+    [face_rows[k], voice_rows[k]] entry up to the rounding of one dot
+    product. Scoring needs no gradient, so nothing here records a node.
     """
     _check_mode(face, voice, mode)
     if mode == "cosine":
-        f, v = normalize_rows(_rows(face)), normalize_rows(_rows(voice))
-        return ad.pair_dots(f.data, v.data, face_rows, voice_rows)
+        f, v = _unit_rows(_rows(face).data)[0], _unit_rows(_rows(voice).data)[0]
+        return ad.pair_dots(f, v, face_rows, voice_rows)
     return -hyp.pair_distances(face, voice, face_rows, voice_rows)
 
 
@@ -115,10 +126,10 @@ def alignment_loss(
     logits are exp(logit_scale) * similarity, and the loss averages the
     face->voice and voice->face directions.
 
-    The hyperbolic arm is one tape node, ``hyperbolic.contrastive_nll``,
-    over the face rows, the voice rows and ``logit_scale``; the cosine arm
-    scales its cosine table and takes ``autodiff.symmetric_log_softmax_nll``.
-    The mask is built only when a label repeats.
+    Each arm is one tape node over the face rows, the voice rows and
+    ``logit_scale``: ``hyperbolic.contrastive_nll`` for the hyperbolic one,
+    :func:`_cosine_nll` for the cosine one. The mask is built only when a
+    label repeats.
     """
     _check_mode(face, voice, mode)
     f, v = _rows(face), _rows(voice)
@@ -129,8 +140,33 @@ def alignment_loss(
         raise ContractError(f"alignment_loss needs matched batches, got {(b, v.shape[0])}")
     same = _repeated_label_mask(labels, b)
     if mode == "cosine":
-        return ad.symmetric_log_softmax_nll(pairwise_cosine(f, v) * ad.exp(logit_scale), same)
+        return _cosine_nll(f, v, logit_scale, same)
     return hyp.contrastive_nll(face, voice, logit_scale, same)
+
+
+def _cosine_nll(f: Tensor, v: Tensor, logit_scale: Tensor, mask) -> Tensor:
+    """Symmetric softmax NLL of the diagonal over the logits t * U V^T, as one node.
+
+    U and V are the rows of f and v divided by their floored norms
+    (:func:`_unit_rows`) and t = exp(logit_scale). With P the logit
+    gradient from ``autodiff.symmetric_nll_grad``, the VJP is dU = t P V and
+    dV = t P^T U, taken back through the norms, and d logit_scale =
+    <P, logits>, one sum taken in the forward pass.
+    """
+    u, u_back = _unit_rows(f.data)
+    w, w_back = _unit_rows(v.data)
+    inv_temp = math.exp(logit_scale.item())
+    cos = u @ w.T
+    loss, grad = ad.symmetric_nll_grad(cos * inv_temp, mask)
+    d_scale = inv_temp * float(np.vdot(grad, cos))
+    del cos
+
+    def vjp(g):
+        g = float(np.asarray(g).reshape(()))
+        scaled = grad * (inv_temp * g)
+        return u_back(scaled @ w), w_back(scaled.T @ u), np.full(logit_scale.shape, d_scale * g)
+
+    return Tensor.from_op(np.asarray(loss), (f, v, logit_scale), (vjp,))
 
 
 def _repeated_label_mask(labels, b: int):
@@ -158,13 +194,10 @@ def orthogonal_projection_loss(
         loss = (1 - s) + inter_weight * d
 
     Whichever term has no qualifying pairs in the batch is dropped. One
-    tape node: rows are normalised with norms floored at 1e-12, the cosine
-    Gram G = U U^T is taken, and the VJP is
-
-        dU = (dG + dG^T) U,   dX = dU / n' - X * [n >= 1e-12] <dU, X> / (n'^2 n)
-
-    with n' = max(n, 1e-12), |.| having subgradient 0 at 0, and the radial
-    term 0 at a zero row. G is symmetric, so dG + dG^T = 2 dG, and G becomes
+    tape node: rows are normalised with norms floored at 1e-12
+    (:func:`_unit_rows`, whose VJP carries dU back to the rows), the cosine
+    Gram G = U U^T is taken, and dU = (dG + dG^T) U, with |.| having
+    subgradient 0 at 0. G is symmetric, so dG + dG^T = 2 dG, and G becomes
     that in its own buffer, the one [B x B] array the node keeps. The
     same-label mask is built only when a label repeats; otherwise every
     off-diagonal pair is a different-label pair.
@@ -174,10 +207,7 @@ def orthogonal_projection_loss(
         raise ContractError("orthogonal_projection_loss needs a batch of at least 2")
     same = _repeated_label_mask(np.asarray(labels), b)  # None labels fail its shape check
 
-    x = fused.data
-    n = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
-    floored = np.maximum(n, _NORM_FLOOR)
-    unit = x / floored
+    unit, back = _unit_rows(fused.data)
     gram = unit @ unit.T
     np.fill_diagonal(gram, 0.0)
     n_same = 0 if same is None else int(np.count_nonzero(same))
@@ -193,11 +223,9 @@ def orthogonal_projection_loss(
     gram *= 2.0 * inter_weight / n_diff if n_diff else 0.0
     if n_same:
         np.copyto(gram, -2.0 / n_same, where=same)
-    radial = np.divide(1.0, floored * floored * n, out=np.zeros_like(n), where=n >= _NORM_FLOOR)
 
     def vjp(g):
-        d_unit = float(np.asarray(g).reshape(())) * (gram @ unit)
-        return d_unit / floored - x * (radial * np.sum(d_unit * x, axis=1, keepdims=True))
+        return back(float(np.asarray(g).reshape(())) * (gram @ unit))
 
     return Tensor.from_op(np.asarray(loss), (fused,), (vjp,))
 

@@ -55,8 +55,8 @@ class ModelConfig:
         for name in ("face_dim", "voice_dim", "proj_dim"):
             if getattr(self, name) <= 0:
                 raise ContractError(f"{name} must be positive")
-        if self.tangent_clip <= 0.0:
-            raise ContractError("tangent_clip must be positive")
+        if not (math.isfinite(self.tangent_clip) and self.tangent_clip > 0.0):
+            raise ContractError(f"tangent_clip must be finite and positive, got {self.tangent_clip}")
         if self.num_identities < 2:
             raise ContractError("num_identities must be at least 2")
         if self.gate_activation not in GATE_ACTIVATIONS:
@@ -67,6 +67,7 @@ class ModelConfig:
             raise ContractError(f"similarity must be one of {SIMILARITIES}")
         if self.fusion not in FUSIONS:
             raise ContractError(f"fusion must be one of {FUSIONS}")
+        BallConfig(self.curvature, self.boundary_eps)  # its checks of curvature and boundary_eps, at construction
 
     @property
     def ball(self) -> BallConfig:

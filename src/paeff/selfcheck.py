@@ -32,25 +32,31 @@ def _expect(condition: bool, detail: str) -> None:
         raise AssertionError(detail)
 
 
+def _contract(t: Tensor, seed: int = 0) -> Tensor:
+    """<w, t> for a fixed random w: a scalar whose gradient reaches every entry of ``t``."""
+    return (t * Tensor(np.random.default_rng(seed).normal(size=t.shape))).sum()
+
+
 def check_autodiff_elementwise_gradients() -> None:
     rng = np.random.default_rng(10)
     x = rng.normal(size=(3, 4))
     y = rng.normal(size=(3, 4))
-    check_gradients(lambda a, b: (ad.tanh(a) * b + ad.relu(a) - b * 0.5).sum(), [x, y])
+    check_gradients(lambda a, b: (ad.tanh(a) * b + ad.relu(a) + b * -0.5).sum(), [x, y])
+    check_gradients(lambda a, s: _contract(a * s + s), [x, np.array(0.7)])
 
 
-def check_autodiff_matmul_gradients() -> None:
+def check_autodiff_fused_row_gradients() -> None:
+    """``affine``, ``concat_cols`` and ``gated_mix`` against central differences."""
     rng = np.random.default_rng(11)
     check_gradients(
-        lambda a, b: ad.matmul(a, b).norm2(), [rng.normal(size=(4, 3)), rng.normal(size=(3, 5))]
+        lambda x, w, b: _contract(ad.affine(x, w, b)),
+        [rng.normal(size=(4, 3)), rng.normal(size=(3, 5)), rng.normal(size=5)],
     )
-
-
-def check_autodiff_reduction_gradients() -> None:
-    rng = np.random.default_rng(12)
-    x = rng.normal(size=(4, 5))
-    check_gradients(lambda a: a.norm2(axis=1).sum(), [x])
-    check_gradients(lambda a: a.sum(axis=0).norm2(), [x])
+    check_gradients(lambda a, b: _contract(ad.concat_cols(a, b)), [rng.normal(size=(2, 3)), rng.normal(size=(2, 2))])
+    check_gradients(
+        lambda *t: _contract(ad.gated_mix(*t)),
+        [rng.normal(size=(3, 4)) for _ in range(3)] + [rng.normal(size=4), rng.normal(size=4)],
+    )
 
 
 def check_autodiff_log_softmax_nll() -> None:
@@ -61,15 +67,18 @@ def check_autodiff_log_softmax_nll() -> None:
     check_gradients(lambda a: ad.log_softmax_nll(a, np.array([0, 2, 1])), [rng.normal(size=(3, 4))])
 
 
-def check_autodiff_symmetric_log_softmax_nll() -> None:
-    _expect(
-        abs(ad.symmetric_log_softmax_nll(Tensor(np.zeros((3, 3)))).item() - math.log(3.0)) < 1e-12,
-        "uniform logits must give ln(B)",
-    )
+def check_autodiff_symmetric_nll_grad() -> None:
+    """The symmetric contrastive loss: ln(B) at uniform logits, and its gradient against central differences."""
+    _expect(abs(ad.symmetric_nll_grad(np.zeros((3, 3)))[0] - math.log(3.0)) < 1e-12, "uniform logits must give ln(B)")
     rng = np.random.default_rng(27)
     labels = np.array([0, 1, 0, 2])
     mask = (labels[:, None] == labels[None, :]) & ~np.eye(4, dtype=bool)
-    check_gradients(lambda a: ad.symmetric_log_softmax_nll(a, mask), [rng.normal(size=(4, 4))])
+
+    def node(z: Tensor) -> Tensor:
+        loss, grad = ad.symmetric_nll_grad(z.data.copy(), mask)
+        return Tensor.from_op(np.asarray(loss), (z,), (lambda g: float(np.asarray(g).reshape(())) * grad,))
+
+    check_gradients(node, [rng.normal(size=(4, 4))])
 
 
 def check_autodiff_backward_linearity() -> None:
@@ -133,10 +142,10 @@ def check_hyperbolic_radial_maps() -> None:
     v = rng.normal(size=(4, 5)) * np.array([[0.1], [1.0], [8.0], [15.0]])  # clip off, on, and the clamp firing
     for clip in (0.5, 20.0):
         check_gradients(
-            lambda t, clip=clip: hyp.ball_map(t, cfg, hyp.clip_radius(clip), hyp.exp_radius(cfg)).vector.norm2(), [v]
+            lambda t, clip=clip: _contract(hyp.ball_map(t, cfg, hyp.clip_radius(clip), hyp.exp_radius(cfg)).vector), [v]
         )
     p = v / np.linalg.norm(v, axis=1, keepdims=True) * np.array([[0.3], [0.9], [1.0 - 5e-6], [1.0 - 3e-6]])
-    check_gradients(lambda t: hyp.log_map_origin(PoincarePoint(t, cfg)).norm2(), [p])
+    check_gradients(lambda t: _contract(hyp.log_map_origin(PoincarePoint(t, cfg))), [p])
 
 
 def check_hyperbolic_gram_distance_gradients() -> None:
@@ -148,7 +157,7 @@ def check_hyperbolic_gram_distance_gradients() -> None:
     y[1] = hyp.exp_map_origin(Tensor(rng.normal(size=(1, 4)) * 0.5), cfg).numpy()
 
     def f(a, b):
-        return hyp.pairwise_distances(PoincarePoint(a, cfg), PoincarePoint(b, cfg)).sum()
+        return _contract(hyp.pairwise_distances(PoincarePoint(a, cfg), PoincarePoint(b, cfg)))
 
     check_gradients(f, [x, y])
 
@@ -253,6 +262,18 @@ def check_alignment_node_gradients() -> None:
         check_gradients(f, [x, y, np.array(0.8)])
 
 
+def check_cosine_alignment_node_gradients() -> None:
+    """The fused cosine alignment node against central differences, with and without a repeated label."""
+    rng = np.random.default_rng(30)
+    x, y = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    for labels in (None, np.array([0, 1, 0, 2])):
+
+        def f(a, b, s, labels=labels):
+            return losses.alignment_loss(a, b, s, "cosine", labels)
+
+        check_gradients(f, [x, y, np.array(0.8)])
+
+
 def check_metric_oracles() -> None:
     rng = np.random.default_rng(26)
     for _ in range(50):
@@ -333,10 +354,9 @@ def _brute_force_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 ALL_CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("autodiff.elementwise_gradients", check_autodiff_elementwise_gradients),
-    ("autodiff.matmul_gradients", check_autodiff_matmul_gradients),
-    ("autodiff.reduction_gradients", check_autodiff_reduction_gradients),
+    ("autodiff.fused_row_gradients", check_autodiff_fused_row_gradients),
     ("autodiff.log_softmax_nll", check_autodiff_log_softmax_nll),
-    ("autodiff.symmetric_log_softmax_nll", check_autodiff_symmetric_log_softmax_nll),
+    ("autodiff.symmetric_nll_grad", check_autodiff_symmetric_nll_grad),
     ("autodiff.backward_linearity", check_autodiff_backward_linearity),
     ("hyperbolic.exp_log_inverse", check_hyperbolic_exp_log_inverse),
     ("hyperbolic.distance_symmetry", check_hyperbolic_distance_symmetry),
@@ -350,6 +370,7 @@ ALL_CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("losses.alignment_uniform_point", check_alignment_loss_uniform_point),
     ("losses.gradients", check_losses_gradients),
     ("losses.alignment_node_gradients", check_alignment_node_gradients),
+    ("losses.cosine_alignment_node_gradients", check_cosine_alignment_node_gradients),
     ("metrics.oracle_agreement", check_metric_oracles),
     ("optimizer.adamw_single_step", check_adamw_single_step),
     ("optimizer.cosine_schedule", check_cosine_schedule),

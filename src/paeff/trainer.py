@@ -47,12 +47,22 @@ class TrainConfig:
     val_trials: int = 200
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ContractError("epochs must be at least 1")
-        if self.lr0 <= 0.0:
-            raise ContractError("lr0 must be positive")
-        if self.batch_size is not None and self.batch_size < 2:
-            raise ContractError("batch_size must be at least 2")
+        finite = math.isfinite
+        rules = (
+            ("epochs", self.epochs >= 1, "at least 1"),
+            ("batch_size", self.batch_size is None or self.batch_size >= 2, "at least 2"),
+            ("lr0", finite(self.lr0) and self.lr0 > 0.0, "finite and positive"),
+            ("lr_min", 0.0 <= self.lr_min <= self.lr0, "in [0, lr0]"),
+            ("weight_decay", finite(self.weight_decay) and self.weight_decay >= 0.0, "finite and nonnegative"),
+            ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
+            ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)"),
+            ("adam_eps", finite(self.adam_eps) and self.adam_eps > 0.0, "finite and positive"),
+            ("op_inter_weight", finite(self.op_inter_weight) and self.op_inter_weight >= 0.0, "finite and nonnegative"),
+            ("val_trials", self.val_trials >= 2, "at least 2"),
+        )
+        for name, holds, rule in rules:
+            if not holds:
+                raise ContractError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 def resolve_batch_size(cfg: TrainConfig, dataset: Dataset, split: SplitSpec) -> int:

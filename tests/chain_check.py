@@ -1,8 +1,15 @@
-"""Compare a fused tape node with the chain of generic ops it replaces."""
+"""Compare a fused tape node with the chain of generic ops it replaces.
+
+The engine has no generic linear algebra, no division and no broadcasting
+of size-1 axes: its fused nodes do that work inside one VJP. The chains
+that the tests compare those nodes against are built from the generic
+ops below, each a small node of its own. Their binary ops broadcast like
+numpy and sum a broadcast gradient back to its operand's shape.
+"""
 
 import numpy as np
 
-from paeff.autodiff import Tensor
+from paeff.autodiff import Tensor, log_softmax_nll
 
 
 def value_and_grads(f, arrays, seed=0):
@@ -20,38 +27,144 @@ def assert_matches_chain(fused, chain, arrays):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-def log1p(x):
-    """log(1 + x) as one node, for the chains; the engine itself has no such op."""
+def _tensor(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _unary(x, value, vjp):
+    return Tensor.from_op(value, (x,), (vjp,))
+
+
+def _reduce_to(g, shape):
+    """Sum a broadcast gradient back over the axes its operand was broadcast along."""
+    if g.shape == shape:
+        return g
+    if g.ndim != len(shape):
+        return np.sum(g).reshape(shape)
+    return np.sum(g, axis=tuple(i for i, n in enumerate(shape) if n == 1), keepdims=True)
+
+
+def _binary(a, b, value, da, db):
+    a, b = _tensor(a), _tensor(b)
+    out = value(a.data, b.data)
+    return Tensor.from_op(
+        out,
+        (a, b),
+        (lambda g: _reduce_to(da(g, a.data, b.data), a.shape), lambda g: _reduce_to(db(g, a.data, b.data), b.shape)),
+    )
+
+
+def add(a, b):
+    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
+
+
+def sub(a, b):
+    return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
+
+
+def mul(a, b):
+    return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
+
+
+def div(a, b):
+    return _binary(a, b, np.divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
+
+
+def matmul(a, b):
+    ad, bd = a.data, b.data
+    return Tensor.from_op(ad @ bd, (a, b), (lambda g: g @ bd.T, lambda g: ad.T @ g))
+
+
+def transpose(x):
+    return _unary(x, np.ascontiguousarray(x.data.T), lambda g: g.T)
+
+
+def reshape(x, *shape):
+    old = x.shape
+    return _unary(x, np.ascontiguousarray(x.data.reshape(shape)), lambda g: g.reshape(old))
+
+
+def axis_sum(x, axis=None, keepdims=False):
+    """The sum over ``axis`` (all entries for None)."""
+    shape = x.shape
+
+    def vjp(g):
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
+        return np.broadcast_to(gg, shape).copy()
+
+    return _unary(x, np.sum(x.data, axis=axis, keepdims=keepdims), vjp)
+
+
+def norm2(x, axis=None, keepdims=False):
+    """The Euclidean norm over ``axis`` (all entries for None); subgradient 0 at 0."""
     xd = x.data
-    return Tensor.from_op(np.log1p(xd), (x,), (lambda g: g / (1.0 + xd),))
+    n = np.sqrt(np.sum(xd * xd, axis=axis, keepdims=True))
+    out = n if keepdims else (n.reshape(()) if axis is None else np.squeeze(n, axis=axis))
+
+    def vjp(g):
+        safe = np.where(n == 0.0, 1.0, n)
+        return np.asarray(g).reshape(n.shape) * np.where(n == 0.0, 0.0, xd / safe)
+
+    return _unary(x, np.ascontiguousarray(out), vjp)
 
 
-# Generic ops that only the chains and their gradchecks use; the engine has none of them.
+def exp(x):
+    e = np.exp(x.data)
+    return _unary(x, e, lambda g: g * e)
+
+
+def log1p(x):
+    xd = x.data
+    return _unary(x, np.log1p(xd), lambda g: g / (1.0 + xd))
 
 
 def sigmoid(x):
     s = 1.0 / (1.0 + np.exp(-x.data))
-    return Tensor.from_op(s, (x,), (lambda g: g * s * (1.0 - s),))
+    return _unary(x, s, lambda g: g * s * (1.0 - s))
 
 
 def absolute(x):
     """|x|; subgradient 0 at 0."""
     sign = np.sign(x.data)
-    return Tensor.from_op(np.abs(x.data), (x,), (lambda g: g * sign,))
+    return _unary(x, np.abs(x.data), lambda g: g * sign)
 
 
 def sqrt(x):
     """Elementwise square root; subgradient 0 at 0, as for ``norm2``."""
     r = np.sqrt(x.data)
-    return Tensor.from_op(r, (x,), (lambda g: np.divide(g, 2.0 * r, out=np.zeros_like(r), where=r != 0.0),))
+    return _unary(x, r, lambda g: np.divide(g, 2.0 * r, out=np.zeros_like(r), where=r != 0.0))
 
 
 def artanh(x):
     xd = x.data
-    return Tensor.from_op(np.arctanh(xd), (x,), (lambda g: g / (1.0 - xd * xd),))
+    return _unary(x, np.arctanh(xd), lambda g: g / (1.0 - xd * xd))
+
+
+def clamp_min(x, low):
+    """max(x, low), ``low`` a float or a per-element array; the gradient passes where x >= low, ties included."""
+    mask = x.data >= low
+    return _unary(x, np.maximum(x.data, low), lambda g: g * mask)
 
 
 def clamp_max(x, high):
     """min(x, high); the gradient passes where x <= high, ties included."""
     mask = x.data <= high
-    return Tensor.from_op(np.minimum(x.data, high), (x,), (lambda g: g * mask,))
+    return _unary(x, np.minimum(x.data, high), lambda g: g * mask)
+
+
+def normalize_rows(x):
+    """Each row divided by its norm floored at 1e-12."""
+    return div(x, clamp_min(norm2(x, axis=1, keepdims=True), 1e-12))
+
+
+def pairwise_cosine(a, b):
+    """The cosine of every row of ``a`` with every row of ``b``."""
+    return matmul(normalize_rows(a), transpose(normalize_rows(b)))
+
+
+def symmetric_nll(logits, mask=None):
+    """The symmetric contrastive NLL of [B x B] logits as a chain: two ``log_softmax_nll`` of the diagonal."""
+    targets = np.arange(logits.shape[0])
+    if mask is not None:
+        logits = add(logits, Tensor(np.where(mask, -np.inf, 0.0)))
+    return mul(add(log_softmax_nll(logits, targets), log_softmax_nll(transpose(logits), targets)), 0.5)

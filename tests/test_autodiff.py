@@ -1,7 +1,6 @@
 """Tensor engine: op examples, gradient oracles, graph contracts."""
 
 import math
-import operator
 import tracemalloc
 
 import numpy as np
@@ -14,7 +13,10 @@ from paeff.autodiff import Tensor
 from paeff.errors import ContractError, DimensionError, IndexOutOfRangeError
 from paeff.gradcheck import check_gradients
 
-from chain_check import absolute, artanh, assert_matches_chain, clamp_max, sigmoid, sqrt
+from chain_check import (
+    absolute, add, artanh, assert_matches_chain, axis_sum, clamp_max, clamp_min, div, exp, matmul, mul, norm2,
+    reshape, sigmoid, sqrt, sub, symmetric_nll, transpose,
+)
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -22,26 +24,24 @@ def rand(shape, seed=0, scale=1.0):
 
 
 class TestMatmul:
+    """The chains' matrix product."""
+
     def test_identity(self):
         a = rand((2, 2), 1)
-        out = ad.matmul(Tensor(np.eye(2)), Tensor(a))
+        out = matmul(Tensor(np.eye(2)), Tensor(a))
         np.testing.assert_array_equal(out.numpy(), a)
 
     def test_hand_oracle(self):
-        out = ad.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
+        out = matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
         np.testing.assert_array_equal(out.numpy(), [[3.0], [7.0]])
 
     def test_zero(self):
         a = rand((3, 3), 2)
-        out = ad.matmul(Tensor(np.zeros((2, 3))), Tensor(a))
+        out = matmul(Tensor(np.zeros((2, 3))), Tensor(a))
         np.testing.assert_array_equal(out.numpy(), np.zeros((2, 3)))
 
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-
     def test_gradients(self):
-        check_gradients(lambda a, b: ad.matmul(a, b).sum(), [rand((2, 3), 3), rand((3, 4), 4)])
+        check_gradients(lambda a, b: matmul(a, b).sum(), [rand((2, 3), 3), rand((3, 4), 4)])
 
 
 class TestElementwise:
@@ -73,13 +73,13 @@ class TestElementwise:
             lambda x: ad.tanh(x).sum(),
             lambda x: sigmoid(x).sum(),
             lambda x: ad.relu(x + 0.05).sum(),
-            lambda x: ad.exp(x).sum(),
-            lambda x: (-x).sum(),
+            lambda x: exp(x).sum(),
+            lambda x: (x * -1.0).sum(),
             lambda x: (x * 2.5).sum(),
             lambda x: (x * x).sum(),
-            lambda x: (x / 3.0).sum(),
+            lambda x: div(x, 3.0).sum(),
             lambda x: absolute(x + 0.1).sum(),
-            lambda x: ad.clamp_min(x, -0.2).sum(),
+            lambda x: clamp_min(x, -0.2).sum(),
             lambda x: clamp_max(x, 0.2).sum(),
         ],
     )
@@ -96,30 +96,24 @@ class TestReductions:
         assert Tensor([1.0, 2.0, 3.0]).sum().item() == 6.0
 
     def test_norm2_pythagorean(self):
-        assert Tensor([3.0, 4.0]).norm2().item() == 5.0
-
-    def test_axis_out_of_range(self):
-        with pytest.raises(DimensionError):
-            Tensor(np.ones((2, 2))).sum(axis=2)
+        assert norm2(Tensor([3.0, 4.0])).item() == 5.0
 
     def test_norm2_gradient_at_zero_is_zero(self):
         t = Tensor(np.zeros(3), requires_grad=True)
-        t.norm2().backward()
+        norm2(t).backward()
         np.testing.assert_array_equal(t.grad, np.zeros(3))
 
     @pytest.mark.parametrize("axis,keepdims", [(None, False), (0, False), (1, True)])
     def test_reduction_gradients(self, axis, keepdims):
-        check_gradients(lambda x: x.sum(axis=axis, keepdims=keepdims).norm2(), [rand((3, 4), 10)])
-        check_gradients(
-            lambda x: x.norm2(axis=axis, keepdims=keepdims).sum(), [rand((3, 4), 12) + 0.3]
-        )
+        check_gradients(lambda x: norm2(axis_sum(x, axis, keepdims)), [rand((3, 4), 10)])
+        check_gradients(lambda x: norm2(x, axis, keepdims).sum(), [rand((3, 4), 12) + 0.3])
 
 
 class TestStructuralOps:
     def test_structural_gradients(self):
-        check_gradients(lambda a, b: ad.concat_cols(a, b).norm2(), [rand((2, 3), 13), rand((2, 2), 14)])
-        check_gradients(lambda a: a.reshape(6).norm2(), [rand((2, 3), 18)])
-        check_gradients(lambda a: a.transpose().norm2(), [rand((2, 3), 19)])
+        check_gradients(lambda a, b: norm2(ad.concat_cols(a, b)), [rand((2, 3), 13), rand((2, 2), 14)])
+        check_gradients(lambda a: norm2(reshape(a, 6)), [rand((2, 3), 18)])
+        check_gradients(lambda a: norm2(transpose(a)), [rand((2, 3), 19)])
 
 
 class TestPairDots:
@@ -160,31 +154,40 @@ class TestPairDots:
 
 
 class TestBroadcasting:
-    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    """The chains' binary ops broadcast size-1 axes; the engine's take equal shapes or a scalar."""
+
+    @pytest.mark.parametrize("op", [add, sub, mul, div], ids=["add", "sub", "mul", "truediv"])
     @pytest.mark.parametrize("shape", [(1, 4), (3, 1)], ids=["row", "column"])
     def test_gradients(self, op, shape):
         # magnitudes kept >= 0.5 so either side can be a divisor
         a = np.abs(rand((3, 4), 15)) + 0.5
         b = np.abs(rand(shape, 16)) + 0.5
-        check_gradients(lambda x, y: op(x, y).norm2(), [a, b])
-        check_gradients(lambda x, y: op(y, x).norm2(), [a, b])
+        check_gradients(lambda x, y: norm2(op(x, y)), [a, b])
+        check_gradients(lambda x, y: norm2(op(y, x)), [a, b])
 
     def test_both_sides_broadcast_gradient(self):
-        check_gradients(lambda a, b: (a + b).norm2(), [rand((3, 1), 17), rand((1, 3), 18)])
+        check_gradients(lambda a, b: norm2(add(a, b)), [rand((3, 1), 17), rand((1, 3), 18)])
 
     def test_layout(self):
         col = Tensor([[1.0], [2.0]])
         row = Tensor([[10.0, 20.0, 30.0]])
-        np.testing.assert_array_equal((col * row).numpy(), [[10, 20, 30], [20, 40, 60]])
-        np.testing.assert_array_equal(
-            (Tensor(np.zeros((2, 3))) + row - col).numpy(), [[9, 19, 29], [8, 18, 28]]
-        )
+        np.testing.assert_array_equal(mul(col, row).numpy(), [[10, 20, 30], [20, 40, 60]])
+        np.testing.assert_array_equal(sub(add(Tensor(np.zeros((2, 3))), row), col).numpy(), [[9, 19, 29], [8, 18, 28]])
 
-    @pytest.mark.parametrize("shapes", [((2, 3), (3, 2)), ((3,), (3, 1)), ((1, 1), (3,))])
+    @pytest.mark.parametrize(
+        "shapes", [((2, 3), (3, 2)), ((3,), (3, 1)), ((1, 1), (3,)), ((3, 4), (3, 1)), ((3, 1), (1, 3))]
+    )
     def test_incompatible_shapes_rejected(self, shapes):
         a, b = (Tensor(np.ones(s)) for s in shapes)
         with pytest.raises(DimensionError):
             a + b
+        with pytest.raises(DimensionError):
+            b * a
+
+    @pytest.mark.parametrize("shapes", [((3, 4), ()), ((), (3, 4)), ((3, 4), (1, 1)), ((1,), (2, 2))])
+    def test_scalar_operand_gradients(self, shapes):
+        a, b = (rand(s, 19) + 0.5 for s in shapes)
+        check_gradients(lambda x, y: ((x + y) * (x * y)).sum(), [a, b])
 
 
 class TestLogSoftmaxNll:
@@ -227,19 +230,19 @@ class TestRadial:
 
     def test_one_map_matches_chain(self):
         assert_matches_chain(
-            lambda x: ad.radial(x, shrink), lambda x: x / (x.norm2(axis=1, keepdims=True) + 1.0), [self.ROWS]
+            lambda x: ad.radial(x, shrink), lambda x: div(x, norm2(x, 1, True) + 1.0), [self.ROWS]
         )
 
     def test_maps_compose_in_order(self):
         def chain(x):
-            y = x / (x.norm2(axis=1, keepdims=True) + 1.0)
-            n = y.norm2(axis=1, keepdims=True)
-            return y * (n * n + 1.0)
+            y = div(x, norm2(x, 1, True) + 1.0)
+            n = norm2(y, 1, True)
+            return mul(y, n * n + 1.0)
 
         assert_matches_chain(lambda x: ad.radial(x, shrink, grow), chain, [self.ROWS])
 
     def test_gradients(self):
-        check_gradients(lambda x: ad.radial(x, shrink, grow).norm2(), [self.ROWS])
+        check_gradients(lambda x: norm2(ad.radial(x, shrink, grow)), [self.ROWS])
 
     def test_zero_row_passes_gradient_times_phi0(self):
         x = Tensor(np.zeros((1, 3)), requires_grad=True)
@@ -254,11 +257,11 @@ class TestRadial:
 class TestAffine:
     def test_matches_chain(self):
         arrays = [rand((3, 2), 32), rand((2, 4), 33), rand((4,), 34)]
-        assert_matches_chain(ad.affine, lambda x, w, b: ad.matmul(x, w) + b.reshape(1, 4), arrays)
+        assert_matches_chain(ad.affine, lambda x, w, b: add(matmul(x, w), reshape(b, 1, 4)), arrays)
 
     def test_gradients(self):
         arrays = [rand((3, 2), 35), rand((2, 4), 36), rand((4,), 37)]
-        check_gradients(lambda x, w, b: ad.affine(x, w, b).norm2(), arrays)
+        check_gradients(lambda x, w, b: norm2(ad.affine(x, w, b)), arrays)
 
     @pytest.mark.parametrize("shapes", [((3, 2), (3, 4), (4,)), ((3, 2), (2, 4), (3,)), ((2,), (2, 4), (4,))])
     def test_shape_mismatch(self, shapes):
@@ -277,13 +280,13 @@ class TestGatedMix:
 
     def test_matches_chain(self):
         def chain(f, v, c, w, b):
-            gate = sigmoid(c * w.reshape(1, 4) + b.reshape(1, 4))
-            return gate * f + (1.0 - gate) * v
+            gate = sigmoid(add(mul(c, reshape(w, 1, 4)), reshape(b, 1, 4)))
+            return gate * f + sub(1.0, gate) * v
 
         assert_matches_chain(ad.gated_mix, chain, self.ARRAYS)
 
     def test_gradients(self):
-        check_gradients(lambda *t: ad.gated_mix(*t).norm2(), self.ARRAYS)
+        check_gradients(lambda *t: norm2(ad.gated_mix(*t)), self.ARRAYS)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -295,39 +298,33 @@ def same_label_mask(labels):
     return (y[:, None] == y[None, :]) & ~np.eye(len(y), dtype=bool)
 
 
-class TestSymmetricLogSoftmaxNll:
+def symmetric_nll_node(z, mask=None):
+    """``ad.symmetric_nll_grad`` as a node over its logits."""
+    loss, grad = ad.symmetric_nll_grad(z.data.copy(), mask)
+    return Tensor.from_op(np.asarray(loss), (z,), (lambda g: float(np.asarray(g).reshape(())) * grad,))
+
+
+class TestSymmetricNllGrad:
     @pytest.mark.parametrize("labels", [None, [0, 1, 0, 2, 1]], ids=["unique", "repeated"])
     def test_matches_chain(self, labels):
         mask = None if labels is None else same_label_mask(labels)
-        targets = np.arange(5)
-
-        def chain(logits):
-            if mask is not None:
-                logits = logits + Tensor(np.where(mask, -np.inf, 0.0))
-            return (ad.log_softmax_nll(logits, targets) + ad.log_softmax_nll(logits.transpose(), targets)) * 0.5
-
-        assert_matches_chain(lambda z: ad.symmetric_log_softmax_nll(z, mask), chain, [rand((5, 5), 45, 3.0)])
+        assert_matches_chain(
+            lambda z: symmetric_nll_node(z, mask), lambda z: symmetric_nll(z, mask), [rand((5, 5), 45, 3.0)]
+        )
 
     @pytest.mark.parametrize("labels", [None, [0, 1, 0, 2, 1]], ids=["unique", "repeated"])
     def test_gradients(self, labels):
         mask = None if labels is None else same_label_mask(labels)
-        check_gradients(lambda z: ad.symmetric_log_softmax_nll(z, mask), [rand((5, 5), 46)])
+        check_gradients(lambda z: symmetric_nll_node(z, mask), [rand((5, 5), 46)])
 
     def test_uniform_logits_give_log_b(self):
-        loss = ad.symmetric_log_softmax_nll(Tensor(np.zeros((4, 4))))
-        assert loss.item() == pytest.approx(math.log(4.0), abs=1e-15)
+        loss, _ = ad.symmetric_nll_grad(np.zeros((4, 4)))
+        assert loss == pytest.approx(math.log(4.0), abs=1e-15)
 
     def test_masked_entries_get_no_gradient(self):
         mask = same_label_mask([0, 0, 1])
-        z = Tensor(rand((3, 3), 47), requires_grad=True)
-        ad.symmetric_log_softmax_nll(z, mask).backward()
-        np.testing.assert_array_equal(z.grad[mask], 0.0)
-
-    def test_bad_shapes_rejected(self):
-        with pytest.raises(DimensionError):
-            ad.symmetric_log_softmax_nll(Tensor(np.zeros((2, 3))))
-        with pytest.raises(ContractError):
-            ad.symmetric_log_softmax_nll(Tensor(np.zeros((2, 2))), np.eye(2, dtype=bool))
+        _, grad = ad.symmetric_nll_grad(rand((3, 3), 47), mask)
+        np.testing.assert_array_equal(grad[mask], 0.0)
 
 
 class TestBackward:
@@ -401,7 +398,7 @@ class TestBackward:
     def test_determinism(self):
         def build():
             x = Tensor(rand((4, 4), 29), requires_grad=True)
-            loss = ad.log_softmax_nll(ad.matmul(ad.tanh(x), rand((4, 3), 30)), np.array([0, 1, 2, 0]))
+            loss = ad.log_softmax_nll(matmul(ad.tanh(x), Tensor(rand((4, 3), 30))), np.array([0, 1, 2, 0]))
             loss.backward()
             return loss.item(), x.grad.copy()
 
@@ -424,8 +421,8 @@ def test_composite_graph_matches_finite_differences(rows, cols, seed):
     w = rng.normal(size=(cols, 3)) * 0.8
 
     def f(a, b):
-        h = ad.tanh(ad.matmul(a, b))
-        return (sigmoid(h) * h).sum() + h.norm2() * 0.1
+        h = ad.tanh(matmul(a, b))
+        return (sigmoid(h) * h).sum() + norm2(h) * 0.1
 
     worst = check_gradients(f, [x, w], step=1e-6, tol=1e-4)
     assert worst <= 1e-4

@@ -210,6 +210,45 @@ def test_unknown_ablation_exits_3(world, tmp_path, capsys):
     assert "unknown ablation 'nonsense'" in capsys.readouterr().err
 
 
+# A malformed train option, and the config field its error names.
+BAD_TRAIN_OPTIONS = [
+    ("--lr0", "nan", "lr0"), ("--lr0", "inf", "lr0"), ("--lr0", "0", "lr0"),
+    ("--lr-min", "5", "lr_min"), ("--lr-min", "-0.001", "lr_min"), ("--lr-min", "nan", "lr_min"),
+    ("--weight-decay", "nan", "weight_decay"), ("--weight-decay", "-0.1", "weight_decay"),
+    ("--weight-decay", "inf", "weight_decay"),
+    ("--adam-beta1", "1", "adam_beta1"), ("--adam-beta1", "2", "adam_beta1"), ("--adam-beta1", "-0.1", "adam_beta1"),
+    ("--adam-beta1", "nan", "adam_beta1"), ("--adam-beta2", "1", "adam_beta2"),
+    ("--adam-eps", "-1", "adam_eps"), ("--adam-eps", "0", "adam_eps"), ("--adam-eps", "nan", "adam_eps"),
+    ("--adam-eps", "inf", "adam_eps"),
+    ("--op-inter-weight", "nan", "op_inter_weight"), ("--op-inter-weight", "-1", "op_inter_weight"),
+    ("--val-trials", "1", "val_trials"),
+    ("--alpha1", "nan", "alpha1"), ("--alpha2", "inf", "alpha2"), ("--alpha3", "-1", "alpha3"),
+    ("--tangent-clip", "nan", "tangent_clip"), ("--tangent-clip", "inf", "tangent_clip"),
+    ("--tangent-clip", "0", "tangent_clip"),
+    ("--curvature", "inf", "curvature"), ("--curvature", "nan", "curvature"), ("--curvature", "0", "curvature"),
+    ("--boundary-eps", "nan", "boundary_eps"),
+]
+
+
+@pytest.mark.parametrize("flag, value, field", BAD_TRAIN_OPTIONS, ids=[f"{f[2:]}={v}" for f, v, _ in BAD_TRAIN_OPTIONS])
+def test_malformed_train_option_exits_3_before_training(world, tmp_path, capsys, monkeypatch, flag, value, field):
+    monkeypatch.setattr(trainer, "train", lambda *a: pytest.fail("training started"))
+    assert cli.main(train_argv(world, tmp_path / "run", flag, value)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric/invariant error:") and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--max-trials", "1", "max_trials"), ("--matching-trials", "0", "matching_trials"), ("--nc-list", "1", "nc_list"),
+    ("--probe-modality", "x", "probe_modality"),
+])
+def test_malformed_eval_option_exits_3_before_loading(world, run, tmp_path, capsys, monkeypatch, flag, value, field):
+    monkeypatch.setattr(model, "load_checkpoint", lambda *a: pytest.fail("checkpoint loaded"))
+    assert cli.main(eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval", flag, value)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric/invariant error:") and field in err
+
+
 def test_ablation_manifests_describe_trained_model(world, arms, tmp_path):
     preset, _ = arms["baseline"]
     trained = recorded(preset)

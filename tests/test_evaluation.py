@@ -157,6 +157,12 @@ def small_setup(rho=1.0, seed=3, face_dim=10, voice_dim=9):
     return ds, split, cfg, params
 
 
+def score_alone(face, voice, params, cfg):
+    """The score of one face record against one voice record, scored as a trial list of its own."""
+    (trial,) = evaluation.score_trials([VerificationTrial(None, False, face, voice)], params, cfg)
+    return trial.score
+
+
 class TestScoring:
     def test_identical_aligned_embeddings_score_zero_distance(self):
         ds, split, cfg, params = small_setup()
@@ -164,16 +170,16 @@ class TestScoring:
         # craft a voice embedding whose projection matches the face projection exactly
         face = rec.vector[None, :]
         f_pt = model.encode_modality(Tensor(face), "face", params, cfg)
-        score = evaluation.score_pairs(face, face @ np.zeros((10, 9)), params, cfg)
         # same-point score is the max possible score (0 = -distance of 0)
         self_score = -hyp.poincare_distance(f_pt, f_pt).item()
         assert self_score == 0.0
 
     def test_one_row_score_matches_independent_distance(self):
         ds, split, cfg, params = small_setup()
-        face = ds.records[0].vector
-        voice = ds.records[1].vector
-        (got,) = evaluation.score_pairs(face[None, :], voice[None, :], params, cfg)
+        face_rec = next(r for r in ds.records if r.modality == "face")
+        voice_rec = next(r for r in ds.records if r.modality == "voice")
+        face, voice = face_rec.vector, voice_rec.vector
+        got = score_alone(face_rec, voice_rec, params, cfg)
         f = model.encode_modality(Tensor(face[None, :]), "face", params, cfg)
         v = model.encode_modality(Tensor(voice[None, :]), "voice", params, cfg)
         expected = -hyp.poincare_distance(
@@ -185,9 +191,11 @@ class TestScoring:
     def test_cosine_arm_matches_independent_cosine(self):
         ds, split, cfg, params = small_setup()
         cfg = dataclasses.replace(cfg, use_hyperbolic=False, similarity="cosine")
-        faces = np.stack([r.vector for r in ds.records if r.modality == "face"][:6])
-        voices = np.stack([r.vector for r in ds.records if r.modality == "voice"][:6])
-        got = evaluation.score_pairs(faces, voices, params, cfg)
+        face_recs = [r for r in ds.records if r.modality == "face"][:6]
+        voice_recs = [r for r in ds.records if r.modality == "voice"][:6]
+        trials = [VerificationTrial(None, False, f, v) for f, v in zip(face_recs, voice_recs)]
+        got = [t.score for t in evaluation.score_trials(trials, params, cfg)]
+        faces, voices = np.stack([r.vector for r in face_recs]), np.stack([r.vector for r in voice_recs])
         pf = faces @ params.face_weight.data + params.face_bias.data
         pv = voices @ params.voice_weight.data + params.voice_bias.data
         expected = np.sum(pf * pv, axis=1) / (np.linalg.norm(pf, axis=1) * np.linalg.norm(pv, axis=1))
@@ -216,13 +224,9 @@ class TestMatching:
         ]
         trial = evaluation.MatchingTrial("voice", probe, gallery, 0)
         # score the true matched face far closer than the shifted distractors
-        probe_emb = probe.vector[None, :]
-        match_score = evaluation.score_pairs(rec_f.vector[None, :], probe_emb, params, cfg)[0]
+        match_score = score_alone(rec_f, probe, params, cfg)
         result = evaluation.matching_accuracy([trial], params, cfg)
-        others = [
-            evaluation.score_pairs(g.vector[None, :], probe_emb, params, cfg)[0]
-            for g in gallery[1:]
-        ]
+        others = [score_alone(g, probe, params, cfg) for g in gallery[1:]]
         if match_score > max(others):
             assert result.accuracy == 1.0
 
@@ -244,10 +248,7 @@ class TestMatching:
         result = evaluation.matching_accuracy(trials, params, cfg)
         wins = 0
         for t in trials:
-            probe = t.probe.vector[None, :]
-            scores = [
-                evaluation.score_pairs(g.vector[None, :], probe, params, cfg)[0] for g in t.gallery
-            ]
+            scores = [score_alone(g, t.probe, params, cfg) for g in t.gallery]
             if int(np.argmax(scores)) == t.correct_index:
                 wins += 1
         assert result.accuracy == pytest.approx(wins / len(trials), abs=1e-12)
@@ -321,21 +322,18 @@ class TestScoringByIndex:
     """Trial scoring encodes distinct records once and must equal scoring each trial alone."""
 
     @pytest.mark.parametrize("arm", sorted(ARMS))
-    def test_score_trials_equals_per_trial_score_pairs(self, arm):
+    def test_score_trials_equals_per_trial_scores(self, arm):
         ds, split, cfg, params = small_setup()
         cfg = ARMS[arm](cfg)
         trials = evaluation.build_verification_trials(ds, split, 60, seed=17)
         assert len({id(t.face) for t in trials}) < len(trials)  # records are reused
         evaluation.score_trials(trials, params, cfg)
-        expected = [
-            evaluation.score_pairs(t.face.vector[None, :], t.voice.vector[None, :], params, cfg)[0]
-            for t in trials
-        ]
+        expected = [score_alone(t.face, t.voice, params, cfg) for t in trials]
         np.testing.assert_allclose([t.score for t in trials], expected, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("arm", sorted(ARMS))
     @pytest.mark.parametrize("probe_modality", ["voice", "face"])
-    def test_matching_equals_per_trial_score_pairs(self, arm, probe_modality, monkeypatch):
+    def test_matching_equals_per_trial_scores(self, arm, probe_modality, monkeypatch):
         ds, split, cfg, params = small_setup()
         cfg = ARMS[arm](cfg)
         trials = evaluation.build_matching_trials(
@@ -347,10 +345,9 @@ class TestScoringByIndex:
         (got,) = seen
         expected = []
         for t in trials:
-            probe = t.probe.vector[None, :]
             for g in t.gallery:
-                pair = (g.vector[None, :], probe) if probe_modality == "voice" else (probe, g.vector[None, :])
-                expected.append(evaluation.score_pairs(*pair, params, cfg)[0])
+                pair = (g, t.probe) if probe_modality == "voice" else (t.probe, g)
+                expected.append(score_alone(*pair, params, cfg))
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
         expected = np.reshape(expected, (len(trials), 3))
         hits = np.argmax(expected, axis=1) == [t.correct_index for t in trials]
@@ -404,8 +401,7 @@ def test_scoring_records_no_tape(arm, monkeypatch):
     trials = evaluation.build_verification_trials(ds, split, 20, seed=26)
     evaluation.score_trials(trials, params, cfg)
     evaluation.matching_accuracy(evaluation.build_matching_trials(ds, split, 3, 10, seed=27), params, cfg)
-    evaluation.score_pairs(np.ones((2, 10)), np.ones((2, 9)), params, cfg)
-    assert len(outputs["encode_modality"]) == 6 and len(outputs["pair_similarity"]) == 3
+    assert len(outputs["encode_modality"]) == 4 and len(outputs["pair_similarity"]) == 2
     assert all(not t.requires_grad and t._parents == () for t in outputs["encode_modality"])
     assert all(isinstance(s, np.ndarray) for s in outputs["pair_similarity"])
     assert all(t.requires_grad for _, t in params.named())

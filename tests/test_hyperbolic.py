@@ -11,7 +11,10 @@ from paeff.autodiff import Tensor
 from paeff.errors import ContractError, DimensionError, NumericError
 from paeff.gradcheck import check_gradients
 
-from chain_check import artanh, assert_matches_chain, clamp_max, log1p, sqrt
+from chain_check import (
+    add, artanh, assert_matches_chain, axis_sum, clamp_max, clamp_min, div, log1p, matmul, mul, norm2, sqrt, sub,
+    transpose,
+)
 
 CFG = hyp.BallConfig()
 
@@ -88,7 +91,7 @@ class TestExpLogMaps:
 
     def test_exp_map_gradient(self):
         check_gradients(
-            lambda v: hyp.exp_map_origin(v, CFG).vector.norm2(),
+            lambda v: norm2(hyp.exp_map_origin(v, CFG).vector),
             [np.array([[0.4, -0.2, 0.1], [0.05, 0.3, -0.4]])],
         )
 
@@ -199,7 +202,7 @@ class TestClipNorm:
 
     def test_gradient_through_clip(self):
         check_gradients(
-            lambda v: ad.radial(v, hyp.clip_radius(0.5)).norm2(), [np.array([[0.9, 1.2], [0.1, 0.05]])]
+            lambda v: norm2(ad.radial(v, hyp.clip_radius(0.5))), [np.array([[0.9, 1.2], [0.1, 0.05]])]
         )
 
 
@@ -345,28 +348,28 @@ def test_pairwise_matches_rowwise():
 
 
 def chain_clip(v, max_norm):
-    return v * clamp_max(max_norm / ad.clamp_min(v.norm2(axis=1, keepdims=True), 1e-12), 1.0)
+    return mul(v, clamp_max(div(max_norm, clamp_min(norm2(v, 1, True), 1e-12)), 1.0))
 
 
 def chain_exp(v):
-    sn = ad.clamp_min(v.norm2(axis=1, keepdims=True) * CFG.sqrt_c, 1e-12)
-    return chain_clip(v * (ad.tanh(sn) / sn), CFG.max_norm)
+    sn = clamp_min(norm2(v, 1, True) * CFG.sqrt_c, 1e-12)
+    return chain_clip(mul(v, div(ad.tanh(sn), sn)), CFG.max_norm)
 
 
 def chain_log(p):
-    safe = ad.clamp_min(p.norm2(axis=1, keepdims=True) * CFG.sqrt_c, 1e-12)
-    return p * (artanh(clamp_max(safe, 1.0 - CFG.boundary_eps)) / safe)
+    safe = clamp_min(norm2(p, 1, True) * CFG.sqrt_c, 1e-12)
+    return mul(p, div(artanh(clamp_max(safe, 1.0 - CFG.boundary_eps)), safe))
 
 
 def chain_pairwise(x, y):
     """The arccosh form (c = 1): arccosh(1 + z), z = 2 ||x - y||^2 / ((1 - ||x||^2)(1 - ||y||^2))."""
-    gram = ad.matmul(x, y.transpose())
-    x2 = (x * x).sum(axis=1, keepdims=True)
-    y2 = (y * y).sum(axis=1, keepdims=True).transpose()
+    gram = matmul(x, transpose(y))
+    x2 = axis_sum(x * x, 1, True)
+    y2 = transpose(axis_sum(y * y, 1, True))
     delta = (16.0 * (x.shape[1] + 1) * EPS) * (x2.data + y2.data)
-    d2 = ad.clamp_min(x2 + y2 - gram * 2.0, delta)
+    d2 = clamp_min(sub(add(x2, y2), gram * 2.0), delta)
     top = 1.0 - CFG.boundary_eps
-    z = clamp_max(d2 * 2.0 / ((1.0 - x2) * (1.0 - y2)), 2.0 * top * top / ((1.0 - top) * (1.0 + top)))
+    z = clamp_max(div(d2 * 2.0, mul(sub(1.0, x2), sub(1.0, y2))), 2.0 * top * top / ((1.0 - top) * (1.0 + top)))
     return log1p(z + sqrt(z * (z + 2.0)))
 
 
@@ -395,7 +398,7 @@ class TestRadialBallMaps:
     def test_clip_exp_clamp_gradients(self, case):
         radius, norms = LIFT_CASES[case]
         lift = lambda t: hyp.ball_map(t, CFG, hyp.clip_radius(radius), hyp.exp_radius(CFG)).vector  # noqa: E731
-        check_gradients(lambda t: lift(t).norm2(), [rows_with_norms(31, norms)])
+        check_gradients(lambda t: norm2(lift(t)), [rows_with_norms(31, norms)])
 
     def test_ball_clamp_fires(self):
         out = hyp.exp_map_origin(Tensor(rows_with_norms(32, [8.0, 15.0])), CFG).numpy()
@@ -410,7 +413,7 @@ class TestRadialBallMaps:
         )
 
     def test_log_map_gradients_at_the_boundary_clamp(self):
-        check_gradients(lambda p: hyp.log_map_origin(as_point(p)).norm2(), [rows_with_norms(34, self.LOG_NORMS)])
+        check_gradients(lambda p: norm2(hyp.log_map_origin(as_point(p))), [rows_with_norms(34, self.LOG_NORMS)])
 
     def test_log_map_clamps_to_artanh_of_the_bound(self):
         p = rows_with_norms(35, [1.0 - 3e-6])
@@ -450,3 +453,12 @@ class TestGramDistanceNode:
         # central difference agrees up to sep / step.
         x, y = sample_pairs(42, 4, "mid", sep, b=3)
         check_gradients(lambda a, b: hyp.pairwise_distances(as_point(a), as_point(b)).sum(), [x, y])
+
+    def test_gradients(self):
+        x, y = sample_pairs(43, 4, "mid", 1e-2, b=3)
+        check_gradients(lambda a, b: norm2(hyp.pairwise_distances(as_point(a), as_point(b))), [x, y])
+
+    def test_one_node_over_the_rows(self):
+        x, y = (Tensor(a, requires_grad=True) for a in sample_pairs(44, 4, "mid", 1e-2, b=3))
+        d = hyp.pairwise_distances(as_point(x), as_point(y))
+        assert d._parents == (x, y)

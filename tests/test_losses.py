@@ -15,7 +15,9 @@ from paeff.errors import ContractError, DimensionError, IndexOutOfRangeError, Nu
 from paeff.gradcheck import check_gradients
 from paeff.hyperbolic import BallConfig, PoincarePoint
 
-from chain_check import absolute, assert_matches_chain
+from chain_check import (
+    absolute, assert_matches_chain, div, exp, pairwise_cosine, reshape, sub, symmetric_nll, transpose,
+)
 
 CFG = BallConfig()
 
@@ -208,12 +210,20 @@ def ball_rows(seed, b, d, radius):
     return u * CFG.max_norm * (1.0 - rng.uniform(0.0, 1e-6, size=(b, 1)))
 
 
+def label_mask(labels):
+    y = None if labels is None else np.asarray(labels)
+    return None if y is None else (y[:, None] == y[None, :]) & ~np.eye(len(y), dtype=bool)
+
+
 def chain_alignment(face, voice, s, labels):
     """The hyperbolic arm as the chain the fused node replaces: -d * exp(s), then the symmetric NLL."""
-    y = None if labels is None else np.asarray(labels)
-    mask = None if y is None else (y[:, None] == y[None, :]) & ~np.eye(len(y), dtype=bool)
-    logits = -hyp.pairwise_distances(PoincarePoint(face, CFG), PoincarePoint(voice, CFG)) * ad.exp(s)
-    return ad.symmetric_log_softmax_nll(logits, mask)
+    logits = hyp.pairwise_distances(PoincarePoint(face, CFG), PoincarePoint(voice, CFG)) * (exp(s) * -1.0)
+    return symmetric_nll(logits, label_mask(labels))
+
+
+def chain_cosine_alignment(face, voice, s, labels):
+    """The cosine arm as the chain the fused node replaces: cos * exp(s), then the symmetric NLL."""
+    return symmetric_nll(pairwise_cosine(face, voice) * exp(s), label_mask(labels))
 
 
 class TestHyperbolicAlignmentNode:
@@ -273,6 +283,43 @@ class TestHyperbolicAlignmentNode:
             losses.alignment_loss(three, three, Tensor(0.0), "dot")
 
 
+def with_zero_row(x):
+    x = x.copy()
+    x[1] = 0.0
+    return x
+
+
+class TestCosineAlignmentNode:
+    CASES = {
+        # name: (labels, face rows, voice rows)
+        "unique": (None, np.random.default_rng(70).normal(size=(6, 5)), np.random.default_rng(71).normal(size=(6, 5))),
+        "repeated": ([0, 1, 0, 2, 1, 3], np.random.default_rng(72).normal(size=(6, 5)),
+                     np.random.default_rng(73).normal(size=(6, 5))),
+        "zero_row": ([0, 1, 0, 2, 1, 3], with_zero_row(np.random.default_rng(74).normal(size=(6, 5))),
+                     with_zero_row(np.random.default_rng(75).normal(size=(6, 5)))),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_chain(self, case):
+        labels, x, y = self.CASES[case]
+
+        def fused(a, b, s):
+            return losses.alignment_loss(a, b, s, "cosine", labels)
+
+        assert_matches_chain(fused, lambda a, b, s: chain_cosine_alignment(a, b, s, labels), [x, y, np.array(0.7)])
+
+    @pytest.mark.parametrize("case", ["unique", "repeated"])
+    def test_gradients(self, case):
+        labels, x, y = self.CASES[case]
+        check_gradients(lambda a, b, s: losses.alignment_loss(a, b, s, "cosine", labels), [x, y, np.array(1.1)])
+
+    def test_is_one_tape_node(self):
+        x, y = Tensor(ball_rows(76, 4, 3, "mid"), requires_grad=True), Tensor(ball_rows(77, 4, 3, "mid"))
+        s = Tensor(0.4, requires_grad=True)
+        loss = losses.alignment_loss(x, y, s, "cosine", labels=[0, 1, 0, 2])
+        assert loss._parents[0] is x and loss._parents[2] is s and len(loss._parents) == 3
+
+
 class TestPairSimilarity:
     """The index-pair counterpart of the all-pairs similarity tables, for both modes."""
 
@@ -283,7 +330,7 @@ class TestPairSimilarity:
         i, j = rng.integers(5, size=30), rng.integers(6, size=30)
         got = losses.pair_similarity(f, v, i, j, mode)
         if mode == "cosine":
-            table = losses.pairwise_cosine(f.vector, v.vector).numpy()
+            table = pairwise_cosine(f.vector, v.vector).numpy()
         else:
             table = -hyp.pairwise_distances(f, v).numpy()
         assert isinstance(got, np.ndarray)
@@ -409,21 +456,15 @@ class TestOrthogonalProjectionLoss:
 def chain_op_loss(fused, labels, inter_weight=1.0):
     """The orthogonal projection loss as a chain of generic ops: the graph the fused node replaces."""
     y = np.asarray(labels)
-    gram = losses.pairwise_cosine(fused, fused)
+    gram = pairwise_cosine(fused, fused)
     same = (y[:, None] == y[None, :]) & ~np.eye(len(y), dtype=bool)
     diff = y[:, None] != y[None, :]
     terms = []
     if same.any():
-        terms.append(1.0 - (gram * Tensor(same.astype(np.float64))).sum() / float(same.sum()))
+        terms.append(sub(1.0, div((gram * Tensor(same.astype(np.float64))).sum(), float(same.sum()))))
     if diff.any():
-        terms.append((absolute(gram) * Tensor(diff.astype(np.float64))).sum() / float(diff.sum()) * inter_weight)
+        terms.append(div((absolute(gram) * Tensor(diff.astype(np.float64))).sum(), float(diff.sum())) * inter_weight)
     return terms[0] if len(terms) == 1 else terms[0] + terms[1]
-
-
-def with_zero_row(x):
-    x = x.copy()
-    x[1] = 0.0
-    return x
 
 
 OP_CASES = {
@@ -456,7 +497,7 @@ class TestOrthogonalProjectionNode:
         rest = Tensor(np.delete(x, 1, axis=0))
 
         def f(row):
-            rows = ad.concat_cols(rest.transpose(), row.reshape(5, 1)).transpose()
+            rows = transpose(ad.concat_cols(transpose(rest), reshape(row, 5, 1)))
             return losses.orthogonal_projection_loss(rows, np.array(labels)[[0, 2, 3, 1]])
 
         check_gradients(f, [np.zeros(5)], step=1e-15)

@@ -15,7 +15,7 @@ from paeff.autodiff import Tensor
 from paeff.errors import ContractError, DataError, DimensionError
 from paeff.gradcheck import check_gradients
 
-from chain_check import sigmoid
+from chain_check import add, matmul, mul, norm2, reshape, sigmoid, sub
 
 CFG = model.ModelConfig(face_dim=5, voice_dim=6, num_identities=3, proj_dim=4)
 
@@ -163,9 +163,9 @@ def chain_egff(xf, xv, params, cfg):
     elif cfg.attention_combine == "addition":
         combined = f + v
     else:
-        combined = ad.matmul(ad.concat_cols(f, v), params.combine_weight) + params.combine_bias.reshape(1, d)
-    gate = sigmoid(combined * params.gate_weight.reshape(1, d) + params.gate_bias.reshape(1, d))
-    return gate * f + (1.0 - gate) * v
+        combined = add(matmul(ad.concat_cols(f, v), params.combine_weight), reshape(params.combine_bias, 1, d))
+    gate = sigmoid(add(mul(combined, reshape(params.gate_weight, 1, d)), reshape(params.gate_bias, 1, d)))
+    return gate * f + sub(1.0, gate) * v
 
 
 EGFF_ARMS = [(act, combine) for act in ("tanh", "relu") for combine in ("multiplication", "addition", "concatenation")]
@@ -206,7 +206,7 @@ class TestEgffArms:
 
         def f(a, b, *tensors):
             trial = dataclasses.replace(params, **dict(zip(names, tensors)))
-            return model.egff_fuse(a, b, trial, cfg).norm2()
+            return norm2(model.egff_fuse(a, b, trial, cfg))
 
         check_gradients(f, [xf, xv] + [getattr(params, n).data for n in names])
 
