@@ -18,10 +18,10 @@ Design constraints kept deliberately tight so every gradient is auditable:
 A node holds one VJP per parent, or, for a fused node with several
 parents, one joint VJP that returns a gradient per parent in order.
 ``Tensor.from_op`` records a node; other modules define their fused
-nodes with it: ``hyperbolic``'s all-pairs arccosh distance and its
-contrastive NLL, and ``losses``' cosine alignment and orthogonal
-projection losses. The two contrastive nodes take their softmax part
-from ``symmetric_nll_grad``. A VJP closure holds the arrays its node
+nodes with it: ``hyperbolic``'s all-pairs arccosh distance, and
+``losses``' alignment loss, one node for its hyperbolic and cosine arms,
+and orthogonal projection loss. The alignment node takes its softmax
+part from ``symmetric_nll_grad``. A VJP closure holds the arrays its node
 saves, directly or through a helper's VJP it closes over.
 
 The engine's ops, each one node with a hand-written VJP:
@@ -82,8 +82,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps", "_backward_done", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -399,7 +398,7 @@ def log_softmax_nll(logits: Tensor, targets) -> Tensor:
     softmax /= total
 
     def vjp(g):
-        scale = float(np.asarray(g).reshape(())) / b
+        scale = float(g) / b
         grad = softmax * scale
         grad[np.arange(b), t] -= scale
         return grad

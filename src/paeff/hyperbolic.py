@@ -1,8 +1,7 @@
 """Poincare-ball geometry for aligning face and voice embeddings.
 
-The ball maps, the all-pairs distance and the contrastive NLL run
-through the autodiff engine, so the training loss is differentiable back
-to the Euclidean projections. The index-pair distance that scores trials
+The ball maps and the all-pairs distance carry their VJPs, so the
+training loss is differentiable back to the Euclidean projections. The index-pair distance that scores trials
 and the row-wise reference distance are plain numpy: they need no
 gradient. Points live strictly inside the ball:
 sqrt(c) * ||x|| <= 1 - boundary_eps.
@@ -53,21 +52,20 @@ expanded through the dot product <x, y> and floored at a delta that
 bounds the expansion's rounding (see ``pairwise_distances``); the
 boundary clamp sqrt(c)||(-x) (+) y|| <= 1 - eps becomes the cap
 z <= 2 (1 - eps)^2 / (1 - (1 - eps)^2). One private helper holds that
-form and its VJP, and three functions share it:
+form and its VJP, and two functions share it:
 
-* ``pairwise_distances(x, y)``: every row of x with every row of y, as a
-  [B x N] table, one node over the rows of x and y;
+* ``distance_table(xd, yd, cfg)``: every row of x with every row of y, as
+  a numpy [B x N] table, and its VJP to the rows, the two
+  [B x N] x [N x D] products of the Gram matmul.
+  ``losses.alignment_loss`` builds the alignment node on it, and
+  ``pairwise_distances(x, y)`` records it as one node over the rows of
+  x and y;
 * ``pair_distances(x, y, x_rows, y_rows)``: the pairs
   (x[x_rows[k]], y[y_rows[k]]) as a numpy array, the same form without
-  its VJP; evaluation scores trials with it;
-* ``contrastive_nll(x, y, logit_scale, mask)``: the alignment loss's
-  symmetric softmax NLL over the logits -exp(logit_scale) d(x_i, y_j), one
-  node over the rows themselves.
+  its VJP; evaluation scores trials with it.
 
 So an all-pairs and an index-pair distance of the same two points differ
-only by the rounding of their dot product, and the first and the third
-share one VJP to the rows: the two [B x N] x [N x D] products of the
-Gram matmul.
+only by the rounding of their dot product.
 """
 
 from __future__ import annotations
@@ -241,7 +239,7 @@ def pairwise_distances(x: PoincarePoint, y: PoincarePoint) -> Tensor:
     xr, yr = x.vector, y.vector
     if xr.shape[1] != yr.shape[1]:
         raise ContractError(f"pairwise_distances: dims differ: {xr.shape} vs {yr.shape}")
-    d, back = _all_pairs(xr.data, yr.data, cfg)
+    d, back = distance_table(xr.data, yr.data, cfg)
     return Tensor.from_op(d, (xr, yr), (back,))
 
 
@@ -263,37 +261,7 @@ def pair_distances(x: PoincarePoint, y: PoincarePoint, x_rows, y_rows) -> np.nda
     return _arccosh_distance(dots, a, b, xd.shape[1], cfg)[0]
 
 
-def contrastive_nll(x: PoincarePoint, y: PoincarePoint, logit_scale: Tensor, mask=None) -> Tensor:
-    """Symmetric softmax NLL of the diagonal over the logits -exp(logit_scale) * d(x_i, y_j), as one node.
-
-    ``x`` and ``y`` are matched [B x D] batches; where the boolean [B x B]
-    ``mask`` is set, a logit counts as -inf (``autodiff.symmetric_nll_grad``).
-    The node's parents are the rows of x and y and ``logit_scale``; its VJP
-    keeps z, sqrt(z (z + 2)) and the logit gradient P. With the inverse
-    temperature t = exp(s), the distance gradient is -t P; the rank-one
-    denominator turns it into row and column sums for the squared norms,
-    two [B x B] x [B x D] products carry the Gram part to the rows, and
-    d/ds = sum(P * logits) is one sum, taken in the forward pass.
-    """
-    cfg = _same_config(x, y)
-    xr, yr = x.vector, y.vector
-    xd, yd = xr.data, yr.data
-    if xd.shape != yd.shape:
-        raise ContractError(f"contrastive_nll: batches differ: {xd.shape} vs {yd.shape}")
-    dist, back = _all_pairs(xd, yd, cfg)
-    inv_temp = math.exp(logit_scale.item())
-    loss, grad = ad.symmetric_nll_grad(dist * -inv_temp, mask)
-    d_scale = -inv_temp * float(np.vdot(grad, dist))
-    del dist
-
-    def vjp(g):
-        g = float(np.asarray(g).reshape(()))
-        return (*back(grad, -inv_temp * g), np.full(logit_scale.shape, d_scale * g))
-
-    return Tensor.from_op(np.asarray(loss), (xr, yr, logit_scale), (vjp,))
-
-
-def _all_pairs(xd: np.ndarray, yd: np.ndarray, cfg: BallConfig):
+def distance_table(xd: np.ndarray, yd: np.ndarray, cfg: BallConfig):
     """d(x_i, y_j) for every row of x and of y, [B x N], and its VJP to the rows.
 
     Returns d and ``back(g, scale=1.0)``, which takes scale * g, a gradient

@@ -5,10 +5,11 @@ The total objective is the weighted sum
     L = alpha1 * L_align + alpha2 * L_op + alpha3 * L_ce
 
 with the weights defaulting to (0.3, 0.35, 0.35). Each loss is one tape
-node with a hand-written VJP: every alignment arm (hyperbolic or cosine),
-the orthogonal projection loss and the cross-entropy; ``total_loss`` adds
-them up. ``pair_similarity``, which evaluation scores trials with, is
-plain numpy: a score needs no gradient.
+node with a hand-written VJP: the alignment, the orthogonal projection
+loss and the cross-entropy; ``total_loss`` adds them up. The alignment's
+two arms, hyperbolic and cosine, share that node and differ only in the
+similarity table it is built on. ``pair_similarity``, which evaluation
+scores trials with, is plain numpy: a score needs no gradient.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def alignment_loss(
     mode: str = "neg_hyperbolic_distance",
     labels=None,
 ) -> Tensor:
-    """Symmetric cross-entropy over in-batch pairs.
+    """Symmetric cross-entropy over in-batch pairs, as one tape node.
 
     Row i of both inputs must be the same identity's matched pair; every
     other row serves as a negative, except rows whose ``labels`` entry
@@ -126,10 +127,15 @@ def alignment_loss(
     logits are exp(logit_scale) * similarity, and the loss averages the
     face->voice and voice->face directions.
 
-    Each arm is one tape node over the face rows, the voice rows and
-    ``logit_scale``: ``hyperbolic.contrastive_nll`` for the hyperbolic one,
-    :func:`_cosine_nll` for the cosine one. The mask is built only when a
-    label repeats.
+    The arms differ only in their similarity table: S = -d(x_i, y_j) from
+    ``hyperbolic.distance_table``, or S = cos(x_i, y_j) from
+    :func:`_cosine_table`. Each comes as a table T with S = sign * T and
+    ``back(g, scale)``, which takes scale * g, a gradient of T, to the face
+    and voice rows. The node's parents are the face rows, the voice rows
+    and ``logit_scale``. With t = exp(logit_scale) and P the logit gradient
+    from ``autodiff.symmetric_nll_grad``, the rows get ``back(P, sign * t)``
+    and d logit_scale = <P, logits>, one sum taken in the forward pass. The
+    mask is built only when a label repeats.
     """
     _check_mode(face, voice, mode)
     f, v = _rows(face), _rows(voice)
@@ -138,35 +144,40 @@ def alignment_loss(
         raise ContractError("alignment_loss needs a batch of at least 2 pairs")
     if v.shape[0] != b:
         raise ContractError(f"alignment_loss needs matched batches, got {(b, v.shape[0])}")
+    if f.shape[1] != v.shape[1]:
+        raise ContractError(f"alignment_loss: face and voice widths differ: {f.shape[1]} vs {v.shape[1]}")
     same = _repeated_label_mask(labels, b)
     if mode == "cosine":
-        return _cosine_nll(f, v, logit_scale, same)
-    return hyp.contrastive_nll(face, voice, logit_scale, same)
-
-
-def _cosine_nll(f: Tensor, v: Tensor, logit_scale: Tensor, mask) -> Tensor:
-    """Symmetric softmax NLL of the diagonal over the logits t * U V^T, as one node.
-
-    U and V are the rows of f and v divided by their floored norms
-    (:func:`_unit_rows`) and t = exp(logit_scale). With P the logit
-    gradient from ``autodiff.symmetric_nll_grad``, the VJP is dU = t P V and
-    dV = t P^T U, taken back through the norms, and d logit_scale =
-    <P, logits>, one sum taken in the forward pass.
-    """
-    u, u_back = _unit_rows(f.data)
-    w, w_back = _unit_rows(v.data)
-    inv_temp = math.exp(logit_scale.item())
-    cos = u @ w.T
-    loss, grad = ad.symmetric_nll_grad(cos * inv_temp, mask)
-    d_scale = inv_temp * float(np.vdot(grad, cos))
-    del cos
+        (table, back), sign = _cosine_table(f.data, v.data), 1.0
+    else:
+        (table, back), sign = hyp.distance_table(f.data, v.data, hyp._same_config(face, voice)), -1.0
+    scale = sign * math.exp(logit_scale.item())
+    loss, grad = ad.symmetric_nll_grad(table * scale, same)
+    d_scale = scale * float(np.vdot(grad, table))
+    del table
 
     def vjp(g):
-        g = float(np.asarray(g).reshape(()))
-        scaled = grad * (inv_temp * g)
-        return u_back(scaled @ w), w_back(scaled.T @ u), np.full(logit_scale.shape, d_scale * g)
+        g = float(g)
+        return (*back(grad, scale * g), np.full(logit_scale.shape, d_scale * g))
 
     return Tensor.from_op(np.asarray(loss), (f, v, logit_scale), (vjp,))
+
+
+def _cosine_table(x: np.ndarray, y: np.ndarray):
+    """cos(x_i, y_j) = U V^T for the unit rows U, V of x and y (:func:`_unit_rows`), and its VJP.
+
+    Returns the [B x N] table and ``back(g, scale)``, which takes scale * g,
+    a gradient of the table, to dU = scale g V and dV = scale g^T U, and
+    through the floored norms to the rows.
+    """
+    u, u_back = _unit_rows(x)
+    w, w_back = _unit_rows(y)
+
+    def back(g, scale):
+        scaled = g * scale
+        return u_back(scaled @ w), w_back(scaled.T @ u)
+
+    return u @ w.T, back
 
 
 def _repeated_label_mask(labels, b: int):
@@ -225,7 +236,7 @@ def orthogonal_projection_loss(
         np.copyto(gram, -2.0 / n_same, where=same)
 
     def vjp(g):
-        return back(float(np.asarray(g).reshape(())) * (gram @ unit))
+        return back(float(g) * (gram @ unit))
 
     return Tensor.from_op(np.asarray(loss), (fused,), (vjp,))
 

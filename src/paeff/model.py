@@ -125,7 +125,8 @@ class ModelParams:
 def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
     """Deterministic init: weights uniform(+-1/sqrt(fan_in)), biases zero.
 
-    ``logit_scale`` starts at ln(1/0.07), the usual contrastive temperature.
+    ``logit_scale`` starts at ln(1/0.07), the usual contrastive temperature,
+    as a [1] tensor, the shape the checkpoint records.
     """
     rng = np.random.default_rng(seed)
     d, c = cfg.proj_dim, cfg.num_identities
@@ -148,7 +149,7 @@ def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
         fuse_bias=bias((d,)),
         cls_weight=weight(d, (d, c)),
         cls_bias=bias((c,)),
-        logit_scale=Tensor(math.log(1.0 / 0.07), requires_grad=True),
+        logit_scale=Tensor([math.log(1.0 / 0.07)], requires_grad=True),
     )
     if cfg.attention_combine == "concatenation":
         params.combine_weight = weight(2 * d, (2 * d, d))

@@ -76,7 +76,7 @@ def check_autodiff_symmetric_nll_grad() -> None:
 
     def node(z: Tensor) -> Tensor:
         loss, grad = ad.symmetric_nll_grad(z.data.copy(), mask)
-        return Tensor.from_op(np.asarray(loss), (z,), (lambda g: float(np.asarray(g).reshape(())) * grad,))
+        return Tensor.from_op(np.asarray(loss), (z,), (lambda g: float(g) * grad,))
 
     check_gradients(node, [rng.normal(size=(4, 4))])
 

@@ -95,6 +95,13 @@ class TestReductions:
     def test_sum(self):
         assert Tensor([1.0, 2.0, 3.0]).sum().item() == 6.0
 
+    def test_scalars_stay_0d(self):
+        assert Tensor(0.5).shape == ()
+        assert Tensor([1.0, 2.0]).sum().shape == ()
+        assert Tensor([0.5]).shape == (1,)
+        t = Tensor(np.arange(6.0).reshape(3, 2).T)
+        assert t.data.flags.c_contiguous
+
     def test_norm2_pythagorean(self):
         assert norm2(Tensor([3.0, 4.0])).item() == 5.0
 
@@ -301,7 +308,7 @@ def same_label_mask(labels):
 def symmetric_nll_node(z, mask=None):
     """``ad.symmetric_nll_grad`` as a node over its logits."""
     loss, grad = ad.symmetric_nll_grad(z.data.copy(), mask)
-    return Tensor.from_op(np.asarray(loss), (z,), (lambda g: float(np.asarray(g).reshape(())) * grad,))
+    return Tensor.from_op(np.asarray(loss), (z,), (lambda g: float(g) * grad,))
 
 
 class TestSymmetricNllGrad:

@@ -1,5 +1,6 @@
 """Objectives: alignment CE, orthogonal projection, weighted total."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -166,6 +167,19 @@ class TestAlignmentLoss:
                 "neg_hyperbolic_distance",
             )
 
+    @pytest.mark.parametrize("mode", ["cosine", "neg_hyperbolic_distance"])
+    def test_width_mismatch_rejected(self, mode):
+        f, v = Tensor(ball_rows(80, 3, 2, "mid")), Tensor(ball_rows(81, 3, 4, "mid"))
+        if mode != "cosine":
+            f, v = PoincarePoint(f, CFG), PoincarePoint(v, CFG)
+        with pytest.raises(ContractError, match="face and voice widths differ: 2 vs 4"):
+            losses.alignment_loss(f, v, Tensor(0.0), mode)
+
+    def test_ball_configs_must_agree(self):
+        x = Tensor(ball_rows(82, 3, 2, "mid"))
+        with pytest.raises(ContractError, match="ball configs differ"):
+            losses.alignment_loss(PoincarePoint(x, CFG), PoincarePoint(x, BallConfig(curvature=2.0)), Tensor(0.0))
+
     def test_gradients(self):
         rng = np.random.default_rng(4)
 
@@ -252,10 +266,7 @@ class TestHyperbolicAlignmentNode:
         labels = self.LABELS[labels]
 
         def f(a, b, s):
-            return hyp.contrastive_nll(
-                PoincarePoint(a, CFG), PoincarePoint(b, CFG), s,
-                None if labels is None else losses._repeated_label_mask(labels, 6),
-            )
+            return losses.alignment_loss(PoincarePoint(a, CFG), PoincarePoint(b, CFG), s, labels=labels)
 
         check_gradients(f, [ball_rows(65, 6, 4, "mid"), ball_rows(66, 6, 4, "mid"), np.array(1.1)])
 
@@ -580,3 +591,17 @@ class TestTotalLoss:
         assert a.grad == pytest.approx(0.3)
         assert o.grad == pytest.approx(0.35)
         assert c.grad == pytest.approx(0.35)
+
+
+def test_every_loss_is_a_0d_tensor():
+    from paeff import model, trainer
+
+    cfg = model.ModelConfig(face_dim=5, voice_dim=6, num_identities=3, proj_dim=4)
+    params = model.init_params(cfg, seed=0)
+    rng = np.random.default_rng(12)
+    faces, voices = Tensor(rng.normal(size=(4, 5))), Tensor(rng.normal(size=(4, 6)))
+    for use_hyperbolic in (True, False):
+        step = trainer.step_losses(faces, voices, np.array([0, 1, 2, 0]), params,
+                                   dataclasses.replace(cfg, use_hyperbolic=use_hyperbolic), losses.LossWeights())
+        assert [t.shape for t in (step.l_align, step.l_op, step.l_ce, step.total)] == [()] * 4
+    assert params.logit_scale.shape == (1,)

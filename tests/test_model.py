@@ -369,6 +369,12 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="UTF-8"):
             model.load_checkpoint_arrays(path)
 
+    def test_logit_scale_written_with_rank_1(self, tmp_path):
+        path = tmp_path / "s.paef"
+        model.save_checkpoint(path, model.init_params(CFG, seed=0))
+        assert model.load_checkpoint_arrays(path)["logit_scale"].shape == (1,)
+        assert model.load_checkpoint(path, CFG).logit_scale.shape == (1,)
+
     def test_shape_mismatch_rejected(self, tmp_path):
         params = model.init_params(CFG, seed=0)
         path = tmp_path / "d.paef"
