@@ -413,7 +413,7 @@ def symmetric_nll_grad(z: np.ndarray, mask=None) -> tuple[float, np.ndarray]:
     :func:`log_softmax_nll` of the diagonal: row i's target is column i and
     column j's target is row j. Entries where the boolean ``mask`` is set
     count as -inf: zero softmax probability and zero gradient. This is the
-    numpy core that fused contrastive nodes share. ``z`` is overwritten
+    numpy core of the alignment node. ``z`` is overwritten
     and returned as the gradient ((softmax_rows + softmax_cols) / 2 - I) / B,
     so the pass holds one more [B x B] array, for the row softmax, only
     while it runs. ``mask`` is trusted: [B x B] boolean with a clear diagonal.

@@ -1,10 +1,10 @@
 """Poincare-ball geometry for aligning face and voice embeddings.
 
 The ball maps and the all-pairs distance carry their VJPs, so the
-training loss is differentiable back to the Euclidean projections. The index-pair distance that scores trials
-and the row-wise reference distance are plain numpy: they need no
-gradient. Points live strictly inside the ball:
-sqrt(c) * ||x|| <= 1 - boundary_eps.
+training loss is differentiable back to the Euclidean projections. The
+index-pair distance that scores trials and the row-wise reference
+distance are plain numpy: they need no gradient. Points live strictly
+inside the ball: sqrt(c) * ||x|| <= 1 - boundary_eps.
 
 Every function takes and returns batches of rows: a point or tangent
 vector is a [B x D] tensor (B >= 1), and a distance is a [B] tensor or,
@@ -54,12 +54,9 @@ boundary clamp sqrt(c)||(-x) (+) y|| <= 1 - eps becomes the cap
 z <= 2 (1 - eps)^2 / (1 - (1 - eps)^2). One private helper holds that
 form and its VJP, and two functions share it:
 
-* ``distance_table(xd, yd, cfg)``: every row of x with every row of y, as
-  a numpy [B x N] table, and its VJP to the rows, the two
-  [B x N] x [N x D] products of the Gram matmul.
-  ``losses.alignment_loss`` builds the alignment node on it, and
-  ``pairwise_distances(x, y)`` records it as one node over the rows of
-  x and y;
+* ``distance_table(xd, yd, cfg)``: every row of x with every row of y,
+  a [B x N] array, and its VJP to the rows; ``losses.alignment_loss``
+  builds its node on it, and ``pairwise_distances(x, y)`` records it as one;
 * ``pair_distances(x, y, x_rows, y_rows)``: the pairs
   (x[x_rows[k]], y[y_rows[k]]) as a numpy array, the same form without
   its VJP; evaluation scores trials with it.

@@ -127,15 +127,13 @@ def alignment_loss(
     logits are exp(logit_scale) * similarity, and the loss averages the
     face->voice and voice->face directions.
 
-    The arms differ only in their similarity table: S = -d(x_i, y_j) from
-    ``hyperbolic.distance_table``, or S = cos(x_i, y_j) from
-    :func:`_cosine_table`. Each comes as a table T with S = sign * T and
-    ``back(g, scale)``, which takes scale * g, a gradient of T, to the face
-    and voice rows. The node's parents are the face rows, the voice rows
-    and ``logit_scale``. With t = exp(logit_scale) and P the logit gradient
-    from ``autodiff.symmetric_nll_grad``, the rows get ``back(P, sign * t)``
-    and d logit_scale = <P, logits>, one sum taken in the forward pass. The
-    mask is built only when a label repeats.
+    The arms differ only in their table T and sign, similarity = sign * T:
+    d(x_i, y_j) from ``hyperbolic.distance_table`` with sign -1, or the
+    cosine from :func:`_cosine_table` with +1; ``back(g, scale)`` takes
+    scale * g, a gradient of T, to the rows. With t = exp(logit_scale) and
+    P the logit gradient (``autodiff.symmetric_nll_grad``), the rows get
+    ``back(P, sign * t)`` and logit_scale gets <P, logits>, summed in the
+    forward pass. The mask is built only when a label repeats.
     """
     _check_mode(face, voice, mode)
     f, v = _rows(face), _rows(voice)
@@ -170,8 +168,7 @@ def _cosine_table(x: np.ndarray, y: np.ndarray):
     a gradient of the table, to dU = scale g V and dV = scale g^T U, and
     through the floored norms to the rows.
     """
-    u, u_back = _unit_rows(x)
-    w, w_back = _unit_rows(y)
+    (u, u_back), (w, w_back) = _unit_rows(x), _unit_rows(y)
 
     def back(g, scale):
         scaled = g * scale

@@ -8,8 +8,8 @@ Forward layout (batch of matched face/voice rows):
 
 The lifted points are what the alignment loss and verification scoring
 compare; fusion itself runs on Euclidean coordinates (log map of the
-lifted points), because the gate's convex combination has no meaning on
-the curved ball.
+lifted points, taken as the one clip it equals), because the gate's
+convex combination has no meaning on the curved ball.
 """
 
 from __future__ import annotations
@@ -241,15 +241,21 @@ class ForwardResult:
 
 
 def forward(faces: Tensor, voices: Tensor, params: ModelParams, cfg: ModelConfig) -> ForwardResult:
-    """Full head: project, lift, fuse, project, classify."""
+    """Full head: project, lift, fuse, project, classify.
+
+    With the lift, fusion takes log_0(lift(x)) as the clip it equals: the
+    exp map, the ball clamp and the log map leave a row's direction and
+    take its norm n to min(n, artanh(1 - eps) / sqrt(c)), so after the
+    tangent clip the radius is r* = min(tangent_clip, artanh(1 - eps) / sqrt(c)).
+    """
     xf = project_modality(faces, "face", params, cfg)
     xv = project_modality(voices, "voice", params, cfg)
 
     if cfg.use_hyperbolic:
         face_aligned: PoincarePoint | Tensor = lift(xf, cfg)
         voice_aligned: PoincarePoint | Tensor = lift(xv, cfg)
-        fuse_f = hyp.log_map_origin(face_aligned)
-        fuse_v = hyp.log_map_origin(voice_aligned)
+        clip = hyp.clip_radius(min(cfg.tangent_clip, math.atanh(1.0 - cfg.boundary_eps) / math.sqrt(cfg.curvature)))
+        fuse_f, fuse_v = ad.radial(xf, clip), ad.radial(xv, clip)
     else:
         face_aligned, voice_aligned = xf, xv
         fuse_f, fuse_v = xf, xv

@@ -15,7 +15,7 @@ from paeff.autodiff import Tensor
 from paeff.errors import ContractError, DataError, DimensionError
 from paeff.gradcheck import check_gradients
 
-from chain_check import add, matmul, mul, norm2, reshape, sigmoid, sub
+from chain_check import add, matmul, mul, norm2, reshape, sigmoid, sub, value_and_grads
 
 CFG = model.ModelConfig(face_dim=5, voice_dim=6, num_identities=3, proj_dim=4)
 
@@ -230,6 +230,41 @@ class TestLift:
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
+class TestFuseInput:
+    """With the lift, forward fuses the one clip that the log map of the lifted rows equals."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        curvature=st.floats(0.05, 4.0),
+        tangent_clip=st.floats(0.05, 40.0),
+        boundary_eps=st.floats(1e-5, 0.1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_log_map_of_lift(self, curvature, tangent_clip, boundary_eps, seed):
+        cfg = model.ModelConfig(face_dim=4, voice_dim=4, num_identities=3, proj_dim=4, fusion="linear",
+                                curvature=curvature, boundary_eps=boundary_eps, tangent_clip=tangent_clip)
+        params = model.init_params(cfg, seed=0)
+        params.face_weight.data[...] = np.eye(4)
+        params.voice_weight.data[...] = np.eye(4)
+        # row norms across the tangent clip and across the ball clamp's tangent radius, and a zero row
+        clamp = math.atanh(1.0 - boundary_eps) / math.sqrt(curvature)
+        norms = [[0.0, 0.3 * tangent_clip, 0.999 * tangent_clip, 1.001 * tangent_clip, 3.0 * tangent_clip],
+                 [0.3 * clamp, 0.999 * clamp, 1.001 * clamp, 3.0 * clamp, 0.5 * (tangent_clip + clamp)]]
+        rng = np.random.default_rng(seed)
+        faces, voices = (rng.normal(size=(5, 4)) for _ in range(2))
+        faces *= np.asarray(norms[0])[:, None] / np.linalg.norm(faces, axis=1, keepdims=True)
+        voices *= np.asarray(norms[1])[:, None] / np.linalg.norm(voices, axis=1, keepdims=True)
+
+        def fused(f, v):
+            return model.forward(f, v, params, cfg).fused
+
+        def log_of_lift(f, v):
+            return hyp.log_map_origin(model.lift(f, cfg)) + hyp.log_map_origin(model.lift(v, cfg))
+
+        for got, want in zip(value_and_grads(fused, [faces, voices]), value_and_grads(log_of_lift, [faces, voices])):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+
 class TestInitParams:
     def test_deterministic(self):
         a = model.init_params(CFG, seed=42)
@@ -299,20 +334,23 @@ class TestForward:
         with pytest.raises(ContractError):
             model.lift(Tensor(np.zeros((2, 4))), cfg)
 
-    def test_end_to_end_gradients(self):
+    # at tangent_clip 20 and 10x inputs the ball clamp, not the tangent clip, bounds the rows
+    @pytest.mark.parametrize("tangent_clip,scale", [(0.5, 1.0), (20.0, 10.0)], ids=["clip", "ball_clamp"])
+    def test_end_to_end_gradients(self, tangent_clip, scale):
         # B=3, D=4, C=3 instance through project -> lift -> fuse -> classify -> loss
         from paeff import losses, trainer
 
-        params = params_for(CFG, seed=13)
+        cfg = dataclasses.replace(CFG, tangent_clip=tangent_clip)
+        params = params_for(cfg, seed=13)
         rng = np.random.default_rng(11)
-        faces, voices = rng.normal(size=(3, 5)), rng.normal(size=(3, 6))
+        faces, voices = rng.normal(size=(3, 5)) * scale, rng.normal(size=(3, 6)) * scale
         labels = np.array([0, 1, 2])
         names = [name for name, _ in params.named()]
 
         def f(*tensors):
             trial = model.ModelParams(**dict(zip(names, tensors)))
             return trainer.step_losses(
-                Tensor(faces), Tensor(voices), labels, trial, CFG, losses.LossWeights()
+                Tensor(faces), Tensor(voices), labels, trial, cfg, losses.LossWeights()
             ).total
 
         check_gradients(f, [t.data for _, t in params.named()])

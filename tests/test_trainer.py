@@ -290,3 +290,25 @@ def test_training_step_peak_memory_at_the_paper_batch():
     finally:
         tracemalloc.stop()
     assert peak <= 11 * b * b * 8
+
+
+# Per-epoch val EER, best epoch and the sum of |parameter| of one fixed-seed
+# run on each alignment arm; a change that moves training past the last bits
+# of the parameters fails here.
+PINNED_RUNS = {
+    "hyperbolic": (True, [0.32, 0.24, 0.2, 0.18, 0.16], 5, 98.69821346733525),
+    "cosine": (False, [0.32, 0.12, 0.14, 0.12, 0.1], 5, 98.93297361717329),
+}
+
+
+@pytest.mark.parametrize("arm", list(PINNED_RUNS))
+def test_fixed_seed_run_is_pinned(arm):
+    use_hyperbolic, val_eers, best_epoch, checksum = PINNED_RUNS[arm]
+    ds = data.synth_generate(40, 4, 12, 10, 1.0, 0.2, seed=5, latent_dim=4)
+    split = data.make_unseen_split(ds, n_val=8, n_test=2, seed=5)
+    cfg = model.ModelConfig(face_dim=12, voice_dim=10, num_identities=30, proj_dim=8, use_hyperbolic=use_hyperbolic)
+    result = trainer.train(ds, split, cfg, trainer.TrainConfig(epochs=5, batch_size=16, lr0=3e-2, seed=5,
+                                                               val_trials=100))
+    assert [h.val_eer for h in result.history] == pytest.approx(val_eers, rel=1e-9)
+    assert result.best_epoch == best_epoch
+    assert sum(float(np.sum(np.abs(t.data))) for _, t in result.params.named()) == pytest.approx(checksum, rel=1e-9)
