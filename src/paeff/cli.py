@@ -33,7 +33,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from . import __version__, config as cfgmod, data, evaluation, model, selfcheck, trainer
+from . import __version__, config as cfgmod, data, evaluation, model, trainer
 from .config import Option
 from .errors import (
     ContractError,
@@ -481,6 +481,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
+    from . import selfcheck  # imported here: no other command needs it or gradcheck
+
     results = selfcheck.run_all()
     for r in results:
         line = f"PASS {r.name}" if r.passed else f"FAIL {r.name}: {r.detail}"

@@ -67,7 +67,7 @@ class Dataset:
                 f"clip {rec.clip_id!r}: vector length {rec.vector.size} does not match "
                 f"{rec.modality} dim {expected}"
             )
-        if not np.all(np.isfinite(rec.vector)):
+        if not np.isfinite(rec.vector).all():
             raise NumericError(f"clip {rec.clip_id!r}: vector contains non-finite values")
 
     def identities(self) -> list[str]:
@@ -387,6 +387,9 @@ def synth_generate(
     a_face = mixing(face_dim)
     a_voice = mixing(voice_dim)
 
+    # Each record's vector is a row view of one of these blocks.
+    faces = np.empty((num_identities * samples_per_id, face_dim))
+    voices = np.empty((num_identities * samples_per_id, voice_dim))
     records: list[EmbeddingRecord] = []
     for k in range(num_identities):
         identity = f"id{k:04d}"
@@ -400,9 +403,12 @@ def synth_generate(
                 "nationality": _NATIONALITIES[rng.integers(len(_NATIONALITIES))],
                 "age_group": _AGE_GROUPS[rng.integers(len(_AGE_GROUPS))],
             }
-        for s in range(samples_per_id):
-            face = a_face @ z + noise * rng.normal(size=face_dim)
-            voice = a_voice @ voice_latent + noise * rng.normal(size=voice_dim)
+        # One draw per identity is the same stream as a face then a voice draw per sample.
+        draws = rng.normal(size=(samples_per_id, face_dim + voice_dim))
+        rows = slice(k * samples_per_id, (k + 1) * samples_per_id)
+        faces[rows] = a_face @ z + noise * draws[:, :face_dim]
+        voices[rows] = a_voice @ voice_latent + noise * draws[:, face_dim:]
+        for s, (face, voice) in enumerate(zip(faces[rows], voices[rows])):
             records.append(
                 EmbeddingRecord(
                     identity_id=identity,

@@ -4,8 +4,10 @@ The ``--ablation`` presets are options of the command line, tested in
 ``test_cli.py``; the trainer trains exactly the configs it is given.
 """
 
+import ctypes
 import json
 import math
+import sys
 import tracemalloc
 import weakref
 
@@ -232,6 +234,17 @@ class TestTrainLoop:
         assert record["logit_scale"] == result.history[0].logit_scale
         assert record["logit_scale_clamped"] is False
 
+    def test_train_runs_where_libc_has_no_mallopt(self, monkeypatch):
+        ds, split, cfg = desk_setup()
+        tc = trainer.TrainConfig(epochs=2, batch_size=4, lr0=1e-3, seed=5, val_trials=20)
+        want = trainer.train(ds, split, cfg, tc)
+        opened = []
+        monkeypatch.setattr(trainer.ctypes, "CDLL", lambda name: opened.append(name) or object())
+        got = trainer.train(ds, split, cfg, tc)
+        assert opened == [None]
+        for (name, a), (_, b) in zip(want.params.named(), got.params.named()):
+            np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+
     def test_previous_step_graph_freed_before_next_forward(self, monkeypatch):
         ds, split, cfg = desk_setup()
         original = trainer.step_losses
@@ -269,6 +282,28 @@ def test_training_step_tape_size():
             stack.extend(node._parents)
     assert len(nodes) <= 32
     assert not any(node.shape == (b, b) for node in nodes.values())
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(sys.platform != "linux" or not _has_mallopt(), reason="needs libc's mallopt")
+def test_repeated_train_call_takes_no_page_faults():
+    """Under the malloc policy train sets, a step reuses the memory the last one freed."""
+    import resource
+
+    ds = data.synth_generate(300, 2, 512, 192, 0.8, 0.5, seed=3, latent_dim=16)
+    split = data.make_unseen_split(ds, n_val=8, n_test=8, seed=3)
+    cfg = model.ModelConfig(512, 192, num_identities=len(split.train_ids))
+    tc = trainer.TrainConfig(epochs=2, batch_size=256, lr0=3e-3, seed=3)
+    trainer.train(ds, split, cfg, tc)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    trainer.train(ds, split, cfg, tc)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
 
 
 def test_training_step_peak_memory_at_the_paper_batch():
