@@ -39,12 +39,10 @@ The engine's ops, each one node with a hand-written VJP:
 * ``log_softmax_nll(logits, targets)``: the mean softmax cross-entropy
   of the target classes.
 
-Two numpy functions record no node. ``symmetric_nll_grad(z, mask)`` is
+One numpy function records no node: ``symmetric_nll_grad(z, mask)`` is
 the mean of the row-wise and column-wise softmax cross-entropy of the
 diagonal of [B x B] logits, masked entries at -inf, with its logit
-gradient. ``pair_dots(x, y, x_rows, y_rows)`` takes the dot products
-<x[x_rows[k]], y[y_rows[k]]> of index pairs, in blocks of rows, for
-scoring, which needs no gradient.
+gradient.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ __all__ = [
     "tanh",
     "relu",
     "concat_cols",
-    "pair_dots",
     "radial",
     "affine",
     "gated_mix",
@@ -330,43 +327,6 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
         (a, b),
         (lambda g: g[:, :k], lambda g: g[:, k:]),
     )
-
-
-def _row_index(rows, n: int, opname: str) -> np.ndarray:
-    """``rows`` as a 1-d integer array of indices into ``n`` rows."""
-    r = np.asarray(rows)
-    if r.ndim != 1 or not np.issubdtype(r.dtype, np.integer):
-        raise DimensionError(f"{opname} needs 1-d integer rows, got shape {r.shape} ({r.dtype})")
-    if r.size and (r.min() < 0 or r.max() >= n):
-        raise IndexOutOfRangeError(f"{opname}: row index out of range for {n} rows")
-    return r
-
-
-# Index pairs per block in pair_dots. Each pass holds a few [block x D]
-# arrays, never the [N x D] rows of all N pairs. At D = 128, 1024-row blocks
-# (1 MB each) were mapped and page-faulted afresh on every call in a new
-# process: 8.8 ms for 10 000 pairs, against 2.7 ms with 256-row blocks.
-_PAIR_BLOCK = 256
-
-
-def pair_dots(x: np.ndarray, y: np.ndarray, x_rows, y_rows) -> np.ndarray:
-    """<x[x_rows[k]], y[y_rows[k]]> for two equal-length row-index arrays: [N], in numpy.
-
-    Each dot is the row sum of the two gathered rows' product,
-    ``np.sum(x[x_rows] * y[y_rows], axis=1)``, taken over blocks of pairs.
-    Scoring needs no gradient, so this records no node.
-    """
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
-        raise DimensionError(f"pair_dots needs two matrices of equal width, got shapes {x.shape} and {y.shape}")
-    i = _row_index(x_rows, x.shape[0], "pair_dots")
-    j = _row_index(y_rows, y.shape[0], "pair_dots")
-    if i.size != j.size:
-        raise ContractError(f"pair_dots: {i.size} x rows vs {j.size} y rows")
-    out = np.empty(i.size)
-    for s in range(0, i.size, _PAIR_BLOCK):
-        b = slice(s, s + _PAIR_BLOCK)
-        out[b] = np.sum(x[i[b]] * y[j[b]], axis=1)
-    return out
 
 
 # -- fused classification loss ------------------------------------------------

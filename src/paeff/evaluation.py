@@ -16,13 +16,14 @@ replacement, and differ from the earlier per-trial draw.
 Many trials share one record, so scoring collects the distinct record
 objects of each trial slot, encodes each once, and scores every trial as
 one index pair into those encodings through ``losses.pair_similarity``:
-for the hyperbolic arm, the Gram closed form of ``pairwise_distances``
-taken at the trial pairs (``hyperbolic.pair_distances``). Both arms take
-the pairs' dot products with ``autodiff.pair_dots``, a block of pairs at
-a time. Scoring reads the parameters through ``ModelParams.detached``,
-so encoding records no tape, and the scores themselves are computed in
-plain numpy. A record whose modality does not fit its slot is
-a ``ContractError``. Stratified reports read the non-match trials'
+the entry of the alignment's own similarity table (the negated
+``hyperbolic.distance_table`` or the cosine) over the distinct faces and
+voices, taken a bounded block of face rows at a time. Scoring reads the
+parameters through ``ModelParams.detached``, so encoding records no tape,
+and the scores themselves are computed in plain numpy. A record whose
+modality does not fit its slot is a ``ContractError``. Scores that are
+not finite, or that all tie and so cannot rank the trials, are a
+``NumericError``. Stratified reports read the non-match trials'
 demographic tags once into arrays and mask them per stratum.
 """
 
@@ -149,6 +150,8 @@ def _trial_scores(trials: list[VerificationTrial]) -> np.ndarray:
     scores = np.array([t.score for t in trials], dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise NumericError(f"{np.count_nonzero(~np.isfinite(scores))} trial scores are not finite")
+    if scores.size and scores.min() == scores.max():
+        raise NumericError(f"all {scores.size} trial scores equal {scores[0]:.6g}, so they cannot rank the trials")
     return scores
 
 

@@ -2,14 +2,13 @@
 
 The ball maps and the all-pairs distance carry their VJPs, so the
 training loss is differentiable back to the Euclidean projections. The
-index-pair distance that scores trials and the row-wise reference
-distance are plain numpy: they need no gradient. Points live strictly
-inside the ball: sqrt(c) * ||x|| <= 1 - boundary_eps.
+row-wise reference distance is plain numpy: it needs no gradient. Points
+live strictly inside the ball: sqrt(c) * ||x|| <= 1 - boundary_eps.
 
 Every function takes and returns batches of rows: a point or tangent
-vector is a [B x D] tensor (B >= 1), and a distance is a [B] tensor or,
-from the numpy distances, a [B] array. A single [D] vector is rejected;
-pass it as one row, ``v.reshape(1, D)``.
+vector is a [B x D] tensor (B >= 1), and a distance is a [B] array or a
+[B x N] table. A single [D] vector is rejected; pass it as one row,
+``v.reshape(1, D)``.
 
 Conventions (curvature -c, c > 0):
 
@@ -37,32 +36,24 @@ then the clamp, and ``model.lift`` puts the tangent clip in front.
 
 Distances take two forms. ``poincare_distance(x, y)`` pairs row i with
 row i through the Mobius form above, in numpy; it is the reference the
-others are tested against. The others take the equal arccosh form
-(Nickel & Kiela, NeurIPS 2017)
+other is tested against. ``distance_table(xd, yd, cfg)`` takes every row
+of x with every row of y, a [B x N] array, with its VJP to the rows, in
+the equal arccosh form (Nickel & Kiela, NeurIPS 2017)
 
     d(x, y)   = arccosh(1 + z) / sqrt(c),
     z         = 2c ||x - y||^2 / ((1 - c||x||^2)(1 - c||y||^2)),
 
 with arccosh(1 + z) taken as log1p(z + sqrt(z (z + 2))), accurate at small
-z. Over a table of pairs the denominator is the outer product of two
-per-row vectors, so it needs no [B x N] array, no clamp and no mask, and
-its gradient into the squared norms is a row or column sum. A row with
-1 - c||x||^2 <= 0 is off the ball: ``NumericError``. ||x - y||^2 is
-expanded through the dot product <x, y> and floored at a delta that
-bounds the expansion's rounding (see ``pairwise_distances``); the
-boundary clamp sqrt(c)||(-x) (+) y|| <= 1 - eps becomes the cap
-z <= 2 (1 - eps)^2 / (1 - (1 - eps)^2). One private helper holds that
-form and its VJP, and two functions share it:
-
-* ``distance_table(xd, yd, cfg)``: every row of x with every row of y,
-  a [B x N] array, and its VJP to the rows; ``losses.alignment_loss``
-  builds its node on it, and ``pairwise_distances(x, y)`` records it as one;
-* ``pair_distances(x, y, x_rows, y_rows)``: the pairs
-  (x[x_rows[k]], y[y_rows[k]]) as a numpy array, the same form without
-  its VJP; evaluation scores trials with it.
-
-So an all-pairs and an index-pair distance of the same two points differ
-only by the rounding of their dot product.
+z. The denominator is the outer product of two per-row vectors, so it
+needs no [B x N] array, no clamp and no mask, and its gradient into the
+squared norms is a row or column sum. A row with 1 - c||x||^2 <= 0 is off
+the ball: ``NumericError``. ||x - y||^2 is expanded through the Gram
+entry <x, y> and floored at a delta that bounds the expansion's rounding
+(see ``pairwise_distances``); the boundary clamp
+sqrt(c)||(-x) (+) y|| <= 1 - eps becomes the cap
+z <= 2 (1 - eps)^2 / (1 - (1 - eps)^2). ``losses`` builds the alignment
+node on this table and scores trials by its entries;
+``pairwise_distances(x, y)`` records it as one node.
 """
 
 from __future__ import annotations
@@ -240,68 +231,31 @@ def pairwise_distances(x: PoincarePoint, y: PoincarePoint) -> Tensor:
     return Tensor.from_op(d, (xr, yr), (back,))
 
 
-def pair_distances(x: PoincarePoint, y: PoincarePoint, x_rows, y_rows) -> np.ndarray:
-    """Distances d(x[x_rows[k]], y[y_rows[k]]) for two equal-length row-index arrays: [N], in numpy.
-
-    The closed form of :func:`pairwise_distances`, taken only at the given
-    pairs: one dot product per pair (``autodiff.pair_dots``), and each
-    row's squared norm once. Scoring needs no gradient, so this records no
-    node.
-    """
-    cfg = _same_config(x, y)
-    xd, yd = x.numpy(), y.numpy()
-    if xd.shape[1] != yd.shape[1]:
-        raise ContractError(f"pair_distances: dims differ: {xd.shape} vs {yd.shape}")
-    dots = ad.pair_dots(xd, yd, x_rows, y_rows)
-    a = np.sum(xd * xd, axis=1)[x_rows]
-    b = np.sum(yd * yd, axis=1)[y_rows]
-    return _arccosh_distance(dots, a, b, xd.shape[1], cfg)[0]
-
-
 def distance_table(xd: np.ndarray, yd: np.ndarray, cfg: BallConfig):
-    """d(x_i, y_j) for every row of x and of y, [B x N], and its VJP to the rows.
+    """d(x_i, y_j) for every row of x and of y, [B x N], in the arccosh form, and its VJP to the rows.
+
+    The delta floor and the z cap are those of the module docstring; a row
+    with 1 - c ||x||^2 <= 0 is off the ball: ``NumericError``.
 
     Returns d and ``back(g, scale=1.0)``, which takes scale * g, a gradient
     of d, to the gradients of x and y through the Gram entries:
     dx = G y + 2 g_a x and dy = G^T x + 2 g_b^T y, with G, g_a and g_b the
-    gradients of <x_i, y_j>, ||x_i||^2 and ||y_j||^2.
-    """
-    a = np.sum(xd * xd, axis=1, keepdims=True)
-    b = np.sum(yd * yd, axis=1, keepdims=True).T
-    d, back = _arccosh_distance(xd @ yd.T, a, b, xd.shape[1], cfg)
-
-    def rows_back(g, scale=1.0):
-        g_gram, g_a, g_b = back(g, scale)
-        return g_gram @ yd + (2.0 * g_a) * xd, g_gram.T @ xd + (2.0 * g_b.T) * yd
-
-    return d, rows_back
-
-
-def _arccosh_distance(dots: np.ndarray, a: np.ndarray, b: np.ndarray, dim: int, cfg: BallConfig):
-    """The closed form d = arccosh(1 + z) / sqrt(c) from <x, y>, ||x||^2 and ||y||^2, and its VJP.
-
-    ``dots`` is overwritten. ``a`` and ``b`` broadcast against it: [B x 1] and
-    [1 x N] for all pairs, the shape of ``dots`` for index pairs. The delta
-    floor and the z cap are those of the module docstring; a row with
-    1 - c ||x||^2 <= 0 is off the ball: ``NumericError``.
-
-    Returns d and ``back(g, scale=1.0)``, which takes scale * g, a gradient
-    of an all-pairs d, to the gradients of (dots, a, b): [B x N], [B x 1]
-    and [1 x N]. Index pairs need no gradient.
-    ``back`` keeps z and sqrt(z (z + 2)), the latter set to inf where the
-    gradient is zero: at the cap (which passes a tie) and at z = 0, where
-    the square root has zero gradient. Inside the floor only the path
-    through ||x - y||^2 is cut.
+    gradients of <x_i, y_j>, ||x_i||^2 and ||y_j||^2. ``back`` keeps z and
+    sqrt(z (z + 2)), the latter set to inf where the gradient is zero: at
+    the cap (which passes a tie) and at z = 0, where the square root has
+    zero gradient. Inside the floor only the path through ||x - y||^2 is cut.
     """
     c, sqrt_c, top = cfg.curvature, cfg.sqrt_c, 1.0 - cfg.boundary_eps
+    a = np.sum(xd * xd, axis=1, keepdims=True)
+    b = np.sum(yd * yd, axis=1, keepdims=True).T
     u, v = 1.0 - c * a, 1.0 - c * b
     if (u <= 0.0).any() or (v <= 0.0).any():
         raise NumericError("hyperbolic distance: point on or outside the unit ball")
     floor = a + b
-    z = dots
+    z = xd @ yd.T
     z *= -2.0
     z += floor  # ||x - y||^2
-    floor *= 16.0 * (dim + 1) * _EPS
+    floor *= 16.0 * (xd.shape[1] + 1) * _EPS
     low = z < floor
     if low.any():
         np.maximum(z, floor, out=z)
@@ -339,7 +293,6 @@ def _arccosh_distance(dots: np.ndarray, a: np.ndarray, b: np.ndarray, dim: int, 
         g_a += np.sum(g_z, axis=1, keepdims=True)
         g_b += np.sum(g_z, axis=0, keepdims=True)
         g_z *= -2.0
-        return g_z, g_a, g_b
+        return g_z @ yd + (2.0 * g_a) * xd, g_z.T @ xd + (2.0 * g_b.T) * yd
 
     return d, back
-

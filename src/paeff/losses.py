@@ -8,14 +8,16 @@ with the weights defaulting to (0.3, 0.35, 0.35). Each loss is one tape
 node with a hand-written VJP: the alignment, the orthogonal projection
 loss and the cross-entropy; ``total_loss`` adds them up. The alignment's
 two arms, hyperbolic and cosine, share that node and differ only in the
-similarity table it is built on. ``pair_similarity``, which evaluation
-scores trials with, is plain numpy: a score needs no gradient.
+similarity table it is built on, which one helper picks. Evaluation
+scores trials with ``pair_similarity``: entries of that same table, in
+plain numpy, since a score needs no gradient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +28,8 @@ from .errors import ContractError, NumericError
 from .hyperbolic import PoincarePoint
 
 _NORM_FLOOR = 1e-12
+# Most entries of one block of the similarity table that pair_similarity holds: 2 MB of float64.
+_TABLE_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -85,25 +89,38 @@ def pair_similarity(
 ) -> np.ndarray:
     """s[k] = similarity of face ``face_rows[k]`` with voice ``voice_rows[k]``: [N], in numpy.
 
-    The index-pair counterpart of the all-pairs similarity the alignment
-    loss takes (-d(x_i, y_j) or the cosine of the rows): entry k equals its
-    [face_rows[k], voice_rows[k]] entry up to the rounding of one dot
-    product. Scoring needs no gradient, so nothing here records a node.
+    The entries of the alignment's own table (:func:`_similarity_arm`),
+    taken over a block of face rows at a time, at most ``_TABLE_ENTRIES``
+    entries, and gathered at the given pairs. The rows, two equal-length
+    integer arrays, index the distinct encodings that evaluation scores.
+    Scoring needs no gradient, so nothing here records a node.
     """
-    _check_mode(face, voice, mode)
+    table_of, sign = _similarity_arm(face, voice, mode)
+    f, v = _rows(face).data, _rows(voice).data
+    out = np.empty(face_rows.size)
+    step = max(1, _TABLE_ENTRIES // v.shape[0])
+    for s in range(0, f.shape[0], step):
+        table = table_of(f[s : s + step], v)[0]
+        k = np.flatnonzero((face_rows >= s) & (face_rows < s + step))
+        out[k] = table[face_rows[k] - s, voice_rows[k]]
+    return out * sign
+
+
+def _similarity_arm(face, voice, mode: str):
+    """The table T of the alignment arm ``mode`` and its sign: similarity = sign * T.
+
+    T is a function of the face and voice row arrays that returns the
+    [B x N] table and its VJP ``back(g, scale)``: d(x_i, y_j) from
+    ``hyperbolic.distance_table`` with sign -1, which needs lifted
+    embeddings, or the cosine from :func:`_cosine_table` with +1.
+    """
     if mode == "cosine":
-        f, v = _unit_rows(_rows(face).data)[0], _unit_rows(_rows(voice).data)[0]
-        return ad.pair_dots(f, v, face_rows, voice_rows)
-    return -hyp.pair_distances(face, voice, face_rows, voice_rows)
-
-
-def _check_mode(face, voice, mode: str) -> None:
-    """A known similarity mode, and lifted embeddings for the hyperbolic one."""
-    if mode == "neg_hyperbolic_distance":
-        if not isinstance(face, PoincarePoint) or not isinstance(voice, PoincarePoint):
-            raise ContractError("neg_hyperbolic_distance needs lifted (ball) embeddings")
-    elif mode != "cosine":
+        return _cosine_table, 1.0
+    if mode != "neg_hyperbolic_distance":
         raise ContractError(f"unknown similarity mode {mode!r}")
+    if not isinstance(face, PoincarePoint) or not isinstance(voice, PoincarePoint):
+        raise ContractError("neg_hyperbolic_distance needs lifted (ball) embeddings")
+    return partial(hyp.distance_table, cfg=hyp._same_config(face, voice)), -1.0
 
 
 def _rows(x: PoincarePoint | Tensor) -> Tensor:
@@ -127,15 +144,14 @@ def alignment_loss(
     logits are exp(logit_scale) * similarity, and the loss averages the
     face->voice and voice->face directions.
 
-    The arms differ only in their table T and sign, similarity = sign * T:
-    d(x_i, y_j) from ``hyperbolic.distance_table`` with sign -1, or the
-    cosine from :func:`_cosine_table` with +1; ``back(g, scale)`` takes
-    scale * g, a gradient of T, to the rows. With t = exp(logit_scale) and
-    P the logit gradient (``autodiff.symmetric_nll_grad``), the rows get
+    The arms differ only in their table T and sign, similarity = sign * T
+    (:func:`_similarity_arm`); ``back(g, scale)`` takes scale * g, a
+    gradient of T, to the rows. With t = exp(logit_scale) and P the logit
+    gradient (``autodiff.symmetric_nll_grad``), the rows get
     ``back(P, sign * t)`` and logit_scale gets <P, logits>, summed in the
     forward pass. The mask is built only when a label repeats.
     """
-    _check_mode(face, voice, mode)
+    table_of, sign = _similarity_arm(face, voice, mode)
     f, v = _rows(face), _rows(voice)
     b = f.shape[0]
     if b < 2:
@@ -145,10 +161,7 @@ def alignment_loss(
     if f.shape[1] != v.shape[1]:
         raise ContractError(f"alignment_loss: face and voice widths differ: {f.shape[1]} vs {v.shape[1]}")
     same = _repeated_label_mask(labels, b)
-    if mode == "cosine":
-        (table, back), sign = _cosine_table(f.data, v.data), 1.0
-    else:
-        (table, back), sign = hyp.distance_table(f.data, v.data, hyp._same_config(face, voice)), -1.0
+    table, back = table_of(f.data, v.data)
     scale = sign * math.exp(logit_scale.item())
     loss, grad = ad.symmetric_nll_grad(table * scale, same)
     d_scale = scale * float(np.vdot(grad, table))

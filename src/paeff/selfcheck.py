@@ -162,8 +162,8 @@ def check_hyperbolic_gram_distance_gradients() -> None:
     check_gradients(f, [x, y])
 
 
-def check_hyperbolic_pair_distances() -> None:
-    """The index-pair Gram form stays within its rounding bound of the row-wise distance.
+def check_hyperbolic_distance_table() -> None:
+    """Entries of the Gram-form table stay within their rounding bound of the row-wise distance.
 
     The bound is the one the Gram form's delta floor allows (c = 1): the
     artanh argument moves by at most sqrt(delta / denominator) + 4 eps, and
@@ -178,7 +178,7 @@ def check_hyperbolic_pair_distances() -> None:
     y = hyp.ball_map(Tensor(np.concatenate([near, rng.normal(size=(n, d)) * 0.1])), cfg).numpy()
     i = rng.integers(n, size=200)
     j = np.where(np.arange(200) % 2 == 0, i, rng.integers(2 * n, size=200))
-    got = hyp.pair_distances(PoincarePoint(Tensor(x), cfg), PoincarePoint(Tensor(y), cfg), i, j)
+    got = hyp.distance_table(x, y, cfg)[0][i, j]
     xi, yj = x[i], y[j]
     want = hyp.poincare_distance(PoincarePoint(Tensor(xi), cfg), PoincarePoint(Tensor(yj), cfg))
     eps = np.finfo(np.float64).eps
@@ -186,7 +186,7 @@ def check_hyperbolic_pair_distances() -> None:
     shift = np.sqrt(16.0 * (d + 1) * eps * (x2 + y2) / (1.0 - 2.0 * np.sum(xi * yj, axis=1) + x2 * y2))
     s_hi = np.minimum(np.tanh(want / 2.0) + shift, 1.0 - cfg.boundary_eps)
     bound = 4.0 * (shift + 4.0 * eps) / (1.0 - s_hi**2)
-    _expect(np.all(np.abs(got - want) <= bound), "index-pair distance outside the rounding bound of row-wise")
+    _expect(np.all(np.abs(got - want) <= bound), "distance table entry outside the rounding bound of row-wise")
 
 
 def check_model_forward_gradients() -> None:
@@ -364,7 +364,7 @@ ALL_CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("hyperbolic.ball_invariant", check_hyperbolic_ball_invariant),
     ("hyperbolic.radial_maps", check_hyperbolic_radial_maps),
     ("hyperbolic.gram_distance_gradients", check_hyperbolic_gram_distance_gradients),
-    ("hyperbolic.pair_distances", check_hyperbolic_pair_distances),
+    ("hyperbolic.distance_table", check_hyperbolic_distance_table),
     ("model.forward_gradients", check_model_forward_gradients),
     ("model.egff_convexity", check_egff_convexity),
     ("losses.alignment_uniform_point", check_alignment_loss_uniform_point),

@@ -2,7 +2,9 @@
 
 Each epoch draws matched-pair batches, optimizes the weighted sum of the
 three losses, and scores a fixed validation trial set; the checkpoint
-returned is the one with the best validation EER.
+returned is the one with the best validation EER. Validation scores that
+all tie cannot rank the trials, so they are a ``NumericError`` naming the
+epoch, not an EER of 0.5.
 
 Malloc policy. ``Tensor.backward`` frees each step's graph as it goes, and
 by default glibc then trims the freed memory off the heap top, so the next
@@ -275,7 +277,10 @@ def train(
             evaluation.score_trials(val_trials, params, model_cfg)
         except NumericError as e:
             raise NumericError(f"training diverged at step {step}: {e}") from None
-        val_eer, _ = evaluation.compute_eer(val_trials)
+        try:
+            val_eer, _ = evaluation.compute_eer(val_trials)
+        except NumericError as e:
+            raise NumericError(f"validation split, epoch {epoch}: {e}") from None
         val_auc = evaluation.compute_auc(val_trials)
         history.append(
             EpochLog(

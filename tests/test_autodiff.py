@@ -1,7 +1,6 @@
 """Tensor engine: op examples, gradient oracles, graph contracts."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,43 +120,6 @@ class TestStructuralOps:
         check_gradients(lambda a, b: norm2(ad.concat_cols(a, b)), [rand((2, 3), 13), rand((2, 2), 14)])
         check_gradients(lambda a: norm2(reshape(a, 6)), [rand((2, 3), 18)])
         check_gradients(lambda a: norm2(transpose(a)), [rand((2, 3), 19)])
-
-
-class TestPairDots:
-    def test_equals_gathered_product_sum(self):
-        # More pairs than two blocks and not a multiple of one, with rows taken many times.
-        rng = np.random.default_rng(31)
-        x, y = rand((7, 5), 32), rand((9, 5), 33)
-        n = 2 * ad._PAIR_BLOCK + 37
-        i, j = rng.integers(7, size=n), rng.integers(9, size=n)
-        got = ad.pair_dots(x, y, i, j)
-        assert isinstance(got, np.ndarray)
-        np.testing.assert_array_equal(got, np.sum(x[i] * y[j], axis=1))
-
-    @pytest.mark.parametrize("x_rows,y_rows,error", [
-        ([0, 3], [0, 1], IndexOutOfRangeError),
-        ([0, 1], [-1, 0], IndexOutOfRangeError),
-        ([[0, 1]], [0], DimensionError),
-        ([0.0], [0], DimensionError),
-        ([0, 1], [0], ContractError),
-    ])
-    def test_bad_rows_rejected(self, x_rows, y_rows, error):
-        with pytest.raises(error):
-            ad.pair_dots(rand((3, 2), 39), rand((2, 2), 40), np.asarray(x_rows), np.asarray(y_rows))
-
-    def test_transient_memory_below_one_row_block_of_all_pairs(self):
-        # N = 20 000 pairs of D = 128 rows: gathering them whole would take one [N x D] array per side.
-        n, d = 20_000, 128
-        rng = np.random.default_rng(41)
-        x, y = rand((300, d), 42), rand((400, d), 43)
-        i, j = rng.integers(300, size=n), rng.integers(400, size=n)
-        tracemalloc.start()
-        try:
-            ad.pair_dots(x, y, i, j)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < n * d * 8
 
 
 class TestBroadcasting:

@@ -210,6 +210,16 @@ def test_unknown_ablation_exits_3(world, tmp_path, capsys):
     assert "unknown ablation 'nonsense'" in capsys.readouterr().err
 
 
+def test_val_scores_all_at_the_distance_cap_exit_3(world, tmp_path, capsys):
+    # At c = 100 with the tangent clip at 8, every lifted row sits at the ball's rim, so every val
+    # pair sits at the distance cap and its scores tie: no EER can be read off them.
+    argv = train_argv(world, tmp_path / "run", "--curvature", "100", "--tangent-clip", "8")
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "validation split, epoch 1: all 10 trial scores equal -1.22061" in err
+    assert not (tmp_path / "run" / "checkpoint.paef").exists()
+
+
 # A malformed train option, and the config field its error names.
 BAD_TRAIN_OPTIONS = [
     ("--lr0", "nan", "lr0"), ("--lr0", "inf", "lr0"), ("--lr0", "0", "lr0"),

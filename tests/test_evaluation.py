@@ -103,8 +103,15 @@ class TestAuc:
         assert evaluation.compute_auc(t) == pytest.approx(0.75, abs=1e-15)
 
     def test_all_ties_give_half(self):
-        t = trials_from([0.5] * 6, [True, True, True, False, False, False])
-        assert evaluation.compute_auc(t) == 0.5
+        labels = np.array([True, True, True, False, False, False])
+        assert evaluation.auc_from_scores(np.full(6, 0.5), labels) == 0.5
+
+    @pytest.mark.parametrize("metric", [evaluation.compute_auc, evaluation.compute_eer])
+    def test_trials_whose_scores_all_tie_are_rejected(self, metric):
+        # One distinct score cannot rank the trials; an EER of 0.5 read off it would hide that.
+        t = trials_from([-12.2061] * 6, [True, True, True, False, False, False])
+        with pytest.raises(NumericError, match="all 6 trial scores equal"):
+            metric(t)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -759,7 +766,12 @@ class TestStrata:
 
 
 def oracle_stratified_report(trials, strata):
-    """Per-trial walk: a non-match trial's attributes in stratum order; untagged raises, unequal drops."""
+    """Per-trial walk: a non-match trial's attributes in stratum order; untagged raises, unequal drops.
+
+    Scores that all tie cannot rank the trials, so they raise before any stratum is walked.
+    """
+    if len({t.score for t in trials}) == 1:
+        raise NumericError(f"all {len(trials)} trial scores equal {trials[0].score:.6g}, so they cannot rank the trials")
     rows = []
     for stratum in strata:
         kept = []
@@ -811,8 +823,8 @@ class TestStrataOracle:
         ]
         try:
             expected = oracle_stratified_report(trials, strata)
-        except DataError as e:
-            with pytest.raises(DataError) as got:
+        except (DataError, NumericError) as e:
+            with pytest.raises(type(e)) as got:
                 evaluation.stratified_report(trials, strata)
             assert str(got.value) == str(e)
             return

@@ -181,7 +181,6 @@ ROWS_ONLY = {
     "log_map_origin": lambda v: hyp.log_map_origin(as_point(v)),
     "poincare_distance": lambda v: hyp.poincare_distance(as_point(v), as_point(v)),
     "pairwise_distances": lambda v: hyp.pairwise_distances(as_point(v), as_point(v)),
-    "pair_distances": lambda v: hyp.pair_distances(as_point(v), as_point(v), [0], [0]),
 }
 
 
@@ -306,30 +305,6 @@ class TestPairwiseGramForm:
         assert len(seen) > 2
 
 
-class TestPairDistances:
-    """The index-pair distance shares the Gram closed form of pairwise_distances."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(**pair_cases, n=st.integers(1, 40))
-    def test_within_rounding_bound_of_rowwise_and_pairwise(self, seed, dim, radius, sep, n):
-        x, y = sample_pairs(seed, dim, radius, sep)
-        rng = np.random.default_rng(seed)
-        i, j = rng.integers(x.shape[0], size=n), rng.integers(y.shape[0], size=n)
-        i[: n // 2] = j[: n // 2]  # near-duplicate pairs when sep > 0
-        xp, yp = hyp.PoincarePoint(Tensor(x), CFG), hyp.PoincarePoint(Tensor(y), CFG)
-        got = hyp.pair_distances(xp, yp, i, j)
-        d_row = rowwise_table(x, y)
-        bound = gram_error_bound(x, y, d_row)[i, j]
-        assert isinstance(got, np.ndarray) and got.shape == (n,)
-        assert np.all(np.abs(got - d_row[i, j]) <= bound)
-        assert np.all(np.abs(got - hyp.pairwise_distances(xp, yp).numpy()[i, j]) <= bound)
-
-    def test_mismatched_rows_rejected(self):
-        x = ball_points(24, n=3, d=2)
-        with pytest.raises(ContractError, match="2 x rows vs 1 y rows"):
-            hyp.pair_distances(x, x, [0, 1], [0])
-
-
 def test_pairwise_matches_rowwise():
     a = ball_points(13, n=5, d=3)
     b = ball_points(14, n=4, d=3)
@@ -431,13 +406,6 @@ class TestGramDistanceNode:
         x, y = sample_pairs(40, 8, radius, sep)
         assert_matches_chain(lambda a, b: hyp.pairwise_distances(as_point(a), as_point(b)), chain_pairwise, [x, y])
 
-    def test_pair_distances_match_chain_entries(self):
-        x, y = sample_pairs(41, 8, "mid", 1e-9)
-        i, j = np.array([0, 1, 1, 5, 2]), np.array([0, 1, 3, 5, 2])
-        got = hyp.pair_distances(as_point(Tensor(x)), as_point(Tensor(y)), i, j)
-        want = chain_pairwise(Tensor(x), Tensor(y)).numpy()[i, j]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
     def test_off_ball_row_rejected(self):
         inside = as_point(Tensor([[0.1, 0.2], [0.3, 0.0]]))
         outside = as_point(Tensor([[0.1, 0.2], [0.8, 0.8]]))  # sqrt(c) ||x|| > 1
@@ -445,7 +413,7 @@ class TestGramDistanceNode:
             with pytest.raises(NumericError, match="outside the unit ball"):
                 hyp.pairwise_distances(x, y)
             with pytest.raises(NumericError, match="outside the unit ball"):
-                hyp.pair_distances(x, y, [1], [1])
+                hyp.distance_table(x.numpy(), y.numpy(), CFG)
 
     @pytest.mark.parametrize("sep", [1e-11, 1e-12])
     def test_gradients_with_near_duplicates_inside_the_floor(self, sep):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from paeff import autodiff as ad
 from paeff import hyperbolic as hyp
 from paeff import losses
 from paeff.autodiff import Tensor
-from paeff.errors import ContractError, DimensionError, IndexOutOfRangeError, NumericError
+from paeff.errors import ContractError, NumericError
 from paeff.gradcheck import check_gradients
 from paeff.hyperbolic import BallConfig, PoincarePoint
 
@@ -332,7 +333,7 @@ class TestCosineAlignmentNode:
 
 
 class TestPairSimilarity:
-    """The index-pair counterpart of the all-pairs similarity tables, for both modes."""
+    """Entries of the alignment's own similarity tables, for both modes."""
 
     @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])
     def test_entries_of_similarity_matrix(self, mode):
@@ -349,10 +350,10 @@ class TestPairSimilarity:
 
     @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])
     def test_score_independent_of_pair_position(self, mode):
-        # Repeated pairs, in any order, across block boundaries of pair_dots score bit-identically.
+        # Repeated pairs, in any order, score bit-identically: each is one entry of the table.
         rng = np.random.default_rng(10)
         f, v = lifted(rng.normal(size=(4, 6)) * 0.5), lifted(rng.normal(size=(5, 6)) * 0.5)
-        n = 2 * ad._PAIR_BLOCK + 37
+        n = 500
         i, j = rng.integers(4, size=n), rng.integers(5, size=n)
         got = losses.pair_similarity(f, v, i, j, mode)
         perm = rng.permutation(n)
@@ -362,20 +363,39 @@ class TestPairSimilarity:
             assert got[k] == got[first.setdefault(pair, k)]
 
     @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])
-    @pytest.mark.parametrize("rows,error", [
-        ([0, 4], IndexOutOfRangeError),
-        ([-1], IndexOutOfRangeError),
-        ([[0, 1]], DimensionError),
-        ([0.0, 1.0], DimensionError),
-    ])
-    def test_bad_rows_rejected(self, mode, rows, error):
-        f, v = lifted(np.full((4, 3), 0.1)), lifted(np.full((3, 3), 0.2))
-        rows = np.asarray(rows)
-        valid = np.zeros(rows.size, dtype=np.int64)
-        with pytest.raises(error):
-            losses.pair_similarity(f, v, rows, valid, mode)
-        with pytest.raises(error):
-            losses.pair_similarity(v, f, valid, rows, mode)
+    @pytest.mark.parametrize("entries", [4, 13], ids=["one-row-blocks", "two-row-blocks"])
+    def test_blocks_match_per_pair_reference(self, mode, entries, monkeypatch):
+        # With 6 voice rows, 13 entries make blocks of 2 face rows (the last one short), and 4 entries
+        # still make blocks of one row.
+        monkeypatch.setattr(losses, "_TABLE_ENTRIES", entries)
+        rng = np.random.default_rng(12)
+        x, y = ball_rows(13, 11, 5, "mid"), ball_rows(14, 6, 5, "mid")
+        i, j = rng.integers(11, size=200), rng.integers(6, size=200)
+        f, v = PoincarePoint(Tensor(x), CFG), PoincarePoint(Tensor(y), CFG)
+        got = losses.pair_similarity(f, v, i, j, mode)
+        if mode == "cosine":
+            unit_x, unit_y = (r / np.linalg.norm(r, axis=1, keepdims=True) for r in (x, y))
+            want = np.sum(unit_x[i] * unit_y[j], axis=1)
+        else:
+            want = -hyp.poincare_distance(PoincarePoint(Tensor(x[i]), CFG), PoincarePoint(Tensor(y[j]), CFG))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])
+    def test_transient_memory_bounded_by_table_blocks(self, mode):
+        # 20 000 pairs over 2 000 x 2 000 distinct rows at D = 128: one whole table is a 32 MB array,
+        # and the hyperbolic one takes several while it is built.
+        n, rows, d = 20_000, 2_000, 128
+        rng = np.random.default_rng(41)
+        f = PoincarePoint(Tensor(ball_rows(42, rows, d, "mid")), CFG)
+        v = PoincarePoint(Tensor(ball_rows(43, rows, d, "mid")), CFG)
+        i, j = rng.integers(rows, size=n), rng.integers(rows, size=n)
+        tracemalloc.start()
+        try:
+            losses.pair_similarity(f, v, i, j, mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * rows * 8 // 2
 
     def test_hyperbolic_mode_requires_ball_points(self):
         with pytest.raises(ContractError, match="lifted"):
