@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import hyperbolic as hyp
 from .autodiff import Tensor
-from .errors import ContractError, NumericError
+from .errors import ContractError, DimensionError, IndexOutOfRangeError, NumericError
 from .hyperbolic import PoincarePoint
 
 _NORM_FLOOR = 1e-12
@@ -97,6 +97,9 @@ def pair_similarity(
     """
     table_of, sign = _similarity_arm(face, voice, mode)
     f, v = _rows(face).data, _rows(voice).data
+    face_rows, voice_rows = _trial_rows(face_rows, f.shape[0]), _trial_rows(voice_rows, v.shape[0])
+    if face_rows.size != voice_rows.size:
+        raise ContractError(f"pair_similarity: {face_rows.size} face rows vs {voice_rows.size} voice rows")
     out = np.empty(face_rows.size)
     step = max(1, _TABLE_ENTRIES // v.shape[0])
     for s in range(0, f.shape[0], step):
@@ -104,6 +107,20 @@ def pair_similarity(
         k = np.flatnonzero((face_rows >= s) & (face_rows < s + step))
         out[k] = table[face_rows[k] - s, voice_rows[k]]
     return out * sign
+
+
+def _trial_rows(rows, n: int) -> np.ndarray:
+    """``rows`` as a 1-d integer array of indices into ``n`` rows.
+
+    A face row outside the blocks would leave its score unset, so every
+    row is checked before a block is built.
+    """
+    r = np.asarray(rows)
+    if r.ndim != 1 or not np.issubdtype(r.dtype, np.integer):
+        raise DimensionError(f"pair_similarity needs 1-d integer rows, got shape {r.shape} ({r.dtype})")
+    if r.size and (r.min() < 0 or r.max() >= n):
+        raise IndexOutOfRangeError(f"pair_similarity: row index out of range for {n} rows")
+    return r
 
 
 def _similarity_arm(face, voice, mode: str):

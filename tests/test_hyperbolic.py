@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from paeff import autodiff as ad
 from paeff import hyperbolic as hyp
+from paeff import losses
 from paeff.autodiff import Tensor
 from paeff.errors import ContractError, DimensionError, NumericError
 from paeff.gradcheck import check_gradients
@@ -405,6 +406,14 @@ class TestGramDistanceNode:
     def test_pairwise_matches_chain(self, radius, sep):
         x, y = sample_pairs(40, 8, radius, sep)
         assert_matches_chain(lambda a, b: hyp.pairwise_distances(as_point(a), as_point(b)), chain_pairwise, [x, y])
+
+    def test_scored_entries_match_chain_entries(self):
+        # Trial scores gather the same near-duplicate-safe table that the chain builds.
+        x, y = sample_pairs(41, 8, "mid", 1e-9)
+        i, j = np.array([0, 1, 1, 5, 2]), np.array([0, 1, 3, 5, 2])
+        got = -losses.pair_similarity(as_point(Tensor(x)), as_point(Tensor(y)), i, j, "neg_hyperbolic_distance")
+        want = chain_pairwise(Tensor(x), Tensor(y)).numpy()[i, j]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_off_ball_row_rejected(self):
         inside = as_point(Tensor([[0.1, 0.2], [0.3, 0.0]]))

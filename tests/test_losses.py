@@ -13,7 +13,7 @@ from paeff import autodiff as ad
 from paeff import hyperbolic as hyp
 from paeff import losses
 from paeff.autodiff import Tensor
-from paeff.errors import ContractError, NumericError
+from paeff.errors import ContractError, DimensionError, IndexOutOfRangeError, NumericError
 from paeff.gradcheck import check_gradients
 from paeff.hyperbolic import BallConfig, PoincarePoint
 
@@ -361,6 +361,28 @@ class TestPairSimilarity:
         first = {}
         for k, pair in enumerate(zip(i.tolist(), j.tolist())):
             assert got[k] == got[first.setdefault(pair, k)]
+
+    @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])
+    @pytest.mark.parametrize("rows,error", [
+        ([0, 4], IndexOutOfRangeError),
+        ([-1], IndexOutOfRangeError),
+        ([[0, 1]], DimensionError),
+        ([0.0, 1.0], DimensionError),
+    ])
+    def test_bad_rows_rejected(self, mode, rows, error):
+        f, v = lifted(np.full((4, 3), 0.1)), lifted(np.full((3, 3), 0.2))
+        rows = np.asarray(rows)
+        valid = np.zeros(rows.size, dtype=np.int64)
+        with pytest.raises(error):
+            losses.pair_similarity(f, v, rows, valid, mode)
+        with pytest.raises(error):
+            losses.pair_similarity(v, f, valid, rows, mode)
+
+    @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])
+    def test_mismatched_rows_rejected(self, mode):
+        f = lifted(np.full((4, 3), 0.1))
+        with pytest.raises(ContractError, match="2 face rows vs 1 voice rows"):
+            losses.pair_similarity(f, f, np.array([0, 1]), np.array([0]), mode)
 
     @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])
     @pytest.mark.parametrize("entries", [4, 13], ids=["one-row-blocks", "two-row-blocks"])
