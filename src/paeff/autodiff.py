@@ -18,9 +18,10 @@ Design constraints kept deliberately tight so every gradient is auditable:
 A node holds one VJP per parent, or, for a fused node with several
 parents, one joint VJP that returns a gradient per parent in order.
 ``Tensor.from_op`` records a node; other modules define their fused
-nodes with it: ``hyperbolic``'s all-pairs arccosh distance, and
-``losses``' alignment loss, one node for its hyperbolic and cosine arms,
-and orthogonal projection loss. The alignment node takes its softmax
+nodes with it: ``hyperbolic``'s all-pairs arccosh distance,
+``model``'s EGFF block, one node for its six arms, and ``losses``'
+alignment loss, one node for its hyperbolic and cosine arms, orthogonal
+projection loss and weighted objective. The alignment node takes its softmax
 part from ``symmetric_nll_grad``. A VJP closure holds the arrays its node
 saves, directly or through a helper's VJP it closes over.
 
@@ -28,14 +29,10 @@ The engine's ops, each one node with a hand-written VJP:
 
 * ``t + u`` and ``t * u`` for a tensor t and a tensor or number u, and
   ``t.sum()``, the sum of all entries;
-* ``tanh`` and ``relu`` (subgradient 0 at 0);
-* ``concat_cols(a, b)``: two matrices side by side;
 * ``radial(x, radius, *more)``: rows rescaled by functions of their norms,
   y = x * F(||x||); the gradient's radial term is 0 at a zero row. Each
   radius function carries its own clamp rules;
 * ``affine(x, w, b)``: x @ w + b;
-* ``gated_mix(f, v, combined, w, b)``: s * f + (1 - s) * v with
-  s = sigmoid(combined * w + b);
 * ``log_softmax_nll(logits, targets)``: the mean softmax cross-entropy
   of the target classes.
 
@@ -53,12 +50,8 @@ from .errors import ContractError, DimensionError, IndexOutOfRangeError
 
 __all__ = [
     "Tensor",
-    "tanh",
-    "relu",
-    "concat_cols",
     "radial",
     "affine",
-    "gated_mix",
     "log_softmax_nll",
     "symmetric_nll_grad",
 ]
@@ -226,25 +219,6 @@ def _to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g if g.shape == shape else np.sum(g).reshape(shape)
 
 
-# -- pointwise nonlinearities -------------------------------------------------
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-    return Tensor.from_op(t, (x,), (lambda g: g * (1.0 - t * t),))
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0
-    return Tensor.from_op(np.where(mask, x.data, 0.0), (x,), (lambda g: g * mask,))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Stable in both tails: factor through exp of the negative magnitude.
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
 # -- linear algebra -----------------------------------------------------------
 
 
@@ -292,41 +266,6 @@ def radial(x: Tensor, radius, *more) -> Tensor:
         return g * factor + xd * (coef * np.sum(g * xd, axis=1, keepdims=True))
 
     return Tensor.from_op(xd * factor, (x,), (vjp,))
-
-
-def gated_mix(f: Tensor, v: Tensor, combined: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """s * f + (1 - s) * v with the gate s = sigmoid(combined * w + b), as one node.
-
-    ``f``, ``v`` and ``combined`` are [B x D]; ``w`` and ``b`` are [D].
-    """
-    d = f.shape[-1]
-    if f.ndim != 2 or v.shape != f.shape or combined.shape != f.shape or w.shape != (d,) or b.shape != (d,):
-        raise DimensionError(
-            f"gated_mix: incompatible shapes {f.shape}, {v.shape}, {combined.shape}, {w.shape}, {b.shape}"
-        )
-    fd, vd, cd, wd = f.data, v.data, combined.data, w.data
-    s = _sigmoid(cd * wd + b.data)
-
-    def vjp(g):
-        gate = (g * fd - g * vd) * (s * (1.0 - s))
-        return g * s, g * (1.0 - s), gate * wd, np.sum(gate * cd, axis=0), np.sum(gate, axis=0)
-
-    return Tensor.from_op(s * fd + (1.0 - s) * vd, (f, v, combined, w, b), (vjp,))
-
-
-# -- structural ops -----------------------------------------------------------
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate two matrices along the feature axis."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise DimensionError(f"concat_cols: incompatible shapes {a.shape} and {b.shape}")
-    k = a.shape[1]
-    return Tensor.from_op(
-        np.concatenate([a.data, b.data], axis=1),
-        (a, b),
-        (lambda g: g[:, :k], lambda g: g[:, k:]),
-    )
 
 
 # -- fused classification loss ------------------------------------------------

@@ -368,7 +368,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise UsageError("eval needs --trials or --split-test")
 
     evaluation.score_trials(trials, params, model_cfg)
-    strata_rows = evaluation.stratified_report(trials, eval_cfg.strata)
+    try:
+        strata_rows = evaluation.stratified_report(trials, eval_cfg.strata)
+    except NumericError as e:
+        where = f"trial list {resolved['io.trials']}" if resolved["io.trials"] else "test split"
+        raise NumericError(f"{where}: {e}") from None
 
     matching_rows = []
     if split is not None:

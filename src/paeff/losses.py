@@ -6,11 +6,11 @@ The total objective is the weighted sum
 
 with the weights defaulting to (0.3, 0.35, 0.35). Each loss is one tape
 node with a hand-written VJP: the alignment, the orthogonal projection
-loss and the cross-entropy; ``total_loss`` adds them up. The alignment's
-two arms, hyperbolic and cosine, share that node and differ only in the
-similarity table it is built on, which one helper picks. Evaluation
-scores trials with ``pair_similarity``: entries of that same table, in
-plain numpy, since a score needs no gradient.
+loss and the cross-entropy, and ``total_loss`` weighs them in one more.
+The alignment's two arms, hyperbolic and cosine, share that node and
+differ only in the similarity table it is built on, which one helper
+picks. Evaluation scores trials with ``pair_similarity``: entries of that
+same table, in plain numpy, since a score needs no gradient.
 """
 
 from __future__ import annotations
@@ -166,7 +166,9 @@ def alignment_loss(
     gradient of T, to the rows. With t = exp(logit_scale) and P the logit
     gradient (``autodiff.symmetric_nll_grad``), the rows get
     ``back(P, sign * t)`` and logit_scale gets <P, logits>, summed in the
-    forward pass. The mask is built only when a label repeats.
+    forward pass. The mask is built only when a label repeats. A table
+    whose entries all tie, such as every pair at the distance cap, ranks
+    no pair: it is a ``NumericError``, as tied scores are in evaluation.
     """
     table_of, sign = _similarity_arm(face, voice, mode)
     f, v = _rows(face), _rows(voice)
@@ -179,6 +181,9 @@ def alignment_loss(
         raise ContractError(f"alignment_loss: face and voice widths differ: {f.shape[1]} vs {v.shape[1]}")
     same = _repeated_label_mask(labels, b)
     table, back = table_of(f.data, v.data)
+    if table.min() == table.max():
+        raise NumericError(f"alignment_loss: all {b * b} similarities equal {sign * table[0, 0]:.6g}, "
+                           "so they cannot rank the pairs")
     scale = sign * math.exp(logit_scale.item())
     loss, grad = ad.symmetric_nll_grad(table * scale, same)
     d_scale = scale * float(np.vdot(grad, table))
@@ -273,8 +278,11 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
 
 
 def total_loss(l_align: Tensor, l_op: Tensor, l_ce: Tensor, weights: LossWeights) -> LossBreakdown:
+    """The weighted objective (l_align a1 + l_op a2) + l_ce a3 as one tape node; component i gets g * a_i."""
     for name, t in (("l_align", l_align), ("l_op", l_op), ("l_ce", l_ce)):
         if not np.all(np.isfinite(t.data)):
             raise NumericError(f"total_loss: component {name} is non-finite")
-    total = l_align * weights.alpha1 + l_op * weights.alpha2 + l_ce * weights.alpha3
+    a1, a2, a3 = weights.alpha1, weights.alpha2, weights.alpha3
+    value = (l_align.data * a1 + l_op.data * a2) + l_ce.data * a3
+    total = Tensor.from_op(value, (l_align, l_op, l_ce), (lambda g: g * a1, lambda g: g * a2, lambda g: g * a3))
     return LossBreakdown(l_align=l_align, l_op=l_op, l_ce=l_ce, total=total)

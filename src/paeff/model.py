@@ -175,6 +175,13 @@ def lift(x: Tensor, cfg: ModelConfig) -> PoincarePoint:
     Without the clip, unnormalized projections saturate near the rim and
     the alignment loss separates identities by radial blow-up instead of
     angle, which does not generalize to unseen identities.
+
+    At the defaults every trained row is longer than the clip, so every
+    lifted point lies on one sphere of radius tanh(sqrt(c) r) / sqrt(c).
+    There the Poincare distance is a monotone function of the cosine of
+    the rows: the arm is a cosine alignment whose logits are reshaped by
+    a monotone map, and it ranks trials as the cosine arm of the same
+    parameters does.
     """
     if not cfg.use_hyperbolic:
         raise ContractError("lift called with use_hyperbolic disabled")
@@ -182,43 +189,68 @@ def lift(x: Tensor, cfg: ModelConfig) -> PoincarePoint:
     return hyp.ball_map(x, ball, hyp.clip_radius(cfg.tangent_clip), hyp.exp_radius(ball))
 
 
-def _activate(x: Tensor, kind: str) -> Tensor:
-    return ad.tanh(x) if kind == "tanh" else ad.relu(x)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # Stable in both tails: factor through exp of the negative magnitude.
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 def egff_fuse(xf: Tensor, xv: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor:
     """Gated fusion: a sigmoid gate picks, per feature, between the two modalities.
 
-    With activated inputs f = act(xf), v = act(xv):
+    With activated inputs f = act(xf), v = act(xv), act tanh or relu
+    (subgradient 0 at 0):
 
-        combined = f * v          (or f + v, or concat -> affine back to D)
+        combined = f * v          (or f + v, or [f, v] @ combine_weight + combine_bias)
         gate     = sigmoid(gate_weight * combined + gate_bias)
         fused    = gate * f + (1 - gate) * v
 
-    The gate and the mix are one tape node (``ad.gated_mix``) on every arm.
+    One tape node on every arm, with one hand-written VJP. For a cotangent
+    g, the gate's input gets dz = (g f - g v) gate (1 - gate) and combined
+    gets dz * gate_weight. Each activated input sums two terms, its share
+    of the mix (g gate or g (1 - gate)) and its share of combined, before
+    the activation's derivative.
     """
     if xf.shape != xv.shape:
         raise DimensionError(f"egff_fuse: shapes differ: {xf.shape} vs {xv.shape}")
-    f_hat = _activate(xf, cfg.gate_activation)
-    v_hat = _activate(xv, cfg.gate_activation)
-
-    if cfg.attention_combine == "multiplication":
-        combined = f_hat * v_hat
-    elif cfg.attention_combine == "addition":
-        combined = f_hat + v_hat
+    act, combine, cw, cb = cfg.gate_activation, cfg.attention_combine, params.combine_weight, params.combine_bias
+    concat = combine == "concatenation"
+    if concat and (cw is None or cb is None):
+        raise ContractError("concatenation combine requires combine_weight/combine_bias")
+    if act == "tanh":
+        f, v = np.tanh(xf.data), np.tanh(xv.data)
     else:
-        if params.combine_weight is None or params.combine_bias is None:
-            raise ContractError("concatenation combine requires combine_weight/combine_bias")
-        combined = ad.affine(ad.concat_cols(f_hat, v_hat), params.combine_weight, params.combine_bias)
+        f, v = np.where(xf.data > 0.0, xf.data, 0.0), np.where(xv.data > 0.0, xv.data, 0.0)
+    if combine == "multiplication":
+        combined = f * v
+    elif combine == "addition":
+        combined = f + v
+    else:
+        combined = np.concatenate([f, v], axis=1) @ cw.data
+        combined += cb.data
+    w = params.gate_weight.data
+    s = _sigmoid(combined * w + params.gate_bias.data)
 
-    return ad.gated_mix(f_hat, v_hat, combined, params.gate_weight, params.gate_bias)
+    def vjp(g):
+        gate = (g * f - g * v) * (s * (1.0 - s))
+        dc = gate * w
+        if combine == "multiplication":
+            dcf, dcv = dc * v, dc * f
+        elif combine == "addition":
+            dcf = dcv = dc
+        else:
+            dcat = dc @ cw.data.T
+            dcf, dcv = dcat[:, : f.shape[1]], dcat[:, f.shape[1] :]
+        df, dv = g * s + dcf, g * (1.0 - s) + dcv
+        if act == "tanh":
+            df, dv = df * (1.0 - f * f), dv * (1.0 - v * v)
+        else:  # f > 0 exactly where xf > 0
+            df, dv = df * (f > 0.0), dv * (v > 0.0)
+        grads = (df, dv, np.sum(gate * combined, axis=0), np.sum(gate, axis=0))
+        return grads + (np.concatenate([f, v], axis=1).T @ dc, np.sum(dc, axis=0)) if concat else grads
 
-
-def linear_fuse(xf: Tensor, xv: Tensor) -> Tensor:
-    """Ablation arm: plain additive fusion of the two projections."""
-    if xf.shape != xv.shape:
-        raise DimensionError(f"linear_fuse: shapes differ: {xf.shape} vs {xv.shape}")
-    return xf + xv
+    parents = (xf, xv, params.gate_weight, params.gate_bias) + ((cw, cb) if concat else ())
+    return Tensor.from_op(s * f + (1.0 - s) * v, parents, (vjp,))
 
 
 def fuse_project(xm: Tensor, params: ModelParams) -> Tensor:
@@ -255,15 +287,14 @@ def forward(faces: Tensor, voices: Tensor, params: ModelParams, cfg: ModelConfig
         face_aligned: PoincarePoint | Tensor = lift(xf, cfg)
         voice_aligned: PoincarePoint | Tensor = lift(xv, cfg)
         clip = hyp.clip_radius(min(cfg.tangent_clip, math.atanh(1.0 - cfg.boundary_eps) / math.sqrt(cfg.curvature)))
-        fuse_f, fuse_v = ad.radial(xf, clip), ad.radial(xv, clip)
+        fuse_f = ad.radial(xf, clip)
+        fuse_v = ad.radial(xv, clip)
     else:
         face_aligned, voice_aligned = xf, xv
         fuse_f, fuse_v = xf, xv
 
-    if cfg.fusion == "egff":
-        fused = egff_fuse(fuse_f, fuse_v, params, cfg)
-    else:
-        fused = linear_fuse(fuse_f, fuse_v)
+    # The linear ablation arm fuses by plain addition.
+    fused = egff_fuse(fuse_f, fuse_v, params, cfg) if cfg.fusion == "egff" else fuse_f + fuse_v
 
     embedding = fuse_project(fused, params)
     logits = classify(embedding, params)

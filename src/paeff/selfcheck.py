@@ -8,7 +8,7 @@ broken gradient or metric shows up here before it corrupts a training run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -16,6 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import evaluation, hyperbolic as hyp, losses, model, trainer
 from .autodiff import Tensor
+from .errors import NumericError
 from .gradcheck import check_gradients
 from .hyperbolic import BallConfig, PoincarePoint
 
@@ -41,21 +42,16 @@ def check_autodiff_elementwise_gradients() -> None:
     rng = np.random.default_rng(10)
     x = rng.normal(size=(3, 4))
     y = rng.normal(size=(3, 4))
-    check_gradients(lambda a, b: (ad.tanh(a) * b + ad.relu(a) + b * -0.5).sum(), [x, y])
+    check_gradients(lambda a, b: (a * b + a * a + b * -0.5).sum(), [x, y])
     check_gradients(lambda a, s: _contract(a * s + s), [x, np.array(0.7)])
 
 
 def check_autodiff_fused_row_gradients() -> None:
-    """``affine``, ``concat_cols`` and ``gated_mix`` against central differences."""
+    """``affine`` against central differences."""
     rng = np.random.default_rng(11)
     check_gradients(
         lambda x, w, b: _contract(ad.affine(x, w, b)),
         [rng.normal(size=(4, 3)), rng.normal(size=(3, 5)), rng.normal(size=5)],
-    )
-    check_gradients(lambda a, b: _contract(ad.concat_cols(a, b)), [rng.normal(size=(2, 3)), rng.normal(size=(2, 2))])
-    check_gradients(
-        lambda *t: _contract(ad.gated_mix(*t)),
-        [rng.normal(size=(3, 4)) for _ in range(3)] + [rng.normal(size=4), rng.normal(size=4)],
     )
 
 
@@ -90,8 +86,9 @@ def check_autodiff_backward_linearity() -> None:
         f(t).backward()
         return t.grad.copy()
 
-    combined = grad_of(lambda t: (ad.tanh(t)).sum() + (t * t).sum())
-    separate = grad_of(lambda t: ad.tanh(t).sum()) + grad_of(lambda t: (t * t).sum())
+    targets = np.array([0, 2, 1])
+    combined = grad_of(lambda t: ad.log_softmax_nll(t, targets) + (t * t).sum())
+    separate = grad_of(lambda t: ad.log_softmax_nll(t, targets)) + grad_of(lambda t: (t * t).sum())
     _expect(np.allclose(combined, separate, atol=1e-12), "gradient linearity violated")
 
 
@@ -206,6 +203,22 @@ def check_model_forward_gradients() -> None:
     check_gradients(f, [t.data for _, t in params.named()])
 
 
+def check_egff_gradients() -> None:
+    """The EGFF node against central differences on all six arms, to its inputs and its parameters."""
+    rng = np.random.default_rng(31)
+    for act in model.GATE_ACTIVATIONS:
+        for combine in model.ATTENTION_COMBINES:
+            cfg = model.ModelConfig(2, 2, 2, proj_dim=4, gate_activation=act, attention_combine=combine)
+            names = ["gate_weight", "gate_bias"] + ["combine_weight", "combine_bias"] * (combine == "concatenation")
+            params = model.init_params(cfg, seed=0)  # the tensors f replaces are drawn below
+
+            def f(a, b, *t, cfg=cfg, params=params, names=names):
+                return _contract(model.egff_fuse(a, b, replace(params, **dict(zip(names, t))), cfg))
+
+            shapes = [(3, 4), (3, 4), (4,), (4,), (8, 4), (4,)][: 2 + len(names)]
+            check_gradients(f, [rng.normal(size=shape) for shape in shapes])
+
+
 def check_egff_convexity() -> None:
     cfg = model.ModelConfig(face_dim=4, voice_dim=4, num_identities=2, proj_dim=6)
     params = model.init_params(cfg, seed=23)
@@ -222,12 +235,13 @@ def check_egff_convexity() -> None:
 
 
 def check_alignment_loss_uniform_point() -> None:
-    cfg = BallConfig()
-    b, d = 4, 3
-    same = np.tile(np.array([[0.2, 0.1, -0.1]]), (b, 1))
-    pts = hyp.ball_map(Tensor(same), cfg)
-    loss = losses.alignment_loss(pts, pts, Tensor(0.0), "neg_hyperbolic_distance")
-    _expect(abs(loss.item() - math.log(b)) < 1e-9, "uniform similarities must give ln(B)")
+    """Rows at one point tie every similarity, which ranks no pair: the alignment loss rejects them."""
+    pts = hyp.ball_map(Tensor(np.tile([[0.2, 0.1, -0.1]], (4, 1))), BallConfig())
+    try:
+        losses.alignment_loss(pts, pts, Tensor(0.0), "neg_hyperbolic_distance")
+    except NumericError:
+        return
+    raise AssertionError("uniform similarities must be a NumericError")
 
 
 def check_losses_gradients() -> None:
@@ -366,6 +380,7 @@ ALL_CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("hyperbolic.gram_distance_gradients", check_hyperbolic_gram_distance_gradients),
     ("hyperbolic.distance_table", check_hyperbolic_distance_table),
     ("model.forward_gradients", check_model_forward_gradients),
+    ("model.egff_gradients", check_egff_gradients),
     ("model.egff_convexity", check_egff_convexity),
     ("losses.alignment_uniform_point", check_alignment_loss_uniform_point),
     ("losses.gradients", check_losses_gradients),

@@ -156,7 +156,7 @@ def adamw_step(params: Iterable[tuple[str, Tensor]], state: AdamState, lr: float
         tmp = np.multiply(grad, 1.0 - b1, out=np.empty_like(p))
         m *= b1
         m += tmp
-        np.multiply(grad, grad, out=tmp)
+        np.square(grad, out=tmp)
         tmp *= 1.0 - b2
         v *= b2
         v += tmp

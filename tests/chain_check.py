@@ -118,6 +118,25 @@ def log1p(x):
     return _unary(x, np.log1p(xd), lambda g: g / (1.0 + xd))
 
 
+def tanh(x):
+    t = np.tanh(x.data)
+    return _unary(x, t, lambda g: g * (1.0 - t * t))
+
+
+def relu(x):
+    """max(x, 0); subgradient 0 at 0."""
+    mask = x.data > 0.0
+    return _unary(x, np.where(mask, x.data, 0.0), lambda g: g * mask)
+
+
+def concat_cols(a, b):
+    """Two matrices side by side."""
+    k = a.shape[1]
+    return Tensor.from_op(
+        np.concatenate([a.data, b.data], axis=1), (a, b), (lambda g: g[:, :k], lambda g: g[:, k:])
+    )
+
+
 def sigmoid(x):
     s = 1.0 / (1.0 + np.exp(-x.data))
     return _unary(x, s, lambda g: g * s * (1.0 - s))

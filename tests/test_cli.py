@@ -210,13 +210,15 @@ def test_unknown_ablation_exits_3(world, tmp_path, capsys):
     assert "unknown ablation 'nonsense'" in capsys.readouterr().err
 
 
-def test_val_scores_all_at_the_distance_cap_exit_3(world, tmp_path, capsys):
-    # At c = 100 with the tangent clip at 8, every lifted row sits at the ball's rim, so every val
-    # pair sits at the distance cap and its scores tie: no EER can be read off them.
+def test_pairs_all_at_the_distance_cap_exit_3_at_step_0(world, tmp_path, capsys):
+    # At c = 100 with the tangent clip at 8, every lifted row sits at the ball's rim, so every batch
+    # pair sits at the distance cap and the alignment's similarities tie: the first step fails,
+    # before any validation.
     argv = train_argv(world, tmp_path / "run", "--curvature", "100", "--tangent-clip", "8")
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
-    assert "validation split, epoch 1: all 10 trial scores equal -1.22061" in err
+    assert "training diverged at step 0: alignment_loss: all 4096 similarities equal -1.22061" in err
+    assert "validation" not in err
     assert not (tmp_path / "run" / "checkpoint.paef").exists()
 
 
@@ -321,6 +323,26 @@ def test_missing_required_option_exits_1(world, capsys):
 def test_intact_checkpoint_evaluates(run):
     evaluate, checkpoint = run
     assert evaluate(checkpoint) == 0
+
+
+@pytest.mark.parametrize("source", ["split", "trials"])
+def test_eval_scores_all_tied_exit_3_naming_the_trials(world, run, tmp_path, capsys, source):
+    # Zero projection weights give every face one encoding and every voice one: all scores tie.
+    manifest = world / "run" / "manifest.json"
+    cfg = cli._trained_model(str(manifest))
+    params = model.load_checkpoint(world / "run" / "checkpoint.paef", cfg)
+    params.face_weight.data[...] = 0.0
+    params.voice_weight.data[...] = 0.0
+    model.save_checkpoint(tmp_path / "zero.paef", params)
+    flags = ["--manifest", str(manifest)]
+    if source == "trials":
+        (tmp_path / "trials.txt").write_text(
+            "id0000_face_000\tid0000_voice_000\t1\nid0001_face_001\tid0002_voice_000\t0\n", encoding="utf-8")
+        flags += ["--trials", str(tmp_path / "trials.txt")]
+    assert cli.main(eval_argv(world, tmp_path / "zero.paef", tmp_path / "eval", *flags)) == 3
+    err = capsys.readouterr().err
+    where = f"trial list {tmp_path / 'trials.txt'}: all 2" if source == "trials" else "test split: all 20"
+    assert f"numeric/invariant error: {where} trial scores equal" in err
 
 
 @pytest.mark.parametrize("size", [6, 200])

@@ -208,6 +208,24 @@ class TestScoring:
         expected = np.sum(pf * pv, axis=1) / (np.linalg.norm(pf, axis=1) * np.linalg.norm(pv, axis=1))
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
+    def test_every_row_clipped_orders_trials_as_cosine(self):
+        # With every projection longer than the tangent clip, as trained projections are at the defaults,
+        # the lifted rows share one radius. There the Poincare distance is a monotone function of the
+        # rows' cosine, so both arms rank trials alike.
+        ds, split, cfg, params = small_setup()
+        params.face_weight.data *= 4.0
+        params.voice_weight.data *= 4.0
+        trials = evaluation.build_verification_trials(ds, split, 200, seed=1)
+        for which in ("face", "voice"):
+            rows = np.stack([getattr(t, which).vector for t in trials])
+            proj = model.project_modality(Tensor(rows), which, params, cfg).numpy()
+            assert np.linalg.norm(proj, axis=1).min() > cfg.tangent_clip
+        hyperbolic = np.array([t.score for t in evaluation.score_trials(trials, params, cfg)])
+        cosine = np.array([t.score for t in evaluation.score_trials(trials, params, cosine_arm(cfg))])
+        assert np.unique(cosine).size > 50
+        np.testing.assert_array_equal(np.sign(np.subtract.outer(hyperbolic, hyperbolic)),
+                                      np.sign(np.subtract.outer(cosine, cosine)))
+
     def test_trial_scoring_order_invariant(self):
         ds, split, cfg, params = small_setup()
         trials = evaluation.build_verification_trials(ds, split, 40, seed=1)

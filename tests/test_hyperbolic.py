@@ -14,7 +14,7 @@ from paeff.gradcheck import check_gradients
 
 from chain_check import (
     add, artanh, assert_matches_chain, axis_sum, clamp_max, clamp_min, div, log1p, matmul, mul, norm2, sqrt, sub,
-    transpose,
+    tanh, transpose,
 )
 
 CFG = hyp.BallConfig()
@@ -329,7 +329,7 @@ def chain_clip(v, max_norm):
 
 def chain_exp(v):
     sn = clamp_min(norm2(v, 1, True) * CFG.sqrt_c, 1e-12)
-    return chain_clip(mul(v, div(ad.tanh(sn), sn)), CFG.max_norm)
+    return chain_clip(mul(v, div(tanh(sn), sn)), CFG.max_norm)
 
 
 def chain_log(p):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paeff import autodiff as ad
 from paeff import hyperbolic as hyp
 from paeff import losses
 from paeff.autodiff import Tensor
@@ -18,7 +17,7 @@ from paeff.gradcheck import check_gradients
 from paeff.hyperbolic import BallConfig, PoincarePoint
 
 from chain_check import (
-    absolute, assert_matches_chain, div, exp, pairwise_cosine, reshape, sub, symmetric_nll, transpose,
+    absolute, assert_matches_chain, concat_cols, div, exp, pairwise_cosine, reshape, sub, symmetric_nll, transpose,
 )
 
 CFG = BallConfig()
@@ -76,11 +75,19 @@ class TestAlignmentLoss:
         assert loss.item() == pytest.approx(math.log1p(math.exp(-20.0)), rel=1e-9)
         assert loss.item() <= 1e-8
 
-    def test_uniform_similarities_give_log_b(self):
-        row = np.array([0.3, 0.2, 0.0, -0.1])
-        face = Tensor(np.tile(row, (4, 1)))
-        loss = losses.alignment_loss(face, Tensor(np.tile(row, (4, 1))), Tensor(1.3), "cosine")
-        assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
+    @pytest.mark.parametrize("mode", ["cosine", "neg_hyperbolic_distance"])
+    def test_uniform_similarities_rejected(self, mode):
+        # Every row at one point: every similarity ties, so no pair is ranked.
+        row = np.tile(np.array([0.3, 0.2, 0.0, -0.1]), (4, 1))
+        face, voice = (PoincarePoint(Tensor(row), CFG) if mode != "cosine" else Tensor(row) for _ in range(2))
+        with pytest.raises(NumericError, match="all 16 similarities equal"):
+            losses.alignment_loss(face, voice, Tensor(1.3), mode)
+
+    def test_pairs_at_the_distance_cap_rejected(self):
+        # Rows 1e-6 inside the admissible rim and far apart: every distance is capped, so all tie.
+        with pytest.raises(NumericError, match="cannot rank the pairs"):
+            losses.alignment_loss(PoincarePoint(Tensor(ball_rows(70, 4, 3, "rim")), CFG),
+                                  PoincarePoint(Tensor(ball_rows(71, 4, 3, "rim")), CFG), Tensor(0.0))
 
     def test_matches_brute_force_oracle_cosine(self):
         rng = np.random.default_rng(0)
@@ -550,7 +557,7 @@ class TestOrthogonalProjectionNode:
         rest = Tensor(np.delete(x, 1, axis=0))
 
         def f(row):
-            rows = transpose(ad.concat_cols(transpose(rest), reshape(row, 5, 1)))
+            rows = transpose(concat_cols(transpose(rest), reshape(row, 5, 1)))
             return losses.orthogonal_projection_loss(rows, np.array(labels)[[0, 2, 3, 1]])
 
         check_gradients(f, [np.zeros(5)], step=1e-15)

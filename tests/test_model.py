@@ -15,7 +15,7 @@ from paeff.autodiff import Tensor
 from paeff.errors import ContractError, DataError, DimensionError
 from paeff.gradcheck import check_gradients
 
-from chain_check import add, matmul, mul, norm2, reshape, sigmoid, sub, value_and_grads
+from chain_check import add, concat_cols, matmul, mul, norm2, relu, reshape, sigmoid, sub, tanh, value_and_grads
 
 CFG = model.ModelConfig(face_dim=5, voice_dim=6, num_identities=3, proj_dim=4)
 
@@ -83,6 +83,9 @@ class TestProjections:
 
 
 class TestEgff:
+    def test_sigmoid_zero(self):
+        assert model._sigmoid(np.array(0.0)) == 0.5
+
     def test_gate_saturated_high_returns_face(self):
         params = params_for(CFG, seed=5)
         params.gate_bias.data[...] = 30.0
@@ -154,16 +157,16 @@ class TestEgff:
 
 
 def chain_egff(xf, xv, params, cfg):
-    """EGFF as a chain of generic ops: the graph the gated-mix node replaces."""
+    """EGFF as a chain of generic ops: the graph the EGFF node replaces."""
     d = xf.shape[1]
-    act = ad.tanh if cfg.gate_activation == "tanh" else ad.relu
+    act = tanh if cfg.gate_activation == "tanh" else relu
     f, v = act(xf), act(xv)
     if cfg.attention_combine == "multiplication":
         combined = f * v
     elif cfg.attention_combine == "addition":
         combined = f + v
     else:
-        combined = add(matmul(ad.concat_cols(f, v), params.combine_weight), reshape(params.combine_bias, 1, d))
+        combined = add(matmul(concat_cols(f, v), params.combine_weight), reshape(params.combine_bias, 1, d))
     gate = sigmoid(add(mul(combined, reshape(params.gate_weight, 1, d)), reshape(params.gate_bias, 1, d)))
     return gate * f + sub(1.0, gate) * v
 
@@ -334,16 +337,19 @@ class TestForward:
         with pytest.raises(ContractError):
             model.lift(Tensor(np.zeros((2, 4))), cfg)
 
-    # at tangent_clip 20 and 10x inputs the ball clamp, not the tangent clip, bounds the rows
-    @pytest.mark.parametrize("tangent_clip,scale", [(0.5, 1.0), (20.0, 10.0)], ids=["clip", "ball_clamp"])
-    def test_end_to_end_gradients(self, tangent_clip, scale):
+    # At tangent_clip 20, a face and a voice row at 10x input are bounded by the ball clamp, not the
+    # tangent clip. The other rows keep some pairs below the distance cap, so the similarities do not all tie.
+    @pytest.mark.parametrize("tangent_clip,big", [(0.5, 1.0), (20.0, 10.0)], ids=["clip", "ball_clamp"])
+    def test_end_to_end_gradients(self, tangent_clip, big):
         # B=3, D=4, C=3 instance through project -> lift -> fuse -> classify -> loss
         from paeff import losses, trainer
 
         cfg = dataclasses.replace(CFG, tangent_clip=tangent_clip)
         params = params_for(cfg, seed=13)
         rng = np.random.default_rng(11)
-        faces, voices = rng.normal(size=(3, 5)) * scale, rng.normal(size=(3, 6)) * scale
+        faces, voices = rng.normal(size=(3, 5)), rng.normal(size=(3, 6))
+        faces[0] *= big
+        voices[2] *= big
         labels = np.array([0, 1, 2])
         names = [name for name, _ in params.named()]
 

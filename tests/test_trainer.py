@@ -5,6 +5,7 @@ The ``--ablation`` presets are options of the command line, tested in
 """
 
 import ctypes
+import dataclasses
 import json
 import math
 import sys
@@ -204,6 +205,19 @@ class TestTrainLoop:
             with pytest.raises(NumericError, match="step"):
                 trainer.train(ds, split, cfg, tc)
 
+    def test_pairs_all_at_the_distance_cap_fail_at_step_0(self):
+        # tangent_clip 4 at c = 1, with inputs at 100x: every projection is longer than the clip, every
+        # lifted row sits at radius tanh(4) and every batch pair at the distance cap, so the alignment's
+        # similarities tie. The first step fails, before validation.
+        ds, split, cfg = desk_setup()
+        for rec in ds.records:
+            rec.vector *= 100.0
+        tc = trainer.TrainConfig(epochs=2, batch_size=4, lr0=1e-3, seed=2, val_trials=20)
+        with pytest.raises(NumericError) as caught:
+            trainer.train(ds, split, dataclasses.replace(cfg, tangent_clip=4.0), tc)
+        assert str(caught.value).startswith("training diverged at step 0: alignment_loss: all 16 similarities equal")
+        assert "validation" not in str(caught.value)
+
     def test_best_checkpoint_selected_by_val_eer(self):
         ds, split, cfg = desk_setup()
         tc = trainer.TrainConfig(epochs=5, batch_size=4, lr0=5e-3, seed=4, val_trials=40)
@@ -264,10 +278,27 @@ class TestTrainLoop:
 
 
 
-def test_training_step_tape_size():
-    """One default-config step at B = 64 records at most 32 tape nodes, none of them [B x B]."""
+# Tape nodes of one step, leaves included: 11 parameters and 13 nodes at the defaults (tanh,
+# multiplication). The concatenation arm adds its two combine parameters; without the lift, the
+# two lifts and the two fuse clips go; the linear arm adds its inputs in one node and leaves the
+# gate unused.
+TAPE_NODES = {
+    **{
+        f"{act}-{combine}": ({"gate_activation": act, "attention_combine": combine},
+                             26 if combine == "concatenation" else 24)
+        for act in model.GATE_ACTIVATIONS for combine in model.ATTENTION_COMBINES
+    },
+    "no_hyperbolic": ({"use_hyperbolic": False}, 20),
+    "linear_fusion": ({"fusion": "linear"}, 22),
+}
+
+
+@pytest.mark.parametrize("arm", list(TAPE_NODES))
+def test_training_step_tape_size(arm):
+    """One step at B = 64 records the pinned number of tape nodes, none of them [B x B]."""
     b = 64
-    cfg = model.ModelConfig(face_dim=32, voice_dim=24, num_identities=100)
+    overrides, want = TAPE_NODES[arm]
+    cfg = model.ModelConfig(face_dim=32, voice_dim=24, num_identities=100, **overrides)
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 40, size=b)  # repeated labels: the alignment mask is in play
     step = trainer.step_losses(
@@ -280,7 +311,7 @@ def test_training_step_tape_size():
         if id(node) not in nodes:
             nodes[id(node)] = node
             stack.extend(node._parents)
-    assert len(nodes) <= 32
+    assert len(nodes) == want
     assert not any(node.shape == (b, b) for node in nodes.values())
 
 
