@@ -31,8 +31,6 @@ from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
-import numpy as np
-
 from . import __version__, config as cfgmod, data, evaluation, model, trainer
 from .config import Option
 from .errors import (
@@ -391,9 +389,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     evaluation.write_matching_report(
         out_dir / "matching.csv", out_dir / "matching.json", split_name, matching_rows
     )
-    scores = np.array([t.score for t in trials])
-    labels = np.array([t.is_match for t in trials], dtype=bool)
-    fpr, tpr = evaluation.roc_points(scores, labels)
+    fpr, tpr = evaluation.compute_roc(trials)
     roc_lines = ["fpr,tpr"] + [f"{repr(float(a))},{repr(float(b))}" for a, b in zip(fpr, tpr)]
     (out_dir / "roc.csv").write_text("\n".join(roc_lines) + "\n", encoding="utf-8")
 

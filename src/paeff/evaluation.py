@@ -23,8 +23,8 @@ parameters through ``ModelParams.detached``, so encoding records no tape,
 and the scores themselves are computed in plain numpy. A record whose
 modality does not fit its slot is a ``ContractError``. Scores that are
 not finite, or that all tie and so cannot rank the trials, are a
-``NumericError``. Stratified reports read the non-match trials'
-demographic tags once into arrays and mask them per stratum.
+``NumericError``. EER, AUC, the ROC and every demographic stratum read
+one table of the match and non-match trial counts at each distinct score.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ from .losses import pair_similarity
 from .model import ModelConfig, ModelParams, encode_modality
 
 STRATA = ("random", "G", "N", "A", "GNA")
-
-_STRATUM_ATTRIBUTES = {"random": "", "G": "G", "N": "N", "A": "A", "GNA": "GNA"}
-
 
 @dataclass
 class VerificationTrial:
@@ -83,6 +80,10 @@ class EvalConfig:
         for s in self.strata:
             if s not in STRATA:
                 raise ContractError(f"unknown stratum {s!r}; expected one of {STRATA}")
+        for name in ("strata", "nc_list"):
+            entries = getattr(self, name)
+            if len(set(entries)) < len(entries):
+                raise ContractError(f"{name} repeats an entry, got {entries}")
         if any(nc < 2 for nc in self.nc_list):
             raise ContractError(f"nc_list gallery sizes must be at least 2, got {self.nc_list}")
         if self.max_trials < 2:
@@ -163,24 +164,20 @@ def _scores_labels(trials: list[VerificationTrial]) -> tuple[np.ndarray, np.ndar
     return scores, labels
 
 
-def eer_from_scores(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """EER by threshold sweep; accept iff score >= threshold (ties accept).
+def _score_counts(scores: np.ndarray, labels: np.ndarray):
+    """The counts table: distinct scores ascending, the match and non-match trials at each, each trial's row."""
+    values, row = np.unique(scores, return_inverse=True)
+    pos = np.bincount(row[labels], minlength=values.size)
+    neg = np.bincount(row[~labels], minlength=values.size)
+    return values, pos, neg, row
 
-    FAR falls and FRR rises as the threshold sweeps up through the distinct
-    scores; the crossing is linearly interpolated between the two adjacent
-    operating points.
-    """
-    pos = np.sort(scores[labels])
-    neg = np.sort(scores[~labels])
-    thresholds = np.unique(scores)
-    # searchsorted(left) counts strictly-below; ties at the threshold accept.
-    far = 1.0 - np.searchsorted(neg, thresholds, side="left") / neg.size
-    frr = np.searchsorted(pos, thresholds, side="left") / pos.size
-    # Sentinel above every score: accept nothing.
-    thresholds = np.append(thresholds, thresholds[-1] + 1.0)
-    far = np.append(far, 0.0)
-    frr = np.append(frr, 1.0)
 
+def _eer(values: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> tuple[float, float]:
+    """EER and its threshold from a counts table whose rows all hold a trial."""
+    # A threshold rejects the trials strictly below it; one above every score accepts nothing.
+    far = np.append(1.0 - (np.cumsum(neg) - neg) / neg.sum(), 0.0)
+    frr = np.append((np.cumsum(pos) - pos) / pos.sum(), 1.0)
+    thresholds = np.append(values, values[-1] + 1.0)
     diff = far - frr
     idx = int(np.argmax(diff <= 0.0))  # first operating point past the crossing
     if idx == 0:
@@ -192,37 +189,41 @@ def eer_from_scores(scores: np.ndarray, labels: np.ndarray) -> tuple[float, floa
     return float(eer), float(threshold)
 
 
+def _auc(pos: np.ndarray, neg: np.ndarray) -> float:
+    return float((pos @ (np.cumsum(neg) - neg) + 0.5 * (pos @ neg)) / (pos.sum() * neg.sum()))
+
+
+def eer_from_scores(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """EER and its threshold; accept iff score >= threshold (ties accept).
+
+    FAR falls and FRR rises as the threshold sweeps up through the counts
+    table's distinct scores; the crossing is linearly interpolated between
+    the two adjacent operating points.
+    """
+    return _eer(*_score_counts(scores, labels)[:3])
+
+
 def compute_eer(trials: list[VerificationTrial]) -> tuple[float, float]:
-    scores, labels = _scores_labels(trials)
-    return eer_from_scores(scores, labels)
+    return eer_from_scores(*_scores_labels(trials))
 
 
 def auc_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
-    """ROC AUC as the rank statistic (concordant + half ties) / (P * N)."""
-    pos = scores[labels]
-    neg = np.sort(scores[~labels])
-    below = np.searchsorted(neg, pos, side="left").sum()
-    ties = (np.searchsorted(neg, pos, side="right") - np.searchsorted(neg, pos, side="left")).sum()
-    return float((below + 0.5 * ties) / (pos.size * neg.size))
+    """ROC AUC as the rank statistic (concordant + half ties) / (P * N), read from the counts table."""
+    return _auc(*_score_counts(scores, labels)[1:3])
 
 
 def compute_auc(trials: list[VerificationTrial]) -> float:
-    scores, labels = _scores_labels(trials)
-    return auc_from_scores(scores, labels)
+    return auc_from_scores(*_scores_labels(trials))
 
 
 def roc_points(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical ROC curve (FPR, TPR) swept over thresholds, for export/plotting."""
-    order = np.argsort(-scores, kind="stable")
-    sorted_labels = labels[order]
-    sorted_scores = scores[order]
-    tp = np.cumsum(sorted_labels)
-    fp = np.cumsum(~sorted_labels)
-    # Keep only the last point of each tied-score run.
-    keep = np.append(sorted_scores[1:] != sorted_scores[:-1], True)
-    tpr = np.concatenate([[0.0], tp[keep] / tp[-1]])
-    fpr = np.concatenate([[0.0], fp[keep] / fp[-1]])
-    return fpr, tpr
+    """Empirical ROC curve (FPR, TPR): the counts table's running sums from the top score down."""
+    tp, fp = (np.cumsum(counts[::-1]) for counts in _score_counts(scores, labels)[1:3])
+    return np.concatenate([[0.0], fp / fp[-1]]), np.concatenate([[0.0], tp / tp[-1]])
+
+
+def compute_roc(trials: list[VerificationTrial]) -> tuple[np.ndarray, np.ndarray]:
+    return roc_points(*_scores_labels(trials))
 
 
 # -- matching -------------------------------------------------------------------
@@ -418,10 +419,9 @@ def build_matching_trials(
     slot = np.arange(n_c)
     source = np.where(slot == correct[:, None], k, slot - (slot > correct[:, None]))
     gallery = np.take_along_axis(np.column_stack([picks, match]), source, axis=1)
-    records = np.fromiter(pool, dtype=object, count=len(pool))
     return [
-        MatchingTrial(probe_modality=probe_modality, probe=probes[p], gallery=g, correct_index=c)
-        for p, g, c in zip(probe.tolist(), records[gallery].tolist(), correct.tolist())
+        MatchingTrial(probe_modality=probe_modality, probe=probes[p], gallery=[pool[j] for j in g], correct_index=c)
+        for p, g, c in zip(probe.tolist(), gallery.tolist(), correct.tolist())
     ]
 
 
@@ -462,47 +462,54 @@ class StratumMetrics:
     n_trials: int
     eer: float
     auc: float
+    threshold: float
+    tied_share: float
 
 
 def _nonmatch_tags(trials: list[VerificationTrial], nonmatch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[N x 3] object arrays of the G, N, A tags of the non-match trials' faces and of their voices."""
+    """[N x 3] codes of the G, N, A tags of the non-match trials' faces and of their voices; -1 is untagged."""
+    codes = {None: -1}
     sides = []
     for side in ("face", "voice"):
         distinct, index = _distinct([getattr(trials[k], side) for k in nonmatch])
-        tags = np.array([[r.demographic(a) for a in "GNA"] for r in distinct], dtype=object).reshape(-1, 3)
-        sides.append(tags[index])
+        tags = [codes.setdefault(r.demographic(a), len(codes) - 1) for r in distinct for a in "GNA"]
+        sides.append(np.array(tags, dtype=np.intp).reshape(-1, 3)[index])
     return sides[0], sides[1]
 
 
 def stratified_report(
     trials: list[VerificationTrial], strata: tuple[str, ...]
 ) -> list[StratumMetrics]:
-    """Verification metrics per stratum.
+    """Verification metrics per stratum, all read from one counts table.
 
     Non-match trials must share the stratum's demographic attributes;
     match trials always qualify. Strata left with no usable non-match
     trials are omitted from the report, never reported as zero.
 
+    A stratum recounts its non-match trials on the table's rows and drops
+    the rows none of its trials hold. ``tied_share`` is the share of its
+    trials whose score another of its trials also has.
+
     A non-match trial's attributes are compared in the stratum's order and
     the first that differs drops it; an untagged one before that is a
     ``DataError`` naming the first such trial in list order.
     """
-    scores = _trial_scores(trials)
     labels = np.array([t.is_match for t in trials], dtype=bool)
+    values, pos, _, row = _score_counts(_trial_scores(trials), labels)
     nonmatch = np.flatnonzero(~labels)
     tags = None
     out: list[StratumMetrics] = []
     for stratum in strata:
         if stratum not in STRATA:
             raise ContractError(f"unknown stratum {stratum!r}")
-        attributes = _STRATUM_ATTRIBUTES[stratum]
+        attributes = "" if stratum == "random" else stratum
         if attributes and tags is None:
             tags = _nonmatch_tags(trials, nonmatch)
         shares = np.ones(nonmatch.size, dtype=bool)  # shares every attribute compared so far
         untagged_at = np.full(nonmatch.size, -1)  # the attribute a trial lacks, if it counts
         for a, attr in enumerate(attributes):
             face, voice = (side[:, "GNA".index(attr)] for side in tags)
-            untagged = shares & (np.equal(face, None) | np.equal(voice, None))
+            untagged = shares & ((face < 0) | (voice < 0))
             untagged_at[untagged] = a
             shares &= ~untagged & (face == voice)
         bad = np.flatnonzero(untagged_at >= 0)
@@ -512,13 +519,14 @@ def stratified_report(
                 f"stratum {stratum}: trial lacks demographic tag {attributes[untagged_at[bad[0]]]!r} "
                 f"({trial.face.clip_id} / {trial.voice.clip_id})"
             )
-        keep = labels.copy()
-        keep[nonmatch] = shares
-        s, lab = scores[keep], labels[keep]
-        if lab.all() or not lab.any():
+        neg = np.bincount(row[nonmatch[shares]], minlength=values.size)
+        if not pos.any() or not neg.any():
             continue
-        eer, _ = eer_from_scores(s, lab)
-        out.append(StratumMetrics(stratum=stratum, n_trials=len(s), eer=eer, auc=auc_from_scores(s, lab)))
+        held = (pos + neg) > 0
+        p, n, count = pos[held], neg[held], (pos + neg)[held]
+        eer, threshold = _eer(values[held], p, n)
+        tied_share = float(count[count > 1].sum() / count.sum())
+        out.append(StratumMetrics(stratum, int(count.sum()), eer, _auc(p, n), threshold, tied_share))
     return out
 
 
@@ -538,8 +546,8 @@ def _write_table(csv_path, json_path, header: tuple[str, ...], rows: list[tuple]
 def write_verification_report(
     csv_path, json_path, split_name: str, rows: list[StratumMetrics]
 ) -> None:
-    _write_table(csv_path, json_path, ("split", "stratum", "n_trials", "eer", "auc"),
-                 [(split_name, r.stratum, r.n_trials, r.eer, r.auc) for r in rows])
+    _write_table(csv_path, json_path, ("split", "stratum", "n_trials", "eer", "auc", "threshold", "tied_share"),
+                 [(split_name, r.stratum, r.n_trials, r.eer, r.auc, r.threshold, r.tied_share) for r in rows])
 
 
 def write_matching_report(csv_path, json_path, split_name: str, rows: list[MatchingResult]) -> None:

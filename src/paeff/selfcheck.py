@@ -302,6 +302,9 @@ def check_metric_oracles() -> None:
         oracle_auc = _brute_force_auc(scores, labels)
         _expect(abs(eer - oracle_eer) < 1e-12, f"EER {eer} != oracle {oracle_eer}")
         _expect(abs(auc - oracle_auc) < 1e-12, f"AUC {auc} != oracle {oracle_auc}")
+        roc, oracle_roc = np.array(evaluation.roc_points(scores, labels)), _brute_force_roc(scores, labels)
+        gap = np.abs(roc - oracle_roc).max() if roc.shape == oracle_roc.shape else np.inf
+        _expect(gap < 1e-12, f"ROC of shape {roc.shape} is {gap} from the oracle's, of shape {oracle_roc.shape}")
 
 
 def check_adamw_single_step() -> None:
@@ -364,6 +367,14 @@ def _brute_force_auc(scores: np.ndarray, labels: np.ndarray) -> float:
             elif p == n:
                 ties += 1
     return (concordant + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def _brute_force_roc(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """[2 x T+1] FPR and TPR from (0, 0), at each distinct threshold swept down from the top score."""
+    points = [(0.0, 0.0)]
+    for t in sorted(set(scores), reverse=True):
+        points.append((np.mean(scores[~labels] >= t), np.mean(scores[labels] >= t)))
+    return np.array(points).T
 
 
 ALL_CHECKS: list[tuple[str, Callable[[], None]]] = [

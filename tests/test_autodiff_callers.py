@@ -70,7 +70,8 @@ def tensor_members_used(tree: ast.Module, makers: set[str]) -> set[str]:
     """Attribute names read from non-modules, and the operator dunders applied to ``Tensor`` expressions.
 
     Within a function, an expression is a ``Tensor`` when it is a
-    parameter annotated as one, a name assigned from such an expression,
+    parameter annotated as one, a name assigned from such an expression
+    (alone, or at its place in a tuple assigned from a tuple of equal length),
     a call of ``Tensor`` or of a function in ``makers`` (defined here, in
     a paeff module, or as a method of a ``Tensor`` expression), or an
     arithmetic expression with such an operand.
@@ -110,9 +111,16 @@ def tensor_members_used(tree: ast.Module, makers: set[str]) -> set[str]:
                 return owner.id in ours if isinstance(owner, ast.Name) and owner.id in modules else is_tensor(owner)
             return False
 
-        assigns = [n for n in ast.walk(fn) if isinstance(n, ast.Assign) and len(n.targets) == 1]
-        for _ in assigns:  # to a fixed point, whatever the order of the assignments
-            names |= {n.targets[0].id for n in assigns if isinstance(n.targets[0], ast.Name) and is_tensor(n.value)}
+        binds = []  # (target, value) of each single-target assignment; a tuple of a tuple element by element
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Assign) and len(n.targets) == 1:
+                target, value = n.targets[0], n.value
+                if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple) and len(target.elts) == len(value.elts):
+                    binds += zip(target.elts, value.elts)
+                else:
+                    binds.append((target, value))
+        for _ in binds:  # to a fixed point, whatever the order of the assignments
+            names |= {t.id for t, v in binds if isinstance(t, ast.Name) and is_tensor(v)}
         for node in ast.walk(fn):
             name = OPERATORS.get(type(getattr(node, "op", None)))
             if isinstance(node, ast.BinOp) and name and (is_tensor(node.left) or is_tensor(node.right)):
@@ -143,3 +151,15 @@ def test_every_public_tensor_method_and_operator_has_a_caller():
     api = tensor_api()
     assert {"__add__", "__mul__", "sum", "backward", "from_op", "shape"} <= api
     assert sorted(api - used) == []
+
+
+def test_tuple_assignment_binds_each_element():
+    tree = ast.parse(
+        "from paeff import autodiff as ad\n"
+        "def fuse(x, y, r):\n"
+        "    a, b = ad.radial(x, r), ad.radial(y, r)\n"
+        "    c, d = ad.radial(x, r)\n"  # unpacks one value: neither name is known to be a Tensor
+        "    return a + b, c * d\n"
+    )
+    used = tensor_members_used(tree, {"radial"})
+    assert "__add__" in used and "__mul__" not in used

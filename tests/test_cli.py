@@ -252,7 +252,7 @@ def test_malformed_train_option_exits_3_before_training(world, tmp_path, capsys,
 
 @pytest.mark.parametrize("flag, value, field", [
     ("--max-trials", "1", "max_trials"), ("--matching-trials", "0", "matching_trials"), ("--nc-list", "1", "nc_list"),
-    ("--probe-modality", "x", "probe_modality"),
+    ("--probe-modality", "x", "probe_modality"), ("--strata", "G,G", "strata"), ("--nc-list", "2,4,2", "nc_list"),
 ])
 def test_malformed_eval_option_exits_3_before_loading(world, run, tmp_path, capsys, monkeypatch, flag, value, field):
     monkeypatch.setattr(model, "load_checkpoint", lambda *a: pytest.fail("checkpoint loaded"))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metrics_reference as ref
 from paeff import data, evaluation, hyperbolic as hyp, model
 from paeff.autodiff import Tensor
 from paeff.data import SplitSpec
@@ -851,9 +852,58 @@ class TestStrataOracle:
         np.testing.assert_allclose([g[2:] for g in got], [e[2:] for e in expected], rtol=0.0, atol=1e-12)
 
 
+class TestCountsTable:
+    """EER, AUC, ROC and every stratum row, read from the counts table, equal the sorted-copy references bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 120), levels=st.integers(1, 12))
+    def test_equal_the_references_bit_for_bit(self, seed, n, levels):
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(size=levels)[rng.integers(levels, size=n)]  # a few values, heavily tied
+        labels = rng.random(n) < rng.uniform(0.1, 0.9)
+        if labels.all() or not labels.any():
+            labels[0] = ~labels[0]
+        p_same = rng.uniform(0.2, 0.9, size=3)  # how often a face and a voice tag agree, per attribute
+
+        def tags():
+            return tuple(str(int(rng.random() < p)) for p in p_same)
+
+        trials = scored_trials_with_tags([(float(s), bool(m), tags(), tags()) for s, m in zip(scores, labels)])
+        want = []
+        for stratum in evaluation.STRATA:
+            attributes = "" if stratum == "random" else stratum
+            keep = np.array([t.is_match or all(t.face.demographic(a) == t.voice.demographic(a) for a in attributes)
+                             for t in trials])
+            row = ref.stratum_row(scores, labels, keep)
+            if row is None:
+                continue
+            want.append((stratum, *row))
+            s, lab = scores[keep], labels[keep]
+            assert evaluation.eer_from_scores(s, lab) == ref.eer_from_scores(s, lab)
+            assert evaluation.auc_from_scores(s, lab) == ref.auc_from_scores(s, lab)
+            for got, expected in zip(evaluation.roc_points(s, lab), ref.roc_points(s, lab)):
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        if levels == 1 or np.unique(scores).size == 1:
+            with pytest.raises(NumericError, match="cannot rank"):
+                evaluation.stratified_report(trials, evaluation.STRATA)
+            return
+        got = [dataclasses.astuple(r) for r in evaluation.stratified_report(trials, evaluation.STRATA)]
+        assert got == want
+
+    def test_tied_share_and_threshold(self):
+        # Scores 0.1 (match), 0.1 (non-match), 0.2, 0.3, 0.3: four of five trials share a score.
+        pairs = [(0.1, True), (0.1, False), (0.2, False), (0.3, True), (0.3, True)]
+        tags = ("f", "UK", "adult")
+        trials = scored_trials_with_tags([(s, m, tags, tags) for s, m in pairs])
+        row, = evaluation.stratified_report(trials, ("random",))
+        assert row.tied_share == 0.8
+        assert (row.eer, row.threshold) == evaluation.eer_from_scores(np.array([p[0] for p in pairs]),
+                                                                      np.array([p[1] for p in pairs]))
+
+
 class TestReports:
     def test_deterministic_bytes(self, tmp_path):
-        rows = [evaluation.StratumMetrics("random", 100, 0.125, 0.9375)]
+        rows = [evaluation.StratumMetrics("random", 100, 0.125, 0.9375, 0.5, 0.25)]
         matches = [evaluation.MatchingResult(2, 50, 0.84, 1)]
         for i in (1, 2):
             evaluation.write_verification_report(
@@ -868,16 +918,18 @@ class TestReports:
         assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
 
     def test_verification_report_bytes(self, tmp_path):
-        rows = [evaluation.StratumMetrics("random", 40, 0.25, 0.8125), evaluation.StratumMetrics("G", 12, 0.1, 1.0)]
+        rows = [evaluation.StratumMetrics("random", 40, 0.25, 0.8125, -0.375, 0.05),
+                evaluation.StratumMetrics("G", 12, 0.1, 1.0, 0.5, 0.0)]
         evaluation.write_verification_report(tmp_path / "v.csv", tmp_path / "v.json", "seen_heard", rows)
         assert (tmp_path / "v.csv").read_bytes() == (
-            b"split,stratum,n_trials,eer,auc\r\n"
-            b"seen_heard,random,40,0.25,0.8125\r\nseen_heard,G,12,0.1,1.0\r\n"
+            b"split,stratum,n_trials,eer,auc,threshold,tied_share\r\n"
+            b"seen_heard,random,40,0.25,0.8125,-0.375,0.05\r\nseen_heard,G,12,0.1,1.0,0.5,0.0\r\n"
         )
         assert (tmp_path / "v.json").read_text() == (
             '[\n  {\n    "auc": 0.8125,\n    "eer": 0.25,\n    "n_trials": 40,\n    "split": "seen_heard",\n'
-            '    "stratum": "random"\n  },\n  {\n    "auc": 1.0,\n    "eer": 0.1,\n    "n_trials": 12,\n'
-            '    "split": "seen_heard",\n    "stratum": "G"\n  }\n]\n'
+            '    "stratum": "random",\n    "threshold": -0.375,\n    "tied_share": 0.05\n  },\n'
+            '  {\n    "auc": 1.0,\n    "eer": 0.1,\n    "n_trials": 12,\n'
+            '    "split": "seen_heard",\n    "stratum": "G",\n    "threshold": 0.5,\n    "tied_share": 0.0\n  }\n]\n'
         )
 
     def test_matching_report_bytes(self, tmp_path):
