@@ -2,14 +2,16 @@
 
 Every flag has a dotted config-file key (``--lr0`` <-> ``train.lr0``) and
 a ``PAEFF_`` environment variable (``PAEFF_TRAIN_LR0``); precedence is
-flags > environment > config file > defaults. Each run writes a manifest
-sufficient to reproduce it byte-for-byte.
+flags > environment > config file > defaults. A value is parsed the same
+way from each source (``config.parse_value``); a malformed flag value is a
+usage error, a malformed environment or file value a data error. Each run
+writes a manifest sufficient to reproduce it byte-for-byte.
 
 The model.*, train.* and eval.* options are the defaulted fields of
 ``ModelConfig``, ``TrainConfig`` (its ``LossWeights`` flattened to
-``alpha1..3``) and ``EvalConfig``, with the dataclass defaults. ``--ablation``
-is a preset over them: once options are resolved it overwrites
-``use_hyperbolic``, ``similarity``, ``fusion`` and ``alpha1``, so the
+``alpha1..3`` and ``op_inter_weight``) and ``EvalConfig``, with the
+dataclass defaults. ``--ablation`` is a preset over them: once options are
+resolved it overwrites ``use_hyperbolic``, ``fusion`` and ``alpha1``, so the
 manifest's config describes the model that was trained.
 
 eval has no model option: it builds its ``ModelConfig`` from the training
@@ -25,6 +27,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import MISSING, asdict, fields, is_dataclass
@@ -58,8 +61,7 @@ HELP = {
     "model.proj_dim": "projection width D",
     "model.gate_activation": "gate activation: tanh|relu",
     "model.attention_combine": "attention-weight combination: multiplication|addition|concatenation",
-    "model.use_hyperbolic": "lift projections onto the Poincare ball",
-    "model.similarity": "alignment similarity: neg_hyperbolic_distance|cosine",
+    "model.use_hyperbolic": "lift projections onto the Poincare ball and align by its distance, not cosine",
     "model.fusion": "fusion arm: egff|linear",
     "model.curvature": "ball curvature c",
     "model.boundary_eps": "ball boundary epsilon",
@@ -131,7 +133,7 @@ EVAL_OPTIONS = _config_options("eval", evaluation.EvalConfig)
 # ablation wins over an explicit flag.
 ABLATION_FLAGS = {
     "no_fa": {"train.alpha1": 0.0},
-    "no_hyperbolic": {"model.use_hyperbolic": False, "model.similarity": "cosine"},
+    "no_hyperbolic": {"model.use_hyperbolic": False},
     "linear_fusion": {"model.fusion": "linear"},
 }
 ABLATION_ALIASES = {
@@ -185,58 +187,46 @@ COMMAND_OPTIONS = {
 }
 
 
+def _flag_type(opt: Option):
+    """argparse's ``type`` for ``opt``: ``parse_value``, whose ParseError becomes a usage error."""
+
+    def parse(raw: str):
+        try:
+            return cfgmod.parse_value(opt, raw)
+        except ParseError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return parse
+
+
 def _add_options(parser: argparse.ArgumentParser, options: list[Option]) -> None:
     parser.add_argument("--config", help="key = value config file", default=None)
     for opt in options:
-        kwargs: dict = {"dest": opt.key, "default": None, "help": opt.help or None}
-        if opt.kind == "int":
-            kwargs["type"] = int
-        elif opt.kind == "float":
-            kwargs["type"] = float
-        elif opt.kind == "bool":
-            kwargs["action"] = argparse.BooleanOptionalAction
-        else:  # str, ints, strs, int_or_auto arrive as raw strings
-            kwargs["type"] = str
-        parser.add_argument(opt.flag, **kwargs)
+        kind = {"action": argparse.BooleanOptionalAction} if opt.kind == "bool" else {"type": _flag_type(opt)}
+        # An absent flag leaves no attribute, so a flag that parses to None ('auto') still wins.
+        parser.add_argument(opt.flag, dest=opt.key, default=argparse.SUPPRESS, help=opt.help or None, **kind)
 
 
 def _resolve(args: argparse.Namespace, options: list[Option]) -> dict:
     known = {opt.key: opt for opt in options}
     file_values = cfgmod.read_config_file(args.config, known) if args.config else {}
-    flag_values = {}
-    for opt in options:
-        raw = getattr(args, opt.key, None)
-        if raw is None:
-            continue
-        flag_values[opt.key] = (
-            cfgmod.parse_value(opt, raw) if opt.kind in ("ints", "strs", "int_or_auto") and isinstance(raw, str) else raw
-        )
+    flag_values = {key: value for key, value in vars(args).items() if key in known}
     return cfgmod.resolve(options, flag_values, dict(os.environ), file_values)
 
 
-def _require(resolved: dict, key: str) -> str:
-    value = resolved.get(key)
-    if value is None:
-        flag = "--" + key.split(".", 1)[1].replace("_", "-")
-        raise UsageError(f"missing required option {flag} (config key {key})")
-    return value
+def _require(resolved: dict, *keys: str) -> None:
+    """Raise a UsageError naming the first of ``keys`` that has no value."""
+    for key in keys:
+        if resolved[key] is None:
+            raise UsageError(f"missing required option {Option(key, 'str', None).flag} (config key {key})")
 
 
-def _load_split(resolved: dict, require_train: bool = True) -> data.SplitSpec:
-    def ids(key: str, required: bool) -> frozenset[str]:
-        path = resolved.get(key)
-        if path is None:
-            if required:
-                raise UsageError(f"missing required option --{key.split('.', 1)[1].replace('_', '-')}")
-            return frozenset()
-        return data.read_split_file(path)
-
-    return data.SplitSpec(
-        mode=resolved["io.split_mode"],
-        train_ids=ids("io.split_train", require_train),
-        val_ids=ids("io.split_val", require_train),
-        test_ids=ids("io.split_test", True),
-    )
+def _load_split(resolved: dict) -> data.SplitSpec:
+    """The split files' ids; a part whose file is not given is empty."""
+    return data.SplitSpec(resolved["io.split_mode"], *(
+        data.read_split_file(resolved[key]) if resolved[key] is not None else frozenset()
+        for key in ("io.split_train", "io.split_val", "io.split_test")
+    ))
 
 
 def _apply_ablation(resolved: dict) -> None:
@@ -258,9 +248,16 @@ def _trained_model(manifest_path: str) -> model.ModelConfig:
         raise DataError(f"{manifest_path}: no training manifest there; pass --manifest")
     values = cfgmod.read_manifest_section(manifest_path, "model", MODEL_FIELDS)
     try:
-        return model.ModelConfig(**values)
+        cfg = model.ModelConfig(**values)
     except ContractError as e:
         raise ParseError(f"{manifest_path}: {e}") from None
+    # Manifests from when the similarity was an option of its own record it; it must be the lift's.
+    expected = cfg.effective_similarity()
+    similarity = json.loads(cfgmod.read_text(manifest_path))["config"]["model"].get("similarity", expected)
+    if similarity != expected:
+        raise ParseError(f"{manifest_path}: config.model.similarity is {similarity!r}, not {expected!r} "
+                         f"as use_hyperbolic={cfg.use_hyperbolic} implies")
+    return cfg
 
 
 def _digest_inputs(paths: dict[str, str | None]) -> dict[str, dict[str, str]]:
@@ -273,8 +270,7 @@ def _digest_inputs(paths: dict[str, str | None]) -> dict[str, dict[str, str]]:
 
 def _train_section(tc: trainer.TrainConfig, batch_size: int, ablation: str) -> dict:
     section = asdict(tc)
-    weights = section.pop("loss_weights")
-    section.update(weights)
+    section.update(section.pop("loss_weights"))
     section["ablation"] = ablation
     section["batch_size"] = tc.batch_size if tc.batch_size is not None else "auto"
     section["batch_size_resolved"] = batch_size
@@ -289,8 +285,8 @@ def _train_section(tc: trainer.TrainConfig, batch_size: int, ablation: str) -> d
 def cmd_train(args: argparse.Namespace) -> int:
     resolved = _resolve(args, COMMAND_OPTIONS["train"])
     _apply_ablation(resolved)
-    data_path = _require(resolved, "io.data")
-    out_dir = Path(_require(resolved, "io.out"))
+    _require(resolved, "io.data", "io.out", "io.split_train", "io.split_val", "io.split_test")
+    data_path, out_dir = resolved["io.data"], Path(resolved["io.out"])
 
     dataset = data.load_dataset(data_path)
     split = _load_split(resolved)
@@ -343,10 +339,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     resolved = _resolve(args, COMMAND_OPTIONS["eval"])
-    checkpoint_path = _require(resolved, "io.checkpoint")
+    _require(resolved, "io.checkpoint", "io.data", "io.out")
+    if not resolved["io.trials"] and resolved["io.split_test"] is None:
+        raise UsageError("eval needs --trials or --split-test")
+    checkpoint_path, data_path, out_dir = resolved["io.checkpoint"], resolved["io.data"], Path(resolved["io.out"])
     manifest_path = resolved["io.manifest"] or str(Path(checkpoint_path).parent / "manifest.json")
-    data_path = _require(resolved, "io.data")
-    out_dir = Path(_require(resolved, "io.out"))
     eval_cfg = _build(evaluation.EvalConfig, "eval", resolved)
     model_cfg = _trained_model(manifest_path)
     params = model.load_checkpoint(checkpoint_path, model_cfg)
@@ -354,16 +351,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dataset = data.load_dataset(data_path)
     split = None
     if resolved["io.split_test"] is not None:
-        split = _load_split(resolved, require_train=False)
+        split = _load_split(resolved)
         split.validate(dataset)
     if resolved["io.trials"]:
         trials = evaluation.load_trial_list(resolved["io.trials"], dataset)
-    elif split is not None:
+    else:
         trials = evaluation.build_verification_trials(
             dataset, split, max_trials=eval_cfg.max_trials, seed=eval_cfg.seed
         )
-    else:
-        raise UsageError("eval needs --trials or --split-test")
 
     evaluation.score_trials(trials, params, model_cfg)
     try:
@@ -428,7 +423,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     resolved = _resolve(args, COMMAND_OPTIONS["synth"])
-    out_dir = Path(_require(resolved, "io.out"))
+    _require(resolved, "io.out")
+    out_dir = Path(resolved["io.out"])
 
     dataset = data.synth_generate(
         num_identities=resolved["synth.identities"],

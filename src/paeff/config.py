@@ -104,11 +104,11 @@ def resolve(
     environ: dict[str, str],
     file_values: dict[str, Any],
 ) -> dict[str, Any]:
-    """Layered lookup per option; flag (if explicitly set) wins, then env,
-    then config file, then the built-in default."""
+    """Layered lookup per option; a flag given (a key of ``flag_values``) wins,
+    then env, then config file, then the built-in default."""
     resolved: dict[str, Any] = {}
     for opt in options:
-        if opt.key in flag_values and flag_values[opt.key] is not None:
+        if opt.key in flag_values:
             resolved[opt.key] = flag_values[opt.key]
         elif opt.env_name in environ:
             resolved[opt.key] = parse_value(opt, environ[opt.env_name])

@@ -232,12 +232,13 @@ def read_split_file(path) -> frozenset[str]:
 def make_unseen_split(dataset: Dataset, n_val: int, n_test: int, seed: int) -> SplitSpec:
     """Random identity-disjoint split; train gets whatever val/test leave over."""
     ids = dataset.identities()
+    for part, n in (("val", n_val), ("test", n_test)):
+        if n < 1:
+            raise ContractError(f"unseen_unheard split: the {part} part needs at least 1 identity, got {n}")
     if n_val + n_test >= len(ids):
-        raise ContractError(
-            f"cannot hold out {n_val}+{n_test} identities from a pool of {len(ids)}"
-        )
+        raise ContractError(f"cannot hold out {n_val}+{n_test} identities from a pool of {len(ids)}")
     rng = np.random.default_rng(seed)
-    order = list(rng.permutation(ids))
+    order = rng.permutation(ids).tolist()
     return SplitSpec(
         mode="unseen_unheard",
         test_ids=frozenset(order[:n_test]),
@@ -257,13 +258,16 @@ def make_seen_split(dataset: Dataset, val_frac: float, test_frac: float, seed: i
     for _, pools in sorted(group_by_identity(dataset.records).items()):
         for modality in MODALITIES:
             clips = sorted(r.clip_id for r in pools[modality])
-            order = list(rng.permutation(clips))
+            order = rng.permutation(clips).tolist()
             n = len(order)
             n_test = max(1, int(round(n * test_frac))) if n >= 3 else 0
             n_val = max(1, int(round(n * val_frac))) if n >= 3 else 0
             test.update(order[:n_test])
             val.update(order[n_test : n_test + n_val])
             train.update(order[n_test + n_val :])
+    for part, clips in (("train", train), ("val", val), ("test", test)):
+        if not clips:
+            raise ContractError(f"seen_heard split: the {part} part is empty")
     return SplitSpec(
         mode="seen_heard",
         train_ids=frozenset(train),

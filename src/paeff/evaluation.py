@@ -77,6 +77,8 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.strata:
+            raise ContractError("strata must name at least one stratum")
         for s in self.strata:
             if s not in STRATA:
                 raise ContractError(f"unknown stratum {s!r}; expected one of {STRATA}")

@@ -37,13 +37,13 @@ class LossWeights:
     alpha1: float = 0.3
     alpha2: float = 0.35
     alpha3: float = 0.35
+    op_inter_weight: float = 1.0  # inside L_op: the weight of its inter-class term
 
     def __post_init__(self):
-        values = (self.alpha1, self.alpha2, self.alpha3)
-        for name, a in zip(("alpha1", "alpha2", "alpha3"), values):
+        for name, a in vars(self).items():
             if not (math.isfinite(a) and a >= 0.0):
-                raise ContractError(f"loss weight {name} must be finite and nonnegative, got {a!r}")
-        if not any(a > 0.0 for a in values):
+                raise ContractError(f"{name} must be finite and nonnegative, got {a!r}")
+        if not any(a > 0.0 for a in (self.alpha1, self.alpha2, self.alpha3)):
             raise ContractError("at least one loss weight must be positive")
 
 

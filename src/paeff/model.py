@@ -29,7 +29,6 @@ from .hyperbolic import BallConfig, PoincarePoint
 
 GATE_ACTIVATIONS = ("tanh", "relu")
 ATTENTION_COMBINES = ("multiplication", "addition", "concatenation")
-SIMILARITIES = ("neg_hyperbolic_distance", "cosine")
 FUSIONS = ("egff", "linear")
 
 CHECKPOINT_MAGIC = b"PAEF"
@@ -45,7 +44,6 @@ class ModelConfig:
     gate_activation: str = "tanh"
     attention_combine: str = "multiplication"
     use_hyperbolic: bool = True
-    similarity: str = "neg_hyperbolic_distance"
     fusion: str = "egff"
     curvature: float = 1.0
     boundary_eps: float = 1e-5
@@ -63,8 +61,6 @@ class ModelConfig:
             raise ContractError(f"gate_activation must be one of {GATE_ACTIVATIONS}")
         if self.attention_combine not in ATTENTION_COMBINES:
             raise ContractError(f"attention_combine must be one of {ATTENTION_COMBINES}")
-        if self.similarity not in SIMILARITIES:
-            raise ContractError(f"similarity must be one of {SIMILARITIES}")
         if self.fusion not in FUSIONS:
             raise ContractError(f"fusion must be one of {FUSIONS}")
         BallConfig(self.curvature, self.boundary_eps)  # its checks of curvature and boundary_eps, at construction
@@ -74,8 +70,11 @@ class ModelConfig:
         return BallConfig(curvature=self.curvature, boundary_eps=self.boundary_eps)
 
     def effective_similarity(self) -> str:
-        """Hyperbolic distance needs the lift; without it scoring falls back to cosine."""
-        return self.similarity if self.use_hyperbolic else "cosine"
+        """The alignment similarity the lift decides: negated Poincare distance, or cosine without it.
+
+        The lift is radial, so a cosine of lifted rows would equal the unlifted one.
+        """
+        return "neg_hyperbolic_distance" if self.use_hyperbolic else "cosine"
 
 
 @dataclass

@@ -70,7 +70,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     seed: int = 0
     loss_weights: LossWeights = field(default_factory=LossWeights)
-    op_inter_weight: float = 1.0
     val_trials: int = 200
 
     def __post_init__(self):
@@ -84,7 +83,6 @@ class TrainConfig:
             ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
             ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)"),
             ("adam_eps", finite(self.adam_eps) and self.adam_eps > 0.0, "finite and positive"),
-            ("op_inter_weight", finite(self.op_inter_weight) and self.op_inter_weight >= 0.0, "finite and nonnegative"),
             ("val_trials", self.val_trials >= 2, "at least 2"),
         )
         for name, holds, rule in rules:
@@ -196,15 +194,14 @@ class TrainResult:
 
 
 def step_losses(
-    batch_faces, batch_voices, batch_labels, params: ModelParams, cfg: ModelConfig,
-    weights: LossWeights, op_inter_weight: float = 1.0,
+    batch_faces, batch_voices, batch_labels, params: ModelParams, cfg: ModelConfig, weights: LossWeights
 ) -> losses.LossBreakdown:
     """Forward pass plus the three-component objective for one batch."""
     result = model.forward(batch_faces, batch_voices, params, cfg)
     l_align = losses.alignment_loss(
         result.face_aligned, result.voice_aligned, params.logit_scale, cfg.effective_similarity(), batch_labels
     )
-    l_op = losses.orthogonal_projection_loss(result.embedding, batch_labels, op_inter_weight)
+    l_op = losses.orthogonal_projection_loss(result.embedding, batch_labels, weights.op_inter_weight)
     l_ce = losses.cross_entropy_loss(result.logits, batch_labels)
     return losses.total_loss(l_align, l_op, l_ce, weights)
 
@@ -249,8 +246,7 @@ def train(
             batches[k] = None  # a batch is freed once its step is done
             try:
                 breakdown = step_losses(
-                    batch.faces, batch.voices, batch.labels, params, model_cfg, train_cfg.loss_weights,
-                    train_cfg.op_inter_weight,
+                    batch.faces, batch.voices, batch.labels, params, model_cfg, train_cfg.loss_weights
                 )
             except NumericError as e:
                 raise NumericError(f"training diverged at step {step}: {e}") from None

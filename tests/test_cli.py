@@ -19,7 +19,6 @@ OPTION_TABLE = {
     "model.gate_activation": ("str", "tanh"),
     "model.attention_combine": ("str", "multiplication"),
     "model.use_hyperbolic": ("bool", True),
-    "model.similarity": ("str", "neg_hyperbolic_distance"),
     "model.fusion": ("str", "egff"),
     "model.curvature": ("float", 1.0),
     "model.boundary_eps": ("float", 1e-5),
@@ -50,9 +49,9 @@ OPTION_TABLE = {
 # Each --ablation spec next to the explicit flags it stands for.
 ARMS = {
     "full": [],
-    "baseline": ["--no-use-hyperbolic", "--similarity", "cosine", "--fusion", "linear", "--alpha1", "0"],
-    "egff": ["--no-use-hyperbolic", "--similarity", "cosine", "--alpha1", "0"],
-    "egff_fa": ["--no-use-hyperbolic", "--similarity", "cosine"],
+    "baseline": ["--no-use-hyperbolic", "--fusion", "linear", "--alpha1", "0"],
+    "egff": ["--no-use-hyperbolic", "--alpha1", "0"],
+    "egff_fa": ["--no-use-hyperbolic"],
     "no_fa+linear_fusion": ["--alpha1", "0", "--fusion", "linear"],
 }
 
@@ -177,6 +176,63 @@ def test_eval_precedence(world, run, tmp_path, monkeypatch):
     assert seed("flag", *argv) == 5
 
 
+# Per option kind: an option of that kind, a valid value and what it parses to; "x" is malformed for the first four.
+KINDS = {
+    "int": ("train.epochs", "3", 3),
+    "float": ("train.lr0", "0.5", 0.5),
+    "int_or_auto": ("train.batch_size", "auto", None),
+    "ints": ("eval.nc_list", "2,4", (2, 4)),
+    "strs": ("eval.strata", "G,N", ("G", "N")),
+    "str": ("model.gate_activation", "relu", "relu"),
+    "bool": ("model.use_hyperbolic", "false", False),
+}
+
+
+def option(key):
+    command = "eval" if key.startswith("eval.") else "train"
+    return command, next(opt for opt in cli.COMMAND_OPTIONS[command] if opt.key == key)
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_option_value_parses_one_way_from_every_source(tmp_path, capsys, monkeypatch, kind):
+    """A value means the same as a flag, a PAEFF_* variable or a config line.
+
+    Malformed, it is a usage error (exit 1) as a flag and a data error (exit 2) otherwise.
+    """
+    key, valid, expected = KINDS[kind]
+    command, opt = option(key)
+    assert opt.kind == kind
+    config = tmp_path / "run.cfg"
+
+    def argv(source, value):
+        monkeypatch.delenv(opt.env_name, raising=False)
+        if source == "env":
+            monkeypatch.setenv(opt.env_name, value)
+            return [command]
+        if source == "config":
+            config.write_text(f"{key} = {value}\n")
+            return [command, "--config", str(config)]
+        return [command, opt.flag.replace("--", "--no-")] if kind == "bool" else [command, opt.flag, value]
+
+    for source in ("flag", "env", "config"):
+        args = cli.build_parser().parse_args(argv(source, valid))
+        assert cli._resolve(args, cli.COMMAND_OPTIONS[command])[key] == expected
+        if kind in ("int", "float", "int_or_auto", "ints"):
+            missing = ["--data", str(tmp_path / "missing.fve"), "--out", str(tmp_path / "out")]
+            assert cli.main([*argv(source, "x"), *missing]) == (1 if source == "flag" else 2)
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:" if source == "flag" else "data error:"), err
+            assert f"bad value for {key}" in err
+
+
+def test_auto_batch_size_flag_wins_over_the_environment(monkeypatch):
+    monkeypatch.setenv("PAEFF_TRAIN_BATCH_SIZE", "8")
+    options = cli.COMMAND_OPTIONS["train"]
+    assert cli._resolve(cli.build_parser().parse_args(["train"]), options)["train.batch_size"] == 8
+    args = cli.build_parser().parse_args(["train", "--batch-size", "auto"])
+    assert cli._resolve(args, options)["train.batch_size"] is None
+
+
 def test_eval_has_no_model_option(world, run, tmp_path, capsys):
     assert len(cli.COMMAND_OPTIONS["eval"]) == 15
     argv = eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval")
@@ -253,6 +309,7 @@ def test_malformed_train_option_exits_3_before_training(world, tmp_path, capsys,
 @pytest.mark.parametrize("flag, value, field", [
     ("--max-trials", "1", "max_trials"), ("--matching-trials", "0", "matching_trials"), ("--nc-list", "1", "nc_list"),
     ("--probe-modality", "x", "probe_modality"), ("--strata", "G,G", "strata"), ("--nc-list", "2,4,2", "nc_list"),
+    ("--strata", ",", "strata"),
 ])
 def test_malformed_eval_option_exits_3_before_loading(world, run, tmp_path, capsys, monkeypatch, flag, value, field):
     monkeypatch.setattr(model, "load_checkpoint", lambda *a: pytest.fail("checkpoint loaded"))
@@ -270,7 +327,8 @@ def test_ablation_manifests_describe_trained_model(world, arms, tmp_path):
     argv = eval_argv(world, preset / "checkpoint.paef", tmp_path / "eval", "--manifest", str(preset / "manifest.json"))
     assert cli.main(argv) == 0
     model = recorded(tmp_path / "eval")["model"]
-    assert (model["use_hyperbolic"], model["similarity"], model["fusion"]) == (False, "cosine", "linear")
+    assert (model["use_hyperbolic"], model["fusion"]) == (False, "linear")
+    assert "similarity" not in model
 
 
 # -- reruns ---------------------------------------------------------------------------
@@ -318,6 +376,29 @@ def test_train_groups_the_train_part_once(tmp_path, monkeypatch, mode):
 def test_missing_required_option_exits_1(world, capsys):
     assert cli.main(["train", "--data", str(world / "data.fve")]) == 1
     assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, message", [
+    ("train", "missing required option --split-train (config key io.split_train)"),
+    ("eval", "eval needs --trials or --split-test"),
+])
+def test_required_options_are_checked_before_any_input_is_read(tmp_path, capsys, command, message):
+    argv = [command, "--data", str(tmp_path / "missing.fve"), "--out", str(tmp_path / "out")]
+    if command == "eval":
+        argv += ["--checkpoint", str(tmp_path / "missing.paef")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--test-identities", "0"], "the test part needs at least 1 identity"),
+    (["--val-identities", "0"], "the val part needs at least 1 identity"),
+    (["--split-mode", "seen_heard", "--samples-per-id", "2"], "the val part is empty"),
+])
+def test_synth_with_an_empty_part_exits_3_before_writing(tmp_path, capsys, flags, message):
+    assert cli.main(["synth", "--out", str(tmp_path / "out"), *SYNTH, *flags]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_intact_checkpoint_evaluates(run):
@@ -415,6 +496,23 @@ def test_eval_manifest_disagreeing_with_checkpoint_exits_2(world, run, tmp_path,
                      "--manifest", str(tmp_path / "manifest.json"))
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("use_hyperbolic, similarity, code", [
+    (True, "neg_hyperbolic_distance", 0), (False, "cosine", 0),
+    (True, "cosine", 2), (False, "neg_hyperbolic_distance", 2),
+])
+def test_manifest_similarity_must_be_the_lifts(world, run, tmp_path, capsys, use_hyperbolic, similarity, code):
+    """Manifests that record a similarity next to use_hyperbolic load only when the two agree."""
+    manifest = json.loads((world / "run" / "manifest.json").read_text())
+    manifest["config"]["model"].update(use_hyperbolic=use_hyperbolic, similarity=similarity)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    argv = eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval",
+                     "--manifest", str(tmp_path / "manifest.json"))
+    assert cli.main(argv) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path / 'manifest.json'}: config.model.similarity is {similarity!r}")
 
 
 # -- malformed text inputs --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Dataset format, splits, pair batching, synthetic generation."""
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -156,6 +157,26 @@ class TestSplits:
         split.validate(ds)
         for part in ("train", "test"):
             assert set(data.group_by_identity(split.part_records(ds, part))) == set(ds.identities())
+
+    def test_split_makers_return_plain_str_ids(self):
+        ds = data.synth_generate(10, 6, 4, 4, 1.0, 0.0, seed=1, latent_dim=2)
+        for split in (data.make_unseen_split(ds, 2, 3, seed=9), data.make_seen_split(ds, 0.2, 0.2, seed=3)):
+            assert {type(i) for part in (split.train_ids, split.val_ids, split.test_ids) for i in part} == {str}
+            overlapping = dataclasses.replace(split, train_ids=split.train_ids | split.test_ids)
+            with pytest.raises(DataError, match=r"overlap: \['"):
+                overlapping.validate(ds)
+
+    @pytest.mark.parametrize("n_val, n_test, part", [(0, 3, "val"), (2, 0, "test"), (2, -1, "test")])
+    def test_make_unseen_split_rejects_an_empty_part(self, n_val, n_test, part):
+        ds = data.synth_generate(10, 2, 4, 4, 1.0, 0.0, seed=1, latent_dim=2)
+        with pytest.raises(ContractError, match=f"the {part} part needs at least 1 identity"):
+            data.make_unseen_split(ds, n_val, n_test, seed=9)
+
+    def test_make_seen_split_rejects_an_empty_part(self):
+        # Two clips per identity and modality all go to train.
+        ds = data.synth_generate(4, 2, 4, 4, 1.0, 0.0, seed=2, latent_dim=2)
+        with pytest.raises(ContractError, match="the val part is empty"):
+            data.make_seen_split(ds, val_frac=0.2, test_frac=0.2, seed=3)
 
     def test_seen_heard_identities_come_from_selected_records(self):
         # Clip id c1 names a face of A and a voice of B; val selects both

@@ -198,7 +198,7 @@ class TestScoring:
 
     def test_cosine_arm_matches_independent_cosine(self):
         ds, split, cfg, params = small_setup()
-        cfg = dataclasses.replace(cfg, use_hyperbolic=False, similarity="cosine")
+        cfg = dataclasses.replace(cfg, use_hyperbolic=False)
         face_recs = [r for r in ds.records if r.modality == "face"][:6]
         voice_recs = [r for r in ds.records if r.modality == "voice"][:6]
         trials = [VerificationTrial(None, False, f, v) for f, v in zip(face_recs, voice_recs)]
@@ -324,7 +324,7 @@ class TestMatching:
 
 
 def cosine_arm(cfg):
-    return dataclasses.replace(cfg, use_hyperbolic=False, similarity="cosine")
+    return dataclasses.replace(cfg, use_hyperbolic=False)
 
 
 ARMS = {"hyperbolic": lambda cfg: cfg, "cosine": cosine_arm}

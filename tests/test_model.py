@@ -34,10 +34,9 @@ class TestModelConfig:
             model.ModelConfig(face_dim=1, voice_dim=1, num_identities=2, gate_activation="gelu")
 
     def test_effective_similarity_falls_back_to_cosine(self):
-        cfg = model.ModelConfig(
-            face_dim=2, voice_dim=2, num_identities=2, use_hyperbolic=False
-        )
-        assert cfg.effective_similarity() == "cosine"
+        cfg = model.ModelConfig(face_dim=2, voice_dim=2, num_identities=2)
+        assert cfg.effective_similarity() == "neg_hyperbolic_distance"
+        assert dataclasses.replace(cfg, use_hyperbolic=False).effective_similarity() == "cosine"
 
 
 class TestProjections:

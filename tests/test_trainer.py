@@ -161,6 +161,17 @@ class TestTrainLoop:
         )
         assert abs(breakdown.total.item() - expected) <= 1e-12
 
+    def test_op_loss_takes_the_inter_weight_of_the_loss_weights(self):
+        ds, split, cfg = desk_setup()
+        batch = data.make_batches(ds, split, 4, seed=3)[0]
+        params = model.init_params(cfg, seed=3)
+        l_op = trainer.step_losses(
+            batch.faces, batch.voices, batch.labels, params, cfg, LossWeights(op_inter_weight=0.25)
+        ).l_op.item()
+        embedding = model.forward(batch.faces, batch.voices, params, cfg).embedding
+        assert l_op == losses.orthogonal_projection_loss(embedding, batch.labels, 0.25).item()
+        assert l_op != losses.orthogonal_projection_loss(embedding, batch.labels).item()
+
     def test_repeated_identity_is_not_its_own_negative(self):
         ds, split, cfg = desk_setup()
         batch = data.make_batches(ds, split, 8, seed=3)[0]  # 8 rows over 6 train identities
