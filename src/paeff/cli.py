@@ -221,11 +221,15 @@ def _require(resolved: dict, *keys: str) -> None:
             raise UsageError(f"missing required option {Option(key, 'str', None).flag} (config key {key})")
 
 
+def _split_paths(resolved: dict) -> dict[str, str | None]:
+    """The split id-list files by input name; a part whose file is not given is None."""
+    return {name: resolved[f"io.{name}"] for name in ("split_train", "split_val", "split_test")}
+
+
 def _load_split(resolved: dict) -> data.SplitSpec:
     """The split files' ids; a part whose file is not given is empty."""
     return data.SplitSpec(resolved["io.split_mode"], *(
-        data.read_split_file(resolved[key]) if resolved[key] is not None else frozenset()
-        for key in ("io.split_train", "io.split_val", "io.split_test")
+        data.read_split_file(path) if path is not None else frozenset() for path in _split_paths(resolved).values()
     ))
 
 
@@ -258,14 +262,6 @@ def _trained_model(manifest_path: str) -> model.ModelConfig:
         raise ParseError(f"{manifest_path}: config.model.similarity is {similarity!r}, not {expected!r} "
                          f"as use_hyperbolic={cfg.use_hyperbolic} implies")
     return cfg
-
-
-def _digest_inputs(paths: dict[str, str | None]) -> dict[str, dict[str, str]]:
-    return {
-        name: {"path": str(p), "sha256": cfgmod.sha256_file(p)}
-        for name, p in paths.items()
-        if p is not None
-    }
 
 
 def _train_section(tc: trainer.TrainConfig, batch_size: int, ablation: str) -> dict:
@@ -301,37 +297,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "checkpoint.paef"
     history_path = out_dir / "history.jsonl"
-    manifest_path = out_dir / "manifest.json"
     model.save_checkpoint(checkpoint_path, result.params)
     trainer.write_history_jsonl(history_path, result.history)
 
-    manifest = {
-        "command": "train",
-        "tool": {"name": "paeff", "version": __version__},
-        "seed": train_cfg.seed,
-        "config": {
-            "model": asdict(model_cfg),
-            "train": _train_section(train_cfg, result.batch_size, resolved["train.ablation"]),
-        },
-        "inputs": _digest_inputs(
-            {
-                "data": data_path,
-                "split_train": resolved["io.split_train"],
-                "split_val": resolved["io.split_val"],
-                "split_test": resolved["io.split_test"],
-            }
-        ),
-        "outputs": {
-            "checkpoint": str(checkpoint_path),
-            "history": str(history_path),
-            "manifest": str(manifest_path),
-        },
-        "result": {
-            "best_epoch": result.best_epoch,
-            "best_val_eer": result.best_val_eer,
-        },
-    }
-    cfgmod.write_manifest(manifest_path, manifest)
+    cfgmod.write_manifest(
+        out_dir / "manifest.json", "train", train_cfg.seed,
+        {"model": asdict(model_cfg), "train": _train_section(train_cfg, result.batch_size, resolved["train.ablation"])},
+        {"data": data_path, **_split_paths(resolved)},
+        {"checkpoint": checkpoint_path, "history": history_path},
+        result={"best_epoch": result.best_epoch, "best_val_eer": result.best_val_eer},
+    )
     print(f"trained {train_cfg.epochs} epochs; best val EER {result.best_val_eer:.4f} "
           f"at epoch {result.best_epoch}; checkpoint: {checkpoint_path}")
     return 0
@@ -378,42 +353,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     split_name = resolved["io.split_mode"]
+    reports = {name: out_dir / name.replace("_", ".") for name in (
+        "verification_csv", "verification_json", "matching_csv", "matching_json", "roc_csv")}
     evaluation.write_verification_report(
-        out_dir / "verification.csv", out_dir / "verification.json", split_name, strata_rows
+        reports["verification_csv"], reports["verification_json"], split_name, strata_rows
     )
-    evaluation.write_matching_report(
-        out_dir / "matching.csv", out_dir / "matching.json", split_name, matching_rows
-    )
+    evaluation.write_matching_report(reports["matching_csv"], reports["matching_json"], split_name, matching_rows)
     fpr, tpr = evaluation.compute_roc(trials)
     roc_lines = ["fpr,tpr"] + [f"{repr(float(a))},{repr(float(b))}" for a, b in zip(fpr, tpr)]
-    (out_dir / "roc.csv").write_text("\n".join(roc_lines) + "\n", encoding="utf-8")
+    reports["roc_csv"].write_text("\n".join(roc_lines) + "\n", encoding="utf-8")
 
-    manifest = {
-        "command": "eval",
-        "tool": {"name": "paeff", "version": __version__},
-        "seed": eval_cfg.seed,
-        "config": {"model": asdict(model_cfg), "eval": asdict(eval_cfg)},
-        "inputs": _digest_inputs(
-            {
-                "checkpoint": checkpoint_path,
-                "data": data_path,
-                "trials": resolved["io.trials"],
-                "split_train": resolved["io.split_train"],
-                "split_val": resolved["io.split_val"],
-                "split_test": resolved["io.split_test"],
-                "train_manifest": manifest_path,
-            }
-        ),
-        "outputs": {
-            "verification_csv": str(out_dir / "verification.csv"),
-            "verification_json": str(out_dir / "verification.json"),
-            "matching_csv": str(out_dir / "matching.csv"),
-            "matching_json": str(out_dir / "matching.json"),
-            "roc_csv": str(out_dir / "roc.csv"),
-            "manifest": str(out_dir / "manifest.json"),
-        },
-    }
-    cfgmod.write_manifest(out_dir / "manifest.json", manifest)
+    cfgmod.write_manifest(
+        out_dir / "manifest.json", "eval", eval_cfg.seed, {"model": asdict(model_cfg), "eval": asdict(eval_cfg)},
+        {"checkpoint": checkpoint_path, "data": data_path, "trials": resolved["io.trials"],
+         "train_manifest": manifest_path, **_split_paths(resolved)},
+        reports,
+    )
     for row in strata_rows:
         print(f"verification[{row.stratum}]: n={row.n_trials} EER={row.eer:.4f} AUC={row.auc:.4f}")
     for row in matching_rows:
@@ -457,21 +412,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     data.write_split_file(out_dir / "val.ids", split.val_ids)
     data.write_split_file(out_dir / "test.ids", split.test_ids)
 
-    manifest = {
-        "command": "synth",
-        "tool": {"name": "paeff", "version": __version__},
-        "seed": resolved["synth.seed"],
-        "config": {"synth": {k.split(".", 1)[1]: v for k, v in resolved.items() if k.startswith("synth.")}},
-        "inputs": {},
-        "outputs": {
-            "data": str(data_path),
-            "split_train": str(out_dir / "train.ids"),
-            "split_val": str(out_dir / "val.ids"),
-            "split_test": str(out_dir / "test.ids"),
-            "manifest": str(out_dir / "manifest.json"),
-        },
-    }
-    cfgmod.write_manifest(out_dir / "manifest.json", manifest)
+    cfgmod.write_manifest(
+        out_dir / "manifest.json", "synth", resolved["synth.seed"],
+        {"synth": {k.split(".", 1)[1]: v for k, v in resolved.items() if k.startswith("synth.")}},
+        {},
+        {"data": data_path, "split_train": out_dir / "train.ids", "split_val": out_dir / "val.ids",
+         "split_test": out_dir / "test.ids"},
+    )
     print(f"wrote {len(dataset)} records to {data_path}")
     return 0
 

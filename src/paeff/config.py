@@ -2,8 +2,9 @@
 
 Every CLI flag has a dotted config-file key and a PAEFF_ environment
 variable; precedence is flags > environment > config file > built-in
-defaults. ``read_manifest_section`` reads a section of a manifest's
-``config`` back, each value checked against its option's kind.
+defaults. ``write_manifest`` writes the record a run is reproduced from,
+and ``read_manifest_section`` reads a section of its ``config`` back, each
+value checked against its option's kind.
 
 The config file is a flat key = value format: comments start with '#',
 lists are comma-separated, strings may be double-quoted. Text that is not
@@ -14,10 +15,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
+from . import __version__
 from .errors import ParseError
 
 
@@ -127,7 +132,33 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(path, manifest: dict) -> None:
+def _run_versions() -> dict[str, Any]:
+    """The Python, numpy and BLAS a run used; ``blas`` is None where numpy cannot name it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas["name"], "version": blas["version"]}
+    except (TypeError, KeyError):  # numpy before 1.25 has no mode="dicts"
+        blas = None
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas}
+
+
+def write_manifest(path, command: str, seed: int, config: dict, inputs: dict, outputs: dict, **extra) -> None:
+    """Write the manifest of one ``command`` run to ``path`` as sorted, indented JSON.
+
+    ``inputs`` and ``outputs`` map a name to a path. Each input that is not
+    None is recorded with its sha256; the manifest's own path joins the
+    outputs. ``extra`` keys (train's ``result``) join the top level.
+    """
+    manifest = {
+        "command": command,
+        "tool": {"name": "paeff", "version": __version__},
+        "run": _run_versions(),
+        "seed": seed,
+        "config": config,
+        "inputs": {name: {"path": str(p), "sha256": sha256_file(p)} for name, p in inputs.items() if p is not None},
+        "outputs": {name: str(p) for name, p in {**outputs, "manifest": path}.items()},
+        **extra,
+    }
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 

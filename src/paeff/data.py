@@ -96,23 +96,15 @@ def group_by_identity(records) -> dict[str, dict[str, list[EmbeddingRecord]]]:
     return groups
 
 
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_dataset(path, dataset: Dataset) -> None:
     lines = [f"#fve v1 face={dataset.face_dim} voice={dataset.voice_dim}"]
+    # A row's format depends only on its vector's length, so there is one per modality.
+    row_format = {dim: "\t".join(["%s"] * 6 + ["%.17g"] * dim) for dim in (dataset.face_dim, dataset.voice_dim)}
     for rec in dataset.records:
-        fields = [
-            rec.identity_id,
-            rec.modality,
-            rec.clip_id,
-            rec.gender or "",
-            rec.nationality or "",
-            rec.age_group or "",
-        ]
-        fields.extend(_format_float(v) for v in rec.vector)
-        lines.append("\t".join(fields))
+        lines.append(row_format[rec.vector.size] % (
+            rec.identity_id, rec.modality, rec.clip_id, rec.gender or "", rec.nationality or "", rec.age_group or "",
+            *rec.vector,
+        ))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

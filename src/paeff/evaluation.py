@@ -79,6 +79,8 @@ class EvalConfig:
     def __post_init__(self):
         if not self.strata:
             raise ContractError("strata must name at least one stratum")
+        if not self.nc_list:
+            raise ContractError("nc_list must name at least one gallery size")
         for s in self.strata:
             if s not in STRATA:
                 raise ContractError(f"unknown stratum {s!r}; expected one of {STRATA}")
@@ -306,6 +308,10 @@ def build_verification_trials(
     numpy); the first n kept pairs are the trials. So the trials, and the
     validation trials that pick the best epoch (``part="val"``), are the
     ones the per-pair loop drew.
+
+    Both phases draw with replacement, so a (face, voice) pair can repeat:
+    it then counts once per draw in EER and AUC, and its repeats share a
+    score, so they count in a stratum's ``tied_share``.
     """
     records = split.part_records(dataset, part)
     faces = [r for r in records if r.modality == "face"]

@@ -233,7 +233,7 @@ def train(
     history: list[EpochLog] = []
     best_eer = math.inf
     best_epoch = -1
-    best_values = params.copy_values()
+    best_values = None  # epoch 1's val EER is finite, so it always sets this
     step = 0
     for epoch in range(1, train_cfg.epochs + 1):
         batches = make_batches(

@@ -1,13 +1,18 @@
 """Command line: option table, precedence, ablation presets, reruns and exit codes."""
 
+import hashlib
 import json
 import math
+import platform
 import struct
 from dataclasses import asdict
 from operator import attrgetter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import paeff
 from paeff import cli, data, evaluation, model, trainer
 
 SYNTH = ["--identities", "10", "--samples-per-id", "3", "--face-dim", "6", "--voice-dim", "5",
@@ -309,7 +314,7 @@ def test_malformed_train_option_exits_3_before_training(world, tmp_path, capsys,
 @pytest.mark.parametrize("flag, value, field", [
     ("--max-trials", "1", "max_trials"), ("--matching-trials", "0", "matching_trials"), ("--nc-list", "1", "nc_list"),
     ("--probe-modality", "x", "probe_modality"), ("--strata", "G,G", "strata"), ("--nc-list", "2,4,2", "nc_list"),
-    ("--strata", ",", "strata"),
+    ("--strata", ",", "strata"), ("--nc-list", ",", "nc_list"),
 ])
 def test_malformed_eval_option_exits_3_before_loading(world, run, tmp_path, capsys, monkeypatch, flag, value, field):
     monkeypatch.setattr(model, "load_checkpoint", lambda *a: pytest.fail("checkpoint loaded"))
@@ -329,6 +334,36 @@ def test_ablation_manifests_describe_trained_model(world, arms, tmp_path):
     model = recorded(tmp_path / "eval")["model"]
     assert (model["use_hyperbolic"], model["fusion"]) == (False, "linear")
     assert "similarity" not in model
+
+
+# -- the run manifest -----------------------------------------------------------------
+
+# The inputs each command's manifest digests, with its default flags.
+MANIFEST_INPUTS = {
+    "synth": set(),
+    "train": {"data", "split_train", "split_val", "split_test"},
+    "eval": {"checkpoint", "data", "split_train", "split_val", "split_test", "train_manifest"},
+}
+
+
+def test_manifest_schema(tmp_path):
+    """synth, train and eval manifests: their keys, the tool, each input's digest and every output."""
+    root = synth(tmp_path / "data")
+    train(root, root / "run")
+    assert cli.main(eval_argv(root, root / "run" / "checkpoint.paef", root / "eval")) == 0
+    for command, out in (("synth", root), ("train", root / "run"), ("eval", root / "eval")):
+        manifest = json.loads((out / "manifest.json").read_text())
+        extra = {"result"} if command == "train" else set()
+        assert set(manifest) == {"command", "tool", "run", "seed", "config", "inputs", "outputs"} | extra
+        assert manifest["command"] == command
+        assert manifest["tool"] == {"name": "paeff", "version": paeff.__version__}
+        assert manifest["run"]["python"] == platform.python_version()
+        assert manifest["run"]["numpy"] == np.__version__
+        assert set(manifest["inputs"]) == MANIFEST_INPUTS[command]
+        for entry in manifest["inputs"].values():
+            assert entry["sha256"] == hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
+        assert manifest["outputs"]["manifest"] == str(out / "manifest.json")
+        assert all(Path(path).is_file() for path in manifest["outputs"].values())
 
 
 # -- reruns ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def files(tmp_path_factory):
         "".join(f"{t.face.clip_id}\t{t.voice.clip_id}\t{int(t.is_match)}\n" for t in trials), encoding="utf-8"
     )
     (root / "config").write_text(CONFIG_TEXT, encoding="utf-8")
-    config.write_manifest(root / "manifest", MANIFEST)
+    (root / "manifest").write_text(json.dumps(MANIFEST, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return {name: (root / f"{name}.corrupt", (root / name).read_bytes()) for name in READERS}
 
 
