@@ -27,7 +27,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import MISSING, asdict, fields, is_dataclass
@@ -250,14 +249,15 @@ def _trained_model(manifest_path: str) -> model.ModelConfig:
     """The ``ModelConfig`` a training manifest records under ``config.model``."""
     if not Path(manifest_path).is_file():
         raise DataError(f"{manifest_path}: no training manifest there; pass --manifest")
-    values = cfgmod.read_manifest_section(manifest_path, "model", MODEL_FIELDS)
+    manifest = cfgmod.read_manifest(manifest_path)
+    values = cfgmod.manifest_section(manifest_path, manifest, "model", MODEL_FIELDS)
     try:
         cfg = model.ModelConfig(**values)
     except ContractError as e:
         raise ParseError(f"{manifest_path}: {e}") from None
     # Manifests from when the similarity was an option of its own record it; it must be the lift's.
     expected = cfg.effective_similarity()
-    similarity = json.loads(cfgmod.read_text(manifest_path))["config"]["model"].get("similarity", expected)
+    similarity = manifest["config"]["model"].get("similarity", expected)
     if similarity != expected:
         raise ParseError(f"{manifest_path}: config.model.similarity is {similarity!r}, not {expected!r} "
                          f"as use_hyperbolic={cfg.use_hyperbolic} implies")
@@ -287,7 +287,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = data.load_dataset(data_path)
     split = _load_split(resolved)
     split.validate(dataset)
-    num_identities = len({r.identity_id for r in split.part_records(dataset, "train")})
+    num_identities = len(split.part_rows(dataset, "train").identities)
     model_cfg = _build(model.ModelConfig, "model", resolved, face_dim=dataset.face_dim,
                        voice_dim=dataset.voice_dim, num_identities=num_identities)
     train_cfg = _build(trainer.TrainConfig, "train", resolved)
@@ -305,6 +305,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         {"model": asdict(model_cfg), "train": _train_section(train_cfg, result.batch_size, resolved["train.ablation"])},
         {"data": data_path, **_split_paths(resolved)},
         {"checkpoint": checkpoint_path, "history": history_path},
+        digests={"data": dataset.sha256},
         result={"best_epoch": result.best_epoch, "best_val_eer": result.best_val_eer},
     )
     print(f"trained {train_cfg.epochs} epochs; best val EER {result.best_val_eer:.4f} "
@@ -368,6 +369,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         {"checkpoint": checkpoint_path, "data": data_path, "trials": resolved["io.trials"],
          "train_manifest": manifest_path, **_split_paths(resolved)},
         reports,
+        digests={"data": dataset.sha256},
     )
     for row in strata_rows:
         print(f"verification[{row.stratum}]: n={row.n_trials} EER={row.eer:.4f} AUC={row.auc:.4f}")

@@ -3,8 +3,8 @@
 Every CLI flag has a dotted config-file key and a PAEFF_ environment
 variable; precedence is flags > environment > config file > built-in
 defaults. ``write_manifest`` writes the record a run is reproduced from,
-and ``read_manifest_section`` reads a section of its ``config`` back, each
-value checked against its option's kind.
+and ``read_manifest`` with ``manifest_section`` read a section of its
+``config`` back, each value checked against its option's kind.
 
 The config file is a flat key = value format: comments start with '#',
 lists are comma-separated, strings may be double-quoted. Text that is not
@@ -81,8 +81,13 @@ def parse_json_value(option: Option, value: Any) -> Any:
 
 def read_text(path) -> str:
     """The UTF-8 text of ``path``; bytes that are not UTF-8 are a ParseError."""
+    return decode_text(path, Path(path).read_bytes())
+
+
+def decode_text(path, raw: bytes) -> str:
+    """``raw``, the bytes read from ``path``, as UTF-8 text; bytes that are not UTF-8 are a ParseError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text: {e}") from None
 
@@ -142,38 +147,52 @@ def _run_versions() -> dict[str, Any]:
     return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas}
 
 
-def write_manifest(path, command: str, seed: int, config: dict, inputs: dict, outputs: dict, **extra) -> None:
+def write_manifest(
+    path, command: str, seed: int, config: dict, inputs: dict, outputs: dict, *, digests: dict | None = None,
+    **extra,
+) -> None:
     """Write the manifest of one ``command`` run to ``path`` as sorted, indented JSON.
 
     ``inputs`` and ``outputs`` map a name to a path. Each input that is not
-    None is recorded with its sha256; the manifest's own path joins the
-    outputs. ``extra`` keys (train's ``result``) join the top level.
+    None is recorded with its sha256: the one ``digests`` gives for that
+    name (the digest of the bytes the run parsed), or else that of the
+    file as it is now. The manifest's own path joins the outputs.
+    ``extra`` keys (train's ``result``) join the top level.
     """
+    digests = digests or {}
     manifest = {
         "command": command,
         "tool": {"name": "paeff", "version": __version__},
         "run": _run_versions(),
         "seed": seed,
         "config": config,
-        "inputs": {name: {"path": str(p), "sha256": sha256_file(p)} for name, p in inputs.items() if p is not None},
+        "inputs": {
+            name: {"path": str(p), "sha256": digests.get(name) or sha256_file(p)}
+            for name, p in inputs.items() if p is not None
+        },
         "outputs": {name: str(p) for name, p in {**outputs, "manifest": path}.items()},
         **extra,
     }
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def read_manifest_section(path, section: str, options: list[Option]) -> dict[str, Any]:
-    """The manifest's ``config.<section>`` value of each option, keyed by field name.
-
-    Each option must be present and of its kind; other keys are skipped.
-    Every fault is a ParseError that names ``path``.
-    """
+def read_manifest(path) -> dict:
+    """The decoded manifest at ``path``; text that is not a JSON object is a ParseError."""
     try:
         manifest = json.loads(read_text(path))
     except ValueError as e:
         raise ParseError(f"{path}: not a valid manifest: {e}") from None
     if not isinstance(manifest, dict):
         raise ParseError(f"{path}: a manifest must be a JSON object")
+    return manifest
+
+
+def manifest_section(path, manifest: dict, section: str, options: list[Option]) -> dict[str, Any]:
+    """The ``config.<section>`` value of each option in ``manifest``, read from ``path``, keyed by field name.
+
+    Each option must be present and of its kind; other keys are skipped.
+    Every fault is a ParseError that names ``path``.
+    """
     config = manifest.get("config", {})
     values = config.get(section, {}) if isinstance(config, dict) else None
     if not isinstance(values, dict):

@@ -1,4 +1,4 @@
-"""Embedding datasets: file format, splits, pair batching, synthesis.
+"""Embedding datasets: file format, row layout, splits, pair batching, synthesis.
 
 Datasets are UTF-8 TSV files ("fve v1"): a header line
 
@@ -8,11 +8,29 @@ followed by one record per line: identity_id, modality, clip_id, gender,
 nationality, age_group (empty string when missing), then the vector as
 decimal floats with 17 significant digits. 17 digits round-trips float64
 exactly, so write -> load -> write is byte-identical.
+
+Row layout. A ``Dataset`` keeps each modality's vectors as one block,
+``blocks["face"]`` [Nf x F] and ``blocks["voice"]`` [Nv x V], whose rows
+follow that modality's records in record order. Parallel per-row arrays
+give each row's identity (``row_identity``, an index into the sorted
+``identity_ids``) and clip id (``row_clip``). Each record's ``vector`` is
+a view of its row, so the blocks hold the only copy of the vectors:
+``synth_generate`` fills the blocks and builds its records on them,
+``load_dataset`` parses each line straight into its row, and
+``Dataset(records, ...)`` stacks the records' vectors once and points
+each record at its row.
+
+Training reads rows, not records. ``SplitSpec.part_rows`` derives a
+part's rows grouped by identity from the per-row arrays on every call,
+and ``make_batches`` gathers each batch from the blocks with one fancy
+index per modality. Evaluation still builds its trials from records.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -20,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .config import read_text
+from .config import decode_text, read_text
 from .errors import ContractError, DataError, NumericError, ParseError
 
 MODALITIES = ("face", "voice")
@@ -44,34 +62,65 @@ class EmbeddingRecord:
 
 
 class Dataset:
-    """Immutable collection of embedding records with per-modality dims."""
+    """Embedding records over one face block and one voice block (see the module docstring).
 
-    def __init__(self, records: list[EmbeddingRecord], face_dim: int, voice_dim: int):
+    ``Dataset(records, face_dim, voice_dim)`` checks the records, stacks
+    their vectors into the blocks once and points each record's ``vector``
+    at its row; the records stay the caller's objects. ``synth_generate``
+    and ``load_dataset`` pass ``blocks`` whose rows their records already
+    view, in record order. ``sha256`` is the digest of the bytes
+    ``load_dataset`` parsed, and None for a dataset not read from a file.
+    """
+
+    def __init__(
+        self, records: list[EmbeddingRecord], face_dim: int, voice_dim: int, *,
+        blocks: dict[str, np.ndarray] | None = None,
+    ):
         self.records = list(records)
         self.face_dim = face_dim
         self.voice_dim = voice_dim
+        self.sha256: str | None = None
+        dims = {"face": face_dim, "voice": voice_dim}
+        by_modality: dict[str, list[EmbeddingRecord]] = {m: [] for m in MODALITIES}  # each block's records
         self._by_clip: dict[tuple[str, str], EmbeddingRecord] = {}
         for rec in self.records:
-            self._validate(rec)
+            if rec.modality not in MODALITIES:
+                raise DataError(f"unknown modality {rec.modality!r} on clip {rec.clip_id!r}")
+            if blocks is None and (rec.vector.ndim != 1 or rec.vector.size != dims[rec.modality]):
+                raise DataError(
+                    f"clip {rec.clip_id!r}: vector length {rec.vector.size} does not match "
+                    f"{rec.modality} dim {dims[rec.modality]}"
+                )
             key = (rec.modality, rec.clip_id)
             if key in self._by_clip:
                 raise DataError(f"duplicate clip id {rec.clip_id!r} for modality {rec.modality}")
             self._by_clip[key] = rec
-
-    def _validate(self, rec: EmbeddingRecord) -> None:
-        if rec.modality not in MODALITIES:
-            raise DataError(f"unknown modality {rec.modality!r} on clip {rec.clip_id!r}")
-        expected = self.face_dim if rec.modality == "face" else self.voice_dim
-        if rec.vector.ndim != 1 or rec.vector.size != expected:
-            raise DataError(
-                f"clip {rec.clip_id!r}: vector length {rec.vector.size} does not match "
-                f"{rec.modality} dim {expected}"
-            )
-        if not np.isfinite(rec.vector).all():
-            raise NumericError(f"clip {rec.clip_id!r}: vector contains non-finite values")
+            by_modality[rec.modality].append(rec)
+        stacked = blocks is None
+        if stacked:
+            blocks = {
+                m: np.array([rec.vector for rec in recs], dtype=np.float64).reshape(-1, dims[m])
+                for m, recs in by_modality.items()
+            }
+        for m, block in blocks.items():
+            finite = np.isfinite(block).all(axis=1)
+            if not finite.all():
+                clip = by_modality[m][int(np.argmin(finite))].clip_id
+                raise NumericError(f"clip {clip!r}: vector contains non-finite values")
+        self.blocks = blocks
+        self.identity_ids = sorted({rec.identity_id for rec in self.records})
+        code = {identity: k for k, identity in enumerate(self.identity_ids)}
+        self.row_identity = {
+            m: np.array([code[rec.identity_id] for rec in recs], dtype=np.intp) for m, recs in by_modality.items()
+        }
+        self.row_clip = {m: np.array([rec.clip_id for rec in recs], dtype=str) for m, recs in by_modality.items()}
+        if stacked:
+            for m, recs in by_modality.items():
+                for rec, row in zip(recs, blocks[m]):
+                    rec.vector = row
 
     def identities(self) -> list[str]:
-        return sorted({rec.identity_id for rec in self.records})
+        return list(self.identity_ids)
 
     def by_clip(self, modality: str, clip_id: str) -> EmbeddingRecord:
         try:
@@ -109,7 +158,13 @@ def write_dataset(path, dataset: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    lines = read_text(path).splitlines()
+    """Parse an fve file straight into the two blocks; the dataset's ``sha256`` digests the bytes parsed."""
+    raw = Path(path).read_bytes()
+    sha256 = hashlib.sha256(raw).hexdigest()
+    text = decode_text(path, raw)
+    del raw  # the bytes, the text and its lines are never all alive at once
+    lines = text.splitlines()
+    del text
     if not lines:
         raise ParseError(f"{path}:1: empty file, expected '#fve v1' header")
     header = lines[0]
@@ -124,20 +179,33 @@ def load_dataset(path) -> Dataset:
     if set(dims) != set(MODALITIES):
         raise ParseError(f"{path}:1: header must declare face and voice dims")
 
+    body = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+    # Each block is allocated once, at its modality's line count (the second field names the modality).
+    sizes = Counter(fields[1] for fields in (line.split("\t", 2) for _, line in body) if len(fields) > 1)
+    blocks = {m: np.empty((sizes[m], dims[m])) for m in MODALITIES}
+    filled = dict.fromkeys(MODALITIES, 0)
     records: list[EmbeddingRecord] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for lineno, line in body:
         fields = line.split("\t")
         if len(fields) < 7:
             raise ParseError(f"{path}:{lineno}: expected at least 7 tab-separated fields")
         identity_id, modality, clip_id, gender, nationality, age_group = fields[:6]
         try:
-            vector = np.array([float(v) for v in fields[6:]], dtype=np.float64)
+            values = list(map(float, fields[6:]))
         except ValueError as e:
             raise ParseError(f"{path}:{lineno}: bad float in vector: {e}") from None
-        if not np.all(np.isfinite(vector)):
+        if modality not in MODALITIES:
+            raise DataError(f"{path}:{lineno}: unknown modality {modality!r} on clip {clip_id!r}")
+        if len(values) != dims[modality]:
+            raise DataError(
+                f"{path}:{lineno}: clip {clip_id!r}: vector length {len(values)} does not match "
+                f"{modality} dim {dims[modality]}"
+            )
+        vector = blocks[modality][filled[modality]]
+        vector[:] = values
+        if not np.isfinite(vector).all():
             raise NumericError(f"{path}:{lineno}: vector contains non-finite values")
+        filled[modality] += 1
         records.append(
             EmbeddingRecord(
                 identity_id=identity_id,
@@ -150,9 +218,11 @@ def load_dataset(path) -> Dataset:
             )
         )
     try:
-        return Dataset(records, face_dim=dims["face"], voice_dim=dims["voice"])
+        dataset = Dataset(records, face_dim=dims["face"], voice_dim=dims["voice"], blocks=blocks)
     except (DataError, NumericError) as e:
         raise type(e)(f"{path}: {e}") from None
+    dataset.sha256 = sha256
+    return dataset
 
 
 # -- splits ----------------------------------------------------------------
@@ -194,19 +264,69 @@ class SplitSpec:
                 raise DataError(
                     f"{self.mode} split: {a} and {b} {kind} overlap: {sorted(parts[a] & parts[b])[:5]}"
                 )
-        known = set(map(self._key, dataset.records))
+        if self.mode == "unseen_unheard":
+            known = set(dataset.identity_ids)
+        else:
+            known = {clip for clips in dataset.row_clip.values() for clip in clips.tolist()}
         for name, ids in parts.items():
             missing = ids - known
             if missing:
                 raise DataError(f"{name} split references unknown {kind} {sorted(missing)[:5]}")
         if self.mode == "seen_heard":
-            idents = {name: {r.identity_id for r in self.part_records(dataset, name)} for name in parts}
+            idents = {name: {k for codes, _ in self._selected(dataset, name).values() for k in codes.tolist()}
+                      for name in parts}
             if not idents["train"] >= idents["val"] | idents["test"]:
                 raise DataError("seen_heard split: val/test identities must all appear in train")
 
     def part_records(self, dataset: Dataset, part: str) -> list[EmbeddingRecord]:
         ids, key = self._parts()[part], self._key
         return [rec for rec in dataset.records if key(rec) in ids]
+
+    def _selected(self, dataset: Dataset, part: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per modality, the block rows ``part`` selects (ascending), as (identity indices, row indices)."""
+        ids = self._parts()[part]
+        if self.mode == "unseen_unheard":
+            chosen = np.fromiter(map(ids.__contains__, dataset.identity_ids), bool, len(dataset.identity_ids))
+            masks = {m: chosen[codes] for m, codes in dataset.row_identity.items()}
+        else:
+            masks = {m: np.fromiter(map(ids.__contains__, clips), bool, clips.size)
+                     for m, clips in dataset.row_clip.items()}
+        rows = {m: np.flatnonzero(mask) for m, mask in masks.items()}
+        return {m: (dataset.row_identity[m][r], r) for m, r in rows.items()}
+
+    def part_rows(self, dataset: Dataset, part: str) -> PartRows:
+        """The block rows ``part`` selects, grouped by identity.
+
+        Derived from the dataset's per-row arrays on every call: nothing is
+        cached on the dataset or the split.
+        """
+        selected = self._selected(dataset, part)
+        counts = {m: np.bincount(codes, minlength=len(dataset.identity_ids)) for m, (codes, _) in selected.items()}
+        present = np.flatnonzero(counts["face"] + counts["voice"])
+        return PartRows(
+            identities=[dataset.identity_ids[k] for k in present.tolist()],
+            # A stable sort by identity index keeps each identity's rows in record order.
+            rows={m: rows[np.argsort(codes, kind="stable")] for m, (codes, rows) in selected.items()},
+            offsets={m: np.append(0, np.cumsum(c[present])) for m, c in counts.items()},
+        )
+
+
+@dataclass(frozen=True)
+class PartRows:
+    """One split part's block rows, grouped by identity.
+
+    ``identities`` are the part's identity ids, sorted. In modality m,
+    identity k owns rows ``rows[m][offsets[m][k] : offsets[m][k + 1]]`` of
+    ``dataset.blocks[m]``, in record order; an identity without a record of
+    m owns none there.
+    """
+
+    identities: list[str]
+    rows: dict[str, np.ndarray]
+    offsets: dict[str, np.ndarray]
+
+    def counts(self, modality: str) -> np.ndarray:
+        return np.diff(self.offsets[modality])
 
 
 def write_split_file(path, ids) -> None:
@@ -286,55 +406,51 @@ class PairBatch:
             raise ContractError("a pair batch needs at least 2 rows")
 
 
-def make_batches(
-    dataset: Dataset, split: SplitSpec, batch_size: int, seed: int, *, train_groups: dict | None = None
-) -> list[PairBatch]:
+def make_batches(dataset: Dataset, split: SplitSpec, batch_size: int, seed: int) -> list[PairBatch]:
     """One epoch of matched-pair batches covering every train identity.
 
     Identities stream without replacement, reshuffling when the pool is
     exhausted, so every batch holds exactly ``batch_size`` rows. For each
-    selected identity one face and one voice record are drawn uniformly.
-    A caller that already holds ``group_by_identity`` of the train part
-    passes it as ``train_groups``, and the part is not selected again.
+    selected identity one face and one voice row are drawn uniformly from
+    its rows of the train part (``split.part_rows``, derived on every call).
+    The stream is of label indices into the sorted train identities, so
+    ``rng.permutation(n)`` draws the same shuffle as permuting the sorted
+    identity ids would. Each batch is gathered from the blocks with one
+    fancy index per modality.
     """
     if batch_size < 2:
         raise ContractError("batch_size must be at least 2")
-    pools = group_by_identity(split.part_records(dataset, "train")) if train_groups is None else train_groups
-    missing = sorted(i for i, pool in pools.items() if not pool["face"] or not pool["voice"])
+    part = split.part_rows(dataset, "train")
+    counts = {m: part.counts(m) for m in MODALITIES}
+    missing = [part.identities[k] for k in np.flatnonzero((counts["face"] == 0) | (counts["voice"] == 0))]
     if missing:
         raise DataError(f"train identities missing a modality: {missing[:10]}")
-    identities = sorted(pools)
-    if not identities:
+    n = len(part.identities)
+    if not n:
         raise DataError("train split selects no identities")
-    labels = {identity: i for i, identity in enumerate(identities)}
 
     rng = np.random.default_rng(seed)
     # Successive permutations, each drawn only when the previous one is used up.
-    stream = (identity for _ in itertools.count() for identity in rng.permutation(identities))
+    stream = (label for _ in itertools.count() for label in rng.permutation(n).tolist())
     batches: list[PairBatch] = []
-    for _ in range(-(-len(identities) // batch_size)):  # ceil
-        chosen: list[str] = []
-        in_batch: set[str] = set()
+    for _ in range(-(-n // batch_size)):  # ceil
+        chosen: list[int] = []
+        in_batch: set[int] = set()
         while len(chosen) < batch_size:
-            identity = next(stream)
+            label = next(stream)
             # A repeat across a permutation boundary is skipped unless the pool
             # is smaller than the batch, where repeats are unavoidable.
-            if identity in in_batch and len(identities) >= batch_size:
+            if label in in_batch and n >= batch_size:
                 continue
-            chosen.append(identity)
-            in_batch.add(identity)
+            chosen.append(label)
+            in_batch.add(label)
+        labels = np.array(chosen, dtype=np.int64)
         rows = {}
         for m in MODALITIES:
             # One call per modality: an array of bounds returns the per-row scalar draws, in order.
-            picks = rng.integers([len(pools[i][m]) for i in chosen]).tolist()
-            rows[m] = np.stack([pools[i][m][k].vector for i, k in zip(chosen, picks)])
-        batches.append(
-            PairBatch(
-                faces=Tensor(rows["face"]),
-                voices=Tensor(rows["voice"]),
-                labels=np.array([labels[i] for i in chosen], dtype=np.int64),
-            )
-        )
+            picks = rng.integers(counts[m][labels])
+            rows[m] = dataset.blocks[m][part.rows[m][part.offsets[m][labels] + picks]]
+        batches.append(PairBatch(faces=Tensor(rows["face"]), voices=Tensor(rows["voice"]), labels=labels))
     return batches
 
 
@@ -383,7 +499,7 @@ def synth_generate(
     a_face = mixing(face_dim)
     a_voice = mixing(voice_dim)
 
-    # Each record's vector is a row view of one of these blocks.
+    # Each record's vector is a row view of one of these blocks, which the dataset takes over.
     faces = np.empty((num_identities * samples_per_id, face_dim))
     voices = np.empty((num_identities * samples_per_id, voice_dim))
     records: list[EmbeddingRecord] = []
@@ -423,4 +539,4 @@ def synth_generate(
                     **tags,
                 )
             )
-    return Dataset(records, face_dim=face_dim, voice_dim=voice_dim)
+    return Dataset(records, face_dim=face_dim, voice_dim=voice_dim, blocks={"face": faces, "voice": voices})

@@ -2,7 +2,11 @@
 
 Each epoch draws matched-pair batches, optimizes the weighted sum of the
 three losses, and scores a fixed validation trial set; the checkpoint
-returned is the one with the best validation EER. Validation scores that
+returned is the one with the best validation EER. The train part's rows
+(``SplitSpec.part_rows``) are derived from the dataset's arrays on every
+call, by ``train`` for the batch size and step count and by each epoch's
+``make_batches``; nothing is cached on the dataset or the split, so a
+repeated call repeats all of its work. Validation scores that
 all tie cannot rank the trials, so they are a ``NumericError`` naming the
 epoch, not an EER of 0.5.
 
@@ -40,7 +44,7 @@ import numpy as np
 
 from . import evaluation, losses, model
 from .autodiff import Tensor
-from .data import Dataset, SplitSpec, group_by_identity, make_batches
+from .data import Dataset, PartRows, SplitSpec, make_batches
 from .errors import ContractError, DimensionError, NumericError
 from .losses import LossWeights
 from .model import ModelConfig, ModelParams
@@ -93,12 +97,12 @@ class TrainConfig:
 def resolve_batch_size(cfg: TrainConfig, dataset: Dataset, split: SplitSpec) -> int:
     if cfg.batch_size is not None:
         return cfg.batch_size
-    return _default_batch_size(group_by_identity(split.part_records(dataset, "train")))
+    return _default_batch_size(split.part_rows(dataset, "train"))
 
 
-def _default_batch_size(train_groups: dict) -> int:
+def _default_batch_size(train: PartRows) -> int:
     """The paper's batch, or the desk one below DESK_SCALE_PAIRS formable train pairs."""
-    pairs = sum(min(len(g["face"]), len(g["voice"])) for g in train_groups.values())
+    pairs = int(np.minimum(train.counts("face"), train.counts("voice")).sum())
     return BATCH_DEFAULT if pairs >= DESK_SCALE_PAIRS else BATCH_DESK
 
 
@@ -215,11 +219,10 @@ def train(
     """Run the full optimization; deterministic given the config seed."""
     _keep_step_memory()
     split.validate(dataset)
-    # The train part is selected and grouped once; every epoch batches from it.
-    train_groups = group_by_identity(split.part_records(dataset, "train"))
+    train_rows = split.part_rows(dataset, "train")
     batch_size = train_cfg.batch_size
     if batch_size is None:
-        batch_size = _default_batch_size(train_groups)
+        batch_size = _default_batch_size(train_rows)
 
     params = model.init_params(model_cfg, train_cfg.seed)
     state = AdamState()
@@ -227,7 +230,7 @@ def train(
         dataset, split, max_trials=train_cfg.val_trials, seed=train_cfg.seed, part="val"
     )
 
-    steps_per_epoch = -(-len(train_groups) // batch_size)
+    steps_per_epoch = -(-len(train_rows.identities) // batch_size)
     total_steps = train_cfg.epochs * steps_per_epoch
 
     history: list[EpochLog] = []
@@ -236,9 +239,7 @@ def train(
     best_values = None  # epoch 1's val EER is finite, so it always sets this
     step = 0
     for epoch in range(1, train_cfg.epochs + 1):
-        batches = make_batches(
-            dataset, split, batch_size, seed=train_cfg.seed + epoch, train_groups=train_groups
-        )
+        batches = make_batches(dataset, split, batch_size, seed=train_cfg.seed + epoch)
         sums = {"l_align": 0.0, "l_op": 0.0, "l_ce": 0.0, "total": 0.0}
         lr = train_cfg.lr0
         clamped = False

@@ -2,8 +2,9 @@
 
 ``bench/tracing.py`` wraps ``paeff`` functions by name and sweeps the
 layers by calling them; a rename or a deletion under ``src/`` that breaks
-``bench/run.py --trace 1`` fails here. The module is loaded from its file
-and not changed.
+``bench/run.py --trace 1`` fails here, and so does a change that stops a
+command from calling a function whose spans a metric reads. The module is
+loaded from its file and not changed.
 """
 
 import importlib.util
@@ -14,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-import paeff.cli  # noqa: F401 - the tracer looks up every paeff module it wraps in sys.modules
-from paeff import losses, model
+from paeff import cli, losses, model  # the tracer looks up every paeff module it wraps in sys.modules
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -59,3 +59,29 @@ def test_layer_sweep_at_a_tiny_batch():
     per_layer = {m["name"] for m in json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]}
     assert out and set(out) <= per_layer
     assert all(math.isfinite(v) and v >= 0.0 for v in out.values())
+
+
+def test_traced_cli_flow_yields_every_span_metric(tmp_path):
+    """A tiny synth, train and eval through the CLI under the tracer: each span metric is there and finite."""
+    d = tmp_path / "data"
+    splits = ["--split-train", str(d / "train.ids"), "--split-val", str(d / "val.ids"),
+              "--split-test", str(d / "test.ids")]
+    tracer = tracing.Tracer()
+    tracer.phase = "setup"
+    tracer.install()
+    try:
+        assert cli.main(["synth", "--out", str(d), "--identities", "10", "--samples-per-id", "3", "--face-dim", "6",
+                         "--voice-dim", "5", "--latent-dim", "4", "--val-identities", "2",
+                         "--test-identities", "3"]) == 0
+        tracer.phase = "flow"
+        assert cli.main(["train", "--data", str(d / "data.fve"), *splits, "--out", str(tmp_path / "run"),
+                         "--epochs", "2", "--proj-dim", "4", "--val-trials", "10", "--lr0", "3e-3"]) == 0
+        assert cli.main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.paef"), "--data",
+                         str(d / "data.fve"), *splits, "--out", str(tmp_path / "eval"), "--strata", "random,G",
+                         "--max-trials", "20", "--matching-trials", "5", "--nc-list", "2,3"]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    per_layer = {m["name"] for m in json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]}
+    assert metrics and set(metrics) <= per_layer
+    assert {name: value for name, value in metrics.items() if not (math.isfinite(value) and value >= 0.0)} == {}

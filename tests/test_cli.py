@@ -5,6 +5,7 @@ import json
 import math
 import platform
 import struct
+import sys
 from dataclasses import asdict
 from operator import attrgetter
 from pathlib import Path
@@ -383,24 +384,43 @@ def test_rerun_is_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("mode", ["unseen_unheard", "seen_heard"])
 def test_train_groups_the_train_part_once(tmp_path, monkeypatch, mode):
-    """One grouping of the train part (in the trainer) and one of val; the model still counts train identities."""
+    """``paeff train`` derives the train part's rows from the dataset's arrays, once per call that needs them.
+
+    ``cmd_train`` derives them for the model's identity count, ``trainer.train``
+    once for the batch size and step count, and each epoch's ``make_batches``
+    once; no train-part record is walked or grouped. The val part is grouped
+    once, for the val trials.
+    """
     root = tmp_path / mode
     assert cli.main(["synth", "--out", str(root), *SYNTH, "--split-mode", mode]) == 0
     dataset = data.load_dataset(root / "data.fve")
     split = data.SplitSpec(mode, *(data.read_split_file(root / f"{part}.ids") for part in ("train", "val", "test")))
     key = attrgetter("identity_id" if mode == "unseen_unheard" else "clip_id")  # what the split ids name
-    grouped = []
-    original = data.group_by_identity
+    derived, walked, grouped = [], [], []
+    part_rows, part_records, group_by_identity = (
+        data.SplitSpec.part_rows, data.SplitSpec.part_records, data.group_by_identity)
 
-    def counting(records):
+    def deriving(self, dataset, part):
+        derived.append((sys._getframe(1).f_code.co_name, part))
+        return part_rows(self, dataset, part)
+
+    def walking(self, dataset, part):
+        walked.append(part)
+        return part_records(self, dataset, part)
+
+    def grouping(records):
         records = list(records)
         grouped.append(frozenset(map(key, records)))
-        return original(records)
+        return group_by_identity(records)
 
+    monkeypatch.setattr(data.SplitSpec, "part_rows", deriving)
+    monkeypatch.setattr(data.SplitSpec, "part_records", walking)
     for module in (data, trainer, evaluation, cli):
-        monkeypatch.setattr(module, "group_by_identity", counting, raising=False)
+        monkeypatch.setattr(module, "group_by_identity", grouping, raising=False)
     train(root, root / "run", "--split-mode", mode)
-    assert sorted(grouped, key=sorted) == sorted([split.train_ids, split.val_ids], key=sorted)
+    assert derived == [("cmd_train", "train"), ("train", "train")] + [("make_batches", "train")] * 2  # 2 epochs
+    assert walked == ["val"]
+    assert grouped == [split.val_ids]
     identities = {r.identity_id for r in split.part_records(dataset, "train")}
     assert recorded(root / "run")["model"]["num_identities"] == len(identities)
 
@@ -511,6 +531,42 @@ def test_eval_parses_the_checkpoint_once(world, run, tmp_path, monkeypatch):
     monkeypatch.setattr(model, "load_checkpoint_arrays", counting)
     assert cli.main(eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval")) == 0
     assert calls == [str(world / "run" / "checkpoint.paef")]
+
+
+def test_eval_reads_the_training_manifest_once(world, run, tmp_path, monkeypatch):
+    reads = []
+    original = cli.cfgmod.read_text
+
+    def counting(path):
+        reads.append(Path(path))
+        return original(path)
+
+    monkeypatch.setattr(cli.cfgmod, "read_text", counting)
+    assert cli.main(eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval")) == 0
+    assert reads.count(world / "run" / "manifest.json") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_manifest_digests_the_data_bytes_that_were_parsed(tmp_path, monkeypatch, command):
+    """A ``--data`` file rewritten during the run is recorded with the digest of the bytes the run loaded."""
+    root = synth(tmp_path / "data")
+    path = root / "data.fve"
+    parsed = hashlib.sha256(path.read_bytes()).hexdigest()
+    if command == "eval":
+        run_dir = train(root, tmp_path / "run")
+    module, name = (trainer, "train") if command == "train" else (evaluation, "score_trials")
+    original = getattr(module, name)
+
+    def rewriting(*args, **kwargs):
+        path.write_bytes(path.read_bytes() + b"\n")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, rewriting)
+    out = tmp_path / "out"
+    argv = train_argv(root, out) if command == "train" else eval_argv(root, run_dir / "checkpoint.paef", out)
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() != parsed
+    assert json.loads((out / "manifest.json").read_text())["inputs"]["data"]["sha256"] == parsed
 
 
 def test_eval_without_a_manifest_exits_2(world, run, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +338,82 @@ class TestMakeBatches:
             np.testing.assert_array_equal(batch.faces.numpy(), faces)
             np.testing.assert_array_equal(batch.voices.numpy(), voices)
             assert batch.labels.tolist() == labels
+
+    @staticmethod
+    def uneven_dataset():
+        """Pools of 1 to 5 records per identity and modality, singletons among them."""
+        ds = data.synth_generate(9, 5, 4, 3, 1.0, 0.1, seed=25, latent_dim=2)
+        ids = ds.identities()
+        kept = [r for k, r in enumerate(ds.records) if (k // 2) % 5 < 1 + ids.index(r.identity_id) % 5]
+        return Dataset(kept, face_dim=4, voice_dim=3)
+
+    def assert_same_batches(self, ds, split, batch_size, seed):
+        got = data.make_batches(ds, split, batch_size, seed)
+        want = self.scalar_loop(ds, split, batch_size, seed)
+        assert len(got) == len(want)
+        for batch, (faces, voices, labels) in zip(got, want):
+            np.testing.assert_array_equal(batch.faces.numpy(), faces)
+            np.testing.assert_array_equal(batch.voices.numpy(), voices)
+            assert batch.labels.tolist() == labels
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("batch_size", [2, 3, 7, 16])
+    def test_same_batches_as_scalar_loop_from_interleaved_lines(self, tmp_path, seed, batch_size):
+        # The file's lines interleave identities and modalities, so an identity's rows are not contiguous.
+        ds = self.uneven_dataset()
+        order = np.random.default_rng(seed).permutation(len(ds))
+        path = tmp_path / "interleaved.fve"
+        data.write_dataset(path, Dataset([ds.records[k] for k in order], face_dim=4, voice_dim=3))
+        loaded = data.load_dataset(path)
+        assert [r.identity_id for r in loaded.records] != sorted(r.identity_id for r in loaded.records)
+        split = SplitSpec("unseen_unheard", frozenset(loaded.identities()), frozenset(), frozenset())
+        self.assert_same_batches(loaded, split, batch_size, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("batch_size", [2, 3, 7, 16])
+    def test_same_batches_as_scalar_loop_on_a_seen_heard_split(self, seed, batch_size):
+        ds = self.uneven_dataset()
+        split = data.make_seen_split(ds, 0.2, 0.2, seed=seed)
+        self.assert_same_batches(ds, split, batch_size, seed)
+
+
+class TestRowLayout:
+    @staticmethod
+    def assert_records_view_their_rows(ds):
+        for m, block in ds.blocks.items():
+            recs = [r for r in ds.records if r.modality == m]
+            assert block.shape == (len(recs), ds.face_dim if m == "face" else ds.voice_dim)
+            for k, rec in enumerate(recs):
+                assert np.shares_memory(rec.vector, block[k])
+                assert rec.vector.shape == block[k].shape
+            assert ds.row_clip[m].tolist() == [r.clip_id for r in recs]
+            assert [ds.identity_ids[i] for i in ds.row_identity[m]] == [r.identity_id for r in recs]
+
+    def test_synth_records_view_the_blocks(self):
+        self.assert_records_view_their_rows(data.synth_generate(4, 3, 5, 6, 1.0, 0.1, seed=3, latent_dim=2))
+
+    def test_loaded_records_view_the_blocks(self, tmp_path):
+        data.write_dataset(tmp_path / "d.fve", tiny_dataset())
+        self.assert_records_view_their_rows(data.load_dataset(tmp_path / "d.fve"))
+
+    def test_records_constructor_stacks_once_and_repoints_the_records(self):
+        ds = tiny_dataset()
+        self.assert_records_view_their_rows(ds)
+        np.testing.assert_array_equal(ds.blocks["voice"], [[0.5, -0.25, 3.0], [0.0, 1e-17, -2.5]])
+
+    def test_bench_sized_dataset_holds_one_copy_of_its_vectors(self):
+        # 592 identities x 4 samples at the paper's face 512 / voice 192: 13.3 MB of vectors.
+        tracemalloc.start()
+        try:
+            ds = data.synth_generate(592, 4, 512, 192, 0.8, 0.5, seed=1, latent_dim=16)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        vectors = 592 * 4 * (512 + 192) * 8
+        assert sum(block.nbytes for block in ds.blocks.values()) == vectors
+        # A second copy would double both; the records, clip ids and identity indices take the rest.
+        assert current < 1.35 * vectors
+        assert peak < 1.5 * vectors
 
 
 class TestSynthGenerate:

@@ -35,7 +35,7 @@ READERS = {
     "split": data.read_split_file,
     "trials": lambda path: evaluation.load_trial_list(path, DATASET),
     "config": lambda path: config.read_config_file(path, EVAL_OPTIONS),
-    "manifest": lambda path: config.read_manifest_section(path, "model", cli.MODEL_FIELDS),
+    "manifest": lambda path: config.manifest_section(path, config.read_manifest(path), "model", cli.MODEL_FIELDS),
 }
 
 

@@ -131,20 +131,27 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("batch_size", [None, 4])
     def test_train_part_grouped_once_per_run(self, batch_size, monkeypatch):
+        """The trainer derives the train part's rows once, each epoch's batches once more; val is grouped once."""
         ds, split, cfg = desk_setup()
-        grouped = []
-        original = data.group_by_identity
+        derived, grouped = [], []
+        part_rows, group_by_identity = data.SplitSpec.part_rows, data.group_by_identity
 
-        def counting(records):
-            groups = original(records)
+        def deriving(self, dataset, part):
+            derived.append((sys._getframe(1).f_code.co_name, part))
+            return part_rows(self, dataset, part)
+
+        def grouping(records):
+            groups = group_by_identity(records)
             grouped.append(frozenset(groups))
             return groups
 
+        monkeypatch.setattr(data.SplitSpec, "part_rows", deriving)
         for module in (data, trainer, evaluation):
-            monkeypatch.setattr(module, "group_by_identity", counting)
+            monkeypatch.setattr(module, "group_by_identity", grouping, raising=False)
         tc = trainer.TrainConfig(epochs=3, batch_size=batch_size, lr0=1e-3, seed=0, val_trials=20)
         trainer.train(ds, split, cfg, tc)
-        assert sorted(grouped, key=sorted) == sorted([split.train_ids, split.val_ids], key=sorted)
+        assert derived == [("train", "train")] + [("make_batches", "train")] * 3
+        assert grouped == [split.val_ids]
 
     def test_first_batch_total_matches_weighted_components(self):
         ds, split, cfg = desk_setup()
