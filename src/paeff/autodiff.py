@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 tensors.
+"""Reverse-mode automatic differentiation over dense float32 or float64 tensors.
 
 A ``Tensor`` wraps a numpy array and records, at construction time, the
 parents it was computed from together with the vector-Jacobian products
@@ -8,9 +8,13 @@ gradients into the ``.grad`` of the leaves, and frees the tape as it goes.
 
 Design constraints kept deliberately tight so every gradient is auditable:
 
-* float64 only; a binary op takes two operands of equal shape, or one
-  operand and a size-1 scalar of no higher rank; any other pair is a
-  ``DimensionError``;
+* one dtype rule: a tensor keeps a float32 array as float32 and holds
+  anything else as float64, and every node computes in its inputs' dtype,
+  so a graph built on float32 leaves runs in float32 and one built on
+  float64 leaves (as ``gradcheck`` builds them) in float64, through the
+  same code; a number operand takes its tensor's dtype;
+* a binary op takes two operands of equal shape, or one operand and a
+  size-1 scalar of no higher rank; any other pair is a ``DimensionError``;
 * static graphs (one graph per training step, rebuilt every step); a
   graph is consumed by its backward pass;
 * single-threaded per graph.
@@ -58,9 +62,10 @@ __all__ = [
 
 
 class Tensor:
-    """Dense float64 tensor with optional gradient tracking.
+    """Dense float32 or float64 tensor with optional gradient tracking.
 
-    ``data`` is always a C-contiguous (row-major) float64 array. ``grad``
+    ``data`` is always a C-contiguous (row-major) array: float32 when given
+    float32, float64 for anything else. ``grad``
     is populated by :meth:`backward` for every leaf of the graph, a tensor
     with ``requires_grad`` set that was not computed from other tensors.
     An interior node gets no ``grad``: once its VJP has run, backward
@@ -72,7 +77,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps", "_backward_done", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64, order="C")
+        data = np.asarray(data)
+        self.data = np.asarray(data, dtype=data.dtype if data.dtype == np.float32 else np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -207,8 +213,11 @@ class Tensor:
 
 
 def _binary(a: Tensor, b, opname: str) -> tuple[Tensor, Tensor]:
-    """Both operands as tensors: of equal shape, or one a size-1 scalar of no higher rank."""
-    b = b if isinstance(b, Tensor) else Tensor(b)
+    """Both operands as tensors: of equal shape, or one a size-1 scalar of no higher rank.
+
+    A number becomes a tensor of ``a``'s dtype, so it does not widen a float32 operand.
+    """
+    b = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.data.dtype))
     if not (a.shape == b.shape or (a.size == 1 and a.ndim <= b.ndim) or (b.size == 1 and b.ndim <= a.ndim)):
         raise DimensionError(f"{opname}: operand shapes {a.shape} and {b.shape} differ")
     return a, b

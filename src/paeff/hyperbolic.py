@@ -47,9 +47,12 @@ with arccosh(1 + z) taken as log1p(z + sqrt(z (z + 2))), accurate at small
 z. The denominator is the outer product of two per-row vectors, so it
 needs no [B x N] array, no clamp and no mask, and its gradient into the
 squared norms is a row or column sum. A row with 1 - c||x||^2 <= 0 is off
-the ball: ``NumericError``. ||x - y||^2 is expanded through the Gram
-entry <x, y> and floored at a delta that bounds the expansion's rounding
-(see ``pairwise_distances``); the boundary clamp
+the ball: ``NumericError``. The per-row terms ||x||^2, 1 - c||x||^2 and
+that check are taken in float64 for float32 rows as well, since float32
+resolves points near the rim poorly (Mishne et al., ICML 2023); the
+[B x N] arithmetic runs in the rows' dtype. ||x - y||^2 is expanded through
+the Gram entry <x, y> and floored at a delta that bounds the expansion's
+rounding in that dtype (see ``pairwise_distances``); the boundary clamp
 sqrt(c)||(-x) (+) y|| <= 1 - eps becomes the cap
 z <= 2 (1 - eps)^2 / (1 - (1 - eps)^2). ``losses`` builds the alignment
 node on this table and scores trials by its entries;
@@ -69,7 +72,6 @@ from .errors import ContractError, NumericError
 
 # Below this norm the exp/log maps switch to their linear limit.
 _TINY = 1e-12
-_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -217,7 +219,8 @@ def pairwise_distances(x: PoincarePoint, y: PoincarePoint) -> Tensor:
     nothing larger than [B x B] or [B x D]:
     ||x_i - y_j||^2 = ||x_i||^2 + ||y_j||^2 - 2 <x_i, y_j>. That expansion
     cancels for near-equal points; its rounding error is at most
-    (D + 1) * eps * (||x_i||^2 + ||y_j||^2). The squared distance is floored at
+    (D + 1) * eps * (||x_i||^2 + ||y_j||^2), with eps that of the rows' dtype.
+    The squared distance is floored at
     delta_ij = 16 * (D + 1) * eps * (||x_i||^2 + ||y_j||^2), a constant: inside
     the floor its gradient is zero, and above it the error is under delta / 16,
     so the gradient norm stays within sqrt(17 / 16) of the exact
@@ -235,7 +238,13 @@ def distance_table(xd: np.ndarray, yd: np.ndarray, cfg: BallConfig):
     """d(x_i, y_j) for every row of x and of y, [B x N], in the arccosh form, and its VJP to the rows.
 
     The delta floor and the z cap are those of the module docstring; a row
-    with 1 - c ||x||^2 <= 0 is off the ball: ``NumericError``.
+    with 1 - c ||x||^2 <= 0 is off the ball: ``NumericError``. The squared
+    norms, 1 - c ||x||^2 and that check are float64 whatever the rows'
+    dtype, so float32 rows and their exact float64 copies are rejected
+    alike; the rest runs in the rows' dtype, and so does the floor's eps:
+    delta_ij = 16 (D + 1) eps (||x_i||^2 + ||y_j||^2) with eps = 2^-52 for
+    float64 rows and 2^-23 for float32 rows (about 2.5e-4 (||x_i||^2 +
+    ||y_j||^2) at D = 128).
 
     Returns d and ``back(g, scale=1.0)``, which takes scale * g, a gradient
     of d, to the gradients of x and y through the Gram entries:
@@ -246,16 +255,18 @@ def distance_table(xd: np.ndarray, yd: np.ndarray, cfg: BallConfig):
     zero gradient. Inside the floor only the path through ||x - y||^2 is cut.
     """
     c, sqrt_c, top = cfg.curvature, cfg.sqrt_c, 1.0 - cfg.boundary_eps
-    a = np.sum(xd * xd, axis=1, keepdims=True)
-    b = np.sum(yd * yd, axis=1, keepdims=True).T
+    dtype = xd.dtype
+    a = np.sum(np.square(xd, dtype=np.float64), axis=1, keepdims=True)
+    b = np.sum(np.square(yd, dtype=np.float64), axis=1, keepdims=True).T
     u, v = 1.0 - c * a, 1.0 - c * b
     if (u <= 0.0).any() or (v <= 0.0).any():
         raise NumericError("hyperbolic distance: point on or outside the unit ball")
+    a, b, u, v = (t.astype(dtype, copy=False) for t in (a, b, u, v))
     floor = a + b
     z = xd @ yd.T
     z *= -2.0
     z += floor  # ||x - y||^2
-    floor *= 16.0 * (xd.shape[1] + 1) * _EPS
+    floor *= 16.0 * (xd.shape[1] + 1) * np.finfo(dtype).eps
     low = z < floor
     if low.any():
         np.maximum(z, floor, out=z)

@@ -17,7 +17,7 @@ from . import autodiff as ad
 from . import evaluation, hyperbolic as hyp, losses, model, trainer
 from .autodiff import Tensor
 from .errors import NumericError
-from .gradcheck import check_gradients
+from .gradcheck import check_gradients, max_relative_error
 from .hyperbolic import BallConfig, PoincarePoint
 
 
@@ -201,6 +201,33 @@ def check_model_forward_gradients() -> None:
         return trainer.step_losses(Tensor(faces), Tensor(voices), labels, trial, cfg, weights).total
 
     check_gradients(f, [t.data for _, t in params.named()])
+
+
+def check_float32_step() -> None:
+    """The float32 training step's losses and master gradients against the float64 step's, on both alignment arms.
+
+    The tolerance, 64 float32 eps in ``max_relative_error``'s measure, is
+    about ten times the largest error seen on these inputs.
+    """
+    rng = np.random.default_rng(32)
+    faces, voices = rng.normal(size=(8, 6)), rng.normal(size=(8, 5))
+    labels = np.array([0, 1, 2, 3, 4, 5, 0, 6])  # a repeated label: the alignment and OP masks are in play
+    weights, tol = losses.LossWeights(), 64 * float(np.finfo(np.float32).eps)
+    for use_hyperbolic in (True, False):
+        cfg = model.ModelConfig(6, 5, num_identities=7, proj_dim=4, use_hyperbolic=use_hyperbolic)
+        params = model.init_params(cfg, seed=33)
+        step = trainer.step_losses(Tensor(faces), Tensor(voices), labels, params, cfg, weights)
+        want = step.values()
+        step.total.backward()
+        want_grads = {name: t.grad for name, t in params.named()}
+        params.zero_grads()
+        got = trainer.train_step(Tensor(faces), Tensor(voices), labels, params, cfg, weights)
+        for key, value in want.items():
+            err = max_relative_error(np.array(got[key]), np.array(value))
+            _expect(err <= tol, f"{cfg.effective_similarity()}: float32 {key} is {err:.2e} from float64")
+        for name, t in params.named():
+            err = max_relative_error(t.grad, want_grads[name])
+            _expect(err <= tol, f"{cfg.effective_similarity()}: float32 gradient of {name} is {err:.2e} from float64")
 
 
 def check_egff_gradients() -> None:
@@ -391,6 +418,7 @@ ALL_CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("hyperbolic.gram_distance_gradients", check_hyperbolic_gram_distance_gradients),
     ("hyperbolic.distance_table", check_hyperbolic_distance_table),
     ("model.forward_gradients", check_model_forward_gradients),
+    ("model.float32_step", check_float32_step),
     ("model.egff_gradients", check_egff_gradients),
     ("model.egff_convexity", check_egff_convexity),
     ("losses.alignment_uniform_point", check_alignment_loss_uniform_point),

@@ -10,6 +10,18 @@ repeated call repeats all of its work. Validation scores that
 all tie cannot rank the trials, so they are a ``NumericError`` naming the
 epoch, not an EER of 0.5.
 
+Precision. Each step (``train_step``) runs in float32 against float64
+master weights, the master-copy scheme of Micikevicius et al., "Mixed
+Precision Training" (ICLR 2018), one level up: the parameters are cast to
+float32 leaves and the batch rows the same way, ``step_losses`` and the
+backward pass run on them, and the gradients are cast back onto the
+masters, where ``adamw_step`` and the ``logit_scale`` guard work in
+float64. The parameters, the AdamW moments, the checkpoint and all
+scoring stay float64. The ball's per-row terms stay float64 too
+(``hyperbolic.distance_table``). There is no option for a float64 step:
+only tests would set it, and ``gradcheck`` and ``selfcheck`` already run
+the same layers in float64, since a node computes in its inputs' dtype.
+
 Malloc policy. ``Tensor.backward`` frees each step's graph as it goes, and
 by default glibc then trims the freed memory off the heap top, so the next
 forward pass faults it back in page by page: about 8 000 minor faults per
@@ -210,6 +222,36 @@ def step_losses(
     return losses.total_loss(l_align, l_op, l_ce, weights)
 
 
+def train_step(
+    batch_faces: Tensor, batch_voices: Tensor, batch_labels, params: ModelParams, cfg: ModelConfig,
+    weights: LossWeights,
+) -> dict[str, float]:
+    """One step's losses in float32, with their gradients left on the float64 ``params`` as ``.grad``.
+
+    ``step_losses`` and the backward pass run on float32 copies of the
+    parameters, leaves of this step's graph, and of the batch rows; the
+    leaves' gradients are cast back onto the masters. A master value that
+    float32 cannot hold, or a non-finite loss, is a ``NumericError``.
+    """
+    work = {}
+    for name, t in params.named():
+        try:
+            with np.errstate(over="raise"):
+                work[name] = Tensor(t.data.astype(np.float32), requires_grad=True)
+        except FloatingPointError:
+            raise NumericError(f"{name} holds {np.abs(t.data).max():.4g}, beyond float32's range") from None
+    faces, voices = (Tensor(rows.data.astype(np.float32)) for rows in (batch_faces, batch_voices))
+    breakdown = step_losses(faces, voices, batch_labels, ModelParams(**work), cfg, weights)
+    values = breakdown.values()
+    if not all(math.isfinite(v) for v in values.values()):
+        raise NumericError(f"l_align={values['l_align']}, l_op={values['l_op']}, l_ce={values['l_ce']}")
+    breakdown.total.backward()
+    for name, t in params.named():
+        grad = work[name].grad
+        t.grad = None if grad is None else grad.astype(np.float64)
+    return values
+
+
 def train(
     dataset: Dataset,
     split: SplitSpec,
@@ -246,24 +288,16 @@ def train(
         for k, batch in enumerate(batches):
             batches[k] = None  # a batch is freed once its step is done
             try:
-                breakdown = step_losses(
+                values = train_step(
                     batch.faces, batch.voices, batch.labels, params, model_cfg, train_cfg.loss_weights
                 )
             except NumericError as e:
                 raise NumericError(f"training diverged at step {step}: {e}") from None
-            values = breakdown.values()
-            if not all(math.isfinite(v) for v in values.values()):
-                raise NumericError(
-                    f"training diverged at step {step}: "
-                    f"l_align={values['l_align']}, l_op={values['l_op']}, l_ce={values['l_ce']}"
-                )
             for key in sums:
                 sums[key] += values[key]
-            breakdown.total.backward()
-            del breakdown  # the next step builds its graph with none of this one alive
             lr = cosine_lr(step, total_steps, train_cfg.lr0, train_cfg.lr_min)
             adamw_step(params, state, lr, train_cfg)
-            params.zero_grads()  # nor with this step's gradients
+            params.zero_grads()  # the next step starts with none of this one's gradients
             # Contrastive temperature guard.
             if np.any(params.logit_scale.data > LOGIT_SCALE_MAX):
                 params.logit_scale.data = np.minimum(params.logit_scale.data, LOGIT_SCALE_MAX)

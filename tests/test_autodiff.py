@@ -112,6 +112,25 @@ class TestReductions:
         check_gradients(lambda x: norm2(x, axis, keepdims).sum(), [rand((3, 4), 12) + 0.3])
 
 
+class TestDtype:
+    @pytest.mark.parametrize("value, dtype", [
+        (np.ones(3, dtype=np.float32), np.float32), (np.float32(2.0), np.float32), (np.ones(3), np.float64),
+        ([1, 2], np.float64), (np.ones(3, dtype=np.float16), np.float64), (np.array([True]), np.float64),
+        (0.5, np.float64),
+    ])
+    def test_float32_kept_anything_else_float64(self, value, dtype):
+        assert Tensor(value).data.dtype == dtype
+
+    def test_float32_graph_computes_and_backpropagates_in_float32(self):
+        x = Tensor(rand((3, 4), 20).astype(np.float32), requires_grad=True)
+        w = Tensor(rand((4, 2), 21).astype(np.float32), requires_grad=True)
+        y = ad.affine(x, w, Tensor(np.zeros(2, dtype=np.float32)))
+        out = y * 2.0 + y * y
+        assert (y.data.dtype, out.data.dtype) == (np.float32, np.float32)
+        out.sum().backward()
+        assert (x.grad.dtype, w.grad.dtype) == (np.float32, np.float32)
+
+
 class TestStructuralOps:
     def test_structural_gradients(self):
         check_gradients(lambda a, b: norm2(concat_cols(a, b)), [rand((2, 3), 13), rand((2, 2), 14)])

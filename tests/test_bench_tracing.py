@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from paeff import cli, losses, model  # the tracer looks up every paeff module it wraps in sys.modules
+from paeff import cli, losses, model, trainer  # the tracer looks up every paeff module it wraps in sys.modules
+from paeff.autodiff import Tensor
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -59,6 +60,24 @@ def test_layer_sweep_at_a_tiny_batch():
     per_layer = {m["name"] for m in json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]}
     assert out and set(out) <= per_layer
     assert all(math.isfinite(v) and v >= 0.0 for v in out.values())
+
+
+def test_tape_stats_of_a_float32_training_step(monkeypatch):
+    """``tape_stats`` walks the float32 graph ``trainer.train_step`` builds, every VJP closure included."""
+    cfg = model.ModelConfig(face_dim=6, voice_dim=5, num_identities=3, proj_dim=4)
+    rng = np.random.default_rng(0)
+    stats, step_losses = [], trainer.step_losses
+
+    def measuring(*args):
+        step = step_losses(*args)
+        stats.append(tracing.tape_stats(step.total))
+        return step
+
+    monkeypatch.setattr(trainer, "step_losses", measuring)
+    trainer.train_step(Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(4, 5))), np.array([0, 1, 2, 0]),
+                       model.init_params(cfg, seed=0), cfg, losses.LossWeights())
+    (nodes, mb), = stats
+    assert nodes == 24 and 0.0 < mb < 1.0
 
 
 def test_traced_cli_flow_yields_every_span_metric(tmp_path):

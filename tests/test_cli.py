@@ -284,6 +284,22 @@ def test_pairs_all_at_the_distance_cap_exit_3_at_step_0(world, tmp_path, capsys)
     assert not (tmp_path / "run" / "checkpoint.paef").exists()
 
 
+def test_master_weight_beyond_float32_exits_3_at_step_0(world, tmp_path, capsys, monkeypatch):
+    # A finite float64 master that float32 cannot hold fails the step's cast, not as a silent inf.
+    init_params = model.init_params
+
+    def huge(cfg, seed):
+        params = init_params(cfg, seed)
+        params.face_weight.data[0, 0] = 1e39
+        return params
+
+    monkeypatch.setattr(model, "init_params", huge)
+    assert cli.main(train_argv(world, tmp_path / "run")) == 3
+    err = capsys.readouterr().err
+    assert "training diverged at step 0: face_weight holds 1e+39, beyond float32's range" in err
+    assert not (tmp_path / "run" / "checkpoint.paef").exists()
+
+
 # A malformed train option, and the config field its error names.
 BAD_TRAIN_OPTIONS = [
     ("--lr0", "nan", "lr0"), ("--lr0", "inf", "lr0"), ("--lr0", "0", "lr0"),

@@ -424,6 +424,47 @@ class TestGramDistanceNode:
             with pytest.raises(NumericError, match="outside the unit ball"):
                 hyp.distance_table(x.numpy(), y.numpy(), CFG)
 
+    def test_float32_rejects_the_same_off_ball_rows(self):
+        # Rows float32 holds exactly, with norms within a few float32 ulps of the rim: both dtypes take
+        # the squared norms in float64, so a row is off the ball in one exactly when it is in the other.
+        rng = np.random.default_rng(45)
+        direction = rng.normal(size=(200, 8))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        rows = (direction * (1.0 + rng.uniform(-3e-7, 3e-7, size=(200, 1)))).astype(np.float32)
+        inside = np.full((1, 8), 0.1, dtype=np.float32)
+        rejected = {}
+        for dtype in (np.float64, np.float32):
+            rejected[dtype] = []
+            for row in rows.astype(dtype):
+                try:
+                    hyp.distance_table(row[None, :], inside.astype(dtype), CFG)
+                    hyp.distance_table(inside.astype(dtype), row[None, :], CFG)
+                    rejected[dtype].append(False)
+                except NumericError as e:
+                    assert "outside the unit ball" in str(e)
+                    rejected[dtype].append(True)
+        assert rejected[np.float32] == rejected[np.float64]
+        assert 0 < sum(rejected[np.float64]) < len(rows)
+
+    def test_float32_caps_the_same_pairs(self):
+        # Mid-radius rows, rim rows and rim rows 1e-3 from them: rim pairs far apart are beyond the cap,
+        # every other pair well below it.
+        rng = np.random.default_rng(46)
+        direction = rng.normal(size=(24, 8))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        near = direction[:8] + 1e-3 * rng.normal(size=(8, 8)) / np.sqrt(8.0)
+        near /= np.linalg.norm(near, axis=1, keepdims=True)
+        rows = np.concatenate([direction[8:] * 0.5, direction[:8], near]).astype(np.float32)
+        rows[8:] *= np.float32(1.0 - 1e-4)
+        x, y = rows[:16], rows[8:]
+        capped = {}
+        for dtype in (np.float64, np.float32):
+            d = hyp.distance_table(x.astype(dtype), y.astype(dtype), CFG)[0]
+            assert d.dtype == dtype
+            capped[dtype] = d == d.max()
+        np.testing.assert_array_equal(capped[np.float32], capped[np.float64])
+        assert 0 < np.count_nonzero(capped[np.float64]) < capped[np.float64].size
+
     @pytest.mark.parametrize("sep", [1e-11, 1e-12])
     def test_gradients_with_near_duplicates_inside_the_floor(self, sep):
         # y_i sits sep from x_i, so the delta floor decides d(x_i, y_i) and its gradient is 0; the

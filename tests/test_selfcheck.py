@@ -17,6 +17,7 @@ NAMES = [
     "hyperbolic.gram_distance_gradients",
     "hyperbolic.distance_table",
     "model.forward_gradients",
+    "model.float32_step",
     "model.egff_gradients",
     "model.egff_convexity",
     "losses.alignment_uniform_point",

@@ -333,6 +333,54 @@ def test_training_step_tape_size(arm):
     assert not any(node.shape == (b, b) for node in nodes.values())
 
 
+@pytest.mark.parametrize("arm", list(TAPE_NODES))
+def test_training_step_runs_in_float32_against_float64_masters(arm, monkeypatch):
+    """Every node of a training step and every VJP output larger than a scalar is float32; AdamW sees float64."""
+    ds, split, cfg = desk_setup()
+    cfg = dataclasses.replace(cfg, **TAPE_NODES[arm][0])
+    wide, steps = [], []
+    step_losses, adamw_step = trainer.step_losses, trainer.adamw_step
+
+    def recording(vjp, node):
+        def wrapped(g):
+            out = vjp(g)
+            for grad in out if isinstance(out, tuple) else (out,):
+                if grad.size > 1:
+                    wide.append((f"VJP of a {node.shape} node", grad.dtype))
+            return out
+
+        return wrapped
+
+    def watching(faces, voices, labels, params, *args):
+        wide.extend((f"input {x.shape}", x.data.dtype) for x in (faces, voices))
+        breakdown = step_losses(faces, voices, labels, params, *args)
+        seen, stack = set(), [breakdown.total]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node.size > 1:
+                wide.append((f"node {node.shape}", node.data.dtype))
+            node._vjps = tuple(recording(vjp, node) for vjp in node._vjps)
+            stack.extend(node._parents)
+        steps.append(len(seen))
+        return breakdown
+
+    def checking(params, state, lr, cfg):
+        adamw_step(params, state, lr, cfg)
+        for name, t in params:  # the linear arm's gate gets no gradient
+            arrays = (t.data, state.m[name], state.v[name]) + (() if t.grad is None else (t.grad,))
+            assert {a.dtype for a in arrays} == {np.dtype(np.float64)}, name
+
+    monkeypatch.setattr(trainer, "step_losses", watching)
+    monkeypatch.setattr(trainer, "adamw_step", checking)
+    result = trainer.train(ds, split, cfg, trainer.TrainConfig(epochs=1, batch_size=4, lr0=1e-3, val_trials=20))
+    assert steps == [TAPE_NODES[arm][1]] * 2
+    assert {dtype for _, dtype in wide} == {np.dtype(np.float32)}, [w for w in wide if w[1] != np.float32]
+    assert all(t.data.dtype == np.float64 for _, t in result.params.named())
+
+
 def _has_mallopt() -> bool:
     try:
         return hasattr(ctypes.CDLL(None), "mallopt")
@@ -376,12 +424,29 @@ def test_training_step_peak_memory_at_the_paper_batch():
     assert peak <= 11 * b * b * 8
 
 
+def test_production_step_peak_memory_at_the_paper_batch():
+    """The float32 twin of the test above: ``train_step`` at B = 1024 peaks at 11 [B x B] float32 arrays or fewer."""
+    b = 1024
+    cfg = model.ModelConfig(face_dim=16, voice_dim=12, num_identities=b, proj_dim=16)
+    rng = np.random.default_rng(0)
+    labels = rng.integers(0, 700, size=b)
+    faces, voices = Tensor(rng.normal(size=(b, 16))), Tensor(rng.normal(size=(b, 12)))
+    params = model.init_params(cfg, seed=0)
+    tracemalloc.start()
+    try:
+        trainer.train_step(faces, voices, labels, params, cfg, LossWeights())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * b * b * 4
+
+
 # Per-epoch val EER, best epoch and the sum of |parameter| of one fixed-seed
 # run on each alignment arm; a change that moves training past the last bits
 # of the parameters fails here.
 PINNED_RUNS = {
-    "hyperbolic": (True, [0.32, 0.24, 0.2, 0.18, 0.16], 5, 98.69821346733525),
-    "cosine": (False, [0.32, 0.12, 0.14, 0.12, 0.1], 5, 98.93297361717329),
+    "hyperbolic": (True, [0.32, 0.24, 0.2, 0.18, 0.16], 5, 98.69821439316297),
+    "cosine": (False, [0.32, 0.12, 0.14, 0.12, 0.1], 5, 98.93297335614164),
 }
 
 
