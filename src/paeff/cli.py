@@ -9,16 +9,23 @@ writes a manifest sufficient to reproduce it byte-for-byte.
 
 The model.*, train.* and eval.* options are the defaulted fields of
 ``ModelConfig``, ``TrainConfig`` (its ``LossWeights`` flattened to
-``alpha1..3`` and ``op_inter_weight``) and ``EvalConfig``, with the
-dataclass defaults. ``--ablation`` is a preset over them: once options are
-resolved it overwrites ``use_hyperbolic``, ``fusion`` and ``alpha1``, so the
-manifest's config describes the model that was trained.
+``alpha1..3``) and ``EvalConfig``, with the dataclass defaults.
+``--ablation`` is a preset over them: once options are resolved it
+overwrites ``use_hyperbolic``, ``fusion`` and ``alpha1``, so the manifest's
+config describes the model that was trained.
 
 eval has no model option: it builds its ``ModelConfig`` from the training
 manifest's ``config.model`` (``--manifest``, by default the
 ``manifest.json`` that train writes next to the checkpoint), so each
 checkpoint is scored with the model that trained it. Its config file takes
 ``eval.*`` and ``io.*`` keys only.
+
+AdamW's betas and epsilon, the cosine schedule's floor (0), the orthogonal
+projection loss's inter-class weight (1), synth's demographic tags (always
+written) and its seen_heard clip fractions (0.15 val, 0.15 test) are
+constants. The options that once set them are unknown like any other: such
+a flag exits 1, such a config-file key exits 2, and such a ``PAEFF_``
+variable is ignored.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric/invariant
 failure.
@@ -70,7 +77,6 @@ HELP = {
     "train.alpha1": "alignment loss weight",
     "train.alpha2": "orthogonal projection loss weight",
     "train.alpha3": "cross entropy loss weight",
-    "train.op_inter_weight": "weight of the inter-class |cos| term",
     "train.val_trials": "validation verification trials per epoch",
     "eval.nc_list": "matching gallery sizes",
     "eval.strata": "demographic strata: random,G,N,A,GNA",
@@ -158,12 +164,9 @@ SYNTH_OPTIONS = [
     Option("synth.sigma", "float", 0.1, "per-component noise"),
     Option("synth.latent_dim", "int", 16),
     Option("synth.seed", "int", 0),
-    Option("synth.demographics", "bool", True, "attach synthetic demographic tags"),
     Option("synth.split_mode", "str", "unseen_unheard"),
     Option("synth.val_identities", "int", 4, "held-out val identities (unseen_unheard)"),
     Option("synth.test_identities", "int", 8, "held-out test identities (unseen_unheard)"),
-    Option("synth.val_frac", "float", 0.15, "val clip fraction (seen_heard)"),
-    Option("synth.test_frac", "float", 0.15, "test clip fraction (seen_heard)"),
 ]
 
 COMMAND_OPTIONS = {
@@ -392,12 +395,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         noise=resolved["synth.sigma"],
         seed=resolved["synth.seed"],
         latent_dim=resolved["synth.latent_dim"],
-        demographics=resolved["synth.demographics"],
     )
     if resolved["synth.split_mode"] == "seen_heard":
-        split = data.make_seen_split(
-            dataset, resolved["synth.val_frac"], resolved["synth.test_frac"], resolved["synth.seed"]
-        )
+        split = data.make_seen_split(dataset, 0.15, 0.15, resolved["synth.seed"])  # val and test clip fractions
     else:
         split = data.make_unseen_split(
             dataset,

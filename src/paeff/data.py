@@ -13,17 +13,19 @@ Row layout. A ``Dataset`` keeps each modality's vectors as one block,
 ``blocks["face"]`` [Nf x F] and ``blocks["voice"]`` [Nv x V], whose rows
 follow that modality's records in record order. Parallel per-row arrays
 give each row's identity (``row_identity``, an index into the sorted
-``identity_ids``) and clip id (``row_clip``). Each record's ``vector`` is
-a view of its row, so the blocks hold the only copy of the vectors:
-``synth_generate`` fills the blocks and builds its records on them,
-``load_dataset`` parses each line straight into its row, and
-``Dataset(records, ...)`` stacks the records' vectors once and points
-each record at its row.
+``identity_ids``) and record (``row_record``, its position in
+``records``), and ``clip_row`` maps each modality's clip ids to their
+rows. Each record's ``vector`` is a view of its row, so the blocks hold
+the only copy of the vectors: ``synth_generate`` fills the blocks and
+builds its records on them, ``load_dataset`` parses each line straight
+into its row, and ``Dataset(records, ...)`` stacks the records' vectors
+once and builds its own records on the rows.
 
 Training reads rows, not records. ``SplitSpec.part_rows`` derives a
 part's rows grouped by identity from the per-row arrays on every call,
 and ``make_batches`` gathers each batch from the blocks with one fancy
-index per modality. Evaluation still builds its trials from records.
+index per modality. Evaluation still builds its trials from records,
+which ``SplitSpec.part_records`` picks by the same per-row arrays.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,12 +65,13 @@ class EmbeddingRecord:
 class Dataset:
     """Embedding records over one face block and one voice block (see the module docstring).
 
-    ``Dataset(records, face_dim, voice_dim)`` checks the records, stacks
-    their vectors into the blocks once and points each record's ``vector``
-    at its row; the records stay the caller's objects. ``synth_generate``
-    and ``load_dataset`` pass ``blocks`` whose rows their records already
-    view, in record order. ``sha256`` is the digest of the bytes
-    ``load_dataset`` parsed, and None for a dataset not read from a file.
+    ``Dataset(records, face_dim, voice_dim)`` checks the records, stacks their
+    vectors into the blocks once and holds a copy of each record whose
+    ``vector`` views its row; the caller's records are left as they are.
+    ``synth_generate`` and ``load_dataset`` pass ``blocks`` whose rows their
+    records already view, in record order, and the dataset holds those
+    records. ``sha256`` is the digest of the bytes ``load_dataset`` parsed,
+    and None for a dataset not read from a file.
     """
 
     def __init__(
@@ -82,8 +84,9 @@ class Dataset:
         self.sha256: str | None = None
         dims = {"face": face_dim, "voice": voice_dim}
         by_modality: dict[str, list[EmbeddingRecord]] = {m: [] for m in MODALITIES}  # each block's records
-        self._by_clip: dict[tuple[str, str], EmbeddingRecord] = {}
-        for rec in self.records:
+        positions: dict[str, list[int]] = {m: [] for m in MODALITIES}  # each block row's place in records
+        self.clip_row: dict[str, dict[str, int]] = {m: {} for m in MODALITIES}
+        for k, rec in enumerate(self.records):
             if rec.modality not in MODALITIES:
                 raise DataError(f"unknown modality {rec.modality!r} on clip {rec.clip_id!r}")
             if blocks is None and (rec.vector.ndim != 1 or rec.vector.size != dims[rec.modality]):
@@ -91,17 +94,19 @@ class Dataset:
                     f"clip {rec.clip_id!r}: vector length {rec.vector.size} does not match "
                     f"{rec.modality} dim {dims[rec.modality]}"
                 )
-            key = (rec.modality, rec.clip_id)
-            if key in self._by_clip:
+            clip_row = self.clip_row[rec.modality]
+            if rec.clip_id in clip_row:
                 raise DataError(f"duplicate clip id {rec.clip_id!r} for modality {rec.modality}")
-            self._by_clip[key] = rec
+            clip_row[rec.clip_id] = len(clip_row)
             by_modality[rec.modality].append(rec)
-        stacked = blocks is None
-        if stacked:
+            positions[rec.modality].append(k)
+        if blocks is None:
             blocks = {
                 m: np.array([rec.vector for rec in recs], dtype=np.float64).reshape(-1, dims[m])
                 for m, recs in by_modality.items()
             }
+            rows = {m: iter(block) for m, block in blocks.items()}
+            self.records = [replace(rec, vector=next(rows[rec.modality])) for rec in self.records]
         for m, block in blocks.items():
             finite = np.isfinite(block).all(axis=1)
             if not finite.all():
@@ -113,20 +118,17 @@ class Dataset:
         self.row_identity = {
             m: np.array([code[rec.identity_id] for rec in recs], dtype=np.intp) for m, recs in by_modality.items()
         }
-        self.row_clip = {m: np.array([rec.clip_id for rec in recs], dtype=str) for m, recs in by_modality.items()}
-        if stacked:
-            for m, recs in by_modality.items():
-                for rec, row in zip(recs, blocks[m]):
-                    rec.vector = row
+        self.row_record = {m: np.array(p, dtype=np.intp) for m, p in positions.items()}
 
     def identities(self) -> list[str]:
         return list(self.identity_ids)
 
     def by_clip(self, modality: str, clip_id: str) -> EmbeddingRecord:
         try:
-            return self._by_clip[(modality, clip_id)]
+            row = self.clip_row[modality][clip_id]
         except KeyError:
             raise DataError(f"no {modality} record with clip id {clip_id!r}") from None
+        return self.records[self.row_record[modality][row]]
 
     def __len__(self) -> int:
         return len(self.records)
@@ -244,11 +246,6 @@ class SplitSpec:
     def _parts(self) -> dict[str, frozenset[str]]:
         return {"train": self.train_ids, "val": self.val_ids, "test": self.test_ids}
 
-    @property
-    def _key(self):
-        """The record field a part's ids name: the identity, or the clip."""
-        return attrgetter("identity_id" if self.mode == "unseen_unheard" else "clip_id")
-
     def validate(self, dataset: Dataset) -> None:
         """Raise ``DataError`` unless the split fits ``dataset``.
 
@@ -267,7 +264,7 @@ class SplitSpec:
         if self.mode == "unseen_unheard":
             known = set(dataset.identity_ids)
         else:
-            known = {clip for clips in dataset.row_clip.values() for clip in clips.tolist()}
+            known = {clip for clip_row in dataset.clip_row.values() for clip in clip_row}
         for name, ids in parts.items():
             missing = ids - known
             if missing:
@@ -279,19 +276,19 @@ class SplitSpec:
                 raise DataError("seen_heard split: val/test identities must all appear in train")
 
     def part_records(self, dataset: Dataset, part: str) -> list[EmbeddingRecord]:
-        ids, key = self._parts()[part], self._key
-        return [rec for rec in dataset.records if key(rec) in ids]
+        """The records ``part`` selects, in record order, found through the per-row arrays."""
+        places = [dataset.row_record[m][rows] for m, (_, rows) in self._selected(dataset, part).items()]
+        return [dataset.records[k] for k in np.sort(np.concatenate(places)).tolist()]
 
     def _selected(self, dataset: Dataset, part: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per modality, the block rows ``part`` selects (ascending), as (identity indices, row indices)."""
         ids = self._parts()[part]
         if self.mode == "unseen_unheard":
             chosen = np.fromiter(map(ids.__contains__, dataset.identity_ids), bool, len(dataset.identity_ids))
-            masks = {m: chosen[codes] for m, codes in dataset.row_identity.items()}
+            rows = {m: np.flatnonzero(chosen[codes]) for m, codes in dataset.row_identity.items()}
         else:
-            masks = {m: np.fromiter(map(ids.__contains__, clips), bool, clips.size)
-                     for m, clips in dataset.row_clip.items()}
-        rows = {m: np.flatnonzero(mask) for m, mask in masks.items()}
+            rows = {m: np.sort(np.array([clip_row[c] for c in ids if c in clip_row], dtype=np.intp))
+                    for m, clip_row in dataset.clip_row.items()}
         return {m: (dataset.row_identity[m][r], r) for m, r in rows.items()}
 
     def part_rows(self, dataset: Dataset, part: str) -> PartRows:

@@ -341,13 +341,13 @@ def check_adamw_single_step() -> None:
     trainer.adamw_step([("p", p)], trainer.AdamState(), lr=0.1, cfg=cfg)
     m_hat = 2.0  # (0.1 * 2.0) / (1 - 0.9)
     v_hat = 4.0  # (0.001 * 4.0) / (1 - 0.999)
-    expected = 1.0 - 0.1 * m_hat / (math.sqrt(v_hat) + cfg.adam_eps) - 0.1 * 0.01 * 1.0
+    expected = 1.0 - 0.1 * m_hat / (math.sqrt(v_hat) + trainer.ADAM_EPS) - 0.1 * 0.01 * 1.0
     _expect(abs(p.data[0] - expected) < 1e-12, f"AdamW step {p.data[0]} != {expected}")
 
 
 def check_cosine_schedule() -> None:
     _expect(trainer.cosine_lr(0, 100, 2e-5) == 2e-5, "cosine_lr(0) != lr0")
-    _expect(abs(trainer.cosine_lr(100, 100, 2e-5)) < 1e-20, "cosine_lr(T) != lr_min")
+    _expect(abs(trainer.cosine_lr(100, 100, 2e-5)) < 1e-20, "cosine_lr(T) != 0")
     _expect(abs(trainer.cosine_lr(50, 100, 2e-5) - 1e-5) < 1e-18, "cosine_lr(T/2) != midpoint")
 
 

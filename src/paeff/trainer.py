@@ -24,20 +24,21 @@ the same layers in float64, since a node computes in its inputs' dtype.
 
 Malloc policy. ``Tensor.backward`` frees each step's graph as it goes, and
 by default glibc then trims the freed memory off the heap top, so the next
-forward pass faults it back in page by page: about 8 000 minor faults per
-``train`` call at B = 256 (512 face, 192 voice, D = 128, 2 epochs of 2
-steps) and 5 000 to 8 000 per step at B = 1024. ``train`` therefore sets,
-through ``mallopt``, an mmap threshold of 32 MiB (glibc's ceiling for its
-dynamic threshold on 64-bit) and a trim threshold of -1 (never trim). A
-repeated call then takes a few faults, and the numbers it computes do not
-change. The policy is process-wide and glibc-only: it is skipped where
-libc has no ``mallopt``. Freed heap memory stays resident until the
-process exits, but the peak does not rise, since the steps reuse it.
-Both values are set or neither: setting a trim threshold alone turns off
-glibc's dynamic mmap threshold, so every array of 128 KB or more is
-mmapped, and faults rise to 25 000 to 31 000 per B = 256 call and per
-B = 1024 step. A 64 MiB trim threshold with the 32 MiB mmap threshold still
-leaves about 6 000 faults per B = 1024 step. Two fixes in the program were
+forward pass faults it back in page by page: 2 000 to 3 300 minor faults
+per ``train`` call on the bench's ``train-b256`` inputs (512 face, 192
+voice, D = 128, 2 epochs of 2 steps at B = 256), 8 500 to 9 100 on
+``train-b64`` (6 epochs of 8 steps at B = 64), and 7 600 per step at
+B = 1024, and a call is slower (``train-b256``: 58 to 72 ms against 49 to
+68 ms with the policy, one BLAS thread). ``train`` therefore sets, through
+``mallopt``, an mmap threshold of 32 MiB (glibc's ceiling for its dynamic
+threshold on 64-bit) and a trim threshold of -1 (never trim). A repeated
+call then takes at most a few dozen faults, and the numbers it computes do
+not change. The policy is process-wide and glibc-only: it is skipped where
+libc has no ``mallopt``. Freed heap memory stays resident until the process
+exits, but the peak does not rise, since the steps reuse it. Both values
+are set or neither: setting a trim threshold alone turns off glibc's
+dynamic mmap threshold, so every array of 128 KB or more is mmapped, and
+faults rise to 18 000 per B = 1024 step. Two fixes in the program were
 rejected: keeping the previous step's graph alive doubles the step peak
 that ``test_training_step_peak_memory_at_the_paper_batch`` bounds, and
 reusing buffers node by node would touch every node.
@@ -73,17 +74,16 @@ BATCH_DESK = 64
 _M_MMAP_THRESHOLD = (-3, 32 * 1024 * 1024)  # glibc's ceiling for its dynamic threshold on 64-bit
 _M_TRIM_THRESHOLD = (-1, -1)  # never give the heap top back to the system
 
+# AdamW's moment decays and denominator epsilon: Adam's defaults (Kingma & Ba, ICLR 2015).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 50
     batch_size: int | None = None  # None: 1024, dropping to 64 at desk scale
     lr0: float = 2e-5
-    lr_min: float = 0.0
     weight_decay: float = 1e-2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     loss_weights: LossWeights = field(default_factory=LossWeights)
     val_trials: int = 200
@@ -94,11 +94,7 @@ class TrainConfig:
             ("epochs", self.epochs >= 1, "at least 1"),
             ("batch_size", self.batch_size is None or self.batch_size >= 2, "at least 2"),
             ("lr0", finite(self.lr0) and self.lr0 > 0.0, "finite and positive"),
-            ("lr_min", 0.0 <= self.lr_min <= self.lr0, "in [0, lr0]"),
             ("weight_decay", finite(self.weight_decay) and self.weight_decay >= 0.0, "finite and nonnegative"),
-            ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
-            ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)"),
-            ("adam_eps", finite(self.adam_eps) and self.adam_eps > 0.0, "finite and positive"),
             ("val_trials", self.val_trials >= 2, "at least 2"),
         )
         for name, holds, rule in rules:
@@ -130,11 +126,11 @@ def _keep_step_memory() -> None:
         mallopt(param, value)
 
 
-def cosine_lr(step: int, total_steps: int, lr0: float, lr_min: float = 0.0) -> float:
-    """lr(t) = lr_min + (lr0 - lr_min) (1 + cos(pi t / T)) / 2, for 0 <= t <= T."""
+def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
+    """lr(t) = lr0 (1 + cos(pi t / T)) / 2, for 0 <= t <= T: it decays to 0."""
     if not 0 <= step <= total_steps:
         raise ContractError(f"step {step} outside schedule range [0, {total_steps}]")
-    return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + math.cos(math.pi * step / total_steps))
+    return 0.5 * lr0 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
 @dataclass
@@ -149,13 +145,14 @@ def adamw_step(params: Iterable[tuple[str, Tensor]], state: AdamState, lr: float
 
     p <- p - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * p
 
+    with wd = ``cfg.weight_decay`` and b1, b2, eps the module's ``ADAM_*``.
     The moments and the parameter are updated in place, through one
     temporary array per parameter; the step is taken in the equal form
     (lr * sqrt(1 - b2^t) / (1 - b1^t)) * m / (sqrt(v) + eps * sqrt(1 - b2^t)).
     """
     state.step += 1
     t = state.step
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     root_bias2 = math.sqrt(1.0 - b2**t)
     step_size = lr * root_bias2 / (1.0 - b1**t)
     decay = 1.0 - lr * cfg.weight_decay
@@ -175,7 +172,7 @@ def adamw_step(params: Iterable[tuple[str, Tensor]], state: AdamState, lr: float
         v *= b2
         v += tmp
         np.sqrt(v, out=tmp)
-        tmp += cfg.adam_eps * root_bias2
+        tmp += ADAM_EPS * root_bias2
         np.divide(m, tmp, out=tmp)
         tmp *= step_size
         p *= decay
@@ -217,7 +214,7 @@ def step_losses(
     l_align = losses.alignment_loss(
         result.face_aligned, result.voice_aligned, params.logit_scale, cfg.effective_similarity(), batch_labels
     )
-    l_op = losses.orthogonal_projection_loss(result.embedding, batch_labels, weights.op_inter_weight)
+    l_op = losses.orthogonal_projection_loss(result.embedding, batch_labels)
     l_ce = losses.cross_entropy_loss(result.logits, batch_labels)
     return losses.total_loss(l_align, l_op, l_ce, weights)
 
@@ -295,7 +292,7 @@ def train(
                 raise NumericError(f"training diverged at step {step}: {e}") from None
             for key in sums:
                 sums[key] += values[key]
-            lr = cosine_lr(step, total_steps, train_cfg.lr0, train_cfg.lr_min)
+            lr = cosine_lr(step, total_steps, train_cfg.lr0)
             adamw_step(params, state, lr, train_cfg)
             params.zero_grads()  # the next step starts with none of this one's gradients
             # Contrastive temperature guard.

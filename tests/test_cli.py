@@ -32,17 +32,12 @@ OPTION_TABLE = {
     "train.epochs": ("int", 50),
     "train.batch_size": ("int_or_auto", None),
     "train.lr0": ("float", 2e-5),
-    "train.lr_min": ("float", 0.0),
     "train.weight_decay": ("float", 1e-2),
-    "train.adam_beta1": ("float", 0.9),
-    "train.adam_beta2": ("float", 0.999),
-    "train.adam_eps": ("float", 1e-8),
     "train.seed": ("int", 0),
     "train.alpha1": ("float", 0.3),
     "train.alpha2": ("float", 0.35),
     "train.alpha3": ("float", 0.35),
     "train.ablation": ("str", "full"),
-    "train.op_inter_weight": ("float", 1.0),
     "train.val_trials": ("int", 200),
     "eval.nc_list": ("ints", (2, 4, 6, 8, 10)),
     "eval.strata": ("strs", ("random",)),
@@ -249,6 +244,36 @@ def test_eval_has_no_model_option(world, run, tmp_path, capsys):
     assert "unknown config key 'model.proj_dim'" in capsys.readouterr().err
 
 
+# The options that became constants, per command, as each source names them.
+REMOVED_OPTIONS = {
+    "train": ["train.lr_min", "train.adam_beta1", "train.adam_beta2", "train.adam_eps", "train.op_inter_weight"],
+    "synth": ["synth.demographics", "synth.val_frac", "synth.test_frac"],
+}
+REMOVED = [(command, key) for command, keys in REMOVED_OPTIONS.items() for key in keys]
+
+
+@pytest.mark.parametrize("command, key", REMOVED, ids=[key for _, key in REMOVED])
+def test_removed_option_is_unknown(world, tmp_path, capsys, monkeypatch, command, key):
+    """A removed flag is a usage error, a removed config key a data error, and a removed PAEFF_* variable is ignored."""
+    removed = cli.Option(key, "float", None)
+    argv = train_argv(world, tmp_path / "run") if command == "train" else ["synth", "--out", str(tmp_path / "run")]
+    assert cli.main([*argv, removed.flag, "0.5"]) == 1
+    assert f"unrecognized arguments: {removed.flag} 0.5" in capsys.readouterr().err
+    (tmp_path / "run.cfg").write_text(f"{key} = 0.5\n")
+    assert cli.main([*argv, "--config", str(tmp_path / "run.cfg")]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    monkeypatch.setenv(removed.env_name, "x")
+    assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("command", list(REMOVED_OPTIONS))
+def test_manifest_holds_no_removed_option(world, tmp_path, command):
+    out = train(world, tmp_path / "run") if command == "train" else synth(tmp_path / "run")
+    section = recorded(out)[command]
+    assert section and not {key.split(".", 1)[1] for key in REMOVED_OPTIONS[command]} & set(section)
+
+
 # -- ablation presets ---------------------------------------------------------------
 
 
@@ -303,14 +328,8 @@ def test_master_weight_beyond_float32_exits_3_at_step_0(world, tmp_path, capsys,
 # A malformed train option, and the config field its error names.
 BAD_TRAIN_OPTIONS = [
     ("--lr0", "nan", "lr0"), ("--lr0", "inf", "lr0"), ("--lr0", "0", "lr0"),
-    ("--lr-min", "5", "lr_min"), ("--lr-min", "-0.001", "lr_min"), ("--lr-min", "nan", "lr_min"),
     ("--weight-decay", "nan", "weight_decay"), ("--weight-decay", "-0.1", "weight_decay"),
     ("--weight-decay", "inf", "weight_decay"),
-    ("--adam-beta1", "1", "adam_beta1"), ("--adam-beta1", "2", "adam_beta1"), ("--adam-beta1", "-0.1", "adam_beta1"),
-    ("--adam-beta1", "nan", "adam_beta1"), ("--adam-beta2", "1", "adam_beta2"),
-    ("--adam-eps", "-1", "adam_eps"), ("--adam-eps", "0", "adam_eps"), ("--adam-eps", "nan", "adam_eps"),
-    ("--adam-eps", "inf", "adam_eps"),
-    ("--op-inter-weight", "nan", "op_inter_weight"), ("--op-inter-weight", "-1", "op_inter_weight"),
     ("--val-trials", "1", "val_trials"),
     ("--alpha1", "nan", "alpha1"), ("--alpha2", "inf", "alpha2"), ("--alpha3", "-1", "alpha3"),
     ("--tangent-clip", "nan", "tangent_clip"), ("--tangent-clip", "inf", "tangent_clip"),

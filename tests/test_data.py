@@ -195,6 +195,22 @@ class TestSplits:
         with pytest.raises(DataError, match="must all appear in train"):
             split.validate(ds)
 
+    @pytest.mark.parametrize("mode", data.SPLIT_MODES)
+    def test_part_records_are_the_record_walks(self, mode):
+        """``part_records`` returns the records a walk over ``records`` selects, in that order."""
+        ds = data.synth_generate(9, 5, 4, 3, 1.0, 0.1, seed=25, latent_dim=2)
+        ds = Dataset([ds.records[k] for k in np.random.default_rng(4).permutation(len(ds))], face_dim=4, voice_dim=3)
+        assert [r.identity_id for r in ds.records] != sorted(r.identity_id for r in ds.records)
+        if mode == "seen_heard":
+            split = data.make_seen_split(ds, val_frac=0.2, test_frac=0.2, seed=3)
+        else:
+            split = data.make_unseen_split(ds, n_val=2, n_test=3, seed=3)
+        key = "identity_id" if mode == "unseen_unheard" else "clip_id"
+        for part, ids in (("train", split.train_ids), ("val", split.val_ids), ("test", split.test_ids)):
+            walked = [r for r in ds.records if getattr(r, key) in ids]
+            got = split.part_records(ds, part)
+            assert walked and len(got) == len(walked) and all(a is b for a, b in zip(got, walked))
+
 
 class TestGroupByIdentity:
     def test_keeps_identity_and_record_order(self):
@@ -386,7 +402,8 @@ class TestRowLayout:
             for k, rec in enumerate(recs):
                 assert np.shares_memory(rec.vector, block[k])
                 assert rec.vector.shape == block[k].shape
-            assert ds.row_clip[m].tolist() == [r.clip_id for r in recs]
+            assert ds.clip_row[m] == {r.clip_id: k for k, r in enumerate(recs)}
+            assert [ds.records[k] for k in ds.row_record[m]] == recs
             assert [ds.identity_ids[i] for i in ds.row_identity[m]] == [r.identity_id for r in recs]
 
     def test_synth_records_view_the_blocks(self):
@@ -396,10 +413,17 @@ class TestRowLayout:
         data.write_dataset(tmp_path / "d.fve", tiny_dataset())
         self.assert_records_view_their_rows(data.load_dataset(tmp_path / "d.fve"))
 
-    def test_records_constructor_stacks_once_and_repoints_the_records(self):
+    def test_records_constructor_stacks_once_onto_its_own_records(self):
         ds = tiny_dataset()
         self.assert_records_view_their_rows(ds)
         np.testing.assert_array_equal(ds.blocks["voice"], [[0.5, -0.25, 3.0], [0.0, 1e-17, -2.5]])
+
+    def test_records_constructor_leaves_the_callers_records(self):
+        a = data.synth_generate(3, 2, 4, 3, 1.0, 0.1, seed=3, latent_dim=2)
+        b = Dataset(a.records[:4], face_dim=4, voice_dim=3)
+        self.assert_records_view_their_rows(a)
+        self.assert_records_view_their_rows(b)
+        assert not any(np.shares_memory(rec.vector, block) for rec in b.records for block in a.blocks.values())
 
     def test_bench_sized_dataset_holds_one_copy_of_its_vectors(self):
         # 592 identities x 4 samples at the paper's face 512 / voice 192: 13.3 MB of vectors.

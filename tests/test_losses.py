@@ -47,7 +47,7 @@ def brute_force_symmetric_ce(sims, scale, labels=None):
     return 0.5 * (ce(logits) + ce(logits.T))
 
 
-def brute_force_op_loss(fused, labels, inter_weight=1.0):
+def brute_force_op_loss(fused, labels):
     """O(B^2) pairwise-cosine oracle."""
     b = fused.shape[0]
     unit = fused / np.linalg.norm(fused, axis=1, keepdims=True)
@@ -62,7 +62,7 @@ def brute_force_op_loss(fused, labels, inter_weight=1.0):
     if same:
         loss += 1.0 - sum(same) / len(same)
     if diff:
-        loss += inter_weight * sum(abs(c) for c in diff) / len(diff)
+        loss += sum(abs(c) for c in diff) / len(diff)
     return loss
 
 
@@ -455,13 +455,6 @@ class TestOrthogonalProjectionLoss:
         got = losses.orthogonal_projection_loss(Tensor(fused), labels).item()
         assert got == pytest.approx(brute_force_op_loss(fused, labels), abs=1e-12)
 
-    def test_inter_weight(self):
-        rng = np.random.default_rng(6)
-        fused = rng.normal(size=(4, 3))
-        labels = np.array([0, 0, 1, 1])
-        got = losses.orthogonal_projection_loss(Tensor(fused), labels, inter_weight=0.5).item()
-        assert got == pytest.approx(brute_force_op_loss(fused, labels, 0.5), abs=1e-12)
-
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), row=st.integers(0, 3), factor=st.floats(0.1, 40.0))
     def test_invariant_to_positive_row_rescaling(self, seed, row, factor):
@@ -513,7 +506,7 @@ class TestOrthogonalProjectionLoss:
         )
 
 
-def chain_op_loss(fused, labels, inter_weight=1.0):
+def chain_op_loss(fused, labels):
     """The orthogonal projection loss as a chain of generic ops: the graph the fused node replaces."""
     y = np.asarray(labels)
     gram = pairwise_cosine(fused, fused)
@@ -523,7 +516,7 @@ def chain_op_loss(fused, labels, inter_weight=1.0):
     if same.any():
         terms.append(sub(1.0, div((gram * Tensor(same.astype(np.float64))).sum(), float(same.sum()))))
     if diff.any():
-        terms.append(div((absolute(gram) * Tensor(diff.astype(np.float64))).sum(), float(diff.sum())) * inter_weight)
+        terms.append(div((absolute(gram) * Tensor(diff.astype(np.float64))).sum(), float(diff.sum())))
     return terms[0] if len(terms) == 1 else terms[0] + terms[1]
 
 
@@ -540,15 +533,14 @@ class TestOrthogonalProjectionNode:
     @pytest.mark.parametrize("case", list(OP_CASES))
     def test_matches_chain(self, case):
         labels, x = OP_CASES[case]
-        for w in (1.0, 0.5):
-            assert_matches_chain(
-                lambda f: losses.orthogonal_projection_loss(f, labels, w), lambda f: chain_op_loss(f, labels, w), [x]
-            )
+        assert_matches_chain(
+            lambda f: losses.orthogonal_projection_loss(f, labels), lambda f: chain_op_loss(f, labels), [x]
+        )
 
     @pytest.mark.parametrize("case", ["mixed", "no_same_label_pairs", "no_different_label_pairs"])
     def test_gradients(self, case):
         labels, x = OP_CASES[case]
-        check_gradients(lambda f: losses.orthogonal_projection_loss(f, labels, 0.7), [x])
+        check_gradients(lambda f: losses.orthogonal_projection_loss(f, labels), [x])
 
     def test_zero_row_gradient_goes_through_the_norm_floor(self):
         # Below the 1e-12 floor a row is scaled by 1e12, linearly. A step of 1e-6 leaves that
@@ -563,7 +555,7 @@ class TestOrthogonalProjectionNode:
         check_gradients(f, [np.zeros(5)], step=1e-15)
 
 
-def former_op_loss(x, labels, inter_weight):
+def former_op_loss(x, labels):
     """The OP loss value and gradient as the fused node computed them before it kept one buffer."""
     y = np.asarray(labels)
     b = x.shape[0]
@@ -578,8 +570,8 @@ def former_op_loss(x, labels, inter_weight):
         terms.append(1.0 - np.sum(gram * same) / float(same.sum()))
         d_gram -= same / float(same.sum())
     if diff.any():
-        terms.append(np.sum(np.abs(gram) * diff) / float(diff.sum()) * inter_weight)
-        d_gram += np.sign(gram) * diff * (inter_weight / float(diff.sum()))
+        terms.append(np.sum(np.abs(gram) * diff) / float(diff.sum()))
+        d_gram += np.sign(gram) * diff / float(diff.sum())
     d_gram += d_gram.T
     radial = np.divide(1.0, floored * floored * n, out=np.zeros_like(n), where=n >= 1e-12)
     d_unit = d_gram @ unit
@@ -589,13 +581,12 @@ def former_op_loss(x, labels, inter_weight):
 @pytest.mark.parametrize("labels", [[0, 1, 0, 2, 1], [0, 1, 2, 3, 4], [2, 2, 2, 2, 2]], ids=["repeated", "unique", "one"])
 def test_one_buffer_op_loss_matches_former_formula(labels):
     x = with_zero_row(np.random.default_rng(15).normal(size=(5, 6)))
-    for w in (1.0, 0.3):
-        t = Tensor(x, requires_grad=True)
-        loss = losses.orthogonal_projection_loss(t, labels, w)
-        loss.backward()
-        want, want_grad = former_op_loss(x, labels, w)
-        assert loss.item() == pytest.approx(want, rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(t.grad, want_grad, rtol=1e-12, atol=1e-12)
+    t = Tensor(x, requires_grad=True)
+    loss = losses.orthogonal_projection_loss(t, labels)
+    loss.backward()
+    want, want_grad = former_op_loss(x, labels)
+    assert loss.item() == pytest.approx(want, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(t.grad, want_grad, rtol=1e-12, atol=1e-12)
 
 
 class TestTotalLoss:
