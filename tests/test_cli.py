@@ -252,19 +252,31 @@ REMOVED_OPTIONS = {
 REMOVED = [(command, key) for command, keys in REMOVED_OPTIONS.items() for key in keys]
 
 
+def removed_option_argv(world, tmp_path, command):
+    return train_argv(world, tmp_path / "run") if command == "train" else ["synth", "--out", str(tmp_path / "run")]
+
+
 @pytest.mark.parametrize("command, key", REMOVED, ids=[key for _, key in REMOVED])
-def test_removed_option_is_unknown(world, tmp_path, capsys, monkeypatch, command, key):
-    """A removed flag is a usage error, a removed config key a data error, and a removed PAEFF_* variable is ignored."""
-    removed = cli.Option(key, "float", None)
-    argv = train_argv(world, tmp_path / "run") if command == "train" else ["synth", "--out", str(tmp_path / "run")]
-    assert cli.main([*argv, removed.flag, "0.5"]) == 1
-    assert f"unrecognized arguments: {removed.flag} 0.5" in capsys.readouterr().err
+def test_removed_flag_exits_1(world, tmp_path, capsys, command, key):
+    flag = cli.Option(key, "float", None).flag
+    assert cli.main([*removed_option_argv(world, tmp_path, command), flag, "0.5"]) == 1
+    assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, key", REMOVED, ids=[key for _, key in REMOVED])
+def test_removed_config_key_exits_2(world, tmp_path, capsys, command, key):
     (tmp_path / "run.cfg").write_text(f"{key} = 0.5\n")
-    assert cli.main([*argv, "--config", str(tmp_path / "run.cfg")]) == 2
+    assert cli.main([*removed_option_argv(world, tmp_path, command), "--config", str(tmp_path / "run.cfg")]) == 2
     assert f"unknown config key {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
-    monkeypatch.setenv(removed.env_name, "x")
-    assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("command, key", REMOVED, ids=[key for _, key in REMOVED])
+def test_removed_env_variable_is_ignored(world, tmp_path, monkeypatch, command, key):
+    # "x" is no float: the run would fail if the variable were still read.
+    monkeypatch.setenv(cli.Option(key, "float", None).env_name, "x")
+    assert cli.main(removed_option_argv(world, tmp_path, command)) == 0
 
 
 @pytest.mark.parametrize("command", list(REMOVED_OPTIONS))

@@ -168,6 +168,21 @@ class TestTrainLoop:
         )
         assert abs(breakdown.total.item() - expected) <= 1e-12
 
+    def test_op_loss_weighs_its_two_terms_equally(self):
+        ds, split, cfg = desk_setup()
+        batch = data.make_batches(ds, split, 8, seed=3)[0]
+        params = model.init_params(cfg, seed=3)
+        l_op = trainer.step_losses(batch.faces, batch.voices, batch.labels, params, cfg, LossWeights()).l_op.item()
+        embedding = model.forward(batch.faces, batch.voices, params, cfg).embedding.data
+        unit = embedding / np.linalg.norm(embedding, axis=1, keepdims=True)
+        cos = unit @ unit.T
+        labels = np.asarray(batch.labels)
+        off_diagonal = ~np.eye(len(labels), dtype=bool)
+        same = (labels[:, None] == labels[None, :]) & off_diagonal
+        diff = labels[:, None] != labels[None, :]
+        assert same.any() and diff.any()
+        assert l_op == pytest.approx(1.0 - cos[same].mean() + np.abs(cos[diff]).mean(), abs=1e-12)
+
     def test_repeated_identity_is_not_its_own_negative(self):
         ds, split, cfg = desk_setup()
         batch = data.make_batches(ds, split, 8, seed=3)[0]  # 8 rows over 6 train identities
