@@ -21,11 +21,12 @@ builds its records on them, ``load_dataset`` parses each line straight
 into its row, and ``Dataset(records, ...)`` stacks the records' vectors
 once and builds its own records on the rows.
 
-Training reads rows, not records. ``SplitSpec.part_rows`` derives a
-part's rows grouped by identity from the per-row arrays on every call,
-and ``make_batches`` gathers each batch from the blocks with one fancy
-index per modality. Evaluation still builds its trials from records,
-which ``SplitSpec.part_records`` picks by the same per-row arrays.
+Splits select rows, not records. ``SplitSpec.part_rows``, the only way
+to select a part, derives its rows grouped by identity from the per-row
+arrays on every call. ``make_batches`` gathers each batch from the
+blocks with one fancy index per modality, and the trial builders of
+``evaluation`` draw rows and fetch only the drawn rows' records
+(``Dataset.row_records``).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ SPLIT_MODES = ("seen_heard", "unseen_unheard")
 _HEADER_PREFIX = "#fve v1 "
 
 
-@dataclass
+@dataclass(slots=True)
 class EmbeddingRecord:
     identity_id: str
     modality: str
@@ -130,21 +131,12 @@ class Dataset:
             raise DataError(f"no {modality} record with clip id {clip_id!r}") from None
         return self.records[self.row_record[modality][row]]
 
+    def row_records(self, modality: str, rows: np.ndarray) -> list[EmbeddingRecord]:
+        """The records of ``blocks[modality]``'s ``rows``, in that order."""
+        return [self.records[k] for k in self.row_record[modality][rows].tolist()]
+
     def __len__(self) -> int:
         return len(self.records)
-
-
-def group_by_identity(records) -> dict[str, dict[str, list[EmbeddingRecord]]]:
-    """Records grouped as ``{identity: {"face": [...], "voice": [...]}}``.
-
-    Identities keep the order of their first record, and each list keeps
-    the input order of its records. Trial construction draws by position in
-    these lists, so the same records in the same order give the same trials.
-    """
-    groups: dict[str, dict[str, list[EmbeddingRecord]]] = {}
-    for rec in records:
-        groups.setdefault(rec.identity_id, {"face": [], "voice": []})[rec.modality].append(rec)
-    return groups
 
 
 def write_dataset(path, dataset: Dataset) -> None:
@@ -275,11 +267,6 @@ class SplitSpec:
             if not idents["train"] >= idents["val"] | idents["test"]:
                 raise DataError("seen_heard split: val/test identities must all appear in train")
 
-    def part_records(self, dataset: Dataset, part: str) -> list[EmbeddingRecord]:
-        """The records ``part`` selects, in record order, found through the per-row arrays."""
-        places = [dataset.row_record[m][rows] for m, (_, rows) in self._selected(dataset, part).items()]
-        return [dataset.records[k] for k in np.sort(np.concatenate(places)).tolist()]
-
     def _selected(self, dataset: Dataset, part: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per modality, the block rows ``part`` selects (ascending), as (identity indices, row indices)."""
         ids = self._parts()[part]
@@ -314,8 +301,11 @@ class PartRows:
 
     ``identities`` are the part's identity ids, sorted. In modality m,
     identity k owns rows ``rows[m][offsets[m][k] : offsets[m][k + 1]]`` of
-    ``dataset.blocks[m]``, in record order; an identity without a record of
-    m owns none there.
+    ``dataset.blocks[m]``, ascending, which is record order; an identity
+    without a record of m owns none there. So ``np.sort(rows[m])`` lists
+    the part's m rows in record order, and an identity's first record in
+    the part is the earlier of its first face and first voice row. Draws
+    from a part follow these orders, which a walk over its records takes.
     """
 
     identities: list[str]
@@ -364,9 +354,12 @@ def make_seen_split(dataset: Dataset, val_frac: float, test_frac: float, seed: i
     train: set[str] = set()
     val: set[str] = set()
     test: set[str] = set()
-    for _, pools in sorted(group_by_identity(dataset.records).items()):
+    everyone = SplitSpec("unseen_unheard", frozenset(dataset.identity_ids), frozenset(), frozenset())
+    rows = everyone.part_rows(dataset, "train")  # every identity's rows
+    for k in range(len(rows.identities)):
         for modality in MODALITIES:
-            clips = sorted(r.clip_id for r in pools[modality])
+            own = rows.rows[modality][rows.offsets[modality][k] : rows.offsets[modality][k + 1]]
+            clips = sorted(r.clip_id for r in dataset.row_records(modality, own))
             order = rng.permutation(clips).tolist()
             n = len(order)
             n_test = max(1, int(round(n * test_frac))) if n >= 3 else 0

@@ -6,8 +6,10 @@ other modality that shares the probe's identity. Both metrics also run
 per demographic stratum, where non-match trials are restricted to pairs
 sharing the stratum attributes.
 
-Each trial builder draws from its own ``default_rng(seed)`` stream, in
-the order its docstring gives. Verification trials, and with them the
+Each trial builder draws block rows of one split part
+(``SplitSpec.part_rows``) from its own ``default_rng(seed)`` stream, in
+the order its docstring gives, and fetches only the drawn rows' records
+(``Dataset.row_records``). Verification trials, and with them the
 validation trials that pick the best epoch, are the ones the earlier
 per-trial loop drew for the same seed. Matching trials are drawn as
 arrays over all trials, the distractors by Floyd's sampling without
@@ -38,14 +40,14 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import read_text
-from .data import Dataset, EmbeddingRecord, SplitSpec, group_by_identity
+from .data import MODALITIES, Dataset, EmbeddingRecord, SplitSpec
 from .errors import ContractError, DataError, NumericError, ParseError
 from .losses import pair_similarity
 from .model import ModelConfig, ModelParams, encode_modality
 
 STRATA = ("random", "G", "N", "A", "GNA")
 
-@dataclass
+@dataclass(slots=True)
 class VerificationTrial:
     score: float | None
     is_match: bool
@@ -53,7 +55,7 @@ class VerificationTrial:
     voice: EmbeddingRecord | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class MatchingTrial:
     probe_modality: str
     probe: EmbeddingRecord
@@ -295,61 +297,63 @@ def build_verification_trials(
 ) -> list[VerificationTrial]:
     """Balanced 50/50 match/non-match verification trials from one split part.
 
-    Draw order, all on one ``default_rng(seed)`` stream: first the
-    n = max_trials // 2 match trials, one at a time, each an identity
-    uniform over those with both modalities (sorted), then a face and a
-    voice uniform over that identity's records; then the non-match
-    trials, each a face uniform over the part's faces and a voice uniform
-    over its voices, kept when their identities differ and drawn again
-    when they do not. The non-match pairs are drawn in chunks, one
-    ``integers`` call per chunk with the bounds (faces, voices) repeated,
-    which returns the values of the per-pair scalar calls in the same
-    order (selfcheck ``rng.array_bounds`` checks this on the running
+    Draw order, all on one ``default_rng(seed)`` stream, over the rows of
+    ``split.part_rows``: first the n = max_trials // 2 match trials, one at
+    a time, each an identity uniform over those with both modalities
+    (sorted), then a face and a voice uniform over that identity's rows
+    (in record order); then the non-match trials, each a face uniform over
+    the part's face rows and a voice uniform over its voice rows (both in
+    record order, which is ascending), kept when their identities differ
+    and drawn again when they do not. The non-match pairs are drawn in
+    chunks, one ``integers`` call per chunk with the bounds (faces, voices)
+    repeated, which returns the values of the per-pair scalar calls in the
+    same order (selfcheck ``rng.array_bounds`` checks this on the running
     numpy); the first n kept pairs are the trials. So the trials, and the
     validation trials that pick the best epoch (``part="val"``), are the
-    ones the per-pair loop drew.
+    ones the per-pair loop over the part's records drew.
 
     Both phases draw with replacement, so a (face, voice) pair can repeat:
     it then counts once per draw in EER and AUC, and its repeats share a
     score, so they count in a stratum's ``tied_share``.
     """
-    records = split.part_records(dataset, part)
-    faces = [r for r in records if r.modality == "face"]
-    voices = [r for r in records if r.modality == "voice"]
-    by_id = group_by_identity(records)
-    paired_ids = sorted(i for i, pool in by_id.items() if pool["face"] and pool["voice"])
-    identities = sorted(by_id)
-    if not paired_ids or len(identities) < 2:
+    rows = split.part_rows(dataset, part)
+    counts = [rows.counts(m) for m in MODALITIES]
+    paired = np.flatnonzero((counts[0] > 0) & (counts[1] > 0)).tolist()
+    if not paired or len(rows.identities) < 2:
         raise ContractError(
             f"{part} split cannot build balanced trials "
-            f"(identities={len(identities)}, with both modalities={len(paired_ids)})"
+            f"(identities={len(rows.identities)}, with both modalities={len(paired)})"
         )
     n_each = max_trials // 2
     if n_each < 1:
         raise ContractError("max_trials must be at least 2")
 
-    paired = [(by_id[i]["face"], by_id[i]["voice"]) for i in paired_ids]
+    face_start, voice_start = (rows.offsets[m].tolist() for m in MODALITIES)
+    face_count, voice_count = (c.tolist() for c in counts)
     rng = np.random.default_rng(seed)
-    trials: list[VerificationTrial] = []
+    draw = rng.integers
+    match = []  # each match trial's face and voice, as places in rows.rows
     for _ in range(n_each):
-        face_pool, voice_pool = paired[rng.integers(len(paired))]
-        f = face_pool[rng.integers(len(face_pool))]
-        v = voice_pool[rng.integers(len(voice_pool))]
-        trials.append(VerificationTrial(score=None, is_match=True, face=f, voice=v))
+        k = paired[draw(len(paired))]
+        match.append((face_start[k] + draw(face_count[k]), voice_start[k] + draw(voice_count[k])))
+    match = np.array(match)
 
-    code = {identity: k for k, identity in enumerate(identities)}
-    face_code = np.array([code[r.identity_id] for r in faces])
-    voice_code = np.array([code[r.identity_id] for r in voices])
-    bounds = np.array([len(faces), len(voices)])
+    ordered = [np.sort(rows.rows[m]) for m in MODALITIES]  # the part's rows in record order
+    codes = [dataset.row_identity[m][r] for m, r in zip(MODALITIES, ordered)]
+    bounds = np.array([r.size for r in ordered])
     kept = []
     needed = n_each
     while needed:
         pairs = rng.integers(np.tile(bounds, needed)).reshape(needed, 2)
-        kept.append(pairs[face_code[pairs[:, 0]] != voice_code[pairs[:, 1]]][:needed])
+        kept.append(pairs[codes[0][pairs[:, 0]] != codes[1][pairs[:, 1]]][:needed])
         needed -= len(kept[-1])
-    for f, v in np.concatenate(kept).tolist():
-        trials.append(VerificationTrial(score=None, is_match=False, face=faces[f], voice=voices[v]))
-    return trials
+    nonmatch = np.concatenate(kept)
+
+    faces, voices = (
+        dataset.row_records(m, np.concatenate([rows.rows[m][match[:, j]], ordered[j][nonmatch[:, j]]]))
+        for j, m in enumerate(MODALITIES)
+    )
+    return [VerificationTrial(None, k < n_each, f, v) for k, (f, v) in enumerate(zip(faces, voices))]
 
 
 def build_matching_trials(
@@ -363,56 +367,55 @@ def build_matching_trials(
 ) -> list[MatchingTrial]:
     """Forced-choice trials: one true match among n_c gallery candidates.
 
-    The n_c - 1 distractors are distinct records drawn without replacement
-    from the other identities' gallery-modality records, so two distractors
+    The n_c - 1 distractors are distinct rows drawn without replacement
+    from the other identities' gallery-modality rows, so two distractors
     can share an identity.
 
-    Draw order, all on one ``default_rng(seed)`` stream, each step one
-    array over all trials: the identity, uniform over those with both
-    modalities (sorted); the probe, uniform over that identity's
-    probe-modality records; the match, uniform over its gallery-modality
-    records; the correct index, uniform over n_c; then the k = n_c - 1
-    distractors by Floyd's sampling without replacement (Bentley & Floyd,
-    CACM 1987), one column at a time. Column m draws t uniform over
-    [0, N - k + m], N being the trial's distractor count, and takes t, or
-    N - k + m when an earlier column took t. Distractor values index the
-    gallery-modality records without the identity's own. The trials of a
-    seed differ from those of the per-trial ``rng.choice`` loop this
-    replaced; the verification trials do not.
+    Draw order, all on one ``default_rng(seed)`` stream over the rows of
+    ``split.part_rows``, each step one array over all trials: the
+    identity, uniform over those with both modalities (sorted); the probe,
+    uniform over that identity's probe-modality rows (in record order);
+    the match, uniform over its gallery-modality rows; the correct index,
+    uniform over n_c; then the k = n_c - 1 distractors by Floyd's sampling
+    without replacement (Bentley & Floyd, CACM 1987), one column at a
+    time. Column m draws t uniform over [0, N - k + m], N being the trial's
+    distractor count, and takes t, or N - k + m when an earlier column
+    took t. Distractor values index the part's gallery-modality rows
+    without the identity's own, identity by identity in the order of their
+    first record in the part. The trials of a seed differ from those of the
+    per-trial ``rng.choice`` loop this replaced; the verification trials
+    do not.
     """
     if probe_modality not in ("face", "voice"):
         raise ContractError(f"probe_modality must be face or voice, got {probe_modality!r}")
     if n_c < 2:
         raise ContractError(f"gallery size must be at least 2, got {n_c}")
     gallery_modality = "face" if probe_modality == "voice" else "voice"
-    by_id = group_by_identity(split.part_records(dataset, part))
-    eligible = sorted(
-        i for i, pool in by_id.items() if pool[probe_modality] and pool[gallery_modality]
-    )
-    if len(by_id) < 2 or not eligible:
+    rows = split.part_rows(dataset, part)
+    counts = {m: rows.counts(m) for m in MODALITIES}
+    eligible = np.flatnonzero((counts[probe_modality] > 0) & (counts[gallery_modality] > 0))
+    if len(rows.identities) < 2 or not eligible.size:
         raise ContractError("matching trials need at least 2 identities with both modalities")
-    # Every identity's gallery-modality records, and where each identity's slice of them sits.
-    pool: list[EmbeddingRecord] = []
-    slices: dict[str, tuple[int, int]] = {}
-    for i, recs in by_id.items():
-        slices[i] = (len(pool), len(recs[gallery_modality]))
-        pool.extend(recs[gallery_modality])
-    slice_start, slice_len = np.array([slices[i] for i in eligible]).T
-    probes = [r for i in eligible for r in by_id[i][probe_modality]]
-    probe_count = np.array([len(by_id[i][probe_modality]) for i in eligible])
-    probe_start = np.cumsum(probe_count) - probe_count
+    # The pool orders identities by their first record in the part (rows within one are ascending).
+    first = np.full(len(rows.identities), len(dataset.records))
+    for m in MODALITIES:
+        held = counts[m] > 0
+        first[held] = np.minimum(first[held], dataset.row_record[m][rows.rows[m][rows.offsets[m][:-1][held]]])
+    key = np.repeat(first, counts[gallery_modality])  # each gallery row's identity's first record
+    place = np.argsort(key, kind="stable")
+    pool = rows.rows[gallery_modality][place]
 
     k = n_c - 1
     rng = np.random.default_rng(seed)
-    who = rng.integers(len(eligible), size=n_trials)
-    start, own = slice_start[who], slice_len[who]
+    who = eligible[rng.integers(len(eligible), size=n_trials)]
+    start, own = np.searchsorted(key[place], first[who]), counts[gallery_modality][who]
     n_distractors = len(pool) - own
     short = np.flatnonzero(n_distractors < k)
     if short.size:
         raise ContractError(
             f"not enough distractor records ({n_distractors[short[0]]}) for gallery size {n_c}"
         )
-    probe = probe_start[who] + rng.integers(probe_count[who])
+    probe = rows.offsets[probe_modality][who] + rng.integers(counts[probe_modality][who])
     match = start + rng.integers(own)
     correct = rng.integers(n_c, size=n_trials)
     picks = np.empty((n_trials, k), dtype=np.int64)
@@ -427,9 +430,11 @@ def build_matching_trials(
     slot = np.arange(n_c)
     source = np.where(slot == correct[:, None], k, slot - (slot > correct[:, None]))
     gallery = np.take_along_axis(np.column_stack([picks, match]), source, axis=1)
+    probes = dataset.row_records(probe_modality, rows.rows[probe_modality][probe])
+    galleries = dataset.row_records(gallery_modality, pool[gallery.ravel()])
     return [
-        MatchingTrial(probe_modality=probe_modality, probe=probes[p], gallery=[pool[j] for j in g], correct_index=c)
-        for p, g, c in zip(probe.tolist(), gallery.tolist(), correct.tolist())
+        MatchingTrial(probe_modality, r, galleries[t * n_c : (t + 1) * n_c], c)
+        for t, (r, c) in enumerate(zip(probes, correct.tolist()))
     ]
 
 

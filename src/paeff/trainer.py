@@ -2,13 +2,13 @@
 
 Each epoch draws matched-pair batches, optimizes the weighted sum of the
 three losses, and scores a fixed validation trial set; the checkpoint
-returned is the one with the best validation EER. The train part's rows
-(``SplitSpec.part_rows``) are derived from the dataset's arrays on every
-call, by ``train`` for the batch size and step count and by each epoch's
-``make_batches``; nothing is cached on the dataset or the split, so a
-repeated call repeats all of its work. Validation scores that
-all tie cannot rank the trials, so they are a ``NumericError`` naming the
-epoch, not an EER of 0.5.
+returned is the one with the best validation EER. No record is walked:
+the train part's rows (``SplitSpec.part_rows``) are derived from the
+dataset's arrays by ``train``, for the batch size and step count, and by
+each epoch's ``make_batches``, and the val part's once, for the val
+trials. Nothing is cached on the dataset or the split, so a repeated call
+repeats all of its work. Validation scores that all tie cannot rank the
+trials, so they are a ``NumericError`` naming the epoch, not an EER of 0.5.
 
 Precision. Each step (``train_step``) runs in float32 against float64
 master weights, the master-copy scheme of Micikevicius et al., "Mixed

@@ -7,13 +7,13 @@ import platform
 import struct
 import sys
 from dataclasses import asdict
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import paeff
+import record_walk as walk
 from paeff import cli, data, evaluation, model, trainer
 
 SYNTH = ["--identities", "10", "--samples-per-id", "3", "--face-dim", "6", "--voice-dim", "5",
@@ -430,45 +430,40 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["unseen_unheard", "seen_heard"])
-def test_train_groups_the_train_part_once(tmp_path, monkeypatch, mode):
-    """``paeff train`` derives the train part's rows from the dataset's arrays, once per call that needs them.
+def test_train_selects_each_part_by_rows_without_walking_records(tmp_path, monkeypatch, mode):
+    """``paeff train`` derives each part's rows from the dataset's arrays, once per call that needs them.
 
-    ``cmd_train`` derives them for the model's identity count, ``trainer.train``
-    once for the batch size and step count, and each epoch's ``make_batches``
-    once; no train-part record is walked or grouped. The val part is grouped
-    once, for the val trials.
+    ``cmd_train`` derives the train part's rows for the model's identity
+    count, ``trainer.train`` once for the batch size and step count, each
+    epoch's ``make_batches`` once, and ``build_verification_trials`` the
+    val part's once, for the val trials. The loaded dataset's records are
+    never walked: the trials fetch only their own.
     """
     root = tmp_path / mode
     assert cli.main(["synth", "--out", str(root), *SYNTH, "--split-mode", mode]) == 0
-    dataset = data.load_dataset(root / "data.fve")
-    split = data.SplitSpec(mode, *(data.read_split_file(root / f"{part}.ids") for part in ("train", "val", "test")))
-    key = attrgetter("identity_id" if mode == "unseen_unheard" else "clip_id")  # what the split ids name
-    derived, walked, grouped = [], [], []
-    part_rows, part_records, group_by_identity = (
-        data.SplitSpec.part_rows, data.SplitSpec.part_records, data.group_by_identity)
+    derived, loaded = [], []
+    part_rows, load_dataset = data.SplitSpec.part_rows, data.load_dataset
 
     def deriving(self, dataset, part):
         derived.append((sys._getframe(1).f_code.co_name, part))
         return part_rows(self, dataset, part)
 
-    def walking(self, dataset, part):
-        walked.append(part)
-        return part_records(self, dataset, part)
-
-    def grouping(records):
-        records = list(records)
-        grouped.append(frozenset(map(key, records)))
-        return group_by_identity(records)
+    def loading(path):
+        dataset = load_dataset(path)
+        dataset.records = walk.CountedWalks(dataset.records)
+        loaded.append(dataset)
+        return dataset
 
     monkeypatch.setattr(data.SplitSpec, "part_rows", deriving)
-    monkeypatch.setattr(data.SplitSpec, "part_records", walking)
-    for module in (data, trainer, evaluation, cli):
-        monkeypatch.setattr(module, "group_by_identity", grouping, raising=False)
+    monkeypatch.setattr(data, "load_dataset", loading)
     train(root, root / "run", "--split-mode", mode)
-    assert derived == [("cmd_train", "train"), ("train", "train")] + [("make_batches", "train")] * 2  # 2 epochs
-    assert walked == ["val"]
-    assert grouped == [split.val_ids]
-    identities = {r.identity_id for r in split.part_records(dataset, "train")}
+    assert derived == [("cmd_train", "train"), ("train", "train"), ("build_verification_trials", "val")] + [
+        ("make_batches", "train")
+    ] * 2  # 2 epochs
+    assert len(loaded) == 1 and loaded[0].records.walks == 0
+    dataset = load_dataset(root / "data.fve")
+    split = data.SplitSpec(mode, *(data.read_split_file(root / f"{part}.ids") for part in ("train", "val", "test")))
+    identities = {r.identity_id for r in walk.part_records(dataset, split, "train")}
     assert recorded(root / "run")["model"]["num_identities"] == len(identities)
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import record_walk as walk
 from paeff import data
 from paeff.data import Dataset, EmbeddingRecord, SplitSpec
 from paeff.errors import ContractError, DataError, NumericError, ParseError
@@ -157,7 +158,7 @@ class TestSplits:
         split = data.make_seen_split(ds, val_frac=0.2, test_frac=0.2, seed=3)
         split.validate(ds)
         for part in ("train", "test"):
-            assert set(data.group_by_identity(split.part_records(ds, part))) == set(ds.identities())
+            assert split.part_rows(ds, part).identities == ds.identities()
 
     def test_split_makers_return_plain_str_ids(self):
         ds = data.synth_generate(10, 6, 4, 4, 1.0, 0.0, seed=1, latent_dim=2)
@@ -191,47 +192,9 @@ class TestSplits:
         ]
         ds = Dataset(recs, face_dim=1, voice_dim=1)
         split = SplitSpec("seen_heard", frozenset({"a_f", "a_v"}), frozenset({"c1"}), frozenset())
-        assert {r.identity_id for r in split.part_records(ds, "val")} == {"A", "B"}
+        assert split.part_rows(ds, "val").identities == ["A", "B"]
         with pytest.raises(DataError, match="must all appear in train"):
             split.validate(ds)
-
-    @pytest.mark.parametrize("mode", data.SPLIT_MODES)
-    def test_part_records_are_the_record_walks(self, mode):
-        """``part_records`` returns the records a walk over ``records`` selects, in that order."""
-        ds = data.synth_generate(9, 5, 4, 3, 1.0, 0.1, seed=25, latent_dim=2)
-        ds = Dataset([ds.records[k] for k in np.random.default_rng(4).permutation(len(ds))], face_dim=4, voice_dim=3)
-        assert [r.identity_id for r in ds.records] != sorted(r.identity_id for r in ds.records)
-        if mode == "seen_heard":
-            split = data.make_seen_split(ds, val_frac=0.2, test_frac=0.2, seed=3)
-        else:
-            split = data.make_unseen_split(ds, n_val=2, n_test=3, seed=3)
-        key = "identity_id" if mode == "unseen_unheard" else "clip_id"
-        for part, ids in (("train", split.train_ids), ("val", split.val_ids), ("test", split.test_ids)):
-            walked = [r for r in ds.records if getattr(r, key) in ids]
-            got = split.part_records(ds, part)
-            assert walked and len(got) == len(walked) and all(a is b for a, b in zip(got, walked))
-
-
-class TestGroupByIdentity:
-    def test_keeps_identity_and_record_order(self):
-        recs = [
-            EmbeddingRecord("b", "voice", "b_v0", np.array([1.0])),
-            EmbeddingRecord("a", "face", "a_f0", np.array([2.0])),
-            EmbeddingRecord("b", "face", "b_f0", np.array([3.0])),
-            EmbeddingRecord("c", "voice", "c_v0", np.array([4.0])),
-            EmbeddingRecord("a", "face", "a_f1", np.array([5.0])),
-            EmbeddingRecord("b", "voice", "b_v1", np.array([6.0])),
-        ]
-        groups = data.group_by_identity(recs)
-        assert list(groups) == ["b", "a", "c"]
-        clips = {i: {m: [r.clip_id for r in g[m]] for m in g} for i, g in groups.items()}
-        assert clips == {
-            "b": {"face": ["b_f0"], "voice": ["b_v0", "b_v1"]},
-            "a": {"face": ["a_f0", "a_f1"], "voice": []},
-            "c": {"face": [], "voice": ["c_v0"]},
-        }
-        assert groups["b"]["voice"][0] is recs[0]
-        assert data.group_by_identity([]) == {}
 
 
 class TestMakeBatches:
@@ -270,7 +233,7 @@ class TestMakeBatches:
                 assert batch.faces.numpy()[row, 0] == value[["a", "b", "c"][label]]
 
     def test_rows_are_matched_pairs(self):
-        groups = data.group_by_identity(self.ds.records)
+        groups = walk.group_by_identity(self.ds.records)
         identities = sorted(groups)
         for batch in data.make_batches(self.ds, self.split, batch_size=2, seed=1):
             for row in range(batch.faces.shape[0]):
@@ -281,7 +244,7 @@ class TestMakeBatches:
     def test_no_test_identity_in_train_batches(self):
         ds = data.synth_generate(8, 2, 4, 4, 1.0, 0.0, seed=5, latent_dim=2)
         split = data.make_unseen_split(ds, n_val=2, n_test=2, seed=6)
-        train = sorted(data.group_by_identity(split.part_records(ds, "train")))
+        train = sorted(walk.group_by_identity(walk.part_records(ds, split, "train")))
         assert not set(train) & (split.val_ids | split.test_ids)
         held_out = [r.vector for r in ds.records if r.identity_id not in split.train_ids]
         seen = set()
@@ -316,7 +279,7 @@ class TestMakeBatches:
     @staticmethod
     def scalar_loop(dataset, split, batch_size, seed):
         """The per-row builder the array draw replaced: one scalar draw per row and modality."""
-        pools = data.group_by_identity(split.part_records(dataset, "train"))
+        pools = walk.group_by_identity(walk.part_records(dataset, split, "train"))
         identities = sorted(pools)
         rng = np.random.default_rng(seed)
         stream = (identity for _ in itertools.count() for identity in rng.permutation(identities))
@@ -345,7 +308,7 @@ class TestMakeBatches:
         kept = [r for k, r in enumerate(ds.records) if (k // 2) % 5 < 1 + ids.index(r.identity_id) % 5]
         ds = Dataset(kept, face_dim=4, voice_dim=3)
         split = SplitSpec("unseen_unheard", frozenset(ids), frozenset(), frozenset())
-        sizes = {len(p[m]) for p in data.group_by_identity(ds.records).values() for m in ("face", "voice")}
+        sizes = {len(p[m]) for p in walk.group_by_identity(ds.records).values() for m in ("face", "voice")}
         assert sizes == {1, 2, 3, 4, 5}
         got = data.make_batches(ds, split, batch_size, seed)
         want = self.scalar_loop(ds, split, batch_size, seed)
@@ -443,7 +406,7 @@ class TestRowLayout:
 class TestSynthGenerate:
     def test_noiseless_coupled_samples_identical(self):
         ds = data.synth_generate(3, 4, 6, 5, cross_modal_coupling=1.0, noise=0.0, seed=7, latent_dim=3)
-        groups = data.group_by_identity(ds.records)
+        groups = walk.group_by_identity(ds.records)
         assert sorted(groups) == ds.identities()
         for pool in groups.values():
             assert len(pool["face"]) == 4

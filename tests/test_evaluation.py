@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metrics_reference as ref
+import record_walk as walk
 from paeff import data, evaluation, hyperbolic as hyp, model
 from paeff.autodiff import Tensor
 from paeff.data import SplitSpec
@@ -448,7 +449,7 @@ class TestTrialSlots:
     @pytest.mark.parametrize("face_dim", [9, 10])
     def test_voice_gallery_for_voice_probe(self, face_dim):
         ds, split, cfg, params = small_setup(face_dim=face_dim, voice_dim=9)
-        voices = [r for r in split.part_records(ds, "test") if r.modality == "voice"]
+        voices = [r for r in walk.part_records(ds, split, "test") if r.modality == "voice"]
         trial = evaluation.MatchingTrial("voice", voices[0], voices[1:4], 0)
         with pytest.raises(ContractError, match=f"trial gallery slot holds voice clip '{voices[1].clip_id}'"):
             evaluation.matching_accuracy([trial], params, cfg)
@@ -471,9 +472,7 @@ def oracle_matching_trials(dataset, split, n_c, n_trials, seed, probe_modality):
     [0, j], or j if t is already taken.
     """
     gallery_modality = "face" if probe_modality == "voice" else "voice"
-    by_id = {}
-    for r in split.part_records(dataset, "test"):
-        by_id.setdefault(r.identity_id, {"face": [], "voice": []})[r.modality].append(r)
+    by_id = walk.group_by_identity(walk.part_records(dataset, split, "test"))
     eligible = sorted(i for i, pool in by_id.items() if pool[probe_modality] and pool[gallery_modality])
     k = n_c - 1
     rng = np.random.default_rng(seed)
@@ -569,7 +568,7 @@ class TestMatchingTrialContract:
         # Given its identity, a trial takes each other identity's record with chance k / N.
         ds, split = uneven_setup()
         trials = evaluation.build_matching_trials(ds, split, n_c, 3000, seed=6)
-        pool = [r for r in split.part_records(ds, "test") if r.modality == "face"]
+        pool = [r for r in walk.part_records(ds, split, "test") if r.modality == "face"]
         observed = dict.fromkeys((r.clip_id for r in pool), 0)
         expected = dict.fromkeys(observed, 0.0)
         for t in trials:
@@ -590,10 +589,10 @@ class TestVerificationTrialOracle:
     @staticmethod
     def scalar_loop(dataset, split, max_trials, seed, part):
         """The per-trial builder the chunked one replaced, one scalar draw at a time."""
-        records = split.part_records(dataset, part)
+        records = walk.part_records(dataset, split, part)
         faces = [r for r in records if r.modality == "face"]
         voices = [r for r in records if r.modality == "voice"]
-        by_id = data.group_by_identity(records)
+        by_id = walk.group_by_identity(records)
         paired = [(by_id[i]["face"], by_id[i]["voice"]) for i in sorted(by_id) if by_id[i]["face"] and by_id[i]["voice"]]
         rng = np.random.default_rng(seed)
         out = []
@@ -625,7 +624,7 @@ class TestVerificationTrialOracle:
         # b keeps one face and one voice against a's 12 each: 86 % of non-match draws pair a with a.
         ds = data.synth_generate(2, 12, 4, 4, 1.0, 0.1, seed=23, latent_dim=2)
         a, b = ds.identities()
-        b_pools = data.group_by_identity(ds.records)[b]
+        b_pools = walk.group_by_identity(ds.records)[b]
         kept = [r for r in ds.records if r.identity_id == a or r in (b_pools["face"][0], b_pools["voice"][0])]
         ds = data.Dataset(kept, ds.face_dim, ds.voice_dim)
         split = SplitSpec("unseen_unheard", frozenset(), frozenset(), frozenset([a, b]))
@@ -642,6 +641,62 @@ class TestVerificationTrialOracle:
         assert [(t.face.clip_id, t.voice.clip_id, t.is_match) for t in got] == self.scalar_loop(
             ds, split, 99, seed, "val"
         )
+
+
+class TestShuffledRecords:
+    """Row selection keeps the record walk's orders on records in no identity or modality order.
+
+    Every reference walks ``dataset.records`` (``record_walk``), so a trial
+    or split equal to it draws the paired identities sorted, each
+    identity's rows and the non-match faces and voices in record order, and
+    the matching pool's identities in the order of their first record.
+    """
+
+    @staticmethod
+    def dataset_and_split(seed, mode):
+        ds = walk.shuffled_dataset(seed)
+        if mode == "seen_heard":
+            return ds, data.make_seen_split(ds, val_frac=0.25, test_frac=0.3, seed=seed)
+        ids = ds.identities()
+        test, val = {ids[k] for k in (0, 1, 5, 9, -4, -2)}, {ids[k] for k in (3, 7, -1)}
+        return ds, SplitSpec("unseen_unheard", frozenset(ids) - test - val, frozenset(val), frozenset(test))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mode", data.SPLIT_MODES)
+    def test_records_follow_no_order(self, seed, mode):
+        ds, split = self.dataset_and_split(seed, mode)
+        walked = walk.part_records(ds, split, "test")
+        first_seen = list(walk.group_by_identity(walked))
+        assert first_seen != sorted(first_seen)
+        modalities = [r.modality for r in walked]
+        assert modalities != sorted(modalities) and modalities != sorted(modalities, reverse=True)
+        sizes = {len(p[m]) for p in walk.group_by_identity(ds.records).values() for m in data.MODALITIES}
+        assert 0 in sizes and len(sizes) >= 4
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mode", data.SPLIT_MODES)
+    @pytest.mark.parametrize("part", ["test", "val"])
+    def test_verification_trials(self, seed, mode, part):
+        ds, split = self.dataset_and_split(seed, mode)
+        got = evaluation.build_verification_trials(ds, split, 301, seed, part=part)
+        want = TestVerificationTrialOracle.scalar_loop(ds, split, 301, seed, part)
+        assert [(t.face.clip_id, t.voice.clip_id, t.is_match) for t in got] == want
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mode", data.SPLIT_MODES)
+    @pytest.mark.parametrize("n_c", [2, 6])
+    @pytest.mark.parametrize("probe_modality", ["voice", "face"])
+    def test_matching_trials(self, seed, mode, n_c, probe_modality):
+        ds, split = self.dataset_and_split(seed, mode)
+        trials = evaluation.build_matching_trials(ds, split, n_c, 200, seed, probe_modality)
+        got = [(t.probe.clip_id, [g.clip_id for g in t.gallery], t.correct_index) for t in trials]
+        assert got == oracle_matching_trials(ds, split, n_c, 200, seed, probe_modality)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seen_split(self, seed):
+        ds = walk.shuffled_dataset(seed)
+        split = data.make_seen_split(ds, val_frac=0.25, test_frac=0.3, seed=seed)
+        assert (split.train_ids, split.val_ids, split.test_ids) == walk.seen_split(ds, 0.25, 0.3, seed)
 
 
 class TestTrialConstruction:

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paeff import data, evaluation, losses, model, trainer
+import record_walk as walk
+from paeff import data, losses, model, trainer
 from paeff.autodiff import Tensor
 from paeff.errors import ContractError, NumericError
 from paeff.losses import LossWeights
@@ -130,28 +131,25 @@ class TestTrainLoop:
             np.testing.assert_array_equal(ta.data, tb.data, err_msg=name)
 
     @pytest.mark.parametrize("batch_size", [None, 4])
-    def test_train_part_grouped_once_per_run(self, batch_size, monkeypatch):
-        """The trainer derives the train part's rows once, each epoch's batches once more; val is grouped once."""
+    def test_parts_selected_by_rows_once_per_run(self, batch_size, monkeypatch):
+        """The train part's rows are derived once, and once more per epoch's batches; the val part's once.
+
+        The val trials select their part by rows too, and no record is walked.
+        """
         ds, split, cfg = desk_setup()
-        derived, grouped = [], []
-        part_rows, group_by_identity = data.SplitSpec.part_rows, data.group_by_identity
+        ds.records = walk.CountedWalks(ds.records)
+        derived = []
+        part_rows = data.SplitSpec.part_rows
 
         def deriving(self, dataset, part):
             derived.append((sys._getframe(1).f_code.co_name, part))
             return part_rows(self, dataset, part)
 
-        def grouping(records):
-            groups = group_by_identity(records)
-            grouped.append(frozenset(groups))
-            return groups
-
         monkeypatch.setattr(data.SplitSpec, "part_rows", deriving)
-        for module in (data, trainer, evaluation):
-            monkeypatch.setattr(module, "group_by_identity", grouping, raising=False)
         tc = trainer.TrainConfig(epochs=3, batch_size=batch_size, lr0=1e-3, seed=0, val_trials=20)
         trainer.train(ds, split, cfg, tc)
-        assert derived == [("train", "train")] + [("make_batches", "train")] * 3
-        assert grouped == [split.val_ids]
+        assert derived == [("train", "train"), ("build_verification_trials", "val")] + [("make_batches", "train")] * 3
+        assert ds.records.walks == 0
 
     def test_first_batch_total_matches_weighted_components(self):
         ds, split, cfg = desk_setup()
