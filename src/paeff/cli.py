@@ -289,7 +289,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     dataset = data.load_dataset(data_path)
     split = _load_split(resolved)
-    split.validate(dataset)
+    split.validate(dataset)  # before the class count: unknown train ids are a data error (2), not a config one (3)
     num_identities = len(split.part_rows(dataset, "train").identities)
     model_cfg = _build(model.ModelConfig, "model", resolved, face_dim=dataset.face_dim,
                        voice_dim=dataset.voice_dim, num_identities=num_identities)

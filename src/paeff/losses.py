@@ -11,6 +11,10 @@ The alignment's two arms, hyperbolic and cosine, share that node and
 differ only in the similarity table it is built on, which one helper
 picks. Evaluation scores trials with ``pair_similarity``: entries of that
 same table, in plain numpy, since a score needs no gradient.
+
+One max-shifted softmax kernel, ``_softmax``, has three uses: the rows of
+the classifier's logits in ``cross_entropy_loss``, and the rows and then
+the columns of the alignment's [B x B] logits in ``contrastive_nll``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from functools import partial
 
 import numpy as np
 
-from . import autodiff as ad
 from . import hyperbolic as hyp
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError, IndexOutOfRangeError, NumericError
@@ -81,6 +84,21 @@ def _unit_rows(x: np.ndarray):
         return d_unit / floored - x * (radial * np.sum(d_unit * x, axis=1, keepdims=True))
 
     return x / floored, back
+
+
+def _softmax(z: np.ndarray, axis: int, out=None):
+    """The softmax of ``z`` along ``axis``, max-shifted, and the max and the sum of exponentials it took.
+
+    Returns (p, top, total), the last two with ``axis`` kept at size 1, so
+    log p = z - top - log(total). ``p`` is written into ``out`` when given,
+    which may be ``z`` itself, and into a new array otherwise.
+    """
+    top = np.max(z, axis=axis, keepdims=True)
+    p = np.subtract(z, top, out=out)
+    np.exp(p, out=p)
+    total = np.sum(p, axis=axis, keepdims=True)
+    p /= total
+    return p, top, total
 
 
 def pair_similarity(
@@ -163,7 +181,7 @@ def alignment_loss(
     The arms differ only in their table T and sign, similarity = sign * T
     (:func:`_similarity_arm`); ``back(g, scale)`` takes scale * g, a
     gradient of T, to the rows. With t = exp(logit_scale) and P the logit
-    gradient (``autodiff.symmetric_nll_grad``), the rows get
+    gradient (:func:`contrastive_nll`), the rows get
     ``back(P, sign * t)`` and logit_scale gets <P, logits>, summed in the
     forward pass. The mask is built only when a label repeats. A table
     whose entries all tie, such as every pair at the distance cap, ranks
@@ -184,7 +202,7 @@ def alignment_loss(
         raise NumericError(f"alignment_loss: all {b * b} similarities equal {sign * table[0, 0]:.6g}, "
                            "so they cannot rank the pairs")
     scale = sign * math.exp(logit_scale.item())
-    loss, grad = ad.symmetric_nll_grad(table * scale, same)
+    loss, grad = contrastive_nll(table * scale, same)
     d_scale = scale * float(np.vdot(grad, table))
     del table
 
@@ -193,6 +211,34 @@ def alignment_loss(
         return (*back(grad, scale * g), np.full(logit_scale.shape, d_scale * g))
 
     return Tensor.from_op(np.asarray(loss), (f, v, logit_scale), (vjp,))
+
+
+def contrastive_nll(z: np.ndarray, mask=None) -> tuple[float, np.ndarray]:
+    """The symmetric contrastive loss of [B x B] logits ``z`` and its gradient.
+
+    The loss is the mean of the row-wise and the column-wise softmax
+    cross-entropy of the diagonal: row i's target is column i and column
+    j's target is row j. Entries where the boolean ``mask`` is set count as
+    -inf: zero softmax probability and zero gradient. This is the numpy
+    core of the alignment node. ``z`` is overwritten and returned as the
+    gradient ((softmax_rows + softmax_cols) / 2 - I) / B: the column
+    softmax is taken in place, so the pass holds one more [B x B] array,
+    for the row softmax, only while it runs. ``mask`` is trusted:
+    [B x B] boolean with a clear diagonal.
+    """
+    b = z.shape[0]
+    if mask is not None:
+        np.copyto(z, -np.inf, where=mask)
+    diag = z.diagonal().copy()
+    rows, top_r, sum_r = _softmax(z, axis=1)
+    _, top_c, sum_c = _softmax(z, axis=0, out=z)
+    z += rows
+    del rows
+    z *= 0.5 / b
+    z[np.diag_indices(b)] -= 1.0 / b
+    nll = np.mean(np.log(sum_r).reshape(b) + top_r.reshape(b) - diag)
+    nll += np.mean(np.log(sum_c).reshape(b) + top_c.reshape(b) - diag)
+    return 0.5 * float(nll), z
 
 
 def _cosine_table(x: np.ndarray, y: np.ndarray):
@@ -275,7 +321,34 @@ def orthogonal_projection_loss(fused: Tensor, labels) -> Tensor:
 
 
 def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
-    return ad.log_softmax_nll(logits, labels)
+    """Mean negative log softmax probability of each row's label class, as one tape node.
+
+    With top_i the row max and total_i its sum of shifted exponentials
+    (:func:`_softmax`), the loss is -mean(logits[i, t_i] - top_i - log(total_i))
+    and the gradient is (softmax - onehot) / B.
+    """
+    if logits.ndim != 2:
+        raise DimensionError(f"cross_entropy_loss expects [B x C] logits, got shape {logits.shape}")
+    t = np.asarray(labels)
+    if t.ndim != 1 or t.shape[0] != logits.shape[0]:
+        raise DimensionError(f"cross_entropy_loss: labels shape {t.shape} does not match batch {logits.shape[0]}")
+    if not np.issubdtype(t.dtype, np.integer):
+        t = t.astype(np.int64)
+    b, c = logits.shape
+    if np.any(t < 0) or np.any(t >= c):
+        raise IndexOutOfRangeError(f"target index out of range for {c} classes")
+
+    softmax, top, total = _softmax(logits.data, axis=1)
+    target_z = logits.data[np.arange(b), t] - top.reshape(b)
+    loss = -np.mean(target_z - np.log(total).reshape(b))
+
+    def vjp(g):
+        scale = float(g) / b
+        grad = softmax * scale
+        grad[np.arange(b), t] -= scale
+        return grad
+
+    return Tensor.from_op(np.asarray(loss), (logits,), (vjp,))
 
 
 def total_loss(l_align: Tensor, l_op: Tensor, l_ce: Tensor, weights: LossWeights) -> LossBreakdown:

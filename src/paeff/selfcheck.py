@@ -55,23 +55,23 @@ def check_autodiff_fused_row_gradients() -> None:
     )
 
 
-def check_autodiff_log_softmax_nll() -> None:
+def check_losses_cross_entropy() -> None:
     logits = np.zeros((2, 4))
-    loss = ad.log_softmax_nll(Tensor(logits), np.array([1, 2]))
+    loss = losses.cross_entropy_loss(Tensor(logits), np.array([1, 2]))
     _expect(abs(loss.item() - math.log(4.0)) < 1e-12, "uniform logits must give ln(C)")
     rng = np.random.default_rng(13)
-    check_gradients(lambda a: ad.log_softmax_nll(a, np.array([0, 2, 1])), [rng.normal(size=(3, 4))])
+    check_gradients(lambda a: losses.cross_entropy_loss(a, np.array([0, 2, 1])), [rng.normal(size=(3, 4))])
 
 
-def check_autodiff_symmetric_nll_grad() -> None:
+def check_losses_contrastive_nll() -> None:
     """The symmetric contrastive loss: ln(B) at uniform logits, and its gradient against central differences."""
-    _expect(abs(ad.symmetric_nll_grad(np.zeros((3, 3)))[0] - math.log(3.0)) < 1e-12, "uniform logits must give ln(B)")
+    _expect(abs(losses.contrastive_nll(np.zeros((3, 3)))[0] - math.log(3.0)) < 1e-12, "uniform logits must give ln(B)")
     rng = np.random.default_rng(27)
     labels = np.array([0, 1, 0, 2])
     mask = (labels[:, None] == labels[None, :]) & ~np.eye(4, dtype=bool)
 
     def node(z: Tensor) -> Tensor:
-        loss, grad = ad.symmetric_nll_grad(z.data.copy(), mask)
+        loss, grad = losses.contrastive_nll(z.data.copy(), mask)
         return Tensor.from_op(np.asarray(loss), (z,), (lambda g: float(g) * grad,))
 
     check_gradients(node, [rng.normal(size=(4, 4))])
@@ -87,8 +87,8 @@ def check_autodiff_backward_linearity() -> None:
         return t.grad.copy()
 
     targets = np.array([0, 2, 1])
-    combined = grad_of(lambda t: ad.log_softmax_nll(t, targets) + (t * t).sum())
-    separate = grad_of(lambda t: ad.log_softmax_nll(t, targets)) + grad_of(lambda t: (t * t).sum())
+    combined = grad_of(lambda t: losses.cross_entropy_loss(t, targets) + (t * t).sum())
+    separate = grad_of(lambda t: losses.cross_entropy_loss(t, targets)) + grad_of(lambda t: (t * t).sum())
     _expect(np.allclose(combined, separate, atol=1e-12), "gradient linearity violated")
 
 
@@ -407,8 +407,8 @@ def _brute_force_roc(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
 ALL_CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("autodiff.elementwise_gradients", check_autodiff_elementwise_gradients),
     ("autodiff.fused_row_gradients", check_autodiff_fused_row_gradients),
-    ("autodiff.log_softmax_nll", check_autodiff_log_softmax_nll),
-    ("autodiff.symmetric_nll_grad", check_autodiff_symmetric_nll_grad),
+    ("losses.cross_entropy", check_losses_cross_entropy),
+    ("losses.contrastive_nll", check_losses_contrastive_nll),
     ("autodiff.backward_linearity", check_autodiff_backward_linearity),
     ("hyperbolic.exp_log_inverse", check_hyperbolic_exp_log_inverse),
     ("hyperbolic.distance_symmetry", check_hyperbolic_distance_symmetry),

@@ -5,11 +5,18 @@ of size-1 axes: its fused nodes do that work inside one VJP. The chains
 that the tests compare those nodes against are built from the generic
 ops below, each a small node of its own. Their binary ops broadcast like
 numpy and sum a broadcast gradient back to its operand's shape.
+
+``log_softmax_nll`` and ``symmetric_nll_grad`` are the two softmax losses
+as they stood before ``losses`` took both onto one softmax kernel, kept
+word for word: the chain ``symmetric_nll`` is built on the first, and the
+tests hold ``losses.cross_entropy_loss`` and ``losses.contrastive_nll`` to
+both bit for bit.
 """
 
 import numpy as np
 
-from paeff.autodiff import Tensor, log_softmax_nll
+from paeff.autodiff import Tensor
+from paeff.errors import DimensionError, IndexOutOfRangeError
 
 
 def value_and_grads(f, arrays, seed=0):
@@ -187,3 +194,72 @@ def symmetric_nll(logits, mask=None):
     if mask is not None:
         logits = add(logits, Tensor(np.where(mask, -np.inf, 0.0)))
     return mul(add(log_softmax_nll(logits, targets), log_softmax_nll(transpose(logits), targets)), 0.5)
+
+
+def log_softmax_nll(logits: Tensor, targets) -> Tensor:
+    """Mean negative log softmax probability of the target class.
+
+    Numerically stable (max-shifted); gradient is (softmax - onehot) / B.
+    """
+    if logits.ndim != 2:
+        raise DimensionError(f"log_softmax_nll expects [B x C] logits, got shape {logits.shape}")
+    t = np.asarray(targets)
+    if t.ndim != 1 or t.shape[0] != logits.shape[0]:
+        raise DimensionError(
+            f"log_softmax_nll: targets shape {t.shape} does not match batch {logits.shape[0]}"
+        )
+    if not np.issubdtype(t.dtype, np.integer):
+        t = t.astype(np.int64)
+    b, c = logits.shape
+    if np.any(t < 0) or np.any(t >= c):
+        raise IndexOutOfRangeError(f"target index out of range for {c} classes")
+
+    z = logits.data - np.max(logits.data, axis=1, keepdims=True)
+    target_z = z[np.arange(b), t]
+    softmax = np.exp(z, out=z)  # one [B x C] buffer: z, then exp(z), then the softmax
+    total = np.sum(softmax, axis=1, keepdims=True)
+    loss = -np.mean(target_z - np.log(total).reshape(b))
+    softmax /= total
+
+    def vjp(g):
+        scale = float(g) / b
+        grad = softmax * scale
+        grad[np.arange(b), t] -= scale
+        return grad
+
+    return Tensor.from_op(np.asarray(loss), (logits,), (vjp,))
+
+
+def symmetric_nll_grad(z: np.ndarray, mask=None) -> tuple[float, np.ndarray]:
+    """The symmetric contrastive loss of [B x B] logits ``z`` and its gradient.
+
+    The loss is the mean of the row-wise and the column-wise
+    :func:`log_softmax_nll` of the diagonal: row i's target is column i and
+    column j's target is row j. Entries where the boolean ``mask`` is set
+    count as -inf: zero softmax probability and zero gradient. This is the
+    numpy core of the alignment node. ``z`` is overwritten
+    and returned as the gradient ((softmax_rows + softmax_cols) / 2 - I) / B,
+    so the pass holds one more [B x B] array, for the row softmax, only
+    while it runs. ``mask`` is trusted: [B x B] boolean with a clear diagonal.
+    """
+    b = z.shape[0]
+    if mask is not None:
+        np.copyto(z, -np.inf, where=mask)
+    diag = z.diagonal().copy()
+    top_r = np.max(z, axis=1, keepdims=True)
+    rows = np.subtract(z, top_r)
+    np.exp(rows, out=rows)
+    sum_r = np.sum(rows, axis=1, keepdims=True)
+    rows /= sum_r
+    top_c = np.max(z, axis=0, keepdims=True)
+    z -= top_c
+    np.exp(z, out=z)
+    sum_c = np.sum(z, axis=0, keepdims=True)
+    z /= sum_c
+    z += rows
+    del rows
+    z *= 0.5 / b
+    z[np.diag_indices(b)] -= 1.0 / b
+    nll = np.mean(np.log(sum_r).reshape(b) + top_r.reshape(b) - diag)
+    nll += np.mean(np.log(sum_c).reshape(b) + top_c.reshape(b) - diag)
+    return 0.5 * float(nll), z

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paeff import autodiff as ad
+from paeff import losses
 from paeff.autodiff import Tensor
-from paeff.errors import ContractError, DimensionError, IndexOutOfRangeError
+from paeff.errors import ContractError, DimensionError
 from paeff.gradcheck import check_gradients
 
 from chain_check import (
     absolute, add, artanh, assert_matches_chain, axis_sum, clamp_max, clamp_min, concat_cols, div, exp, matmul, mul,
-    norm2, relu, reshape, sigmoid, sqrt, sub, symmetric_nll, tanh, transpose,
+    norm2, relu, reshape, sigmoid, sqrt, sub, tanh, transpose,
 )
 
 
@@ -175,31 +176,6 @@ class TestBroadcasting:
         check_gradients(lambda x, y: ((x + y) * (x * y)).sum(), [a, b])
 
 
-class TestLogSoftmaxNll:
-    def test_uniform_logits(self):
-        loss = ad.log_softmax_nll(Tensor(np.zeros((1, 4))), np.array([2]))
-        assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
-
-    def test_confident_correct(self):
-        # direct formula: -log(e^10 / (e^10 + e^-10)) = log(1 + e^-20)
-        loss = ad.log_softmax_nll(Tensor([[10.0, -10.0]]), np.array([0]))
-        assert loss.item() == pytest.approx(math.log1p(math.exp(-20.0)), rel=1e-12)
-        assert loss.item() == pytest.approx(2.061e-9, rel=1e-3)
-
-    def test_identical_rows_mean_equals_single(self):
-        row = rand((1, 5), 20)
-        single = ad.log_softmax_nll(Tensor(row), np.array([3])).item()
-        double = ad.log_softmax_nll(Tensor(np.vstack([row, row])), np.array([3, 3])).item()
-        assert double == pytest.approx(single, abs=1e-15)
-
-    def test_target_out_of_range(self):
-        with pytest.raises(IndexOutOfRangeError):
-            ad.log_softmax_nll(Tensor(np.zeros((2, 3))), np.array([0, 3]))
-
-    def test_gradient(self):
-        check_gradients(lambda x: ad.log_softmax_nll(x, np.array([1, 0, 2])), [rand((3, 4), 21)])
-
-
 def shrink(n):
     """Radius function phi(n) = 1 / (1 + n)."""
     return 1.0 / (1.0 + n), -1.0 / (1.0 + n) ** 2
@@ -258,40 +234,6 @@ class TestAffine:
         w, b = Tensor(rand((2, 4), 38), requires_grad=True), Tensor(np.zeros(4), requires_grad=True)
         out = ad.affine(Tensor(rand((3, 2), 39)), w, b)
         assert out._parents == (w, b)
-
-
-def same_label_mask(labels):
-    y = np.asarray(labels)
-    return (y[:, None] == y[None, :]) & ~np.eye(len(y), dtype=bool)
-
-
-def symmetric_nll_node(z, mask=None):
-    """``ad.symmetric_nll_grad`` as a node over its logits."""
-    loss, grad = ad.symmetric_nll_grad(z.data.copy(), mask)
-    return Tensor.from_op(np.asarray(loss), (z,), (lambda g: float(g) * grad,))
-
-
-class TestSymmetricNllGrad:
-    @pytest.mark.parametrize("labels", [None, [0, 1, 0, 2, 1]], ids=["unique", "repeated"])
-    def test_matches_chain(self, labels):
-        mask = None if labels is None else same_label_mask(labels)
-        assert_matches_chain(
-            lambda z: symmetric_nll_node(z, mask), lambda z: symmetric_nll(z, mask), [rand((5, 5), 45, 3.0)]
-        )
-
-    @pytest.mark.parametrize("labels", [None, [0, 1, 0, 2, 1]], ids=["unique", "repeated"])
-    def test_gradients(self, labels):
-        mask = None if labels is None else same_label_mask(labels)
-        check_gradients(lambda z: symmetric_nll_node(z, mask), [rand((5, 5), 46)])
-
-    def test_uniform_logits_give_log_b(self):
-        loss, _ = ad.symmetric_nll_grad(np.zeros((4, 4)))
-        assert loss == pytest.approx(math.log(4.0), abs=1e-15)
-
-    def test_masked_entries_get_no_gradient(self):
-        mask = same_label_mask([0, 0, 1])
-        _, grad = ad.symmetric_nll_grad(rand((3, 3), 47), mask)
-        np.testing.assert_array_equal(grad[mask], 0.0)
 
 
 class TestBackward:
@@ -365,7 +307,7 @@ class TestBackward:
     def test_determinism(self):
         def build():
             x = Tensor(rand((4, 4), 29), requires_grad=True)
-            loss = ad.log_softmax_nll(matmul(tanh(x), Tensor(rand((4, 3), 30))), np.array([0, 1, 2, 0]))
+            loss = losses.cross_entropy_loss(matmul(tanh(x), Tensor(rand((4, 3), 30))), np.array([0, 1, 2, 0]))
             loss.backward()
             return loss.item(), x.grad.copy()
 

@@ -487,6 +487,16 @@ def test_required_options_are_checked_before_any_input_is_read(tmp_path, capsys,
     assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
+def test_train_split_of_only_unknown_identities_exits_2(world, tmp_path, capsys):
+    """The split is checked before the class count is taken from it, which would be 0 here and exit 3."""
+    (tmp_path / "train.ids").write_text("nobody0\nnobody1\n")
+    argv = train_argv(world, tmp_path / "run", "--split-train", str(tmp_path / "train.ids"))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "train split references unknown identities" in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--test-identities", "0"], "the test part needs at least 1 identity"),
     (["--val-identities", "0"], "the val part needs at least 1 identity"),

@@ -1,4 +1,4 @@
-"""Objectives: alignment CE, orthogonal projection, weighted total."""
+"""Objectives: alignment CE, orthogonal projection, cross-entropy, weighted total."""
 
 import dataclasses
 import math
@@ -17,7 +17,8 @@ from paeff.gradcheck import check_gradients
 from paeff.hyperbolic import BallConfig, PoincarePoint
 
 from chain_check import (
-    absolute, assert_matches_chain, concat_cols, div, exp, pairwise_cosine, reshape, sub, symmetric_nll, transpose,
+    absolute, assert_matches_chain, concat_cols, div, exp, log_softmax_nll, pairwise_cosine, reshape, sub,
+    symmetric_nll, symmetric_nll_grad, transpose,
 )
 
 CFG = BallConfig()
@@ -25,6 +26,10 @@ CFG = BallConfig()
 
 def lifted(data):
     return hyp.exp_map_origin(Tensor(np.asarray(data, dtype=np.float64)), CFG)
+
+
+def rand(shape, seed=0, scale=1.0):
+    return np.random.default_rng(seed).normal(size=shape) * scale
 
 
 def brute_force_symmetric_ce(sims, scale, labels=None):
@@ -246,6 +251,96 @@ def chain_alignment(face, voice, s, labels):
 def chain_cosine_alignment(face, voice, s, labels):
     """The cosine arm as the chain the fused node replaces: cos * exp(s), then the symmetric NLL."""
     return symmetric_nll(pairwise_cosine(face, voice) * exp(s), label_mask(labels))
+
+
+class TestCrossEntropyLoss:
+    def test_uniform_logits(self):
+        loss = losses.cross_entropy_loss(Tensor(np.zeros((1, 4))), np.array([2]))
+        assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
+
+    def test_confident_correct(self):
+        # direct formula: -log(e^10 / (e^10 + e^-10)) = log(1 + e^-20)
+        loss = losses.cross_entropy_loss(Tensor([[10.0, -10.0]]), np.array([0]))
+        assert loss.item() == pytest.approx(math.log1p(math.exp(-20.0)), rel=1e-12)
+        assert loss.item() == pytest.approx(2.061e-9, rel=1e-3)
+
+    def test_identical_rows_mean_equals_single(self):
+        row = rand((1, 5), 20)
+        single = losses.cross_entropy_loss(Tensor(row), np.array([3])).item()
+        double = losses.cross_entropy_loss(Tensor(np.vstack([row, row])), np.array([3, 3])).item()
+        assert double == pytest.approx(single, abs=1e-15)
+
+    def test_target_out_of_range(self):
+        with pytest.raises(IndexOutOfRangeError):
+            losses.cross_entropy_loss(Tensor(np.zeros((2, 3))), np.array([0, 3]))
+
+    def test_gradient(self):
+        check_gradients(lambda x: losses.cross_entropy_loss(x, np.array([1, 0, 2])), [rand((3, 4), 21)])
+
+
+def contrastive_nll_node(z, mask=None):
+    """``losses.contrastive_nll`` as a node over its logits."""
+    loss, grad = losses.contrastive_nll(z.data.copy(), mask)
+    return Tensor.from_op(np.asarray(loss), (z,), (lambda g: float(g) * grad,))
+
+
+class TestContrastiveNll:
+    @pytest.mark.parametrize("labels", [None, [0, 1, 0, 2, 1]], ids=["unique", "repeated"])
+    def test_matches_chain(self, labels):
+        mask = label_mask(labels)
+        assert_matches_chain(
+            lambda z: contrastive_nll_node(z, mask), lambda z: symmetric_nll(z, mask), [rand((5, 5), 45, 3.0)]
+        )
+
+    @pytest.mark.parametrize("labels", [None, [0, 1, 0, 2, 1]], ids=["unique", "repeated"])
+    def test_gradients(self, labels):
+        mask = label_mask(labels)
+        check_gradients(lambda z: contrastive_nll_node(z, mask), [rand((5, 5), 46)])
+
+    def test_uniform_logits_give_log_b(self):
+        loss, _ = losses.contrastive_nll(np.zeros((4, 4)))
+        assert loss == pytest.approx(math.log(4.0), abs=1e-15)
+
+    def test_masked_entries_get_no_gradient(self):
+        mask = label_mask([0, 0, 1])
+        _, grad = losses.contrastive_nll(rand((3, 3), 47), mask)
+        np.testing.assert_array_equal(grad[mask], 0.0)
+
+
+@pytest.mark.parametrize("repeated", [False, True], ids=["unique", "repeated"])
+@pytest.mark.parametrize("b", [2, 7, 64, 256])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+class TestSoftmaxKernelKeepsTheBits:
+    """Both softmax losses on the one kernel equal, bit for bit, the two functions they replace (``chain_check``)."""
+
+    @staticmethod
+    def labels(b, repeated, rng):
+        y = rng.choice(512, size=b, replace=False)
+        if repeated:
+            y[-1] = y[0]
+        return y
+
+    def test_cross_entropy(self, dtype, b, repeated):
+        rng = np.random.default_rng(b)
+        logits, labels = (rng.normal(size=(b, 512)) * 4.0).astype(dtype), self.labels(b, repeated, rng)
+        results = []
+        for loss_of in (losses.cross_entropy_loss, log_softmax_nll):
+            x = Tensor(logits, requires_grad=True)
+            loss = loss_of(x, labels)
+            loss.backward()
+            results.append((loss.data, x.grad))
+        (got, got_grad), (want, want_grad) = results
+        assert got.dtype == want.dtype == dtype and got_grad.dtype == want_grad.dtype == dtype
+        assert np.array_equal(got, want) and np.array_equal(got_grad, want_grad)
+
+    def test_contrastive_nll(self, dtype, b, repeated):
+        rng = np.random.default_rng(b)
+        z, labels = (rng.normal(size=(b, b)) * 4.0).astype(dtype), self.labels(b, repeated, rng)
+        mask = label_mask(labels) if repeated else None
+        got, got_grad = losses.contrastive_nll(z.copy(), mask)
+        want, want_grad = symmetric_nll_grad(z.copy(), mask)
+        assert got == want
+        assert got_grad.dtype == want_grad.dtype == dtype and np.array_equal(got_grad, want_grad)
 
 
 class TestHyperbolicAlignmentNode:

@@ -6,8 +6,8 @@ from paeff import selfcheck
 NAMES = [
     "autodiff.elementwise_gradients",
     "autodiff.fused_row_gradients",
-    "autodiff.log_softmax_nll",
-    "autodiff.symmetric_nll_grad",
+    "losses.cross_entropy",
+    "losses.contrastive_nll",
     "autodiff.backward_linearity",
     "hyperbolic.exp_log_inverse",
     "hyperbolic.distance_symmetry",
