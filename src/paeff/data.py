@@ -11,22 +11,23 @@ exactly, so write -> load -> write is byte-identical.
 
 Row layout. A ``Dataset`` keeps each modality's vectors as one block,
 ``blocks["face"]`` [Nf x F] and ``blocks["voice"]`` [Nv x V], whose rows
-follow that modality's records in record order. Parallel per-row arrays
-give each row's identity (``row_identity``, an index into the sorted
-``identity_ids``) and record (``row_record``, its position in
-``records``), and ``clip_row`` maps each modality's clip ids to their
-rows. Each record's ``vector`` is a view of its row, so the blocks hold
-the only copy of the vectors: ``synth_generate`` fills the blocks and
-builds its records on them, ``load_dataset`` parses each line straight
-into its row, and ``Dataset(records, ...)`` stacks the records' vectors
-once and builds its own records on the rows.
+follow that modality's records in record order, and ``block_records[m]``
+lists those records, one per row. A per-row array gives each row's
+identity (``row_identity``, an index into the sorted ``identity_ids``),
+and ``clip_row`` maps each modality's clip ids to their rows. Each
+record's ``vector`` is a view of its row, so the blocks hold the only
+copy of the vectors: ``synth_generate`` fills the blocks and builds its
+records on them, ``load_dataset`` parses each line straight into its
+row, and ``Dataset(records, ...)`` stacks the records' vectors once and
+builds its own records on the rows.
 
 Splits select rows, not records. ``SplitSpec.part_rows``, the only way
 to select a part, derives its rows grouped by identity from the per-row
-arrays on every call. ``make_batches`` gathers each batch from the
-blocks with one fancy index per modality, and the trial builders of
-``evaluation`` draw rows and fetch only the drawn rows' records
-(``Dataset.row_records``).
+arrays on every call, and every draw from a part follows that
+``PartRows`` order, so record order matters only to ``records`` and the
+file. ``make_batches`` gathers each batch from the blocks with one fancy
+index per modality, and the trial builders of ``evaluation`` draw rows
+and fetch only the drawn rows' records (``Dataset.row_records``).
 """
 
 from __future__ import annotations
@@ -71,8 +72,10 @@ class Dataset:
     ``vector`` views its row; the caller's records are left as they are.
     ``synth_generate`` and ``load_dataset`` pass ``blocks`` whose rows their
     records already view, in record order, and the dataset holds those
-    records. ``sha256`` is the digest of the bytes ``load_dataset`` parsed,
-    and None for a dataset not read from a file.
+    records. ``records`` and ``block_records`` hold the same record objects,
+    in record order and in block-row order. ``sha256`` is the digest of the
+    bytes ``load_dataset`` parsed, and None for a dataset not read from a
+    file.
     """
 
     def __init__(
@@ -85,9 +88,8 @@ class Dataset:
         self.sha256: str | None = None
         dims = {"face": face_dim, "voice": voice_dim}
         by_modality: dict[str, list[EmbeddingRecord]] = {m: [] for m in MODALITIES}  # each block's records
-        positions: dict[str, list[int]] = {m: [] for m in MODALITIES}  # each block row's place in records
         self.clip_row: dict[str, dict[str, int]] = {m: {} for m in MODALITIES}
-        for k, rec in enumerate(self.records):
+        for rec in self.records:
             if rec.modality not in MODALITIES:
                 raise DataError(f"unknown modality {rec.modality!r} on clip {rec.clip_id!r}")
             if blocks is None and (rec.vector.ndim != 1 or rec.vector.size != dims[rec.modality]):
@@ -100,7 +102,6 @@ class Dataset:
                 raise DataError(f"duplicate clip id {rec.clip_id!r} for modality {rec.modality}")
             clip_row[rec.clip_id] = len(clip_row)
             by_modality[rec.modality].append(rec)
-            positions[rec.modality].append(k)
         if blocks is None:
             blocks = {
                 m: np.array([rec.vector for rec in recs], dtype=np.float64).reshape(-1, dims[m])
@@ -108,18 +109,19 @@ class Dataset:
             }
             rows = {m: iter(block) for m, block in blocks.items()}
             self.records = [replace(rec, vector=next(rows[rec.modality])) for rec in self.records]
+            by_modality = {m: [rec for rec in self.records if rec.modality == m] for m in MODALITIES}
         for m, block in blocks.items():
             finite = np.isfinite(block).all(axis=1)
             if not finite.all():
                 clip = by_modality[m][int(np.argmin(finite))].clip_id
                 raise NumericError(f"clip {clip!r}: vector contains non-finite values")
         self.blocks = blocks
+        self.block_records = by_modality
         self.identity_ids = sorted({rec.identity_id for rec in self.records})
         code = {identity: k for k, identity in enumerate(self.identity_ids)}
         self.row_identity = {
             m: np.array([code[rec.identity_id] for rec in recs], dtype=np.intp) for m, recs in by_modality.items()
         }
-        self.row_record = {m: np.array(p, dtype=np.intp) for m, p in positions.items()}
 
     def identities(self) -> list[str]:
         return list(self.identity_ids)
@@ -129,11 +131,11 @@ class Dataset:
             row = self.clip_row[modality][clip_id]
         except KeyError:
             raise DataError(f"no {modality} record with clip id {clip_id!r}") from None
-        return self.records[self.row_record[modality][row]]
+        return self.block_records[modality][row]
 
     def row_records(self, modality: str, rows: np.ndarray) -> list[EmbeddingRecord]:
         """The records of ``blocks[modality]``'s ``rows``, in that order."""
-        return [self.records[k] for k in self.row_record[modality][rows].tolist()]
+        return list(map(self.block_records[modality].__getitem__, rows.tolist()))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -297,15 +299,17 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class PartRows:
-    """One split part's block rows, grouped by identity.
+    """One split part's block rows, grouped by identity: the order of every draw from the part.
 
     ``identities`` are the part's identity ids, sorted. In modality m,
     identity k owns rows ``rows[m][offsets[m][k] : offsets[m][k + 1]]`` of
     ``dataset.blocks[m]``, ascending, which is record order; an identity
-    without a record of m owns none there. So ``np.sort(rows[m])`` lists
-    the part's m rows in record order, and an identity's first record in
-    the part is the earlier of its first face and first voice row. Draws
-    from a part follow these orders, which a walk over its records takes.
+    without a record of m owns none there. So ``rows[m]`` lists the part's
+    m rows identity by identity in sorted-id order. The trial builders and
+    ``make_batches`` index ``rows[m]`` and ``offsets[m]`` directly; on
+    records that come grouped by identity in sorted-id order, as
+    ``synth_generate`` writes them below 10 000 identities, this order is
+    record order.
     """
 
     identities: list[str]
@@ -460,7 +464,6 @@ def synth_generate(
     noise: float,
     seed: int,
     latent_dim: int = 16,
-    demographics: bool = True,
 ) -> Dataset:
     """Generate a coupled two-modality dataset with a tunable association.
 
@@ -498,13 +501,11 @@ def synth_generate(
         z = rng.normal(size=latent_dim)
         z_prime = rng.normal(size=latent_dim)
         voice_latent = rho * z + (1.0 - rho) * z_prime
-        tags = {}
-        if demographics:
-            tags = {
-                "gender": _GENDERS[rng.integers(len(_GENDERS))],
-                "nationality": _NATIONALITIES[rng.integers(len(_NATIONALITIES))],
-                "age_group": _AGE_GROUPS[rng.integers(len(_AGE_GROUPS))],
-            }
+        tags = {
+            "gender": _GENDERS[rng.integers(len(_GENDERS))],
+            "nationality": _NATIONALITIES[rng.integers(len(_NATIONALITIES))],
+            "age_group": _AGE_GROUPS[rng.integers(len(_AGE_GROUPS))],
+        }
         # One draw per identity is the same stream as a face then a voice draw per sample.
         draws = rng.normal(size=(samples_per_id, face_dim + voice_dim))
         rows = slice(k * samples_per_id, (k + 1) * samples_per_id)

@@ -6,14 +6,15 @@ other modality that shares the probe's identity. Both metrics also run
 per demographic stratum, where non-match trials are restricted to pairs
 sharing the stratum attributes.
 
-Each trial builder draws block rows of one split part
-(``SplitSpec.part_rows``) from its own ``default_rng(seed)`` stream, in
-the order its docstring gives, and fetches only the drawn rows' records
-(``Dataset.row_records``). Verification trials, and with them the
-validation trials that pick the best epoch, are the ones the earlier
-per-trial loop drew for the same seed. Matching trials are drawn as
-arrays over all trials, the distractors by Floyd's sampling without
-replacement, and differ from the earlier per-trial draw.
+Each trial builder draws block rows of one split part from its own
+``default_rng(seed)`` stream, in the order its docstring gives, and
+fetches only the drawn rows' records (``Dataset.row_records``). Every
+draw indexes the part's ``PartRows`` (``SplitSpec.part_rows``):
+identities sorted, each identity's rows ascending. So the trials of a
+seed depend on the records only through each identity's own records,
+not on how identities interleave in the file. Matching trials are drawn
+as arrays over all trials, the distractors by Floyd's sampling without
+replacement.
 
 Many trials share one record, so scoring collects the distinct record
 objects of each trial slot, encodes each once, and scores every trial as
@@ -297,20 +298,19 @@ def build_verification_trials(
 ) -> list[VerificationTrial]:
     """Balanced 50/50 match/non-match verification trials from one split part.
 
-    Draw order, all on one ``default_rng(seed)`` stream, over the rows of
-    ``split.part_rows``: first the n = max_trials // 2 match trials, one at
-    a time, each an identity uniform over those with both modalities
-    (sorted), then a face and a voice uniform over that identity's rows
-    (in record order); then the non-match trials, each a face uniform over
-    the part's face rows and a voice uniform over its voice rows (both in
-    record order, which is ascending), kept when their identities differ
-    and drawn again when they do not. The non-match pairs are drawn in
-    chunks, one ``integers`` call per chunk with the bounds (faces, voices)
+    Draw order, all on one ``default_rng(seed)`` stream, over the part's
+    ``split.part_rows``, in its order (identities sorted, each identity's
+    rows ascending): first the n = max_trials // 2 match trials, one at a
+    time, each an identity uniform over those with both modalities, then a
+    face and a voice uniform over that identity's rows; then the non-match
+    trials, each a face uniform over the part's face rows and a voice
+    uniform over its voice rows, kept when their identities differ and
+    drawn again when they do not. The non-match pairs are drawn in chunks,
+    one ``integers`` call per chunk with the bounds (faces, voices)
     repeated, which returns the values of the per-pair scalar calls in the
     same order (selfcheck ``rng.array_bounds`` checks this on the running
-    numpy); the first n kept pairs are the trials. So the trials, and the
-    validation trials that pick the best epoch (``part="val"``), are the
-    ones the per-pair loop over the part's records drew.
+    numpy); the first n kept pairs are the trials. The validation trials
+    that pick the best epoch are drawn the same way (``part="val"``).
 
     Both phases draw with replacement, so a (face, voice) pair can repeat:
     it then counts once per draw in EER and AUC, and its repeats share a
@@ -332,27 +332,22 @@ def build_verification_trials(
     face_count, voice_count = (c.tolist() for c in counts)
     rng = np.random.default_rng(seed)
     draw = rng.integers
-    match = []  # each match trial's face and voice, as places in rows.rows
+    match = []  # each match trial's face and voice, as places in rows.rows[m]
     for _ in range(n_each):
         k = paired[draw(len(paired))]
         match.append((face_start[k] + draw(face_count[k]), voice_start[k] + draw(voice_count[k])))
-    match = np.array(match)
 
-    ordered = [np.sort(rows.rows[m]) for m in MODALITIES]  # the part's rows in record order
-    codes = [dataset.row_identity[m][r] for m, r in zip(MODALITIES, ordered)]
-    bounds = np.array([r.size for r in ordered])
+    codes = [dataset.row_identity[m][rows.rows[m]] for m in MODALITIES]
+    bounds = np.array([c.size for c in codes])
     kept = []
     needed = n_each
     while needed:
         pairs = rng.integers(np.tile(bounds, needed)).reshape(needed, 2)
         kept.append(pairs[codes[0][pairs[:, 0]] != codes[1][pairs[:, 1]]][:needed])
         needed -= len(kept[-1])
-    nonmatch = np.concatenate(kept)
+    places = np.concatenate([np.array(match), *kept])
 
-    faces, voices = (
-        dataset.row_records(m, np.concatenate([rows.rows[m][match[:, j]], ordered[j][nonmatch[:, j]]]))
-        for j, m in enumerate(MODALITIES)
-    )
+    faces, voices = (dataset.row_records(m, rows.rows[m][places[:, j]]) for j, m in enumerate(MODALITIES))
     return [VerificationTrial(None, k < n_each, f, v) for k, (f, v) in enumerate(zip(faces, voices))]
 
 
@@ -363,52 +358,42 @@ def build_matching_trials(
     n_trials: int,
     seed: int,
     probe_modality: str = "voice",
-    part: str = "test",
 ) -> list[MatchingTrial]:
-    """Forced-choice trials: one true match among n_c gallery candidates.
+    """Forced-choice trials on the test part: one true match among n_c gallery candidates.
 
     The n_c - 1 distractors are distinct rows drawn without replacement
     from the other identities' gallery-modality rows, so two distractors
     can share an identity.
 
-    Draw order, all on one ``default_rng(seed)`` stream over the rows of
-    ``split.part_rows``, each step one array over all trials: the
-    identity, uniform over those with both modalities (sorted); the probe,
-    uniform over that identity's probe-modality rows (in record order);
-    the match, uniform over its gallery-modality rows; the correct index,
-    uniform over n_c; then the k = n_c - 1 distractors by Floyd's sampling
-    without replacement (Bentley & Floyd, CACM 1987), one column at a
-    time. Column m draws t uniform over [0, N - k + m], N being the trial's
-    distractor count, and takes t, or N - k + m when an earlier column
-    took t. Distractor values index the part's gallery-modality rows
-    without the identity's own, identity by identity in the order of their
-    first record in the part. The trials of a seed differ from those of the
-    per-trial ``rng.choice`` loop this replaced; the verification trials
-    do not.
+    Draw order, all on one ``default_rng(seed)`` stream over the part's
+    ``split.part_rows``, in its order (identities sorted, each identity's
+    rows ascending), each step one array over all trials: the identity,
+    uniform over those with both modalities; the probe, uniform over that
+    identity's probe-modality rows; the match, uniform over its
+    gallery-modality rows; the correct index, uniform over n_c; then the
+    k = n_c - 1 distractors by Floyd's sampling without replacement
+    (Bentley & Floyd, CACM 1987), one column at a time. Column m draws t
+    uniform over [0, N - k + m], N being the trial's distractor count, and
+    takes t, or N - k + m when an earlier column took t. Distractor values
+    index the part's gallery-modality rows, in ``PartRows`` order, without
+    the identity's own.
     """
     if probe_modality not in ("face", "voice"):
         raise ContractError(f"probe_modality must be face or voice, got {probe_modality!r}")
     if n_c < 2:
         raise ContractError(f"gallery size must be at least 2, got {n_c}")
     gallery_modality = "face" if probe_modality == "voice" else "voice"
-    rows = split.part_rows(dataset, part)
+    rows = split.part_rows(dataset, "test")
     counts = {m: rows.counts(m) for m in MODALITIES}
     eligible = np.flatnonzero((counts[probe_modality] > 0) & (counts[gallery_modality] > 0))
     if len(rows.identities) < 2 or not eligible.size:
         raise ContractError("matching trials need at least 2 identities with both modalities")
-    # The pool orders identities by their first record in the part (rows within one are ascending).
-    first = np.full(len(rows.identities), len(dataset.records))
-    for m in MODALITIES:
-        held = counts[m] > 0
-        first[held] = np.minimum(first[held], dataset.row_record[m][rows.rows[m][rows.offsets[m][:-1][held]]])
-    key = np.repeat(first, counts[gallery_modality])  # each gallery row's identity's first record
-    place = np.argsort(key, kind="stable")
-    pool = rows.rows[gallery_modality][place]
+    pool = rows.rows[gallery_modality]
 
     k = n_c - 1
     rng = np.random.default_rng(seed)
     who = eligible[rng.integers(len(eligible), size=n_trials)]
-    start, own = np.searchsorted(key[place], first[who]), counts[gallery_modality][who]
+    start, own = rows.offsets[gallery_modality][who], counts[gallery_modality][who]
     n_distractors = len(pool) - own
     short = np.flatnonzero(n_distractors < k)
     if short.size:

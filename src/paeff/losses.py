@@ -325,7 +325,8 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
 
     With top_i the row max and total_i its sum of shifted exponentials
     (:func:`_softmax`), the loss is -mean(logits[i, t_i] - top_i - log(total_i))
-    and the gradient is (softmax - onehot) / B.
+    and the gradient is (softmax - onehot) / B. Labels of a non-integer
+    dtype are a ``ContractError``, not truncated.
     """
     if logits.ndim != 2:
         raise DimensionError(f"cross_entropy_loss expects [B x C] logits, got shape {logits.shape}")
@@ -333,7 +334,7 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
     if t.ndim != 1 or t.shape[0] != logits.shape[0]:
         raise DimensionError(f"cross_entropy_loss: labels shape {t.shape} does not match batch {logits.shape[0]}")
     if not np.issubdtype(t.dtype, np.integer):
-        t = t.astype(np.int64)
+        raise ContractError(f"cross_entropy_loss needs integer class labels, got dtype {t.dtype}")
     b, c = logits.shape
     if np.any(t < 0) or np.any(t >= c):
         raise IndexOutOfRangeError(f"target index out of range for {c} classes")

@@ -1,11 +1,12 @@
 """Record walks: the split and trial references that tests compare row selection with.
 
 ``data.SplitSpec.part_rows`` selects a split part's block rows from the
-dataset's per-row arrays. The walks below select the same part by going
-over ``dataset.records`` in order, and group it by identity in the order
-of each identity's first record. Trial and split tests build their
-reference pools this way, so a reference and the program share no
-selection code.
+dataset's per-row arrays, in ``PartRows`` order: identities sorted, each
+identity's rows ascending. The walks below select the same part by going
+over ``dataset.records`` in order, and group it by identity in that
+order: identities sorted, each identity's records in record order. Trial
+and split tests build their reference pools this way, so a reference and
+the program share no selection code.
 """
 
 import numpy as np
@@ -21,18 +22,18 @@ def part_records(dataset, split, part):
 
 
 def group_by_identity(records):
-    """``{identity: {"face": [...], "voice": [...]}}``, identities in first-record order, records in input order."""
+    """``{identity: {"face": [...], "voice": [...]}}``, identities sorted, records in input order."""
     groups = {}
     for r in records:
         groups.setdefault(r.identity_id, {"face": [], "voice": []})[r.modality].append(r)
-    return groups
+    return dict(sorted(groups.items()))
 
 
 def seen_split(dataset, val_frac, test_frac, seed):
     """``make_seen_split``'s three clip sets, from the identities' walked records: (train, val, test)."""
     rng = np.random.default_rng(seed)
     parts = (set(), set(), set())
-    for _, pools in sorted(group_by_identity(dataset.records).items()):
+    for pools in group_by_identity(dataset.records).values():
         for modality in data.MODALITIES:
             order = rng.permutation(sorted(r.clip_id for r in pools[modality])).tolist()
             n = len(order)

@@ -366,7 +366,7 @@ class TestRowLayout:
                 assert np.shares_memory(rec.vector, block[k])
                 assert rec.vector.shape == block[k].shape
             assert ds.clip_row[m] == {r.clip_id: k for k, r in enumerate(recs)}
-            assert [ds.records[k] for k in ds.row_record[m]] == recs
+            assert list(map(id, ds.block_records[m])) == list(map(id, recs))
             assert [ds.identity_ids[i] for i in ds.row_identity[m]] == [r.identity_id for r in recs]
 
     def test_synth_records_view_the_blocks(self):
@@ -446,11 +446,9 @@ class TestSynthGenerate:
         with pytest.raises(ContractError):
             data.synth_generate(3, 2, 4, 4, 1.0, 0.1, seed=0, latent_dim=99)
 
-    def test_demographics_toggle(self):
-        with_tags = data.synth_generate(3, 2, 4, 4, 1.0, 0.1, seed=10, latent_dim=2)
-        assert all(r.gender is not None for r in with_tags.records)
-        without = data.synth_generate(3, 2, 4, 4, 1.0, 0.1, seed=10, latent_dim=2, demographics=False)
-        assert all(r.gender is None for r in without.records)
+    def test_every_record_is_tagged(self):
+        ds = data.synth_generate(3, 2, 4, 4, 1.0, 0.1, seed=10, latent_dim=2)
+        assert all(r.gender is not None for r in ds.records)
 
     def test_counts_and_dims(self):
         ds = data.synth_generate(4, 3, 7, 5, 1.0, 0.1, seed=11, latent_dim=4)

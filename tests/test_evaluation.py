@@ -1,6 +1,7 @@
 """Verification and matching metrics against brute-force oracles."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -463,8 +464,19 @@ class TestTrialSlots:
             evaluation.matching_accuracy(trials, params, cfg)
 
 
+def verification_clips(trials):
+    return [(t.face.clip_id, t.voice.clip_id, t.is_match) for t in trials]
+
+
+def matching_clips(trials):
+    return [(t.probe.clip_id, [g.clip_id for g in t.gallery], t.correct_index) for t in trials]
+
+
 def oracle_matching_trials(dataset, split, n_c, n_trials, seed, probe_modality):
     """Matching trials built one at a time from a fresh distractor pool per trial, as summarised tuples.
+
+    Every pool is walked in ``PartRows`` order (``record_walk``): identities
+    sorted, each identity's records in record order.
 
     The random values are the builder's documented arrays, drawn in its
     order; each trial then picks its k = n_c - 1 distractors by Floyd's
@@ -527,8 +539,7 @@ class TestMatchingTrialOracle:
     def test_same_trials_as_per_trial_pool(self, seed, n_c, probe_modality):
         ds, split = uneven_setup()
         trials = evaluation.build_matching_trials(ds, split, n_c, 30, seed, probe_modality)
-        got = [(t.probe.clip_id, [g.clip_id for g in t.gallery], t.correct_index) for t in trials]
-        assert got == oracle_matching_trials(ds, split, n_c, 30, seed, probe_modality)
+        assert matching_clips(trials) == oracle_matching_trials(ds, split, n_c, 30, seed, probe_modality)
 
     @pytest.mark.parametrize("probe_modality", ["voice", "face"])
     def test_same_shortfall_reported(self, probe_modality):
@@ -588,12 +599,10 @@ class TestVerificationTrialOracle:
 
     @staticmethod
     def scalar_loop(dataset, split, max_trials, seed, part):
-        """The per-trial builder the chunked one replaced, one scalar draw at a time."""
-        records = walk.part_records(dataset, split, part)
-        faces = [r for r in records if r.modality == "face"]
-        voices = [r for r in records if r.modality == "voice"]
-        by_id = walk.group_by_identity(records)
-        paired = [(by_id[i]["face"], by_id[i]["voice"]) for i in sorted(by_id) if by_id[i]["face"] and by_id[i]["voice"]]
+        """The builder's trials one scalar draw at a time, from pools walked in ``PartRows`` order."""
+        by_id = walk.group_by_identity(walk.part_records(dataset, split, part))
+        faces, voices = ([r for pools in by_id.values() for r in pools[m]] for m in data.MODALITIES)
+        paired = [(pools["face"], pools["voice"]) for pools in by_id.values() if pools["face"] and pools["voice"]]
         rng = np.random.default_rng(seed)
         out = []
         for _ in range(max_trials // 2):
@@ -615,9 +624,7 @@ class TestVerificationTrialOracle:
     def test_uneven_pools(self, seed, max_trials):
         ds, split = uneven_setup()
         got = evaluation.build_verification_trials(ds, split, max_trials, seed)
-        assert [(t.face.clip_id, t.voice.clip_id, t.is_match) for t in got] == self.scalar_loop(
-            ds, split, max_trials, seed, "test"
-        )
+        assert verification_clips(got) == self.scalar_loop(ds, split, max_trials, seed, "test")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_two_identities_most_draws_rejected(self, seed):
@@ -629,27 +636,23 @@ class TestVerificationTrialOracle:
         ds = data.Dataset(kept, ds.face_dim, ds.voice_dim)
         split = SplitSpec("unseen_unheard", frozenset(), frozenset(), frozenset([a, b]))
         got = evaluation.build_verification_trials(ds, split, 301, seed)
-        assert [(t.face.clip_id, t.voice.clip_id, t.is_match) for t in got] == self.scalar_loop(
-            ds, split, 301, seed, "test"
-        )
+        assert verification_clips(got) == self.scalar_loop(ds, split, 301, seed, "test")
 
     @pytest.mark.parametrize("seed", range(3))
     def test_val_part(self, seed):
         ds = data.synth_generate(30, 3, 6, 5, 1.0, 0.1, seed=24, latent_dim=3)
         split = data.make_unseen_split(ds, n_val=5, n_test=5, seed=seed)
         got = evaluation.build_verification_trials(ds, split, 99, seed, part="val")
-        assert [(t.face.clip_id, t.voice.clip_id, t.is_match) for t in got] == self.scalar_loop(
-            ds, split, 99, seed, "val"
-        )
+        assert verification_clips(got) == self.scalar_loop(ds, split, 99, seed, "val")
 
 
 class TestShuffledRecords:
-    """Row selection keeps the record walk's orders on records in no identity or modality order.
+    """On records in no identity or modality order, every draw follows ``PartRows`` order.
 
-    Every reference walks ``dataset.records`` (``record_walk``), so a trial
-    or split equal to it draws the paired identities sorted, each
-    identity's rows and the non-match faces and voices in record order, and
-    the matching pool's identities in the order of their first record.
+    Every reference walks ``dataset.records`` (``record_walk``) into pools
+    of sorted identities, each identity's records in record order, so a
+    trial equal to it draws the paired identities, the non-match faces and
+    voices and the matching pool in that order, and never in record order.
     """
 
     @staticmethod
@@ -666,7 +669,7 @@ class TestShuffledRecords:
     def test_records_follow_no_order(self, seed, mode):
         ds, split = self.dataset_and_split(seed, mode)
         walked = walk.part_records(ds, split, "test")
-        first_seen = list(walk.group_by_identity(walked))
+        first_seen = list(dict.fromkeys(r.identity_id for r in walked))
         assert first_seen != sorted(first_seen)
         modalities = [r.modality for r in walked]
         assert modalities != sorted(modalities) and modalities != sorted(modalities, reverse=True)
@@ -679,8 +682,7 @@ class TestShuffledRecords:
     def test_verification_trials(self, seed, mode, part):
         ds, split = self.dataset_and_split(seed, mode)
         got = evaluation.build_verification_trials(ds, split, 301, seed, part=part)
-        want = TestVerificationTrialOracle.scalar_loop(ds, split, 301, seed, part)
-        assert [(t.face.clip_id, t.voice.clip_id, t.is_match) for t in got] == want
+        assert verification_clips(got) == TestVerificationTrialOracle.scalar_loop(ds, split, 301, seed, part)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("mode", data.SPLIT_MODES)
@@ -689,8 +691,22 @@ class TestShuffledRecords:
     def test_matching_trials(self, seed, mode, n_c, probe_modality):
         ds, split = self.dataset_and_split(seed, mode)
         trials = evaluation.build_matching_trials(ds, split, n_c, 200, seed, probe_modality)
-        got = [(t.probe.clip_id, [g.clip_id for g in t.gallery], t.correct_index) for t in trials]
-        assert got == oracle_matching_trials(ds, split, n_c, 200, seed, probe_modality)
+        assert matching_clips(trials) == oracle_matching_trials(ds, split, n_c, 200, seed, probe_modality)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mode", data.SPLIT_MODES)
+    def test_trials_as_on_records_sorted_by_identity(self, seed, mode):
+        # A stable sort keeps each identity's records in order, which is all a draw reads of record order.
+        ds, split = self.dataset_and_split(seed, mode)
+        grouped = data.Dataset(sorted(ds.records, key=lambda r: r.identity_id), ds.face_dim, ds.voice_dim)
+        for part in ("test", "val"):
+            got, want = (verification_clips(evaluation.build_verification_trials(d, split, 301, seed, part=part))
+                         for d in (ds, grouped))
+            assert got == want
+        for n_c, probe_modality in itertools.product((2, 6), ("voice", "face")):
+            got, want = (matching_clips(evaluation.build_matching_trials(d, split, n_c, 200, seed, probe_modality))
+                         for d in (ds, grouped))
+            assert got == want
 
     @pytest.mark.parametrize("seed", range(3))
     def test_seen_split(self, seed):
@@ -706,9 +722,7 @@ class TestTrialConstruction:
         assert sum(t.is_match for t in trials) == 50
         assert sum(not t.is_match for t in trials) == 50
         again = evaluation.build_verification_trials(ds, split, 100, seed=11)
-        assert [(t.face.clip_id, t.voice.clip_id, t.is_match) for t in trials] == [
-            (t.face.clip_id, t.voice.clip_id, t.is_match) for t in again
-        ]
+        assert verification_clips(trials) == verification_clips(again)
 
     def test_trials_use_requested_part(self):
         ds, split, cfg, params = small_setup()
@@ -729,9 +743,7 @@ class TestTrialConstruction:
         path = tmp_path / "trials.tsv"
         path.write_text("".join(f"{t.face.clip_id}\t{t.voice.clip_id}\t{int(t.is_match)}\n" for t in trials))
         loaded = evaluation.load_trial_list(path, ds)
-        assert [(t.face.clip_id, t.voice.clip_id, t.is_match) for t in loaded] == [
-            (t.face.clip_id, t.voice.clip_id, t.is_match) for t in trials
-        ]
+        assert verification_clips(loaded) == verification_clips(trials)
 
     def test_bad_trial_list_rejected(self, tmp_path):
         ds, *_ = small_setup()

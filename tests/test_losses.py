@@ -277,6 +277,12 @@ class TestCrossEntropyLoss:
     def test_gradient(self):
         check_gradients(lambda x: losses.cross_entropy_loss(x, np.array([1, 0, 2])), [rand((3, 4), 21)])
 
+    @pytest.mark.parametrize("labels", [[0.5, 2.9], [0.0, 2.0], [True, False]])
+    def test_non_integer_labels_rejected(self, labels):
+        # A cast would truncate [0.5, 2.9] to [0, 2] and return that loss.
+        with pytest.raises(ContractError, match="integer class labels"):
+            losses.cross_entropy_loss(Tensor(np.log([[1.0, 2.0, 4.0]] * 2)), np.array(labels))
+
 
 def contrastive_nll_node(z, mask=None):
     """``losses.contrastive_nll`` as a node over its logits."""
