@@ -14,7 +14,7 @@ Design constraints kept deliberately tight so every gradient is auditable:
   float64 leaves (as ``gradcheck`` builds them) in float64, through the
   same code; a number operand takes its tensor's dtype;
 * a binary op takes two operands of equal shape, or one operand and a
-  size-1 scalar of no higher rank; any other pair is a ``DimensionError``;
+  size-1 scalar of no higher rank; any other pair is a ``ContractError``;
 * static graphs (one graph per training step, rebuilt every step); a
   graph is consumed by its backward pass;
 * single-threaded per graph.
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 
 __all__ = ["Tensor", "radial", "affine"]
 
@@ -206,7 +206,7 @@ def _binary(a: Tensor, b, opname: str) -> tuple[Tensor, Tensor]:
     """
     b = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.data.dtype))
     if not (a.shape == b.shape or (a.size == 1 and a.ndim <= b.ndim) or (b.size == 1 and b.ndim <= a.ndim)):
-        raise DimensionError(f"{opname}: operand shapes {a.shape} and {b.shape} differ")
+        raise ContractError(f"{opname}: operand shapes {a.shape} and {b.shape} differ")
     return a, b
 
 
@@ -221,7 +221,7 @@ def _to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for [N x K] rows, a [K x M] weight and an [M] bias."""
     if x.ndim != 2 or w.ndim != 2 or b.shape != (w.shape[1],) or x.shape[1] != w.shape[0]:
-        raise DimensionError(f"affine: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
+        raise ContractError(f"affine: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
     xd, wd = x.data, w.data
     out = xd @ wd
     out += b.data
@@ -248,7 +248,7 @@ def radial(x: Tensor, radius, *more) -> Tensor:
     whose second term is 0 at a zero row.
     """
     if x.ndim != 2:
-        raise DimensionError(f"radial needs [B x D] rows, got shape {x.shape}")
+        raise ContractError(f"radial needs [B x D] rows, got shape {x.shape}")
     xd = x.data
     n = np.sqrt(np.sum(xd * xd, axis=1, keepdims=True))
     factor, slope = radius(n)

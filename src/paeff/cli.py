@@ -28,7 +28,10 @@ a flag exits 1, such a config-file key exits 2, and such a ``PAEFF_``
 variable is ignored.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric/invariant
-failure.
+failure. Data errors cover faults in what a file holds, not only in how it
+parses: a split id the dataset lacks, a train identity missing a modality,
+a val or test part too small to build its trials, and an eval dataset
+whose face or voice dim differs from the trained model's.
 """
 
 from __future__ import annotations
@@ -42,15 +45,7 @@ from typing import Any, Iterator
 
 from . import __version__, config as cfgmod, data, evaluation, model, trainer
 from .config import Option
-from .errors import (
-    ContractError,
-    DataError,
-    DimensionError,
-    IndexOutOfRangeError,
-    NumericError,
-    PaeffError,
-    ParseError,
-)
+from .errors import ContractError, DataError, NumericError, PaeffError, ParseError
 
 
 class UsageError(Exception):
@@ -328,6 +323,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     params = model.load_checkpoint(checkpoint_path, model_cfg)
 
     dataset = data.load_dataset(data_path)
+    if (dataset.face_dim, dataset.voice_dim) != (model_cfg.face_dim, model_cfg.voice_dim):
+        raise DataError(f"{data_path}: face/voice dims {dataset.face_dim}/{dataset.voice_dim} differ from the "
+                        f"trained model's {model_cfg.face_dim}/{model_cfg.voice_dim} in {manifest_path}")
     split = None
     if resolved["io.split_test"] is not None:
         split = _load_split(resolved)
@@ -399,6 +397,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if resolved["synth.split_mode"] == "seen_heard":
         split = data.make_seen_split(dataset, 0.15, 0.15, resolved["synth.seed"])  # val and test clip fractions
     else:
+        for part in ("val", "test"):  # make_unseen_split takes 1, but a 1-identity part cannot build trials
+            if resolved[f"synth.{part}_identities"] == 1:
+                raise ContractError(f"unseen_unheard split: the {part} part needs at least 2 identities, got 1")
         split = data.make_unseen_split(
             dataset,
             n_val=resolved["synth.val_identities"],
@@ -464,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, DataError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
-    except (NumericError, ContractError, DimensionError, IndexOutOfRangeError) as e:
+    except (NumericError, ContractError) as e:
         print(f"numeric/invariant error: {e}", file=sys.stderr)
         return 3
     except PaeffError as e:

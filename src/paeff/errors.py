@@ -1,20 +1,16 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, with the CLI's exit codes.
 
-The CLI maps these onto exit codes: parse/data problems are exit 2,
-numeric/invariant failures are exit 3, usage errors are exit 1.
+``ParseError`` (a file does not parse) and ``DataError`` (split or dataset
+content breaks an invariant: an identity missing a modality, a part too
+small for its trials, dims that differ from the trained model's) exit 2.
+``ContractError`` (a caller broke a documented precondition: a shape, an
+index range, a dtype, an option value) and ``NumericError`` exit 3.
+``PaeffError`` is their base, never raised itself; usage errors exit 1.
 """
 
 
 class PaeffError(Exception):
     """Base class for all package errors."""
-
-
-class DimensionError(PaeffError):
-    """Operand shapes are incompatible with the requested operation."""
-
-
-class IndexOutOfRangeError(PaeffError):
-    """An index (class target, axis, gallery position) is out of range."""
 
 
 class ContractError(PaeffError):
@@ -26,7 +22,7 @@ class NumericError(PaeffError):
 
 
 class DataError(PaeffError):
-    """Dataset content violates an invariant (missing modality, bad dims)."""
+    """Dataset or split content violates an invariant (missing modality, bad dims)."""
 
 
 class ParseError(PaeffError):

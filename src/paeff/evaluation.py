@@ -320,7 +320,7 @@ def build_verification_trials(
     counts = [rows.counts(m) for m in MODALITIES]
     paired = np.flatnonzero((counts[0] > 0) & (counts[1] > 0)).tolist()
     if not paired or len(rows.identities) < 2:
-        raise ContractError(
+        raise DataError(
             f"{part} split cannot build balanced trials "
             f"(identities={len(rows.identities)}, with both modalities={len(paired)})"
         )
@@ -387,7 +387,7 @@ def build_matching_trials(
     counts = {m: rows.counts(m) for m in MODALITIES}
     eligible = np.flatnonzero((counts[probe_modality] > 0) & (counts[gallery_modality] > 0))
     if len(rows.identities) < 2 or not eligible.size:
-        raise ContractError("matching trials need at least 2 identities with both modalities")
+        raise DataError("matching trials need at least 2 identities with both modalities")
     pool = rows.rows[gallery_modality]
 
     k = n_c - 1

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import hyperbolic as hyp
 from .autodiff import Tensor
-from .errors import ContractError, DimensionError, IndexOutOfRangeError, NumericError
+from .errors import ContractError, NumericError
 from .hyperbolic import PoincarePoint
 
 _NORM_FLOOR = 1e-12
@@ -134,9 +134,9 @@ def _trial_rows(rows, n: int) -> np.ndarray:
     """
     r = np.asarray(rows)
     if r.ndim != 1 or not np.issubdtype(r.dtype, np.integer):
-        raise DimensionError(f"pair_similarity needs 1-d integer rows, got shape {r.shape} ({r.dtype})")
+        raise ContractError(f"pair_similarity needs 1-d integer rows, got shape {r.shape} ({r.dtype})")
     if r.size and (r.min() < 0 or r.max() >= n):
-        raise IndexOutOfRangeError(f"pair_similarity: row index out of range for {n} rows")
+        raise ContractError(f"pair_similarity: row index out of range for {n} rows")
     return r
 
 
@@ -329,15 +329,15 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
     dtype are a ``ContractError``, not truncated.
     """
     if logits.ndim != 2:
-        raise DimensionError(f"cross_entropy_loss expects [B x C] logits, got shape {logits.shape}")
+        raise ContractError(f"cross_entropy_loss expects [B x C] logits, got shape {logits.shape}")
     t = np.asarray(labels)
     if t.ndim != 1 or t.shape[0] != logits.shape[0]:
-        raise DimensionError(f"cross_entropy_loss: labels shape {t.shape} does not match batch {logits.shape[0]}")
+        raise ContractError(f"cross_entropy_loss: labels shape {t.shape} does not match batch {logits.shape[0]}")
     if not np.issubdtype(t.dtype, np.integer):
         raise ContractError(f"cross_entropy_loss needs integer class labels, got dtype {t.dtype}")
     b, c = logits.shape
     if np.any(t < 0) or np.any(t >= c):
-        raise IndexOutOfRangeError(f"target index out of range for {c} classes")
+        raise ContractError(f"target index out of range for {c} classes")
 
     softmax, top, total = _softmax(logits.data, axis=1)
     target_z = logits.data[np.arange(b), t] - top.reshape(b)

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import hyperbolic as hyp
 from .autodiff import Tensor
-from .errors import ContractError, DataError, DimensionError
+from .errors import ContractError, DataError
 from .hyperbolic import BallConfig, PoincarePoint
 
 GATE_ACTIVATIONS = ("tanh", "relu")
@@ -164,7 +164,7 @@ def project_modality(x: Tensor, which: str, params: ModelParams, cfg: ModelConfi
     else:
         raise ContractError(f"unknown modality {which!r}")
     if x.ndim != 2 or x.shape[1] != expected:
-        raise DimensionError(f"{which} input shape {x.shape} does not match dim {expected}")
+        raise ContractError(f"{which} input shape {x.shape} does not match dim {expected}")
     return ad.affine(x, w, b)
 
 
@@ -211,7 +211,7 @@ def egff_fuse(xf: Tensor, xv: Tensor, params: ModelParams, cfg: ModelConfig) -> 
     the activation's derivative.
     """
     if xf.shape != xv.shape:
-        raise DimensionError(f"egff_fuse: shapes differ: {xf.shape} vs {xv.shape}")
+        raise ContractError(f"egff_fuse: shapes differ: {xf.shape} vs {xv.shape}")
     act, combine, cw, cb = cfg.gate_activation, cfg.attention_combine, params.combine_weight, params.combine_bias
     concat = combine == "concatenation"
     if concat and (cw is None or cb is None):

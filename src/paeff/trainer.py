@@ -58,7 +58,7 @@ import numpy as np
 from . import evaluation, losses, model
 from .autodiff import Tensor
 from .data import Dataset, PartRows, SplitSpec, make_batches
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ContractError, NumericError
 from .losses import LossWeights
 from .model import ModelConfig, ModelParams
 
@@ -159,7 +159,7 @@ def adamw_step(params: Iterable[tuple[str, Tensor]], state: AdamState, lr: float
     for name, tensor in params:
         grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
         if grad.shape != tensor.data.shape:
-            raise DimensionError(f"{name}: grad shape {grad.shape} != param shape {tensor.data.shape}")
+            raise ContractError(f"{name}: grad shape {grad.shape} != param shape {tensor.data.shape}")
         if name not in state.m:
             state.m[name] = np.zeros_like(tensor.data)
             state.v[name] = np.zeros_like(tensor.data)

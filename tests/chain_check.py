@@ -8,7 +8,7 @@ numpy and sum a broadcast gradient back to its operand's shape.
 
 ``log_softmax_nll`` and ``symmetric_nll_grad`` are the two softmax losses
 as they stood before ``losses`` took both onto one softmax kernel, kept
-word for word: the chain ``symmetric_nll`` is built on the first, and the
+word for word but for their errors, now ``ContractError``: the chain ``symmetric_nll`` is built on the first, and the
 tests hold ``losses.cross_entropy_loss`` and ``losses.contrastive_nll`` to
 both bit for bit.
 """
@@ -16,7 +16,7 @@ both bit for bit.
 import numpy as np
 
 from paeff.autodiff import Tensor
-from paeff.errors import DimensionError, IndexOutOfRangeError
+from paeff.errors import ContractError
 
 
 def value_and_grads(f, arrays, seed=0):
@@ -202,17 +202,17 @@ def log_softmax_nll(logits: Tensor, targets) -> Tensor:
     Numerically stable (max-shifted); gradient is (softmax - onehot) / B.
     """
     if logits.ndim != 2:
-        raise DimensionError(f"log_softmax_nll expects [B x C] logits, got shape {logits.shape}")
+        raise ContractError(f"log_softmax_nll expects [B x C] logits, got shape {logits.shape}")
     t = np.asarray(targets)
     if t.ndim != 1 or t.shape[0] != logits.shape[0]:
-        raise DimensionError(
+        raise ContractError(
             f"log_softmax_nll: targets shape {t.shape} does not match batch {logits.shape[0]}"
         )
     if not np.issubdtype(t.dtype, np.integer):
         t = t.astype(np.int64)
     b, c = logits.shape
     if np.any(t < 0) or np.any(t >= c):
-        raise IndexOutOfRangeError(f"target index out of range for {c} classes")
+        raise ContractError(f"target index out of range for {c} classes")
 
     z = logits.data - np.max(logits.data, axis=1, keepdims=True)
     target_z = z[np.arange(b), t]

@@ -15,6 +15,7 @@ import pytest
 import paeff
 import record_walk as walk
 from paeff import cli, data, evaluation, model, trainer
+from paeff.errors import PaeffError
 
 SYNTH = ["--identities", "10", "--samples-per-id", "3", "--face-dim", "6", "--voice-dim", "5",
          "--latent-dim", "4", "--val-identities", "2", "--test-identities", "3"]
@@ -500,12 +501,81 @@ def test_train_split_of_only_unknown_identities_exits_2(world, tmp_path, capsys)
 @pytest.mark.parametrize("flags, message", [
     (["--test-identities", "0"], "the test part needs at least 1 identity"),
     (["--val-identities", "0"], "the val part needs at least 1 identity"),
+    (["--test-identities", "1"], "the test part needs at least 2 identities"),
+    (["--val-identities", "1"], "the val part needs at least 2 identities"),
     (["--split-mode", "seen_heard", "--samples-per-id", "2"], "the val part is empty"),
 ])
 def test_synth_with_an_empty_part_exits_3_before_writing(tmp_path, capsys, flags, message):
     assert cli.main(["synth", "--out", str(tmp_path / "out"), *SYNTH, *flags]) == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def one_identity_part(world, tmp_path, part):
+    """A split file holding only the first identity of ``world``'s ``part``."""
+    path = tmp_path / f"{part}.ids"
+    path.write_text(sorted(data.read_split_file(world / f"{part}.ids"))[0] + "\n")
+    return str(path)
+
+
+def test_train_with_a_one_identity_val_part_exits_2(world, tmp_path, capsys):
+    argv = train_argv(world, tmp_path / "run", "--split-val", one_identity_part(world, tmp_path, "val"))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "data error: val split cannot build balanced trials (identities=1, with both modalities=1)\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("trials, message", [
+    (None, "test split cannot build balanced trials (identities=1, with both modalities=1)"),
+    ("id0000_face_000\tid0000_voice_000\t1\nid0001_face_001\tid0002_voice_000\t0\n",
+     "matching trials need at least 2 identities with both modalities"),
+], ids=["verification", "matching"])
+def test_eval_with_a_one_identity_test_part_exits_2(world, run, tmp_path, capsys, trials, message):
+    flags = ["--split-test", one_identity_part(world, tmp_path, "test")]
+    if trials:
+        (tmp_path / "trials.txt").write_text(trials, encoding="utf-8")
+        flags += ["--trials", str(tmp_path / "trials.txt")]
+    assert cli.main(eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval", *flags)) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("flag, dim, dims", [("--face-dim", "7", "7/5"), ("--voice-dim", "6", "6/6")])
+def test_eval_data_of_other_dims_than_the_model_exits_2_before_scoring(world, run, tmp_path, capsys, monkeypatch,
+                                                                       flag, dim, dims):
+    other = tmp_path / "other"
+    assert cli.main(["synth", "--out", str(other), *SYNTH, flag, dim]) == 0
+    monkeypatch.setattr(evaluation, "score_trials", lambda *a: pytest.fail("scored trials"))
+    assert cli.main(eval_argv(other, world / "run" / "checkpoint.paef", tmp_path / "eval",
+                              "--manifest", str(world / "run" / "manifest.json"))) == 2
+    assert capsys.readouterr().err == (f"data error: {other / 'data.fve'}: face/voice dims {dims} differ from "
+                                       f"the trained model's 6/5 in {world / 'run' / 'manifest.json'}\n")
+    assert not (tmp_path / "eval").exists()
+
+
+# Each error class's exit code and stderr prefix, written out by hand.
+EXIT_CODES = {
+    "ParseError": (2, "data error:"),
+    "DataError": (2, "data error:"),
+    "ContractError": (3, "numeric/invariant error:"),
+    "NumericError": (3, "numeric/invariant error:"),
+}
+
+
+def test_exit_code_table_names_every_error_class():
+    assert sorted(c.__name__ for c in PaeffError.__subclasses__()) == sorted(EXIT_CODES)
+
+
+@pytest.mark.parametrize("error", PaeffError.__subclasses__(), ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_code(monkeypatch, capsys, error):
+    def failing(args):
+        raise error("the fault")
+
+    monkeypatch.setattr(cli, "cmd_selfcheck", failing)
+    code, prefix = EXIT_CODES[error.__name__]
+    assert cli.main(["selfcheck"]) == code
+    assert capsys.readouterr().err == f"{prefix} the fault\n"
 
 
 def test_intact_checkpoint_evaluates(run):

@@ -734,8 +734,10 @@ class TestTrialConstruction:
         ds = data.synth_generate(2, 2, 4, 4, 1.0, 0.0, seed=13, latent_dim=2)
         only = frozenset([ds.identities()[0]])
         split = SplitSpec("unseen_unheard", frozenset([ds.identities()[1]]), frozenset(), only)
-        with pytest.raises(ContractError):
+        with pytest.raises(DataError, match=r"test split cannot build balanced trials \(identities=1,"):
             evaluation.build_verification_trials(ds, split, 10, seed=0)
+        with pytest.raises(DataError, match="matching trials need at least 2 identities with both modalities"):
+            evaluation.build_matching_trials(ds, split, 2, 10, seed=0)
 
     def test_external_trial_list_round_trip(self, tmp_path):
         ds, split, cfg, params = small_setup()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from paeff import hyperbolic as hyp
 from paeff import losses
 from paeff.autodiff import Tensor
-from paeff.errors import ContractError, DimensionError, IndexOutOfRangeError, NumericError
+from paeff.errors import ContractError, NumericError
 from paeff.gradcheck import check_gradients
 from paeff.hyperbolic import BallConfig, PoincarePoint
 
@@ -271,7 +271,7 @@ class TestCrossEntropyLoss:
         assert double == pytest.approx(single, abs=1e-15)
 
     def test_target_out_of_range(self):
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(ContractError, match="target index out of range for 3 classes"):
             losses.cross_entropy_loss(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
     def test_gradient(self):
@@ -471,19 +471,19 @@ class TestPairSimilarity:
             assert got[k] == got[first.setdefault(pair, k)]
 
     @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])
-    @pytest.mark.parametrize("rows,error", [
-        ([0, 4], IndexOutOfRangeError),
-        ([-1], IndexOutOfRangeError),
-        ([[0, 1]], DimensionError),
-        ([0.0, 1.0], DimensionError),
+    @pytest.mark.parametrize("rows,message", [
+        ([0, 4], "row index out of range"),
+        ([-1], "row index out of range"),
+        ([[0, 1]], "needs 1-d integer rows"),
+        ([0.0, 1.0], "needs 1-d integer rows"),
     ])
-    def test_bad_rows_rejected(self, mode, rows, error):
+    def test_bad_rows_rejected(self, mode, rows, message):
         f, v = lifted(np.full((4, 3), 0.1)), lifted(np.full((3, 3), 0.2))
         rows = np.asarray(rows)
         valid = np.zeros(rows.size, dtype=np.int64)
-        with pytest.raises(error):
+        with pytest.raises(ContractError, match=message):
             losses.pair_similarity(f, v, rows, valid, mode)
-        with pytest.raises(error):
+        with pytest.raises(ContractError, match=message):
             losses.pair_similarity(v, f, valid, rows, mode)
 
     @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])

@@ -12,7 +12,7 @@ from paeff import autodiff as ad
 from paeff import hyperbolic as hyp
 from paeff import model
 from paeff.autodiff import Tensor
-from paeff.errors import ContractError, DataError, DimensionError
+from paeff.errors import ContractError, DataError
 from paeff.gradcheck import check_gradients
 
 from chain_check import add, concat_cols, matmul, mul, norm2, relu, reshape, sigmoid, sub, tanh, value_and_grads
@@ -64,7 +64,7 @@ class TestProjections:
 
     def test_dimension_error(self):
         params = params_for(CFG)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ContractError, match=r"face input shape \(2, 7\) does not match dim"):
             model.project_modality(Tensor(np.ones((2, 7))), "face", params, CFG)
 
     def test_fuse_and_classify_oracle(self):
@@ -151,7 +151,7 @@ class TestEgff:
 
     def test_shape_mismatch(self):
         params = params_for(CFG)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ContractError, match="egff_fuse: shapes differ"):
             model.egff_fuse(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))), params, CFG)
 
 
