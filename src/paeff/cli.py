@@ -25,7 +25,9 @@ projection loss's inter-class weight (1), synth's demographic tags (always
 written) and its seen_heard clip fractions (0.15 val, 0.15 test) are
 constants. The options that once set them are unknown like any other: such
 a flag exits 1, such a config-file key exits 2, and such a ``PAEFF_``
-variable is ignored.
+variable is ignored. synth's ``val_identities`` and ``test_identities``
+count the identities an unseen_unheard split holds out; a seen_heard split
+holds out clips, so setting either one there, from any source, exits 3.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric/invariant
 failure. Data errors cover faults in what a file holds, not only in how it
@@ -160,9 +162,11 @@ SYNTH_OPTIONS = [
     Option("synth.latent_dim", "int", 16),
     Option("synth.seed", "int", 0),
     Option("synth.split_mode", "str", "unseen_unheard"),
-    Option("synth.val_identities", "int", 4, "held-out val identities (unseen_unheard)"),
-    Option("synth.test_identities", "int", 8, "held-out test identities (unseen_unheard)"),
+    Option("synth.val_identities", "int", None, "held-out val identities (unseen_unheard only; default 4)"),
+    Option("synth.test_identities", "int", None, "held-out test identities (unseen_unheard only; default 8)"),
 ]
+# The unseen_unheard split's held-out identities when the option is not set.
+UNSEEN_PART_IDENTITIES = {"val": 4, "test": 8}
 
 COMMAND_OPTIONS = {
     "train": MODEL_OPTIONS + TRAIN_OPTIONS + SPLIT_OPTIONS + [
@@ -337,21 +341,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
             dataset, split, max_trials=eval_cfg.max_trials, seed=eval_cfg.seed
         )
 
+    # Every trial is drawn before any is scored, so a test part too small to match on fails first.
+    matching_trials = [] if split is None else [
+        evaluation.build_matching_trials(dataset, split, n_c=n_c, n_trials=eval_cfg.matching_trials,
+                                         seed=eval_cfg.seed, probe_modality=eval_cfg.probe_modality)
+        for n_c in eval_cfg.nc_list
+    ]
+
     evaluation.score_trials(trials, params, model_cfg)
     try:
         strata_rows = evaluation.stratified_report(trials, eval_cfg.strata)
     except NumericError as e:
         where = f"trial list {resolved['io.trials']}" if resolved["io.trials"] else "test split"
         raise NumericError(f"{where}: {e}") from None
-
-    matching_rows = []
-    if split is not None:
-        for n_c in eval_cfg.nc_list:
-            m_trials = evaluation.build_matching_trials(
-                dataset, split, n_c=n_c, n_trials=eval_cfg.matching_trials,
-                seed=eval_cfg.seed, probe_modality=eval_cfg.probe_modality,
-            )
-            matching_rows.append(evaluation.matching_accuracy(m_trials, params, model_cfg))
+    matching_rows = [evaluation.matching_accuracy(m_trials, params, model_cfg) for m_trials in matching_trials]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     split_name = resolved["io.split_mode"]
@@ -384,6 +387,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _require(resolved, "io.out")
     out_dir = Path(resolved["io.out"])
 
+    seen_heard = resolved["synth.split_mode"] == "seen_heard"
+    for part, default in UNSEEN_PART_IDENTITIES.items():
+        key = f"synth.{part}_identities"
+        if seen_heard and resolved[key] is not None:  # seen_heard holds out clips, not identities
+            raise ContractError(f"seen_heard split: --{part}-identities (config key {key}) "
+                                "applies to unseen_unheard only")
+        if not seen_heard and resolved[key] is None:
+            resolved[key] = default
+        if resolved[key] == 1:  # make_unseen_split takes 1, but a 1-identity part cannot build trials
+            raise ContractError(f"unseen_unheard split: the {part} part needs at least 2 identities, got 1")
+
     dataset = data.synth_generate(
         num_identities=resolved["synth.identities"],
         samples_per_id=resolved["synth.samples_per_id"],
@@ -394,12 +408,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         seed=resolved["synth.seed"],
         latent_dim=resolved["synth.latent_dim"],
     )
-    if resolved["synth.split_mode"] == "seen_heard":
+    if seen_heard:
         split = data.make_seen_split(dataset, 0.15, 0.15, resolved["synth.seed"])  # val and test clip fractions
     else:
-        for part in ("val", "test"):  # make_unseen_split takes 1, but a 1-identity part cannot build trials
-            if resolved[f"synth.{part}_identities"] == 1:
-                raise ContractError(f"unseen_unheard split: the {part} part needs at least 2 identities, got 1")
         split = data.make_unseen_split(
             dataset,
             n_val=resolved["synth.val_identities"],
@@ -417,7 +428,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     cfgmod.write_manifest(
         out_dir / "manifest.json", "synth", resolved["synth.seed"],
-        {"synth": {k.split(".", 1)[1]: v for k, v in resolved.items() if k.startswith("synth.")}},
+        {"synth": {k.split(".", 1)[1]: v for k, v in resolved.items() if k.startswith("synth.") and v is not None}},
         {},
         {"data": data_path, "split_train": out_dir / "train.ids", "split_val": out_dir / "val.ids",
          "split_test": out_dir / "test.ids"},

@@ -22,8 +22,9 @@ one index pair into those encodings through ``losses.pair_similarity``:
 the entry of the alignment's own similarity table (the negated
 ``hyperbolic.distance_table`` or the cosine) over the distinct faces and
 voices, taken a bounded block of face rows at a time. Scoring reads the
-parameters through ``ModelParams.detached``, so encoding records no tape,
-and the scores themselves are computed in plain numpy. A record whose
+parameters through ``ModelParams.detached``, so encoding records no tape
+and runs in float64 whatever the parameters' dtype, and the scores
+themselves are computed in plain numpy. A record whose
 modality does not fit its slot is a ``ContractError``. Scores that are
 not finite, or that all tie and so cannot rank the trials, are a
 ``NumericError``. EER, AUC, the ROC and every demographic stratum read

@@ -208,7 +208,7 @@ def alignment_loss(
 
     def vjp(g):
         g = float(g)
-        return (*back(grad, scale * g), np.full(logit_scale.shape, d_scale * g))
+        return (*back(grad, scale * g), np.full(logit_scale.shape, d_scale * g, dtype=logit_scale.data.dtype))
 
     return Tensor.from_op(np.asarray(loss), (f, v, logit_scale), (vjp,))
 

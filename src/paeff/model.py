@@ -117,8 +117,9 @@ class ModelParams:
             t.data[...] = values[name]
 
     def detached(self) -> "ModelParams":
-        """The same arrays, without copies, as tensors that record no tape: for scoring."""
-        return ModelParams(**{name: Tensor(t.data) for name, t in self.named()})
+        """The values as float64 tensors that record no tape, for scoring: float64
+        arrays without a copy, float32 ones (``trainer.train``'s) widened exactly."""
+        return ModelParams(**{name: Tensor(t.data.astype(np.float64, copy=False)) for name, t in self.named()})
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ModelParams:

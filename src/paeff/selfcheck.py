@@ -204,10 +204,12 @@ def check_model_forward_gradients() -> None:
 
 
 def check_float32_step() -> None:
-    """The float32 training step's losses and master gradients against the float64 step's, on both alignment arms.
+    """The float32 training step's losses and gradients against the float64 step's, on both alignment arms.
 
-    The tolerance, 64 float32 eps in ``max_relative_error``'s measure, is
-    about ten times the largest error seen on these inputs.
+    The float32 step runs on the float32 cast of the float64 draw, as
+    ``trainer.train`` casts it. The tolerance, 64 float32 eps in
+    ``max_relative_error``'s measure, is about ten times the largest error
+    seen on these inputs.
     """
     rng = np.random.default_rng(32)
     faces, voices = rng.normal(size=(8, 6)), rng.normal(size=(8, 5))
@@ -220,12 +222,13 @@ def check_float32_step() -> None:
         want = step.values()
         step.total.backward()
         want_grads = {name: t.grad for name, t in params.named()}
-        params.zero_grads()
+        params = trainer.float32_params(params)
         got = trainer.train_step(Tensor(faces), Tensor(voices), labels, params, cfg, weights)
         for key, value in want.items():
             err = max_relative_error(np.array(got[key]), np.array(value))
             _expect(err <= tol, f"{cfg.effective_similarity()}: float32 {key} is {err:.2e} from float64")
         for name, t in params.named():
+            _expect(t.grad.dtype == np.float32, f"{cfg.effective_similarity()}: gradient of {name} is {t.grad.dtype}")
             err = max_relative_error(t.grad, want_grads[name])
             _expect(err <= tol, f"{cfg.effective_similarity()}: float32 gradient of {name} is {err:.2e} from float64")
 

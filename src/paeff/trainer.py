@@ -10,17 +10,17 @@ trials. Nothing is cached on the dataset or the split, so a repeated call
 repeats all of its work. Validation scores that all tie cannot rank the
 trials, so they are a ``NumericError`` naming the epoch, not an EER of 0.5.
 
-Precision. Each step (``train_step``) runs in float32 against float64
-master weights, the master-copy scheme of Micikevicius et al., "Mixed
-Precision Training" (ICLR 2018), one level up: the parameters are cast to
-float32 leaves and the batch rows the same way, ``step_losses`` and the
-backward pass run on them, and the gradients are cast back onto the
-masters, where ``adamw_step`` and the ``logit_scale`` guard work in
-float64. The parameters, the AdamW moments, the checkpoint and all
-scoring stay float64. The ball's per-row terms stay float64 too
-(``hyperbolic.distance_table``). There is no option for a float64 step:
-only tests would set it, and ``gradcheck`` and ``selfcheck`` already run
-the same layers in float64, since a node computes in its inputs' dtype.
+Precision. Training runs in float32 end to end, the usual AdamW state for
+a float32 step (Loshchilov & Hutter, ICLR 2019): ``train`` casts the
+float64 ``model.init_params`` draw to float32 leaves once
+(``float32_params``) and trains them in place, so the step, the gradients,
+``adamw_step`` with its moments, and the ``logit_scale`` guard are all
+float32, and so are the returned parameters. Scoring stays float64
+(``ModelParams.detached``), as do the ball's per-row terms
+(``hyperbolic.distance_table``) and the checkpoint, which holds every
+float32 value exactly. There is no option for a float64 run: ``gradcheck``
+and ``selfcheck`` run the same layers in float64, since a node computes in
+its inputs' dtype.
 
 Malloc policy. ``Tensor.backward`` frees each step's graph as it goes, and
 by default glibc then trims the freed memory off the heap top, so the next
@@ -149,6 +149,13 @@ def adamw_step(params: Iterable[tuple[str, Tensor]], state: AdamState, lr: float
     The moments and the parameter are updated in place, through one
     temporary array per parameter; the step is taken in the equal form
     (lr * sqrt(1 - b2^t) / (1 - b1^t)) * m / (sqrt(v) + eps * sqrt(1 - b2^t)).
+
+    The moments and the scalar factors take each parameter's dtype. In
+    float32, as ``train`` runs it, the decay 1 - lr * wd rounds to a
+    multiple of 2^-24: 1 - 1.79e-7 at lr = 2e-5, wd = 1e-2, not 1 - 2e-7.
+    That is a change of dtype, not of layout: a flat buffer, 16 k chunks
+    and a step workspace were each timed against this per-parameter loop
+    in float64, and none was clearly faster.
     """
     state.step += 1
     t = state.step
@@ -198,7 +205,7 @@ class EpochLog:
 
 @dataclass
 class TrainResult:
-    params: ModelParams  # best-by-validation-EER weights
+    params: ModelParams  # best-by-validation-EER weights, float32
     model_cfg: ModelConfig  # the configuration the params belong to
     history: list[EpochLog]
     best_epoch: int
@@ -219,33 +226,36 @@ def step_losses(
     return losses.total_loss(l_align, l_op, l_ce, weights)
 
 
+def float32_params(params: ModelParams) -> ModelParams:
+    """``params`` cast to new float32 leaves; a value float32 cannot hold is a ``NumericError``."""
+    cast = {}
+    for name, t in params.named():
+        try:
+            with np.errstate(over="raise"):
+                cast[name] = Tensor(t.data.astype(np.float32), requires_grad=True)
+        except FloatingPointError:
+            raise NumericError(f"{name} holds {np.abs(t.data).max():.4g}, beyond float32's range") from None
+    return ModelParams(**cast)
+
+
 def train_step(
     batch_faces: Tensor, batch_voices: Tensor, batch_labels, params: ModelParams, cfg: ModelConfig,
     weights: LossWeights,
 ) -> dict[str, float]:
-    """One step's losses in float32, with their gradients left on the float64 ``params`` as ``.grad``.
+    """One step's losses, with their gradients accumulated on ``params`` as ``.grad``.
 
-    ``step_losses`` and the backward pass run on float32 copies of the
-    parameters, leaves of this step's graph, and of the batch rows; the
-    leaves' gradients are cast back onto the masters. A master value that
-    float32 cannot hold, or a non-finite loss, is a ``NumericError``.
+    The step runs in the parameters' dtype, float32 in ``train``: the
+    batch rows are cast to it, and ``step_losses`` and the backward pass
+    run on ``params`` themselves, the leaves of this step's graph. A
+    non-finite loss is a ``NumericError``.
     """
-    work = {}
-    for name, t in params.named():
-        try:
-            with np.errstate(over="raise"):
-                work[name] = Tensor(t.data.astype(np.float32), requires_grad=True)
-        except FloatingPointError:
-            raise NumericError(f"{name} holds {np.abs(t.data).max():.4g}, beyond float32's range") from None
-    faces, voices = (Tensor(rows.data.astype(np.float32)) for rows in (batch_faces, batch_voices))
-    breakdown = step_losses(faces, voices, batch_labels, ModelParams(**work), cfg, weights)
+    dtype = params.logit_scale.data.dtype
+    faces, voices = (Tensor(rows.data.astype(dtype, copy=False)) for rows in (batch_faces, batch_voices))
+    breakdown = step_losses(faces, voices, batch_labels, params, cfg, weights)
     values = breakdown.values()
     if not all(math.isfinite(v) for v in values.values()):
         raise NumericError(f"l_align={values['l_align']}, l_op={values['l_op']}, l_ce={values['l_ce']}")
     breakdown.total.backward()
-    for name, t in params.named():
-        grad = work[name].grad
-        t.grad = None if grad is None else grad.astype(np.float64)
     return values
 
 
@@ -263,7 +273,10 @@ def train(
     if batch_size is None:
         batch_size = _default_batch_size(train_rows)
 
-    params = model.init_params(model_cfg, train_cfg.seed)
+    try:
+        params = float32_params(model.init_params(model_cfg, train_cfg.seed))
+    except NumericError as e:
+        raise NumericError(f"training diverged at step 0: {e}") from None
     state = AdamState()
     val_trials = evaluation.build_verification_trials(
         dataset, split, max_trials=train_cfg.val_trials, seed=train_cfg.seed, part="val"
@@ -297,7 +310,7 @@ def train(
             params.zero_grads()  # the next step starts with none of this one's gradients
             # Contrastive temperature guard.
             if np.any(params.logit_scale.data > LOGIT_SCALE_MAX):
-                params.logit_scale.data = np.minimum(params.logit_scale.data, LOGIT_SCALE_MAX)
+                np.minimum(params.logit_scale.data, LOGIT_SCALE_MAX, out=params.logit_scale.data)
                 clamped = True
             step += 1
 

@@ -75,7 +75,7 @@ def test_tape_stats_of_a_float32_training_step(monkeypatch):
 
     monkeypatch.setattr(trainer, "step_losses", measuring)
     trainer.train_step(Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(4, 5))), np.array([0, 1, 2, 0]),
-                       model.init_params(cfg, seed=0), cfg, losses.LossWeights())
+                       trainer.float32_params(model.init_params(cfg, seed=0)), cfg, losses.LossWeights())
     (nodes, mb), = stats
     assert nodes == 24 and 0.0 < mb < 1.0
 

@@ -17,8 +17,9 @@ import record_walk as walk
 from paeff import cli, data, evaluation, model, trainer
 from paeff.errors import PaeffError
 
-SYNTH = ["--identities", "10", "--samples-per-id", "3", "--face-dim", "6", "--voice-dim", "5",
-         "--latent-dim", "4", "--val-identities", "2", "--test-identities", "3"]
+SEEN_SYNTH = ["--identities", "10", "--samples-per-id", "3", "--face-dim", "6", "--voice-dim", "5",
+              "--latent-dim", "4", "--split-mode", "seen_heard"]
+SYNTH = SEEN_SYNTH[:-2] + ["--val-identities", "2", "--test-identities", "3"]
 
 # Every model/train/eval option with its kind and default, written out by hand.
 OPTION_TABLE = {
@@ -441,7 +442,7 @@ def test_train_selects_each_part_by_rows_without_walking_records(tmp_path, monke
     never walked: the trials fetch only their own.
     """
     root = tmp_path / mode
-    assert cli.main(["synth", "--out", str(root), *SYNTH, "--split-mode", mode]) == 0
+    assert cli.main(["synth", "--out", str(root), *(SEEN_SYNTH if mode == "seen_heard" else SYNTH)]) == 0
     derived, loaded = [], []
     part_rows, load_dataset = data.SplitSpec.part_rows, data.load_dataset
 
@@ -499,16 +500,45 @@ def test_train_split_of_only_unknown_identities_exits_2(world, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--test-identities", "0"], "the test part needs at least 1 identity"),
-    (["--val-identities", "0"], "the val part needs at least 1 identity"),
-    (["--test-identities", "1"], "the test part needs at least 2 identities"),
-    (["--val-identities", "1"], "the val part needs at least 2 identities"),
-    (["--split-mode", "seen_heard", "--samples-per-id", "2"], "the val part is empty"),
+    (SYNTH + ["--test-identities", "0"], "the test part needs at least 1 identity"),
+    (SYNTH + ["--val-identities", "0"], "the val part needs at least 1 identity"),
+    (SYNTH + ["--test-identities", "1"], "the test part needs at least 2 identities"),
+    (SYNTH + ["--val-identities", "1"], "the val part needs at least 2 identities"),
+    (SEEN_SYNTH + ["--samples-per-id", "2"], "the val part is empty"),
 ])
 def test_synth_with_an_empty_part_exits_3_before_writing(tmp_path, capsys, flags, message):
-    assert cli.main(["synth", "--out", str(tmp_path / "out"), *SYNTH, *flags]) == 3
+    assert cli.main(["synth", "--out", str(tmp_path / "out"), *flags]) == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+@pytest.mark.parametrize("part", ["val", "test"])
+def test_synth_seen_heard_rejects_a_held_out_identity_count(tmp_path, capsys, monkeypatch, part, source):
+    """seen_heard holds out clips, so an identity count given to it from any source exits 3 before writing."""
+    argv = ["synth", "--out", str(tmp_path / "out"), *SEEN_SYNTH]
+    if source == "flag":
+        argv += [f"--{part}-identities", "2"]
+    elif source == "env":
+        monkeypatch.setenv(f"PAEFF_SYNTH_{part.upper()}_IDENTITIES", "2")
+    else:
+        (tmp_path / "synth.cfg").write_text(f"synth.{part}_identities = 2\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "synth.cfg")]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (f"numeric/invariant error: seen_heard split: --{part}-identities "
+                                       f"(config key synth.{part}_identities) applies to unseen_unheard only\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode, counts", [("seen_heard", None), ("unseen_unheard", (4, 8))])
+def test_synth_manifest_records_held_out_identity_counts_only_where_they_apply(tmp_path, mode, counts):
+    argv = SEEN_SYNTH[:-1] + [mode, "--identities", "16"]  # unseen_unheard's defaults hold out 4 + 8
+    assert cli.main(["synth", "--out", str(tmp_path), *argv]) == 0
+    section = recorded(tmp_path)["synth"]
+    recorded_counts = tuple(section.get(f"{part}_identities") for part in ("val", "test"))
+    assert recorded_counts == (counts or (None, None))
+    if counts:
+        assert [len(data.read_split_file(tmp_path / f"{part}.ids")) for part in ("val", "test")] == list(counts)
 
 
 def one_identity_part(world, tmp_path, part):
@@ -526,18 +556,37 @@ def test_train_with_a_one_identity_val_part_exits_2(world, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+TRIAL_LIST = "id0000_face_000\tid0000_voice_000\t1\nid0001_face_001\tid0002_voice_000\t0\n"
+
+
 @pytest.mark.parametrize("trials, message", [
     (None, "test split cannot build balanced trials (identities=1, with both modalities=1)"),
-    ("id0000_face_000\tid0000_voice_000\t1\nid0001_face_001\tid0002_voice_000\t0\n",
-     "matching trials need at least 2 identities with both modalities"),
+    (TRIAL_LIST, "matching trials need at least 2 identities with both modalities"),
 ], ids=["verification", "matching"])
-def test_eval_with_a_one_identity_test_part_exits_2(world, run, tmp_path, capsys, trials, message):
+def test_eval_with_a_one_identity_test_part_exits_2(world, run, tmp_path, capsys, monkeypatch, trials, message):
+    """Either trial builder rejects the part before ``score_trials`` runs, on a ``--trials`` list too."""
+    scored = []
+    monkeypatch.setattr(evaluation, "score_trials", lambda *a: scored.append(a))
     flags = ["--split-test", one_identity_part(world, tmp_path, "test")]
     if trials:
         (tmp_path / "trials.txt").write_text(trials, encoding="utf-8")
         flags += ["--trials", str(tmp_path / "trials.txt")]
     assert cli.main(eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval", *flags)) == 2
     assert capsys.readouterr().err == f"data error: {message}\n"
+    assert scored == []
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_with_too_few_distractors_exits_3_before_scoring(world, run, tmp_path, capsys, monkeypatch):
+    """The 3-identity test part has 6 distractor faces per voice probe, too few for a gallery of 10."""
+    scored = []
+    monkeypatch.setattr(evaluation, "score_trials", lambda *a: scored.append(a))
+    (tmp_path / "trials.txt").write_text(TRIAL_LIST, encoding="utf-8")
+    argv = eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval", "--trials",
+                     str(tmp_path / "trials.txt"), "--nc-list", "2,10")
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "numeric/invariant error: not enough distractor records (6) for gallery size 10\n"
+    assert scored == []
     assert not (tmp_path / "eval").exists()
 
 
@@ -640,6 +689,27 @@ def test_eval_scores_with_the_trained_model(world, tmp_path, flags):
     assert recorded(tmp_path / "eval")["model"] == recorded(trained)["model"]
     inputs = json.loads((tmp_path / "eval" / "manifest.json").read_text())["inputs"]
     assert inputs["train_manifest"]["path"] == str(trained / "manifest.json")
+
+
+def test_eval_of_the_checkpoint_scores_as_the_trained_params_do(world, tmp_path, monkeypatch):
+    """The float32 weights train returns pass the float64 checkpoint exactly: eval's scores equal in-process ones."""
+    results, scored = [], []
+    train_fn, score_trials = trainer.train, evaluation.score_trials
+    monkeypatch.setattr(trainer, "train", lambda *args: results.append(train_fn(*args)) or results[-1])
+    trained = train(world, tmp_path / "run")
+
+    def scoring(trials, params, cfg):
+        scored.append((trials, params, cfg))
+        return score_trials(trials, params, cfg)
+
+    monkeypatch.setattr(evaluation, "score_trials", scoring)
+    assert cli.main(eval_argv(world, trained / "checkpoint.paef", tmp_path / "eval")) == 0
+    (result,), ((trials, loaded, cfg),) = results, scored
+    assert {t.data.dtype for _, t in result.params.named()} == {np.dtype(np.float32)}
+    assert {t.data.dtype for _, t in loaded.named()} == {np.dtype(np.float64)}
+    fresh = [evaluation.VerificationTrial(None, t.is_match, t.face, t.voice) for t in trials]
+    score_trials(fresh, result.params, cfg)
+    assert np.array([t.score for t in fresh]).tobytes() == np.array([t.score for t in trials]).tobytes()
 
 
 def test_eval_parses_the_checkpoint_once(world, run, tmp_path, monkeypatch):
