@@ -29,11 +29,16 @@ variable is ignored. synth's ``val_identities`` and ``test_identities``
 count the identities an unseen_unheard split holds out; a seen_heard split
 holds out clips, so setting either one there, from any source, exits 3.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric/invariant
-failure. Data errors cover faults in what a file holds, not only in how it
-parses: a split id the dataset lacks, a train identity missing a modality,
-a val or test part too small to build its trials, and an eval dataset
-whose face or voice dim differs from the trained model's.
+Exit codes, one error class each (``main`` has one clause per code):
+
+- 0: success;
+- 1: ``UsageError``, a malformed flag or a missing required option;
+- 2: ``DataError`` or any ``OSError``, a fault in how a file parses or in
+  what it holds (a split id the dataset lacks, a train identity missing a
+  modality, a val or test part too small to build its trials, an eval
+  dataset whose face or voice dim differs from the trained model's), or a
+  path that cannot be read or written;
+- 3: ``NumericError`` or ``ContractError``, a numeric or invariant failure.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from typing import Any, Iterator
 
 from . import __version__, config as cfgmod, data, evaluation, model, trainer
 from .config import Option
-from .errors import ContractError, DataError, NumericError, PaeffError, ParseError
+from .errors import ContractError, DataError, NumericError
 
 
 class UsageError(Exception):
@@ -189,12 +194,12 @@ COMMAND_OPTIONS = {
 
 
 def _flag_type(opt: Option):
-    """argparse's ``type`` for ``opt``: ``parse_value``, whose ParseError becomes a usage error."""
+    """argparse's ``type`` for ``opt``: ``parse_value``, whose DataError becomes a usage error."""
 
     def parse(raw: str):
         try:
             return cfgmod.parse_value(opt, raw)
-        except ParseError as e:
+        except DataError as e:
             raise argparse.ArgumentTypeError(str(e)) from None
 
     return parse
@@ -220,6 +225,15 @@ def _require(resolved: dict, *keys: str) -> None:
     for key in keys:
         if resolved[key] is None:
             raise UsageError(f"missing required option {Option(key, 'str', None).flag} (config key {key})")
+
+
+def _out_dir(resolved: dict) -> Path:
+    """The ``io.out`` directory; a path that cannot be one is a data error before any input is read."""
+    out_dir = Path(resolved["io.out"])
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise DataError(f"--out {out_dir}: {existing} exists and is not a directory")
+    return out_dir
 
 
 def _split_paths(resolved: dict) -> dict[str, str | None]:
@@ -256,13 +270,13 @@ def _trained_model(manifest_path: str) -> model.ModelConfig:
     try:
         cfg = model.ModelConfig(**values)
     except ContractError as e:
-        raise ParseError(f"{manifest_path}: {e}") from None
+        raise DataError(f"{manifest_path}: {e}") from None
     # Manifests from when the similarity was an option of its own record it; it must be the lift's.
     expected = cfg.effective_similarity()
     similarity = manifest["config"]["model"].get("similarity", expected)
     if similarity != expected:
-        raise ParseError(f"{manifest_path}: config.model.similarity is {similarity!r}, not {expected!r} "
-                         f"as use_hyperbolic={cfg.use_hyperbolic} implies")
+        raise DataError(f"{manifest_path}: config.model.similarity is {similarity!r}, not {expected!r} "
+                        f"as use_hyperbolic={cfg.use_hyperbolic} implies")
     return cfg
 
 
@@ -284,7 +298,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     resolved = _resolve(args, COMMAND_OPTIONS["train"])
     _apply_ablation(resolved)
     _require(resolved, "io.data", "io.out", "io.split_train", "io.split_val", "io.split_test")
-    data_path, out_dir = resolved["io.data"], Path(resolved["io.out"])
+    data_path, out_dir = resolved["io.data"], _out_dir(resolved)
+    data.check_split_mode(resolved["io.split_mode"])
 
     dataset = data.load_dataset(data_path)
     split = _load_split(resolved)
@@ -320,7 +335,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _require(resolved, "io.checkpoint", "io.data", "io.out")
     if not resolved["io.trials"] and resolved["io.split_test"] is None:
         raise UsageError("eval needs --trials or --split-test")
-    checkpoint_path, data_path, out_dir = resolved["io.checkpoint"], resolved["io.data"], Path(resolved["io.out"])
+    checkpoint_path, data_path, out_dir = resolved["io.checkpoint"], resolved["io.data"], _out_dir(resolved)
+    split_name = data.check_split_mode(resolved["io.split_mode"])
     manifest_path = resolved["io.manifest"] or str(Path(checkpoint_path).parent / "manifest.json")
     eval_cfg = _build(evaluation.EvalConfig, "eval", resolved)
     model_cfg = _trained_model(manifest_path)
@@ -357,7 +373,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     matching_rows = [evaluation.matching_accuracy(m_trials, params, model_cfg) for m_trials in matching_trials]
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    split_name = resolved["io.split_mode"]
     reports = {name: out_dir / name.replace("_", ".") for name in (
         "verification_csv", "verification_json", "matching_csv", "matching_json", "roc_csv")}
     evaluation.write_verification_report(
@@ -385,9 +400,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     resolved = _resolve(args, COMMAND_OPTIONS["synth"])
     _require(resolved, "io.out")
-    out_dir = Path(resolved["io.out"])
+    out_dir = _out_dir(resolved)
 
-    seen_heard = resolved["synth.split_mode"] == "seen_heard"
+    seen_heard = data.check_split_mode(resolved["synth.split_mode"]) == "seen_heard"
     for part, default in UNSEEN_PART_IDENTITIES.items():
         key = f"synth.{part}_identities"
         if seen_heard and resolved[key] is not None:  # seen_heard holds out clips, not identities
@@ -473,15 +488,12 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (ParseError, DataError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except (NumericError, ContractError) as e:
         print(f"numeric/invariant error: {e}", file=sys.stderr)
         return 3
-    except PaeffError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ and ``read_manifest`` with ``manifest_section`` read a section of its
 
 The config file is a flat key = value format: comments start with '#',
 lists are comma-separated, strings may be double-quoted. Text that is not
-UTF-8, and a manifest value of the wrong kind, are a ParseError.
+UTF-8, and a manifest value of the wrong kind, are a DataError.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .errors import ParseError
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def parse_value(option: Option, raw: str) -> Any:
             return tuple(v.strip() for v in raw.split(",") if v.strip())
         return raw
     except ValueError as e:
-        raise ParseError(f"bad value for {option.key}: {e}") from None
+        raise DataError(f"bad value for {option.key}: {e}") from None
 
 
 def parse_json_value(option: Option, value: Any) -> Any:
@@ -75,21 +75,21 @@ def parse_json_value(option: Option, value: Any) -> Any:
     scalar that spells them (``4``, ``0.5``, ``true``).
     """
     if isinstance(value, (list, dict)) or value is None or isinstance(value, str) != (option.kind == "str"):
-        raise ParseError(f"bad value for {option.key}: {value!r} is not a {option.kind}")
+        raise DataError(f"bad value for {option.key}: {value!r} is not a {option.kind}")
     return parse_value(option, value if isinstance(value, str) else json.dumps(value))
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of ``path``; bytes that are not UTF-8 are a ParseError."""
+    """The UTF-8 text of ``path``; bytes that are not UTF-8 are a DataError."""
     return decode_text(path, Path(path).read_bytes())
 
 
 def decode_text(path, raw: bytes) -> str:
-    """``raw``, the bytes read from ``path``, as UTF-8 text; bytes that are not UTF-8 are a ParseError."""
+    """``raw``, the bytes read from ``path``, as UTF-8 text; bytes that are not UTF-8 are a DataError."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not UTF-8 text: {e}") from None
+        raise DataError(f"{path}: not UTF-8 text: {e}") from None
 
 
 def read_config_file(path, known: dict[str, Option]) -> dict[str, Any]:
@@ -100,10 +100,10 @@ def read_config_file(path, known: dict[str, Option]) -> dict[str, Any]:
             continue
         key, sep, raw = stripped.partition("=")
         if not sep:
-            raise ParseError(f"{path}:{lineno}: expected 'key = value'")
+            raise DataError(f"{path}:{lineno}: expected 'key = value'")
         key = key.strip()
         if key not in known:
-            raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = parse_value(known[key], raw)
     return values
 
@@ -177,13 +177,13 @@ def write_manifest(
 
 
 def read_manifest(path) -> dict:
-    """The decoded manifest at ``path``; text that is not a JSON object is a ParseError."""
+    """The decoded manifest at ``path``; text that is not a JSON object is a DataError."""
     try:
         manifest = json.loads(read_text(path))
     except ValueError as e:
-        raise ParseError(f"{path}: not a valid manifest: {e}") from None
+        raise DataError(f"{path}: not a valid manifest: {e}") from None
     if not isinstance(manifest, dict):
-        raise ParseError(f"{path}: a manifest must be a JSON object")
+        raise DataError(f"{path}: a manifest must be a JSON object")
     return manifest
 
 
@@ -191,19 +191,19 @@ def manifest_section(path, manifest: dict, section: str, options: list[Option]) 
     """The ``config.<section>`` value of each option in ``manifest``, read from ``path``, keyed by field name.
 
     Each option must be present and of its kind; other keys are skipped.
-    Every fault is a ParseError that names ``path``.
+    Every fault is a DataError that names ``path``.
     """
     config = manifest.get("config", {})
     values = config.get(section, {}) if isinstance(config, dict) else None
     if not isinstance(values, dict):
-        raise ParseError(f"{path}: config.{section} must be a JSON object")
+        raise DataError(f"{path}: config.{section} must be a JSON object")
     out = {}
     for opt in options:
         name = opt.key.split(".", 1)[1]
         if name not in values:
-            raise ParseError(f"{path}: config.{section} has no {name}")
+            raise DataError(f"{path}: config.{section} has no {name}")
         try:
             out[name] = parse_json_value(opt, values[name])
-        except ParseError as e:
-            raise ParseError(f"{path}: {e}") from None
+        except DataError as e:
+            raise DataError(f"{path}: {e}") from None
     return out

@@ -42,7 +42,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import decode_text, read_text
-from .errors import ContractError, DataError, NumericError, ParseError
+from .errors import ContractError, DataError, NumericError
 
 MODALITIES = ("face", "voice")
 SPLIT_MODES = ("seen_heard", "unseen_unheard")
@@ -162,18 +162,18 @@ def load_dataset(path) -> Dataset:
     lines = text.splitlines()
     del text
     if not lines:
-        raise ParseError(f"{path}:1: empty file, expected '#fve v1' header")
+        raise DataError(f"{path}:1: empty file, expected '#fve v1' header")
     header = lines[0]
     if not header.startswith(_HEADER_PREFIX):
-        raise ParseError(f"{path}:1: expected header starting with {_HEADER_PREFIX!r}")
+        raise DataError(f"{path}:1: expected header starting with {_HEADER_PREFIX!r}")
     dims: dict[str, int] = {}
     for part in header[len(_HEADER_PREFIX) :].split():
         key, _, value = part.partition("=")
         if key not in MODALITIES or not (value.isascii() and value.isdigit()):
-            raise ParseError(f"{path}:1: bad header field {part!r}")
+            raise DataError(f"{path}:1: bad header field {part!r}")
         dims[key] = int(value)
     if set(dims) != set(MODALITIES):
-        raise ParseError(f"{path}:1: header must declare face and voice dims")
+        raise DataError(f"{path}:1: header must declare face and voice dims")
 
     body = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
     # Each block is allocated once, at its modality's line count (the second field names the modality).
@@ -184,12 +184,12 @@ def load_dataset(path) -> Dataset:
     for lineno, line in body:
         fields = line.split("\t")
         if len(fields) < 7:
-            raise ParseError(f"{path}:{lineno}: expected at least 7 tab-separated fields")
+            raise DataError(f"{path}:{lineno}: expected at least 7 tab-separated fields")
         identity_id, modality, clip_id, gender, nationality, age_group = fields[:6]
         try:
             values = list(map(float, fields[6:]))
         except ValueError as e:
-            raise ParseError(f"{path}:{lineno}: bad float in vector: {e}") from None
+            raise DataError(f"{path}:{lineno}: bad float in vector: {e}") from None
         if modality not in MODALITIES:
             raise DataError(f"{path}:{lineno}: unknown modality {modality!r} on clip {clip_id!r}")
         if len(values) != dims[modality]:
@@ -224,6 +224,13 @@ def load_dataset(path) -> Dataset:
 # -- splits ----------------------------------------------------------------
 
 
+def check_split_mode(mode: str) -> str:
+    """``mode``, which must be one of ``SPLIT_MODES``; any other is a ``ContractError``."""
+    if mode not in SPLIT_MODES:
+        raise ContractError(f"split mode must be one of {SPLIT_MODES}")
+    return mode
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Identity sets (unseen_unheard) or clip sets (seen_heard) per partition."""
@@ -234,8 +241,7 @@ class SplitSpec:
     test_ids: frozenset[str]
 
     def __post_init__(self):
-        if self.mode not in SPLIT_MODES:
-            raise ContractError(f"split mode must be one of {SPLIT_MODES}")
+        check_split_mode(self.mode)
 
     def _parts(self) -> dict[str, frozenset[str]]:
         return {"train": self.train_ids, "val": self.val_ids, "test": self.test_ids}
@@ -245,8 +251,9 @@ class SplitSpec:
 
         The three parts must be pairwise disjoint, and every id must name an
         identity (unseen_unheard) or a clip (seen_heard) of ``dataset``. In
-        seen_heard, every identity of a record that val or test selects must
-        also own a record that train selects.
+        a seen_heard split with a train part (eval's may hold only test),
+        every identity of a record that val or test selects must also own a
+        record that train selects.
         """
         parts = self._parts()
         kind = "identities" if self.mode == "unseen_unheard" else "clips"
@@ -263,7 +270,7 @@ class SplitSpec:
             missing = ids - known
             if missing:
                 raise DataError(f"{name} split references unknown {kind} {sorted(missing)[:5]}")
-        if self.mode == "seen_heard":
+        if self.mode == "seen_heard" and self.train_ids:
             idents = {name: {k for codes, _ in self._selected(dataset, name).values() for k in codes.tolist()}
                       for name in parts}
             if not idents["train"] >= idents["val"] | idents["test"]:
@@ -328,7 +335,7 @@ def read_split_file(path) -> frozenset[str]:
     lines = read_text(path).splitlines()
     ids = frozenset(line.strip() for line in lines if line.strip())
     if not ids:
-        raise ParseError(f"{path}: split file lists no ids")
+        raise DataError(f"{path}: split file lists no ids")
     return ids
 
 

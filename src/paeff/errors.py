@@ -1,10 +1,14 @@
-"""Exception taxonomy shared across the package, with the CLI's exit codes.
+"""Exception taxonomy shared across the package: one class per kind of fault, with its CLI exit code.
 
-``ParseError`` (a file does not parse) and ``DataError`` (split or dataset
-content breaks an invariant: an identity missing a modality, a part too
-small for its trials, dims that differ from the trained model's) exit 2.
-``ContractError`` (a caller broke a documented precondition: a shape, an
-index range, a dtype, an option value) and ``NumericError`` exit 3.
+- ``DataError``, exit 2: an input does not parse, or its content breaks an
+  invariant (a split id the dataset lacks, an identity missing a modality, a
+  part too small for its trials, dims that differ from the trained model's).
+  The CLI gives any ``OSError`` the same code.
+- ``ContractError``, exit 3: a caller broke a documented precondition (a
+  shape, an index range, a dtype, an option value).
+- ``NumericError``, exit 3: a value is non-finite or outside its domain; kept
+  apart so that a caller can re-label it with the input it came from.
+
 ``PaeffError`` is their base, never raised itself; usage errors exit 1.
 """
 
@@ -22,8 +26,4 @@ class NumericError(PaeffError):
 
 
 class DataError(PaeffError):
-    """Dataset or split content violates an invariant (missing modality, bad dims)."""
-
-
-class ParseError(PaeffError):
-    """A file could not be parsed; message carries the line number."""
+    """An input does not parse or breaks an invariant; a parse fault's message carries the line number."""

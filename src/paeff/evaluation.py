@@ -43,7 +43,7 @@ import numpy as np
 from .autodiff import Tensor
 from .config import read_text
 from .data import MODALITIES, Dataset, EmbeddingRecord, SplitSpec
-from .errors import ContractError, DataError, NumericError, ParseError
+from .errors import ContractError, DataError, NumericError
 from .losses import pair_similarity
 from .model import ModelConfig, ModelParams, encode_modality
 
@@ -431,7 +431,7 @@ def load_trial_list(path, dataset: Dataset) -> list[VerificationTrial]:
     """Read an external trial list: clip_id_face \\t clip_id_voice \\t {0,1}.
 
     EER and ROC need both classes, so a list without a match line or
-    without a non-match line is a ``ParseError``, as an empty one is.
+    without a non-match line is a ``DataError``, as an empty one is.
     """
     trials: list[VerificationTrial] = []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
@@ -439,16 +439,16 @@ def load_trial_list(path, dataset: Dataset) -> list[VerificationTrial]:
             continue
         parts = line.split("\t")
         if len(parts) != 3 or parts[2] not in ("0", "1"):
-            raise ParseError(f"{path}:{lineno}: expected 'face_clip\\tvoice_clip\\t0|1'")
+            raise DataError(f"{path}:{lineno}: expected 'face_clip\\tvoice_clip\\t0|1'")
         face = dataset.by_clip("face", parts[0])
         voice = dataset.by_clip("voice", parts[1])
         trials.append(
             VerificationTrial(score=None, is_match=parts[2] == "1", face=face, voice=voice)
         )
     if not trials:
-        raise ParseError(f"{path}: trial list is empty")
+        raise DataError(f"{path}: trial list is empty")
     if len({t.is_match for t in trials}) < 2:
-        raise ParseError(f"{path}: trial list needs at least one match (1) and one non-match (0) line")
+        raise DataError(f"{path}: trial list needs at least one match (1) and one non-match (0) line")
     return trials
 
 

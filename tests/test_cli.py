@@ -489,6 +489,29 @@ def test_required_options_are_checked_before_any_input_is_read(tmp_path, capsys,
     assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
+def forbid_reading_inputs(monkeypatch):
+    """Make reading a manifest, checkpoint or dataset, or generating one, fail the test."""
+    for module, name in ((cli.cfgmod, "read_manifest"), (model, "load_checkpoint"), (data, "load_dataset"),
+                         (data, "synth_generate")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"called {name}"))
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+@pytest.mark.parametrize("command", ["train", "eval", "synth"])
+def test_out_naming_an_existing_file_exits_2_before_any_input_is_read(world, run, tmp_path, capsys, monkeypatch,
+                                                                     command, below):
+    """An --out that cannot become a directory fails before any input is read or generated, and writes nothing."""
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "sub" if below else taken
+    forbid_reading_inputs(monkeypatch)
+    argv = {"train": train_argv(world, out), "eval": eval_argv(world, world / "run" / "checkpoint.paef", out),
+            "synth": ["synth", "--out", str(out), *SYNTH]}[command]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"data error: --out {out}: {taken} exists and is not a directory\n"
+    assert sorted(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
+
+
 def test_train_split_of_only_unknown_identities_exits_2(world, tmp_path, capsys):
     """The split is checked before the class count is taken from it, which would be 0 here and exit 3."""
     (tmp_path / "train.ids").write_text("nobody0\nnobody1\n")
@@ -528,6 +551,22 @@ def test_synth_seen_heard_rejects_a_held_out_identity_count(tmp_path, capsys, mo
     assert capsys.readouterr().err == (f"numeric/invariant error: seen_heard split: --{part}-identities "
                                        f"(config key synth.{part}_identities) applies to unseen_unheard only\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "synth"])
+def test_unknown_split_mode_exits_3_before_any_input_is_read(world, run, tmp_path, capsys, monkeypatch, command):
+    """eval checks the mode with --trials and no split file too, where the mode only labels the reports."""
+    forbid_reading_inputs(monkeypatch)
+    (tmp_path / "trials.txt").write_text(TRIAL_LIST, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {"train": train_argv(world, out),
+            "eval": ["eval", "--checkpoint", str(world / "run" / "checkpoint.paef"), "--data",
+                     str(world / "data.fve"), "--trials", str(tmp_path / "trials.txt"), "--out", str(out)],
+            "synth": ["synth", "--out", str(out), *SYNTH]}[command]
+    assert cli.main(argv + ["--split-mode", "foo"]) == 3
+    assert capsys.readouterr().err == ("numeric/invariant error: split mode must be one of "
+                                       "('seen_heard', 'unseen_unheard')\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode, counts", [("seen_heard", None), ("unseen_unheard", (4, 8))])
@@ -605,7 +644,6 @@ def test_eval_data_of_other_dims_than_the_model_exits_2_before_scoring(world, ru
 
 # Each error class's exit code and stderr prefix, written out by hand.
 EXIT_CODES = {
-    "ParseError": (2, "data error:"),
     "DataError": (2, "data error:"),
     "ContractError": (3, "numeric/invariant error:"),
     "NumericError": (3, "numeric/invariant error:"),
@@ -625,6 +663,16 @@ def test_every_error_class_exits_with_its_code(monkeypatch, capsys, error):
     code, prefix = EXIT_CODES[error.__name__]
     assert cli.main(["selfcheck"]) == code
     assert capsys.readouterr().err == f"{prefix} the fault\n"
+
+
+@pytest.mark.parametrize("error", [FileExistsError, PermissionError, IsADirectoryError], ids=lambda c: c.__name__)
+def test_every_os_error_exits_2_as_a_data_error(monkeypatch, capsys, error):
+    def failing(args):
+        raise error("the fault")
+
+    monkeypatch.setattr(cli, "cmd_selfcheck", failing)
+    assert cli.main(["selfcheck"]) == 2
+    assert capsys.readouterr().err == "data error: the fault\n"
 
 
 def test_intact_checkpoint_evaluates(run):
@@ -674,6 +722,19 @@ def test_checkpoint_checked_before_dataset(world, run, tmp_path, capsys):
             "--data", str(bad_data), "--out", str(tmp_path / "eval"), *splits(world)]
     assert cli.main(argv) == 2
     assert str(bad_checkpoint) in capsys.readouterr().err
+
+
+def test_seen_heard_eval_of_the_test_part_alone_writes_the_reports_of_all_three(tmp_path):
+    """The coverage rule ties val and test to train; an eval given only the test part skips it."""
+    seen = tmp_path / "seen"
+    assert cli.main(["synth", "--out", str(seen), *SEEN_SYNTH]) == 0
+    checkpoint_path = train(seen, seen / "run", "--split-mode", "seen_heard") / "checkpoint.paef"
+    test_only = eval_argv(seen, checkpoint_path, tmp_path / "test_only", "--split-mode", "seen_heard")
+    del test_only[test_only.index("--split-train"):test_only.index("--split-test")]
+    assert cli.main(test_only) == 0
+    assert cli.main(eval_argv(seen, checkpoint_path, tmp_path / "all", "--split-mode", "seen_heard")) == 0
+    for name in ("verification.csv", "verification.json", "matching.csv", "matching.json", "roc.csv"):
+        assert (tmp_path / "test_only" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
 
 
 # -- the model eval scores with: the training manifest ----------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import record_walk as walk
 from paeff import data
 from paeff.data import Dataset, EmbeddingRecord, SplitSpec
-from paeff.errors import ContractError, DataError, NumericError, ParseError
+from paeff.errors import ContractError, DataError, NumericError
 
 
 def tiny_dataset():
@@ -70,13 +70,13 @@ class TestFormat:
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.fve"
         path.write_text("#fve v1 face=2 voice=2\n" "a\tface\tc0\t\t\t\t1.0\toops\n")
-        with pytest.raises(ParseError, match=":2"):
+        with pytest.raises(DataError, match=":2"):
             data.load_dataset(path)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "noheader.fve"
         path.write_text("a\tface\tc0\t\t\t\t1.0\t2.0\n")
-        with pytest.raises(ParseError, match=":1"):
+        with pytest.raises(DataError, match=":1"):
             data.load_dataset(path)
 
     def test_dim_mismatch(self, tmp_path):

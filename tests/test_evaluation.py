@@ -14,7 +14,7 @@ import record_walk as walk
 from paeff import data, evaluation, hyperbolic as hyp, model
 from paeff.autodiff import Tensor
 from paeff.data import SplitSpec
-from paeff.errors import ContractError, DataError, NumericError, ParseError
+from paeff.errors import ContractError, DataError, NumericError
 from paeff.evaluation import VerificationTrial
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -751,7 +751,7 @@ class TestTrialConstruction:
         ds, *_ = small_setup()
         path = tmp_path / "bad.tsv"
         path.write_text("clip_a\tclip_b\t2\n")
-        with pytest.raises(ParseError, match=":1"):
+        with pytest.raises(DataError, match=":1"):
             evaluation.load_trial_list(path, ds)
 
     def test_unknown_clip_rejected(self, tmp_path):
