@@ -339,6 +339,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     split_name = data.check_split_mode(resolved["io.split_mode"])
     manifest_path = resolved["io.manifest"] or str(Path(checkpoint_path).parent / "manifest.json")
     eval_cfg = _build(evaluation.EvalConfig, "eval", resolved)
+    if not Path(checkpoint_path).is_file():  # before the manifest, which is found next to it by default
+        raise DataError(f"{checkpoint_path}: no checkpoint there")
     model_cfg = _trained_model(manifest_path)
     params = model.load_checkpoint(checkpoint_path, model_cfg)
 

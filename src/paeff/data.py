@@ -1,6 +1,7 @@
 """Embedding datasets: file format, row layout, splits, pair batching, synthesis.
 
-Datasets are UTF-8 TSV files ("fve v1"): a header line
+Datasets are UTF-8 TSV files ("fve v1"): a header line that declares
+each dim once, at least 1,
 
     #fve v1 face=<dim> voice=<dim>
 
@@ -171,6 +172,10 @@ def load_dataset(path) -> Dataset:
         key, _, value = part.partition("=")
         if key not in MODALITIES or not (value.isascii() and value.isdigit()):
             raise DataError(f"{path}:1: bad header field {part!r}")
+        if key in dims:
+            raise DataError(f"{path}:1: header declares the {key} dim twice")
+        if int(value) < 1:
+            raise DataError(f"{path}:1: {key} dim must be at least 1, got {value}")
         dims[key] = int(value)
     if set(dims) != set(MODALITIES):
         raise DataError(f"{path}:1: header must declare face and voice dims")

@@ -18,15 +18,16 @@ replacement.
 
 Many trials share one record, so scoring collects the distinct record
 objects of each trial slot, encodes each once, and scores every trial as
-one index pair into those encodings through ``losses.pair_similarity``:
-the entry of the alignment's own similarity table (the negated
-``hyperbolic.distance_table`` or the cosine) over the distinct faces and
-voices, taken a bounded block of face rows at a time. Scoring reads the
-parameters through ``ModelParams.detached``, so encoding records no tape
-and runs in float64 whatever the parameters' dtype, and the scores
-themselves are computed in plain numpy. A record whose
-modality does not fit its slot is a ``ContractError``. Scores that are
-not finite, or that all tie and so cannot rank the trials, are a
+one index pair into those encodings: the entry of the alignment's own
+similarity table (``losses.similarity_arm`` of the model's arm: the
+negated ``hyperbolic.distance_table`` or the cosine) over the distinct
+faces and voices, built a bounded block of face rows at a time
+(``_pair_scores``, which ``score_trials`` and ``matching_accuracy``
+share). Scoring reads the parameters through ``ModelParams.detached``, so
+encoding records no tape and runs in float64 whatever the parameters'
+dtype, and the scores themselves are computed in plain numpy. A record
+whose modality does not fit its slot is a ``ContractError``. Scores that
+are not finite, or that all tie and so cannot rank the trials, are a
 ``NumericError``. EER, AUC, the ROC and every demographic stratum read
 one table of the match and non-match trial counts at each distinct score.
 """
@@ -44,10 +45,13 @@ from .autodiff import Tensor
 from .config import read_text
 from .data import MODALITIES, Dataset, EmbeddingRecord, SplitSpec
 from .errors import ContractError, DataError, NumericError
-from .losses import pair_similarity
+from .losses import similarity_arm
 from .model import ModelConfig, ModelParams, encode_modality
 
 STRATA = ("random", "G", "N", "A", "GNA")
+# Most entries of one block of the similarity table that _pair_scores holds: 2 MB of float64.
+_TABLE_ENTRIES = 2**18
+
 
 @dataclass(slots=True)
 class VerificationTrial:
@@ -131,6 +135,26 @@ def _encode_records(
     return enc, index
 
 
+def _pair_scores(face, voice, face_rows: np.ndarray, voice_rows: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """s[k] = similarity of face ``face_rows[k]`` with voice ``voice_rows[k]``: [N], in numpy.
+
+    The encodings' table under ``cfg``'s arm (``losses.similarity_arm``),
+    built over a block of face rows at a time, at most ``_TABLE_ENTRIES``
+    entries, and gathered at the index pairs. The pairs come from
+    :func:`_distinct`, so every row is in range. A score needs no
+    gradient, so nothing here records a node.
+    """
+    table_of, sign = similarity_arm(face, voice, cfg.effective_similarity())
+    f, v = face.numpy(), voice.numpy()
+    out = np.empty(face_rows.size)
+    step = max(1, _TABLE_ENTRIES // v.shape[0])
+    for s in range(0, f.shape[0], step):
+        table = table_of(f[s : s + step], v)[0]
+        k = np.flatnonzero((face_rows >= s) & (face_rows < s + step))
+        out[k] = table[face_rows[k] - s, voice_rows[k]]
+    return out * sign
+
+
 def score_trials(
     trials: list[VerificationTrial], params: ModelParams, cfg: ModelConfig
 ) -> list[VerificationTrial]:
@@ -144,7 +168,7 @@ def score_trials(
     params = params.detached()
     f, f_rows = _encode_records([t.face for t in trials], "face", "face", params, cfg)
     v, v_rows = _encode_records([t.voice for t in trials], "voice", "voice", params, cfg)
-    scores = pair_similarity(f, v, f_rows, v_rows, cfg.effective_similarity())
+    scores = _pair_scores(f, v, f_rows, v_rows, cfg)
     for trial, s in zip(trials, scores.tolist()):
         trial.score = s
     return trials
@@ -275,7 +299,7 @@ def matching_accuracy(
         pairs = (gallery, probe, gallery_rows, probe_rows)
     else:
         pairs = (probe, gallery, probe_rows, gallery_rows)
-    scores = pair_similarity(*pairs, cfg.effective_similarity()).reshape(len(trials), n_c)
+    scores = _pair_scores(*pairs, cfg).reshape(len(trials), n_c)
     if not np.all(np.isfinite(scores)):
         raise NumericError(f"{np.count_nonzero(~np.isfinite(scores))} matching scores are not finite")
 

@@ -8,9 +8,8 @@ with the weights defaulting to (0.3, 0.35, 0.35). Each loss is one tape
 node with a hand-written VJP: the alignment, the orthogonal projection
 loss and the cross-entropy, and ``total_loss`` weighs them in one more.
 The alignment's two arms, hyperbolic and cosine, share that node and
-differ only in the similarity table it is built on, which one helper
-picks. Evaluation scores trials with ``pair_similarity``: entries of that
-same table, in plain numpy, since a score needs no gradient.
+differ only in the similarity table it is built on, which
+``similarity_arm`` picks; evaluation scores trials on the same table.
 
 One max-shifted softmax kernel, ``_softmax``, has three uses: the rows of
 the classifier's logits in ``cross_entropy_loss``, and the rows and then
@@ -31,8 +30,6 @@ from .errors import ContractError, NumericError
 from .hyperbolic import PoincarePoint
 
 _NORM_FLOOR = 1e-12
-# Most entries of one block of the similarity table that pair_similarity holds: 2 MB of float64.
-_TABLE_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -101,46 +98,7 @@ def _softmax(z: np.ndarray, axis: int, out=None):
     return p, top, total
 
 
-def pair_similarity(
-    face: PoincarePoint | Tensor, voice: PoincarePoint | Tensor, face_rows, voice_rows, mode: str
-) -> np.ndarray:
-    """s[k] = similarity of face ``face_rows[k]`` with voice ``voice_rows[k]``: [N], in numpy.
-
-    The entries of the alignment's own table (:func:`_similarity_arm`),
-    taken over a block of face rows at a time, at most ``_TABLE_ENTRIES``
-    entries, and gathered at the given pairs. The rows, two equal-length
-    integer arrays, index the distinct encodings that evaluation scores.
-    Scoring needs no gradient, so nothing here records a node.
-    """
-    table_of, sign = _similarity_arm(face, voice, mode)
-    f, v = _rows(face).data, _rows(voice).data
-    face_rows, voice_rows = _trial_rows(face_rows, f.shape[0]), _trial_rows(voice_rows, v.shape[0])
-    if face_rows.size != voice_rows.size:
-        raise ContractError(f"pair_similarity: {face_rows.size} face rows vs {voice_rows.size} voice rows")
-    out = np.empty(face_rows.size)
-    step = max(1, _TABLE_ENTRIES // v.shape[0])
-    for s in range(0, f.shape[0], step):
-        table = table_of(f[s : s + step], v)[0]
-        k = np.flatnonzero((face_rows >= s) & (face_rows < s + step))
-        out[k] = table[face_rows[k] - s, voice_rows[k]]
-    return out * sign
-
-
-def _trial_rows(rows, n: int) -> np.ndarray:
-    """``rows`` as a 1-d integer array of indices into ``n`` rows.
-
-    A face row outside the blocks would leave its score unset, so every
-    row is checked before a block is built.
-    """
-    r = np.asarray(rows)
-    if r.ndim != 1 or not np.issubdtype(r.dtype, np.integer):
-        raise ContractError(f"pair_similarity needs 1-d integer rows, got shape {r.shape} ({r.dtype})")
-    if r.size and (r.min() < 0 or r.max() >= n):
-        raise ContractError(f"pair_similarity: row index out of range for {n} rows")
-    return r
-
-
-def _similarity_arm(face, voice, mode: str):
+def similarity_arm(face, voice, mode: str):
     """The table T of the alignment arm ``mode`` and its sign: similarity = sign * T.
 
     T is a function of the face and voice row arrays that returns the
@@ -179,7 +137,7 @@ def alignment_loss(
     face->voice and voice->face directions.
 
     The arms differ only in their table T and sign, similarity = sign * T
-    (:func:`_similarity_arm`); ``back(g, scale)`` takes scale * g, a
+    (:func:`similarity_arm`); ``back(g, scale)`` takes scale * g, a
     gradient of T, to the rows. With t = exp(logit_scale) and P the logit
     gradient (:func:`contrastive_nll`), the rows get
     ``back(P, sign * t)`` and logit_scale gets <P, logits>, summed in the
@@ -187,7 +145,7 @@ def alignment_loss(
     whose entries all tie, such as every pair at the distance cap, ranks
     no pair: it is a ``NumericError``, as tied scores are in evaluation.
     """
-    table_of, sign = _similarity_arm(face, voice, mode)
+    table_of, sign = similarity_arm(face, voice, mode)
     f, v = _rows(face), _rows(voice)
     b = f.shape[0]
     if b < 2:

@@ -351,6 +351,8 @@ def load_checkpoint_arrays(path) -> dict[str, np.ndarray]:
             name = take(name_len, "name").decode("utf-8")
         except UnicodeDecodeError as e:
             raise DataError(f"{path}: a parameter name is not UTF-8") from e
+        if name in out:
+            raise DataError(f"{path}: parameter {name!r} appears twice")
         (rank,) = struct.unpack("<I", take(4, f"{name} rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"{name} dims"))
         values = np.frombuffer(take(8 * math.prod(dims), f"{name} values"), dtype="<f8")

@@ -24,21 +24,21 @@ its inputs' dtype.
 
 Malloc policy. ``Tensor.backward`` frees each step's graph as it goes, and
 by default glibc then trims the freed memory off the heap top, so the next
-forward pass faults it back in page by page: 2 000 to 3 300 minor faults
-per ``train`` call on the bench's ``train-b256`` inputs (512 face, 192
-voice, D = 128, 2 epochs of 2 steps at B = 256), 8 500 to 9 100 on
-``train-b64`` (6 epochs of 8 steps at B = 64), and 7 600 per step at
-B = 1024, and a call is slower (``train-b256``: 58 to 72 ms against 49 to
-68 ms with the policy, one BLAS thread). ``train`` therefore sets, through
-``mallopt``, an mmap threshold of 32 MiB (glibc's ceiling for its dynamic
-threshold on 64-bit) and a trim threshold of -1 (never trim). A repeated
-call then takes at most a few dozen faults, and the numbers it computes do
-not change. The policy is process-wide and glibc-only: it is skipped where
-libc has no ``mallopt``. Freed heap memory stays resident until the process
-exits, but the peak does not rise, since the steps reuse it. Both values
-are set or neither: setting a trim threshold alone turns off glibc's
-dynamic mmap threshold, so every array of 128 KB or more is mmapped, and
-faults rise to 18 000 per B = 1024 step. Two fixes in the program were
+forward pass faults it back in page by page. ``train`` therefore sets,
+through ``mallopt``, an mmap threshold of 32 MiB (glibc's ceiling for its
+dynamic threshold on 64-bit) and a trim threshold of -1 (never trim). The
+numbers it computes do not change. Measured on the float32 step, one BLAS
+thread, against a copy without the policy: on the bench's ``train-b64``
+and ``train-b256`` inputs (512 face, 192 voice, D = 128) the gain is within
+noise, 199 against 203 ms per ``train`` call with 4 against 672 minor
+faults; at the paper's batch, B = 1024, a step takes 82.5 against 92.9 ms
+with 0 against 3 687 faults. B = 1024 is why the policy stays. It is
+process-wide and glibc-only: it is skipped where libc has no ``mallopt``.
+Freed heap memory stays resident until the process exits, but the peak
+does not rise, since the steps reuse it. Both values are set or neither:
+setting a trim threshold alone turns off glibc's dynamic mmap threshold,
+so every array of 128 KB or more is mmapped, and faults rose to 18 000 per
+B = 1024 step when that step ran in float64. Two fixes in the program were
 rejected: keeping the previous step's graph alive doubles the step peak
 that ``test_training_step_peak_memory_at_the_paper_batch`` bounds, and
 reusing buffers node by node would touch every node.

@@ -712,6 +712,15 @@ def test_checkpoint_missing_weight_is_data_error(run, name):
     assert evaluate(without(checkpoint, name)) == 2
 
 
+def test_checkpoint_repeating_a_parameter_is_data_error(world, run, capsys):
+    # A second face_bias of 9s after the first: it would win if the loader kept the last copy.
+    evaluate, checkpoint = run
+    nines = np.full(model.load_checkpoint_arrays(world / "run" / "checkpoint.paef")["face_bias"].shape, 9.0)
+    repeat = struct.pack("<I", 9) + b"face_bias" + struct.pack(f"<{nines.ndim + 1}I", nines.ndim, *nines.shape)
+    assert evaluate(checkpoint + repeat + nines.astype("<f8").tobytes()) == 2
+    assert "parameter 'face_bias' appears twice" in capsys.readouterr().err
+
+
 def test_checkpoint_checked_before_dataset(world, run, tmp_path, capsys):
     _, checkpoint = run
     bad_checkpoint = tmp_path / "bad.paef"
@@ -826,6 +835,14 @@ def test_eval_without_a_manifest_exits_2(world, run, tmp_path, capsys):
     (tmp_path / "checkpoint.paef").write_bytes(run[1])
     assert cli.main(eval_argv(world, tmp_path / "checkpoint.paef", tmp_path / "eval")) == 2
     assert str(tmp_path / "manifest.json") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beside", ["nothing", "a synth manifest"])
+def test_eval_of_a_missing_checkpoint_names_it(world, tmp_path, capsys, beside):
+    """Without --manifest, the manifest is looked for next to the checkpoint, which must be there first."""
+    missing = (tmp_path if beside == "nothing" else world) / "missing.paef"
+    assert cli.main(eval_argv(world, missing, tmp_path / "eval")) == 2
+    assert f"data error: {missing}: no checkpoint there" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value, message", [

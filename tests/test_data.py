@@ -79,6 +79,18 @@ class TestFormat:
         with pytest.raises(DataError, match=":1"):
             data.load_dataset(path)
 
+    @pytest.mark.parametrize("header, message", [
+        ("face=0 voice=2", "face dim must be at least 1, got 0"),
+        ("face=2 voice=00", "voice dim must be at least 1, got 00"),
+        ("face=5 face=6 voice=2", "declares the face dim twice"),
+        ("face=2 voice=2 voice=2", "declares the voice dim twice"),
+    ])
+    def test_header_declares_each_dim_once_and_at_least_1(self, tmp_path, header, message):
+        path = tmp_path / "header.fve"
+        path.write_text(f"#fve v1 {header}\n" "a\tface\tc0\t\t\t\t1.0\t2.0\n")
+        with pytest.raises(DataError, match=f":1: .*{message}"):
+            data.load_dataset(path)
+
     def test_dim_mismatch(self, tmp_path):
         path = tmp_path / "dims.fve"
         path.write_text("#fve v1 face=3 voice=2\n" "a\tface\tc0\t\t\t\t1.0\t2.0\n")

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import metrics_reference as ref
 import record_walk as walk
+from chain_check import pairwise_cosine
 from paeff import data, evaluation, hyperbolic as hyp, model
 from paeff.autodiff import Tensor
 from paeff.data import SplitSpec
@@ -335,15 +337,96 @@ ARMS = {"hyperbolic": lambda cfg: cfg, "cosine": cosine_arm}
 def captured_similarity(monkeypatch):
     """Record every score vector evaluation computes from encoded rows."""
     seen = []
-    original = evaluation.pair_similarity
+    original = evaluation._pair_scores
 
-    def spy(f, v, f_rows, v_rows, mode):
-        out = original(f, v, f_rows, v_rows, mode)
+    def spy(f, v, f_rows, v_rows, cfg):
+        out = original(f, v, f_rows, v_rows, cfg)
         seen.append(out)
         return out
 
-    monkeypatch.setattr(evaluation, "pair_similarity", spy)
+    monkeypatch.setattr(evaluation, "_pair_scores", spy)
     return seen
+
+
+BALL = hyp.BallConfig()
+ARM_CFGS = {arm: make(model.ModelConfig(4, 4, num_identities=2)) for arm, make in ARMS.items()}
+
+
+def ball_rows(seed, b, d):
+    """[B x D] rows at radius 0.3 to 0.7 of the ball."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(b, d))
+    return u / np.linalg.norm(u, axis=1, keepdims=True) * rng.uniform(0.3, 0.7, size=(b, 1))
+
+
+def lifted(x):
+    return hyp.exp_map_origin(Tensor(np.asarray(x, dtype=np.float64)), BALL)
+
+
+class TestPairScores:
+    """The scorer gathers entries of the alignment's own similarity table, for both arms."""
+
+    @pytest.mark.parametrize("arm", sorted(ARMS))
+    def test_entries_of_the_arms_table(self, arm):
+        rng = np.random.default_rng(7)
+        f, v = lifted(rng.normal(size=(5, 4)) * 0.5), lifted(rng.normal(size=(6, 4)) * 0.5)
+        i, j = rng.integers(5, size=30), rng.integers(6, size=30)
+        got = evaluation._pair_scores(f, v, i, j, ARM_CFGS[arm])
+        if arm == "cosine":
+            table = pairwise_cosine(f.vector, v.vector).numpy()
+        else:
+            table = -hyp.pairwise_distances(f, v).numpy()
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_allclose(got, table[i, j], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("arm", sorted(ARMS))
+    def test_repeats_score_bit_identically_in_any_order(self, arm):
+        # Each pair is one entry of the table, wherever and however often it appears.
+        rng = np.random.default_rng(10)
+        f, v = lifted(rng.normal(size=(4, 6)) * 0.5), lifted(rng.normal(size=(5, 6)) * 0.5)
+        n = 500
+        i, j = rng.integers(4, size=n), rng.integers(5, size=n)
+        got = evaluation._pair_scores(f, v, i, j, ARM_CFGS[arm])
+        perm = rng.permutation(n)
+        np.testing.assert_array_equal(evaluation._pair_scores(f, v, i[perm], j[perm], ARM_CFGS[arm]), got[perm])
+        first = {}
+        for k, pair in enumerate(zip(i.tolist(), j.tolist())):
+            assert got[k] == got[first.setdefault(pair, k)]
+
+    @pytest.mark.parametrize("arm", sorted(ARMS))
+    @pytest.mark.parametrize("entries", [4, 13], ids=["one-row-blocks", "two-row-blocks"])
+    def test_blocks_match_per_pair_reference(self, arm, entries, monkeypatch):
+        # With 6 voice rows, 13 entries make blocks of 2 face rows (the last one short), and 4 entries
+        # still make blocks of one row.
+        monkeypatch.setattr(evaluation, "_TABLE_ENTRIES", entries)
+        rng = np.random.default_rng(12)
+        x, y = ball_rows(13, 11, 5), ball_rows(14, 6, 5)
+        i, j = rng.integers(11, size=200), rng.integers(6, size=200)
+        f, v = hyp.PoincarePoint(Tensor(x), BALL), hyp.PoincarePoint(Tensor(y), BALL)
+        got = evaluation._pair_scores(f, v, i, j, ARM_CFGS[arm])
+        if arm == "cosine":
+            unit_x, unit_y = (r / np.linalg.norm(r, axis=1, keepdims=True) for r in (x, y))
+            want = np.sum(unit_x[i] * unit_y[j], axis=1)
+        else:
+            want = -hyp.poincare_distance(*(hyp.PoincarePoint(Tensor(r), BALL) for r in (x[i], y[j])))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("arm", sorted(ARMS))
+    def test_transient_memory_bounded_by_table_blocks(self, arm):
+        # 20 000 pairs over 2 000 x 2 000 distinct rows at D = 128: one whole table is a 32 MB array,
+        # and the hyperbolic one takes several while it is built.
+        n, rows, d = 20_000, 2_000, 128
+        rng = np.random.default_rng(41)
+        f = hyp.PoincarePoint(Tensor(ball_rows(42, rows, d)), BALL)
+        v = hyp.PoincarePoint(Tensor(ball_rows(43, rows, d)), BALL)
+        i, j = rng.integers(rows, size=n), rng.integers(rows, size=n)
+        tracemalloc.start()
+        try:
+            evaluation._pair_scores(f, v, i, j, ARM_CFGS[arm])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * rows * 8 // 2
 
 
 class TestScoringByIndex:
@@ -416,7 +499,7 @@ def test_scoring_records_no_tape(arm, monkeypatch):
     """Encodings come from parameter tensors that require no gradient, and scores are plain arrays."""
     ds, split, cfg, params = small_setup()
     cfg = ARMS[arm](cfg)
-    outputs = {"encode_modality": [], "pair_similarity": []}
+    outputs = {"encode_modality": [], "_pair_scores": []}
     for name in outputs:
         original = getattr(evaluation, name)
 
@@ -429,9 +512,9 @@ def test_scoring_records_no_tape(arm, monkeypatch):
     trials = evaluation.build_verification_trials(ds, split, 20, seed=26)
     evaluation.score_trials(trials, params, cfg)
     evaluation.matching_accuracy(evaluation.build_matching_trials(ds, split, 3, 10, seed=27), params, cfg)
-    assert len(outputs["encode_modality"]) == 4 and len(outputs["pair_similarity"]) == 2
+    assert len(outputs["encode_modality"]) == 4 and len(outputs["_pair_scores"]) == 2
     assert all(not t.requires_grad and t._parents == () for t in outputs["encode_modality"])
-    assert all(isinstance(s, np.ndarray) for s in outputs["pair_similarity"])
+    assert all(isinstance(s, np.ndarray) for s in outputs["_pair_scores"])
     assert all(t.requires_grad for _, t in params.named())
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from paeff import autodiff as ad
 from paeff import hyperbolic as hyp
-from paeff import losses
+from paeff import evaluation, model
 from paeff.autodiff import Tensor
 from paeff.errors import ContractError, NumericError
 from paeff.gradcheck import check_gradients
@@ -411,7 +411,8 @@ class TestGramDistanceNode:
         # Trial scores gather the same near-duplicate-safe table that the chain builds.
         x, y = sample_pairs(41, 8, "mid", 1e-9)
         i, j = np.array([0, 1, 1, 5, 2]), np.array([0, 1, 3, 5, 2])
-        got = -losses.pair_similarity(as_point(Tensor(x)), as_point(Tensor(y)), i, j, "neg_hyperbolic_distance")
+        cfg = model.ModelConfig(8, 8, num_identities=2)
+        got = -evaluation._pair_scores(as_point(Tensor(x)), as_point(Tensor(y)), i, j, cfg)
         want = chain_pairwise(Tensor(x), Tensor(y)).numpy()[i, j]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 

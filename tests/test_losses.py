@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,102 +439,34 @@ class TestCosineAlignmentNode:
         assert loss._parents[0] is x and loss._parents[2] is s and len(loss._parents) == 3
 
 
-class TestPairSimilarity:
-    """Entries of the alignment's own similarity tables, for both modes."""
+class TestSimilarityArm:
+    """The arm chooser that the alignment node and the evaluation scorer share."""
 
     @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])
-    def test_entries_of_similarity_matrix(self, mode):
+    def test_signed_table_is_the_arms_similarity(self, mode):
         rng = np.random.default_rng(7)
         f, v = lifted(rng.normal(size=(5, 4)) * 0.5), lifted(rng.normal(size=(6, 4)) * 0.5)
-        i, j = rng.integers(5, size=30), rng.integers(6, size=30)
-        got = losses.pair_similarity(f, v, i, j, mode)
+        table_of, sign = losses.similarity_arm(f, v, mode)
+        table, _ = table_of(f.vector.numpy(), v.vector.numpy())
         if mode == "cosine":
-            table = pairwise_cosine(f.vector, v.vector).numpy()
+            want = pairwise_cosine(f.vector, v.vector).numpy()
         else:
-            table = -hyp.pairwise_distances(f, v).numpy()
-        assert isinstance(got, np.ndarray)
-        np.testing.assert_allclose(got, table[i, j], rtol=0.0, atol=1e-12)
+            want = -hyp.pairwise_distances(f, v).numpy()
+        assert sign == (1.0 if mode == "cosine" else -1.0)
+        np.testing.assert_allclose(sign * table, want, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])
-    def test_score_independent_of_pair_position(self, mode):
-        # Repeated pairs, in any order, score bit-identically: each is one entry of the table.
-        rng = np.random.default_rng(10)
-        f, v = lifted(rng.normal(size=(4, 6)) * 0.5), lifted(rng.normal(size=(5, 6)) * 0.5)
-        n = 500
-        i, j = rng.integers(4, size=n), rng.integers(5, size=n)
-        got = losses.pair_similarity(f, v, i, j, mode)
-        perm = rng.permutation(n)
-        np.testing.assert_array_equal(losses.pair_similarity(f, v, i[perm], j[perm], mode), got[perm])
-        first = {}
-        for k, pair in enumerate(zip(i.tolist(), j.tolist())):
-            assert got[k] == got[first.setdefault(pair, k)]
-
-    @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])
-    @pytest.mark.parametrize("rows,message", [
-        ([0, 4], "row index out of range"),
-        ([-1], "row index out of range"),
-        ([[0, 1]], "needs 1-d integer rows"),
-        ([0.0, 1.0], "needs 1-d integer rows"),
-    ])
-    def test_bad_rows_rejected(self, mode, rows, message):
-        f, v = lifted(np.full((4, 3), 0.1)), lifted(np.full((3, 3), 0.2))
-        rows = np.asarray(rows)
-        valid = np.zeros(rows.size, dtype=np.int64)
-        with pytest.raises(ContractError, match=message):
-            losses.pair_similarity(f, v, rows, valid, mode)
-        with pytest.raises(ContractError, match=message):
-            losses.pair_similarity(v, f, valid, rows, mode)
-
-    @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])
-    def test_mismatched_rows_rejected(self, mode):
-        f = lifted(np.full((4, 3), 0.1))
-        with pytest.raises(ContractError, match="2 face rows vs 1 voice rows"):
-            losses.pair_similarity(f, f, np.array([0, 1]), np.array([0]), mode)
-
-    @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])
-    @pytest.mark.parametrize("entries", [4, 13], ids=["one-row-blocks", "two-row-blocks"])
-    def test_blocks_match_per_pair_reference(self, mode, entries, monkeypatch):
-        # With 6 voice rows, 13 entries make blocks of 2 face rows (the last one short), and 4 entries
-        # still make blocks of one row.
-        monkeypatch.setattr(losses, "_TABLE_ENTRIES", entries)
-        rng = np.random.default_rng(12)
-        x, y = ball_rows(13, 11, 5, "mid"), ball_rows(14, 6, 5, "mid")
-        i, j = rng.integers(11, size=200), rng.integers(6, size=200)
-        f, v = PoincarePoint(Tensor(x), CFG), PoincarePoint(Tensor(y), CFG)
-        got = losses.pair_similarity(f, v, i, j, mode)
-        if mode == "cosine":
-            unit_x, unit_y = (r / np.linalg.norm(r, axis=1, keepdims=True) for r in (x, y))
-            want = np.sum(unit_x[i] * unit_y[j], axis=1)
-        else:
-            want = -hyp.poincare_distance(PoincarePoint(Tensor(x[i]), CFG), PoincarePoint(Tensor(y[j]), CFG))
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-
-    @pytest.mark.parametrize("mode", ["neg_hyperbolic_distance", "cosine"])
-    def test_transient_memory_bounded_by_table_blocks(self, mode):
-        # 20 000 pairs over 2 000 x 2 000 distinct rows at D = 128: one whole table is a 32 MB array,
-        # and the hyperbolic one takes several while it is built.
-        n, rows, d = 20_000, 2_000, 128
-        rng = np.random.default_rng(41)
-        f = PoincarePoint(Tensor(ball_rows(42, rows, d, "mid")), CFG)
-        v = PoincarePoint(Tensor(ball_rows(43, rows, d, "mid")), CFG)
-        i, j = rng.integers(rows, size=n), rng.integers(rows, size=n)
-        tracemalloc.start()
-        try:
-            losses.pair_similarity(f, v, i, j, mode)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < rows * rows * 8 // 2
-
-    def test_hyperbolic_mode_requires_ball_points(self):
+    @pytest.mark.parametrize("lifted_side", ["face", "voice", "neither"])
+    def test_hyperbolic_mode_requires_ball_points(self, lifted_side):
+        ball, flat = lifted(np.full((2, 3), 0.1)), Tensor(np.full((2, 3), 0.1))
+        face = ball if lifted_side == "face" else flat
+        voice = ball if lifted_side == "voice" else flat
         with pytest.raises(ContractError, match="lifted"):
-            losses.pair_similarity(
-                Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), [0], [1], "neg_hyperbolic_distance"
-            )
+            losses.similarity_arm(face, voice, "neg_hyperbolic_distance")
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ContractError, match="unknown similarity mode"):
-            losses.pair_similarity(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), [0], [1], "dot")
+        x = lifted(np.full((2, 3), 0.1))
+        with pytest.raises(ContractError, match="unknown similarity mode 'dot'"):
+            losses.similarity_arm(x, x, "dot")
 
 
 class TestOrthogonalProjectionLoss:

@@ -342,7 +342,7 @@ def test_training_runs_in_float32_and_scores_in_float64(arm, monkeypatch):
     cfg = dataclasses.replace(cfg, **TAPE_NODES[arm][0])
     wide, steps, updates, scoring = [], [], [], []
     step_losses, adamw_step = trainer.step_losses, trainer.adamw_step
-    encode_modality, pair_similarity = evaluation.encode_modality, evaluation.pair_similarity
+    encode_modality, pair_scores = evaluation.encode_modality, evaluation._pair_scores
 
     def recording(vjp, node):
         def wrapped(g):
@@ -383,14 +383,14 @@ def test_training_runs_in_float32_and_scores_in_float64(arm, monkeypatch):
         return enc
 
     def similarity(*args):
-        scores = pair_similarity(*args)
+        scores = pair_scores(*args)
         scoring.append(scores.dtype)
         return scores
 
     monkeypatch.setattr(trainer, "step_losses", watching)
     monkeypatch.setattr(trainer, "adamw_step", checking)
     monkeypatch.setattr(evaluation, "encode_modality", encoding)
-    monkeypatch.setattr(evaluation, "pair_similarity", similarity)
+    monkeypatch.setattr(evaluation, "_pair_scores", similarity)
     result = trainer.train(ds, split, cfg, trainer.TrainConfig(epochs=1, batch_size=4, lr0=1e-3, val_trials=20))
     assert steps == [TAPE_NODES[arm][1]] * 2
     assert {dtype for _, dtype in wide} == {np.dtype(np.float32)}, [w for w in wide if w[1] != np.float32]
