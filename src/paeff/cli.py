@@ -34,11 +34,12 @@ Exit codes, one error class each (``main`` has one clause per code):
 - 0: success;
 - 1: ``UsageError``, a malformed flag or a missing required option;
 - 2: ``DataError`` or any ``OSError``, a fault in how a file parses or in
-  what it holds (a split id the dataset lacks, a train identity missing a
-  modality, a val or test part too small to build its trials, an eval
-  dataset whose face or voice dim differs from the trained model's), or a
-  path that cannot be read or written;
-- 3: ``NumericError`` or ``ContractError``, a numeric or invariant failure.
+  what it holds (a config key set twice, a split id the dataset lacks, a
+  train identity missing a modality, a val or test part too small to build
+  its trials, an eval dataset whose face or voice dim differs from the
+  trained model's), or a path that cannot be read or written;
+- 3: ``NumericError`` or ``ContractError``, a numeric or invariant failure
+  (a negative seed, a non-finite ``--sigma``, dataset vector or checkpoint value).
 """
 
 from __future__ import annotations

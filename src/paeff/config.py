@@ -8,7 +8,7 @@ and ``read_manifest`` with ``manifest_section`` read a section of its
 
 The config file is a flat key = value format: comments start with '#',
 lists are comma-separated, strings may be double-quoted. Text that is not
-UTF-8, and a manifest value of the wrong kind, are a DataError.
+UTF-8, a key set twice and a manifest value of the wrong kind are a DataError.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def decode_text(path, raw: bytes) -> str:
 
 
 def read_config_file(path, known: dict[str, Option]) -> dict[str, Any]:
-    values: dict[str, Any] = {}
+    values: dict[str, tuple[int, Any]] = {}  # each key's line and value
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -104,8 +104,10 @@ def read_config_file(path, known: dict[str, Option]) -> dict[str, Any]:
         key = key.strip()
         if key not in known:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = parse_value(known[key], raw)
-    return values
+        if key in values:
+            raise DataError(f"{path}:{lineno}: config key {key!r} is already set on line {values[key][0]}")
+        values[key] = (lineno, parse_value(known[key], raw))
+    return {key: value for key, (_, value) in values.items()}
 
 
 def resolve(

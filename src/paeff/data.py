@@ -488,8 +488,10 @@ def synth_generate(
         raise ContractError("need at least 2 identities and 2 samples per identity")
     if not 0.0 <= cross_modal_coupling <= 1.0:
         raise ContractError("cross_modal_coupling must lie in [0, 1]")
-    if noise < 0.0:
-        raise ContractError("noise must be nonnegative")
+    if not 0.0 <= noise < np.inf:
+        raise ContractError(f"noise must be finite and nonnegative, got {noise}")
+    if seed < 0:
+        raise ContractError(f"seed must be at least 0, got {seed}")
     if latent_dim < 1 or latent_dim > min(face_dim, voice_dim):
         raise ContractError("latent_dim must lie in [1, min(face_dim, voice_dim)]")
 

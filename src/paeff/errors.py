@@ -1,13 +1,13 @@
 """Exception taxonomy shared across the package: one class per kind of fault, with its CLI exit code.
 
-- ``DataError``, exit 2: an input does not parse, or its content breaks an
-  invariant (a split id the dataset lacks, an identity missing a modality, a
-  part too small for its trials, dims that differ from the trained model's).
-  The CLI gives any ``OSError`` the same code.
+- ``DataError``, exit 2: an input does not parse (a config key set twice),
+  or its content breaks an invariant (a split id the dataset lacks, an
+  identity missing a modality, a part too small for its trials, dims that
+  differ from the trained model's). The CLI gives any ``OSError`` the same code.
 - ``ContractError``, exit 3: a caller broke a documented precondition (a
-  shape, an index range, a dtype, an option value).
+  shape, an index range, a dtype, an option value such as a negative seed).
 - ``NumericError``, exit 3: a value is non-finite or outside its domain; kept
-  apart so that a caller can re-label it with the input it came from.
+  apart so that a caller can label it with its input (a ``.fve`` line, a checkpoint).
 
 ``PaeffError`` is their base, never raised itself; usage errors exit 1.
 """

@@ -26,10 +26,12 @@ faces and voices, built a bounded block of face rows at a time
 share). Scoring reads the parameters through ``ModelParams.detached``, so
 encoding records no tape and runs in float64 whatever the parameters'
 dtype, and the scores themselves are computed in plain numpy. A record
-whose modality does not fit its slot is a ``ContractError``. Scores that
-are not finite, or that all tie and so cannot rank the trials, are a
-``NumericError``. EER, AUC, the ROC and every demographic stratum read
-one table of the match and non-match trial counts at each distinct score.
+whose modality does not fit its slot is a ``ContractError``; the first
+matching trial's probe sets the probe modality. EER, AUC, the ROC and every
+stratum read one table of match and non-match counts per distinct score,
+``_score_counts``, the one check of finite scores (``NumericError``). The
+array metrics reject one-class labels (``ContractError``); strata omit them.
+Trial lists are checked scored, finite, not all tied (``NumericError``), classes.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ class VerificationTrial:
 
 @dataclass(slots=True)
 class MatchingTrial:
-    probe_modality: str
     probe: EmbeddingRecord
     gallery: list[EmbeddingRecord]
     correct_index: int
@@ -85,25 +86,19 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.strata:
-            raise ContractError("strata must name at least one stratum")
-        if not self.nc_list:
-            raise ContractError("nc_list must name at least one gallery size")
-        for s in self.strata:
-            if s not in STRATA:
-                raise ContractError(f"unknown stratum {s!r}; expected one of {STRATA}")
-        for name in ("strata", "nc_list"):
-            entries = getattr(self, name)
-            if len(set(entries)) < len(entries):
-                raise ContractError(f"{name} repeats an entry, got {entries}")
-        if any(nc < 2 for nc in self.nc_list):
-            raise ContractError(f"nc_list gallery sizes must be at least 2, got {self.nc_list}")
-        if self.max_trials < 2:
-            raise ContractError(f"max_trials must be at least 2, got {self.max_trials}")
-        if self.matching_trials < 1:
-            raise ContractError(f"matching_trials must be at least 1, got {self.matching_trials}")
-        if self.probe_modality not in ("face", "voice"):
-            raise ContractError(f"probe_modality must be face or voice, got {self.probe_modality!r}")
+        rules = (
+            ("strata", 0 < len(self.strata) == len(set(self.strata)), "one or more distinct strata"),
+            ("strata", set(self.strata) <= set(STRATA), f"drawn from {STRATA}"),
+            ("nc_list", 0 < len(self.nc_list) == len(set(self.nc_list)) and min(self.nc_list) >= 2,
+             "one or more distinct gallery sizes, each at least 2"),
+            ("max_trials", self.max_trials >= 2, "at least 2"),
+            ("matching_trials", self.matching_trials >= 1, "at least 1"),
+            ("probe_modality", self.probe_modality in ("face", "voice"), "face or voice"),
+            ("seed", self.seed >= 0, "at least 0"),
+        )
+        for name, holds, rule in rules:
+            if not holds:
+                raise ContractError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 # -- scoring -------------------------------------------------------------------
@@ -177,31 +172,33 @@ def score_trials(
 # -- verification metrics -------------------------------------------------------
 
 
-def _trial_scores(trials: list[VerificationTrial]) -> np.ndarray:
+def _trial_scores(trials: list[VerificationTrial]) -> tuple[np.ndarray, np.ndarray]:
+    """The scores and labels of scored trials whose finite scores do not all tie; the counts table checks the rest."""
     if any(t.score is None for t in trials):
         raise ContractError("trials must be scored before computing metrics")
     scores = np.array([t.score for t in trials], dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
-        raise NumericError(f"{np.count_nonzero(~np.isfinite(scores))} trial scores are not finite")
-    if scores.size and scores.min() == scores.max():
+    if scores.size and scores.min() == scores.max() and np.isfinite(scores[0]):
         raise NumericError(f"all {scores.size} trial scores equal {scores[0]:.6g}, so they cannot rank the trials")
-    return scores
-
-
-def _scores_labels(trials: list[VerificationTrial]) -> tuple[np.ndarray, np.ndarray]:
-    scores = _trial_scores(trials)
-    labels = np.array([t.is_match for t in trials], dtype=bool)
-    if labels.all() or not labels.any():
-        raise ContractError("need at least one match and one non-match trial")
-    return scores, labels
+    return scores, np.array([t.is_match for t in trials], dtype=bool)
 
 
 def _score_counts(scores: np.ndarray, labels: np.ndarray):
     """The counts table: distinct scores ascending, the match and non-match trials at each, each trial's row."""
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise NumericError(f"{np.count_nonzero(~finite)} trial scores are not finite")
     values, row = np.unique(scores, return_inverse=True)
     pos = np.bincount(row[labels], minlength=values.size)
     neg = np.bincount(row[~labels], minlength=values.size)
     return values, pos, neg, row
+
+
+def _two_class_counts(scores: np.ndarray, labels: np.ndarray):
+    """The counts table's values and match and non-match columns; labels of one class are a ``ContractError``."""
+    values, pos, neg, _ = _score_counts(scores, labels)
+    if not pos.any() or not neg.any():
+        raise ContractError("need at least one match and one non-match trial")
+    return values, pos, neg
 
 
 def _eer(values: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> tuple[float, float]:
@@ -232,30 +229,30 @@ def eer_from_scores(scores: np.ndarray, labels: np.ndarray) -> tuple[float, floa
     table's distinct scores; the crossing is linearly interpolated between
     the two adjacent operating points.
     """
-    return _eer(*_score_counts(scores, labels)[:3])
+    return _eer(*_two_class_counts(scores, labels))
 
 
 def compute_eer(trials: list[VerificationTrial]) -> tuple[float, float]:
-    return eer_from_scores(*_scores_labels(trials))
+    return eer_from_scores(*_trial_scores(trials))
 
 
 def auc_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
     """ROC AUC as the rank statistic (concordant + half ties) / (P * N), read from the counts table."""
-    return _auc(*_score_counts(scores, labels)[1:3])
+    return _auc(*_two_class_counts(scores, labels)[1:])
 
 
 def compute_auc(trials: list[VerificationTrial]) -> float:
-    return auc_from_scores(*_scores_labels(trials))
+    return auc_from_scores(*_trial_scores(trials))
 
 
 def roc_points(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Empirical ROC curve (FPR, TPR): the counts table's running sums from the top score down."""
-    tp, fp = (np.cumsum(counts[::-1]) for counts in _score_counts(scores, labels)[1:3])
+    tp, fp = (np.cumsum(counts[::-1]) for counts in _two_class_counts(scores, labels)[1:])
     return np.concatenate([[0.0], fp / fp[-1]]), np.concatenate([[0.0], tp / tp[-1]])
 
 
 def compute_roc(trials: list[VerificationTrial]) -> tuple[np.ndarray, np.ndarray]:
-    return roc_points(*_scores_labels(trials))
+    return roc_points(*_trial_scores(trials))
 
 
 # -- matching -------------------------------------------------------------------
@@ -283,12 +280,8 @@ def matching_accuracy(
     n_c = len(trials[0].gallery)
     if any(len(t.gallery) != n_c for t in trials):
         raise ContractError("all matching trials must share the same gallery size")
-    probe_modalities = sorted({t.probe_modality for t in trials})
-    if len(probe_modalities) > 1:
-        raise ContractError(f"all matching trials must share one probe modality, got {probe_modalities}")
-
     params = params.detached()
-    probe_modality = trials[0].probe_modality
+    probe_modality = trials[0].probe.modality
     gallery_modality = "face" if probe_modality == "voice" else "voice"
     probe, probe_rows = _encode_records([t.probe for t in trials], probe_modality, "probe", params, cfg)
     gallery, gallery_rows = _encode_records(
@@ -443,7 +436,7 @@ def build_matching_trials(
     probes = dataset.row_records(probe_modality, rows.rows[probe_modality][probe])
     galleries = dataset.row_records(gallery_modality, pool[gallery.ravel()])
     return [
-        MatchingTrial(probe_modality, r, galleries[t * n_c : (t + 1) * n_c], c)
+        MatchingTrial(r, galleries[t * n_c : (t + 1) * n_c], c)
         for t, (r, c) in enumerate(zip(probes, correct.tolist()))
     ]
 
@@ -469,9 +462,7 @@ def load_trial_list(path, dataset: Dataset) -> list[VerificationTrial]:
         trials.append(
             VerificationTrial(score=None, is_match=parts[2] == "1", face=face, voice=voice)
         )
-    if not trials:
-        raise DataError(f"{path}: trial list is empty")
-    if len({t.is_match for t in trials}) < 2:
+    if len({t.is_match for t in trials}) < 2:  # an empty list too
         raise DataError(f"{path}: trial list needs at least one match (1) and one non-match (0) line")
     return trials
 
@@ -517,8 +508,8 @@ def stratified_report(
     the first that differs drops it; an untagged one before that is a
     ``DataError`` naming the first such trial in list order.
     """
-    labels = np.array([t.is_match for t in trials], dtype=bool)
-    values, pos, _, row = _score_counts(_trial_scores(trials), labels)
+    scores, labels = _trial_scores(trials)
+    values, pos, _, row = _score_counts(scores, labels)
     nonmatch = np.flatnonzero(~labels)
     tags = None
     out: list[StratumMetrics] = []

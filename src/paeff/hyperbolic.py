@@ -55,7 +55,7 @@ the Gram entry <x, y> and floored at a delta that bounds the expansion's
 rounding in that dtype (see ``pairwise_distances``); the boundary clamp
 sqrt(c)||(-x) (+) y|| <= 1 - eps becomes the cap
 z <= 2 (1 - eps)^2 / (1 - (1 - eps)^2). ``losses`` builds the alignment
-node on this table and scores trials by its entries;
+node on this table, ``evaluation`` scores trials by its entries, and
 ``pairwise_distances(x, y)`` records it as one node.
 """
 
@@ -112,7 +112,8 @@ class PoincarePoint:
         return self.vector.numpy()
 
 
-def _same_config(x: PoincarePoint, y: PoincarePoint) -> BallConfig:
+def same_config(x: PoincarePoint, y: PoincarePoint) -> BallConfig:
+    """The ball config both point batches share; configs that differ are a ``ContractError``."""
     if x.config != y.config:
         raise ContractError(f"ball configs differ: {x.config} vs {y.config}")
     return x.config
@@ -198,7 +199,7 @@ def poincare_distance(x: PoincarePoint, y: PoincarePoint) -> np.ndarray:
     x and y; materialising (-x) (+) y would let artanh amplify rounding
     asymmetry near the boundary. Returns [B], one distance per row pair.
     """
-    cfg = _same_config(x, y)
+    cfg = same_config(x, y)
     xd, yd = x.numpy(), y.numpy()
     if xd.shape != yd.shape:
         raise ContractError(f"poincare_distance: point shapes differ: {xd.shape} vs {yd.shape}")
@@ -226,7 +227,7 @@ def pairwise_distances(x: PoincarePoint, y: PoincarePoint) -> Tensor:
     so the gradient norm stays within sqrt(17 / 16) of the exact
     2 / (1 - c ||x_i||^2).
     """
-    cfg = _same_config(x, y)
+    cfg = same_config(x, y)
     xr, yr = x.vector, y.vector
     if xr.shape[1] != yr.shape[1]:
         raise ContractError(f"pairwise_distances: dims differ: {xr.shape} vs {yr.shape}")

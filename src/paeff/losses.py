@@ -112,7 +112,7 @@ def similarity_arm(face, voice, mode: str):
         raise ContractError(f"unknown similarity mode {mode!r}")
     if not isinstance(face, PoincarePoint) or not isinstance(voice, PoincarePoint):
         raise ContractError("neg_hyperbolic_distance needs lifted (ball) embeddings")
-    return partial(hyp.distance_table, cfg=hyp._same_config(face, voice)), -1.0
+    return partial(hyp.distance_table, cfg=hyp.same_config(face, voice)), -1.0
 
 
 def _rows(x: PoincarePoint | Tensor) -> Tensor:

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import hyperbolic as hyp
 from .autodiff import Tensor
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, NumericError
 from .hyperbolic import BallConfig, PoincarePoint
 
 GATE_ACTIVATIONS = ("tanh", "relu")
@@ -372,6 +372,8 @@ def load_checkpoint(path, cfg: ModelConfig) -> ModelParams:
     for name, shape in expected.items():
         if arrays[name].shape != shape:
             raise DataError(f"{path}: {name} has shape {arrays[name].shape}, expected {shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise NumericError(f"{path}: {name} holds non-finite values")
     kwargs = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
     return ModelParams(**kwargs)
 

@@ -95,6 +95,7 @@ class TrainConfig:
             ("batch_size", self.batch_size is None or self.batch_size >= 2, "at least 2"),
             ("lr0", finite(self.lr0) and self.lr0 > 0.0, "finite and positive"),
             ("weight_decay", finite(self.weight_decay) and self.weight_decay >= 0.0, "finite and nonnegative"),
+            ("seed", self.seed >= 0, "at least 0"),
             ("val_trials", self.val_trials >= 2, "at least 2"),
         )
         for name, holds, rule in rules:

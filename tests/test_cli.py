@@ -351,6 +351,20 @@ BAD_TRAIN_OPTIONS = [
     ("--curvature", "inf", "curvature"), ("--curvature", "nan", "curvature"), ("--curvature", "0", "curvature"),
     ("--boundary-eps", "nan", "boundary_eps"),
 ]
+SOURCES = ["flag", "env", "config"]
+
+
+def given_by(source, command, flag, value, tmp_path, monkeypatch) -> list[str]:
+    """The arguments that set ``command``'s option ``flag`` to ``value`` from ``source``: its flag,
+    its PAEFF_ variable or a line of a config file."""
+    if source == "flag":
+        return [flag, value]
+    opt = next(opt for opt in cli.COMMAND_OPTIONS[command] if opt.flag == flag)
+    if source == "env":
+        monkeypatch.setenv(opt.env_name, value)
+        return []
+    (tmp_path / "options.cfg").write_text(f"{opt.key} = {value}\n", encoding="utf-8")
+    return ["--config", str(tmp_path / "options.cfg")]
 
 
 @pytest.mark.parametrize("flag, value, field", BAD_TRAIN_OPTIONS, ids=[f"{f[2:]}={v}" for f, v, _ in BAD_TRAIN_OPTIONS])
@@ -371,6 +385,42 @@ def test_malformed_eval_option_exits_3_before_loading(world, run, tmp_path, caps
     assert cli.main(eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval", flag, value)) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric/invariant error:") and field in err
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_negative_seed_exits_3_before_training_or_loading(world, run, tmp_path, capsys, monkeypatch, command, source):
+    monkeypatch.setattr(trainer, "train", lambda *a: pytest.fail("training started"))
+    monkeypatch.setattr(model, "load_checkpoint", lambda *a: pytest.fail("checkpoint loaded"))
+    given = given_by(source, command, "--seed", "-1", tmp_path, monkeypatch)
+    out = tmp_path / "out"
+    argv = train_argv(world, out, *given) if command == "train" else eval_argv(
+        world, world / "run" / "checkpoint.paef", out, *given)
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "numeric/invariant error: seed must be at least 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must be at least 0, got -1"),
+    ("--sigma", "nan", "noise must be finite and nonnegative, got nan"),
+    ("--sigma", "inf", "noise must be finite and nonnegative, got inf"),
+    ("--sigma", "-0.1", "noise must be finite and nonnegative, got -0.1"),
+])
+def test_malformed_synth_option_exits_3_before_writing(tmp_path, capsys, monkeypatch, flag, value, message, source):
+    given = given_by(source, "synth", flag, value, tmp_path, monkeypatch)
+    assert cli.main(["synth", "--out", str(tmp_path / "out"), *SYNTH, *given]) == 3
+    assert capsys.readouterr().err == f"numeric/invariant error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_setting_a_key_twice_exits_2_before_training(world, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(trainer, "train", lambda *a: pytest.fail("training started"))
+    config = tmp_path / "train.cfg"
+    config.write_text("train.epochs = 1\n# more epochs\ntrain.epochs = 3\n", encoding="utf-8")
+    assert cli.main(train_argv(world, tmp_path / "run", "--config", str(config))) == 2
+    assert capsys.readouterr().err == f"data error: {config}:3: config key 'train.epochs' is already set on line 1\n"
 
 
 def test_ablation_manifests_describe_trained_model(world, arms, tmp_path):
@@ -733,6 +783,21 @@ def test_checkpoint_checked_before_dataset(world, run, tmp_path, capsys):
     assert str(bad_checkpoint) in capsys.readouterr().err
 
 
+def test_checkpoint_of_non_finite_values_exits_3_before_dataset(world, run, tmp_path, capsys):
+    _, checkpoint = run
+    bias = model.load_checkpoint_arrays(world / "run" / "checkpoint.paef")["face_bias"]
+    bias[0] = np.nan
+    record = struct.pack("<I", 9) + b"face_bias" + struct.pack(f"<{bias.ndim + 1}I", bias.ndim, *bias.shape)
+    bad_checkpoint = tmp_path / "nan.paef"
+    bad_checkpoint.write_bytes(without(checkpoint, "face_bias") + record + bias.astype("<f8").tobytes())
+    bad_data = tmp_path / "data.fve"
+    bad_data.write_text("not an fve file\n")
+    argv = ["eval", "--checkpoint", str(bad_checkpoint), "--manifest", str(world / "run" / "manifest.json"),
+            "--data", str(bad_data), "--out", str(tmp_path / "eval"), *splits(world)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"numeric/invariant error: {bad_checkpoint}: face_bias holds non-finite values\n"
+
+
 def test_seen_heard_eval_of_the_test_part_alone_writes_the_reports_of_all_three(tmp_path):
     """The coverage rule ties val and test to train; an eval given only the test part skips it."""
     seen = tmp_path / "seen"
@@ -891,6 +956,7 @@ MALFORMED = {
     "split-not-utf8": ("--split-test", b"p0\np\xff1\n"),
     "trials-not-utf8": ("--trials", b"c\xff\tc1\t1\n"),
     "trials-only-match": ("--trials", b"id0000_face_000\tid0000_voice_000\t1\nid0001_face_001\tid0001_voice_002\t1\n"),
+    "trials-empty": ("--trials", b"\n"),
     "trials-only-non-match": ("--trials", b"id0000_face_000\tid0001_voice_000\t0\nid0002_face_001\tid0003_voice_002\t0\n"),
     "config-not-utf8": ("--config", b"# \xff\neval.max_trials = 20\n"),
     "manifest-not-utf8": ("--manifest", trained_manifest(fusion="?").replace(b'"?"', b'"\xff"')),

@@ -98,6 +98,39 @@ class TestEer:
             metric(t)
 
 
+class TestScoreRules:
+    """The array metrics and the trial metrics reject the same faults, a trial list's in one order."""
+
+    ARRAY_METRICS = [evaluation.eer_from_scores, evaluation.auc_from_scores, evaluation.roc_points]
+    TRIAL_METRICS = [evaluation.compute_eer, evaluation.compute_auc, evaluation.compute_roc]
+
+    @pytest.mark.parametrize("metric", ARRAY_METRICS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, metric, bad):
+        scores = np.array([0.9, bad, 0.1, 0.3, bad, 0.2])
+        with pytest.raises(NumericError, match="2 trial scores are not finite"):
+            metric(scores, np.array([True] * 3 + [False] * 3))
+
+    @pytest.mark.parametrize("metric", ARRAY_METRICS)
+    @pytest.mark.parametrize("is_match", [True, False])
+    def test_one_class_rejected(self, metric, is_match):
+        with pytest.raises(ContractError, match="need at least one match and one non-match trial"):
+            metric(np.array([0.1, 0.2, 0.3]), np.full(3, is_match))
+
+    @pytest.mark.parametrize("metric", TRIAL_METRICS)
+    def test_trial_checks_run_scored_finite_tie_classes(self, metric):
+        # Each list breaks the rule it names and every rule after it, all of one class.
+        cases = [
+            ([None, np.inf, np.inf], ContractError, "must be scored"),
+            ([np.inf, np.inf, np.inf], NumericError, "3 trial scores are not finite"),
+            ([0.5, 0.5, 0.5], NumericError, "cannot rank"),
+            ([0.1, 0.2, 0.3], ContractError, "one match and one non-match"),
+        ]
+        for scores, error, message in cases:
+            with pytest.raises(error, match=message):
+                metric([VerificationTrial(s, True) for s in scores])
+
+
 class TestAuc:
     def test_perfect_separation(self):
         t = trials_from([0.9, 0.8, 0.2, 0.1], [True, True, False, False])
@@ -252,7 +285,7 @@ class TestMatching:
             data.EmbeddingRecord("other", "face", f"o{i}", rec_f.vector + 50.0 * np.eye(10)[i])
             for i in range(3)
         ]
-        trial = evaluation.MatchingTrial("voice", probe, gallery, 0)
+        trial = evaluation.MatchingTrial(probe, gallery, 0)
         # score the true matched face far closer than the shifted distractors
         match_score = score_alone(rec_f, probe, params, cfg)
         result = evaluation.matching_accuracy([trial], params, cfg)
@@ -293,7 +326,7 @@ class TestMatching:
             perm = rng.permutation(len(t.gallery))
             gallery = [t.gallery[i] for i in perm]
             correct = int(np.where(perm == t.correct_index)[0][0])
-            permuted.append(evaluation.MatchingTrial(t.probe_modality, t.probe, gallery, correct))
+            permuted.append(evaluation.MatchingTrial(t.probe, gallery, correct))
         assert evaluation.matching_accuracy(permuted, params, cfg).accuracy == base.accuracy
 
     def test_mixed_gallery_sizes_rejected(self):
@@ -313,7 +346,9 @@ class TestMatching:
         ds, split, cfg, params = small_setup(face_dim=face_dim, voice_dim=9)
         voice = evaluation.build_matching_trials(ds, split, 4, 20, seed=22, probe_modality="voice")
         face = evaluation.build_matching_trials(ds, split, 4, 20, seed=22, probe_modality="face")
-        with pytest.raises(ContractError, match=r"probe modality, got \['face', 'voice'\]"):
+        # The first trial's probe sets the modality; the first face probe after it is refused.
+        clip = face[0].probe.clip_id
+        with pytest.raises(ContractError, match=f"trial probe slot holds face clip '{clip}'; it takes voice records"):
             evaluation.matching_accuracy(voice + face, params, cfg)
 
     def test_tie_counting(self):
@@ -321,7 +356,7 @@ class TestMatching:
         rec_f = next(r for r in ds.records if r.modality == "face")
         probe = next(r for r in ds.records if r.modality == "voice")
         twin = data.EmbeddingRecord("twin", "face", "twin0", rec_f.vector.copy())
-        trial = evaluation.MatchingTrial("voice", probe, [rec_f, twin], 0)
+        trial = evaluation.MatchingTrial(probe, [rec_f, twin], 0)
         result = evaluation.matching_accuracy([trial], params, cfg)
         assert result.tie_count == 1
         assert result.accuracy == 1.0  # lowest index wins the tie
@@ -534,7 +569,7 @@ class TestTrialSlots:
     def test_voice_gallery_for_voice_probe(self, face_dim):
         ds, split, cfg, params = small_setup(face_dim=face_dim, voice_dim=9)
         voices = [r for r in walk.part_records(ds, split, "test") if r.modality == "voice"]
-        trial = evaluation.MatchingTrial("voice", voices[0], voices[1:4], 0)
+        trial = evaluation.MatchingTrial(voices[0], voices[1:4], 0)
         with pytest.raises(ContractError, match=f"trial gallery slot holds voice clip '{voices[1].clip_id}'"):
             evaluation.matching_accuracy([trial], params, cfg)
 
@@ -542,7 +577,7 @@ class TestTrialSlots:
         ds, split, cfg, params = small_setup(face_dim=9, voice_dim=9)
         trials = evaluation.build_matching_trials(ds, split, 3, 10, seed=26)
         bad = trials[4].gallery[0]
-        trials[4] = evaluation.MatchingTrial("voice", bad, trials[4].gallery, trials[4].correct_index)
+        trials[4] = evaluation.MatchingTrial(bad, trials[4].gallery, trials[4].correct_index)
         with pytest.raises(ContractError, match=f"trial probe slot holds face clip '{bad.clip_id}'"):
             evaluation.matching_accuracy(trials, params, cfg)
 
