@@ -11,8 +11,8 @@ Design constraints kept deliberately tight so every gradient is auditable:
 * one dtype rule: a tensor keeps a float32 array as float32 and holds
   anything else as float64, and every node computes in its inputs' dtype,
   so a graph built on float32 leaves runs in float32 and one built on
-  float64 leaves (as ``gradcheck`` builds them) in float64, through the
-  same code; a number operand takes its tensor's dtype;
+  float64 leaves (as the tests' ``gradcheck`` builds them) in float64,
+  through the same code; a number operand takes its tensor's dtype;
 * a binary op takes two operands of equal shape, or one operand and a
   size-1 scalar of no higher rank; any other pair is a ``ContractError``;
 * static graphs (one graph per training step, rebuilt every step); a

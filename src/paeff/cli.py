@@ -1,11 +1,21 @@
-"""Command-line entry point: train, eval, synth, selfcheck.
+"""Command-line entry point: train, eval, synth.
 
 Every flag has a dotted config-file key (``--lr0`` <-> ``train.lr0``) and
 a ``PAEFF_`` environment variable (``PAEFF_TRAIN_LR0``); precedence is
 flags > environment > config file > defaults. A value is parsed the same
 way from each source (``config.parse_value``); a malformed flag value is a
 usage error, a malformed environment or file value a data error. Each run
-writes a manifest sufficient to reproduce it byte-for-byte.
+writes a manifest sufficient to reproduce it byte-for-byte with the same
+BLAS build, which the manifest records, and the same BLAS thread count,
+which it does not: 1 and 2 OpenBLAS threads sum in another order and gave
+checkpoint values up to 2.6e-7 apart.
+
+train builds its ``TrainConfig`` before it reads the dataset or a split
+file, as eval builds its ``EvalConfig`` before it reads the checkpoint, so
+a malformed train.* option exits 3 first. Its ``ModelConfig`` takes the
+dataset's dims and the train part's identity count, so a malformed model.*
+option (``--tangent-clip``, ``--curvature``, ``--boundary-eps``) exits 3
+only after the dataset and split are read.
 
 The model.*, train.* and eval.* options are the defaulted fields of
 ``ModelConfig``, ``TrainConfig`` (its ``LossWeights`` flattened to
@@ -190,7 +200,6 @@ COMMAND_OPTIONS = {
     "synth": SYNTH_OPTIONS + [
         Option("io.out", "str", None, "output directory"),
     ],
-    "selfcheck": [],
 }
 
 
@@ -301,6 +310,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     _require(resolved, "io.data", "io.out", "io.split_train", "io.split_val", "io.split_test")
     data_path, out_dir = resolved["io.data"], _out_dir(resolved)
     data.check_split_mode(resolved["io.split_mode"])
+    train_cfg = _build(trainer.TrainConfig, "train", resolved)
 
     dataset = data.load_dataset(data_path)
     split = _load_split(resolved)
@@ -308,7 +318,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     num_identities = len(split.part_rows(dataset, "train").identities)
     model_cfg = _build(model.ModelConfig, "model", resolved, face_dim=dataset.face_dim,
                        voice_dim=dataset.voice_dim, num_identities=num_identities)
-    train_cfg = _build(trainer.TrainConfig, "train", resolved)
 
     result = trainer.train(dataset, split, model_cfg, train_cfg)
 
@@ -455,18 +464,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_selfcheck(args: argparse.Namespace) -> int:
-    from . import selfcheck  # imported here: no other command needs it or gradcheck
-
-    results = selfcheck.run_all()
-    for r in results:
-        line = f"PASS {r.name}" if r.passed else f"FAIL {r.name}: {r.detail}"
-        print(line)
-    failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} invariants hold")
-    return 3 if failed else 0
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="paeff", description=__doc__)
     parser.add_argument("--version", action="version", version=f"paeff {__version__}")
@@ -485,7 +482,6 @@ def main(argv: list[str] | None = None) -> int:
             "train": cmd_train,
             "eval": cmd_eval,
             "synth": cmd_synth,
-            "selfcheck": cmd_selfcheck,
         }[args.command]
         return handler(args)
     except UsageError as e:

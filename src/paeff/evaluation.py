@@ -326,9 +326,10 @@ def build_verification_trials(
     drawn again when they do not. The non-match pairs are drawn in chunks,
     one ``integers`` call per chunk with the bounds (faces, voices)
     repeated, which returns the values of the per-pair scalar calls in the
-    same order (selfcheck ``rng.array_bounds`` checks this on the running
-    numpy); the first n kept pairs are the trials. The validation trials
-    that pick the best epoch are drawn the same way (``part="val"``).
+    same order (``tests/test_evaluation.py::test_array_bounds_draw_as_scalar_calls``
+    checks this on the installed numpy); the first n kept pairs are the
+    trials. The validation trials that pick the best epoch are drawn the
+    same way (``part="val"``).
 
     Both phases draw with replacement, so a (face, voice) pair can repeat:
     it then counts once per draw in EER and AUC, and its repeats share a

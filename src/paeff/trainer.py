@@ -18,9 +18,11 @@ float64 ``model.init_params`` draw to float32 leaves once
 float32, and so are the returned parameters. Scoring stays float64
 (``ModelParams.detached``), as do the ball's per-row terms
 (``hyperbolic.distance_table``) and the checkpoint, which holds every
-float32 value exactly. There is no option for a float64 run: ``gradcheck``
-and ``selfcheck`` run the same layers in float64, since a node computes in
-its inputs' dtype.
+float32 value exactly. There is no option for a float64 run; the tests'
+``gradcheck`` builds float64 leaves, so it runs the same layers in float64,
+since a node computes in its inputs' dtype. A run repeats its bytes only
+with the same BLAS build and thread count: 1 and 2 OpenBLAS threads gave
+checkpoint values up to 2.6e-7 apart.
 
 Malloc policy. ``Tensor.backward`` frees each step's graph as it goes, and
 by default glibc then trims the freed memory off the heap top, so the next

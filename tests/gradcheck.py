@@ -1,8 +1,8 @@
 """Central finite-difference gradient verification.
 
-``check_gradients`` is the independent oracle used by the test suite and
-the ``selfcheck`` command: it never looks at the tape, only at forward
-evaluations of the function under test.
+``check_gradients`` is the tests' independent oracle: it never looks at
+the tape, only at forward evaluations of the function under test. It
+builds float64 leaves, so every node it checks computes in float64.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
-from .errors import NumericError
+from paeff.autodiff import Tensor
+from paeff.errors import NumericError
 
 
 def numeric_gradient(

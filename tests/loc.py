@@ -1,10 +1,11 @@
-"""Lines of each ``src/paeff`` module by kind, at a git revision and in the working tree.
+"""Lines of each ``src/paeff`` and ``tests`` module by kind, at a git revision and in the working tree.
 
     python tests/loc.py REV
 
-Prints, for each module, its code, docstring/comment and blank lines at
-REV (read with ``git show``) and in the working tree, then their
-difference, and the totals of all three.
+Prints one table per directory, ``src/paeff`` and then ``tests``: for
+each module, its code, docstring/comment and blank lines at REV (read
+with ``git show``) and in the working tree, then their difference, and
+the totals of all three.
 
 A line is code when it holds a token that is neither a comment nor part
 of a docstring (the string that opens a module, class or function body).
@@ -24,7 +25,6 @@ import tokenize
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-PACKAGE = "src/paeff"
 KINDS = ("code", "doc", "blank", "total")
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -52,33 +52,39 @@ def _git(repo: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(repo), *args], capture_output=True, text=True, check=True).stdout
 
 
-def counts_at(rev: str, repo: Path = REPO) -> dict[str, dict[str, int]]:
-    """:func:`count_lines` of every module of the package at ``rev``, keyed by file name."""
-    names = _git(repo, "ls-tree", "--name-only", rev, f"{PACKAGE}/").split()
+def counts_at(rev: str, directory: str, repo: Path = REPO) -> dict[str, dict[str, int]]:
+    """:func:`count_lines` of every module of ``directory`` at ``rev``, keyed by file name."""
+    names = _git(repo, "ls-tree", "--name-only", rev, f"{directory}/").split()
     return {Path(n).name: count_lines(_git(repo, "show", f"{rev}:{n}")) for n in names if n.endswith(".py")}
 
 
-def counts_in_tree(repo: Path = REPO) -> dict[str, dict[str, int]]:
-    """:func:`count_lines` of every module of the package in the working tree, keyed by file name."""
-    return {p.name: count_lines(p.read_text(encoding="utf-8")) for p in sorted((repo / PACKAGE).glob("*.py"))}
+def counts_in_tree(directory: str, repo: Path = REPO) -> dict[str, dict[str, int]]:
+    """:func:`count_lines` of every module of ``directory`` in the working tree, keyed by file name."""
+    return {p.name: count_lines(p.read_text(encoding="utf-8")) for p in sorted((repo / directory).glob("*.py"))}
 
 
-def report(rev: str, repo: Path = REPO) -> list[str]:
-    """The table: per module and in total, the counts at ``rev``, in the working tree, and the change."""
-    before = counts_at(rev, repo)
-    after = counts_in_tree(repo)
+def table(rev: str, directory: str, repo: Path = REPO) -> list[str]:
+    """Per module of ``directory`` and in total: the counts at ``rev``, in the working tree, and the change."""
+    before = counts_at(rev, directory, repo)
+    after = counts_in_tree(directory, repo)
     zero = dict.fromkeys(KINDS, 0)
-    sides = (rev, "working tree", "difference")
-    kinds = "".join(f"{k:>6}" for k in KINDS)
-    lines = [f"{'':<16}" + "".join(f"   {side:>{len(kinds)}}" for side in sides),
-             f"{'module':<16}" + f"   {kinds}" * len(sides)]
     rows = {name: (before.get(name, zero), after.get(name, zero)) for name in sorted(before.keys() | after.keys())}
     rows["total"] = tuple({k: sum(c[k] for c in side.values()) for k in KINDS} for side in (before, after))
+    width = max(map(len, [directory, *rows]))
+    sides = (rev, "working tree", "difference")
+    kinds = "".join(f"{k:>6}" for k in KINDS)
+    lines = [f"{'':<{width}}" + "".join(f"   {side:>{len(kinds)}}" for side in sides),
+             f"{directory:<{width}}" + f"   {kinds}" * len(sides)]
     for name, (a, b) in rows.items():
         change = "".join(f"{b[k] - a[k]:>+6d}" if b[k] != a[k] else f"{0:>6}" for k in KINDS)
         counts = ["".join(f"{c[k]:>6}" for k in KINDS) for c in (a, b)]
-        lines.append(f"{name:<16}" + "".join(f"   {cell}" for cell in (*counts, change)))
+        lines.append(f"{name:<{width}}" + "".join(f"   {cell}" for cell in (*counts, change)))
     return lines
+
+
+def report(rev: str, repo: Path = REPO) -> list[str]:
+    """The ``src/paeff`` table, a blank line, then the ``tests`` table."""
+    return table(rev, "src/paeff", repo) + [""] + table(rev, "tests", repo)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,8 +1,8 @@
 """Every public name of ``paeff.autodiff`` and of its ``Tensor`` has a caller in the program or the benchmark.
 
-A source scan over the modules of ``src/paeff`` other than ``autodiff`` and
-``selfcheck``, and the modules of ``bench/``. An op that only tests and
-selfcheck call belongs in the tests.
+A source scan over the modules of ``src/paeff`` other than ``autodiff``,
+and the modules of ``bench/``. An op that only tests call belongs in the
+tests.
 
 * A module-level name counts as used when a module reads it as an
   attribute of the imported ``autodiff`` module or imports it from there.
@@ -27,7 +27,7 @@ from paeff import autodiff
 from paeff.autodiff import Tensor
 
 ROOT = Path(__file__).resolve().parent.parent
-NOT_CALLERS = {"autodiff.py", "selfcheck.py"}
+NOT_CALLERS = {"autodiff.py"}
 
 OPERATORS = {
     ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "truediv", ast.FloorDiv: "floordiv",

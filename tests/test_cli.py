@@ -6,7 +6,7 @@ import math
 import platform
 import struct
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +370,8 @@ def given_by(source, command, flag, value, tmp_path, monkeypatch) -> list[str]:
 @pytest.mark.parametrize("flag, value, field", BAD_TRAIN_OPTIONS, ids=[f"{f[2:]}={v}" for f, v, _ in BAD_TRAIN_OPTIONS])
 def test_malformed_train_option_exits_3_before_training(world, tmp_path, capsys, monkeypatch, flag, value, field):
     monkeypatch.setattr(trainer, "train", lambda *a: pytest.fail("training started"))
+    if field not in {f.name for f in fields(model.ModelConfig)}:  # a ModelConfig needs the dataset's dims
+        monkeypatch.setattr(data, "load_dataset", lambda *a: pytest.fail("dataset read"))
     assert cli.main(train_argv(world, tmp_path / "run", flag, value)) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric/invariant error:") and field in err and "Traceback" not in err
@@ -520,6 +522,14 @@ def test_train_selects_each_part_by_rows_without_walking_records(tmp_path, monke
 
 
 # -- exit codes -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["selfcheck", "nosuch"])
+def test_unknown_command_exits_1(capsys, command):
+    assert cli.main([command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and f"invalid choice: '{command}'" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_missing_required_option_exits_1(world, capsys):
@@ -709,9 +719,9 @@ def test_every_error_class_exits_with_its_code(monkeypatch, capsys, error):
     def failing(args):
         raise error("the fault")
 
-    monkeypatch.setattr(cli, "cmd_selfcheck", failing)
+    monkeypatch.setattr(cli, "cmd_synth", failing)
     code, prefix = EXIT_CODES[error.__name__]
-    assert cli.main(["selfcheck"]) == code
+    assert cli.main(["synth"]) == code
     assert capsys.readouterr().err == f"{prefix} the fault\n"
 
 
@@ -720,8 +730,8 @@ def test_every_os_error_exits_2_as_a_data_error(monkeypatch, capsys, error):
     def failing(args):
         raise error("the fault")
 
-    monkeypatch.setattr(cli, "cmd_selfcheck", failing)
-    assert cli.main(["selfcheck"]) == 2
+    monkeypatch.setattr(cli, "cmd_synth", failing)
+    assert cli.main(["synth"]) == 2
     assert capsys.readouterr().err == "data error: the fault\n"
 
 

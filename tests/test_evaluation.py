@@ -46,6 +46,14 @@ def oracle_auc(scores, labels):
     return (concordant + 0.5 * ties) / (len(pos) * len(neg))
 
 
+def oracle_roc(scores, labels):
+    """[2 x T+1] FPR and TPR from (0, 0), at each distinct threshold swept down from the top score."""
+    points = [(0.0, 0.0)]
+    for t in sorted(set(scores), reverse=True):
+        points.append((np.mean(scores[~labels] >= t), np.mean(scores[labels] >= t)))
+    return np.array(points).T
+
+
 def trials_from(scores, labels):
     return [VerificationTrial(score=float(s), is_match=bool(m)) for s, m in zip(scores, labels)]
 
@@ -189,6 +197,8 @@ def test_metrics_match_oracles_exactly(seed, n, rounded):
     assert evaluation.auc_from_scores(scores, labels) == pytest.approx(
         oracle_auc(scores, labels), abs=1e-12
     )
+    roc, want = np.array(evaluation.roc_points(scores, labels)), oracle_roc(scores, labels)
+    assert roc.shape == want.shape and np.abs(roc - want).max() < 1e-12
 
 
 # -- model-backed scoring ---------------------------------------------------------
@@ -710,6 +720,23 @@ class TestMatchingTrialContract:
         o, e = np.array(list(observed.values())), np.array(list(expected.values()))
         assert o.sum() == pytest.approx(e.sum())
         assert np.sum((o - e) ** 2 / e) < chi_square_critical(len(o) - 1)
+
+
+def test_array_bounds_draw_as_scalar_calls():
+    """``Generator.integers`` over an array of bounds equals one scalar call per bound, in order.
+
+    Training batches and the non-match verification trials draw this way
+    and equal the per-row scalar draws only while the values and the state
+    left behind agree, for bound 1 (which draws nothing), small bounds and
+    bounds past 2**31.
+    """
+    for seed in range(20):
+        small = np.random.default_rng(1000 + seed).integers(1, 9, size=24).tolist()
+        bounds = small + [1, 2**31 + 11, 1, 2**33 + 3, 2**62, 3]
+        scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [int(scalar.integers(b)) for b in bounds]
+        assert batched.integers(np.array(bounds)).tolist() == want, seed
+        assert scalar.bit_generator.state == batched.bit_generator.state, seed
 
 
 class TestVerificationTrialOracle:

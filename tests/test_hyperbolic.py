@@ -10,12 +10,12 @@ from paeff import hyperbolic as hyp
 from paeff import evaluation, model
 from paeff.autodiff import Tensor
 from paeff.errors import ContractError, NumericError
-from paeff.gradcheck import check_gradients
 
 from chain_check import (
     add, artanh, assert_matches_chain, axis_sum, clamp_max, clamp_min, div, log1p, matmul, mul, norm2, sqrt, sub,
     tanh, transpose,
 )
+from gradcheck import check_gradients
 
 CFG = hyp.BallConfig()
 
@@ -150,7 +150,7 @@ class TestDistance:
     def test_triangle_inequality(self, seed):
         rng = np.random.default_rng(seed)
         pts = [
-            hyp.exp_map_origin(Tensor(rng.normal(size=(16, 4))), CFG) for _ in range(3)
+            hyp.exp_map_origin(Tensor(rng.normal(size=(40, 4))), CFG) for _ in range(3)
         ]
         x, y, z = pts
         dxz = hyp.poincare_distance(x, z)
@@ -162,7 +162,7 @@ class TestDistance:
 class TestBallInvariant:
     def test_all_outputs_inside(self):
         rng = np.random.default_rng(10)
-        big = Tensor(rng.normal(size=(128, 6)) * 10.0)
+        big = Tensor(rng.normal(size=(256, 6)) * 10.0)
         for point in (
             hyp.exp_map_origin(big, CFG),
             hyp.ball_map(big, CFG),

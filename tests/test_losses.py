@@ -12,13 +12,13 @@ from paeff import hyperbolic as hyp
 from paeff import losses
 from paeff.autodiff import Tensor
 from paeff.errors import ContractError, NumericError
-from paeff.gradcheck import check_gradients
 from paeff.hyperbolic import BallConfig, PoincarePoint
 
 from chain_check import (
     absolute, assert_matches_chain, concat_cols, div, exp, log_softmax_nll, pairwise_cosine, reshape, sub,
     symmetric_nll, symmetric_nll_grad, transpose,
 )
+from gradcheck import check_gradients
 
 CFG = BallConfig()
 

@@ -13,9 +13,9 @@ from paeff import hyperbolic as hyp
 from paeff import model
 from paeff.autodiff import Tensor
 from paeff.errors import ContractError, DataError
-from paeff.gradcheck import check_gradients
 
 from chain_check import add, concat_cols, matmul, mul, norm2, relu, reshape, sigmoid, sub, tanh, value_and_grads
+from gradcheck import check_gradients
 
 CFG = model.ModelConfig(face_dim=5, voice_dim=6, num_identities=3, proj_dim=4)
 

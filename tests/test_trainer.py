@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import record_walk as walk
+from gradcheck import max_relative_error
 from paeff import data, evaluation, losses, model, trainer
 from paeff.autodiff import Tensor
 from paeff.errors import ContractError, NumericError
@@ -400,6 +401,34 @@ def test_training_runs_in_float32_and_scores_in_float64(arm, monkeypatch):
     assert updates == [(n, f32, None if n in no_grad else f32, f32, f32) for n in names] * 2
     assert all(t.data.dtype == np.float32 for _, t in result.params.named())
     assert scoring and set(scoring) == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("use_hyperbolic", [True, False], ids=["hyperbolic", "cosine"])
+def test_float32_step_matches_the_float64_step(use_hyperbolic):
+    """The float32 training step's losses and gradients against the float64 step's, on both alignment arms.
+
+    The float32 step runs on the float32 cast of the float64 draw, as
+    ``trainer.train`` casts it. The tolerance, 64 float32 eps in
+    ``max_relative_error``'s measure, is about ten times the largest error
+    seen on these inputs.
+    """
+    rng = np.random.default_rng(32)
+    faces, voices = rng.normal(size=(8, 6)), rng.normal(size=(8, 5))
+    labels = np.array([0, 1, 2, 3, 4, 5, 0, 6])  # a repeated label: the alignment and OP masks are in play
+    tol = 64 * float(np.finfo(np.float32).eps)
+    cfg = model.ModelConfig(6, 5, num_identities=7, proj_dim=4, use_hyperbolic=use_hyperbolic)
+    params = model.init_params(cfg, seed=33)
+    step = trainer.step_losses(Tensor(faces), Tensor(voices), labels, params, cfg, LossWeights())
+    want = step.values()
+    step.total.backward()
+    want_grads = {name: t.grad for name, t in params.named()}
+    params = trainer.float32_params(params)
+    got = trainer.train_step(Tensor(faces), Tensor(voices), labels, params, cfg, LossWeights())
+    for key, value in want.items():
+        assert max_relative_error(np.array(got[key]), np.array(value)) <= tol, key
+    for name, t in params.named():
+        assert t.grad.dtype == np.float32, name
+        assert max_relative_error(t.grad, want_grads[name]) <= tol, name
 
 
 def _has_mallopt() -> bool:
