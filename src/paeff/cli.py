@@ -10,19 +10,22 @@ BLAS build, which the manifest records, and the same BLAS thread count,
 which it does not: 1 and 2 OpenBLAS threads sum in another order and gave
 checkpoint values up to 2.6e-7 apart.
 
-train builds its ``TrainConfig`` before it reads the dataset or a split
-file, as eval builds its ``EvalConfig`` before it reads the checkpoint, so
-a malformed train.* option exits 3 first. Its ``ModelConfig`` takes the
-dataset's dims and the train part's identity count, so a malformed model.*
-option (``--tangent-clip``, ``--curvature``, ``--boundary-eps``) exits 3
-only after the dataset and split are read.
+train builds its ``ModelConfig`` and ``TrainConfig`` before it reads the
+dataset or a split file, as eval builds its ``EvalConfig`` before it reads
+the checkpoint, so a malformed model.* or train.* option exits 3 first.
 
 The model.*, train.* and eval.* options are the defaulted fields of
 ``ModelConfig``, ``TrainConfig`` (its ``LossWeights`` flattened to
-``alpha1..3``) and ``EvalConfig``, with the dataclass defaults.
-``--ablation`` is a preset over them: once options are resolved it
-overwrites ``use_hyperbolic``, ``fusion`` and ``alpha1``, so the manifest's
-config describes the model that was trained.
+``alpha1..3``) and ``EvalConfig``, with the dataclass defaults. The
+paper's ablation arms are train flags over three of them:
+
+    full           (the defaults)
+    baseline       --no-use-hyperbolic --fusion linear --alpha1 0
+    egff           --no-use-hyperbolic --alpha1 0
+    egff_fa        --no-use-hyperbolic
+    no_fa          --alpha1 0
+    no_hyperbolic  --no-use-hyperbolic
+    linear_fusion  --fusion linear
 
 eval has no model option: it builds its ``ModelConfig`` from the training
 manifest's ``config.model`` (``--manifest``, by default the
@@ -57,7 +60,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import MISSING, asdict, fields, is_dataclass
+from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -141,25 +144,8 @@ MODEL_OPTIONS = _config_options("model", model.ModelConfig)
 # Every ModelConfig field, as train's manifest records it under config.model.
 MODEL_FIELDS = [Option(f"model.{name}", "int", None) for name in ("face_dim", "voice_dim", "num_identities")]
 MODEL_FIELDS += MODEL_OPTIONS
-TRAIN_OPTIONS = _config_options("train", trainer.TrainConfig) + [
-    Option("train.ablation", "str", "full",
-           "full|baseline|egff|egff_fa or '+'-joined flags (no_fa, no_hyperbolic, linear_fusion)"),
-]
+TRAIN_OPTIONS = _config_options("train", trainer.TrainConfig)
 EVAL_OPTIONS = _config_options("eval", evaluation.EvalConfig)
-
-# What each --ablation flag overwrites once options are resolved, so an
-# ablation wins over an explicit flag.
-ABLATION_FLAGS = {
-    "no_fa": {"train.alpha1": 0.0},
-    "no_hyperbolic": {"model.use_hyperbolic": False},
-    "linear_fusion": {"model.fusion": "linear"},
-}
-ABLATION_ALIASES = {
-    "full": (),
-    "baseline": tuple(ABLATION_FLAGS),
-    "egff": ("no_fa", "no_hyperbolic"),
-    "egff_fa": ("no_hyperbolic",),
-}
 
 SPLIT_OPTIONS = [
     Option("io.split_mode", "str", "unseen_unheard", "unseen_unheard|seen_heard"),
@@ -258,19 +244,6 @@ def _load_split(resolved: dict) -> data.SplitSpec:
     ))
 
 
-def _apply_ablation(resolved: dict) -> None:
-    """Overwrite the options an ablation spec ('baseline', 'no_fa+linear_fusion', ...) stands for."""
-    spec = resolved["train.ablation"].strip()
-    tokens = ABLATION_ALIASES[spec] if spec in ABLATION_ALIASES else [t.strip() for t in spec.split("+")]
-    for token in tokens:
-        if token not in ABLATION_FLAGS:
-            raise ContractError(
-                f"unknown ablation {token!r}; use {sorted(ABLATION_ALIASES)} or "
-                f"'+'-joined flags from {tuple(ABLATION_FLAGS)}"
-            )
-        resolved.update(ABLATION_FLAGS[token])
-
-
 def _trained_model(manifest_path: str) -> model.ModelConfig:
     """The ``ModelConfig`` a training manifest records under ``config.model``."""
     if not Path(manifest_path).is_file():
@@ -290,10 +263,9 @@ def _trained_model(manifest_path: str) -> model.ModelConfig:
     return cfg
 
 
-def _train_section(tc: trainer.TrainConfig, batch_size: int, ablation: str) -> dict:
+def _train_section(tc: trainer.TrainConfig, batch_size: int) -> dict:
     section = asdict(tc)
     section.update(section.pop("loss_weights"))
-    section["ablation"] = ablation
     section["batch_size"] = tc.batch_size if tc.batch_size is not None else "auto"
     section["batch_size_resolved"] = batch_size
     section["optimizer"] = "adamw"
@@ -306,18 +278,18 @@ def _train_section(tc: trainer.TrainConfig, batch_size: int, ablation: str) -> d
 
 def cmd_train(args: argparse.Namespace) -> int:
     resolved = _resolve(args, COMMAND_OPTIONS["train"])
-    _apply_ablation(resolved)
     _require(resolved, "io.data", "io.out", "io.split_train", "io.split_val", "io.split_test")
     data_path, out_dir = resolved["io.data"], _out_dir(resolved)
     data.check_split_mode(resolved["io.split_mode"])
     train_cfg = _build(trainer.TrainConfig, "train", resolved)
+    # Placeholder data fields, so the options are checked before the dataset is read.
+    model_cfg = _build(model.ModelConfig, "model", resolved, face_dim=1, voice_dim=1, num_identities=2)
 
     dataset = data.load_dataset(data_path)
     split = _load_split(resolved)
     split.validate(dataset)  # before the class count: unknown train ids are a data error (2), not a config one (3)
-    num_identities = len(split.part_rows(dataset, "train").identities)
-    model_cfg = _build(model.ModelConfig, "model", resolved, face_dim=dataset.face_dim,
-                       voice_dim=dataset.voice_dim, num_identities=num_identities)
+    model_cfg = replace(model_cfg, face_dim=dataset.face_dim, voice_dim=dataset.voice_dim,
+                        num_identities=len(split.part_rows(dataset, "train").identities))
 
     result = trainer.train(dataset, split, model_cfg, train_cfg)
 
@@ -329,7 +301,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     cfgmod.write_manifest(
         out_dir / "manifest.json", "train", train_cfg.seed,
-        {"model": asdict(model_cfg), "train": _train_section(train_cfg, result.batch_size, resolved["train.ablation"])},
+        {"model": asdict(model_cfg), "train": _train_section(train_cfg, result.batch_size)},
         {"data": data_path, **_split_paths(resolved)},
         {"checkpoint": checkpoint_path, "history": history_path},
         digests={"data": dataset.sha256},
@@ -422,8 +394,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
                                 "applies to unseen_unheard only")
         if not seen_heard and resolved[key] is None:
             resolved[key] = default
-        if resolved[key] == 1:  # make_unseen_split takes 1, but a 1-identity part cannot build trials
-            raise ContractError(f"unseen_unheard split: the {part} part needs at least 2 identities, got 1")
+    if not seen_heard:
+        sizes = {part: resolved[f"synth.{part}_identities"] for part in UNSEEN_PART_IDENTITIES}
+        sizes["train"] = resolved["synth.identities"] - sum(sizes.values())
+        for part, size in sizes.items():
+            if size == 1:  # make_unseen_split takes 1, but a 1-identity part can neither build trials nor train
+                raise ContractError(f"unseen_unheard split: the {part} part needs at least 2 identities, got 1")
 
     dataset = data.synth_generate(
         num_identities=resolved["synth.identities"],
@@ -465,7 +441,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="paeff", description=__doc__)
+    parser = _Parser(prog="paeff", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"paeff {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, options in COMMAND_OPTIONS.items():

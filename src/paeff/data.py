@@ -124,9 +124,6 @@ class Dataset:
             m: np.array([code[rec.identity_id] for rec in recs], dtype=np.intp) for m, recs in by_modality.items()
         }
 
-    def identities(self) -> list[str]:
-        return list(self.identity_ids)
-
     def by_clip(self, modality: str, clip_id: str) -> EmbeddingRecord:
         try:
             row = self.clip_row[modality][clip_id]
@@ -346,7 +343,7 @@ def read_split_file(path) -> frozenset[str]:
 
 def make_unseen_split(dataset: Dataset, n_val: int, n_test: int, seed: int) -> SplitSpec:
     """Random identity-disjoint split; train gets whatever val/test leave over."""
-    ids = dataset.identities()
+    ids = dataset.identity_ids
     for part, n in (("val", n_val), ("test", n_test)):
         if n < 1:
             raise ContractError(f"unseen_unheard split: the {part} part needs at least 1 identity, got {n}")

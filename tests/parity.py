@@ -6,9 +6,10 @@ Checks REV out with ``git worktree add --detach`` into a temporary
 directory, then runs one recipe on that tree's ``src`` and on the working
 tree's: ``paeff synth`` (40 identities x 6 samples, face 24, voice 16,
 latent 8, seed 3) under each split mode; on each, ``paeff train`` (3
-epochs, ``--proj-dim 8``, ``--lr0 0.01``) with the ablations full,
-baseline, egff and egff_fa; and for each of those ``paeff eval --strata
-random,G,N,A,GNA`` with each probe modality. The options shrink the recipe.
+epochs, ``--proj-dim 8``, ``--lr0 0.01``) with the ablation arms full,
+baseline, egff and egff_fa, each given as its flags (``ARMS``); and for
+each of those ``paeff eval --strata random,G,N,A,GNA`` with each probe
+modality. The options shrink the recipe.
 
 Every output file is compared by sha256. A manifest is compared without
 its paths and, for eval, without its digest of the train manifest (whose
@@ -33,7 +34,13 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SPLIT_MODES = ("unseen_unheard", "seen_heard")
-ARMS = ("full", "baseline", "egff", "egff_fa")
+# Each ablation arm's train flags; its outputs are written under its name.
+ARMS = {
+    "full": [],
+    "baseline": ["--no-use-hyperbolic", "--fusion", "linear", "--alpha1", 0],
+    "egff": ["--no-use-hyperbolic", "--alpha1", 0],
+    "egff_fa": ["--no-use-hyperbolic"],
+}
 PROBES = ("voice", "face")
 
 
@@ -52,10 +59,10 @@ def flow(out: Path, identities: int = 40, samples_per_id: int = 6, epochs: int =
               "--face-dim", 24, "--voice-dim", 16, "--latent-dim", 8, "--seed", 3, "--split-mode", mode)
         inputs = ["--data", data / "data.fve", "--split-mode", mode,
                   *(x for part in ("train", "val", "test") for x in (f"--split-{part}", data / f"{part}.ids"))]
-        for arm in ARMS:
+        for arm, flags in ARMS.items():
             run = out / mode / arm
             paeff("train", *inputs, "--out", run / "train", "--epochs", epochs, "--proj-dim", 8, "--lr0", 0.01,
-                  "--ablation", arm)
+                  *flags)
             for probe in PROBES:
                 paeff("eval", *inputs, "--checkpoint", run / "train" / "checkpoint.paef", "--out", run / f"eval-{probe}",
                       "--strata", "random,G,N,A,GNA", "--probe-modality", probe)

@@ -54,7 +54,7 @@ def shuffled_dataset(seed):
     ds = data.synth_generate(16, 6, 5, 4, 0.9, 0.2, seed=seed, latent_dim=3)
     rng = np.random.default_rng(seed)
     kept = [ds.records[k] for k in rng.permutation(len(ds)) if rng.random() > 0.3]
-    ids = ds.identities()
+    ids = ds.identity_ids
     kept = [r for r in kept if (r.identity_id, r.modality) not in {(ids[1], "face"), (ids[-2], "voice")}]
     return data.Dataset(kept, ds.face_dim, ds.voice_dim)
 

@@ -1,4 +1,4 @@
-"""Command line: option table, precedence, ablation presets, reruns and exit codes."""
+"""Command line: option table, precedence, ablation arms, reruns and exit codes."""
 
 import hashlib
 import json
@@ -6,7 +6,7 @@ import math
 import platform
 import struct
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,6 @@ OPTION_TABLE = {
     "train.alpha1": ("float", 0.3),
     "train.alpha2": ("float", 0.35),
     "train.alpha3": ("float", 0.35),
-    "train.ablation": ("str", "full"),
     "train.val_trials": ("int", 200),
     "eval.nc_list": ("ints", (2, 4, 6, 8, 10)),
     "eval.strata": ("strs", ("random",)),
@@ -49,7 +48,7 @@ OPTION_TABLE = {
     "eval.seed": ("int", 0),
 }
 
-# Each --ablation spec next to the explicit flags it stands for.
+# Ablation arms and the train flags that give each.
 ARMS = {
     "full": [],
     "baseline": ["--no-use-hyperbolic", "--fusion", "linear", "--alpha1", "0"],
@@ -114,11 +113,8 @@ def run(world):
 
 @pytest.fixture(scope="module")
 def arms(world):
-    """Per ablation spec: the run trained with the preset and the run trained with its flags."""
-    return {
-        spec: (train(world, world / f"preset{i}", "--ablation", spec), train(world, world / f"flags{i}", *flags))
-        for i, (spec, flags) in enumerate(ARMS.items())
-    }
+    """Per ablation arm, the run trained with its flags."""
+    return {arm: train(world, world / f"arm{i}", *flags) for i, (arm, flags) in enumerate(ARMS.items())}
 
 
 def without(blob: bytes, name: str) -> bytes:
@@ -246,9 +242,10 @@ def test_eval_has_no_model_option(world, run, tmp_path, capsys):
     assert "unknown config key 'model.proj_dim'" in capsys.readouterr().err
 
 
-# The options that became constants, per command, as each source names them.
+# The removed options, per command, as each source names them.
 REMOVED_OPTIONS = {
-    "train": ["train.lr_min", "train.adam_beta1", "train.adam_beta2", "train.adam_eps", "train.op_inter_weight"],
+    "train": ["train.lr_min", "train.adam_beta1", "train.adam_beta2", "train.adam_eps", "train.op_inter_weight",
+              "train.ablation"],
     "synth": ["synth.demographics", "synth.val_frac", "synth.test_frac"],
 }
 REMOVED = [(command, key) for command, keys in REMOVED_OPTIONS.items() for key in keys]
@@ -288,27 +285,11 @@ def test_manifest_holds_no_removed_option(world, tmp_path, command):
     assert section and not {key.split(".", 1)[1] for key in REMOVED_OPTIONS[command]} & set(section)
 
 
-# -- ablation presets ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize("spec", list(ARMS))
-def test_ablation_preset_equals_its_flags(arms, spec):
-    preset, flags = arms[spec]
-    assert checkpoint(preset) == checkpoint(flags)
+# -- ablation arms -------------------------------------------------------------------
 
 
 def test_ablation_arms_differ(arms):
-    assert len({checkpoint(preset) for preset, _ in arms.values()}) == len(ARMS)
-
-
-def test_ablation_wins_over_explicit_flag(world, arms, tmp_path):
-    run_dir = train(world, tmp_path / "run", "--ablation", "no_hyperbolic", "--use-hyperbolic")
-    assert checkpoint(run_dir) == checkpoint(arms["egff_fa"][1])
-
-
-def test_unknown_ablation_exits_3(world, tmp_path, capsys):
-    assert cli.main(train_argv(world, tmp_path / "run", "--ablation", "nonsense")) == 3
-    assert "unknown ablation 'nonsense'" in capsys.readouterr().err
+    assert len({checkpoint(run_dir) for run_dir in arms.values()}) == len(ARMS)
 
 
 def test_pairs_all_at_the_distance_cap_exit_3_at_step_0(world, tmp_path, capsys):
@@ -350,6 +331,8 @@ BAD_TRAIN_OPTIONS = [
     ("--tangent-clip", "0", "tangent_clip"),
     ("--curvature", "inf", "curvature"), ("--curvature", "nan", "curvature"), ("--curvature", "0", "curvature"),
     ("--boundary-eps", "nan", "boundary_eps"),
+    ("--fusion", "foo", "fusion"), ("--gate-activation", "sin", "gate_activation"),
+    ("--attention-combine", "x", "attention_combine"), ("--proj-dim", "0", "proj_dim"),
 ]
 SOURCES = ["flag", "env", "config"]
 
@@ -367,12 +350,15 @@ def given_by(source, command, flag, value, tmp_path, monkeypatch) -> list[str]:
     return ["--config", str(tmp_path / "options.cfg")]
 
 
+@pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize("flag, value, field", BAD_TRAIN_OPTIONS, ids=[f"{f[2:]}={v}" for f, v, _ in BAD_TRAIN_OPTIONS])
-def test_malformed_train_option_exits_3_before_training(world, tmp_path, capsys, monkeypatch, flag, value, field):
-    monkeypatch.setattr(trainer, "train", lambda *a: pytest.fail("training started"))
-    if field not in {f.name for f in fields(model.ModelConfig)}:  # a ModelConfig needs the dataset's dims
-        monkeypatch.setattr(data, "load_dataset", lambda *a: pytest.fail("dataset read"))
-    assert cli.main(train_argv(world, tmp_path / "run", flag, value)) == 3
+def test_malformed_train_option_exits_3_before_training(world, tmp_path, capsys, monkeypatch, flag, value, field,
+                                                       source):
+    monkeypatch.setattr(data, "load_dataset", lambda *a: pytest.fail("dataset read"))
+    argv = train_argv(world, tmp_path / "run")
+    if flag in argv:  # the base command's own flag would win over a variable or a config line
+        del argv[argv.index(flag) : argv.index(flag) + 2]
+    assert cli.main([*argv, *given_by(source, "train", flag, value, tmp_path, monkeypatch)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric/invariant error:") and field in err and "Traceback" not in err
 
@@ -426,12 +412,12 @@ def test_config_file_setting_a_key_twice_exits_2_before_training(world, tmp_path
 
 
 def test_ablation_manifests_describe_trained_model(world, arms, tmp_path):
-    preset, _ = arms["baseline"]
-    trained = recorded(preset)
+    baseline = arms["baseline"]
+    trained = recorded(baseline)
     assert set(trained) == {"model", "train"}
-    assert trained["train"]["ablation"] == "baseline"
     assert trained["train"]["alpha1"] == 0.0
-    argv = eval_argv(world, preset / "checkpoint.paef", tmp_path / "eval", "--manifest", str(preset / "manifest.json"))
+    argv = eval_argv(world, baseline / "checkpoint.paef", tmp_path / "eval",
+                     "--manifest", str(baseline / "manifest.json"))
     assert cli.main(argv) == 0
     model = recorded(tmp_path / "eval")["model"]
     assert (model["use_hyperbolic"], model["fusion"]) == (False, "linear")
@@ -587,6 +573,7 @@ def test_train_split_of_only_unknown_identities_exits_2(world, tmp_path, capsys)
     (SYNTH + ["--val-identities", "0"], "the val part needs at least 1 identity"),
     (SYNTH + ["--test-identities", "1"], "the test part needs at least 2 identities"),
     (SYNTH + ["--val-identities", "1"], "the val part needs at least 2 identities"),
+    (SYNTH + ["--val-identities", "4", "--test-identities", "5"], "the train part needs at least 2 identities"),
     (SEEN_SYNTH + ["--samples-per-id", "2"], "the val part is empty"),
 ])
 def test_synth_with_an_empty_part_exits_3_before_writing(tmp_path, capsys, flags, message):
@@ -824,7 +811,7 @@ def test_seen_heard_eval_of_the_test_part_alone_writes_the_reports_of_all_three(
 # -- the model eval scores with: the training manifest ----------------------------------
 
 
-@pytest.mark.parametrize("flags", [("--ablation", "baseline"), ("--tangent-clip", "0.25"),
+@pytest.mark.parametrize("flags", [ARMS["baseline"], ("--tangent-clip", "0.25"),
                                    ("--attention-combine", "concatenation")],
                          ids=["baseline", "tangent_clip", "concatenation"])
 def test_eval_scores_with_the_trained_model(world, tmp_path, flags):

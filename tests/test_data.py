@@ -170,7 +170,7 @@ class TestSplits:
         split = data.make_seen_split(ds, val_frac=0.2, test_frac=0.2, seed=3)
         split.validate(ds)
         for part in ("train", "test"):
-            assert split.part_rows(ds, part).identities == ds.identities()
+            assert split.part_rows(ds, part).identities == ds.identity_ids
 
     def test_split_makers_return_plain_str_ids(self):
         ds = data.synth_generate(10, 6, 4, 4, 1.0, 0.0, seed=1, latent_dim=2)
@@ -212,7 +212,7 @@ class TestSplits:
 class TestMakeBatches:
     def setup_method(self):
         self.ds = data.synth_generate(4, 3, 4, 5, 1.0, 0.1, seed=4, latent_dim=2)
-        ids = self.ds.identities()
+        ids = self.ds.identity_ids
         self.split = SplitSpec("unseen_unheard", frozenset(ids), frozenset(), frozenset())
 
     def test_epoch_covers_all_identities(self):
@@ -316,7 +316,7 @@ class TestMakeBatches:
     def test_same_batches_as_scalar_loop(self, seed, batch_size):
         # Uneven pools (1 to 5 records, singletons among them) and, at 16 rows, fewer identities than the batch.
         ds = data.synth_generate(9, 5, 4, 3, 1.0, 0.1, seed=25, latent_dim=2)
-        ids = ds.identities()
+        ids = ds.identity_ids
         kept = [r for k, r in enumerate(ds.records) if (k // 2) % 5 < 1 + ids.index(r.identity_id) % 5]
         ds = Dataset(kept, face_dim=4, voice_dim=3)
         split = SplitSpec("unseen_unheard", frozenset(ids), frozenset(), frozenset())
@@ -334,7 +334,7 @@ class TestMakeBatches:
     def uneven_dataset():
         """Pools of 1 to 5 records per identity and modality, singletons among them."""
         ds = data.synth_generate(9, 5, 4, 3, 1.0, 0.1, seed=25, latent_dim=2)
-        ids = ds.identities()
+        ids = ds.identity_ids
         kept = [r for k, r in enumerate(ds.records) if (k // 2) % 5 < 1 + ids.index(r.identity_id) % 5]
         return Dataset(kept, face_dim=4, voice_dim=3)
 
@@ -357,7 +357,7 @@ class TestMakeBatches:
         data.write_dataset(path, Dataset([ds.records[k] for k in order], face_dim=4, voice_dim=3))
         loaded = data.load_dataset(path)
         assert [r.identity_id for r in loaded.records] != sorted(r.identity_id for r in loaded.records)
-        split = SplitSpec("unseen_unheard", frozenset(loaded.identities()), frozenset(), frozenset())
+        split = SplitSpec("unseen_unheard", frozenset(loaded.identity_ids), frozenset(), frozenset())
         self.assert_same_batches(loaded, split, batch_size, seed)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -419,7 +419,7 @@ class TestSynthGenerate:
     def test_noiseless_coupled_samples_identical(self):
         ds = data.synth_generate(3, 4, 6, 5, cross_modal_coupling=1.0, noise=0.0, seed=7, latent_dim=3)
         groups = walk.group_by_identity(ds.records)
-        assert sorted(groups) == ds.identities()
+        assert sorted(groups) == ds.identity_ids
         for pool in groups.values():
             assert len(pool["face"]) == 4
             for r in pool["face"][1:]:

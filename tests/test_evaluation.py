@@ -306,7 +306,7 @@ class TestMatching:
     def test_chance_level_untrained(self):
         # untrained model on uncoupled data: accuracy ~ 1/n_c
         ds = data.synth_generate(40, 3, 8, 8, 0.0, 1.0, seed=4, latent_dim=4)
-        ids = ds.identities()
+        ids = ds.identity_ids
         split = SplitSpec("unseen_unheard", frozenset(ids[:8]), frozenset(ids[8:12]), frozenset(ids[12:]))
         cfg = model.ModelConfig(face_dim=8, voice_dim=8, num_identities=8, proj_dim=6)
         params = model.init_params(cfg, seed=5)
@@ -650,7 +650,7 @@ def chi_square_critical(df, z=3.09):
 def uneven_setup():
     """Test identities with unequal record counts, one of them without any face."""
     ds = data.synth_generate(10, 5, 6, 5, 1.0, 0.1, seed=22, latent_dim=3)
-    ids = ds.identities()
+    ids = ds.identity_ids
     split = SplitSpec("unseen_unheard", frozenset(ids[:4]), frozenset(ids[4:5]), frozenset(ids[5:]))
     kept = [
         r
@@ -775,7 +775,7 @@ class TestVerificationTrialOracle:
     def test_two_identities_most_draws_rejected(self, seed):
         # b keeps one face and one voice against a's 12 each: 86 % of non-match draws pair a with a.
         ds = data.synth_generate(2, 12, 4, 4, 1.0, 0.1, seed=23, latent_dim=2)
-        a, b = ds.identities()
+        a, b = ds.identity_ids
         b_pools = walk.group_by_identity(ds.records)[b]
         kept = [r for r in ds.records if r.identity_id == a or r in (b_pools["face"][0], b_pools["voice"][0])]
         ds = data.Dataset(kept, ds.face_dim, ds.voice_dim)
@@ -805,7 +805,7 @@ class TestShuffledRecords:
         ds = walk.shuffled_dataset(seed)
         if mode == "seen_heard":
             return ds, data.make_seen_split(ds, val_frac=0.25, test_frac=0.3, seed=seed)
-        ids = ds.identities()
+        ids = ds.identity_ids
         test, val = {ids[k] for k in (0, 1, 5, 9, -4, -2)}, {ids[k] for k in (3, 7, -1)}
         return ds, SplitSpec("unseen_unheard", frozenset(ids) - test - val, frozenset(val), frozenset(test))
 
@@ -877,8 +877,8 @@ class TestTrialConstruction:
 
     def test_impossible_balance_rejected(self):
         ds = data.synth_generate(2, 2, 4, 4, 1.0, 0.0, seed=13, latent_dim=2)
-        only = frozenset([ds.identities()[0]])
-        split = SplitSpec("unseen_unheard", frozenset([ds.identities()[1]]), frozenset(), only)
+        only = frozenset([ds.identity_ids[0]])
+        split = SplitSpec("unseen_unheard", frozenset([ds.identity_ids[1]]), frozenset(), only)
         with pytest.raises(DataError, match=r"test split cannot build balanced trials \(identities=1,"):
             evaluation.build_verification_trials(ds, split, 10, seed=0)
         with pytest.raises(DataError, match="matching trials need at least 2 identities with both modalities"):

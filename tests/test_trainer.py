@@ -1,7 +1,7 @@
 """Optimizer, schedule, batch-size resolution, and the training loop.
 
-The ``--ablation`` presets are options of the command line, tested in
-``test_cli.py``; the trainer trains exactly the configs it is given.
+The ablation arms are flags of the command line (see ``paeff.cli``), tested
+in ``test_cli.py``; the trainer trains exactly the configs it is given.
 """
 
 import ctypes
@@ -106,7 +106,7 @@ class TestBatchSizeResolution:
     def test_large_scale_default(self):
         ds = data.synth_generate(600, 10, 4, 4, 1.0, 0.1, seed=1, latent_dim=2)
         split = data.SplitSpec(
-            "unseen_unheard", frozenset(ds.identities()), frozenset(), frozenset()
+            "unseen_unheard", frozenset(ds.identity_ids), frozenset(), frozenset()
         )
         cfg = trainer.TrainConfig()
         assert trainer.resolve_batch_size(cfg, ds, split) == 1024
