@@ -15,9 +15,9 @@ dataset or a split file, as eval builds its ``EvalConfig`` before it reads
 the checkpoint, so a malformed model.* or train.* option exits 3 first.
 
 The model.*, train.* and eval.* options are the defaulted fields of
-``ModelConfig``, ``TrainConfig`` (its ``LossWeights`` flattened to
-``alpha1..3``) and ``EvalConfig``, with the dataclass defaults. The
-paper's ablation arms are train flags over three of them:
+``ModelConfig``, ``TrainConfig`` and ``EvalConfig``, with the dataclass
+defaults; every field of the three is a flat value. The paper's ablation
+arms are train flags over three of them:
 
     full           (the defaults)
     baseline       --no-use-hyperbolic --fusion linear --alpha1 0
@@ -30,8 +30,9 @@ paper's ablation arms are train flags over three of them:
 eval has no model option: it builds its ``ModelConfig`` from the training
 manifest's ``config.model`` (``--manifest``, by default the
 ``manifest.json`` that train writes next to the checkpoint), so each
-checkpoint is scored with the model that trained it. Its config file takes
-``eval.*`` and ``io.*`` keys only.
+checkpoint is scored with the model that trained it; a ``config.model``
+that lacks a ``ModelConfig`` field or holds any other key exits 2. Its
+config file takes ``eval.*`` and ``io.*`` keys only.
 
 AdamW's betas and epsilon, the cosine schedule's floor (0), the orthogonal
 projection loss's inter-class weight (1), synth's demographic tags (always
@@ -41,6 +42,9 @@ a flag exits 1, such a config-file key exits 2, and such a ``PAEFF_``
 variable is ignored. synth's ``val_identities`` and ``test_identities``
 count the identities an unseen_unheard split holds out; a seen_heard split
 holds out clips, so setting either one there, from any source, exits 3.
+Before it generates a vector, synth exits 3 on an unseen_unheard part of
+fewer than 2 identities or a seen_heard split of fewer than 3 samples per
+identity, which leaves its val and test parts empty.
 
 Exit codes, one error class each (``main`` has one clause per code):
 
@@ -60,9 +64,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import MISSING, asdict, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from . import __version__, config as cfgmod, data, evaluation, model, trainer
 from .config import Option
@@ -102,13 +106,9 @@ HELP = {
 }
 
 
-def _defaults(cls) -> Iterator[tuple[str, Any]]:
+def _defaults(cls) -> list[tuple[str, Any]]:
     """(name, default) of each field of a config dataclass that has a default."""
-    for f in fields(cls):
-        if f.default is not MISSING:
-            yield f.name, f.default
-        elif f.default_factory is not MISSING:
-            yield f.name, f.default_factory()
+    return [(f.name, f.default) for f in fields(cls) if f.default is not MISSING]
 
 
 def _kind(default: Any) -> str:
@@ -120,24 +120,14 @@ def _kind(default: Any) -> str:
 
 
 def _config_options(section: str, cls) -> list[Option]:
-    """One option per defaulted field; a nested config's fields join the section flat."""
-    options = []
-    for name, default in _defaults(cls):
-        if is_dataclass(default):
-            options += _config_options(section, type(default))
-        else:
-            key = f"{section}.{name}"
-            options.append(Option(key, _kind(default), default, HELP.get(key, "")))
-    return options
+    """One option per defaulted field."""
+    return [Option(f"{section}.{name}", _kind(default), default, HELP.get(f"{section}.{name}", ""))
+            for name, default in _defaults(cls)]
 
 
 def _build(cls, section: str, resolved: dict, **given):
     """``cls`` from the resolved ``section.*`` keys; ``given`` holds the fields without a default."""
-    for name, default in _defaults(cls):
-        given[name] = (
-            _build(type(default), section, resolved) if is_dataclass(default) else resolved[f"{section}.{name}"]
-        )
-    return cls(**given)
+    return cls(**given, **{name: resolved[f"{section}.{name}"] for name, _ in _defaults(cls)})
 
 
 MODEL_OPTIONS = _config_options("model", model.ModelConfig)
@@ -248,24 +238,15 @@ def _trained_model(manifest_path: str) -> model.ModelConfig:
     """The ``ModelConfig`` a training manifest records under ``config.model``."""
     if not Path(manifest_path).is_file():
         raise DataError(f"{manifest_path}: no training manifest there; pass --manifest")
-    manifest = cfgmod.read_manifest(manifest_path)
-    values = cfgmod.manifest_section(manifest_path, manifest, "model", MODEL_FIELDS)
+    values = cfgmod.manifest_section(manifest_path, cfgmod.read_manifest(manifest_path), "model", MODEL_FIELDS)
     try:
-        cfg = model.ModelConfig(**values)
+        return model.ModelConfig(**values)
     except ContractError as e:
         raise DataError(f"{manifest_path}: {e}") from None
-    # Manifests from when the similarity was an option of its own record it; it must be the lift's.
-    expected = cfg.effective_similarity()
-    similarity = manifest["config"]["model"].get("similarity", expected)
-    if similarity != expected:
-        raise DataError(f"{manifest_path}: config.model.similarity is {similarity!r}, not {expected!r} "
-                        f"as use_hyperbolic={cfg.use_hyperbolic} implies")
-    return cfg
 
 
 def _train_section(tc: trainer.TrainConfig, batch_size: int) -> dict:
     section = asdict(tc)
-    section.update(section.pop("loss_weights"))
     section["batch_size"] = tc.batch_size if tc.batch_size is not None else "auto"
     section["batch_size_resolved"] = batch_size
     section["optimizer"] = "adamw"
@@ -394,12 +375,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
                                 "applies to unseen_unheard only")
         if not seen_heard and resolved[key] is None:
             resolved[key] = default
+    if seen_heard and resolved["synth.samples_per_id"] < 3:  # make_seen_split holds out clips only from 3 up
+        raise ContractError("seen_heard split: samples_per_id must be at least 3 to hold out a val and a test clip, "
+                            f"got {resolved['synth.samples_per_id']}")
     if not seen_heard:
         sizes = {part: resolved[f"synth.{part}_identities"] for part in UNSEEN_PART_IDENTITIES}
         sizes["train"] = resolved["synth.identities"] - sum(sizes.values())
         for part, size in sizes.items():
-            if size == 1:  # make_unseen_split takes 1, but a 1-identity part can neither build trials nor train
-                raise ContractError(f"unseen_unheard split: the {part} part needs at least 2 identities, got 1")
+            if size < 2:  # make_unseen_split takes 1, but a 1-identity part can neither build trials nor train
+                raise ContractError(f"unseen_unheard split: the {part} part needs at least 2 identities, got {size}")
 
     dataset = data.synth_generate(
         num_identities=resolved["synth.identities"],

@@ -4,7 +4,8 @@ Every CLI flag has a dotted config-file key and a PAEFF_ environment
 variable; precedence is flags > environment > config file > built-in
 defaults. ``write_manifest`` writes the record a run is reproduced from,
 and ``read_manifest`` with ``manifest_section`` read a section of its
-``config`` back, each value checked against its option's kind.
+``config`` back: each of its options, checked against the option's kind,
+and no other key.
 
 The config file is a flat key = value format: comments start with '#',
 lists are comma-separated, strings may be double-quoted. Text that is not
@@ -192,7 +193,7 @@ def read_manifest(path) -> dict:
 def manifest_section(path, manifest: dict, section: str, options: list[Option]) -> dict[str, Any]:
     """The ``config.<section>`` value of each option in ``manifest``, read from ``path``, keyed by field name.
 
-    Each option must be present and of its kind; other keys are skipped.
+    Each option must be present and of its kind, and no other key may be.
     Every fault is a DataError that names ``path``.
     """
     config = manifest.get("config", {})
@@ -208,4 +209,7 @@ def manifest_section(path, manifest: dict, section: str, options: list[Option]) 
             out[name] = parse_json_value(opt, values[name])
         except DataError as e:
             raise DataError(f"{path}: {e}") from None
+    unknown = sorted(values.keys() - out.keys())
+    if unknown:
+        raise DataError(f"{path}: config.{section} has unknown key {unknown[0]!r}")
     return out

@@ -10,6 +10,7 @@
   apart so that a caller can label it with its input (a ``.fve`` line, a checkpoint).
 
 ``PaeffError`` is their base, never raised itself; usage errors exit 1.
+``check_rules`` checks a config dataclass against its table of rules.
 """
 
 
@@ -27,3 +28,10 @@ class NumericError(PaeffError):
 
 class DataError(PaeffError):
     """An input does not parse or breaks an invariant; a parse fault's message carries the line number."""
+
+
+def check_rules(config, rules) -> None:
+    """Raise a ContractError "<field> must be <rule>, got <value>" at the first ``(field, holds, rule)`` that fails."""
+    for name, holds, rule in rules:
+        if not holds:
+            raise ContractError(f"{name} must be {rule}, got {getattr(config, name)!r}")

@@ -46,7 +46,7 @@ import numpy as np
 from .autodiff import Tensor
 from .config import read_text
 from .data import MODALITIES, Dataset, EmbeddingRecord, SplitSpec
-from .errors import ContractError, DataError, NumericError
+from .errors import ContractError, DataError, NumericError, check_rules
 from .losses import similarity_arm
 from .model import ModelConfig, ModelParams, encode_modality
 
@@ -86,7 +86,7 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        rules = (
+        check_rules(self, (
             ("strata", 0 < len(self.strata) == len(set(self.strata)), "one or more distinct strata"),
             ("strata", set(self.strata) <= set(STRATA), f"drawn from {STRATA}"),
             ("nc_list", 0 < len(self.nc_list) == len(set(self.nc_list)) and min(self.nc_list) >= 2,
@@ -95,10 +95,7 @@ class EvalConfig:
             ("matching_trials", self.matching_trials >= 1, "at least 1"),
             ("probe_modality", self.probe_modality in ("face", "voice"), "face or voice"),
             ("seed", self.seed >= 0, "at least 0"),
-        )
-        for name, holds, rule in rules:
-            if not holds:
-                raise ContractError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        ))
 
 
 # -- scoring -------------------------------------------------------------------

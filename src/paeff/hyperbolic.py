@@ -68,7 +68,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, NumericError
+from .errors import ContractError, NumericError, check_rules
 
 # Below this norm the exp/log maps switch to their linear limit.
 _TINY = 1e-12
@@ -82,10 +82,10 @@ class BallConfig:
     boundary_eps: float = 1e-5
 
     def __post_init__(self):
-        if not (math.isfinite(self.curvature) and self.curvature > 0.0):
-            raise ContractError(f"curvature must be finite and positive, got {self.curvature}")
-        if not 0.0 < self.boundary_eps < 1.0:
-            raise ContractError(f"boundary_eps must lie in (0, 1), got {self.boundary_eps}")
+        check_rules(self, (
+            ("curvature", math.isfinite(self.curvature) and self.curvature > 0.0, "finite and positive"),
+            ("boundary_eps", 0.0 < self.boundary_eps < 1.0, "in (0, 1)"),
+        ))
 
     @property
     def sqrt_c(self) -> float:

@@ -4,9 +4,10 @@ The total objective is the weighted sum
 
     L = alpha1 * L_align + alpha2 * L_op + alpha3 * L_ce
 
-with the weights defaulting to (0.3, 0.35, 0.35). Each loss is one tape
-node with a hand-written VJP: the alignment, the orthogonal projection
-loss and the cross-entropy, and ``total_loss`` weighs them in one more.
+with the weights ``trainer.TrainConfig.alpha1..3``, which checks them and
+holds their defaults (0.3, 0.35, 0.35). Each loss is one tape node with a
+hand-written VJP: the alignment, the orthogonal projection loss and the
+cross-entropy, and ``total_loss`` weighs them in one more.
 The alignment's two arms, hyperbolic and cosine, share that node and
 differ only in the similarity table it is built on, which
 ``similarity_arm`` picks; evaluation scores trials on the same table.
@@ -30,20 +31,6 @@ from .errors import ContractError, NumericError
 from .hyperbolic import PoincarePoint
 
 _NORM_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    alpha1: float = 0.3
-    alpha2: float = 0.35
-    alpha3: float = 0.35
-
-    def __post_init__(self):
-        for name, a in vars(self).items():
-            if not (math.isfinite(a) and a >= 0.0):
-                raise ContractError(f"{name} must be finite and nonnegative, got {a!r}")
-        if not any(a > 0.0 for a in (self.alpha1, self.alpha2, self.alpha3)):
-            raise ContractError("at least one loss weight must be positive")
 
 
 @dataclass
@@ -310,12 +297,12 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
     return Tensor.from_op(np.asarray(loss), (logits,), (vjp,))
 
 
-def total_loss(l_align: Tensor, l_op: Tensor, l_ce: Tensor, weights: LossWeights) -> LossBreakdown:
-    """The weighted objective (l_align a1 + l_op a2) + l_ce a3 as one tape node; component i gets g * a_i."""
+def total_loss(l_align: Tensor, l_op: Tensor, l_ce: Tensor, weights: tuple[float, float, float]) -> LossBreakdown:
+    """(l_align a1 + l_op a2) + l_ce a3 for ``weights`` (a1, a2, a3) as one tape node; component i gets g * a_i."""
     for name, t in (("l_align", l_align), ("l_op", l_op), ("l_ce", l_ce)):
         if not np.all(np.isfinite(t.data)):
             raise NumericError(f"total_loss: component {name} is non-finite")
-    a1, a2, a3 = weights.alpha1, weights.alpha2, weights.alpha3
+    a1, a2, a3 = weights
     value = (l_align.data * a1 + l_op.data * a2) + l_ce.data * a3
     total = Tensor.from_op(value, (l_align, l_op, l_ce), (lambda g: g * a1, lambda g: g * a2, lambda g: g * a3))
     return LossBreakdown(l_align=l_align, l_op=l_op, l_ce=l_ce, total=total)

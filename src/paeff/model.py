@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import hyperbolic as hyp
 from .autodiff import Tensor
-from .errors import ContractError, DataError, NumericError
+from .errors import ContractError, DataError, NumericError, check_rules
 from .hyperbolic import BallConfig, PoincarePoint
 
 GATE_ACTIVATIONS = ("tanh", "relu")
@@ -50,19 +50,16 @@ class ModelConfig:
     tangent_clip: float = 0.5
 
     def __post_init__(self):
-        for name in ("face_dim", "voice_dim", "proj_dim"):
-            if getattr(self, name) <= 0:
-                raise ContractError(f"{name} must be positive")
-        if not (math.isfinite(self.tangent_clip) and self.tangent_clip > 0.0):
-            raise ContractError(f"tangent_clip must be finite and positive, got {self.tangent_clip}")
-        if self.num_identities < 2:
-            raise ContractError("num_identities must be at least 2")
-        if self.gate_activation not in GATE_ACTIVATIONS:
-            raise ContractError(f"gate_activation must be one of {GATE_ACTIVATIONS}")
-        if self.attention_combine not in ATTENTION_COMBINES:
-            raise ContractError(f"attention_combine must be one of {ATTENTION_COMBINES}")
-        if self.fusion not in FUSIONS:
-            raise ContractError(f"fusion must be one of {FUSIONS}")
+        check_rules(self, (
+            ("face_dim", self.face_dim > 0, "positive"),
+            ("voice_dim", self.voice_dim > 0, "positive"),
+            ("proj_dim", self.proj_dim > 0, "positive"),
+            ("tangent_clip", math.isfinite(self.tangent_clip) and self.tangent_clip > 0.0, "finite and positive"),
+            ("num_identities", self.num_identities >= 2, "at least 2"),
+            ("gate_activation", self.gate_activation in GATE_ACTIVATIONS, f"one of {GATE_ACTIVATIONS}"),
+            ("attention_combine", self.attention_combine in ATTENTION_COMBINES, f"one of {ATTENTION_COMBINES}"),
+            ("fusion", self.fusion in FUSIONS, f"one of {FUSIONS}"),
+        ))
         BallConfig(self.curvature, self.boundary_eps)  # its checks of curvature and boundary_eps, at construction
 
     @property

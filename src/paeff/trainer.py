@@ -1,11 +1,12 @@
 """Optimization loop: AdamW with a cosine learning-rate schedule.
 
-Each epoch draws matched-pair batches, optimizes the weighted sum of the
-three losses, and scores a fixed validation trial set; the checkpoint
-returned is the one with the best validation EER. No record is walked:
-the train part's rows (``SplitSpec.part_rows``) are derived from the
-dataset's arrays by ``train``, for the batch size and step count, and by
-each epoch's ``make_batches``, and the val part's once, for the val
+Each epoch draws matched-pair batches, optimizes the sum of the three
+losses weighted by ``TrainConfig.alpha1..3`` (``loss_weights``, the tuple
+``losses.total_loss`` takes), and scores a fixed validation trial set; the
+checkpoint returned is the one with the best validation EER. No record is
+walked: the train part's rows (``SplitSpec.part_rows``) are derived from
+the dataset's arrays by ``train``, for the batch size and step count, and
+by each epoch's ``make_batches``, and the val part's once, for the val
 trials. Nothing is cached on the dataset or the split, so a repeated call
 repeats all of its work. Validation scores that all tie cannot rank the
 trials, so they are a ``NumericError`` naming the epoch, not an EER of 0.5.
@@ -60,8 +61,7 @@ import numpy as np
 from . import evaluation, losses, model
 from .autodiff import Tensor
 from .data import Dataset, PartRows, SplitSpec, make_batches
-from .errors import ContractError, NumericError
-from .losses import LossWeights
+from .errors import ContractError, NumericError, check_rules
 from .model import ModelConfig, ModelParams
 
 LOGIT_SCALE_MAX = math.log(100.0)
@@ -87,22 +87,32 @@ class TrainConfig:
     lr0: float = 2e-5
     weight_decay: float = 1e-2
     seed: int = 0
-    loss_weights: LossWeights = field(default_factory=LossWeights)
+    # The weights of losses.total_loss: alignment, orthogonal projection, cross-entropy.
+    alpha1: float = 0.3
+    alpha2: float = 0.35
+    alpha3: float = 0.35
     val_trials: int = 200
 
     def __post_init__(self):
         finite = math.isfinite
-        rules = (
+        check_rules(self, (
             ("epochs", self.epochs >= 1, "at least 1"),
             ("batch_size", self.batch_size is None or self.batch_size >= 2, "at least 2"),
             ("lr0", finite(self.lr0) and self.lr0 > 0.0, "finite and positive"),
             ("weight_decay", finite(self.weight_decay) and self.weight_decay >= 0.0, "finite and nonnegative"),
             ("seed", self.seed >= 0, "at least 0"),
+            ("alpha1", finite(self.alpha1) and self.alpha1 >= 0.0, "finite and nonnegative"),
+            ("alpha2", finite(self.alpha2) and self.alpha2 >= 0.0, "finite and nonnegative"),
+            ("alpha3", finite(self.alpha3) and self.alpha3 >= 0.0, "finite and nonnegative"),
             ("val_trials", self.val_trials >= 2, "at least 2"),
-        )
-        for name, holds, rule in rules:
-            if not holds:
-                raise ContractError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        ))
+        if not any(a > 0.0 for a in self.loss_weights):
+            raise ContractError("at least one loss weight must be positive")
+
+    @property
+    def loss_weights(self) -> tuple[float, float, float]:
+        """(alpha1, alpha2, alpha3), as ``losses.total_loss`` takes them."""
+        return self.alpha1, self.alpha2, self.alpha3
 
 
 def resolve_batch_size(cfg: TrainConfig, dataset: Dataset, split: SplitSpec) -> int:
@@ -217,9 +227,9 @@ class TrainResult:
 
 
 def step_losses(
-    batch_faces, batch_voices, batch_labels, params: ModelParams, cfg: ModelConfig, weights: LossWeights
+    batch_faces, batch_voices, batch_labels, params: ModelParams, cfg: ModelConfig, weights: tuple[float, float, float]
 ) -> losses.LossBreakdown:
-    """Forward pass plus the three-component objective for one batch."""
+    """Forward pass plus the three-component objective for one batch, ``weights`` (alpha1, alpha2, alpha3)."""
     result = model.forward(batch_faces, batch_voices, params, cfg)
     l_align = losses.alignment_loss(
         result.face_aligned, result.voice_aligned, params.logit_scale, cfg.effective_similarity(), batch_labels
@@ -243,7 +253,7 @@ def float32_params(params: ModelParams) -> ModelParams:
 
 def train_step(
     batch_faces: Tensor, batch_voices: Tensor, batch_labels, params: ModelParams, cfg: ModelConfig,
-    weights: LossWeights,
+    weights: tuple[float, float, float],
 ) -> dict[str, float]:
     """One step's losses, with their gradients accumulated on ``params`` as ``.grad``.
 
@@ -287,6 +297,7 @@ def train(
 
     steps_per_epoch = -(-len(train_rows.identities) // batch_size)
     total_steps = train_cfg.epochs * steps_per_epoch
+    weights = train_cfg.loss_weights
 
     history: list[EpochLog] = []
     best_eer = math.inf
@@ -301,9 +312,7 @@ def train(
         for k, batch in enumerate(batches):
             batches[k] = None  # a batch is freed once its step is done
             try:
-                values = train_step(
-                    batch.faces, batch.voices, batch.labels, params, model_cfg, train_cfg.loss_weights
-                )
+                values = train_step(batch.faces, batch.voices, batch.labels, params, model_cfg, weights)
             except NumericError as e:
                 raise NumericError(f"training diverged at step {step}: {e}") from None
             for key in sums:

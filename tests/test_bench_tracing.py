@@ -56,7 +56,7 @@ def test_layer_sweep_at_a_tiny_batch():
     rng = np.random.default_rng(0)
     params = model.init_params(cfg, seed=0)
     out = tracing.layer_sweep(rng.normal(size=(4, 6)), rng.normal(size=(4, 5)), np.array([0, 1, 2, 0]), params,
-                              cfg, losses.LossWeights(), reps=1)
+                              cfg, trainer.TrainConfig().loss_weights, reps=1)
     per_layer = {m["name"] for m in json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]}
     assert out and set(out) <= per_layer
     assert all(math.isfinite(v) and v >= 0.0 for v in out.values())
@@ -75,7 +75,7 @@ def test_tape_stats_of_a_float32_training_step(monkeypatch):
 
     monkeypatch.setattr(trainer, "step_losses", measuring)
     trainer.train_step(Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(4, 5))), np.array([0, 1, 2, 0]),
-                       trainer.float32_params(model.init_params(cfg, seed=0)), cfg, losses.LossWeights())
+                       trainer.float32_params(model.init_params(cfg, seed=0)), cfg, trainer.TrainConfig().loss_weights)
     (nodes, mb), = stats
     assert nodes == 24 and 0.0 < mb < 1.0
 

@@ -363,6 +363,22 @@ def test_malformed_train_option_exits_3_before_training(world, tmp_path, capsys,
     assert err.startswith("numeric/invariant error:") and field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("source", SOURCES)
+def test_all_loss_weights_zero_exits_3_before_training(world, tmp_path, capsys, monkeypatch, source):
+    monkeypatch.setattr(data, "load_dataset", lambda *a: pytest.fail("dataset read"))
+    alphas = [opt for opt in cli.COMMAND_OPTIONS["train"] if opt.key.startswith("train.alpha")]
+    given = [word for opt in alphas for word in (opt.flag, "0")] if source == "flag" else []
+    if source == "env":
+        for opt in alphas:
+            monkeypatch.setenv(opt.env_name, "0")
+    if source == "config":
+        (tmp_path / "weights.cfg").write_text("".join(f"{opt.key} = 0\n" for opt in alphas), encoding="utf-8")
+        given = ["--config", str(tmp_path / "weights.cfg")]
+    assert cli.main(train_argv(world, tmp_path / "run", *given)) == 3
+    assert capsys.readouterr().err == "numeric/invariant error: at least one loss weight must be positive\n"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("flag, value, field", [
     ("--max-trials", "1", "max_trials"), ("--matching-trials", "0", "matching_trials"), ("--nc-list", "1", "nc_list"),
     ("--probe-modality", "x", "probe_modality"), ("--strata", "G,G", "strata"), ("--nc-list", "2,4,2", "nc_list"),
@@ -569,14 +585,19 @@ def test_train_split_of_only_unknown_identities_exits_2(world, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("flags, message", [
-    (SYNTH + ["--test-identities", "0"], "the test part needs at least 1 identity"),
-    (SYNTH + ["--val-identities", "0"], "the val part needs at least 1 identity"),
-    (SYNTH + ["--test-identities", "1"], "the test part needs at least 2 identities"),
-    (SYNTH + ["--val-identities", "1"], "the val part needs at least 2 identities"),
-    (SYNTH + ["--val-identities", "4", "--test-identities", "5"], "the train part needs at least 2 identities"),
-    (SEEN_SYNTH + ["--samples-per-id", "2"], "the val part is empty"),
+    (SYNTH + ["--test-identities", "0"], "the test part needs at least 2 identities, got 0"),
+    (SYNTH + ["--val-identities", "0"], "the val part needs at least 2 identities, got 0"),
+    (SYNTH + ["--test-identities", "-3"], "the test part needs at least 2 identities, got -3"),
+    (SYNTH + ["--test-identities", "1"], "the test part needs at least 2 identities, got 1"),
+    (SYNTH + ["--val-identities", "1"], "the val part needs at least 2 identities, got 1"),
+    (SYNTH + ["--val-identities", "4", "--test-identities", "5"], "the train part needs at least 2 identities, got 1"),
+    (SYNTH + ["--identities", "20", "--val-identities", "10", "--test-identities", "10"],
+     "the train part needs at least 2 identities, got 0"),
+    (SEEN_SYNTH[:-2] + ["--identities", "12"], "the train part needs at least 2 identities, got 0"),  # 4 + 8 held out
+    (SEEN_SYNTH + ["--samples-per-id", "2"], "samples_per_id must be at least 3 to hold out a val and a test clip"),
 ])
-def test_synth_with_an_empty_part_exits_3_before_writing(tmp_path, capsys, flags, message):
+def test_synth_with_an_empty_part_exits_3_before_writing(tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.setattr(data, "synth_generate", lambda *a, **k: pytest.fail("vectors generated"))
     assert cli.main(["synth", "--out", str(tmp_path / "out"), *flags]) == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -921,23 +942,6 @@ def test_eval_manifest_disagreeing_with_checkpoint_exits_2(world, run, tmp_path,
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("use_hyperbolic, similarity, code", [
-    (True, "neg_hyperbolic_distance", 0), (False, "cosine", 0),
-    (True, "cosine", 2), (False, "neg_hyperbolic_distance", 2),
-])
-def test_manifest_similarity_must_be_the_lifts(world, run, tmp_path, capsys, use_hyperbolic, similarity, code):
-    """Manifests that record a similarity next to use_hyperbolic load only when the two agree."""
-    manifest = json.loads((world / "run" / "manifest.json").read_text())
-    manifest["config"]["model"].update(use_hyperbolic=use_hyperbolic, similarity=similarity)
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    argv = eval_argv(world, world / "run" / "checkpoint.paef", tmp_path / "eval",
-                     "--manifest", str(tmp_path / "manifest.json"))
-    assert cli.main(argv) == code
-    if code:
-        err = capsys.readouterr().err
-        assert err.startswith(f"data error: {tmp_path / 'manifest.json'}: config.model.similarity is {similarity!r}")
-
-
 # -- malformed text inputs --------------------------------------------------------------
 
 def trained_manifest(**model_values) -> bytes:
@@ -967,6 +971,7 @@ MALFORMED = {
     "manifest-fusion-number": ("--manifest", trained_manifest(fusion=1)),
     "manifest-identities-bool": ("--manifest", trained_manifest(num_identities=True)),
     "manifest-unknown-fusion": ("--manifest", trained_manifest(fusion="sum")),
+    "manifest-unknown-key": ("--manifest", trained_manifest(similarity="neg_hyperbolic_distance")),
 }
 
 

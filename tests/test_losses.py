@@ -21,6 +21,7 @@ from chain_check import (
 from gradcheck import check_gradients
 
 CFG = BallConfig()
+PAPER_WEIGHTS = (0.3, 0.35, 0.35)  # alpha1..3, TrainConfig's defaults
 
 
 def lifted(data):
@@ -623,16 +624,16 @@ def test_one_buffer_op_loss_matches_former_formula(labels):
 
 class TestTotalLoss:
     def test_paper_weights_unit_components(self):
-        b = losses.total_loss(Tensor(1.0), Tensor(1.0), Tensor(1.0), losses.LossWeights())
+        b = losses.total_loss(Tensor(1.0), Tensor(1.0), Tensor(1.0), PAPER_WEIGHTS)
         assert b.total.item() == pytest.approx(1.0, abs=1e-15)
 
     def test_align_only(self):
-        w = losses.LossWeights(alpha1=1.0, alpha2=0.0, alpha3=0.0)
+        w = (1.0, 0.0, 0.0)
         b = losses.total_loss(Tensor(2.5), Tensor(9.0), Tensor(4.0), w)
         assert b.total.item() == 2.5
 
     def test_arithmetic_oracle(self):
-        b = losses.total_loss(Tensor(2.0), Tensor(4.0), Tensor(6.0), losses.LossWeights())
+        b = losses.total_loss(Tensor(2.0), Tensor(4.0), Tensor(6.0), PAPER_WEIGHTS)
         assert b.total.item() == pytest.approx(0.6 + 1.4 + 2.1, abs=1e-12)
         assert b.total.item() == pytest.approx(4.1, abs=1e-12)
 
@@ -640,26 +641,20 @@ class TestTotalLoss:
         rng = np.random.default_rng(11)
         for _ in range(10):
             a, o, c = rng.uniform(0, 5, size=3)
-            w = losses.LossWeights()
-            b = losses.total_loss(Tensor(a), Tensor(o), Tensor(c), w)
-            expected = w.alpha1 * a + w.alpha2 * o + w.alpha3 * c
+            a1, a2, a3 = PAPER_WEIGHTS
+            b = losses.total_loss(Tensor(a), Tensor(o), Tensor(c), PAPER_WEIGHTS)
+            expected = a1 * a + a2 * o + a3 * c
             assert abs(b.total.item() - expected) <= 1e-12
 
     def test_non_finite_named(self):
         with pytest.raises(NumericError, match="l_op"):
-            losses.total_loss(Tensor(1.0), Tensor(np.nan), Tensor(1.0), losses.LossWeights())
-
-    def test_weight_validation(self):
-        with pytest.raises(ContractError):
-            losses.LossWeights(alpha1=-0.1)
-        with pytest.raises(ContractError):
-            losses.LossWeights(alpha1=0.0, alpha2=0.0, alpha3=0.0)
+            losses.total_loss(Tensor(1.0), Tensor(np.nan), Tensor(1.0), PAPER_WEIGHTS)
 
     def test_total_backpropagates_to_all_components(self):
         a = Tensor(1.0, requires_grad=True)
         o = Tensor(2.0, requires_grad=True)
         c = Tensor(3.0, requires_grad=True)
-        losses.total_loss(a, o, c, losses.LossWeights()).total.backward()
+        losses.total_loss(a, o, c, PAPER_WEIGHTS).total.backward()
         assert a.grad == pytest.approx(0.3)
         assert o.grad == pytest.approx(0.35)
         assert c.grad == pytest.approx(0.35)
@@ -674,6 +669,6 @@ def test_every_loss_is_a_0d_tensor():
     faces, voices = Tensor(rng.normal(size=(4, 5))), Tensor(rng.normal(size=(4, 6)))
     for use_hyperbolic in (True, False):
         step = trainer.step_losses(faces, voices, np.array([0, 1, 2, 0]), params,
-                                   dataclasses.replace(cfg, use_hyperbolic=use_hyperbolic), losses.LossWeights())
+                                   dataclasses.replace(cfg, use_hyperbolic=use_hyperbolic), PAPER_WEIGHTS)
         assert [t.shape for t in (step.l_align, step.l_op, step.l_ce, step.total)] == [()] * 4
     assert params.logit_scale.shape == (1,)

@@ -26,12 +26,16 @@ def params_for(cfg, seed=0):
 
 class TestModelConfig:
     def test_validation(self):
-        with pytest.raises(ContractError):
-            model.ModelConfig(face_dim=0, voice_dim=1, num_identities=2)
-        with pytest.raises(ContractError):
-            model.ModelConfig(face_dim=1, voice_dim=1, num_identities=1)
-        with pytest.raises(ContractError):
-            model.ModelConfig(face_dim=1, voice_dim=1, num_identities=2, gate_activation="gelu")
+        """Each rule's message names its field, the rule and the value it got."""
+        for kwargs, message in (
+            ({"face_dim": 0}, "face_dim must be positive, got 0"),
+            ({"num_identities": 1}, "num_identities must be at least 2, got 1"),
+            ({"gate_activation": "gelu"}, "gate_activation must be one of ('tanh', 'relu'), got 'gelu'"),
+            ({"boundary_eps": 1.0}, "boundary_eps must be in (0, 1), got 1.0"),
+        ):
+            with pytest.raises(ContractError) as e:
+                model.ModelConfig(**{"face_dim": 1, "voice_dim": 1, "num_identities": 2, **kwargs})
+            assert str(e.value) == message
 
     def test_effective_similarity_falls_back_to_cosine(self):
         cfg = model.ModelConfig(face_dim=2, voice_dim=2, num_identities=2)
@@ -341,7 +345,7 @@ class TestForward:
     @pytest.mark.parametrize("tangent_clip,big", [(0.5, 1.0), (20.0, 10.0)], ids=["clip", "ball_clamp"])
     def test_end_to_end_gradients(self, tangent_clip, big):
         # B=3, D=4, C=3 instance through project -> lift -> fuse -> classify -> loss
-        from paeff import losses, trainer
+        from paeff import trainer
 
         cfg = dataclasses.replace(CFG, tangent_clip=tangent_clip)
         params = params_for(cfg, seed=13)
@@ -355,7 +359,7 @@ class TestForward:
         def f(*tensors):
             trial = model.ModelParams(**dict(zip(names, tensors)))
             return trainer.step_losses(
-                Tensor(faces), Tensor(voices), labels, trial, cfg, losses.LossWeights()
+                Tensor(faces), Tensor(voices), labels, trial, cfg, trainer.TrainConfig().loss_weights
             ).total
 
         check_gradients(f, [t.data for _, t in params.named()])

@@ -22,7 +22,8 @@ from gradcheck import max_relative_error
 from paeff import data, evaluation, losses, model, trainer
 from paeff.autodiff import Tensor
 from paeff.errors import ContractError, NumericError
-from paeff.losses import LossWeights
+
+WEIGHTS = trainer.TrainConfig().loss_weights
 
 
 def desk_setup(rho=1.0, seed=21):
@@ -51,6 +52,22 @@ class TestCosineSchedule:
     def test_monotone_nonincreasing(self, total):
         values = [trainer.cosine_lr(t, total, 1e-3) for t in range(total + 1)]
         assert all(a >= b - 1e-18 for a, b in zip(values, values[1:]))
+
+
+class TestTrainConfigAlphas:
+    def test_are_the_three_alphas_in_order(self):
+        assert WEIGHTS == (0.3, 0.35, 0.35)
+        assert trainer.TrainConfig(alpha1=0.1, alpha2=0.2, alpha3=0.7).loss_weights == (0.1, 0.2, 0.7)
+
+    @pytest.mark.parametrize("alphas, message", [
+        ({"alpha1": -0.1}, "alpha1 must be finite and nonnegative, got -0.1"),
+        ({"alpha3": math.nan}, "alpha3 must be finite and nonnegative, got nan"),
+        ({"alpha1": 0.0, "alpha2": 0.0, "alpha3": 0.0}, "at least one loss weight must be positive"),
+    ], ids=["negative", "nan", "all-zero"])
+    def test_validation(self, alphas, message):
+        with pytest.raises(ContractError) as e:
+            trainer.TrainConfig(**alphas)
+        assert str(e.value) == message
 
 
 class TestAdamw:
@@ -156,14 +173,14 @@ class TestTrainLoop:
         ds, split, cfg = desk_setup()
         batch = data.make_batches(ds, split, 4, seed=3)[0]
         params = model.init_params(cfg, seed=3)
-        weights = LossWeights()
+        weights = WEIGHTS
         breakdown = trainer.step_losses(
             batch.faces, batch.voices, batch.labels, params, cfg, weights
         )
         expected = (
-            weights.alpha1 * breakdown.l_align.item()
-            + weights.alpha2 * breakdown.l_op.item()
-            + weights.alpha3 * breakdown.l_ce.item()
+            weights[0] * breakdown.l_align.item()
+            + weights[1] * breakdown.l_op.item()
+            + weights[2] * breakdown.l_ce.item()
         )
         assert abs(breakdown.total.item() - expected) <= 1e-12
 
@@ -171,7 +188,7 @@ class TestTrainLoop:
         ds, split, cfg = desk_setup()
         batch = data.make_batches(ds, split, 8, seed=3)[0]
         params = model.init_params(cfg, seed=3)
-        l_op = trainer.step_losses(batch.faces, batch.voices, batch.labels, params, cfg, LossWeights()).l_op.item()
+        l_op = trainer.step_losses(batch.faces, batch.voices, batch.labels, params, cfg, WEIGHTS).l_op.item()
         embedding = model.forward(batch.faces, batch.voices, params, cfg).embedding.data
         unit = embedding / np.linalg.norm(embedding, axis=1, keepdims=True)
         cos = unit @ unit.T
@@ -187,7 +204,7 @@ class TestTrainLoop:
         batch = data.make_batches(ds, split, 8, seed=3)[0]  # 8 rows over 6 train identities
         params = model.init_params(cfg, seed=3)
         l_align = trainer.step_losses(
-            batch.faces, batch.voices, batch.labels, params, cfg, LossWeights()
+            batch.faces, batch.voices, batch.labels, params, cfg, WEIGHTS
         ).l_align.item()
         result = model.forward(batch.faces, batch.voices, params, cfg)
         aligned = (result.face_aligned, result.voice_aligned, params.logit_scale, cfg.effective_similarity())
@@ -198,7 +215,7 @@ class TestTrainLoop:
         ds, split, cfg = desk_setup()
         tc = trainer.TrainConfig(
             epochs=12, batch_size=4, lr0=5e-3, seed=1, val_trials=20,
-            loss_weights=LossWeights(alpha1=0.0, alpha2=0.0, alpha3=1.0),
+            alpha1=0.0, alpha2=0.0, alpha3=1.0,
         )
         result = trainer.train(ds, split, cfg, tc)
         first, last = result.history[0].l_ce, result.history[-1].l_ce
@@ -324,7 +341,7 @@ def test_training_step_tape_size(arm):
     labels = rng.integers(0, 40, size=b)  # repeated labels: the alignment mask is in play
     step = trainer.step_losses(
         Tensor(rng.normal(size=(b, 32))), Tensor(rng.normal(size=(b, 24))), labels,
-        model.init_params(cfg, seed=0), cfg, LossWeights(),
+        model.init_params(cfg, seed=0), cfg, WEIGHTS,
     )
     nodes, stack = {}, [step.total]
     while stack:
@@ -418,12 +435,12 @@ def test_float32_step_matches_the_float64_step(use_hyperbolic):
     tol = 64 * float(np.finfo(np.float32).eps)
     cfg = model.ModelConfig(6, 5, num_identities=7, proj_dim=4, use_hyperbolic=use_hyperbolic)
     params = model.init_params(cfg, seed=33)
-    step = trainer.step_losses(Tensor(faces), Tensor(voices), labels, params, cfg, LossWeights())
+    step = trainer.step_losses(Tensor(faces), Tensor(voices), labels, params, cfg, WEIGHTS)
     want = step.values()
     step.total.backward()
     want_grads = {name: t.grad for name, t in params.named()}
     params = trainer.float32_params(params)
-    got = trainer.train_step(Tensor(faces), Tensor(voices), labels, params, cfg, LossWeights())
+    got = trainer.train_step(Tensor(faces), Tensor(voices), labels, params, cfg, WEIGHTS)
     for key, value in want.items():
         assert max_relative_error(np.array(got[key]), np.array(value)) <= tol, key
     for name, t in params.named():
@@ -467,7 +484,7 @@ def test_training_step_peak_memory_at_the_paper_batch():
     params = model.init_params(cfg, seed=0)
     tracemalloc.start()
     try:
-        trainer.step_losses(faces, voices, labels, params, cfg, LossWeights()).total.backward()
+        trainer.step_losses(faces, voices, labels, params, cfg, WEIGHTS).total.backward()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -484,7 +501,7 @@ def test_production_step_peak_memory_at_the_paper_batch():
     params = trainer.float32_params(model.init_params(cfg, seed=0))
     tracemalloc.start()
     try:
-        trainer.train_step(faces, voices, labels, params, cfg, LossWeights())
+        trainer.train_step(faces, voices, labels, params, cfg, WEIGHTS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
