@@ -14,10 +14,11 @@ train builds its ``ModelConfig`` and ``TrainConfig`` before it reads the
 dataset or a split file, as eval builds its ``EvalConfig`` before it reads
 the checkpoint, so a malformed model.* or train.* option exits 3 first.
 
-The model.*, train.* and eval.* options are the defaulted fields of
-``ModelConfig``, ``TrainConfig`` and ``EvalConfig``, with the dataclass
-defaults; every field of the three is a flat value. The paper's ablation
-arms are train flags over three of them:
+The model.*, train.*, eval.* and synth.* options are the defaulted fields
+of four config classes, ``ModelConfig``, ``TrainConfig``, ``EvalConfig``
+and ``data.SynthConfig``, with the dataclass defaults; every field of the
+four is a flat value, and a field whose default is None takes ``auto``.
+The paper's ablation arms are train flags over three of them:
 
     full           (the defaults)
     baseline       --no-use-hyperbolic --fusion linear --alpha1 0
@@ -39,12 +40,8 @@ projection loss's inter-class weight (1), synth's demographic tags (always
 written) and its seen_heard clip fractions (0.15 val, 0.15 test) are
 constants. The options that once set them are unknown like any other: such
 a flag exits 1, such a config-file key exits 2, and such a ``PAEFF_``
-variable is ignored. synth's ``val_identities`` and ``test_identities``
-count the identities an unseen_unheard split holds out; a seen_heard split
-holds out clips, so setting either one there, from any source, exits 3.
-Before it generates a vector, synth exits 3 on an unseen_unheard part of
-fewer than 2 identities or a seen_heard split of fewer than 3 samples per
-identity, which leaves its val and test parts empty.
+variable is ignored. synth checks its options and split sizes by the
+rules of ``data.SynthConfig`` before it generates a vector.
 
 Exit codes, one error class each (``main`` has one clause per code):
 
@@ -82,7 +79,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# Help text of the model/train/eval options, which come from the config dataclasses.
+# Help text of the options, which come from the config dataclasses.
 HELP = {
     "model.proj_dim": "projection width D",
     "model.gate_activation": "gate activation: tanh|relu",
@@ -103,6 +100,12 @@ HELP = {
     "eval.max_trials": "verification trials",
     "eval.matching_trials": "matching trials per gallery size",
     "eval.probe_modality": "matching probe modality: voice|face",
+    "synth.rho": "cross-modal coupling in [0, 1]",
+    "synth.sigma": "per-component noise",
+    "synth.val_identities": "held-out val identities (unseen_unheard only); 'auto' holds out "
+                            f"{data.UNSEEN_HELD_OUT['val']}",
+    "synth.test_identities": "held-out test identities (unseen_unheard only); 'auto' holds out "
+                             f"{data.UNSEEN_HELD_OUT['test']}",
 }
 
 
@@ -144,22 +147,6 @@ SPLIT_OPTIONS = [
     Option("io.split_test", "str", None, "test id-list file"),
 ]
 
-SYNTH_OPTIONS = [
-    Option("synth.identities", "int", 32),
-    Option("synth.samples_per_id", "int", 20),
-    Option("synth.face_dim", "int", 96),
-    Option("synth.voice_dim", "int", 80),
-    Option("synth.rho", "float", 1.0, "cross-modal coupling in [0, 1]"),
-    Option("synth.sigma", "float", 0.1, "per-component noise"),
-    Option("synth.latent_dim", "int", 16),
-    Option("synth.seed", "int", 0),
-    Option("synth.split_mode", "str", "unseen_unheard"),
-    Option("synth.val_identities", "int", None, "held-out val identities (unseen_unheard only; default 4)"),
-    Option("synth.test_identities", "int", None, "held-out test identities (unseen_unheard only; default 8)"),
-]
-# The unseen_unheard split's held-out identities when the option is not set.
-UNSEEN_PART_IDENTITIES = {"val": 4, "test": 8}
-
 COMMAND_OPTIONS = {
     "train": MODEL_OPTIONS + TRAIN_OPTIONS + SPLIT_OPTIONS + [
         Option("io.data", "str", None, "fve dataset path"),
@@ -173,7 +160,7 @@ COMMAND_OPTIONS = {
         Option("io.trials", "str", None, "external verification trial list (TSV)"),
         Option("io.out", "str", None, "output directory"),
     ],
-    "synth": SYNTH_OPTIONS + [
+    "synth": _config_options("synth", data.SynthConfig) + [
         Option("io.out", "str", None, "output directory"),
     ],
 }
@@ -367,44 +354,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _require(resolved, "io.out")
     out_dir = _out_dir(resolved)
 
-    seen_heard = data.check_split_mode(resolved["synth.split_mode"]) == "seen_heard"
-    for part, default in UNSEEN_PART_IDENTITIES.items():
-        key = f"synth.{part}_identities"
-        if seen_heard and resolved[key] is not None:  # seen_heard holds out clips, not identities
-            raise ContractError(f"seen_heard split: --{part}-identities (config key {key}) "
-                                "applies to unseen_unheard only")
-        if not seen_heard and resolved[key] is None:
-            resolved[key] = default
-    if seen_heard and resolved["synth.samples_per_id"] < 3:  # make_seen_split holds out clips only from 3 up
-        raise ContractError("seen_heard split: samples_per_id must be at least 3 to hold out a val and a test clip, "
-                            f"got {resolved['synth.samples_per_id']}")
-    if not seen_heard:
-        sizes = {part: resolved[f"synth.{part}_identities"] for part in UNSEEN_PART_IDENTITIES}
-        sizes["train"] = resolved["synth.identities"] - sum(sizes.values())
-        for part, size in sizes.items():
-            if size < 2:  # make_unseen_split takes 1, but a 1-identity part can neither build trials nor train
-                raise ContractError(f"unseen_unheard split: the {part} part needs at least 2 identities, got {size}")
-
-    dataset = data.synth_generate(
-        num_identities=resolved["synth.identities"],
-        samples_per_id=resolved["synth.samples_per_id"],
-        face_dim=resolved["synth.face_dim"],
-        voice_dim=resolved["synth.voice_dim"],
-        cross_modal_coupling=resolved["synth.rho"],
-        noise=resolved["synth.sigma"],
-        seed=resolved["synth.seed"],
-        latent_dim=resolved["synth.latent_dim"],
-    )
-    if seen_heard:
-        split = data.make_seen_split(dataset, 0.15, 0.15, resolved["synth.seed"])  # val and test clip fractions
-    else:
-        split = data.make_unseen_split(
-            dataset,
-            n_val=resolved["synth.val_identities"],
-            n_test=resolved["synth.test_identities"],
-            seed=resolved["synth.seed"],
-        )
-    split.validate(dataset)
+    synth_cfg = _build(data.SynthConfig, "synth", resolved)
+    dataset, split = synth_cfg.draw()
 
     out_dir.mkdir(parents=True, exist_ok=True)
     data_path = out_dir / "data.fve"
@@ -414,8 +365,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     data.write_split_file(out_dir / "test.ids", split.test_ids)
 
     cfgmod.write_manifest(
-        out_dir / "manifest.json", "synth", resolved["synth.seed"],
-        {"synth": {k.split(".", 1)[1]: v for k, v in resolved.items() if k.startswith("synth.") and v is not None}},
+        out_dir / "manifest.json", "synth", synth_cfg.seed,
+        {"synth": {**{k: v for k, v in asdict(synth_cfg).items() if v is not None}, **synth_cfg.held_out}},
         {},
         {"data": data_path, "split_train": out_dir / "train.ids", "split_val": out_dir / "val.ids",
          "split_test": out_dir / "test.ids"},

@@ -29,6 +29,10 @@ arrays on every call, and every draw from a part follows that
 file. ``make_batches`` gathers each batch from the blocks with one fancy
 index per modality, and the trial builders of ``evaluation`` draw rows
 and fetch only the drawn rows' records (``Dataset.row_records``).
+
+Synthesis. ``SynthConfig`` holds the options of ``paeff synth`` and
+their rules; its ``draw`` generates the dataset with ``synth_generate``
+and cuts the split.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import decode_text, read_text
-from .errors import ContractError, DataError, NumericError
+from .errors import ContractError, DataError, NumericError, check_rules
 
 MODALITIES = ("face", "voice")
 SPLIT_MODES = ("seen_heard", "unseen_unheard")
@@ -464,13 +468,90 @@ _NATIONALITIES = ("IT", "PK", "UK", "US", "FR")
 _AGE_GROUPS = ("young", "adult", "senior")
 
 
+# The identities an unseen_unheard split holds out of each part when its count is auto.
+UNSEEN_HELD_OUT = {"val": 4, "test": 8}
+
+
+@dataclass(frozen=True)
+class SynthConfig:
+    """The options of ``paeff synth``: the draw of ``synth_generate`` and the split cut from it.
+
+    ``val_identities`` and ``test_identities`` count the identities an
+    unseen_unheard split holds out; None (``auto``) is the split mode's own
+    count, ``UNSEEN_HELD_OUT`` under unseen_unheard. A seen_heard split
+    holds out clips (0.15 val, 0.15 test of each identity's clips), so it
+    takes neither count, only ``auto``, and needs 3 samples per identity to
+    hold out a val and a test clip. The unseen_unheard part sizes are
+    checked by ``held_out``, which ``draw`` reads before any vector is drawn.
+    """
+
+    identities: int = 32
+    samples_per_id: int = 20
+    face_dim: int = 96
+    voice_dim: int = 80
+    rho: float = 1.0
+    sigma: float = 0.1
+    latent_dim: int = 16
+    seed: int = 0
+    split_mode: str = "unseen_unheard"
+    val_identities: int | None = None
+    test_identities: int | None = None
+
+    def __post_init__(self):
+        seen_heard = check_split_mode(self.split_mode) == "seen_heard"
+        auto = "auto under seen_heard, which holds out clips"
+        check_rules(self, (
+            ("identities", self.identities >= 2, "at least 2"),
+            ("samples_per_id", self.samples_per_id >= 2, "at least 2"),
+            ("face_dim", self.face_dim > 0, "positive"),
+            ("voice_dim", self.voice_dim > 0, "positive"),
+            ("rho", 0.0 <= self.rho <= 1.0, "in [0, 1]"),
+            ("sigma", 0.0 <= self.sigma < np.inf, "finite and nonnegative"),
+            ("latent_dim", 1 <= self.latent_dim <= min(self.face_dim, self.voice_dim),
+             "in [1, min(face_dim, voice_dim)]"),
+            ("seed", self.seed >= 0, "at least 0"),
+            ("samples_per_id", not seen_heard or self.samples_per_id >= 3,
+             "at least 3 under seen_heard, to hold out a val and a test clip"),
+            ("val_identities", not seen_heard or self.val_identities is None, auto),
+            ("test_identities", not seen_heard or self.test_identities is None, auto),
+        ))
+
+    @property
+    def held_out(self) -> dict[str, int]:
+        """The held-out identity counts by option name: val and test under unseen_unheard, none under seen_heard.
+
+        Every unseen_unheard part, train too, needs 2 identities: one
+        identity can neither train nor build trials.
+        """
+        if self.split_mode == "seen_heard":
+            return {}
+        val = UNSEEN_HELD_OUT["val"] if self.val_identities is None else self.val_identities
+        test = UNSEEN_HELD_OUT["test"] if self.test_identities is None else self.test_identities
+        for part, size in (("val", val), ("test", test), ("train", self.identities - val - test)):
+            if size < 2:
+                raise ContractError(f"unseen_unheard split: the {part} part needs at least 2 identities, got {size}")
+        return {"val_identities": val, "test_identities": test}
+
+    def draw(self) -> tuple[Dataset, SplitSpec]:
+        """The dataset ``synth_generate`` draws and the split cut from it, once ``held_out`` holds."""
+        held = self.held_out
+        dataset = synth_generate(self.identities, self.samples_per_id, self.face_dim, self.voice_dim, self.rho,
+                                 self.sigma, self.seed, self.latent_dim)
+        if self.split_mode == "seen_heard":
+            split = make_seen_split(dataset, 0.15, 0.15, self.seed)  # val and test clip fractions
+        else:
+            split = make_unseen_split(dataset, held["val_identities"], held["test_identities"], self.seed)
+        split.validate(dataset)
+        return dataset, split
+
+
 def synth_generate(
-    num_identities: int,
+    identities: int,
     samples_per_id: int,
     face_dim: int,
     voice_dim: int,
-    cross_modal_coupling: float,
-    noise: float,
+    rho: float,
+    sigma: float,
     seed: int,
     latent_dim: int = 16,
 ) -> Dataset:
@@ -479,21 +560,11 @@ def synth_generate(
     Each identity draws a latent z; faces are a fixed orthonormal mixing of
     z, voices mix rho * z with (1 - rho) * z' for an independent
     per-identity z'. rho=1 couples the modalities deterministically, rho=0
-    leaves them associated only within, never across, modalities.
+    leaves them associated only within, never across, modalities. The
+    arguments must pass ``SynthConfig``'s rules.
     """
-    if num_identities < 2 or samples_per_id < 2:
-        raise ContractError("need at least 2 identities and 2 samples per identity")
-    if not 0.0 <= cross_modal_coupling <= 1.0:
-        raise ContractError("cross_modal_coupling must lie in [0, 1]")
-    if not 0.0 <= noise < np.inf:
-        raise ContractError(f"noise must be finite and nonnegative, got {noise}")
-    if seed < 0:
-        raise ContractError(f"seed must be at least 0, got {seed}")
-    if latent_dim < 1 or latent_dim > min(face_dim, voice_dim):
-        raise ContractError("latent_dim must lie in [1, min(face_dim, voice_dim)]")
-
+    SynthConfig(identities, samples_per_id, face_dim, voice_dim, rho, sigma, latent_dim=latent_dim, seed=seed)
     rng = np.random.default_rng(seed)
-    rho = cross_modal_coupling
 
     def mixing(out_dim: int) -> np.ndarray:
         # Orthonormal columns keep output scale equal to the latent scale.
@@ -504,10 +575,10 @@ def synth_generate(
     a_voice = mixing(voice_dim)
 
     # Each record's vector is a row view of one of these blocks, which the dataset takes over.
-    faces = np.empty((num_identities * samples_per_id, face_dim))
-    voices = np.empty((num_identities * samples_per_id, voice_dim))
+    faces = np.empty((identities * samples_per_id, face_dim))
+    voices = np.empty((identities * samples_per_id, voice_dim))
     records: list[EmbeddingRecord] = []
-    for k in range(num_identities):
+    for k in range(identities):
         identity = f"id{k:04d}"
         z = rng.normal(size=latent_dim)
         z_prime = rng.normal(size=latent_dim)
@@ -520,25 +591,10 @@ def synth_generate(
         # One draw per identity is the same stream as a face then a voice draw per sample.
         draws = rng.normal(size=(samples_per_id, face_dim + voice_dim))
         rows = slice(k * samples_per_id, (k + 1) * samples_per_id)
-        faces[rows] = a_face @ z + noise * draws[:, :face_dim]
-        voices[rows] = a_voice @ voice_latent + noise * draws[:, face_dim:]
-        for s, (face, voice) in enumerate(zip(faces[rows], voices[rows])):
-            records.append(
-                EmbeddingRecord(
-                    identity_id=identity,
-                    modality="face",
-                    clip_id=f"{identity}_face_{s:03d}",
-                    vector=face,
-                    **tags,
-                )
-            )
-            records.append(
-                EmbeddingRecord(
-                    identity_id=identity,
-                    modality="voice",
-                    clip_id=f"{identity}_voice_{s:03d}",
-                    vector=voice,
-                    **tags,
-                )
-            )
+        faces[rows] = a_face @ z + sigma * draws[:, :face_dim]
+        voices[rows] = a_voice @ voice_latent + sigma * draws[:, face_dim:]
+        for s, pair in enumerate(zip(faces[rows], voices[rows])):
+            for modality, vector in zip(MODALITIES, pair):
+                records.append(EmbeddingRecord(identity_id=identity, modality=modality,
+                                               clip_id=f"{identity}_{modality}_{s:03d}", vector=vector, **tags))
     return Dataset(records, face_dim=face_dim, voice_dim=voice_dim, blocks={"face": faces, "voice": voices})

@@ -455,8 +455,11 @@ def load_trial_list(path, dataset: Dataset) -> list[VerificationTrial]:
         parts = line.split("\t")
         if len(parts) != 3 or parts[2] not in ("0", "1"):
             raise DataError(f"{path}:{lineno}: expected 'face_clip\\tvoice_clip\\t0|1'")
-        face = dataset.by_clip("face", parts[0])
-        voice = dataset.by_clip("voice", parts[1])
+        try:
+            face = dataset.by_clip("face", parts[0])
+            voice = dataset.by_clip("voice", parts[1])
+        except DataError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from None
         trials.append(
             VerificationTrial(score=None, is_match=parts[2] == "1", face=face, voice=voice)
         )

@@ -21,7 +21,7 @@ SEEN_SYNTH = ["--identities", "10", "--samples-per-id", "3", "--face-dim", "6", 
               "--latent-dim", "4", "--split-mode", "seen_heard"]
 SYNTH = SEEN_SYNTH[:-2] + ["--val-identities", "2", "--test-identities", "3"]
 
-# Every model/train/eval option with its kind and default, written out by hand.
+# Every model/train/eval/synth option with its kind and default, written out by hand.
 OPTION_TABLE = {
     "model.proj_dim": ("int", 128),
     "model.gate_activation": ("str", "tanh"),
@@ -46,6 +46,17 @@ OPTION_TABLE = {
     "eval.matching_trials": ("int", 500),
     "eval.probe_modality": ("str", "voice"),
     "eval.seed": ("int", 0),
+    "synth.identities": ("int", 32),
+    "synth.samples_per_id": ("int", 20),
+    "synth.face_dim": ("int", 96),
+    "synth.voice_dim": ("int", 80),
+    "synth.rho": ("float", 1.0),
+    "synth.sigma": ("float", 0.1),
+    "synth.latent_dim": ("int", 16),
+    "synth.seed": ("int", 0),
+    "synth.split_mode": ("str", "unseen_unheard"),
+    "synth.val_identities": ("int_or_auto", None),
+    "synth.test_identities": ("int_or_auto", None),
 }
 
 # Ablation arms and the train flags that give each.
@@ -135,10 +146,11 @@ def without(blob: bytes, name: str) -> bytes:
 # -- options and precedence ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("command, sections", [("train", ("model", "train")), ("eval", ("eval",))])
+@pytest.mark.parametrize("command, sections", [("train", ("model", "train")), ("eval", ("eval",)),
+                                               ("synth", ("synth",))])
 def test_option_table(command, sections):
     options = {opt.key: (opt.kind, opt.default) for opt in cli.COMMAND_OPTIONS[command]
-               if opt.key.split(".")[0] in ("model", "train", "eval")}
+               if opt.key.split(".")[0] in ("model", "train", "eval", "synth")}
     assert options == {key: row for key, row in OPTION_TABLE.items() if key.split(".")[0] in sections}
 
 
@@ -405,16 +417,31 @@ def test_negative_seed_exits_3_before_training_or_loading(world, run, tmp_path, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source", SOURCES)
-@pytest.mark.parametrize("flag, value, message", [
+BAD_SYNTH_OPTIONS = [
+    ("--identities", "1", "identities must be at least 2, got 1"),
+    ("--samples-per-id", "1", "samples_per_id must be at least 2, got 1"),
+    ("--face-dim", "0", "face_dim must be positive, got 0"),
+    ("--voice-dim", "0", "voice_dim must be positive, got 0"),
+    ("--rho", "2", "rho must be in [0, 1], got 2.0"),
+    ("--rho", "nan", "rho must be in [0, 1], got nan"),
+    ("--sigma", "nan", "sigma must be finite and nonnegative, got nan"),
+    ("--sigma", "inf", "sigma must be finite and nonnegative, got inf"),
+    ("--sigma", "-0.1", "sigma must be finite and nonnegative, got -0.1"),
+    ("--latent-dim", "0", "latent_dim must be in [1, min(face_dim, voice_dim)], got 0"),
+    ("--latent-dim", "6", "latent_dim must be in [1, min(face_dim, voice_dim)], got 6"),  # face 6, voice 5
     ("--seed", "-1", "seed must be at least 0, got -1"),
-    ("--sigma", "nan", "noise must be finite and nonnegative, got nan"),
-    ("--sigma", "inf", "noise must be finite and nonnegative, got inf"),
-    ("--sigma", "-0.1", "noise must be finite and nonnegative, got -0.1"),
-])
+]
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("flag, value, message", BAD_SYNTH_OPTIONS,
+                         ids=[f"{f[2:]}={v}" for f, v, _ in BAD_SYNTH_OPTIONS])
 def test_malformed_synth_option_exits_3_before_writing(tmp_path, capsys, monkeypatch, flag, value, message, source):
-    given = given_by(source, "synth", flag, value, tmp_path, monkeypatch)
-    assert cli.main(["synth", "--out", str(tmp_path / "out"), *SYNTH, *given]) == 3
+    monkeypatch.setattr(data, "synth_generate", lambda *a, **k: pytest.fail("vectors generated"))
+    argv = ["synth", "--out", str(tmp_path / "out"), *SYNTH]
+    if flag in argv:  # the base command's own flag would win over a variable or a config line
+        del argv[argv.index(flag) : argv.index(flag) + 2]
+    assert cli.main([*argv, *given_by(source, "synth", flag, value, tmp_path, monkeypatch)]) == 3
     assert capsys.readouterr().err == f"numeric/invariant error: {message}\n"
     assert not (tmp_path / "out").exists()
 
@@ -594,7 +621,8 @@ def test_train_split_of_only_unknown_identities_exits_2(world, tmp_path, capsys)
     (SYNTH + ["--identities", "20", "--val-identities", "10", "--test-identities", "10"],
      "the train part needs at least 2 identities, got 0"),
     (SEEN_SYNTH[:-2] + ["--identities", "12"], "the train part needs at least 2 identities, got 0"),  # 4 + 8 held out
-    (SEEN_SYNTH + ["--samples-per-id", "2"], "samples_per_id must be at least 3 to hold out a val and a test clip"),
+    (SEEN_SYNTH + ["--samples-per-id", "2"],
+     "samples_per_id must be at least 3 under seen_heard, to hold out a val and a test clip, got 2"),
 ])
 def test_synth_with_an_empty_part_exits_3_before_writing(tmp_path, capsys, monkeypatch, flags, message):
     monkeypatch.setattr(data, "synth_generate", lambda *a, **k: pytest.fail("vectors generated"))
@@ -616,8 +644,8 @@ def test_synth_seen_heard_rejects_a_held_out_identity_count(tmp_path, capsys, mo
         (tmp_path / "synth.cfg").write_text(f"synth.{part}_identities = 2\n", encoding="utf-8")
         argv += ["--config", str(tmp_path / "synth.cfg")]
     assert cli.main(argv) == 3
-    assert capsys.readouterr().err == (f"numeric/invariant error: seen_heard split: --{part}-identities "
-                                       f"(config key synth.{part}_identities) applies to unseen_unheard only\n")
+    assert capsys.readouterr().err == (f"numeric/invariant error: {part}_identities must be auto under seen_heard, "
+                                       "which holds out clips, got 2\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -646,6 +674,14 @@ def test_synth_manifest_records_held_out_identity_counts_only_where_they_apply(t
     assert recorded_counts == (counts or (None, None))
     if counts:
         assert [len(data.read_split_file(tmp_path / f"{part}.ids")) for part in ("val", "test")] == list(counts)
+
+
+@pytest.mark.parametrize("mode, held_out", [("unseen_unheard", [4, 8]), ("seen_heard", None)])
+def test_synth_auto_held_out_identities_are_the_split_modes_own(tmp_path, mode, held_out):
+    argv = SEEN_SYNTH[:-1] + [mode, "--identities", "16", "--val-identities", "auto", "--test-identities", "auto"]
+    assert cli.main(["synth", "--out", str(tmp_path), *argv]) == 0
+    if held_out:
+        assert [len(data.read_split_file(tmp_path / f"{part}.ids")) for part in ("val", "test")] == held_out
 
 
 def one_identity_part(world, tmp_path, part):

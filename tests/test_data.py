@@ -417,7 +417,7 @@ class TestRowLayout:
 
 class TestSynthGenerate:
     def test_noiseless_coupled_samples_identical(self):
-        ds = data.synth_generate(3, 4, 6, 5, cross_modal_coupling=1.0, noise=0.0, seed=7, latent_dim=3)
+        ds = data.synth_generate(3, 4, 6, 5, rho=1.0, sigma=0.0, seed=7, latent_dim=3)
         groups = walk.group_by_identity(ds.records)
         assert sorted(groups) == ds.identity_ids
         for pool in groups.values():
@@ -448,15 +448,18 @@ class TestSynthGenerate:
         for a, b in zip(small.records, big.records):
             np.testing.assert_array_equal(a.vector, b.vector)
 
-    def test_invalid_params(self):
-        with pytest.raises(ContractError):
-            data.synth_generate(1, 2, 4, 4, 1.0, 0.1, seed=0)
-        with pytest.raises(ContractError):
-            data.synth_generate(3, 2, 4, 4, 1.5, 0.1, seed=0)
-        with pytest.raises(ContractError):
-            data.synth_generate(3, 2, 4, 4, 1.0, -0.1, seed=0)
-        with pytest.raises(ContractError):
-            data.synth_generate(3, 2, 4, 4, 1.0, 0.1, seed=0, latent_dim=99)
+    @pytest.mark.parametrize("args, message", [
+        ((1, 2, 4, 4, 1.0, 0.1, 0), "identities must be at least 2, got 1"),
+        ((3, 1, 4, 4, 1.0, 0.1, 0), "samples_per_id must be at least 2, got 1"),
+        ((3, 2, 0, 4, 1.0, 0.1, 0), "face_dim must be positive, got 0"),
+        ((3, 2, 4, 4, 1.5, 0.1, 0), "rho must be in [0, 1], got 1.5"),
+        ((3, 2, 4, 4, 1.0, -0.1, 0), "sigma must be finite and nonnegative, got -0.1"),
+        ((3, 2, 4, 4, 1.0, 0.1, 0, 99), "latent_dim must be in [1, min(face_dim, voice_dim)], got 99"),
+    ], ids=["identities", "samples_per_id", "face_dim", "rho", "sigma", "latent_dim"])
+    def test_invalid_params(self, args, message):
+        with pytest.raises(ContractError) as e:
+            data.synth_generate(*args)
+        assert str(e.value) == message
 
     def test_every_record_is_tagged(self):
         ds = data.synth_generate(3, 2, 4, 4, 1.0, 0.1, seed=10, latent_dim=2)

@@ -899,12 +899,18 @@ class TestTrialConstruction:
         with pytest.raises(DataError, match=":1"):
             evaluation.load_trial_list(path, ds)
 
-    def test_unknown_clip_rejected(self, tmp_path):
+    @pytest.mark.parametrize("lines, where, message", [
+        (["nope\t{voice}\t1"], 1, "no face record with clip id 'nope'"),
+        (["{face}\t{voice}\t1", "{face}\tnope\t0"], 2, "no voice record with clip id 'nope'"),
+    ], ids=["face-line-1", "voice-line-2"])
+    def test_unknown_clip_rejected(self, tmp_path, lines, where, message):
         ds, *_ = small_setup()
         path = tmp_path / "missing.tsv"
-        path.write_text("nope\talso_nope\t1\n")
-        with pytest.raises(DataError):
+        clips = {m: ds.block_records[m][0].clip_id for m in data.MODALITIES}
+        path.write_text("".join(line.format(**clips) + "\n" for line in lines))
+        with pytest.raises(DataError) as e:
             evaluation.load_trial_list(path, ds)
+        assert str(e.value) == f"{path}:{where}: {message}"
 
 
 def scored_trials_with_tags(pairs):

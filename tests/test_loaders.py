@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from paeff import cli, config, data, evaluation, model
 from paeff.errors import PaeffError
 
-DATASET = data.synth_generate(num_identities=5, samples_per_id=2, face_dim=3, voice_dim=2,
-                              cross_modal_coupling=1.0, noise=0.1, seed=0, latent_dim=2)
+DATASET = data.synth_generate(identities=5, samples_per_id=2, face_dim=3, voice_dim=2,
+                              rho=1.0, sigma=0.1, seed=0, latent_dim=2)
 SPLIT = data.make_unseen_split(DATASET, n_val=1, n_test=2, seed=0)
 EVAL_OPTIONS = {opt.key: opt for opt in cli.COMMAND_OPTIONS["eval"]}
 CONFIG_TEXT = """# eval settings
