@@ -3,12 +3,11 @@
 Every flag has a dotted config-file key (``--lr0`` <-> ``train.lr0``) and
 a ``PAEFF_`` environment variable (``PAEFF_TRAIN_LR0``); precedence is
 flags > environment > config file > defaults. A value is parsed the same
-way from each source (``config.parse_value``); a malformed flag value is a
-usage error, a malformed environment or file value a data error. Each run
-writes a manifest sufficient to reproduce it byte-for-byte with the same
-BLAS build, which the manifest records, and the same BLAS thread count,
-which it does not: 1 and 2 OpenBLAS threads sum in another order and gave
-checkpoint values up to 2.6e-7 apart.
+way from each source (``config.parse_value``). Each run writes a manifest
+sufficient to reproduce it byte-for-byte with the same BLAS build, which
+the manifest records, and the same BLAS thread count, which it does not: 1
+and 2 OpenBLAS threads sum in another order and gave checkpoint values up
+to 2.6e-7 apart.
 
 train builds its ``ModelConfig`` and ``TrainConfig`` before it reads the
 dataset or a split file, as eval builds its ``EvalConfig`` before it reads
@@ -36,24 +35,16 @@ that lacks a ``ModelConfig`` field or holds any other key exits 2. Its
 config file takes ``eval.*`` and ``io.*`` keys only.
 
 AdamW's betas and epsilon, the cosine schedule's floor (0), the orthogonal
-projection loss's inter-class weight (1), synth's demographic tags (always
-written) and its seen_heard clip fractions (0.15 val, 0.15 test) are
-constants. The options that once set them are unknown like any other: such
-a flag exits 1, such a config-file key exits 2, and such a ``PAEFF_``
-variable is ignored. synth checks its options and split sizes by the
-rules of ``data.SynthConfig`` before it generates a vector.
+projection loss's inter-class weight (1), train's validation trials
+(``trainer.VAL_TRIALS``, 200), synth's demographic tags (always written)
+and its seen_heard clip fractions (0.15 val, 0.15 test) are constants.
+The options that once set them are unknown like any other. synth checks
+its options and split sizes by the rules of ``data.SynthConfig`` before
+it generates a vector.
 
-Exit codes, one error class each (``main`` has one clause per code):
-
-- 0: success;
-- 1: ``UsageError``, a malformed flag or a missing required option;
-- 2: ``DataError`` or any ``OSError``, a fault in how a file parses or in
-  what it holds (a config key set twice, a split id the dataset lacks, a
-  train identity missing a modality, a val or test part too small to build
-  its trials, an eval dataset whose face or voice dim differs from the
-  trained model's), or a path that cannot be read or written;
-- 3: ``NumericError`` or ``ContractError``, a numeric or invariant failure
-  (a negative seed, a non-finite ``--sigma``, dataset vector or checkpoint value).
+Exit codes (0 success, 1 usage, 2 data, 3 numeric or invariant) are one
+table in ``paeff.errors``: each kind of fault, its source and the start
+of its stderr line.
 """
 
 from __future__ import annotations
@@ -94,7 +85,6 @@ HELP = {
     "train.alpha1": "alignment loss weight",
     "train.alpha2": "orthogonal projection loss weight",
     "train.alpha3": "cross entropy loss weight",
-    "train.val_trials": "validation verification trials per epoch",
     "eval.nc_list": "matching gallery sizes",
     "eval.strata": "demographic strata: random,G,N,A,GNA",
     "eval.max_trials": "verification trials",

@@ -298,11 +298,17 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
 
 
 def total_loss(l_align: Tensor, l_op: Tensor, l_ce: Tensor, weights: tuple[float, float, float]) -> LossBreakdown:
-    """(l_align a1 + l_op a2) + l_ce a3 for ``weights`` (a1, a2, a3) as one tape node; component i gets g * a_i."""
+    """(l_align a1 + l_op a2) + l_ce a3 for ``weights`` (a1, a2, a3) as one tape node; component i gets g * a_i.
+
+    A non-finite component or total is a ``NumericError``: the one check of a training step's loss.
+    """
     for name, t in (("l_align", l_align), ("l_op", l_op), ("l_ce", l_ce)):
         if not np.all(np.isfinite(t.data)):
             raise NumericError(f"total_loss: component {name} is non-finite")
     a1, a2, a3 = weights
-    value = (l_align.data * a1 + l_op.data * a2) + l_ce.data * a3
+    with np.errstate(over="ignore"):  # an overflow is the NumericError below, not a warning
+        value = (l_align.data * a1 + l_op.data * a2) + l_ce.data * a3
+    if not np.all(np.isfinite(value)):
+        raise NumericError(f"total_loss: the total weighted by {weights} is non-finite")
     total = Tensor.from_op(value, (l_align, l_op, l_ce), (lambda g: g * a1, lambda g: g * a2, lambda g: g * a3))
     return LossBreakdown(l_align=l_align, l_op=l_op, l_ce=l_ce, total=total)

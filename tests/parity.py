@@ -18,7 +18,8 @@ when none does, 1 when some do, and 2 when the flow fails on either tree.
 The worktree is removed in every case.
 
 Each tree runs the whole recipe in one child process, with ``PYTHONPATH``
-set to its ``src``, BLAS pinned to one thread and no ``PAEFF_`` variables.
+set to its ``src``, BLAS pinned to ``BLAS_THREADS`` threads (which it
+prints) and no ``PAEFF_`` variables.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ ARMS = {
     "egff_fa": ["--no-use-hyperbolic"],
 }
 PROBES = ("voice", "face")
+# The BLAS thread count each flow runs at: same-seed bytes depend on it.
+BLAS_THREADS = 1
 
 
 def flow(out: Path, identities: int = 40, samples_per_id: int = 6, epochs: int = 3) -> None:
@@ -94,7 +97,8 @@ def differing(a: Path, b: Path) -> list[str]:
 def run_flow(src: Path, out: Path, identities: int, samples_per_id: int, epochs: int) -> None:
     """Run :func:`flow` in a child process on the package in ``src``; a failed flow raises RuntimeError."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PAEFF_")}
-    env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    threads = str(BLAS_THREADS)
+    env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
     argv = [sys.executable, __file__, "--flow", str(out), "--identities", str(identities),
             "--samples-per-id", str(samples_per_id), "--epochs", str(epochs)]
     done = subprocess.run(argv, env=env, capture_output=True, text=True)
@@ -117,6 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.rev is None:
         parser.error("REV is required")
 
+    print(f"BLAS threads pinned: {BLAS_THREADS}")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         tree = work / "tree"

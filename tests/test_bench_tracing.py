@@ -94,7 +94,7 @@ def test_traced_cli_flow_yields_every_span_metric(tmp_path):
                          "--test-identities", "3"]) == 0
         tracer.phase = "flow"
         assert cli.main(["train", "--data", str(d / "data.fve"), *splits, "--out", str(tmp_path / "run"),
-                         "--epochs", "2", "--proj-dim", "4", "--val-trials", "10", "--lr0", "3e-3"]) == 0
+                         "--epochs", "2", "--proj-dim", "4", "--lr0", "3e-3"]) == 0
         assert cli.main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.paef"), "--data",
                          str(d / "data.fve"), *splits, "--out", str(tmp_path / "eval"), "--strata", "random,G",
                          "--max-trials", "20", "--matching-trials", "5", "--nc-list", "2,3"]) == 0

@@ -39,7 +39,6 @@ OPTION_TABLE = {
     "train.alpha1": ("float", 0.3),
     "train.alpha2": ("float", 0.35),
     "train.alpha3": ("float", 0.35),
-    "train.val_trials": ("int", 200),
     "eval.nc_list": ("ints", (2, 4, 6, 8, 10)),
     "eval.strata": ("strs", ("random",)),
     "eval.max_trials": ("int", 1000),
@@ -81,7 +80,7 @@ def splits(root):
 
 def train_argv(data_dir, out, *flags):
     return ["train", "--data", str(data_dir / "data.fve"), "--out", str(out), "--epochs", "2",
-            "--proj-dim", "4", "--val-trials", "10", *splits(data_dir), *flags]
+            "--proj-dim", "4", *splits(data_dir), *flags]
 
 
 def train(data_dir, out, *flags):
@@ -257,7 +256,7 @@ def test_eval_has_no_model_option(world, run, tmp_path, capsys):
 # The removed options, per command, as each source names them.
 REMOVED_OPTIONS = {
     "train": ["train.lr_min", "train.adam_beta1", "train.adam_beta2", "train.adam_eps", "train.op_inter_weight",
-              "train.ablation"],
+              "train.ablation", "train.val_trials"],
     "synth": ["synth.demographics", "synth.val_frac", "synth.test_frac"],
 }
 REMOVED = [(command, key) for command, keys in REMOVED_OPTIONS.items() for key in keys]
@@ -317,7 +316,7 @@ def test_pairs_all_at_the_distance_cap_exit_3_at_step_0(world, tmp_path, capsys)
 
 
 def test_master_weight_beyond_float32_exits_3_at_step_0(world, tmp_path, capsys, monkeypatch):
-    # A finite float64 master that float32 cannot hold fails the step's cast, not as a silent inf.
+    # init_params draws no such value. Cast to float32 it is inf, which the first step's ball map rejects.
     init_params = model.init_params
 
     def huge(cfg, seed):
@@ -326,9 +325,19 @@ def test_master_weight_beyond_float32_exits_3_at_step_0(world, tmp_path, capsys,
         return params
 
     monkeypatch.setattr(model, "init_params", huge)
-    assert cli.main(train_argv(world, tmp_path / "run")) == 3
+    with pytest.warns(RuntimeWarning, match="overflow encountered in cast"):
+        assert cli.main(train_argv(world, tmp_path / "run")) == 3
     err = capsys.readouterr().err
-    assert "training diverged at step 0: face_weight holds 1e+39, beyond float32's range" in err
+    assert "numeric/invariant error: training diverged at step 0: ball map: input contains non-finite values" in err
+    assert not (tmp_path / "run" / "checkpoint.paef").exists()
+
+
+def test_weighted_loss_beyond_range_exits_3_at_step_0(world, tmp_path, capsys):
+    # Each loss is finite, but their weighted total overflows.
+    assert cli.main(train_argv(world, tmp_path / "run", "--alpha1", "1e308", "--alpha2", "1e308")) == 3
+    err = capsys.readouterr().err
+    assert err == ("numeric/invariant error: training diverged at step 0: total_loss: the total weighted by "
+                   "(1e+308, 1e+308, 0.35) is non-finite\n")
     assert not (tmp_path / "run" / "checkpoint.paef").exists()
 
 
@@ -337,7 +346,6 @@ BAD_TRAIN_OPTIONS = [
     ("--lr0", "nan", "lr0"), ("--lr0", "inf", "lr0"), ("--lr0", "0", "lr0"),
     ("--weight-decay", "nan", "weight_decay"), ("--weight-decay", "-0.1", "weight_decay"),
     ("--weight-decay", "inf", "weight_decay"),
-    ("--val-trials", "1", "val_trials"),
     ("--alpha1", "nan", "alpha1"), ("--alpha2", "inf", "alpha2"), ("--alpha3", "-1", "alpha3"),
     ("--tangent-clip", "nan", "tangent_clip"), ("--tangent-clip", "inf", "tangent_clip"),
     ("--tangent-clip", "0", "tangent_clip"),
@@ -517,8 +525,8 @@ def test_train_selects_each_part_by_rows_without_walking_records(tmp_path, monke
     """``paeff train`` derives each part's rows from the dataset's arrays, once per call that needs them.
 
     ``cmd_train`` derives the train part's rows for the model's identity
-    count, ``trainer.train`` once for the batch size and step count, each
-    epoch's ``make_batches`` once, and ``build_verification_trials`` the
+    count, ``trainer.resolve_batch_size`` once for the auto batch size,
+    each epoch's ``make_batches`` once, and ``build_verification_trials`` the
     val part's once, for the val trials. The loaded dataset's records are
     never walked: the trials fetch only their own.
     """
@@ -540,9 +548,9 @@ def test_train_selects_each_part_by_rows_without_walking_records(tmp_path, monke
     monkeypatch.setattr(data.SplitSpec, "part_rows", deriving)
     monkeypatch.setattr(data, "load_dataset", loading)
     train(root, root / "run", "--split-mode", mode)
-    assert derived == [("cmd_train", "train"), ("train", "train"), ("build_verification_trials", "val")] + [
-        ("make_batches", "train")
-    ] * 2  # 2 epochs
+    assert derived == [
+        ("cmd_train", "train"), ("resolve_batch_size", "train"), ("build_verification_trials", "val"),
+    ] + [("make_batches", "train")] * 2  # 2 epochs
     assert len(loaded) == 1 and loaded[0].records.walks == 0
     dataset = load_dataset(root / "data.fve")
     split = data.SplitSpec(mode, *(data.read_split_file(root / f"{part}.ids") for part in ("train", "val", "test")))

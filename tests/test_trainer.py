@@ -128,11 +128,17 @@ class TestBatchSizeResolution:
         cfg = trainer.TrainConfig()
         assert trainer.resolve_batch_size(cfg, ds, split) == 1024
 
+    @pytest.mark.parametrize("batch_size, want", [(None, 64), (5, 5)], ids=["auto", "explicit"])
+    def test_train_trains_at_the_resolved_size(self, batch_size, want):
+        ds, split, cfg = desk_setup()
+        tc = trainer.TrainConfig(epochs=1, batch_size=batch_size, lr0=1e-3)
+        assert trainer.train(ds, split, cfg, tc).batch_size == trainer.resolve_batch_size(tc, ds, split) == want
+
 
 class TestTrainLoop:
     def test_single_epoch_logs_one_breakdown(self):
         ds, split, cfg = desk_setup()
-        tc = trainer.TrainConfig(epochs=1, batch_size=4, lr0=1e-3, seed=0, val_trials=20)
+        tc = trainer.TrainConfig(epochs=1, batch_size=4, lr0=1e-3, seed=0)
         result = trainer.train(ds, split, cfg, tc)
         assert len(result.history) == 1
         log = result.history[0]
@@ -141,7 +147,7 @@ class TestTrainLoop:
 
     def test_seed_repeatability(self):
         ds, split, cfg = desk_setup()
-        tc = trainer.TrainConfig(epochs=3, batch_size=4, lr0=1e-3, seed=5, val_trials=20)
+        tc = trainer.TrainConfig(epochs=3, batch_size=4, lr0=1e-3, seed=5)
         a = trainer.train(ds, split, cfg, tc)
         b = trainer.train(ds, split, cfg, tc)
         assert [log.as_dict() for log in a.history] == [log.as_dict() for log in b.history]
@@ -150,7 +156,7 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("batch_size", [None, 4])
     def test_parts_selected_by_rows_once_per_run(self, batch_size, monkeypatch):
-        """The train part's rows are derived once, and once more per epoch's batches; the val part's once.
+        """The train part's rows are derived per epoch's batches and once for an auto batch size; the val part's once.
 
         The val trials select their part by rows too, and no record is walked.
         """
@@ -164,9 +170,10 @@ class TestTrainLoop:
             return part_rows(self, dataset, part)
 
         monkeypatch.setattr(data.SplitSpec, "part_rows", deriving)
-        tc = trainer.TrainConfig(epochs=3, batch_size=batch_size, lr0=1e-3, seed=0, val_trials=20)
+        tc = trainer.TrainConfig(epochs=3, batch_size=batch_size, lr0=1e-3, seed=0)
         trainer.train(ds, split, cfg, tc)
-        assert derived == [("train", "train"), ("build_verification_trials", "val")] + [("make_batches", "train")] * 3
+        auto = [("resolve_batch_size", "train")] if batch_size is None else []
+        assert derived == auto + [("build_verification_trials", "val")] + [("make_batches", "train")] * 3
         assert ds.records.walks == 0
 
     def test_first_batch_total_matches_weighted_components(self):
@@ -214,7 +221,7 @@ class TestTrainLoop:
     def test_classifier_only_loss_decreases(self):
         ds, split, cfg = desk_setup()
         tc = trainer.TrainConfig(
-            epochs=12, batch_size=4, lr0=5e-3, seed=1, val_trials=20,
+            epochs=12, batch_size=4, lr0=5e-3, seed=1,
             alpha1=0.0, alpha2=0.0, alpha3=1.0,
         )
         result = trainer.train(ds, split, cfg, tc)
@@ -223,7 +230,7 @@ class TestTrainLoop:
 
     def test_logit_scale_and_its_clamp_logged_per_epoch(self, monkeypatch):
         ds, split, cfg = desk_setup()
-        tc = trainer.TrainConfig(epochs=2, batch_size=4, lr0=1e-3, seed=2, val_trials=20)
+        tc = trainer.TrainConfig(epochs=2, batch_size=4, lr0=1e-3, seed=2)
         free = trainer.train(ds, split, cfg, tc).history
         assert not any(log.logit_scale_clamped for log in free)
         assert free[0].logit_scale != free[1].logit_scale
@@ -238,7 +245,7 @@ class TestTrainLoop:
 
     def test_divergence_aborts_with_step(self):
         ds, split, cfg = desk_setup()
-        tc = trainer.TrainConfig(epochs=30, batch_size=4, lr0=1e9, seed=3, val_trials=20)
+        tc = trainer.TrainConfig(epochs=30, batch_size=4, lr0=1e9, seed=3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="step"):
                 trainer.train(ds, split, cfg, tc)
@@ -250,7 +257,7 @@ class TestTrainLoop:
         ds, split, cfg = desk_setup()
         for rec in ds.records:
             rec.vector *= 100.0
-        tc = trainer.TrainConfig(epochs=2, batch_size=4, lr0=1e-3, seed=2, val_trials=20)
+        tc = trainer.TrainConfig(epochs=2, batch_size=4, lr0=1e-3, seed=2)
         with pytest.raises(NumericError) as caught:
             trainer.train(ds, split, dataclasses.replace(cfg, tangent_clip=4.0), tc)
         assert str(caught.value).startswith("training diverged at step 0: alignment_loss: all 16 similarities equal")
@@ -258,7 +265,7 @@ class TestTrainLoop:
 
     def test_best_checkpoint_selected_by_val_eer(self):
         ds, split, cfg = desk_setup()
-        tc = trainer.TrainConfig(epochs=5, batch_size=4, lr0=5e-3, seed=4, val_trials=40)
+        tc = trainer.TrainConfig(epochs=5, batch_size=4, lr0=5e-3, seed=4)
         result = trainer.train(ds, split, cfg, tc)
         best = min(result.history, key=lambda log: log.val_eer)
         assert result.best_val_eer == best.val_eer
@@ -266,13 +273,13 @@ class TestTrainLoop:
 
     def test_coupled_data_improves_val_auc(self):
         ds, split, cfg = desk_setup(rho=1.0)
-        tc = trainer.TrainConfig(epochs=25, batch_size=4, lr0=5e-3, seed=6, val_trials=60)
+        tc = trainer.TrainConfig(epochs=25, batch_size=4, lr0=5e-3, seed=6)
         result = trainer.train(ds, split, cfg, tc)
         assert max(log.val_auc for log in result.history[1:]) > result.history[0].val_auc
 
     def test_history_jsonl_schema(self, tmp_path):
         ds, split, cfg = desk_setup()
-        tc = trainer.TrainConfig(epochs=2, batch_size=4, lr0=1e-3, seed=7, val_trials=20)
+        tc = trainer.TrainConfig(epochs=2, batch_size=4, lr0=1e-3, seed=7)
         result = trainer.train(ds, split, cfg, tc)
         path = tmp_path / "history.jsonl"
         trainer.write_history_jsonl(path, result.history)
@@ -288,7 +295,7 @@ class TestTrainLoop:
 
     def test_train_runs_where_libc_has_no_mallopt(self, monkeypatch):
         ds, split, cfg = desk_setup()
-        tc = trainer.TrainConfig(epochs=2, batch_size=4, lr0=1e-3, seed=5, val_trials=20)
+        tc = trainer.TrainConfig(epochs=2, batch_size=4, lr0=1e-3, seed=5)
         want = trainer.train(ds, split, cfg, tc)
         opened = []
         monkeypatch.setattr(trainer.ctypes, "CDLL", lambda name: opened.append(name) or object())
@@ -310,7 +317,7 @@ class TestTrainLoop:
             return breakdown
 
         monkeypatch.setattr(trainer, "step_losses", watching)
-        tc = trainer.TrainConfig(epochs=2, batch_size=4, lr0=1e-3, seed=0, val_trials=20)
+        tc = trainer.TrainConfig(epochs=2, batch_size=4, lr0=1e-3, seed=0)
         trainer.train(ds, split, cfg, tc)
         assert len(roots) == 4  # 2 epochs x 2 batches over 6 train identities
 
@@ -409,7 +416,7 @@ def test_training_runs_in_float32_and_scores_in_float64(arm, monkeypatch):
     monkeypatch.setattr(trainer, "adamw_step", checking)
     monkeypatch.setattr(evaluation, "encode_modality", encoding)
     monkeypatch.setattr(evaluation, "_pair_scores", similarity)
-    result = trainer.train(ds, split, cfg, trainer.TrainConfig(epochs=1, batch_size=4, lr0=1e-3, val_trials=20))
+    result = trainer.train(ds, split, cfg, trainer.TrainConfig(epochs=1, batch_size=4, lr0=1e-3))
     assert steps == [TAPE_NODES[arm][1]] * 2
     assert {dtype for _, dtype in wide} == {np.dtype(np.float32)}, [w for w in wide if w[1] != np.float32]
     names = [name for name, _ in result.params.named()]
@@ -518,13 +525,13 @@ PINNED_RUNS = {
 
 
 @pytest.mark.parametrize("arm", list(PINNED_RUNS))
-def test_fixed_seed_run_is_pinned(arm):
+def test_fixed_seed_run_is_pinned(arm, monkeypatch):
     use_hyperbolic, val_eers, best_epoch, checksum = PINNED_RUNS[arm]
+    monkeypatch.setattr(trainer, "VAL_TRIALS", 100)  # the val set these figures were pinned on
     ds = data.synth_generate(40, 4, 12, 10, 1.0, 0.2, seed=5, latent_dim=4)
     split = data.make_unseen_split(ds, n_val=8, n_test=2, seed=5)
     cfg = model.ModelConfig(face_dim=12, voice_dim=10, num_identities=30, proj_dim=8, use_hyperbolic=use_hyperbolic)
-    result = trainer.train(ds, split, cfg, trainer.TrainConfig(epochs=5, batch_size=16, lr0=3e-2, seed=5,
-                                                               val_trials=100))
+    result = trainer.train(ds, split, cfg, trainer.TrainConfig(epochs=5, batch_size=16, lr0=3e-2, seed=5))
     assert [h.val_eer for h in result.history] == pytest.approx(val_eers, rel=1e-9)
     assert result.best_epoch == best_epoch
     assert sum(float(np.sum(np.abs(t.data))) for _, t in result.params.named()) == pytest.approx(checksum, rel=1e-9)
